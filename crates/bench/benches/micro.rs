@@ -51,7 +51,9 @@ fn bench_sim_step(h: &mut Harness) {
     });
 }
 
-fn bench_lstm(h: &mut Harness) {
+/// Returns the derived `bwd_to_fwd_x`: backward cost in units of the
+/// forward (theory ≈ 2).
+fn bench_lstm(h: &mut Harness) -> f64 {
     let mut rng = Xoshiro256pp::seed_from_u64(2);
     let mut lstm = Lstm::new(7, 32, &mut rng);
     let seq: Vec<Tensor> = (0..24)
@@ -75,6 +77,39 @@ fn bench_lstm(h: &mut Harness) {
             black_box(lstm.backward_last(&out));
         })
     });
+
+    // The backward alone is the difference of two legs, and the
+    // sequential sections above drift apart by more than the gate's
+    // margin on a shared host. Interleave short forward /
+    // forward+backward legs and keep the fastest of each: every leg
+    // does identical work and a neighbour only ever adds time, so the
+    // minima converge on the quiet-host cost. Rounds are ~40 ms, so
+    // unlike the whole-run pairs below they are not scaled down by
+    // `ADRIAS_BENCH_PAIRS`.
+    const ROUNDS: usize = 40;
+    const RUNS_PER_LEG: u32 = 20;
+    let mut time_leg = |backward: bool| {
+        let t = std::time::Instant::now();
+        for _ in 0..RUNS_PER_LEG {
+            let out = lstm.forward_last(&seq);
+            if backward {
+                lstm.zero_grad();
+                black_box(lstm.backward_last(&out));
+            } else {
+                black_box(out);
+            }
+        }
+        t.elapsed().as_secs_f64() * 1e9 / f64::from(RUNS_PER_LEG)
+    };
+    let (mut forward, mut both) = (f64::MAX, f64::MAX);
+    for _ in 0..ROUNDS {
+        forward = forward.min(time_leg(false));
+        both = both.min(time_leg(true));
+    }
+    h.record_ns("lstm_backward_b32_t24_h32", both - forward);
+    let ratio = (both - forward) / forward;
+    println!("  backward vs forward, fastest of {ROUNDS} interleaved rounds: {ratio:.2}x");
+    ratio
 }
 
 /// The `matmul_transb` micro-kernel (the dot-product GEMM behind every
@@ -779,9 +814,7 @@ fn main() {
     if enabled("testbed_step") {
         bench_sim_step(&mut h);
     }
-    if enabled("lstm") {
-        bench_lstm(&mut h);
-    }
+    let bwd_to_fwd = enabled("lstm").then(|| bench_lstm(&mut h));
     if enabled("gemm") {
         bench_gemm(&mut h);
     }
@@ -822,6 +855,9 @@ fn main() {
         let speedup = scalar / simd;
         println!("  SIMD vs scalar LSTM forward:          {speedup:.2}x");
         derived.push(("simd_lstm_speedup_x", speedup));
+    }
+    if let Some(ratio) = bwd_to_fwd {
+        derived.push(("bwd_to_fwd_x", ratio));
     }
     if let (Some(scalar), Some(simd)) = (
         h.median_ns("gemm_transb_scalar_64x128x64"),

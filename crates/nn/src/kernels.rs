@@ -14,9 +14,16 @@
 //!   eight partial sums in an array and runs the identical reduction,
 //!   so AVX2 and scalar results are bit-identical by construction.
 //! * **Element-wise sweeps** ([`axpy`], [`add2_bias`], [`relu`],
-//!   [`bn_affine`], the LSTM gate sweeps) touch each output element
-//!   with one fixed expression; vector lanes and scalar iterations are
-//!   the same dataflow, so they are trivially bit-identical.
+//!   [`bn_affine`], the forward and backward LSTM gate sweeps) touch
+//!   each output element with one fixed expression; vector lanes and
+//!   scalar iterations are the same dataflow, so they are trivially
+//!   bit-identical.
+//! * **Accumulating GEMMs** (the [`axpy`] panels, [`transa_acc`]) give
+//!   every output element its own chain `out ← out + a·b` over
+//!   increasing `k` with an exact-zero skip on `a`. Keeping a tile of
+//!   running values in registers across the `k` loop, or reaching a
+//!   ragged tail through a masked load/store, changes where a value
+//!   waits between two updates — never the updates or their order.
 //! * **No FMA anywhere**: multiplies and adds stay separate
 //!   (`_mm256_mul_ps` + `_mm256_add_ps`), matching Rust's
 //!   non-contracting scalar codegen, so hosts with and without FMA
@@ -26,12 +33,13 @@
 //! for the base target, so a call into this module has real overhead —
 //! a few nanoseconds of call + dispatch that dominate a 32-element
 //! sweep. The hot loops therefore enter through **block-level**
-//! kernels ([`axpy_panel2`], [`dot_rows`], [`add2_bias_rows`], the
-//! `*_batch` gate sweeps): one dispatch covers a whole `k`-panel /
-//! column block / batch, and the per-row bodies inline *inside* the
-//! AVX2 region. Each block kernel runs the identical per-element
-//! sequence as the loop of small calls it replaces — same order, same
-//! zero-skip — so blocking is invisible to the bit pattern.
+//! kernels ([`axpy_panel2`], [`transa_acc`], [`dot_rows`],
+//! [`add2_bias_rows`], the `*_batch` gate sweeps): one dispatch covers
+//! a whole `k`-panel / product / column block / batch, and the per-row
+//! bodies inline *inside* the AVX2 region. Each block kernel runs the
+//! identical per-element sequence as the loop of small calls it
+//! replaces — same order, same zero-skip — so blocking is invisible to
+//! the bit pattern.
 //!
 //! Dispatch can be forced to the scalar path for A/B measurement and
 //! cross-checking: `ADRIAS_FORCE_SCALAR=1` in the environment (read
@@ -383,6 +391,53 @@ pub fn dot_rows(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
         return;
     }
     dot_rows_scalar(a, b_rows, out);
+}
+
+fn transa_acc_scalar(a: &[f32], b: &[f32], out: &mut [f32], (k, m, n): (usize, usize, usize)) {
+    for kk in 0..k {
+        let b_row = &b[kk * n..(kk + 1) * n];
+        for (r, &av) in a[kk * m..(kk + 1) * m].iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            axpy_scalar(av, b_row, &mut out[r * n..(r + 1) * n]);
+        }
+    }
+}
+
+/// The gradient-accumulation GEMM `out += aᵀ·b` for row-major `a`
+/// (`k × m`), `b` (`k × n`) and `out` (`m × n`); `shape` is `(k, m, n)`.
+///
+/// The spec is the triple loop: for increasing `k`, every output row
+/// `r` with `a[k][r] != 0.0` gets `out[r] += a[k][r] · b[k]`, one
+/// multiply then one add per element. The AVX2 body register-blocks it:
+/// a tile of output rows × column vectors is loaded once, carried in
+/// registers across the whole `k` loop and stored once, with masked
+/// loads and stores on a ragged last column vector. Every output
+/// element still sees exactly the spec's sequence — same start value,
+/// increasing `k`, same zero-skip, separate multiply and add — so the
+/// two paths agree bit for bit, and the whole product costs one
+/// dispatch instead of one [`axpy`] call per `(k, r)` pair.
+///
+/// # Panics
+///
+/// Panics if the slice lengths are not `k·m`, `k·n` and `m·n`.
+pub fn transa_acc(a: &[f32], b: &[f32], out: &mut [f32], shape: (usize, usize, usize)) {
+    let (k, m, n) = shape;
+    assert!(
+        a.len() == k * m && b.len() == k * n && out.len() == m * n,
+        "transa_acc shape mismatch: ({k}x{m})T @ {k}x{n} into {m}x{n}"
+    );
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
+    if simd_active() {
+        // SAFETY: `simd_active` implies AVX2 was detected at runtime,
+        // and the assert above is the length contract the kernel's
+        // unchecked loads and stores rely on.
+        unsafe { avx2::transa_acc(a, b, out, shape) };
+        return;
+    }
+    transa_acc_scalar(a, b, out, shape);
 }
 
 fn add2_bias_scalar(z: &mut [f32], w: &[f32], b: &[f32]) {
@@ -739,6 +794,140 @@ pub fn lstm_gates_eval_batch(
     gates_eval_batch_scalar(z, c_prev, hidden, c_out, h_out);
 }
 
+/// The forward caches one BPTT step reads back: the four gates,
+/// `tanh(c_t)` and the previous cell state, each `batch` rows of
+/// `hidden`.
+pub struct StepCaches<'a> {
+    /// Input gate `i`.
+    pub i: &'a [f32],
+    /// Forget gate `f`.
+    pub f: &'a [f32],
+    /// Candidate `g`.
+    pub g: &'a [f32],
+    /// Output gate `o`.
+    pub o: &'a [f32],
+    /// `tanh(c_t)`.
+    pub tanh_c: &'a [f32],
+    /// Previous cell state `c_{t-1}`.
+    pub c_prev: &'a [f32],
+}
+
+/// Elements `ks` of batch row `r` of the backward gate sweep, in the
+/// association of the tensor-op BPTT it replaced:
+/// `d_h = grad_h + d_h_next`, `d_c = (d_h·o)·(1 − tc²) + d_c_next`,
+/// sigmoid gates `(d·s)·(1 − s)`, the candidate `d·(1 − g²)`. This is
+/// the scalar spec; the AVX2 sweep runs it on each row's sub-vector
+/// tail.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn gates_backward_row(
+    cache: &StepCaches<'_>,
+    grad_h: Option<&[f32]>,
+    d_h_next: &[f32],
+    d_c_next: &mut [f32],
+    hidden: usize,
+    r: usize,
+    ks: std::ops::Range<usize>,
+    dz_row: &mut [f32],
+) {
+    for k in ks {
+        let e = r * hidden + k;
+        let (i, f, g, o, tc) = (
+            cache.i[e],
+            cache.f[e],
+            cache.g[e],
+            cache.o[e],
+            cache.tanh_c[e],
+        );
+        let d_h = grad_h.map_or(0.0, |grad| grad[e]) + d_h_next[e];
+        let d_o = d_h * tc;
+        let d_c = (d_h * o) * (1.0 - tc * tc) + d_c_next[e];
+        let d_f = d_c * cache.c_prev[e];
+        let d_i = d_c * g;
+        let d_g = d_c * i;
+        dz_row[k] = d_i * i * (1.0 - i);
+        dz_row[hidden + k] = d_f * f * (1.0 - f);
+        dz_row[2 * hidden + k] = d_g * (1.0 - g * g);
+        dz_row[3 * hidden + k] = d_o * o * (1.0 - o);
+        d_c_next[e] = d_c * f;
+    }
+}
+
+fn gates_backward_batch_scalar(
+    cache: &StepCaches<'_>,
+    grad_h: Option<&[f32]>,
+    d_h_next: &[f32],
+    d_c_next: &mut [f32],
+    hidden: usize,
+    dz: &mut [f32],
+) {
+    for (r, dz_row) in dz.chunks_exact_mut(4 * hidden).enumerate() {
+        gates_backward_row(
+            cache,
+            grad_h,
+            d_h_next,
+            d_c_next,
+            hidden,
+            r,
+            0..hidden,
+            dz_row,
+        );
+    }
+}
+
+/// Fused whole-batch backward gate sweep of one BPTT step: from the
+/// step's forward caches, the hidden-state gradient
+/// (`grad_h + d_h_next`; `grad_h = None` is a row of `+0.0`s, the
+/// unsupervised steps of a last-state readout) and the cell gradient
+/// `d_c_next` flowing back from step `t + 1`, writes the `batch × 4·hidden`
+/// pre-activation gradient `dz` (gate order `i, f, g, o`) and replaces
+/// `d_c_next` with the cell gradient for step `t − 1`.
+///
+/// Element-wise, one fixed expression per output (the scalar spec's
+/// parenthesisation, no FMA), so the AVX2 and scalar paths are
+/// bit-identical by the same argument as the forward sweeps.
+///
+/// # Panics
+///
+/// Panics if `hidden` is zero or any slice is not `batch` rows of its
+/// expected width.
+pub fn lstm_gates_backward_batch(
+    cache: &StepCaches<'_>,
+    grad_h: Option<&[f32]>,
+    d_h_next: &[f32],
+    d_c_next: &mut [f32],
+    hidden: usize,
+    dz: &mut [f32],
+) {
+    assert!(hidden > 0, "hidden width must be non-zero");
+    let bh = d_c_next.len();
+    assert!(
+        bh.is_multiple_of(hidden),
+        "d_c_next must be whole hidden rows"
+    );
+    assert_eq!(dz.len(), 4 * bh, "dz must be 4x hidden per row");
+    assert!(
+        cache.i.len() == bh
+            && cache.f.len() == bh
+            && cache.g.len() == bh
+            && cache.o.len() == bh
+            && cache.tanh_c.len() == bh
+            && cache.c_prev.len() == bh
+            && d_h_next.len() == bh
+            && grad_h.is_none_or(|g| g.len() == bh),
+        "gate gradient length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
+    if simd_active() {
+        // SAFETY: `simd_active` implies AVX2 was detected at runtime;
+        // the asserts above are the length contract of the kernel.
+        unsafe { avx2::gates_backward_batch(cache, grad_h, d_h_next, d_c_next, hidden, dz) };
+        return;
+    }
+    gates_backward_batch_scalar(cache, grad_h, d_h_next, d_c_next, hidden, dz);
+}
+
 /// The AVX2 lane implementations. Every function mirrors its scalar
 /// sibling operation for operation; tails below one vector width run
 /// the scalar code itself. This is the only module in the crate allowed
@@ -748,13 +937,14 @@ pub fn lstm_gates_eval_batch(
 #[allow(unsafe_code)]
 mod avx2 {
     use core::arch::x86_64::{
-        __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cvtps_epi32,
-        _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_storeu_ps,
-        _mm256_sub_ps, _mm256_xor_ps,
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cvtps_epi32,
+        _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps,
+        _mm256_xor_ps,
     };
 
-    use super::{split_gates, tail_reduce, GateCaches, LANES};
+    use super::{gates_backward_row, split_gates, tail_reduce, GateCaches, StepCaches, LANES};
     use crate::vmath;
 
     #[inline]
@@ -968,6 +1158,177 @@ mod avx2 {
         while c < out.len() {
             out[c] = dot(a, &b_rows[c * k..(c + 1) * k]);
             c += 1;
+        }
+    }
+
+    /// `LANE_MASKS[LANES - t..][..LANES]` sets exactly the first `t`
+    /// lanes.
+    static LANE_MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask(active: usize) -> __m256i {
+        debug_assert!(active <= LANES);
+        _mm256_loadu_si256(LANE_MASKS.as_ptr().add(LANES - active).cast())
+    }
+
+    /// [`load`], or — for the `ragged` vector of a `MASKED` tile — a
+    /// masked load that touches only the lanes `mask` enables (the
+    /// others read as `0.0` and may lie past the end of `xs`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_lanes<const MASKED: bool>(
+        xs: &[f32],
+        i: usize,
+        ragged: bool,
+        mask: __m256i,
+    ) -> __m256 {
+        if MASKED && ragged {
+            debug_assert!(i < xs.len());
+            _mm256_maskload_ps(xs.as_ptr().add(i), mask)
+        } else {
+            load(xs, i)
+        }
+    }
+
+    /// [`store`], or the masked store matching [`load_lanes`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_lanes<const MASKED: bool>(
+        xs: &mut [f32],
+        i: usize,
+        ragged: bool,
+        mask: __m256i,
+        v: __m256,
+    ) {
+        if MASKED && ragged {
+            debug_assert!(i < xs.len());
+            _mm256_maskstore_ps(xs.as_mut_ptr().add(i), mask, v)
+        } else {
+            store(xs, i, v)
+        }
+    }
+
+    /// One `R`-row × `V`-vector output tile of [`transa_acc`] with its
+    /// top-left element at `(r0, c0)`: accumulators live in registers
+    /// from the one load of `out` to the one store, across the whole
+    /// `k` loop. With `MASKED`, the tile's last vector is the ragged
+    /// end of a row and goes through `mask` — a tail lane runs the same
+    /// `mul` then `add` as a full one. Per element this is the spec's
+    /// sequence: increasing `k`, the per-row zero-skip, no FMA.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, slices of `k·m`, `k·n` and `m·n` elements,
+    /// `r0 + R <= m`, and `c0 + V·LANES <= n` (for `MASKED`: the first
+    /// `V − 1` vectors in bounds and `mask` enabling exactly the
+    /// `n − c0 − (V − 1)·LANES` lanes left in the row).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transa_tile<const R: usize, const V: usize, const MASKED: bool>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        (k, m, n): (usize, usize, usize),
+        (r0, c0): (usize, usize),
+        mask: __m256i,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let at = (r0 + r) * n + c0;
+            for (v, lanes) in row.iter_mut().enumerate() {
+                *lanes = load_lanes::<MASKED>(out, at + v * LANES, v + 1 == V, mask);
+            }
+        }
+        for kk in 0..k {
+            let coeffs = &a[kk * m + r0..kk * m + r0 + R];
+            let b_at = kk * n + c0;
+            for (&av, row) in coeffs.iter().zip(acc.iter_mut()) {
+                if av == 0.0 {
+                    continue;
+                }
+                let s = _mm256_set1_ps(av);
+                for (v, lanes) in row.iter_mut().enumerate() {
+                    let bv = load_lanes::<MASKED>(b, b_at + v * LANES, v + 1 == V, mask);
+                    *lanes = _mm256_add_ps(*lanes, _mm256_mul_ps(s, bv));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            let at = (r0 + r) * n + c0;
+            for (v, &lanes) in row.iter().enumerate() {
+                store_lanes::<MASKED>(out, at + v * LANES, v + 1 == V, mask, lanes);
+            }
+        }
+    }
+
+    /// All output rows of one `V`-vector column strip: `R`-row tiles,
+    /// then single rows for the remainder.
+    ///
+    /// # Safety
+    ///
+    /// As [`transa_tile`], for every `r0`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn transa_strip<const R: usize, const V: usize, const MASKED: bool>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        shape: (usize, usize, usize),
+        c0: usize,
+        mask: __m256i,
+    ) {
+        let m = shape.1;
+        let mut r0 = 0;
+        while r0 + R <= m {
+            transa_tile::<R, V, MASKED>(a, b, out, shape, (r0, c0), mask);
+            r0 += R;
+        }
+        while r0 < m {
+            transa_tile::<1, V, MASKED>(a, b, out, shape, (r0, c0), mask);
+            r0 += 1;
+        }
+    }
+
+    /// Register-blocked `out += aᵀ·b`: the columns are cut into strips
+    /// of 6, 2 or 1 vectors, each swept in tiles of 2, 6 or 8 rows
+    /// (≤ 12 accumulator registers, leaving room for the broadcast
+    /// coefficient and the `b` vector).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and slices of `k·m`, `k·n` and `m·n` elements.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn transa_acc(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        shape: (usize, usize, usize),
+    ) {
+        let n = shape.2;
+        let tail = n % LANES;
+        let vectors = n.div_ceil(LANES);
+        let mask = lane_mask(tail);
+        let mut v0 = 0;
+        while v0 < vectors {
+            let left = vectors - v0;
+            let width = if left >= 6 {
+                6
+            } else if left >= 2 {
+                2
+            } else {
+                1
+            };
+            let ragged = tail != 0 && v0 + width == vectors;
+            let c0 = v0 * LANES;
+            match (width, ragged) {
+                (6, false) => transa_strip::<2, 6, false>(a, b, out, shape, c0, mask),
+                (6, true) => transa_strip::<2, 6, true>(a, b, out, shape, c0, mask),
+                (2, false) => transa_strip::<6, 2, false>(a, b, out, shape, c0, mask),
+                (2, true) => transa_strip::<6, 2, true>(a, b, out, shape, c0, mask),
+                (_, false) => transa_strip::<8, 1, false>(a, b, out, shape, c0, mask),
+                (_, true) => transa_strip::<8, 1, true>(a, b, out, shape, c0, mask),
+            }
+            v0 += width;
         }
     }
 
@@ -1288,6 +1649,72 @@ mod avx2 {
             );
         }
     }
+
+    /// Vector head per row — one operation per step of
+    /// [`gates_backward_row`], in its order — and the scalar spec
+    /// itself on the sub-vector tail.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gates_backward_batch(
+        cache: &StepCaches<'_>,
+        grad_h: Option<&[f32]>,
+        d_h_next: &[f32],
+        d_c_next: &mut [f32],
+        hidden: usize,
+        dz: &mut [f32],
+    ) {
+        let head = hidden - hidden % LANES;
+        let one = _mm256_set1_ps(1.0);
+        for (r, dz_row) in dz.chunks_exact_mut(4 * hidden).enumerate() {
+            let base = r * hidden;
+            let mut k = 0;
+            while k < head {
+                let e = base + k;
+                let (i, f, g, o) = (
+                    load(cache.i, e),
+                    load(cache.f, e),
+                    load(cache.g, e),
+                    load(cache.o, e),
+                );
+                let tc = load(cache.tanh_c, e);
+                let grad = match grad_h {
+                    Some(grad_h) => load(grad_h, e),
+                    None => _mm256_setzero_ps(),
+                };
+                let d_h = _mm256_add_ps(grad, load(d_h_next, e));
+                let d_o = _mm256_mul_ps(d_h, tc);
+                let d_c = _mm256_add_ps(
+                    _mm256_mul_ps(
+                        _mm256_mul_ps(d_h, o),
+                        _mm256_sub_ps(one, _mm256_mul_ps(tc, tc)),
+                    ),
+                    load(d_c_next, e),
+                );
+                let d_f = _mm256_mul_ps(d_c, load(cache.c_prev, e));
+                let d_i = _mm256_mul_ps(d_c, g);
+                let d_g = _mm256_mul_ps(d_c, i);
+                let dz_i = _mm256_mul_ps(_mm256_mul_ps(d_i, i), _mm256_sub_ps(one, i));
+                let dz_f = _mm256_mul_ps(_mm256_mul_ps(d_f, f), _mm256_sub_ps(one, f));
+                let dz_g = _mm256_mul_ps(d_g, _mm256_sub_ps(one, _mm256_mul_ps(g, g)));
+                let dz_o = _mm256_mul_ps(_mm256_mul_ps(d_o, o), _mm256_sub_ps(one, o));
+                store(dz_row, k, dz_i);
+                store(dz_row, hidden + k, dz_f);
+                store(dz_row, 2 * hidden + k, dz_g);
+                store(dz_row, 3 * hidden + k, dz_o);
+                store(d_c_next, e, _mm256_mul_ps(d_c, f));
+                k += LANES;
+            }
+            gates_backward_row(
+                cache,
+                grad_h,
+                d_h_next,
+                d_c_next,
+                hidden,
+                r,
+                head..hidden,
+                dz_row,
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1562,6 +1989,95 @@ mod tests {
                 t_native, e_native,
                 "train and eval batches disagree at {batch}x{h}"
             );
+        }
+    }
+
+    /// `transa_acc` is pinned three ways on ragged shapes: the AVX2
+    /// tiles (every strip width, row tails, masked column tails), the
+    /// scalar spec, and the loop of small `axpy` calls it replaced all
+    /// agree bit for bit — with exact zeros and `-0.0` among the
+    /// coefficients and a pre-loaded non-zero `out`.
+    #[test]
+    fn transa_acc_matches_spec_and_naive_axpy_loop_on_ragged_shapes() {
+        for k in [1usize, 16, 33] {
+            for m in [1usize, 3, 7, 13, 21] {
+                for n in [1usize, 7, 8, 9, 48, 50, 97] {
+                    let salt = (k * 1000 + m * 100 + n) as u64;
+                    let mut a = noisy(k * m, salt);
+                    for v in a.iter_mut().skip(2).step_by(5) {
+                        *v = -0.0;
+                    }
+                    let mut b = noisy(k * n, salt ^ 0xB);
+                    for v in b.iter_mut().skip(1).step_by(7) {
+                        *v = -0.0;
+                    }
+                    let out0 = noisy(m * n, salt ^ 0xC);
+                    let blocked = || {
+                        let mut out = out0.clone();
+                        transa_acc(&a, &b, &mut out, (k, m, n));
+                        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    let naive = || {
+                        let mut out = out0.clone();
+                        for kk in 0..k {
+                            for r in 0..m {
+                                let av = a[kk * m + r];
+                                if av != 0.0 {
+                                    let b_row = &b[kk * n..(kk + 1) * n];
+                                    axpy(av, b_row, &mut out[r * n..(r + 1) * n]);
+                                }
+                            }
+                        }
+                        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    let (native, scalar) = both_paths(blocked);
+                    assert_eq!(native, scalar, "transa_acc diverged at {k}x{m}x{n}");
+                    let (naive_native, naive_scalar) = both_paths(naive);
+                    assert_eq!(naive_native, naive_scalar);
+                    assert_eq!(
+                        native, naive_native,
+                        "transa_acc != axpy loop at {k}x{m}x{n}"
+                    );
+                }
+            }
+        }
+        // Degenerate edges: nothing to accumulate, nothing to write.
+        let mut out = vec![1.5f32; 6];
+        transa_acc(&[], &[], &mut out, (0, 2, 3));
+        assert_eq!(out, vec![1.5; 6]);
+        transa_acc(&[], &[1.0, 2.0], &mut [], (2, 0, 1));
+        transa_acc(&[1.0, 2.0], &[], &mut [], (2, 1, 0));
+    }
+
+    /// The backward gate sweep: AVX2 ≡ scalar on ragged hidden widths,
+    /// with and without a supervised hidden gradient, and `None` is
+    /// exactly a row of `+0.0`s.
+    #[test]
+    fn backward_gate_sweep_agrees_across_paths() {
+        for (batch, h) in [(1usize, 1usize), (2, 5), (3, 8), (4, 19), (2, 48)] {
+            let bh = batch * h;
+            let bufs: Vec<Vec<f32>> = (0..9).map(|j| noisy(bh, 80 + j + h as u64)).collect();
+            let cache = StepCaches {
+                i: &bufs[0],
+                f: &bufs[1],
+                g: &bufs[2],
+                o: &bufs[3],
+                tanh_c: &bufs[4],
+                c_prev: &bufs[5],
+            };
+            let zeros = vec![0.0f32; bh];
+            let run = |grad_h: Option<&[f32]>| {
+                let mut d_c = bufs[8].clone();
+                let mut dz = vec![f32::NAN; 4 * bh];
+                lstm_gates_backward_batch(&cache, grad_h, &bufs[7], &mut d_c, h, &mut dz);
+                let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (bits(dz), bits(d_c))
+            };
+            let (native, scalar) = both_paths(|| run(Some(&bufs[6])));
+            assert_eq!(native, scalar, "backward sweep diverged at {batch}x{h}");
+            let (none_native, none_scalar) = both_paths(|| run(None));
+            assert_eq!(none_native, none_scalar);
+            assert_eq!(none_native, run(Some(&zeros)), "None != zero gradient");
         }
     }
 

@@ -31,7 +31,7 @@ pub trait Layer {
 
     /// Zeroes all accumulated parameter gradients.
     fn zero_grad(&mut self) {
-        self.visit_params(&mut |_, g| g.scale_assign(0.0));
+        self.visit_params(&mut |_, g| g.fill(0.0));
     }
 }
 

@@ -13,15 +13,21 @@
 //!
 //! [`Lstm::forward_seq`] returns the hidden state at every step so LSTMs
 //! can be stacked (the paper's models use two); [`Lstm::backward_seq`]
-//! accepts a per-step output gradient (zeros everywhere except the last
-//! step for a last-hidden-state readout) and returns per-step input
-//! gradients for the layer below.
+//! accepts a per-step output gradient and returns per-step input
+//! gradients for the layer below, [`Lstm::backward_last`] a gradient on
+//! the final hidden state only, and [`Lstm::backward_seq_params`] skips
+//! the input gradients a bottom layer would throw away.
+//!
+//! The training path keeps its BPTT cache and step buffers in one
+//! per-layer workspace of flat arenas, sized on first use: a
+//! forward/backward pair on already-seen shapes allocates only the
+//! tensors it returns.
 
 use adrias_core::rng::Rng;
 
 use crate::init;
-use crate::kernels::{self, GateCaches};
-use crate::tensor::Tensor;
+use crate::kernels::{self, GateCaches, StepCaches};
+use crate::tensor::{gemm_into, Tensor};
 
 /// Reusable buffers for the allocation-free eval-mode forward pass
 /// ([`Lstm::forward_seq_scratch`]).
@@ -79,17 +85,51 @@ impl LstmScratch {
     }
 }
 
-/// Per-timestep cache for BPTT.
-#[derive(Debug, Clone)]
-struct StepCache {
-    x: Tensor,
-    h_prev: Tensor,
-    c_prev: Tensor,
-    i: Tensor,
-    f: Tensor,
-    g: Tensor,
-    o: Tensor,
-    tanh_c: Tensor,
+/// Training-path state of one [`Lstm`]: the BPTT cache of the most
+/// recent [`Lstm::forward_seq`] as flat per-sequence arenas (step `t`
+/// of a `steps × batch × width` buffer is one contiguous slot), the
+/// transposed projection weights, and the per-step buffers of both
+/// passes. Buffers only ever grow.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Steps and batch rows of the cached forward; `steps == 0` means
+    /// no forward has run.
+    steps: usize,
+    batch: usize,
+    /// `w_ih` / `w_hh` transposed (`in × 4H`, `H × 4H`), valid while
+    /// `weights_t_fresh`; [`Lstm::visit_params`] hands out the weights
+    /// mutably and clears the flag.
+    w_ih_t: Tensor,
+    w_hh_t: Tensor,
+    weights_t_fresh: bool,
+    /// Inputs `x_t`, slot `t`.
+    x: Vec<f32>,
+    /// Hidden and cell states, `steps + 1` slots: slot 0 is the zero
+    /// initial state, slot `t + 1` the state after step `t` — so slot
+    /// `t` is what step `t` sees as `h_{t-1}` / `c_{t-1}`.
+    h: Vec<f32>,
+    c: Vec<f32>,
+    /// Gate activations and `tanh(c_t)`, slot `t`.
+    i: Vec<f32>,
+    f: Vec<f32>,
+    g: Vec<f32>,
+    o: Vec<f32>,
+    tanh_c: Vec<f32>,
+    /// Forward pre-activations (`batch × 4H` each).
+    zx: Vec<f32>,
+    zh: Vec<f32>,
+    /// Backward: pre-activation gradient (`batch × 4H`), the recurrent
+    /// gradients (`batch × H`) and the bias column sums (`4H`).
+    dz: Vec<f32>,
+    d_h_next: Vec<f32>,
+    d_c_next: Vec<f32>,
+    bias_sum: Vec<f32>,
+}
+
+/// Resizes `buf` to `len` zeros, reusing its allocation.
+fn zeroed(buf: &mut Vec<f32>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
 }
 
 /// A single LSTM layer.
@@ -117,7 +157,7 @@ pub struct Lstm {
     grad_w_ih: Tensor,
     grad_w_hh: Tensor,
     grad_bias: Tensor,
-    cache: Vec<StepCache>,
+    ws: Workspace,
 }
 
 impl Lstm {
@@ -134,7 +174,7 @@ impl Lstm {
             grad_w_ih: Tensor::zeros(4 * hidden_size, input_size),
             grad_w_hh: Tensor::zeros(4 * hidden_size, hidden_size),
             grad_bias: Tensor::zeros(1, 4 * hidden_size),
-            cache: Vec::new(),
+            ws: Workspace::default(),
         }
     }
 
@@ -155,82 +195,96 @@ impl Lstm {
     ///
     /// Panics if `seq` is empty or any step has the wrong width.
     pub fn forward_seq(&mut self, seq: &[Tensor]) -> Vec<Tensor> {
-        assert!(!seq.is_empty(), "LSTM requires a non-empty sequence");
-        let batch = seq[0].rows();
-        let h = self.hidden_size;
-        let hw = 4 * h;
-        // Transpose the projection weights ONCE per sequence so every
-        // step runs the cache-blocked `matmul_into` kernel (contiguous
-        // inner loops over the 4H gate lanes) into reused buffers. The
-        // accumulation over `k` stays in increasing order, so every
-        // value is bit-identical to the per-step `matmul_transb` path.
-        let w_ih_t = self.w_ih.transpose(); // in × 4H
-        let w_hh_t = self.w_hh.transpose(); // H × 4H
-        let mut zx = Tensor::zeros(batch, hw);
-        let mut zh = Tensor::zeros(batch, hw);
-        let mut h_prev = Tensor::zeros(batch, h);
-        let mut c_prev = Tensor::zeros(batch, h);
-        self.cache.clear();
-        let mut outputs = Vec::with_capacity(seq.len());
-        for x in seq {
-            assert_eq!(
-                x.cols(),
-                self.input_size,
-                "LSTM expects {} input features, got {}",
-                self.input_size,
-                x.cols()
-            );
-            assert_eq!(x.rows(), batch, "inconsistent batch size inside sequence");
-            x.matmul_into(&w_ih_t, &mut zx);
-            h_prev.matmul_into(&w_hh_t, &mut zh);
-            // z = zx + zh + bias (row broadcast), fused in place into zx
-            // via the vectorised whole-batch sweep.
-            kernels::add2_bias_rows(zx.data_mut(), zh.data(), self.bias.data());
-            // Fused vectorised gate pass: one whole-batch sweep computes
-            // every gate, the new cell state and the hidden output
-            // ([`kernels::lstm_gates_train_batch`] — the same canonical
-            // expressions on the SIMD and scalar paths).
-            let mut i_t = Tensor::zeros(batch, h);
-            let mut f_t = Tensor::zeros(batch, h);
-            let mut g_t = Tensor::zeros(batch, h);
-            let mut o_t = Tensor::zeros(batch, h);
-            let mut c_t = Tensor::zeros(batch, h);
-            let mut tanh_c_t = Tensor::zeros(batch, h);
-            let mut h_t = Tensor::zeros(batch, h);
-            kernels::lstm_gates_train_batch(
-                zx.data(),
-                c_prev.data(),
-                h,
-                &mut GateCaches {
-                    i: i_t.data_mut(),
-                    f: f_t.data_mut(),
-                    g: g_t.data_mut(),
-                    o: o_t.data_mut(),
-                    c: c_t.data_mut(),
-                    tanh_c: tanh_c_t.data_mut(),
-                    h: h_t.data_mut(),
-                },
-            );
-            self.cache.push(StepCache {
-                x: x.clone(),
-                h_prev: std::mem::replace(&mut h_prev, h_t.clone()),
-                c_prev: std::mem::replace(&mut c_prev, c_t),
-                i: i_t,
-                f: f_t,
-                g: g_t,
-                o: o_t,
-                tanh_c: tanh_c_t,
-            });
-            outputs.push(h_t);
-        }
-        outputs
+        self.run_forward(seq);
+        let (batch, h) = (self.ws.batch, self.hidden_size);
+        self.ws.h[batch * h..]
+            .chunks_exact(batch * h)
+            .map(|h_t| Tensor::from_vec(batch, h, h_t.to_vec()))
+            .collect()
     }
 
     /// Convenience: forward and return only the final hidden state.
     pub fn forward_last(&mut self, seq: &[Tensor]) -> Tensor {
-        self.forward_seq(seq)
-            .pop()
-            .expect("non-empty sequence yields an output")
+        self.run_forward(seq);
+        let (batch, h) = (self.ws.batch, self.hidden_size);
+        let last = &self.ws.h[self.ws.steps * batch * h..];
+        Tensor::from_vec(batch, h, last.to_vec())
+    }
+
+    /// The training-mode forward: fills the workspace's BPTT cache
+    /// (including every hidden state) for `seq`.
+    fn run_forward(&mut self, seq: &[Tensor]) {
+        assert!(!seq.is_empty(), "LSTM requires a non-empty sequence");
+        let batch = seq[0].rows();
+        let (inp, h) = (self.input_size, self.hidden_size);
+        let hw = 4 * h;
+        let (steps, bx, bh) = (seq.len(), batch * inp, batch * h);
+        let ws = &mut self.ws;
+        // Transposed once per weight update, not per step or per call,
+        // so every step runs the cache-blocked `gemm_into` kernel
+        // (contiguous inner loops over the 4H gate lanes), each output
+        // element accumulating over `k` in increasing order.
+        if !ws.weights_t_fresh {
+            self.w_ih.transpose_into(&mut ws.w_ih_t);
+            self.w_hh.transpose_into(&mut ws.w_hh_t);
+            ws.weights_t_fresh = true;
+        }
+        // The cache is invalid until the last step has been written.
+        ws.steps = 0;
+        ws.x.resize(steps * bx, 0.0);
+        for buf in [&mut ws.h, &mut ws.c] {
+            buf.resize((steps + 1) * bh, 0.0);
+            buf[..bh].fill(0.0);
+        }
+        for buf in [&mut ws.i, &mut ws.f, &mut ws.g, &mut ws.o, &mut ws.tanh_c] {
+            buf.resize(steps * bh, 0.0);
+        }
+        ws.zx.resize(batch * hw, 0.0);
+        ws.zh.resize(batch * hw, 0.0);
+        for (t, x) in seq.iter().enumerate() {
+            assert_eq!(
+                x.cols(),
+                inp,
+                "LSTM expects {} input features, got {}",
+                inp,
+                x.cols()
+            );
+            assert_eq!(x.rows(), batch, "inconsistent batch size inside sequence");
+            let slot = t * bh..(t + 1) * bh;
+            ws.x[t * bx..(t + 1) * bx].copy_from_slice(x.data());
+            gemm_into(x.data(), ws.w_ih_t.data(), &mut ws.zx, (batch, inp, hw));
+            gemm_into(
+                &ws.h[slot.clone()],
+                ws.w_hh_t.data(),
+                &mut ws.zh,
+                (batch, h, hw),
+            );
+            // z = zx + zh + bias (row broadcast), fused in place into zx
+            // via the vectorised whole-batch sweep.
+            kernels::add2_bias_rows(&mut ws.zx, &ws.zh, self.bias.data());
+            // Fused vectorised gate pass: one whole-batch sweep computes
+            // every gate, the new cell state and the hidden output
+            // ([`kernels::lstm_gates_train_batch`] — the same canonical
+            // expressions on the SIMD and scalar paths), straight into
+            // the arena slots.
+            let (c_prev, c_next) = ws.c.split_at_mut((t + 1) * bh);
+            kernels::lstm_gates_train_batch(
+                &ws.zx,
+                &c_prev[t * bh..],
+                h,
+                &mut GateCaches {
+                    i: &mut ws.i[slot.clone()],
+                    f: &mut ws.f[slot.clone()],
+                    g: &mut ws.g[slot.clone()],
+                    o: &mut ws.o[slot.clone()],
+                    c: &mut c_next[..bh],
+                    tanh_c: &mut ws.tanh_c[slot],
+                    h: &mut ws.h[(t + 1) * bh..(t + 2) * bh],
+                },
+            );
+        }
+        ws.steps = steps;
+        ws.batch = batch;
     }
 
     /// Eval-mode [`Lstm::forward_seq`] into reusable `scratch` buffers:
@@ -334,66 +388,133 @@ impl Lstm {
     ///
     /// Panics if `grad_hidden` does not match the cached forward pass.
     pub fn backward_seq(&mut self, grad_hidden: &[Tensor]) -> Vec<Tensor> {
+        self.check_grad_steps(grad_hidden.len());
+        self.bptt(|t| Some(&grad_hidden[t]), true)
+    }
+
+    /// [`Lstm::backward_seq`] for a bottom layer: accumulates the same
+    /// parameter gradients, bit for bit, and skips the per-step input
+    /// gradients nobody would read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_hidden` does not match the cached forward pass.
+    pub fn backward_seq_params(&mut self, grad_hidden: &[Tensor]) {
+        self.check_grad_steps(grad_hidden.len());
+        self.bptt(|t| Some(&grad_hidden[t]), false);
+    }
+
+    /// Backpropagates a gradient on the **final** hidden state only —
+    /// [`Lstm::backward_seq`] with zero tensors at every earlier step.
+    pub fn backward_last(&mut self, grad_last: &Tensor) -> Vec<Tensor> {
+        let steps = self.ws.steps;
+        self.bptt(|t| (t + 1 == steps).then_some(grad_last), true)
+    }
+
+    fn check_grad_steps(&self, grad_steps: usize) {
         assert_eq!(
-            grad_hidden.len(),
-            self.cache.len(),
+            grad_steps, self.ws.steps,
             "gradient steps {} do not match cached forward steps {}",
-            grad_hidden.len(),
-            self.cache.len()
+            grad_steps, self.ws.steps
         );
-        assert!(
-            !self.cache.is_empty(),
-            "Lstm::backward_seq before forward_seq"
-        );
-        let batch = self.cache[0].x.rows();
-        let h = self.hidden_size;
-        let mut d_h_next = Tensor::zeros(batch, h);
-        let mut d_c_next = Tensor::zeros(batch, h);
-        let mut d_inputs = vec![Tensor::zeros(batch, self.input_size); self.cache.len()];
-        for t in (0..self.cache.len()).rev() {
-            let cache = &self.cache[t];
-            let d_h = &grad_hidden[t] + &d_h_next;
-            // h = o ⊙ tanh(c)
-            let d_o = &d_h * &cache.tanh_c;
-            let d_c = &(&d_h * &cache.o).zip(&cache.tanh_c, |dh_o, tc| dh_o * (1.0 - tc * tc))
-                + &d_c_next;
-            // c = f ⊙ c_prev + i ⊙ g
-            let d_f = &d_c * &cache.c_prev;
-            let d_i = &d_c * &cache.g;
-            let d_g = &d_c * &cache.i;
-            d_c_next = &d_c * &cache.f;
-            // Pre-activation gradients.
-            let dz_i = d_i.zip(&cache.i, |d, s| d * s * (1.0 - s));
-            let dz_f = d_f.zip(&cache.f, |d, s| d * s * (1.0 - s));
-            let dz_g = d_g.zip(&cache.g, |d, g| d * (1.0 - g * g));
-            let dz_o = d_o.zip(&cache.o, |d, s| d * s * (1.0 - s));
-            let dz = dz_i.hcat(&dz_f).hcat(&dz_g).hcat(&dz_o); // batch × 4H
-                                                               // Parameter gradients.
-            dz.matmul_transa_acc(&cache.x, &mut self.grad_w_ih);
-            dz.matmul_transa_acc(&cache.h_prev, &mut self.grad_w_hh);
-            self.grad_bias.add_assign(&dz.sum_rows());
+    }
+
+    /// BPTT over the cached forward. `grad_at(t)` is the loss gradient
+    /// on hidden output `t`, `None` standing for a zero tensor; the
+    /// per-step input gradients are computed and returned only if
+    /// `want_inputs` (otherwise the result is empty).
+    ///
+    /// Each step is one fused gate sweep into `dz`, two register-blocked
+    /// `dW += dzᵀ·x` products, the bias column sums and the two
+    /// `dz·W` products, all on workspace buffers. Every accumulator
+    /// sees the operations of the tensor-op formulation
+    /// (`tests/bptt_reference.rs`) in the same order, so the gradients
+    /// are bit-identical to it.
+    fn bptt<'g>(
+        &mut self,
+        grad_at: impl Fn(usize) -> Option<&'g Tensor>,
+        want_inputs: bool,
+    ) -> Vec<Tensor> {
+        let ws = &mut self.ws;
+        let (steps, batch) = (ws.steps, ws.batch);
+        assert!(steps > 0, "Lstm backward before forward_seq");
+        let (inp, h) = (self.input_size, self.hidden_size);
+        let hw = 4 * h;
+        let (bx, bh) = (batch * inp, batch * h);
+        ws.dz.resize(batch * hw, 0.0);
+        ws.bias_sum.resize(hw, 0.0);
+        zeroed(&mut ws.d_h_next, bh);
+        zeroed(&mut ws.d_c_next, bh);
+        let mut d_inputs = if want_inputs {
+            vec![Tensor::zeros(batch, inp); steps]
+        } else {
+            Vec::new()
+        };
+        for t in (0..steps).rev() {
+            let slot = t * bh..(t + 1) * bh;
+            let grad_h = grad_at(t).map(|g| {
+                assert_eq!(g.shape(), (batch, h), "hidden gradient shape at step {t}");
+                g.data()
+            });
+            kernels::lstm_gates_backward_batch(
+                &StepCaches {
+                    i: &ws.i[slot.clone()],
+                    f: &ws.f[slot.clone()],
+                    g: &ws.g[slot.clone()],
+                    o: &ws.o[slot.clone()],
+                    tanh_c: &ws.tanh_c[slot.clone()],
+                    c_prev: &ws.c[slot.clone()],
+                },
+                grad_h,
+                &ws.d_h_next,
+                &mut ws.d_c_next,
+                h,
+                &mut ws.dz,
+            );
+            // Parameter gradients.
+            kernels::transa_acc(
+                &ws.dz,
+                &ws.x[t * bx..(t + 1) * bx],
+                self.grad_w_ih.data_mut(),
+                (batch, hw, inp),
+            );
+            kernels::transa_acc(
+                &ws.dz,
+                &ws.h[slot],
+                self.grad_w_hh.data_mut(),
+                (batch, hw, h),
+            );
+            // db += Σ_rows dz: the column sums first (from +0.0, in row
+            // order), then one add into the accumulator.
+            ws.bias_sum.fill(0.0);
+            for dz_row in ws.dz.chunks_exact(hw) {
+                for (s, &v) in ws.bias_sum.iter_mut().zip(dz_row) {
+                    *s += v;
+                }
+            }
+            for (g, &s) in self.grad_bias.data_mut().iter_mut().zip(&ws.bias_sum) {
+                *g += s;
+            }
             // Input and recurrent gradients.
-            d_inputs[t] = dz.matmul(&self.w_ih);
-            d_h_next = dz.matmul(&self.w_hh);
+            if want_inputs {
+                gemm_into(
+                    &ws.dz,
+                    self.w_ih.data(),
+                    d_inputs[t].data_mut(),
+                    (batch, hw, inp),
+                );
+            }
+            if t > 0 {
+                gemm_into(&ws.dz, self.w_hh.data(), &mut ws.d_h_next, (batch, hw, h));
+            }
         }
         d_inputs
     }
 
-    /// Backpropagates a gradient on the **final** hidden state only.
-    pub fn backward_last(&mut self, grad_last: &Tensor) -> Vec<Tensor> {
-        assert!(
-            !self.cache.is_empty(),
-            "Lstm::backward_last before forward_seq"
-        );
-        let batch = self.cache[0].x.rows();
-        let mut grads = vec![Tensor::zeros(batch, self.hidden_size); self.cache.len()];
-        let last = grads.len() - 1;
-        grads[last] = grad_last.clone();
-        self.backward_seq(&grads)
-    }
-
     /// Visits `(parameter, gradient)` pairs in a stable order.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        // The visitor may rewrite the weights (optimizer step, load).
+        self.ws.weights_t_fresh = false;
         f(&mut self.w_ih, &mut self.grad_w_ih);
         f(&mut self.w_hh, &mut self.grad_w_hh);
         f(&mut self.bias, &mut self.grad_bias);
@@ -401,7 +522,15 @@ impl Lstm {
 
     /// Zeroes accumulated parameter gradients.
     pub fn zero_grad(&mut self) {
-        self.visit_params(&mut |_, g| g.scale_assign(0.0));
+        // Not through `visit_params`: the weights are not touched, so
+        // the cached transposes stay valid.
+        for g in [
+            &mut self.grad_w_ih,
+            &mut self.grad_w_hh,
+            &mut self.grad_bias,
+        ] {
+            g.fill(0.0);
+        }
     }
 }
 
@@ -586,6 +715,37 @@ mod tests {
             final_loss < 0.01,
             "LSTM failed to learn sequence sum: loss {final_loss}"
         );
+    }
+
+    #[test]
+    fn zero_grad_clears_a_poisoned_gradient() {
+        use crate::layer::{Layer, Linear};
+        use crate::loss::MseLoss;
+
+        let mut r = rng();
+        let mut lstm = Lstm::new(2, 3, &mut r);
+        let mut head = Linear::new(3, 1, &mut r);
+        let seq = toy_seq(4, 2, 2, &mut r);
+        let target = init::uniform(2, 1, 1.0, &mut r);
+        // One bad minibatch: a NaN and an infinity.
+        lstm.visit_params(&mut |_, g| {
+            g.set(0, 0, f32::NAN);
+            g.set(0, 1, f32::NEG_INFINITY);
+        });
+        head.visit_params(&mut |_, g| g.set(0, 0, f32::NAN));
+        lstm.zero_grad();
+        head.zero_grad();
+        lstm.visit_params(&mut |_, g| {
+            assert!(g.data().iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
+        });
+
+        let mut loss = MseLoss::new();
+        let pred = head.forward(&lstm.forward_last(&seq), true);
+        assert!(loss.forward(&pred, &target).is_finite());
+        let d_h = head.backward(&loss.backward());
+        lstm.backward_last(&d_h);
+        lstm.visit_params(&mut |_, g| assert!(g.data().iter().all(|v| v.is_finite())));
+        head.visit_params(&mut |_, g| assert!(g.data().iter().all(|v| v.is_finite())));
     }
 
     #[test]

@@ -184,46 +184,7 @@ impl Tensor {
         );
         let (m, kk, n) = (self.rows, self.cols, other.cols);
         out.reshape_for(m, n);
-        out.data.iter_mut().for_each(|v| *v = 0.0);
-        // ikj with row blocking and a four-row micro-kernel: each B row
-        // loaded in the `k` loop feeds four output rows, quartering B
-        // traffic. Output rows touch disjoint accumulators and each
-        // element still adds its `a·b` terms in increasing `k` with the
-        // exact zero-skip of the single-row kernel; the whole
-        // (row-quad × k-tile) sweep is one [`kernels::axpy_panel4`]
-        // call, whose per-element dataflow is one multiply-add either
-        // way, so results stay bit-identical at any vector width.
-        for r0 in (0..m).step_by(BLOCK) {
-            let r1 = (r0 + BLOCK).min(m);
-            for k0 in (0..kk).step_by(BLOCK) {
-                let k1 = (k0 + BLOCK).min(kk);
-                let b_panel = &other.data[k0 * n..k1 * n];
-                let a_col = |row: usize| &self.data[row * kk + k0..row * kk + k1];
-                let mut r = r0;
-                while r + 4 <= r1 {
-                    let (out0, rest) = out.data[r * n..(r + 4) * n].split_at_mut(n);
-                    let (out1, rest) = rest.split_at_mut(n);
-                    let (out2, out3) = rest.split_at_mut(n);
-                    kernels::axpy_panel4(
-                        [a_col(r), a_col(r + 1), a_col(r + 2), a_col(r + 3)],
-                        b_panel,
-                        out0,
-                        out1,
-                        out2,
-                        out3,
-                    );
-                    r += 4;
-                }
-                while r + 2 <= r1 {
-                    let (out_lo, out_hi) = out.data[r * n..(r + 2) * n].split_at_mut(n);
-                    kernels::axpy_panel2(a_col(r), a_col(r + 1), b_panel, out_lo, out_hi);
-                    r += 2;
-                }
-                if r < r1 {
-                    kernels::axpy_panel(a_col(r), b_panel, &mut out.data[r * n..(r + 1) * n]);
-                }
-            }
-        }
+        gemm_into(&self.data, &other.data, &mut out.data, (m, kk, n));
     }
 
     /// Matrix product against a transposed right operand,
@@ -326,9 +287,10 @@ impl Tensor {
     /// Accumulates `selfᵀ @ other` into `out` (`out += selfᵀ @ other`),
     /// where `self` is `k × m` and `other` is `k × n`.
     ///
-    /// This is the gradient-accumulation shape (`dW += dYᵀ · X`): both
-    /// operands are walked row-contiguously and no transpose is ever
-    /// materialized.
+    /// This is the gradient-accumulation shape (`dW += dYᵀ · X`): one
+    /// register-blocked [`kernels::transa_acc`] sweep, each output
+    /// element accumulated over `k` in increasing order with the
+    /// `self[k][r] == 0.0` skip; no transpose is ever materialized.
     ///
     /// # Panics
     ///
@@ -347,18 +309,12 @@ impl Tensor {
             other.cols,
             out.shape()
         );
-        let (kk, m, n) = (self.rows, self.cols, other.cols);
-        for k in 0..kk {
-            let a_row = &self.data[k * m..(k + 1) * m];
-            let b_row = &other.data[k * n..(k + 1) * n];
-            for (r, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[r * n..(r + 1) * n];
-                kernels::axpy(a, b_row, out_row);
-            }
-        }
+        kernels::transa_acc(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            (self.rows, self.cols, other.cols),
+        );
     }
 
     /// In-place scaled addition `self += factor · other`.
@@ -390,7 +346,9 @@ impl Tensor {
 
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
-        Tensor::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let mut out = Tensor::default();
+        self.transpose_into(&mut out);
+        out
     }
 
     /// [`Tensor::transpose`] into a reusable buffer (allocation-free
@@ -450,6 +408,13 @@ impl Tensor {
         }
     }
 
+    /// Overwrites every element with `value`. `fill(0.0)`, unlike
+    /// `scale_assign(0.0)`, also clears non-finite entries
+    /// (`NaN · 0 = NaN`) and never leaves a `-0.0`.
+    pub fn fill(&mut self, value: f32) {
+        self.data.fill(value);
+    }
+
     /// In-place scaling.
     pub fn scale_assign(&mut self, factor: f32) {
         for a in &mut self.data {
@@ -497,12 +462,15 @@ impl Tensor {
         }
     }
 
-    /// Column-wise sum, producing a `1 × cols` row vector.
+    /// Column-wise sum, producing a `1 × cols` row vector. Each column
+    /// adds its rows in increasing row order starting from `+0.0`.
     pub fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.get(r, c);
+        if self.cols > 0 {
+            for row in self.data.chunks_exact(self.cols) {
+                for (s, &v) in out.data.iter_mut().zip(row) {
+                    *s += v;
+                }
             }
         }
         out
@@ -519,13 +487,12 @@ impl Tensor {
             "hcat row mismatch: {} vs {}",
             self.rows, other.rows
         );
-        Tensor::from_fn(self.rows, self.cols + other.cols, |r, c| {
-            if c < self.cols {
-                self.get(r, c)
-            } else {
-                other.get(r, c - self.cols)
-            }
-        })
+        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
+        for r in 0..self.rows {
+            data.extend_from_slice(&self.data[r * self.cols..(r + 1) * self.cols]);
+            data.extend_from_slice(&other.data[r * other.cols..(r + 1) * other.cols]);
+        }
+        Tensor::from_vec(self.rows, self.cols + other.cols, data)
     }
 
     /// The sub-matrix of columns `[start, end)`.
@@ -538,7 +505,11 @@ impl Tensor {
             start <= end && end <= self.cols,
             "bad column range {start}..{end}"
         );
-        Tensor::from_fn(self.rows, end - start, |r, c| self.get(r, start + c))
+        let mut data = Vec::with_capacity(self.rows * (end - start));
+        for r in 0..self.rows {
+            data.extend_from_slice(&self.data[r * self.cols + start..r * self.cols + end]);
+        }
+        Tensor::from_vec(self.rows, end - start, data)
     }
 
     /// The sub-matrix of rows `[start, end)`.
@@ -597,6 +568,62 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
+    }
+}
+
+/// Slice-level body of [`Tensor::matmul_into`]: overwrites the
+/// row-major `m × n` `out` with `a @ b` for row-major `a` (`m × kk`)
+/// and `b` (`kk × n`); `shape` is `(m, kk, n)`. The LSTM training path
+/// calls it directly on its flat step buffers.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `shape`.
+pub(crate) fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], shape: (usize, usize, usize)) {
+    let (m, kk, n) = shape;
+    assert!(
+        a.len() == m * kk && b.len() == kk * n && out.len() == m * n,
+        "gemm shape mismatch: {m}x{kk} @ {kk}x{n}"
+    );
+    out.fill(0.0);
+    // ikj with row blocking and a four-row micro-kernel: each B row
+    // loaded in the `k` loop feeds four output rows, quartering B
+    // traffic. Output rows touch disjoint accumulators and each
+    // element still adds its `a·b` terms in increasing `k` with the
+    // exact zero-skip of the single-row kernel; the whole
+    // (row-quad × k-tile) sweep is one [`kernels::axpy_panel4`]
+    // call, whose per-element dataflow is one multiply-add either
+    // way, so results stay bit-identical at any vector width.
+    for r0 in (0..m).step_by(BLOCK) {
+        let r1 = (r0 + BLOCK).min(m);
+        for k0 in (0..kk).step_by(BLOCK) {
+            let k1 = (k0 + BLOCK).min(kk);
+            let b_panel = &b[k0 * n..k1 * n];
+            let a_col = |row: usize| &a[row * kk + k0..row * kk + k1];
+            let mut r = r0;
+            while r + 4 <= r1 {
+                let (out0, rest) = out[r * n..(r + 4) * n].split_at_mut(n);
+                let (out1, rest) = rest.split_at_mut(n);
+                let (out2, out3) = rest.split_at_mut(n);
+                kernels::axpy_panel4(
+                    [a_col(r), a_col(r + 1), a_col(r + 2), a_col(r + 3)],
+                    b_panel,
+                    out0,
+                    out1,
+                    out2,
+                    out3,
+                );
+                r += 4;
+            }
+            while r + 2 <= r1 {
+                let (out_lo, out_hi) = out[r * n..(r + 2) * n].split_at_mut(n);
+                kernels::axpy_panel2(a_col(r), a_col(r + 1), b_panel, out_lo, out_hi);
+                r += 2;
+            }
+            if r < r1 {
+                kernels::axpy_panel(a_col(r), b_panel, &mut out[r * n..(r + 1) * n]);
+            }
+        }
     }
 }
 
@@ -766,6 +793,50 @@ mod tests {
         assert_eq!(cat.shape(), (2, 3));
         assert_eq!(cat.columns(0, 2), a);
         assert_eq!(cat.columns(2, 3), b);
+    }
+
+    #[test]
+    fn hcat_columns_and_sum_rows_match_elementwise_definitions() {
+        // Ragged widths on both sides, and zero-width / zero-row edges.
+        for (rows, left, right) in [
+            (3usize, 5usize, 2usize),
+            (1, 1, 9),
+            (4, 0, 3),
+            (2, 3, 0),
+            (0, 2, 2),
+        ] {
+            let a = irregular(rows, left, 31);
+            let b = irregular(rows, right, 32);
+            let cat = a.hcat(&b);
+            let want = Tensor::from_fn(rows, left + right, |r, c| {
+                if c < left {
+                    a.get(r, c)
+                } else {
+                    b.get(r, c - left)
+                }
+            });
+            assert_eq!(cat, want, "hcat {rows}x{left}|{right}");
+            assert_eq!(cat.columns(0, left), a);
+            assert_eq!(cat.columns(left, left + right), b);
+            assert_eq!(cat.columns(left, left).shape(), (rows, 0));
+
+            let sums = cat.sum_rows();
+            assert_eq!(sums.shape(), (1, left + right));
+            for c in 0..left + right {
+                let mut s = 0.0f32;
+                for r in 0..rows {
+                    s += cat.get(r, c);
+                }
+                assert_eq!(sums.get(0, c).to_bits(), s.to_bits(), "sum_rows column {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn fill_clears_non_finite_entries() {
+        let mut t = Tensor::from_vec(1, 4, vec![f32::NAN, f32::INFINITY, -3.0, 1.0]);
+        t.fill(0.0);
+        assert!(t.data().iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub trait GradModel: Clone + Send + Sync {
 
     /// Zeroes all accumulated parameter gradients.
     fn zero_grad(&mut self) {
-        self.visit_params(&mut |_, g| g.scale_assign(0.0));
+        self.visit_params(&mut |_, g| g.fill(0.0));
     }
 }
 
@@ -354,6 +354,26 @@ mod tests {
             let diff = (a - e).norm();
             assert!(diff < 1e-6, "gradient mismatch: {diff}");
         }
+    }
+
+    #[test]
+    fn a_poisoned_gradient_does_not_survive_the_next_step() {
+        // `accumulate_minibatch` starts from `zero_grad`; a NaN left in
+        // a gradient by a bad minibatch must not leak into this one.
+        let (mut model, x, y) = toy();
+        model.visit_params(&mut |_, g| g.set(0, 0, f32::NAN));
+        let batch: Vec<usize> = (0..16).collect();
+        let loss = accumulate_minibatch(&mut model, &batch, 4, 1, &|m, _, idxs| {
+            let xb = Tensor::from_fn(idxs.len(), 3, |r, c| x.get(idxs[r], c));
+            let yb = Tensor::from_fn(idxs.len(), 1, |r, _| y.get(idxs[r], 0));
+            let mut mse = MseLoss::new();
+            let pred = m.lin.forward(&xb, true);
+            let l = mse.forward(&pred, &yb);
+            m.lin.backward(&mse.backward());
+            l
+        });
+        assert!(loss.is_finite());
+        model.visit_params(&mut |_, g| assert!(g.data().iter().all(|v| v.is_finite())));
     }
 
     #[test]

@@ -202,9 +202,9 @@ impl PerfModel {
         let d_h_s = g.columns(0, h);
         let d_h_k = g.columns(h, 2 * h);
         let d_seq_s = self.lstm_s2.backward_last(&d_h_s);
-        self.lstm_s1.backward_seq(&d_seq_s);
+        self.lstm_s1.backward_seq_params(&d_seq_s);
         let d_seq_k = self.lstm_k2.backward_last(&d_h_k);
-        self.lstm_k1.backward_seq(&d_seq_k);
+        self.lstm_k1.backward_seq_params(&d_seq_k);
     }
 
     fn zero_grad(&mut self) {

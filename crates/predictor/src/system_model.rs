@@ -162,7 +162,7 @@ impl SystemStateModel {
             g = b.backward(&g);
         }
         let d_seq1 = self.lstm2.backward_last(&g);
-        self.lstm1.backward_seq(&d_seq1);
+        self.lstm1.backward_seq_params(&d_seq1);
     }
 
     fn zero_grad(&mut self) {
