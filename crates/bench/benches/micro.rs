@@ -136,6 +136,28 @@ fn bench_gemm(h: &mut Harness) {
         })
     });
     adrias_nn::set_force_scalar(false);
+
+    // The accumulate-GEMM tile behind `Tensor::matmul_into` — the LSTM's
+    // `x·W_ihᵀ` / `h·W_hhᵀ` forward products and BPTT's `dz·W` — at the
+    // decision-miss shape (one row) and the training-batch shape.
+    let w = adrias_nn::init::uniform(32, 128, 1.0, &mut rng);
+    for (rows, native, scalar) in [
+        (1, "gemm_into_1x32x128", "gemm_into_scalar_1x32x128"),
+        (32, "gemm_into_32x32x128", "gemm_into_scalar_32x32x128"),
+    ] {
+        let x = adrias_nn::init::uniform(rows, 32, 1.0, &mut rng);
+        let mut out = Tensor::zeros(rows, 128);
+        for (name, force) in [(native, false), (scalar, true)] {
+            adrias_nn::set_force_scalar(force);
+            h.bench_function(name, |b| {
+                b.iter(|| {
+                    x.matmul_into(&w, &mut out);
+                    black_box(out.get(0, 0));
+                })
+            });
+        }
+        adrias_nn::set_force_scalar(false);
+    }
 }
 
 /// The full Adrias scheduling decision through both lanes.
@@ -847,7 +869,10 @@ fn main() {
         engine_throughput = bench_event_engine(&mut h);
     }
 
-    let mut derived: Vec<(&str, f64)> = Vec::new();
+    // 1 when the native legs above ran the AVX2 lane: CI gates the
+    // `simd_*_speedup_x` ratios on numbers only then.
+    let mut derived: Vec<(&str, f64)> =
+        vec![("simd_active", f64::from(u8::from(adrias_nn::simd_active())))];
     if let (Some(scalar), Some(simd)) = (
         h.median_ns("lstm_forward_scalar_b32_t24_h32"),
         h.median_ns("lstm_forward_b32_t24_h32"),

@@ -1,62 +1,63 @@
-//! Explicitly-vectorised f32 kernels with a bit-exact lane-order
-//! accumulation contract (DESIGN.md §14).
+//! The f32 kernel layer: every kernel written once, over the `Lane`
+//! trait (DESIGN.md §14).
 //!
-//! Every kernel exists twice: an AVX2 path (8-lane, via
-//! `core::arch::x86_64`) selected at runtime with
-//! `is_x86_feature_detected!`, and a scalar fallback that executes the
-//! *same* IEEE-754 operations in the *same* order. The contract:
+//! `Lane` *is* the numeric contract: eight f32 lanes and a closed set
+//! of operations, each a single correctly-rounded IEEE-754 operation
+//! per lane — separate multiply and add (**no FMA**), `max`/`min` with
+//! `_mm256_max_ps` semantics, negation as a sign-bit flip. Two types
+//! implement it: `Portable` (a `[f32; 8]`, plain Rust) and `Avx2` (a
+//! `__m256`). Every kernel body in `generic` is one
+//! `#[inline(always)]` function over `L: Lane`; the public entry points
+//! instantiate it at `Portable`, or — behind runtime detection — at
+//! `Avx2` inside one `#[target_feature(enable = "avx2")]` wrapper per
+//! kernel. Both instantiations therefore execute the same operations on
+//! the same values in the same order, and agree bit for bit *because
+//! they are the same source*, not because two copies are tested against
+//! each other.
 //!
-//! * **Dot products** ([`dot`], [`dot4`]) accumulate 8-way strided
-//!   partial sums — lane `j` sums the terms with index `≡ j (mod 8)` in
-//!   increasing order — the sub-[`LANES`] tail folds into lanes
-//!   `0..tail`, and a single fixed-shape tree reduction
-//!   ([`tree_reduce`]) collapses the lanes. The scalar path keeps the
-//!   eight partial sums in an array and runs the identical reduction,
-//!   so AVX2 and scalar results are bit-identical by construction.
-//! * **Element-wise sweeps** ([`axpy`], [`add2_bias`], [`relu`],
-//!   [`bn_affine`], the forward and backward LSTM gate sweeps) touch
-//!   each output element with one fixed expression; vector lanes and
-//!   scalar iterations are the same dataflow, so they are trivially
-//!   bit-identical.
-//! * **Accumulating GEMMs** (the [`axpy`] panels, [`transa_acc`]) give
-//!   every output element its own chain `out ← out + a·b` over
-//!   increasing `k` with an exact-zero skip on `a`. Keeping a tile of
-//!   running values in registers across the `k` loop, or reaching a
-//!   ragged tail through a masked load/store, changes where a value
-//!   waits between two updates — never the updates or their order.
-//! * **No FMA anywhere**: multiplies and adds stay separate
-//!   (`_mm256_mul_ps` + `_mm256_add_ps`), matching Rust's
-//!   non-contracting scalar codegen, so hosts with and without FMA
-//!   units agree.
+//! What the bodies fix, beyond the per-lane operations:
 //!
-//! `#[target_feature]` functions cannot inline into callers compiled
-//! for the base target, so a call into this module has real overhead —
-//! a few nanoseconds of call + dispatch that dominate a 32-element
-//! sweep. The hot loops therefore enter through **block-level**
-//! kernels ([`axpy_panel2`], [`transa_acc`], [`dot_rows`],
-//! [`add2_bias_rows`], the `*_batch` gate sweeps): one dispatch covers
-//! a whole `k`-panel / product / column block / batch, and the per-row
-//! bodies inline *inside* the AVX2 region. Each block kernel runs the
-//! identical per-element sequence as the loop of small calls it
-//! replaces — same order, same zero-skip — so blocking is invisible to
-//! the bit pattern.
+//! * **Dot products** ([`dot`], [`dot_rows`]): lane `j` accumulates the
+//!   terms with index `≡ j (mod 8)` in increasing order, the
+//!   sub-[`LANES`] tail folds into lanes `0..tail`, and one fixed tree
+//!   (`tree_reduce`) collapses the lanes — in scalar arithmetic, on
+//!   every instantiation.
+//! * **Element-wise sweeps** ([`axpy`], [`add2_bias_rows`], [`relu`],
+//!   [`bn_affine`], the LSTM gate sweeps): one fixed expression per
+//!   output element; a ragged tail is a partial load and store around
+//!   the same expression.
+//! * **The accumulate-GEMM** ([`gemm_acc`]; [`transa_acc`] and
+//!   `Tensor::matmul_into` are its two stride modes): every output
+//!   element is the chain `out ← out + a·b` over increasing `k`,
+//!   skipping `a == 0.0`. A tile of running values waits in registers
+//!   between updates instead of in `out`; that changes where a value
+//!   lives, never the updates or their order.
 //!
-//! Dispatch can be forced to the scalar path for A/B measurement and
+//! A `#[target_feature]` function cannot inline into a caller compiled
+//! for the base target, so each public kernel covers a whole product,
+//! column block or batch per call — one dispatch, with every lane
+//! operation inlined inside the wrapper.
+//!
+//! Dispatch can be forced to `Portable` for A/B measurement and
 //! cross-checking: `ADRIAS_FORCE_SCALAR=1` in the environment (read
 //! once), or [`set_force_scalar`] in-process (the bench harness uses it
-//! to derive the `simd_*_speedup_x` keys). Because both paths are
-//! bit-identical, flipping the switch never changes a result — CI
-//! byte-compares a forced-scalar run against the native run to prove
-//! it.
+//! to derive the `simd_*_speedup_x` keys). Flipping the switch never
+//! changes a result — CI byte-compares a forced run against the native
+//! run end to end.
+//!
+//! **Adding an ISA** (AVX-512 at 8 lanes, NEON as two `float32x4_t`):
+//! 1. add a module like `avx2` holding a private lane type;
+//! 2. `impl Lane` for it, one intrinsic per method;
+//! 3. list the kernels in its `wrappers!` block under the new
+//!    `#[target_feature]`;
+//! 4. add its detection beside `has_avx2` and its arm to `at!`;
+//! 5. add it to `tests::lanes` — the oracle table then covers it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use crate::vmath;
-
-/// SIMD width of the accumulation contract: 8 f32 lanes (one AVX2
-/// `__m256`). Fixed even on non-AVX2 hosts — the scalar fallback
-/// carries 8 partial sums so the reduction shape never varies.
+/// Lane count of the contract: 8 f32 (one AVX2 `__m256`). Fixed on
+/// every host, so the dot-product reduction shape never varies.
 pub const LANES: usize = 8;
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
@@ -66,26 +67,20 @@ fn env_force_scalar() -> bool {
     *ENV_FORCE_SCALAR.get_or_init(|| std::env::var("ADRIAS_FORCE_SCALAR").is_ok_and(|v| v == "1"))
 }
 
-/// Forces (or releases) the scalar fallback for this process,
-/// overriding feature detection. The bench harness flips this to
-/// measure `simd_*_speedup_x` in one process; results are bit-identical
-/// either way, so toggling is always safe.
+/// Forces (or releases) the portable lane for this process, overriding
+/// feature detection. The bench harness flips this to measure
+/// `simd_*_speedup_x` in one process; results are bit-identical either
+/// way, so toggling is always safe.
 pub fn set_force_scalar(force: bool) {
     FORCE_SCALAR.store(force, Ordering::Relaxed);
 }
 
-#[cfg(target_arch = "x86_64")]
+/// Whether this CPU can run the [`avx2`] wrappers (detected once).
 fn has_avx2() -> bool {
-    static HAS_AVX2: OnceLock<bool> = OnceLock::new();
-    *HAS_AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Whether the AVX2 paths are live: the CPU has AVX2 and neither
-/// `ADRIAS_FORCE_SCALAR=1` nor [`set_force_scalar`] is in effect.
-pub fn simd_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        has_avx2() && !env_force_scalar() && !FORCE_SCALAR.load(Ordering::Relaxed)
+        static HAS_AVX2: OnceLock<bool> = OnceLock::new();
+        *HAS_AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -93,12 +88,323 @@ pub fn simd_active() -> bool {
     }
 }
 
+/// Whether the AVX2 lane is live: the CPU has AVX2 and neither
+/// `ADRIAS_FORCE_SCALAR=1` nor [`set_force_scalar`] is in effect.
+pub fn simd_active() -> bool {
+    has_avx2() && !env_force_scalar() && !FORCE_SCALAR.load(Ordering::Relaxed)
+}
+
+/// Eight f32 lanes and the operations the kernels are written in.
+///
+/// Every arithmetic method is one correctly-rounded IEEE-754 operation
+/// per lane, so any two implementations agree bit for bit on every
+/// kernel. All methods are safe: memory access goes through references
+/// that already prove their bounds, and an implementation that needs an
+/// ISA extension keeps its type private to the module whose
+/// `#[target_feature]` wrappers are its only users (see [`avx2`]).
+pub(crate) trait Lane: Copy {
+    /// All lanes `x`.
+    fn splat(x: f32) -> Self;
+    /// Lane `j` is `xs[j]`.
+    fn load(xs: &[f32; LANES]) -> Self;
+    /// `xs[j]` becomes lane `j`.
+    fn store(self, xs: &mut [f32; LANES]);
+    /// Ragged-tail load: lane `j` is `xs[j]` for `j < xs.len()`
+    /// (at most [`LANES`]), `+0.0` beyond.
+    fn load_head(xs: &[f32]) -> Self;
+    /// Ragged-tail store: writes lanes `0..xs.len()` (at most
+    /// [`LANES`]) and nothing else.
+    fn store_head(self, xs: &mut [f32]);
+    /// `self + o`.
+    fn add(self, o: Self) -> Self;
+    /// `self − o`.
+    fn sub(self, o: Self) -> Self;
+    /// `self · o`, never fused with a following add.
+    fn mul(self, o: Self) -> Self;
+    /// `self / o`.
+    fn div(self, o: Self) -> Self;
+    /// `if self > o { self } else { o }` — `_mm256_max_ps`: `o` when
+    /// either side is NaN, and for `max(-0.0, +0.0)`.
+    fn max(self, o: Self) -> Self;
+    /// `if self < o { self } else { o }` — `_mm256_min_ps`.
+    fn min(self, o: Self) -> Self;
+    /// Sign-bit flip, the exact bit operation of scalar `-x`.
+    fn neg(self) -> Self;
+    /// `2^k` for integer-valued lanes `k ∈ [-126, 127]`, built in the
+    /// exponent field.
+    fn exp2i(self) -> Self;
+
+    /// The lanes as an array, for the scalar tail fold and reduction.
+    #[inline(always)]
+    fn to_array(self) -> [f32; LANES] {
+        let mut lanes = [0.0; LANES];
+        self.store(&mut lanes);
+        lanes
+    }
+}
+
+/// The portable lane: eight f32 in an array, every operation a plain
+/// per-lane loop the compiler is free to vectorise at the base target's
+/// width.
+#[derive(Clone, Copy)]
+pub(crate) struct Portable([f32; LANES]);
+
+impl Portable {
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        let mut lanes = self.0;
+        for (x, y) in lanes.iter_mut().zip(o.0) {
+            *x = f(*x, y);
+        }
+        Self(lanes)
+    }
+}
+
+impl Lane for Portable {
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        Self([x; LANES])
+    }
+    #[inline(always)]
+    fn load(xs: &[f32; LANES]) -> Self {
+        Self(*xs)
+    }
+    #[inline(always)]
+    fn store(self, xs: &mut [f32; LANES]) {
+        *xs = self.0;
+    }
+    #[inline(always)]
+    fn load_head(xs: &[f32]) -> Self {
+        // Lane by lane: a variable-length copy would compile to a
+        // `memcpy` call per vector.
+        Self(std::array::from_fn(|j| xs.get(j).copied().unwrap_or(0.0)))
+    }
+    #[inline(always)]
+    fn store_head(self, xs: &mut [f32]) {
+        for (j, lane) in self.0.into_iter().enumerate() {
+            if let Some(x) = xs.get_mut(j) {
+                *x = lane;
+            }
+        }
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.zip(o, |x, y| x + y)
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self.zip(o, |x, y| x - y)
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self.zip(o, |x, y| x * y)
+    }
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        self.zip(o, |x, y| x / y)
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        self.zip(o, |x, y| if x > y { x } else { y })
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        self.zip(o, |x, y| if x < y { x } else { y })
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        Self(self.0.map(|x| -x))
+    }
+    #[inline(always)]
+    fn exp2i(self) -> Self {
+        // `k` is integer-valued, so the truncating cast is exact and
+        // matches a round-to-nearest vector conversion.
+        Self(
+            self.0
+                .map(|k| f32::from_bits((((k as i32) + 127) << 23) as u32)),
+        )
+    }
+}
+
+/// The AVX2 lane and its kernel wrappers. `Avx2` is private to this
+/// module, so the only code that can name the AVX2 instantiation of a
+/// kernel is a wrapper below — each compiled with
+/// `#[target_feature(enable = "avx2")]`, which makes calling it
+/// `unsafe` outside such a function. That call-site obligation ("AVX2
+/// was detected") is the layer's single safety contract; `at!`
+/// discharges it.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::{
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cvtps_epi32,
+        _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps, _mm256_xor_ps,
+    };
+
+    use super::{generic, GateCaches, Lane, StepCaches, LANES};
+
+    #[derive(Clone, Copy)]
+    struct Avx2(__m256);
+
+    /// A mask enabling exactly the first `min(active, LANES)` lanes.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn lane_mask(active: usize) -> __m256i {
+        static MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        let window: &[i32; LANES] = MASKS[LANES - active.min(LANES)..]
+            .first_chunk()
+            .expect("window starts at most LANES in");
+        // SAFETY: AVX2 by the module contract; reads the 32 bytes of
+        // `window`.
+        unsafe { _mm256_loadu_si256(std::ptr::from_ref(window).cast()) }
+    }
+
+    // SAFETY (every block below): the intrinsics need AVX2, which holds
+    // by the module contract — these methods only ever run inlined into
+    // a `#[target_feature(enable = "avx2")]` wrapper. The pointer
+    // intrinsics touch exactly the `[f32; LANES]` behind the reference
+    // they are given, or, masked, the first `min(len, LANES)` elements
+    // of the slice — a disabled lane is neither read nor written.
+    #[allow(unsafe_code)]
+    impl Lane for Avx2 {
+        #[inline(always)]
+        fn splat(x: f32) -> Self {
+            Self(unsafe { _mm256_set1_ps(x) })
+        }
+        #[inline(always)]
+        fn load(xs: &[f32; LANES]) -> Self {
+            Self(unsafe { _mm256_loadu_ps(xs.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, xs: &mut [f32; LANES]) {
+            unsafe { _mm256_storeu_ps(xs.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn load_head(xs: &[f32]) -> Self {
+            Self(unsafe { _mm256_maskload_ps(xs.as_ptr(), lane_mask(xs.len())) })
+        }
+        #[inline(always)]
+        fn store_head(self, xs: &mut [f32]) {
+            unsafe { _mm256_maskstore_ps(xs.as_mut_ptr(), lane_mask(xs.len()), self.0) }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            Self(unsafe { _mm256_add_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            Self(unsafe { _mm256_sub_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            Self(unsafe { _mm256_mul_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            Self(unsafe { _mm256_div_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            Self(unsafe { _mm256_max_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn min(self, o: Self) -> Self {
+            Self(unsafe { _mm256_min_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn neg(self) -> Self {
+            Self(unsafe { _mm256_xor_ps(self.0, _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN))) })
+        }
+        #[inline(always)]
+        fn exp2i(self) -> Self {
+            // Integer-valued lanes: the round-to-nearest conversion is
+            // exact.
+            Self(unsafe {
+                let biased = _mm256_add_epi32(_mm256_cvtps_epi32(self.0), _mm256_set1_epi32(127));
+                _mm256_castsi256_ps(_mm256_slli_epi32(biased, 23))
+            })
+        }
+    }
+
+    /// One `#[target_feature]` wrapper per kernel around its
+    /// [`generic`] body at `Avx2`.
+    macro_rules! wrappers {
+        ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {$(
+            #[target_feature(enable = "avx2")]
+            pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+                generic::$name::<Avx2>($($arg),*)
+            }
+        )*};
+    }
+
+    wrappers! {
+        fn dot(a: &[f32], b: &[f32]) -> f32;
+        fn dot_rows(a: &[f32], b_rows: &[f32], out: &mut [f32]);
+        fn axpy(alpha: f32, x: &[f32], y: &mut [f32]);
+        fn gemm_acc(
+            a: &[f32],
+            a_strides: (usize, usize),
+            b: &[f32],
+            out: &mut [f32],
+            shape: (usize, usize, usize),
+        );
+        fn add2_bias_rows(z: &mut [f32], w: &[f32], b: &[f32]);
+        fn relu(xs: &mut [f32]);
+        fn bn_affine(row: &mut [f32], mean: &[f32], inv_std: &[f32], gamma: &[f32], beta: &[f32]);
+        fn lstm_gates_train_batch(
+            z: &[f32],
+            c_prev: &[f32],
+            hidden: usize,
+            out: &mut GateCaches<'_>,
+        );
+        fn lstm_gates_eval_batch(
+            z: &[f32],
+            c_prev: &[f32],
+            hidden: usize,
+            c_out: &mut [f32],
+            h_out: &mut [f32],
+        );
+        fn lstm_gates_backward_batch(
+            cache: &StepCaches<'_>,
+            grad_h: Option<&[f32]>,
+            d_h_next: &[f32],
+            d_c_next: &mut [f32],
+            hidden: usize,
+            dz: &mut [f32],
+        );
+    }
+}
+
+/// Runs `generic::$kernel` at the AVX2 lane when `$avx2`, at
+/// [`Portable`] otherwise. `$avx2` may be true only where [`has_avx2`]
+/// is: the entry points pass [`simd_active`], the tests a lane list
+/// filtered by detection.
+macro_rules! at {
+    ($avx2:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        let result = if $avx2 {
+            // SAFETY: AVX2 was detected at runtime (the macro's
+            // precondition), the one requirement of the `avx2` wrappers.
+            unsafe { avx2::$kernel($($arg),*) }
+        } else {
+            generic::$kernel::<Portable>($($arg),*)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let result = {
+            let _ = $avx2;
+            generic::$kernel::<Portable>($($arg),*)
+        };
+        result
+    }};
+}
+
 /// The canonical fixed-shape lane reduction: pairwise over a stride of
-/// 4, then 2, then 1 — exactly the element flow of the AVX2 horizontal
-/// reduction (low/high 128-bit halves added, then two shuffle/add
-/// steps), executed in scalar by **both** paths.
+/// 4, then 2, then 1 — the element flow of an AVX2 horizontal
+/// reduction, executed in scalar arithmetic by every instantiation.
 #[inline]
-pub(crate) fn tree_reduce(s: [f32; LANES]) -> f32 {
+fn tree_reduce(s: [f32; LANES]) -> f32 {
     let s04 = s[0] + s[4];
     let s15 = s[1] + s[5];
     let s26 = s[2] + s[6];
@@ -107,37 +413,13 @@ pub(crate) fn tree_reduce(s: [f32; LANES]) -> f32 {
 }
 
 /// Folds the sub-[`LANES`] tail of a dot product into the lane
-/// accumulators (lane `j` takes tail element `j`), then reduces. Shared
-/// verbatim by the scalar and AVX2 paths.
+/// accumulators (lane `j` takes tail element `j`), then reduces.
 #[inline]
 fn tail_reduce(mut lanes: [f32; LANES], a_tail: &[f32], b_tail: &[f32]) -> f32 {
     for ((l, &x), &y) in lanes.iter_mut().zip(a_tail).zip(b_tail) {
         *l += x * y;
     }
     tree_reduce(lanes)
-}
-
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    let head = a.len() - a.len() % LANES;
-    let mut lanes = [0.0f32; LANES];
-    for (ca, cb) in a[..head]
-        .chunks_exact(LANES)
-        .zip(b[..head].chunks_exact(LANES))
-    {
-        for ((l, &x), &y) in lanes.iter_mut().zip(ca).zip(cb) {
-            *l += x * y;
-        }
-    }
-    tail_reduce(lanes, &a[head..], &b[head..])
-}
-
-fn dot4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    [
-        dot_scalar(a, b0),
-        dot_scalar(a, b1),
-        dot_scalar(a, b2),
-        dot_scalar(a, b3),
-    ]
 }
 
 /// Canonical lane-ordered dot product `Σ a[i]·b[i]`.
@@ -147,336 +429,89 @@ fn dot4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f3
 /// Panics if the slices differ in length.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        return unsafe { avx2::dot(a, b) };
-    }
-    dot_scalar(a, b)
-}
-
-/// Four canonical dot products of one left row against four right rows
-/// — the register-blocked shape of the `matmul_transb` micro-kernel.
-/// Each output element follows the single-accumulator lane order of
-/// [`dot`]; the grouping only buys instruction-level parallelism.
-///
-/// # Panics
-///
-/// Panics if any right row differs from `a` in length.
-pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    assert!(
-        a.len() == b0.len() && a.len() == b1.len() && a.len() == b2.len() && a.len() == b3.len(),
-        "dot4 length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        return unsafe { avx2::dot4(a, b0, b1, b2, b3) };
-    }
-    dot4_scalar(a, b0, b1, b2, b3)
-}
-
-fn axpy_scalar(alpha: f32, x: &[f32], y: &mut [f32]) {
-    for (o, &v) in y.iter_mut().zip(x) {
-        *o += alpha * v;
-    }
-}
-
-fn axpy_panel_scalar(a_col: &[f32], b_panel: &[f32], y: &mut [f32]) {
-    let n = y.len();
-    for (k, &a) in a_col.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        axpy_scalar(a, &b_panel[k * n..(k + 1) * n], y);
-    }
-}
-
-fn axpy_panel2_scalar(a0: &[f32], a1: &[f32], b_panel: &[f32], y0: &mut [f32], y1: &mut [f32]) {
-    let n = y0.len();
-    for (k, (&v0, &v1)) in a0.iter().zip(a1).enumerate() {
-        if v0 == 0.0 && v1 == 0.0 {
-            continue;
-        }
-        let b_row = &b_panel[k * n..(k + 1) * n];
-        if v0 != 0.0 {
-            axpy_scalar(v0, b_row, y0);
-        }
-        if v1 != 0.0 {
-            axpy_scalar(v1, b_row, y1);
-        }
-    }
-}
-
-fn axpy_panel4_scalar(
-    a: [&[f32]; 4],
-    b_panel: &[f32],
-    y0: &mut [f32],
-    y1: &mut [f32],
-    y2: &mut [f32],
-    y3: &mut [f32],
-) {
-    let n = y0.len();
-    for k in 0..a[0].len() {
-        let v = [a[0][k], a[1][k], a[2][k], a[3][k]];
-        if v == [0.0; 4] {
-            continue;
-        }
-        let b_row = &b_panel[k * n..(k + 1) * n];
-        if v[0] != 0.0 {
-            axpy_scalar(v[0], b_row, y0);
-        }
-        if v[1] != 0.0 {
-            axpy_scalar(v[1], b_row, y1);
-        }
-        if v[2] != 0.0 {
-            axpy_scalar(v[2], b_row, y2);
-        }
-        if v[3] != 0.0 {
-            axpy_scalar(v[3], b_row, y3);
-        }
-    }
-}
-
-/// `y += alpha · x`, element-wise. One multiply-add per output element
-/// in both paths, so the accumulation order of any *sequence* of axpy
-/// calls (e.g. the increasing-`k` order of `matmul_into`) is untouched
-/// by vectorisation.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::axpy(alpha, x, y) };
-        return;
-    }
-    axpy_scalar(alpha, x, y);
-}
-
-/// One-row axpy panel: `y += Σ_k a_col[k] · b_panel[k·n .. (k+1)·n]`,
-/// accumulated in increasing `k` with the exact zero-skip of a loop of
-/// [`axpy`] calls — but with a **single** dispatch for the whole
-/// `k`-panel, so the AVX2 body inlines its per-`k` sweeps instead of
-/// paying a non-inlinable `#[target_feature]` call per `k`. This is the
-/// inner loop of `matmul_into`'s single-row tail.
-///
-/// # Panics
-///
-/// Panics if `b_panel` is not `a_col.len() × y.len()`.
-pub fn axpy_panel(a_col: &[f32], b_panel: &[f32], y: &mut [f32]) {
-    assert_eq!(
-        b_panel.len(),
-        a_col.len() * y.len(),
-        "axpy_panel shape mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::axpy_panel(a_col, b_panel, y) };
-        return;
-    }
-    axpy_panel_scalar(a_col, b_panel, y);
-}
-
-/// Two-row axpy panel — the `matmul_into` micro-kernel: for each `k`
-/// (increasing), `y0 += a0[k]·b_k` and `y1 += a1[k]·b_k` where `b_k` is
-/// row `k` of the panel. Per-element dataflow is exactly two
-/// independent [`axpy_panel`] sweeps (disjoint accumulators, same
-/// zero-skip), so fusing them — one `b_k` load feeding both rows, one
-/// dispatch per panel — cannot change a bit.
-///
-/// # Panics
-///
-/// Panics if the column or output lengths differ, or `b_panel` is not
-/// `a0.len() × y0.len()`.
-pub fn axpy_panel2(a0: &[f32], a1: &[f32], b_panel: &[f32], y0: &mut [f32], y1: &mut [f32]) {
-    assert_eq!(a0.len(), a1.len(), "axpy_panel2 column length mismatch");
-    assert_eq!(y0.len(), y1.len(), "axpy_panel2 output length mismatch");
-    assert_eq!(
-        b_panel.len(),
-        a0.len() * y0.len(),
-        "axpy_panel2 shape mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::axpy_panel2(a0, a1, b_panel, y0, y1) };
-        return;
-    }
-    axpy_panel2_scalar(a0, a1, b_panel, y0, y1);
-}
-
-/// Four-row axpy panel: [`axpy_panel2`] widened to four disjoint
-/// output rows, so one `b_k` load feeds four accumulator rows — B
-/// traffic per output element is quartered. Per-row dataflow is still
-/// exactly the increasing-`k` zero-skipped [`axpy`] sequence, so the
-/// grouping is invisible to the bit pattern.
-///
-/// # Panics
-///
-/// Panics if the column or output lengths differ, or `b_panel` is not
-/// `a[0].len() × y0.len()`.
-pub fn axpy_panel4(
-    a: [&[f32]; 4],
-    b_panel: &[f32],
-    y0: &mut [f32],
-    y1: &mut [f32],
-    y2: &mut [f32],
-    y3: &mut [f32],
-) {
-    let kt = a[0].len();
-    let n = y0.len();
-    assert!(
-        a.iter().all(|col| col.len() == kt),
-        "axpy_panel4 column length mismatch"
-    );
-    assert!(
-        y1.len() == n && y2.len() == n && y3.len() == n,
-        "axpy_panel4 output length mismatch"
-    );
-    assert_eq!(b_panel.len(), kt * n, "axpy_panel4 shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::axpy_panel4(a, b_panel, y0, y1, y2, y3) };
-        return;
-    }
-    axpy_panel4_scalar(a, b_panel, y0, y1, y2, y3);
-}
-
-fn dot_rows_scalar(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
-    let k = a.len();
-    let mut c = 0;
-    while c + 4 <= out.len() {
-        let b = &b_rows[c * k..(c + 4) * k];
-        let (b0, rest) = b.split_at(k);
-        let (b1, rest) = rest.split_at(k);
-        let (b2, b3) = rest.split_at(k);
-        let s = dot4_scalar(a, b0, b1, b2, b3);
-        out[c..c + 4].copy_from_slice(&s);
-        c += 4;
-    }
-    while c < out.len() {
-        out[c] = dot_scalar(a, &b_rows[c * k..(c + 1) * k]);
-        c += 1;
-    }
+    at!(simd_active(), dot(a, b))
 }
 
 /// Row sweep of canonical dot products: `out[c] = dot(a, b_rows[c])`
 /// for every row `c` of the packed `out.len() × a.len()` right block —
-/// columns grouped four at a time in the [`dot4`] shape, remainder one
-/// at a time, exactly the call sequence `matmul_transb` used to make,
-/// but with one dispatch per block so the AVX2 dot bodies inline.
+/// the `matmul_transb` micro-kernel. Columns go four at a time so four
+/// independent accumulator chains overlap; each output element still
+/// follows the single-accumulator lane order of [`dot`].
 ///
 /// # Panics
 ///
 /// Panics if `b_rows` is not `out.len() × a.len()`.
 pub fn dot_rows(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
     assert_eq!(b_rows.len(), out.len() * a.len(), "dot_rows shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::dot_rows(a, b_rows, out) };
-        return;
-    }
-    dot_rows_scalar(a, b_rows, out);
+    at!(simd_active(), dot_rows(a, b_rows, out))
 }
 
-fn transa_acc_scalar(a: &[f32], b: &[f32], out: &mut [f32], (k, m, n): (usize, usize, usize)) {
-    for kk in 0..k {
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for (r, &av) in a[kk * m..(kk + 1) * m].iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            axpy_scalar(av, b_row, &mut out[r * n..(r + 1) * n]);
-        }
-    }
+/// `y += alpha · x`, element-wise: one multiply then one add per
+/// output element. The plain-loop spec of the accumulate-GEMM — a
+/// sequence of `axpy` calls over increasing `k` is what [`gemm_acc`]
+/// computes.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+    assert_eq!(x.len(), y.len(), "axpy length mismatch");
+    at!(simd_active(), axpy(alpha, x, y))
+}
+
+/// The accumulate-GEMM `out[r][c] += Σ_k a(r, k) · b[k][c]` for
+/// row-major `b` (`k × n`) and `out` (`m × n`); `shape` is `(m, k, n)`
+/// and `a(r, k)` is `a[r · a_strides.0 + k · a_strides.1]`, so one
+/// kernel serves a row-major `m × k` left operand (strides `(k, 1)`,
+/// `Tensor::matmul_into`) and a transposed `k × m` one (strides
+/// `(1, m)`, [`transa_acc`]).
+///
+/// Per output element the sequence is fixed: start from the value in
+/// `out`, then for increasing `k` with `a(r, k) != 0.0`, one multiply
+/// and one add. The zero-skip is observable (`0·∞` is NaN, and
+/// `-0.0 + 0·b` is `+0.0` where skipping leaves `-0.0`), so it is part
+/// of the contract. The body keeps a tile of output rows × column
+/// vectors in registers across the whole `k` loop — loaded once, stored
+/// once, a ragged last column vector through a partial load and store —
+/// which moves no bit: the element sees the same start value and the
+/// same updates in the same order.
+///
+/// # Panics
+///
+/// Panics if `b` or `out` do not match `shape`, or `a` is too short
+/// for the last coefficient of a tile (each tile checks its own range
+/// before its `k` loop).
+pub fn gemm_acc(
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    shape: (usize, usize, usize),
+) {
+    let (m, k, n) = shape;
+    assert!(
+        b.len() == k * n && out.len() == m * n,
+        "gemm_acc shape mismatch: {m}x{k} @ {k}x{n}"
+    );
+    at!(simd_active(), gemm_acc(a, a_strides, b, out, shape))
 }
 
 /// The gradient-accumulation GEMM `out += aᵀ·b` for row-major `a`
-/// (`k × m`), `b` (`k × n`) and `out` (`m × n`); `shape` is `(k, m, n)`.
-///
-/// The spec is the triple loop: for increasing `k`, every output row
-/// `r` with `a[k][r] != 0.0` gets `out[r] += a[k][r] · b[k]`, one
-/// multiply then one add per element. The AVX2 body register-blocks it:
-/// a tile of output rows × column vectors is loaded once, carried in
-/// registers across the whole `k` loop and stored once, with masked
-/// loads and stores on a ragged last column vector. Every output
-/// element still sees exactly the spec's sequence — same start value,
-/// increasing `k`, same zero-skip, separate multiply and add — so the
-/// two paths agree bit for bit, and the whole product costs one
-/// dispatch instead of one [`axpy`] call per `(k, r)` pair.
+/// (`k × m`), `b` (`k × n`) and `out` (`m × n`); `shape` is
+/// `(k, m, n)`. [`gemm_acc`] with the left operand read transposed.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths are not `k·m`, `k·n` and `m·n`.
 pub fn transa_acc(a: &[f32], b: &[f32], out: &mut [f32], shape: (usize, usize, usize)) {
     let (k, m, n) = shape;
-    assert!(
-        a.len() == k * m && b.len() == k * n && out.len() == m * n,
-        "transa_acc shape mismatch: ({k}x{m})T @ {k}x{n} into {m}x{n}"
-    );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime,
-        // and the assert above is the length contract the kernel's
-        // unchecked loads and stores rely on.
-        unsafe { avx2::transa_acc(a, b, out, shape) };
-        return;
-    }
-    transa_acc_scalar(a, b, out, shape);
+    assert_eq!(a.len(), k * m, "transa_acc left operand is not {k}x{m}");
+    gemm_acc(a, (1, m), b, out, (m, k, n));
 }
 
-fn add2_bias_scalar(z: &mut [f32], w: &[f32], b: &[f32]) {
-    for ((v, &wv), &bv) in z.iter_mut().zip(w).zip(b) {
-        *v = (*v + wv) + bv;
-    }
-}
-
-/// The LSTM pre-activation fuse `z = (z + w) + b`, element-wise with
-/// explicit left association.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn add2_bias(z: &mut [f32], w: &[f32], b: &[f32]) {
-    assert!(
-        z.len() == w.len() && z.len() == b.len(),
-        "add2_bias length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::add2_bias(z, w, b) };
-        return;
-    }
-    add2_bias_scalar(z, w, b);
-}
-
-fn add2_bias_rows_scalar(z: &mut [f32], w: &[f32], b: &[f32]) {
-    let n = b.len();
-    for (zr, wr) in z.chunks_exact_mut(n).zip(w.chunks_exact(n)) {
-        add2_bias_scalar(zr, wr, b);
-    }
-}
-
-/// Row-broadcast [`add2_bias`] over a whole batch: every `b.len()`-wide
-/// row of `z` gets `(z + w) + b` with the bias row reused — one
-/// dispatch for the batch instead of one per row.
+/// The LSTM pre-activation fuse `z = (z + w) + b` over a whole batch:
+/// every `b.len()`-wide row of `z` adds its row of `w`, then the shared
+/// bias row, with explicit left association.
 ///
 /// # Panics
 ///
@@ -488,39 +523,13 @@ pub fn add2_bias_rows(z: &mut [f32], w: &[f32], b: &[f32]) {
         !b.is_empty() && z.len().is_multiple_of(b.len()),
         "add2_bias_rows rows must be bias-width"
     );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::add2_bias_rows(z, w, b) };
-        return;
-    }
-    add2_bias_rows_scalar(z, w, b);
-}
-
-fn relu_scalar(xs: &mut [f32]) {
-    for v in xs {
-        *v = vmath::max(*v, 0.0);
-    }
+    at!(simd_active(), add2_bias_rows(z, w, b))
 }
 
 /// Canonical ReLU sweep `x = max(x, 0)` with `_mm256_max_ps` semantics
 /// (`-0.0` maps to `+0.0`).
 pub fn relu(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::relu(xs) };
-        return;
-    }
-    relu_scalar(xs);
-}
-
-fn bn_affine_scalar(row: &mut [f32], mean: &[f32], inv_std: &[f32], gamma: &[f32], beta: &[f32]) {
-    for ((((v, &m), &is), &g), &b) in row.iter_mut().zip(mean).zip(inv_std).zip(gamma).zip(beta) {
-        *v = g * (*v - m) * is + b;
-    }
+    at!(simd_active(), relu(xs))
 }
 
 /// The batch-norm eval affine `x = γ·(x − μ)·inv_std + β`, element-wise
@@ -536,18 +545,12 @@ pub fn bn_affine(row: &mut [f32], mean: &[f32], inv_std: &[f32], gamma: &[f32], 
         mean.len() == n && inv_std.len() == n && gamma.len() == n && beta.len() == n,
         "bn_affine length mismatch"
     );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::bn_affine(row, mean, inv_std, gamma, beta) };
-        return;
-    }
-    bn_affine_scalar(row, mean, inv_std, gamma, beta);
+    at!(simd_active(), bn_affine(row, mean, inv_std, gamma, beta))
 }
 
-/// Mutable destinations of one training-mode LSTM gate sweep row: the
-/// BPTT caches plus the new cell and hidden states.
+/// Mutable destinations of a training-mode LSTM gate sweep: the BPTT
+/// caches plus the new cell and hidden states, each `batch` rows of
+/// `hidden`.
 pub struct GateCaches<'a> {
     /// Input gate `i = σ(z_i)`.
     pub i: &'a mut [f32],
@@ -565,202 +568,54 @@ pub struct GateCaches<'a> {
     pub h: &'a mut [f32],
 }
 
-/// Splits a `4·hidden` pre-activation row into its `(i, f, g, o)` gate
-/// quarters.
-#[inline]
-fn split_gates(z_row: &[f32], h: usize) -> (&[f32], &[f32], &[f32], &[f32]) {
-    let (zi, rest) = z_row.split_at(h);
-    let (zf, rest) = rest.split_at(h);
-    let (zg, zo) = rest.split_at(h);
-    (zi, zf, zg, zo)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gates_train_scalar(
-    zi: &[f32],
-    zf: &[f32],
-    zg: &[f32],
-    zo: &[f32],
-    c_prev: &[f32],
-    out: &mut GateCaches<'_>,
-) {
-    for k in 0..c_prev.len() {
-        let iv = vmath::sigmoid(zi[k]);
-        let fv = vmath::sigmoid(zf[k]);
-        let gv = vmath::tanh(zg[k]);
-        let ov = vmath::sigmoid(zo[k]);
-        let cv = fv * c_prev[k] + iv * gv;
-        let tc = vmath::tanh(cv);
-        out.i[k] = iv;
-        out.f[k] = fv;
-        out.g[k] = gv;
-        out.o[k] = ov;
-        out.c[k] = cv;
-        out.tanh_c[k] = tc;
-        out.h[k] = ov * tc;
-    }
-}
-
-/// Fused training-mode LSTM gate sweep over one batch row: computes all
-/// four gates, the new cell state, `tanh(c)` and the hidden output in a
-/// single pass, writing every BPTT cache.
-///
-/// # Panics
-///
-/// Panics if `z_row` is not `4 × c_prev.len()` or any output slice
-/// differs from `c_prev` in length.
-pub fn lstm_gates_train(z_row: &[f32], c_prev: &[f32], out: &mut GateCaches<'_>) {
-    let h = c_prev.len();
-    assert_eq!(z_row.len(), 4 * h, "gate row must be 4x hidden");
+/// Asserts the batch shape the forward gate sweeps share: `c_prev` is
+/// whole `hidden`-wide rows and `z` carries `4·hidden` per row.
+fn assert_gate_batch(z: &[f32], c_prev: &[f32], hidden: usize) {
+    assert!(hidden > 0, "hidden width must be non-zero");
     assert!(
-        out.i.len() == h
-            && out.f.len() == h
-            && out.g.len() == h
-            && out.o.len() == h
-            && out.c.len() == h
-            && out.tanh_c.len() == h
-            && out.h.len() == h,
-        "gate cache length mismatch"
+        c_prev.len().is_multiple_of(hidden),
+        "c_prev must be whole hidden rows"
     );
-    let (zi, zf, zg, zo) = split_gates(z_row, h);
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::gates_train(zi, zf, zg, zo, c_prev, out) };
-        return;
-    }
-    gates_train_scalar(zi, zf, zg, zo, c_prev, out);
+    assert_eq!(
+        z.len(),
+        4 * c_prev.len(),
+        "gate batch must be 4x hidden per row"
+    );
 }
 
-fn gates_train_batch_scalar(z: &[f32], c_prev: &[f32], hidden: usize, out: &mut GateCaches<'_>) {
-    let hw = 4 * hidden;
-    for r in 0..c_prev.len() / hidden {
-        let (zi, zf, zg, zo) = split_gates(&z[r * hw..(r + 1) * hw], hidden);
-        let span = r * hidden..(r + 1) * hidden;
-        let mut row = GateCaches {
-            i: &mut out.i[span.clone()],
-            f: &mut out.f[span.clone()],
-            g: &mut out.g[span.clone()],
-            o: &mut out.o[span.clone()],
-            c: &mut out.c[span.clone()],
-            tanh_c: &mut out.tanh_c[span.clone()],
-            h: &mut out.h[span.clone()],
-        };
-        gates_train_scalar(zi, zf, zg, zo, &c_prev[span], &mut row);
-    }
-}
-
-/// Whole-batch [`lstm_gates_train`]: `z` holds `batch` rows of
-/// `4·hidden` pre-activations, `c_prev` and every cache slice hold
-/// `batch` rows of `hidden`. Row for row the per-row sweep, with a
-/// single dispatch per step instead of one per batch row.
+/// Fused training-mode LSTM gate sweep over a whole batch: `z` holds
+/// `batch` rows of `4·hidden` pre-activations (gate order
+/// `i, f, g, o`), `c_prev` and every cache slice hold `batch` rows of
+/// `hidden`. Computes all four gates, the new cell state, `tanh(c)`
+/// and the hidden output in a single pass, writing every BPTT cache.
 ///
 /// # Panics
 ///
 /// Panics if `hidden` is zero or any slice is not a whole number of
 /// rows of its expected width.
 pub fn lstm_gates_train_batch(z: &[f32], c_prev: &[f32], hidden: usize, out: &mut GateCaches<'_>) {
-    assert!(hidden > 0, "hidden width must be non-zero");
+    assert_gate_batch(z, c_prev, hidden);
     let bh = c_prev.len();
     assert!(
-        bh.is_multiple_of(hidden),
-        "c_prev must be whole hidden rows"
-    );
-    assert_eq!(z.len(), 4 * bh, "gate batch must be 4x hidden per row");
-    assert!(
-        out.i.len() == bh
-            && out.f.len() == bh
-            && out.g.len() == bh
-            && out.o.len() == bh
-            && out.c.len() == bh
-            && out.tanh_c.len() == bh
-            && out.h.len() == bh,
+        [
+            out.i.len(),
+            out.f.len(),
+            out.g.len(),
+            out.o.len(),
+            out.c.len(),
+            out.tanh_c.len(),
+            out.h.len()
+        ] == [bh; 7],
         "gate cache length mismatch"
     );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::gates_train_batch(z, c_prev, hidden, out) };
-        return;
-    }
-    gates_train_batch_scalar(z, c_prev, hidden, out);
+    at!(
+        simd_active(),
+        lstm_gates_train_batch(z, c_prev, hidden, out)
+    )
 }
 
-fn gates_eval_scalar(
-    zi: &[f32],
-    zf: &[f32],
-    zg: &[f32],
-    zo: &[f32],
-    c_prev: &[f32],
-    c_out: &mut [f32],
-    h_out: &mut [f32],
-) {
-    for k in 0..c_prev.len() {
-        let iv = vmath::sigmoid(zi[k]);
-        let fv = vmath::sigmoid(zf[k]);
-        let gv = vmath::tanh(zg[k]);
-        let ov = vmath::sigmoid(zo[k]);
-        let cv = fv * c_prev[k] + iv * gv;
-        let tc = vmath::tanh(cv);
-        c_out[k] = cv;
-        h_out[k] = ov * tc;
-    }
-}
-
-/// Fused eval-mode LSTM gate sweep over one batch row: the exact
-/// per-element expressions of [`lstm_gates_train`], writing only the
-/// new cell state and hidden output (no BPTT caches).
-///
-/// # Panics
-///
-/// Panics if `z_row` is not `4 × c_prev.len()` or an output slice
-/// differs from `c_prev` in length.
-pub fn lstm_gates_eval(z_row: &[f32], c_prev: &[f32], c_out: &mut [f32], h_out: &mut [f32]) {
-    let h = c_prev.len();
-    assert_eq!(z_row.len(), 4 * h, "gate row must be 4x hidden");
-    assert!(
-        c_out.len() == h && h_out.len() == h,
-        "gate output length mismatch"
-    );
-    let (zi, zf, zg, zo) = split_gates(z_row, h);
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::gates_eval(zi, zf, zg, zo, c_prev, c_out, h_out) };
-        return;
-    }
-    gates_eval_scalar(zi, zf, zg, zo, c_prev, c_out, h_out);
-}
-
-fn gates_eval_batch_scalar(
-    z: &[f32],
-    c_prev: &[f32],
-    hidden: usize,
-    c_out: &mut [f32],
-    h_out: &mut [f32],
-) {
-    let hw = 4 * hidden;
-    for r in 0..c_prev.len() / hidden {
-        let (zi, zf, zg, zo) = split_gates(&z[r * hw..(r + 1) * hw], hidden);
-        let span = r * hidden..(r + 1) * hidden;
-        gates_eval_scalar(
-            zi,
-            zf,
-            zg,
-            zo,
-            &c_prev[span.clone()],
-            &mut c_out[span.clone()],
-            &mut h_out[span],
-        );
-    }
-}
-
-/// Whole-batch [`lstm_gates_eval`]: the batch shape of
-/// [`lstm_gates_train_batch`], writing only the new cell and hidden
-/// rows. One dispatch per step.
+/// Eval-mode [`lstm_gates_train_batch`]: the same per-element
+/// expressions, writing only the new cell and hidden rows.
 ///
 /// # Panics
 ///
@@ -773,25 +628,15 @@ pub fn lstm_gates_eval_batch(
     c_out: &mut [f32],
     h_out: &mut [f32],
 ) {
-    assert!(hidden > 0, "hidden width must be non-zero");
-    let bh = c_prev.len();
+    assert_gate_batch(z, c_prev, hidden);
     assert!(
-        bh.is_multiple_of(hidden),
-        "c_prev must be whole hidden rows"
-    );
-    assert_eq!(z.len(), 4 * bh, "gate batch must be 4x hidden per row");
-    assert!(
-        c_out.len() == bh && h_out.len() == bh,
+        c_out.len() == c_prev.len() && h_out.len() == c_prev.len(),
         "gate output length mismatch"
     );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { avx2::gates_eval_batch(z, c_prev, hidden, c_out, h_out) };
-        return;
-    }
-    gates_eval_batch_scalar(z, c_prev, hidden, c_out, h_out);
+    at!(
+        simd_active(),
+        lstm_gates_eval_batch(z, c_prev, hidden, c_out, h_out)
+    )
 }
 
 /// The forward caches one BPTT step reads back: the four gates,
@@ -812,69 +657,6 @@ pub struct StepCaches<'a> {
     pub c_prev: &'a [f32],
 }
 
-/// Elements `ks` of batch row `r` of the backward gate sweep, in the
-/// association of the tensor-op BPTT it replaced:
-/// `d_h = grad_h + d_h_next`, `d_c = (d_h·o)·(1 − tc²) + d_c_next`,
-/// sigmoid gates `(d·s)·(1 − s)`, the candidate `d·(1 − g²)`. This is
-/// the scalar spec; the AVX2 sweep runs it on each row's sub-vector
-/// tail.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn gates_backward_row(
-    cache: &StepCaches<'_>,
-    grad_h: Option<&[f32]>,
-    d_h_next: &[f32],
-    d_c_next: &mut [f32],
-    hidden: usize,
-    r: usize,
-    ks: std::ops::Range<usize>,
-    dz_row: &mut [f32],
-) {
-    for k in ks {
-        let e = r * hidden + k;
-        let (i, f, g, o, tc) = (
-            cache.i[e],
-            cache.f[e],
-            cache.g[e],
-            cache.o[e],
-            cache.tanh_c[e],
-        );
-        let d_h = grad_h.map_or(0.0, |grad| grad[e]) + d_h_next[e];
-        let d_o = d_h * tc;
-        let d_c = (d_h * o) * (1.0 - tc * tc) + d_c_next[e];
-        let d_f = d_c * cache.c_prev[e];
-        let d_i = d_c * g;
-        let d_g = d_c * i;
-        dz_row[k] = d_i * i * (1.0 - i);
-        dz_row[hidden + k] = d_f * f * (1.0 - f);
-        dz_row[2 * hidden + k] = d_g * (1.0 - g * g);
-        dz_row[3 * hidden + k] = d_o * o * (1.0 - o);
-        d_c_next[e] = d_c * f;
-    }
-}
-
-fn gates_backward_batch_scalar(
-    cache: &StepCaches<'_>,
-    grad_h: Option<&[f32]>,
-    d_h_next: &[f32],
-    d_c_next: &mut [f32],
-    hidden: usize,
-    dz: &mut [f32],
-) {
-    for (r, dz_row) in dz.chunks_exact_mut(4 * hidden).enumerate() {
-        gates_backward_row(
-            cache,
-            grad_h,
-            d_h_next,
-            d_c_next,
-            hidden,
-            r,
-            0..hidden,
-            dz_row,
-        );
-    }
-}
-
 /// Fused whole-batch backward gate sweep of one BPTT step: from the
 /// step's forward caches, the hidden-state gradient
 /// (`grad_h + d_h_next`; `grad_h = None` is a row of `+0.0`s, the
@@ -883,9 +665,10 @@ fn gates_backward_batch_scalar(
 /// pre-activation gradient `dz` (gate order `i, f, g, o`) and replaces
 /// `d_c_next` with the cell gradient for step `t − 1`.
 ///
-/// Element-wise, one fixed expression per output (the scalar spec's
-/// parenthesisation, no FMA), so the AVX2 and scalar paths are
-/// bit-identical by the same argument as the forward sweeps.
+/// One fixed expression per output, in the association of the
+/// tensor-op BPTT it replaced: `d_h = grad_h + d_h_next`,
+/// `d_c = (d_h·o)·(1 − tc²) + d_c_next`, sigmoid gates `(d·s)·(1 − s)`,
+/// the candidate `d·(1 − g²)`.
 ///
 /// # Panics
 ///
@@ -907,754 +690,430 @@ pub fn lstm_gates_backward_batch(
     );
     assert_eq!(dz.len(), 4 * bh, "dz must be 4x hidden per row");
     assert!(
-        cache.i.len() == bh
-            && cache.f.len() == bh
-            && cache.g.len() == bh
-            && cache.o.len() == bh
-            && cache.tanh_c.len() == bh
-            && cache.c_prev.len() == bh
-            && d_h_next.len() == bh
-            && grad_h.is_none_or(|g| g.len() == bh),
+        [
+            cache.i.len(),
+            cache.f.len(),
+            cache.g.len(),
+            cache.o.len(),
+            cache.tanh_c.len(),
+            cache.c_prev.len(),
+            d_h_next.len(),
+            grad_h.map_or(bh, <[f32]>::len)
+        ] == [bh; 8],
         "gate gradient length mismatch"
     );
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)] // SAFETY justified inline; guarded by `simd_active`.
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime;
-        // the asserts above are the length contract of the kernel.
-        unsafe { avx2::gates_backward_batch(cache, grad_h, d_h_next, d_c_next, hidden, dz) };
-        return;
-    }
-    gates_backward_batch_scalar(cache, grad_h, d_h_next, d_c_next, hidden, dz);
+    at!(
+        simd_active(),
+        lstm_gates_backward_batch(cache, grad_h, d_h_next, d_c_next, hidden, dz)
+    )
 }
 
-/// The AVX2 lane implementations. Every function mirrors its scalar
-/// sibling operation for operation; tails below one vector width run
-/// the scalar code itself. This is the only module in the crate allowed
-/// to use `unsafe` (intrinsics + `#[target_feature]`); callers uphold
-/// the single safety contract that AVX2 was detected at runtime.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx2 {
-    use core::arch::x86_64::{
-        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cvtps_epi32,
-        _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
-        _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps,
-        _mm256_xor_ps,
-    };
+/// The kernel bodies, each written once over `L: Lane`. Everything is
+/// `#[inline(always)]` so that an instantiation compiles as one
+/// function with its wrapper's target features; a body that stayed
+/// out of line would be built for the base target and pass every lane
+/// value through memory.
+mod generic {
+    use std::array::from_fn;
 
-    use super::{gates_backward_row, split_gates, tail_reduce, GateCaches, StepCaches, LANES};
-    use crate::vmath;
+    use super::{tail_reduce, GateCaches, Lane, StepCaches, LANES};
+    use crate::vmath::{sigmoid, tanh};
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(xs: &[f32], i: usize) -> __m256 {
-        debug_assert!(i + LANES <= xs.len());
-        _mm256_loadu_ps(xs.as_ptr().add(i))
+    #[inline(always)]
+    fn chunk(xs: &[f32], at: usize) -> &[f32; LANES] {
+        xs[at..].first_chunk().expect("a whole vector in bounds")
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store(xs: &mut [f32], i: usize, v: __m256) {
-        debug_assert!(i + LANES <= xs.len());
-        _mm256_storeu_ps(xs.as_mut_ptr().add(i), v)
+    #[inline(always)]
+    fn chunk_mut(xs: &mut [f32], at: usize) -> &mut [f32; LANES] {
+        xs[at..]
+            .first_chunk_mut()
+            .expect("a whole vector in bounds")
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn spill(v: __m256) -> [f32; LANES] {
-        let mut lanes = [0.0f32; LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), v);
-        lanes
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let head = a.len() - a.len() % LANES;
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < head {
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(load(a, i), load(b, i)));
-            i += LANES;
-        }
-        tail_reduce(spill(acc), &a[head..], &b[head..])
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot4(
-        a: &[f32],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) -> [f32; 4] {
-        let head = a.len() - a.len() % LANES;
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0;
-        // Four independent single-accumulator chains: each output
-        // element keeps the canonical 8-lane order while the four
-        // chains overlap in the FP pipeline.
-        while i < head {
-            let va = load(a, i);
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, load(b0, i)));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, load(b1, i)));
-            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, load(b2, i)));
-            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, load(b3, i)));
-            i += LANES;
-        }
-        let at = &a[head..];
-        [
-            tail_reduce(spill(acc0), at, &b0[head..]),
-            tail_reduce(spill(acc1), at, &b1[head..]),
-            tail_reduce(spill(acc2), at, &b2[head..]),
-            tail_reduce(spill(acc3), at, &b3[head..]),
-        ]
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let head = x.len() - x.len() % LANES;
-        let va = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i < head {
-            let prod = _mm256_mul_ps(va, load(x, i));
-            store(y, i, _mm256_add_ps(load(y, i), prod));
-            i += LANES;
-        }
-        for (o, &v) in y[head..].iter_mut().zip(&x[head..]) {
-            *o += alpha * v;
-        }
-    }
-
-    /// One dispatch per `k`-panel; per-`k` sweeps inline here because
-    /// caller and callee share the target feature.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_panel(a_col: &[f32], b_panel: &[f32], y: &mut [f32]) {
-        let n = y.len();
-        for (k, &a) in a_col.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            axpy(a, &b_panel[k * n..(k + 1) * n], y);
-        }
-    }
-
-    /// Fused two-row panel: one `b_k` load feeds both output rows.
-    /// Element-for-element two independent [`axpy_panel`] sweeps —
-    /// disjoint accumulators, identical zero-skip — so the fusion is
-    /// pure bandwidth, never a bit.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_panel2(
-        a0: &[f32],
-        a1: &[f32],
-        b_panel: &[f32],
-        y0: &mut [f32],
-        y1: &mut [f32],
+    /// The element-wise driver: `outs[j][e] = f(ins[..][e], outs[..][e])[j]`
+    /// for every element `e`, whole vectors first — two per iteration,
+    /// so two independent dependency chains overlap — then one partial
+    /// load and store for a ragged tail (its dead lanes compute on
+    /// `+0.0` and are never stored).
+    #[inline(always)]
+    fn sweep<L: Lane, const I: usize, const O: usize>(
+        ins: [&[f32]; I],
+        outs: [&mut [f32]; O],
+        f: impl Fn([L; I], [L; O]) -> [L; O],
     ) {
-        let n = y0.len();
-        let head = n - n % LANES;
-        for (k, (&v0, &v1)) in a0.iter().zip(a1).enumerate() {
-            if v0 == 0.0 && v1 == 0.0 {
-                continue;
+        let n = outs[0].len();
+        assert!(
+            ins.iter().all(|s| s.len() == n) && outs.iter().all(|s| s.len() == n),
+            "sweep length mismatch"
+        );
+        // (whole vectors, ragged tail) of every slice; equal lengths
+        // make every `[v]` below provably in bounds.
+        let ins = ins.map(|s| s.as_chunks::<LANES>());
+        let mut outs = outs.map(|s| s.as_chunks_mut::<LANES>());
+        let vectors = n / LANES;
+        for pair in 0..vectors / 2 {
+            let v = 2 * pair;
+            let x0 = from_fn(|j| L::load(&ins[j].0[v]));
+            let x1 = from_fn(|j| L::load(&ins[j].0[v + 1]));
+            let y0 = from_fn(|j| L::load(&outs[j].0[v]));
+            let y1 = from_fn(|j| L::load(&outs[j].0[v + 1]));
+            let (r0, r1) = (f(x0, y0), f(x1, y1));
+            for j in 0..O {
+                r0[j].store(&mut outs[j].0[v]);
+                r1[j].store(&mut outs[j].0[v + 1]);
             }
-            let b_row = &b_panel[k * n..(k + 1) * n];
-            if v1 == 0.0 {
-                axpy(v0, b_row, y0);
-            } else if v0 == 0.0 {
-                axpy(v1, b_row, y1);
-            } else {
-                let s0 = _mm256_set1_ps(v0);
-                let s1 = _mm256_set1_ps(v1);
-                let mut i = 0;
-                while i < head {
-                    let bv = load(b_row, i);
-                    store(y0, i, _mm256_add_ps(load(y0, i), _mm256_mul_ps(s0, bv)));
-                    store(y1, i, _mm256_add_ps(load(y1, i), _mm256_mul_ps(s1, bv)));
-                    i += LANES;
-                }
-                for j in head..n {
-                    y0[j] += v0 * b_row[j];
-                    y1[j] += v1 * b_row[j];
-                }
+        }
+        if !vectors.is_multiple_of(2) {
+            let v = vectors - 1;
+            let x = from_fn(|j| L::load(&ins[j].0[v]));
+            let y = from_fn(|j| L::load(&outs[j].0[v]));
+            for (r, out) in f(x, y).into_iter().zip(&mut outs) {
+                r.store(&mut out.0[v]);
+            }
+        }
+        if !n.is_multiple_of(LANES) {
+            let x = from_fn(|j| L::load_head(ins[j].1));
+            let y = from_fn(|j| L::load_head(outs[j].1));
+            for (r, out) in f(x, y).into_iter().zip(&mut outs) {
+                r.store_head(out.1);
             }
         }
     }
 
-    /// Four-row panel: the all-nonzero fast path fuses one `b_k` load
-    /// into four row updates; any zero coefficient falls back to the
-    /// per-row sweeps (same per-element flow either way).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_panel4(
-        a: [&[f32]; 4],
-        b_panel: &[f32],
-        y0: &mut [f32],
-        y1: &mut [f32],
-        y2: &mut [f32],
-        y3: &mut [f32],
-    ) {
-        let n = y0.len();
-        let head = n - n % LANES;
-        for k in 0..a[0].len() {
-            let v = [a[0][k], a[1][k], a[2][k], a[3][k]];
-            if v == [0.0; 4] {
-                continue;
+    /// `C` canonical dot products of `a` against the rows `bs`, their
+    /// accumulator chains interleaved: lane `j` of each sums its terms
+    /// `≡ j (mod 8)` in increasing order, then the shared tail fold and
+    /// tree reduction.
+    #[inline(always)]
+    fn dots<L: Lane, const C: usize>(a: &[f32], bs: [&[f32]; C]) -> [f32; C] {
+        let n = a.len();
+        let bs = bs.map(|b| &b[..n]);
+        let mut acc = [L::splat(0.0); C];
+        let mut k = 0;
+        while k + LANES <= n {
+            let x = L::load(chunk(a, k));
+            for (s, b) in acc.iter_mut().zip(bs) {
+                *s = s.add(x.mul(L::load(chunk(b, k))));
             }
-            let b_row = &b_panel[k * n..(k + 1) * n];
-            if v.contains(&0.0) {
-                if v[0] != 0.0 {
-                    axpy(v[0], b_row, y0);
-                }
-                if v[1] != 0.0 {
-                    axpy(v[1], b_row, y1);
-                }
-                if v[2] != 0.0 {
-                    axpy(v[2], b_row, y2);
-                }
-                if v[3] != 0.0 {
-                    axpy(v[3], b_row, y3);
-                }
-                continue;
-            }
-            let s0 = _mm256_set1_ps(v[0]);
-            let s1 = _mm256_set1_ps(v[1]);
-            let s2 = _mm256_set1_ps(v[2]);
-            let s3 = _mm256_set1_ps(v[3]);
-            let mut i = 0;
-            while i < head {
-                let bv = load(b_row, i);
-                store(y0, i, _mm256_add_ps(load(y0, i), _mm256_mul_ps(s0, bv)));
-                store(y1, i, _mm256_add_ps(load(y1, i), _mm256_mul_ps(s1, bv)));
-                store(y2, i, _mm256_add_ps(load(y2, i), _mm256_mul_ps(s2, bv)));
-                store(y3, i, _mm256_add_ps(load(y3, i), _mm256_mul_ps(s3, bv)));
-                i += LANES;
-            }
-            for j in head..n {
-                y0[j] += v[0] * b_row[j];
-                y1[j] += v[1] * b_row[j];
-                y2[j] += v[2] * b_row[j];
-                y3[j] += v[3] * b_row[j];
-            }
+            k += LANES;
         }
+        let mut sums = [0.0; C];
+        for ((sum, s), b) in sums.iter_mut().zip(acc).zip(bs) {
+            *sum = tail_reduce(s.to_array(), &a[k..], &b[k..]);
+        }
+        sums
     }
 
-    /// One dispatch per column block; the dot bodies inline here.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_rows(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
+    #[inline(always)]
+    pub(super) fn dot<L: Lane>(a: &[f32], b: &[f32]) -> f32 {
+        dots::<L, 1>(a, [b])[0]
+    }
+
+    #[inline(always)]
+    pub(super) fn dot_rows<L: Lane>(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
         let k = a.len();
+        let row = |c: usize| &b_rows[c * k..(c + 1) * k];
         let mut c = 0;
         while c + 4 <= out.len() {
-            let b = &b_rows[c * k..(c + 4) * k];
-            let (b0, rest) = b.split_at(k);
-            let (b1, rest) = rest.split_at(k);
-            let (b2, b3) = rest.split_at(k);
-            let s = dot4(a, b0, b1, b2, b3);
-            out[c..c + 4].copy_from_slice(&s);
+            let sums = dots::<L, 4>(a, [row(c), row(c + 1), row(c + 2), row(c + 3)]);
+            out[c..c + 4].copy_from_slice(&sums);
             c += 4;
         }
         while c < out.len() {
-            out[c] = dot(a, &b_rows[c * k..(c + 1) * k]);
+            out[c] = dot::<L>(a, row(c));
             c += 1;
         }
     }
 
-    /// `LANE_MASKS[LANES - t..][..LANES]` sets exactly the first `t`
-    /// lanes.
-    static LANE_MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn lane_mask(active: usize) -> __m256i {
-        debug_assert!(active <= LANES);
-        _mm256_loadu_si256(LANE_MASKS.as_ptr().add(LANES - active).cast())
+    #[inline(always)]
+    pub(super) fn axpy<L: Lane>(alpha: f32, x: &[f32], y: &mut [f32]) {
+        let alpha = L::splat(alpha);
+        sweep::<L, 1, 1>(
+            [x],
+            [y],
+            #[inline(always)]
+            |[x], [y]| [y.add(alpha.mul(x))],
+        );
     }
 
-    /// [`load`], or — for the `ragged` vector of a `MASKED` tile — a
-    /// masked load that touches only the lanes `mask` enables (the
-    /// others read as `0.0` and may lie past the end of `xs`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_lanes<const MASKED: bool>(
-        xs: &[f32],
-        i: usize,
-        ragged: bool,
-        mask: __m256i,
-    ) -> __m256 {
-        if MASKED && ragged {
-            debug_assert!(i < xs.len());
-            _mm256_maskload_ps(xs.as_ptr().add(i), mask)
+    /// Vector `v` of a tile row: whole, or — the `ragged` last one —
+    /// whatever is left of `row`.
+    #[inline(always)]
+    fn load_vector<L: Lane>(row: &[f32], v: usize, ragged: bool) -> L {
+        if ragged {
+            L::load_head(&row[v * LANES..])
         } else {
-            load(xs, i)
+            L::load(chunk(row, v * LANES))
         }
     }
 
-    /// [`store`], or the masked store matching [`load_lanes`].
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_lanes<const MASKED: bool>(
-        xs: &mut [f32],
-        i: usize,
-        ragged: bool,
-        mask: __m256i,
-        v: __m256,
-    ) {
-        if MASKED && ragged {
-            debug_assert!(i < xs.len());
-            _mm256_maskstore_ps(xs.as_mut_ptr().add(i), mask, v)
-        } else {
-            store(xs, i, v)
-        }
-    }
-
-    /// One `R`-row × `V`-vector output tile of [`transa_acc`] with its
+    /// One `R`-row × `V`-vector output tile of [`gemm_acc`] with its
     /// top-left element at `(r0, c0)`: accumulators live in registers
     /// from the one load of `out` to the one store, across the whole
-    /// `k` loop. With `MASKED`, the tile's last vector is the ragged
-    /// end of a row and goes through `mask` — a tail lane runs the same
-    /// `mul` then `add` as a full one. Per element this is the spec's
-    /// sequence: increasing `k`, the per-row zero-skip, no FMA.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2, slices of `k·m`, `k·n` and `m·n` elements,
-    /// `r0 + R <= m`, and `c0 + V·LANES <= n` (for `MASKED`: the first
-    /// `V − 1` vectors in bounds and `mask` enabling exactly the
-    /// `n − c0 − (V − 1)·LANES` lanes left in the row).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn transa_tile<const R: usize, const V: usize, const MASKED: bool>(
+    /// `k` loop (one step per `n`-wide row of `b`). With `RAGGED` the
+    /// tile runs to the end of the row and its last vector is partial.
+    #[inline(always)]
+    fn tile<L: Lane, const R: usize, const V: usize, const RAGGED: bool>(
         a: &[f32],
+        (row_stride, k_stride): (usize, usize),
         b: &[f32],
         out: &mut [f32],
-        (k, m, n): (usize, usize, usize),
+        n: usize,
         (r0, c0): (usize, usize),
-        mask: __m256i,
     ) {
-        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        // The largest coefficient index the `k` loop forms: row
+        // `r0 + R − 1` at the last of `b`'s rows. Checking it once here
+        // is what lets the loop read `a` unchecked — a bounds check per
+        // coefficient measured 5–24 % slower across the LSTM's GEMM
+        // shapes (9 % on a batch-32 forward + backward).
+        let depth = b.len() / n;
+        let last = r0
+            .checked_add(R - 1)
+            .and_then(|r| r.checked_mul(row_stride))
+            .zip(depth.saturating_sub(1).checked_mul(k_stride))
+            .and_then(|(r, k)| r.checked_add(k));
+        assert!(
+            depth == 0 || last.is_some_and(|i| i < a.len()),
+            "gemm tile reads past its left operand"
+        );
+        let width = if RAGGED { n - c0 } else { V * LANES };
+        let mut acc = [[L::splat(0.0); V]; R];
         for (r, row) in acc.iter_mut().enumerate() {
-            let at = (r0 + r) * n + c0;
+            let out_row = &out[(r0 + r) * n + c0..][..width];
             for (v, lanes) in row.iter_mut().enumerate() {
-                *lanes = load_lanes::<MASKED>(out, at + v * LANES, v + 1 == V, mask);
+                *lanes = load_vector(out_row, v, RAGGED && v + 1 == V);
             }
         }
-        for kk in 0..k {
-            let coeffs = &a[kk * m + r0..kk * m + r0 + R];
-            let b_at = kk * n + c0;
-            for (&av, row) in coeffs.iter().zip(acc.iter_mut()) {
-                if av == 0.0 {
+        for (kk, b_row) in b.chunks_exact(n).enumerate() {
+            let b_row = &b_row[c0..][..width];
+            for (r, row) in acc.iter_mut().enumerate() {
+                // SAFETY: `r < R` and `kk < depth`, so with unsigned
+                // strides this index is at most `last`, which the
+                // assert above placed inside `a` without overflow.
+                #[allow(unsafe_code)]
+                let coeff = unsafe { *a.get_unchecked((r0 + r) * row_stride + kk * k_stride) };
+                if coeff == 0.0 {
                     continue;
                 }
-                let s = _mm256_set1_ps(av);
+                let coeff = L::splat(coeff);
                 for (v, lanes) in row.iter_mut().enumerate() {
-                    let bv = load_lanes::<MASKED>(b, b_at + v * LANES, v + 1 == V, mask);
-                    *lanes = _mm256_add_ps(*lanes, _mm256_mul_ps(s, bv));
+                    let bv = load_vector(b_row, v, RAGGED && v + 1 == V);
+                    *lanes = lanes.add(coeff.mul(bv));
                 }
             }
         }
         for (r, row) in acc.iter().enumerate() {
-            let at = (r0 + r) * n + c0;
-            for (v, &lanes) in row.iter().enumerate() {
-                store_lanes::<MASKED>(out, at + v * LANES, v + 1 == V, mask, lanes);
+            let out_row = &mut out[(r0 + r) * n + c0..][..width];
+            for (v, lanes) in row.iter().enumerate() {
+                if RAGGED && v + 1 == V {
+                    lanes.store_head(&mut out_row[v * LANES..]);
+                } else {
+                    lanes.store(chunk_mut(out_row, v * LANES));
+                }
             }
         }
     }
 
-    /// All output rows of one `V`-vector column strip: `R`-row tiles,
-    /// then single rows for the remainder.
-    ///
-    /// # Safety
-    ///
-    /// As [`transa_tile`], for every `r0`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn transa_strip<const R: usize, const V: usize, const MASKED: bool>(
+    /// All output rows of one `V`-vector column strip starting at
+    /// column `c0`: `R`-row tiles, then single rows for the remainder.
+    #[inline(always)]
+    fn strip<L: Lane, const R: usize, const V: usize>(
         a: &[f32],
+        a_strides: (usize, usize),
         b: &[f32],
         out: &mut [f32],
-        shape: (usize, usize, usize),
+        (m, n): (usize, usize),
         c0: usize,
-        mask: __m256i,
+        ragged: bool,
     ) {
-        let m = shape.1;
         let mut r0 = 0;
         while r0 + R <= m {
-            transa_tile::<R, V, MASKED>(a, b, out, shape, (r0, c0), mask);
+            if ragged {
+                tile::<L, R, V, true>(a, a_strides, b, out, n, (r0, c0));
+            } else {
+                tile::<L, R, V, false>(a, a_strides, b, out, n, (r0, c0));
+            }
             r0 += R;
         }
         while r0 < m {
-            transa_tile::<1, V, MASKED>(a, b, out, shape, (r0, c0), mask);
+            if ragged {
+                tile::<L, 1, V, true>(a, a_strides, b, out, n, (r0, c0));
+            } else {
+                tile::<L, 1, V, false>(a, a_strides, b, out, n, (r0, c0));
+            }
             r0 += 1;
         }
     }
 
-    /// Register-blocked `out += aᵀ·b`: the columns are cut into strips
-    /// of 6, 2 or 1 vectors, each swept in tiles of 2, 6 or 8 rows
-    /// (≤ 12 accumulator registers, leaving room for the broadcast
-    /// coefficient and the `b` vector).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and slices of `k·m`, `k·n` and `m·n` elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transa_acc(
+    /// The columns are cut into strips of 6, 2 or 1 vectors, each swept
+    /// in tiles of 2, 6 or 8 rows: at most 12 accumulators, leaving
+    /// registers for the broadcast coefficient and the `b` vector, and
+    /// at least 8 independent add chains to cover the add latency. A
+    /// single output row (`m == 1`, a decision's forward pass) cannot
+    /// stack rows, so it takes 8 vectors at a time instead.
+    #[inline(always)]
+    pub(super) fn gemm_acc<L: Lane>(
         a: &[f32],
+        a_strides: (usize, usize),
         b: &[f32],
         out: &mut [f32],
         shape: (usize, usize, usize),
     ) {
-        let n = shape.2;
-        let tail = n % LANES;
+        let (m, _, n) = shape;
         let vectors = n.div_ceil(LANES);
-        let mask = lane_mask(tail);
         let mut v0 = 0;
         while v0 < vectors {
             let left = vectors - v0;
-            let width = if left >= 6 {
-                6
-            } else if left >= 2 {
-                2
-            } else {
-                1
+            let width = match left {
+                8.. if m == 1 => 8,
+                6.. => 6,
+                2.. => 2,
+                _ => 1,
             };
-            let ragged = tail != 0 && v0 + width == vectors;
+            let ragged = !n.is_multiple_of(LANES) && v0 + width == vectors;
             let c0 = v0 * LANES;
-            match (width, ragged) {
-                (6, false) => transa_strip::<2, 6, false>(a, b, out, shape, c0, mask),
-                (6, true) => transa_strip::<2, 6, true>(a, b, out, shape, c0, mask),
-                (2, false) => transa_strip::<6, 2, false>(a, b, out, shape, c0, mask),
-                (2, true) => transa_strip::<6, 2, true>(a, b, out, shape, c0, mask),
-                (_, false) => transa_strip::<8, 1, false>(a, b, out, shape, c0, mask),
-                (_, true) => transa_strip::<8, 1, true>(a, b, out, shape, c0, mask),
+            match width {
+                8 => strip::<L, 1, 8>(a, a_strides, b, out, (m, n), c0, ragged),
+                6 => strip::<L, 2, 6>(a, a_strides, b, out, (m, n), c0, ragged),
+                2 => strip::<L, 6, 2>(a, a_strides, b, out, (m, n), c0, ragged),
+                _ => strip::<L, 8, 1>(a, a_strides, b, out, (m, n), c0, ragged),
             }
             v0 += width;
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add2_bias(z: &mut [f32], w: &[f32], b: &[f32]) {
-        let head = z.len() - z.len() % LANES;
-        let mut i = 0;
-        while i < head {
-            let zw = _mm256_add_ps(load(z, i), load(w, i));
-            store(z, i, _mm256_add_ps(zw, load(b, i)));
-            i += LANES;
-        }
-        for ((v, &wv), &bv) in z[head..].iter_mut().zip(&w[head..]).zip(&b[head..]) {
-            *v = (*v + wv) + bv;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add2_bias_rows(z: &mut [f32], w: &[f32], b: &[f32]) {
+    #[inline(always)]
+    pub(super) fn add2_bias_rows<L: Lane>(z: &mut [f32], w: &[f32], b: &[f32]) {
         let n = b.len();
-        for (zr, wr) in z.chunks_exact_mut(n).zip(w.chunks_exact(n)) {
-            add2_bias(zr, wr, b);
+        for (z_row, w_row) in z.chunks_exact_mut(n).zip(w.chunks_exact(n)) {
+            sweep::<L, 2, 1>(
+                [w_row, b],
+                [z_row],
+                #[inline(always)]
+                |[w, b], [z]| [z.add(w).add(b)],
+            );
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn relu(xs: &mut [f32]) {
-        let head = xs.len() - xs.len() % LANES;
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < head {
-            store(xs, i, _mm256_max_ps(load(xs, i), zero));
-            i += LANES;
-        }
-        for v in &mut xs[head..] {
-            *v = vmath::max(*v, 0.0);
-        }
+    #[inline(always)]
+    pub(super) fn relu<L: Lane>(xs: &mut [f32]) {
+        let zero = L::splat(0.0);
+        sweep::<L, 0, 1>(
+            [],
+            [xs],
+            #[inline(always)]
+            |[], [x]| [x.max(zero)],
+        );
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bn_affine(
+    #[inline(always)]
+    pub(super) fn bn_affine<L: Lane>(
         row: &mut [f32],
         mean: &[f32],
         inv_std: &[f32],
         gamma: &[f32],
         beta: &[f32],
     ) {
-        let head = row.len() - row.len() % LANES;
-        let mut i = 0;
-        while i < head {
-            let centered = _mm256_sub_ps(load(row, i), load(mean, i));
-            let scaled = _mm256_mul_ps(_mm256_mul_ps(load(gamma, i), centered), load(inv_std, i));
-            store(row, i, _mm256_add_ps(scaled, load(beta, i)));
-            i += LANES;
-        }
-        let tail = head..row.len();
-        super::bn_affine_scalar(
-            &mut row[tail.clone()],
-            &mean[tail.clone()],
-            &inv_std[tail.clone()],
-            &gamma[tail.clone()],
-            &beta[tail],
+        sweep::<L, 4, 1>(
+            [mean, inv_std, gamma, beta],
+            [row],
+            #[inline(always)]
+            |[mean, inv_std, gamma, beta], [x]| [gamma.mul(x.sub(mean)).mul(inv_std).add(beta)],
         );
     }
 
-    /// 8-lane [`vmath::exp`]: the identical clamp, shifter rounding,
-    /// Cody–Waite reduction, Horner polynomial and exponent-field
-    /// scale, one operation per scalar step.
-    ///
-    /// `target_feature` matters here even though every caller already
-    /// has it: without the attribute this helper compiles for the base
-    /// target and each `__m256` crosses the call boundary through
-    /// memory, which costs more than the vectorisation saves.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn exp_lanes(x: __m256) -> __m256 {
-        let x = _mm256_max_ps(x, _mm256_set1_ps(-vmath::EXP_CLAMP));
-        let x = _mm256_min_ps(x, _mm256_set1_ps(vmath::EXP_CLAMP));
-        let y = _mm256_mul_ps(x, _mm256_set1_ps(vmath::LOG2E));
-        let shifter = _mm256_set1_ps(vmath::SHIFTER);
-        let k = _mm256_sub_ps(_mm256_add_ps(y, shifter), shifter);
-        let r = _mm256_sub_ps(
-            _mm256_sub_ps(x, _mm256_mul_ps(k, _mm256_set1_ps(vmath::LN2_HI))),
-            _mm256_mul_ps(k, _mm256_set1_ps(vmath::LN2_LO)),
-        );
-        let mut p = _mm256_set1_ps(vmath::EXP_POLY[7]);
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(vmath::EXP_POLY[6]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(vmath::EXP_POLY[5]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(vmath::EXP_POLY[4]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(vmath::EXP_POLY[3]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(vmath::EXP_POLY[2]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(vmath::EXP_POLY[1]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(vmath::EXP_POLY[0]));
-        // `k` is integer-valued, so the round-to-nearest conversion is
-        // exact and matches the scalar truncating cast.
-        let ki = _mm256_cvtps_epi32(k);
-        let scale = _mm256_castsi256_ps(_mm256_slli_epi32(
-            _mm256_add_epi32(ki, _mm256_set1_epi32(127)),
-            23,
-        ));
-        _mm256_mul_ps(p, scale)
+    /// The forward LSTM cell on one vector of each pre-activation
+    /// quarter and of `c_prev`: `[i, f, g, o, c, tanh(c), h]`.
+    #[inline(always)]
+    fn cell<L: Lane>([zi, zf, zg, zo, c_prev]: [L; 5]) -> [L; 7] {
+        let (i, f, g, o) = (sigmoid(zi), sigmoid(zf), tanh(zg), sigmoid(zo));
+        let c = f.mul(c_prev).add(i.mul(g));
+        let tanh_c = tanh(c);
+        [i, f, g, o, c, tanh_c, o.mul(tanh_c)]
     }
 
-    /// 8-lane [`vmath::tanh`].
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tanh_lanes(x: __m256) -> __m256 {
-        let t = _mm256_max_ps(x, _mm256_set1_ps(-vmath::TANH_CLAMP));
-        let t = _mm256_min_ps(t, _mm256_set1_ps(vmath::TANH_CLAMP));
-        let e = exp_lanes(_mm256_add_ps(t, t));
-        let one = _mm256_set1_ps(1.0);
-        _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one))
+    /// Batch row `r`'s five [`cell`] inputs: the `(i, f, g, o)`
+    /// quarters of its `4·hidden` pre-activation row, and `c_prev`.
+    #[inline(always)]
+    fn cell_inputs<'a>(z: &'a [f32], c_prev: &'a [f32], hidden: usize, r: usize) -> [&'a [f32]; 5] {
+        let (zi, rest) = z[r * 4 * hidden..(r + 1) * 4 * hidden].split_at(hidden);
+        let (zf, rest) = rest.split_at(hidden);
+        let (zg, zo) = rest.split_at(hidden);
+        [zi, zf, zg, zo, &c_prev[r * hidden..(r + 1) * hidden]]
     }
 
-    /// 8-lane [`vmath::sigmoid`]; negation is the sign-bit flip, the
-    /// exact bit operation of scalar `-x`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sigmoid_lanes(x: __m256) -> __m256 {
-        let sign = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
-        let e = exp_lanes(_mm256_xor_ps(x, sign));
-        let one = _mm256_set1_ps(1.0);
-        _mm256_div_ps(one, _mm256_add_ps(one, e))
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn gates_train(
-        zi: &[f32],
-        zf: &[f32],
-        zg: &[f32],
-        zo: &[f32],
-        c_prev: &[f32],
-        out: &mut GateCaches<'_>,
-    ) {
-        let h = c_prev.len();
-        let head = h - h % LANES;
-        let mut k = 0;
-        // Two vector blocks per iteration: the per-block dataflow is
-        // untouched (blocks write disjoint elements), but interleaving
-        // two independent sigmoid/tanh Horner chains hides their
-        // mul→add latency — the sweep is latency-bound, not
-        // throughput-bound, without FMA.
-        while k + 2 * LANES <= head {
-            let iv0 = sigmoid_lanes(load(zi, k));
-            let iv1 = sigmoid_lanes(load(zi, k + LANES));
-            let fv0 = sigmoid_lanes(load(zf, k));
-            let fv1 = sigmoid_lanes(load(zf, k + LANES));
-            let gv0 = tanh_lanes(load(zg, k));
-            let gv1 = tanh_lanes(load(zg, k + LANES));
-            let ov0 = sigmoid_lanes(load(zo, k));
-            let ov1 = sigmoid_lanes(load(zo, k + LANES));
-            let cv0 = _mm256_add_ps(_mm256_mul_ps(fv0, load(c_prev, k)), _mm256_mul_ps(iv0, gv0));
-            let cv1 = _mm256_add_ps(
-                _mm256_mul_ps(fv1, load(c_prev, k + LANES)),
-                _mm256_mul_ps(iv1, gv1),
-            );
-            let tc0 = tanh_lanes(cv0);
-            let tc1 = tanh_lanes(cv1);
-            store(out.i, k, iv0);
-            store(out.i, k + LANES, iv1);
-            store(out.f, k, fv0);
-            store(out.f, k + LANES, fv1);
-            store(out.g, k, gv0);
-            store(out.g, k + LANES, gv1);
-            store(out.o, k, ov0);
-            store(out.o, k + LANES, ov1);
-            store(out.c, k, cv0);
-            store(out.c, k + LANES, cv1);
-            store(out.tanh_c, k, tc0);
-            store(out.tanh_c, k + LANES, tc1);
-            store(out.h, k, _mm256_mul_ps(ov0, tc0));
-            store(out.h, k + LANES, _mm256_mul_ps(ov1, tc1));
-            k += 2 * LANES;
-        }
-        while k < head {
-            let iv = sigmoid_lanes(load(zi, k));
-            let fv = sigmoid_lanes(load(zf, k));
-            let gv = tanh_lanes(load(zg, k));
-            let ov = sigmoid_lanes(load(zo, k));
-            let cv = _mm256_add_ps(_mm256_mul_ps(fv, load(c_prev, k)), _mm256_mul_ps(iv, gv));
-            let tc = tanh_lanes(cv);
-            store(out.i, k, iv);
-            store(out.f, k, fv);
-            store(out.g, k, gv);
-            store(out.o, k, ov);
-            store(out.c, k, cv);
-            store(out.tanh_c, k, tc);
-            store(out.h, k, _mm256_mul_ps(ov, tc));
-            k += LANES;
-        }
-        while k < h {
-            let iv = vmath::sigmoid(zi[k]);
-            let fv = vmath::sigmoid(zf[k]);
-            let gv = vmath::tanh(zg[k]);
-            let ov = vmath::sigmoid(zo[k]);
-            let cv = fv * c_prev[k] + iv * gv;
-            let tc = vmath::tanh(cv);
-            out.i[k] = iv;
-            out.f[k] = fv;
-            out.g[k] = gv;
-            out.o[k] = ov;
-            out.c[k] = cv;
-            out.tanh_c[k] = tc;
-            out.h[k] = ov * tc;
-            k += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn gates_eval(
-        zi: &[f32],
-        zf: &[f32],
-        zg: &[f32],
-        zo: &[f32],
-        c_prev: &[f32],
-        c_out: &mut [f32],
-        h_out: &mut [f32],
-    ) {
-        let h = c_prev.len();
-        let head = h - h % LANES;
-        let mut k = 0;
-        // Same two-block interleave as the training sweep: disjoint
-        // elements, independent latency chains.
-        while k + 2 * LANES <= head {
-            let iv0 = sigmoid_lanes(load(zi, k));
-            let iv1 = sigmoid_lanes(load(zi, k + LANES));
-            let fv0 = sigmoid_lanes(load(zf, k));
-            let fv1 = sigmoid_lanes(load(zf, k + LANES));
-            let gv0 = tanh_lanes(load(zg, k));
-            let gv1 = tanh_lanes(load(zg, k + LANES));
-            let ov0 = sigmoid_lanes(load(zo, k));
-            let ov1 = sigmoid_lanes(load(zo, k + LANES));
-            let cv0 = _mm256_add_ps(_mm256_mul_ps(fv0, load(c_prev, k)), _mm256_mul_ps(iv0, gv0));
-            let cv1 = _mm256_add_ps(
-                _mm256_mul_ps(fv1, load(c_prev, k + LANES)),
-                _mm256_mul_ps(iv1, gv1),
-            );
-            let tc0 = tanh_lanes(cv0);
-            let tc1 = tanh_lanes(cv1);
-            store(c_out, k, cv0);
-            store(c_out, k + LANES, cv1);
-            store(h_out, k, _mm256_mul_ps(ov0, tc0));
-            store(h_out, k + LANES, _mm256_mul_ps(ov1, tc1));
-            k += 2 * LANES;
-        }
-        while k < head {
-            let iv = sigmoid_lanes(load(zi, k));
-            let fv = sigmoid_lanes(load(zf, k));
-            let gv = tanh_lanes(load(zg, k));
-            let ov = sigmoid_lanes(load(zo, k));
-            let cv = _mm256_add_ps(_mm256_mul_ps(fv, load(c_prev, k)), _mm256_mul_ps(iv, gv));
-            let tc = tanh_lanes(cv);
-            store(c_out, k, cv);
-            store(h_out, k, _mm256_mul_ps(ov, tc));
-            k += LANES;
-        }
-        while k < h {
-            let iv = vmath::sigmoid(zi[k]);
-            let fv = vmath::sigmoid(zf[k]);
-            let gv = vmath::tanh(zg[k]);
-            let ov = vmath::sigmoid(zo[k]);
-            let cv = fv * c_prev[k] + iv * gv;
-            let tc = vmath::tanh(cv);
-            c_out[k] = cv;
-            h_out[k] = ov * tc;
-            k += 1;
-        }
-    }
-
-    /// One dispatch per step: the per-row sweep inlines into the batch
-    /// loop because caller and callee share the target feature.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gates_train_batch(
+    #[inline(always)]
+    pub(super) fn lstm_gates_train_batch<L: Lane>(
         z: &[f32],
         c_prev: &[f32],
         hidden: usize,
         out: &mut GateCaches<'_>,
     ) {
-        let hw = 4 * hidden;
         for r in 0..c_prev.len() / hidden {
-            let (zi, zf, zg, zo) = split_gates(&z[r * hw..(r + 1) * hw], hidden);
-            let span = r * hidden..(r + 1) * hidden;
-            let mut row = GateCaches {
-                i: &mut out.i[span.clone()],
-                f: &mut out.f[span.clone()],
-                g: &mut out.g[span.clone()],
-                o: &mut out.o[span.clone()],
-                c: &mut out.c[span.clone()],
-                tanh_c: &mut out.tanh_c[span.clone()],
-                h: &mut out.h[span.clone()],
-            };
-            gates_train(zi, zf, zg, zo, &c_prev[span], &mut row);
+            let at = r * hidden..(r + 1) * hidden;
+            sweep::<L, 5, 7>(
+                cell_inputs(z, c_prev, hidden, r),
+                [
+                    &mut out.i[at.clone()],
+                    &mut out.f[at.clone()],
+                    &mut out.g[at.clone()],
+                    &mut out.o[at.clone()],
+                    &mut out.c[at.clone()],
+                    &mut out.tanh_c[at.clone()],
+                    &mut out.h[at],
+                ],
+                #[inline(always)]
+                |x, _| cell(x),
+            );
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gates_eval_batch(
+    #[inline(always)]
+    pub(super) fn lstm_gates_eval_batch<L: Lane>(
         z: &[f32],
         c_prev: &[f32],
         hidden: usize,
         c_out: &mut [f32],
         h_out: &mut [f32],
     ) {
-        let hw = 4 * hidden;
         for r in 0..c_prev.len() / hidden {
-            let (zi, zf, zg, zo) = split_gates(&z[r * hw..(r + 1) * hw], hidden);
-            let span = r * hidden..(r + 1) * hidden;
-            gates_eval(
-                zi,
-                zf,
-                zg,
-                zo,
-                &c_prev[span.clone()],
-                &mut c_out[span.clone()],
-                &mut h_out[span],
+            let at = r * hidden..(r + 1) * hidden;
+            sweep::<L, 5, 2>(
+                cell_inputs(z, c_prev, hidden, r),
+                [&mut c_out[at.clone()], &mut h_out[at]],
+                #[inline(always)]
+                |x, _| {
+                    let [.., c, _, h] = cell(x);
+                    [c, h]
+                },
             );
         }
     }
 
-    /// Vector head per row — one operation per step of
-    /// [`gates_backward_row`], in its order — and the scalar spec
-    /// itself on the sub-vector tail.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gates_backward_batch(
+    /// One vector of the backward gate sweep: from the cached
+    /// `[i, f, g, o, tanh(c), c_prev]`, the hidden gradient `d_h` and
+    /// the incoming cell gradient, `[dz_i, dz_f, dz_g, dz_o]` and the
+    /// outgoing cell gradient.
+    #[inline(always)]
+    fn cell_backward<L: Lane>([i, f, g, o, tc, c_prev]: [L; 6], d_h: L, d_c_next: L) -> [L; 5] {
+        let one = L::splat(1.0);
+        let d_o = d_h.mul(tc);
+        let d_c = d_h.mul(o).mul(one.sub(tc.mul(tc))).add(d_c_next);
+        let d_f = d_c.mul(c_prev);
+        let d_i = d_c.mul(g);
+        let d_g = d_c.mul(i);
+        [
+            d_i.mul(i).mul(one.sub(i)),
+            d_f.mul(f).mul(one.sub(f)),
+            d_g.mul(one.sub(g.mul(g))),
+            d_o.mul(o).mul(one.sub(o)),
+            d_c.mul(f),
+        ]
+    }
+
+    #[inline(always)]
+    pub(super) fn lstm_gates_backward_batch<L: Lane>(
         cache: &StepCaches<'_>,
         grad_h: Option<&[f32]>,
         d_h_next: &[f32],
@@ -1662,65 +1121,74 @@ mod avx2 {
         hidden: usize,
         dz: &mut [f32],
     ) {
-        let head = hidden - hidden % LANES;
-        let one = _mm256_set1_ps(1.0);
         for (r, dz_row) in dz.chunks_exact_mut(4 * hidden).enumerate() {
-            let base = r * hidden;
-            let mut k = 0;
-            while k < head {
-                let e = base + k;
-                let (i, f, g, o) = (
-                    load(cache.i, e),
-                    load(cache.f, e),
-                    load(cache.g, e),
-                    load(cache.o, e),
-                );
-                let tc = load(cache.tanh_c, e);
-                let grad = match grad_h {
-                    Some(grad_h) => load(grad_h, e),
-                    None => _mm256_setzero_ps(),
-                };
-                let d_h = _mm256_add_ps(grad, load(d_h_next, e));
-                let d_o = _mm256_mul_ps(d_h, tc);
-                let d_c = _mm256_add_ps(
-                    _mm256_mul_ps(
-                        _mm256_mul_ps(d_h, o),
-                        _mm256_sub_ps(one, _mm256_mul_ps(tc, tc)),
-                    ),
-                    load(d_c_next, e),
-                );
-                let d_f = _mm256_mul_ps(d_c, load(cache.c_prev, e));
-                let d_i = _mm256_mul_ps(d_c, g);
-                let d_g = _mm256_mul_ps(d_c, i);
-                let dz_i = _mm256_mul_ps(_mm256_mul_ps(d_i, i), _mm256_sub_ps(one, i));
-                let dz_f = _mm256_mul_ps(_mm256_mul_ps(d_f, f), _mm256_sub_ps(one, f));
-                let dz_g = _mm256_mul_ps(d_g, _mm256_sub_ps(one, _mm256_mul_ps(g, g)));
-                let dz_o = _mm256_mul_ps(_mm256_mul_ps(d_o, o), _mm256_sub_ps(one, o));
-                store(dz_row, k, dz_i);
-                store(dz_row, hidden + k, dz_f);
-                store(dz_row, 2 * hidden + k, dz_g);
-                store(dz_row, 3 * hidden + k, dz_o);
-                store(d_c_next, e, _mm256_mul_ps(d_c, f));
-                k += LANES;
+            let at = r * hidden..(r + 1) * hidden;
+            let (dz_i, rest) = dz_row.split_at_mut(hidden);
+            let (dz_f, rest) = rest.split_at_mut(hidden);
+            let (dz_g, dz_o) = rest.split_at_mut(hidden);
+            let outs = [dz_i, dz_f, dz_g, dz_o, &mut d_c_next[at.clone()]];
+            let cached = [
+                &cache.i[at.clone()],
+                &cache.f[at.clone()],
+                &cache.g[at.clone()],
+                &cache.o[at.clone()],
+                &cache.tanh_c[at.clone()],
+                &cache.c_prev[at.clone()],
+            ];
+            let [i, f, g, o, tc, c_prev] = cached;
+            let d_h_next = &d_h_next[at.clone()];
+            match grad_h {
+                Some(grad_h) => sweep::<L, 8, 5>(
+                    [i, f, g, o, tc, c_prev, &grad_h[at], d_h_next],
+                    outs,
+                    #[inline(always)]
+                    |[i, f, g, o, tc, c_prev, grad_h, d_h_next], [.., d_c_next]| {
+                        cell_backward([i, f, g, o, tc, c_prev], grad_h.add(d_h_next), d_c_next)
+                    },
+                ),
+                None => sweep::<L, 7, 5>(
+                    [i, f, g, o, tc, c_prev, d_h_next],
+                    outs,
+                    #[inline(always)]
+                    |[i, f, g, o, tc, c_prev, d_h_next], [.., d_c_next]| {
+                        let d_h = L::splat(0.0).add(d_h_next);
+                        cell_backward([i, f, g, o, tc, c_prev], d_h, d_c_next)
+                    },
+                ),
             }
-            gates_backward_row(
-                cache,
-                grad_h,
-                d_h_next,
-                d_c_next,
-                hidden,
-                r,
-                head..hidden,
-                dz_row,
-            );
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::vmath::tests::{sigmoid, tanh};
 
+    /// Runs `f` with dispatch live and again forced portable, under the
+    /// one lock every test that flips the process-global toggle shares.
+    /// Kernel-level tests do not need it — they pick their lane with
+    /// `at!`; it is for the end-to-end `Tensor` legs.
+    pub(crate) fn both_paths<T>(mut f: impl FnMut() -> T) -> (T, T) {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK.lock().expect("a toggling test panicked");
+        set_force_scalar(false);
+        let native = f();
+        set_force_scalar(true);
+        let forced = f();
+        set_force_scalar(false);
+        (native, forced)
+    }
+
+    /// The `at!` selectors this host can run: portable, and AVX2 when
+    /// detected.
+    fn lanes() -> impl Iterator<Item = bool> {
+        [false, true]
+            .into_iter()
+            .filter(|&avx2| !avx2 || has_avx2())
+    }
+
+    /// Values in `[-4, 4.4)` with exact zeros mixed in.
     fn noisy(n: usize, salt: u64) -> Vec<f32> {
         let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..n)
@@ -1737,309 +1205,261 @@ mod tests {
             .collect()
     }
 
-    /// Serializes tests that flip the global force-scalar toggle.
-    fn toggle_lock() -> &'static std::sync::Mutex<()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        &LOCK
+    /// Bit patterns, with every NaN collapsed to one: which operand's
+    /// payload and sign a NaN result inherits is the one thing IEEE-754
+    /// (and Rust) leave open, so it is not part of the contract.
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
     }
 
-    /// Runs `f` once with the SIMD path live and once forced scalar,
-    /// returning both results. The toggle is global, but results are
-    /// bit-identical on both paths, so other (non-toggling) tests can
-    /// race this without observing a difference.
-    fn both_paths<T>(mut f: impl FnMut() -> T) -> (T, T) {
-        let _guard = toggle_lock().lock().unwrap();
-        set_force_scalar(false);
-        let native = f();
-        set_force_scalar(true);
-        let scalar = f();
-        set_force_scalar(false);
-        (native, scalar)
-    }
+    /// One row of the table: a kernel, run at a lane (`true` = AVX2) on
+    /// inputs derived from a ragged size, and a plain-`f32` oracle on the
+    /// same inputs. Both return every output, concatenated.
+    type Row = (
+        &'static str,
+        fn(bool, usize) -> Vec<f32>,
+        fn(usize) -> Vec<f32>,
+    );
 
-    /// The tentpole contract, at the kernel level: every SIMD kernel is
-    /// bit-identical to its scalar fallback on ragged lengths (not
-    /// multiples of 8, below one vector, empty).
-    #[test]
-    fn simd_and_scalar_kernels_agree_bit_for_bit_on_ragged_lengths() {
-        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100] {
-            let a = noisy(n, 1 + n as u64);
-            let b = noisy(n, 1000 + n as u64);
-            let (x, y) = both_paths(|| dot(&a, &b).to_bits());
-            assert_eq!(x, y, "dot diverged at n={n}");
+    /// Empty, below one vector, around one and two vectors, `8k ± 1`.
+    const SIZES: [usize; 12] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100];
 
-            let y0 = noisy(n, 7 + n as u64);
-            let (x, y) = both_paths(|| {
-                let mut out = y0.clone();
-                axpy(0.37, &a, &mut out);
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            });
-            assert_eq!(x, y, "axpy diverged at n={n}");
-
-            let (x, y) = both_paths(|| {
-                let mut out = y0.clone();
-                relu(&mut out);
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            });
-            assert_eq!(x, y, "relu diverged at n={n}");
-
-            let (x, y) = both_paths(|| {
-                let mut out = y0.clone();
-                add2_bias(&mut out, &a, &b);
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            });
-            assert_eq!(x, y, "add2_bias diverged at n={n}");
-
-            let (mean, inv_std) = (noisy(n, 21), noisy(n, 22));
-            let (gamma, beta) = (noisy(n, 23), noisy(n, 24));
-            let (x, y) = both_paths(|| {
-                let mut out = y0.clone();
-                bn_affine(&mut out, &mean, &inv_std, &gamma, &beta);
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            });
-            assert_eq!(x, y, "bn_affine diverged at n={n}");
-        }
-    }
-
-    /// The block-level kernels are defined as the exact call sequences
-    /// they replace: a panel is a `k`-loop of axpy calls, a row sweep
-    /// is a column loop of dot/dot4 calls, a batch gate pass is a row
-    /// loop of per-row passes. Pin that equivalence bit for bit, on
-    /// both dispatch paths, over ragged shapes.
-    #[test]
-    fn block_kernels_match_their_small_call_sequences() {
-        for (kt, n) in [
-            (1usize, 1usize),
-            (3, 7),
-            (8, 8),
-            (13, 31),
-            (32, 33),
-            (20, 64),
-        ] {
-            let a0 = noisy(kt, 61 + n as u64);
-            let a1 = noisy(kt, 62 + n as u64);
-            let b = noisy(kt * n, 63 + n as u64);
-            let y_init = noisy(n, 64 + n as u64);
-
-            // axpy_panel2 vs the per-k axpy loop (zero-skip included).
-            let reference = || {
-                let (mut y0, mut y1) = (y_init.clone(), y_init.clone());
-                for k in 0..kt {
-                    let b_row = &b[k * n..(k + 1) * n];
-                    if a0[k] != 0.0 {
-                        axpy(a0[k], b_row, &mut y0);
-                    }
-                    if a1[k] != 0.0 {
-                        axpy(a1[k], b_row, &mut y1);
-                    }
-                }
-                (y0, y1)
-            };
-            let panel = || {
-                let (mut y0, mut y1) = (y_init.clone(), y_init.clone());
-                axpy_panel2(&a0, &a1, &b, &mut y0, &mut y1);
-                (y0, y1)
-            };
-            let (r_native, r_scalar) = both_paths(reference);
-            let (p_native, p_scalar) = both_paths(panel);
-            assert_eq!(r_native, r_scalar, "axpy reference diverged at {kt}x{n}");
-            assert_eq!(p_native, p_scalar, "axpy_panel2 diverged at {kt}x{n}");
-            assert_eq!(r_native, p_native, "axpy_panel2 != axpy loop at {kt}x{n}");
-
-            // axpy_panel (single row) vs the same loop on y0 only.
-            let (s_native, s_scalar) = both_paths(|| {
-                let mut y = y_init.clone();
-                axpy_panel(&a0, &b, &mut y);
-                y
-            });
-            assert_eq!(s_native, s_scalar, "axpy_panel diverged at {kt}x{n}");
-            assert_eq!(s_native, r_native.0, "axpy_panel != axpy loop at {kt}x{n}");
-
-            // axpy_panel4 vs the same loop over four rows.
-            let a2 = noisy(kt, 66 + n as u64);
-            let a3 = noisy(kt, 67 + n as u64);
-            let quad_ref = || {
-                let mut ys = [
-                    y_init.clone(),
-                    y_init.clone(),
-                    y_init.clone(),
-                    y_init.clone(),
-                ];
-                for (col, y) in [&a0, &a1, &a2, &a3].into_iter().zip(ys.iter_mut()) {
-                    axpy_panel(col, &b, y);
-                }
-                ys
-            };
-            let quad = || {
-                let mut ys = [
-                    y_init.clone(),
-                    y_init.clone(),
-                    y_init.clone(),
-                    y_init.clone(),
-                ];
-                let [y0, y1, y2, y3] = &mut ys;
-                axpy_panel4([&a0, &a1, &a2, &a3], &b, y0, y1, y2, y3);
-                ys
-            };
-            let (q_native, q_scalar) = both_paths(quad);
-            assert_eq!(q_native, q_scalar, "axpy_panel4 diverged at {kt}x{n}");
-            let (qr_native, _) = both_paths(quad_ref);
-            assert_eq!(q_native, qr_native, "axpy_panel4 != panel loop at {kt}x{n}");
-
-            // dot_rows vs per-column dot calls. Reuse b as an n×kt
-            // packed right block.
-            let a = noisy(kt, 65 + n as u64);
-            let (d_native, d_scalar) = both_paths(|| {
-                let mut out = vec![0.0f32; n];
-                dot_rows(&a, &b, &mut out);
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            });
-            assert_eq!(d_native, d_scalar, "dot_rows diverged at {kt}x{n}");
-            let singles: Vec<u32> = (0..n)
-                .map(|c| dot(&a, &b[c * kt..(c + 1) * kt]).to_bits())
-                .collect();
-            assert_eq!(d_native, singles, "dot_rows != dot loop at {kt}x{n}");
-        }
-
-        // add2_bias_rows and the batch gate sweeps vs their row loops.
-        for (batch, h) in [(1usize, 1usize), (2, 11), (4, 16), (5, 32), (3, 37)] {
-            let hw = 4 * h;
-            let z0 = noisy(batch * hw, 71 + h as u64);
-            let w = noisy(batch * hw, 72 + h as u64);
-            let bias = noisy(hw, 73 + h as u64);
-            let (b_native, b_scalar) = both_paths(|| {
-                let mut z = z0.clone();
-                add2_bias_rows(&mut z, &w, &bias);
-                z.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            });
-            assert_eq!(
-                b_native, b_scalar,
-                "add2_bias_rows diverged at {batch}x{hw}"
-            );
-            let mut rows = z0.clone();
-            for r in 0..batch {
-                add2_bias(
-                    &mut rows[r * hw..(r + 1) * hw],
-                    &w[r * hw..(r + 1) * hw],
-                    &bias,
-                );
-            }
-            let rows: Vec<u32> = rows.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(b_native, rows, "add2_bias_rows != row loop at {batch}x{hw}");
-
-            let c_prev = noisy(batch * h, 74 + h as u64);
-            let run_batch = || {
-                let mut i = vec![0.0; batch * h];
-                let mut f = vec![0.0; batch * h];
-                let mut g = vec![0.0; batch * h];
-                let mut o = vec![0.0; batch * h];
-                let mut c = vec![0.0; batch * h];
-                let mut tc = vec![0.0; batch * h];
-                let mut hh = vec![0.0; batch * h];
-                lstm_gates_train_batch(
-                    &z0,
-                    &c_prev,
-                    h,
-                    &mut GateCaches {
-                        i: &mut i,
-                        f: &mut f,
-                        g: &mut g,
-                        o: &mut o,
-                        c: &mut c,
-                        tanh_c: &mut tc,
-                        h: &mut hh,
-                    },
-                );
-                (c, hh)
-            };
-            let (t_native, t_scalar) = both_paths(run_batch);
-            assert_eq!(t_native, t_scalar, "train batch diverged at {batch}x{h}");
-            let mut c_rows = vec![0.0f32; batch * h];
-            let mut h_rows = vec![0.0f32; batch * h];
-            for r in 0..batch {
-                let span = r * h..(r + 1) * h;
-                let mut c_row = vec![0.0f32; h];
-                let mut h_row = vec![0.0f32; h];
-                lstm_gates_eval(
-                    &z0[r * hw..(r + 1) * hw],
-                    &c_prev[span.clone()],
-                    &mut c_row,
-                    &mut h_row,
-                );
-                c_rows[span.clone()].copy_from_slice(&c_row);
-                h_rows[span].copy_from_slice(&h_row);
-            }
-            assert_eq!(
-                t_native.0, c_rows,
-                "train batch c != row loop at {batch}x{h}"
-            );
-            assert_eq!(
-                t_native.1, h_rows,
-                "train batch h != row loop at {batch}x{h}"
-            );
-
-            let (e_native, e_scalar) = both_paths(|| {
-                let mut c = vec![0.0; batch * h];
-                let mut hh = vec![0.0; batch * h];
-                lstm_gates_eval_batch(&z0, &c_prev, h, &mut c, &mut hh);
-                (c, hh)
-            });
-            assert_eq!(e_native, e_scalar, "eval batch diverged at {batch}x{h}");
-            assert_eq!(
-                t_native, e_native,
-                "train and eval batches disagree at {batch}x{h}"
-            );
-        }
-    }
-
-    /// `transa_acc` is pinned three ways on ragged shapes: the AVX2
-    /// tiles (every strip width, row tails, masked column tails), the
-    /// scalar spec, and the loop of small `axpy` calls it replaced all
-    /// agree bit for bit — with exact zeros and `-0.0` among the
-    /// coefficients and a pre-loaded non-zero `out`.
-    #[test]
-    fn transa_acc_matches_spec_and_naive_axpy_loop_on_ragged_shapes() {
-        for k in [1usize, 16, 33] {
-            for m in [1usize, 3, 7, 13, 21] {
-                for n in [1usize, 7, 8, 9, 48, 50, 97] {
-                    let salt = (k * 1000 + m * 100 + n) as u64;
-                    let mut a = noisy(k * m, salt);
-                    for v in a.iter_mut().skip(2).step_by(5) {
-                        *v = -0.0;
-                    }
-                    let mut b = noisy(k * n, salt ^ 0xB);
-                    for v in b.iter_mut().skip(1).step_by(7) {
-                        *v = -0.0;
-                    }
-                    let out0 = noisy(m * n, salt ^ 0xC);
-                    let blocked = || {
-                        let mut out = out0.clone();
-                        transa_acc(&a, &b, &mut out, (k, m, n));
-                        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    };
-                    let naive = || {
-                        let mut out = out0.clone();
-                        for kk in 0..k {
-                            for r in 0..m {
-                                let av = a[kk * m + r];
-                                if av != 0.0 {
-                                    let b_row = &b[kk * n..(kk + 1) * n];
-                                    axpy(av, b_row, &mut out[r * n..(r + 1) * n]);
-                                }
-                            }
-                        }
-                        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    };
-                    let (native, scalar) = both_paths(blocked);
-                    assert_eq!(native, scalar, "transa_acc diverged at {k}x{m}x{n}");
-                    let (naive_native, naive_scalar) = both_paths(naive);
-                    assert_eq!(naive_native, naive_scalar);
+    fn check(rows: &[Row]) {
+        for &(name, run, oracle) in rows {
+            for n in SIZES {
+                let want = bits(&oracle(n));
+                for avx2 in lanes() {
                     assert_eq!(
-                        native, naive_native,
-                        "transa_acc != axpy loop at {k}x{m}x{n}"
+                        bits(&run(avx2, n)),
+                        want,
+                        "{name} left its oracle at n={n} (avx2={avx2})"
                     );
                 }
             }
+        }
+    }
+
+    /// The dot-product contract longhand: lane `k mod 8`, then the tree.
+    fn dot_oracle(a: &[f32], b: &[f32]) -> f32 {
+        let mut lanes = [0.0f32; 8];
+        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+            lanes[k % 8] += x * y;
+        }
+        ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+            + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]))
+    }
+
+    /// Rows of the right block in the [`dot_rows`] cases: a four-group
+    /// plus a remainder.
+    const DOT_ROWS: usize = 6;
+
+    #[test]
+    fn simd_and_scalar_kernels_agree_bit_for_bit_on_ragged_lengths() {
+        check(&[
+            (
+                "dot",
+                |avx2, n| vec![at!(avx2, dot(&noisy(n, 1), &noisy(n, 2)))],
+                |n| vec![dot_oracle(&noisy(n, 1), &noisy(n, 2))],
+            ),
+            (
+                "dot_rows",
+                |avx2, n| {
+                    let mut out = vec![f32::NAN; DOT_ROWS];
+                    at!(
+                        avx2,
+                        dot_rows(&noisy(n, 3), &noisy(DOT_ROWS * n, 4), &mut out)
+                    );
+                    out
+                },
+                |n| {
+                    let (a, b) = (noisy(n, 3), noisy(DOT_ROWS * n, 4));
+                    (0..DOT_ROWS)
+                        .map(|c| dot_oracle(&a, &b[c * n..(c + 1) * n]))
+                        .collect()
+                },
+            ),
+            (
+                "axpy",
+                |avx2, n| {
+                    let mut y = noisy(n, 6);
+                    at!(avx2, axpy(0.37, &noisy(n, 5), &mut y));
+                    y
+                },
+                |n| {
+                    let (x, y) = (noisy(n, 5), noisy(n, 6));
+                    x.iter().zip(y).map(|(x, y)| y + 0.37 * x).collect()
+                },
+            ),
+            (
+                "add2_bias_rows",
+                |avx2, n| {
+                    let width = n.max(1);
+                    let mut z = noisy(3 * width, 7);
+                    at!(
+                        avx2,
+                        add2_bias_rows(&mut z, &noisy(3 * width, 8), &noisy(width, 9))
+                    );
+                    z
+                },
+                |n| {
+                    let width = n.max(1);
+                    let (z, w, b) = (noisy(3 * width, 7), noisy(3 * width, 8), noisy(width, 9));
+                    (0..3 * width)
+                        .map(|e| (z[e] + w[e]) + b[e % width])
+                        .collect()
+                },
+            ),
+            (
+                "relu",
+                |avx2, n| {
+                    let mut xs = noisy(n, 10);
+                    xs.iter_mut().step_by(3).for_each(|x| *x = -0.0);
+                    at!(avx2, relu(&mut xs));
+                    xs
+                },
+                // `-0.0 > 0.0` is false, so `-0.0` leaves as `+0.0`.
+                |n| {
+                    noisy(n, 10)
+                        .iter()
+                        .enumerate()
+                        .map(|(e, &x)| if e % 3 != 0 && x > 0.0 { x } else { 0.0 })
+                        .collect()
+                },
+            ),
+            (
+                "bn_affine",
+                |avx2, n| {
+                    let mut row = noisy(n, 11);
+                    let [mean, inv_std, gamma, beta] = [12, 13, 14, 15].map(|salt| noisy(n, salt));
+                    at!(avx2, bn_affine(&mut row, &mean, &inv_std, &gamma, &beta));
+                    row
+                },
+                |n| {
+                    let [x, mean, inv_std, gamma, beta] =
+                        [11, 12, 13, 14, 15].map(|salt| noisy(n, salt));
+                    (0..n)
+                        .map(|e| ((gamma[e] * (x[e] - mean[e])) * inv_std[e]) + beta[e])
+                        .collect()
+                },
+            ),
+        ]);
+    }
+
+    /// Left-operand layouts of [`gemm_acc`]: strides for logical
+    /// element `(r, k)` of an `m × depth` matrix.
+    const ROW_MAJOR: fn(usize, usize) -> (usize, usize) = |_, depth| (depth, 1);
+    const TRANSPOSED: fn(usize, usize) -> (usize, usize) = |m, _| (1, m);
+
+    /// Output rows × depths swept per column count: every tile height
+    /// (1, 2, 6, 8) with a remainder row, and an empty `k` loop.
+    const GEMM_SHAPES: [(usize, usize); 6] = [(1, 5), (2, 0), (3, 1), (7, 4), (9, 11), (13, 16)];
+
+    /// GEMM operands for one shape: coefficients with `0.0` and `-0.0`
+    /// among them, a right operand carrying `±∞` and NaN, and a
+    /// pre-loaded output with `-0.0` entries — so a kernel that
+    /// multiplies through a zero coefficient instead of skipping it
+    /// turns a finite (or `-0.0`) oracle output into NaN (or `+0.0`).
+    fn gemm_operands(m: usize, depth: usize, n: usize) -> [Vec<f32>; 3] {
+        let salt = (m * 1000 + depth * 100 + n) as u64;
+        let mut a = noisy(m * depth, salt);
+        a.iter_mut().skip(2).step_by(5).for_each(|x| *x = -0.0);
+        let mut b = noisy(depth * n, salt ^ 0xB);
+        for (e, x) in b.iter_mut().enumerate() {
+            match e % 23 {
+                4 => *x = f32::INFINITY,
+                11 => *x = f32::NEG_INFINITY,
+                17 => *x = f32::NAN,
+                _ => {}
+            }
+        }
+        let mut out = noisy(m * n, salt ^ 0xC);
+        out.iter_mut().skip(1).step_by(4).for_each(|x| *x = -0.0);
+        [a, b, out]
+    }
+
+    fn gemm_run(avx2: bool, n: usize, strides: fn(usize, usize) -> (usize, usize)) -> Vec<f32> {
+        let mut all = Vec::new();
+        for (m, depth) in GEMM_SHAPES {
+            let [a, b, mut out] = gemm_operands(m, depth, n);
+            at!(
+                avx2,
+                gemm_acc(&a, strides(m, depth), &b, &mut out, (m, depth, n))
+            );
+            all.extend(out);
+        }
+        all
+    }
+
+    /// The accumulate-GEMM as the naive triple loop: per element, start
+    /// from `out`, increasing `k`, skip exact zeros, multiply then add.
+    fn gemm_oracle(n: usize, strides: fn(usize, usize) -> (usize, usize)) -> Vec<f32> {
+        let mut all = Vec::new();
+        for (m, depth) in GEMM_SHAPES {
+            let [a, b, mut out] = gemm_operands(m, depth, n);
+            let (row_stride, k_stride) = strides(m, depth);
+            for r in 0..m {
+                for c in 0..n {
+                    for k in 0..depth {
+                        let coeff = a[r * row_stride + k * k_stride];
+                        if coeff != 0.0 {
+                            out[r * n + c] += coeff * b[k * n + c];
+                        }
+                    }
+                }
+            }
+            all.extend(out);
+        }
+        all
+    }
+
+    /// Both stride modes of the one tile — every strip width, row
+    /// remainders, the ragged last vector — against the triple loop,
+    /// then through the public entry points against the loop of
+    /// [`axpy`] calls they are specified as.
+    #[test]
+    fn transa_acc_matches_spec_and_naive_axpy_loop_on_ragged_shapes() {
+        check(&[
+            (
+                "gemm_acc, row-major left operand",
+                |avx2, n| gemm_run(avx2, n, ROW_MAJOR),
+                |n| gemm_oracle(n, ROW_MAJOR),
+            ),
+            (
+                "gemm_acc, transposed left operand",
+                |avx2, n| gemm_run(avx2, n, TRANSPOSED),
+                |n| gemm_oracle(n, TRANSPOSED),
+            ),
+        ]);
+
+        let (k, m, n) = (5, 7, 19);
+        let [a, b, out0] = gemm_operands(m, k, n);
+        let mut blocked = out0.clone();
+        transa_acc(&a, &b, &mut blocked, (k, m, n));
+        let mut naive = out0;
+        for kk in 0..k {
+            for r in 0..m {
+                if a[kk * m + r] != 0.0 {
+                    let b_row = &b[kk * n..(kk + 1) * n];
+                    axpy(a[kk * m + r], b_row, &mut naive[r * n..(r + 1) * n]);
+                }
+            }
+        }
+        assert_eq!(bits(&blocked), bits(&naive), "transa_acc != axpy loop");
+
+        // The skip, in isolation: zero coefficients of either sign never
+        // touch `b`, so `-0.0` survives next to `∞` and NaN.
+        for strides in [(2, 1), (1, 1)] {
+            let mut out = [-0.0f32];
+            gemm_acc(
+                &[0.0, -0.0],
+                strides,
+                &[f32::INFINITY, f32::NAN],
+                &mut out,
+                (1, 2, 1),
+            );
+            assert_eq!(out[0].to_bits(), (-0.0f32).to_bits());
         }
         // Degenerate edges: nothing to accumulate, nothing to write.
         let mut out = vec![1.5f32; 6];
@@ -2049,96 +1469,145 @@ mod tests {
         transa_acc(&[1.0, 2.0], &[], &mut [], (2, 1, 0));
     }
 
-    /// The backward gate sweep: AVX2 ≡ scalar on ragged hidden widths,
-    /// with and without a supervised hidden gradient, and `None` is
-    /// exactly a row of `+0.0`s.
-    #[test]
-    fn backward_gate_sweep_agrees_across_paths() {
-        for (batch, h) in [(1usize, 1usize), (2, 5), (3, 8), (4, 19), (2, 48)] {
-            let bh = batch * h;
-            let bufs: Vec<Vec<f32>> = (0..9).map(|j| noisy(bh, 80 + j + h as u64)).collect();
-            let cache = StepCaches {
-                i: &bufs[0],
-                f: &bufs[1],
-                g: &bufs[2],
-                o: &bufs[3],
-                tanh_c: &bufs[4],
-                c_prev: &bufs[5],
-            };
-            let zeros = vec![0.0f32; bh];
-            let run = |grad_h: Option<&[f32]>| {
-                let mut d_c = bufs[8].clone();
-                let mut dz = vec![f32::NAN; 4 * bh];
-                lstm_gates_backward_batch(&cache, grad_h, &bufs[7], &mut d_c, h, &mut dz);
-                let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                (bits(dz), bits(d_c))
-            };
-            let (native, scalar) = both_paths(|| run(Some(&bufs[6])));
-            assert_eq!(native, scalar, "backward sweep diverged at {batch}x{h}");
-            let (none_native, none_scalar) = both_paths(|| run(None));
-            assert_eq!(none_native, none_scalar);
-            assert_eq!(none_native, run(Some(&zeros)), "None != zero gradient");
-        }
-    }
+    /// Batch rows in the gate-sweep cases; the size is the hidden width.
+    const BATCH: usize = 3;
 
-    #[test]
-    fn dot4_matches_four_independent_dots() {
-        for n in [0usize, 5, 8, 13, 32, 47] {
-            let a = noisy(n, 31);
-            let bs: Vec<Vec<f32>> = (0..4).map(|j| noisy(n, 40 + j)).collect();
-            let grouped = dot4(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
-            for (j, b) in bs.iter().enumerate() {
-                assert_eq!(
-                    grouped[j].to_bits(),
-                    dot(&a, b).to_bits(),
-                    "dot4 lane {j} diverged at n={n}"
-                );
+    /// The forward cell element by element: `[i, f, g, o, c, tanh_c, h]`
+    /// as `BATCH × hidden` blocks.
+    fn cell_oracle(hidden: usize) -> [Vec<f32>; 7] {
+        let (z, c_prev) = (noisy(BATCH * 4 * hidden, 21), noisy(BATCH * hidden, 22));
+        let mut out: [Vec<f32>; 7] = Default::default();
+        for r in 0..BATCH {
+            for j in 0..hidden {
+                let zq = |q: usize| z[(4 * r + q) * hidden + j];
+                let (i, f, g, o) = (sigmoid(zq(0)), sigmoid(zq(1)), tanh(zq(2)), sigmoid(zq(3)));
+                let c = f * c_prev[r * hidden + j] + i * g;
+                let tanh_c = tanh(c);
+                for (block, v) in out.iter_mut().zip([i, f, g, o, c, tanh_c, o * tanh_c]) {
+                    block.push(v);
+                }
             }
         }
+        out
+    }
+
+    /// Train and eval sweeps against the element-wise cell; sharing the
+    /// oracle is what pins eval to be train minus the caches.
+    #[test]
+    fn gate_sweeps_agree_across_paths_and_with_each_other() {
+        check(&[
+            (
+                "lstm_gates_train_batch",
+                |avx2, n| {
+                    let hidden = n.max(1);
+                    let (z, c_prev) = (noisy(BATCH * 4 * hidden, 21), noisy(BATCH * hidden, 22));
+                    let mut out: [Vec<f32>; 7] =
+                        std::array::from_fn(|_| vec![f32::NAN; BATCH * hidden]);
+                    let [i, f, g, o, c, tanh_c, h] = &mut out;
+                    let mut caches = GateCaches {
+                        i,
+                        f,
+                        g,
+                        o,
+                        c,
+                        tanh_c,
+                        h,
+                    };
+                    at!(
+                        avx2,
+                        lstm_gates_train_batch(&z, &c_prev, hidden, &mut caches)
+                    );
+                    out.concat()
+                },
+                |n| cell_oracle(n.max(1)).concat(),
+            ),
+            (
+                "lstm_gates_eval_batch",
+                |avx2, n| {
+                    let hidden = n.max(1);
+                    let (z, c_prev) = (noisy(BATCH * 4 * hidden, 21), noisy(BATCH * hidden, 22));
+                    let mut out = [(); 2].map(|()| vec![f32::NAN; BATCH * hidden]);
+                    let [c, h] = &mut out;
+                    at!(avx2, lstm_gates_eval_batch(&z, &c_prev, hidden, c, h));
+                    out.concat()
+                },
+                |n| {
+                    cell_oracle(n.max(1))[4..]
+                        .iter()
+                        .step_by(2)
+                        .flatten()
+                        .copied()
+                        .collect()
+                },
+            ),
+        ]);
+    }
+
+    /// Backward-sweep inputs: the six cached blocks, `grad_h`,
+    /// `d_h_next`, `d_c_next`, each `BATCH × hidden`.
+    fn backward_inputs(hidden: usize) -> [Vec<f32>; 9] {
+        std::array::from_fn(|j| noisy(BATCH * hidden, 31 + j as u64))
+    }
+
+    fn backward_run(avx2: bool, hidden: usize, supervised: bool) -> Vec<f32> {
+        let [i, f, g, o, tanh_c, c_prev, grad_h, d_h_next, mut d_c] = backward_inputs(hidden);
+        let cache = StepCaches {
+            i: &i,
+            f: &f,
+            g: &g,
+            o: &o,
+            tanh_c: &tanh_c,
+            c_prev: &c_prev,
+        };
+        let grad_h = supervised.then_some(&grad_h[..]);
+        let mut dz = vec![f32::NAN; BATCH * 4 * hidden];
+        at!(
+            avx2,
+            lstm_gates_backward_batch(&cache, grad_h, &d_h_next, &mut d_c, hidden, &mut dz)
+        );
+        [dz, d_c].concat()
+    }
+
+    /// The documented expressions element by element; an unsupervised
+    /// step's `grad_h` is `+0.0`.
+    fn backward_oracle(hidden: usize, supervised: bool) -> Vec<f32> {
+        let [i, f, g, o, tanh_c, c_prev, grad_h, d_h_next, d_c_next] = backward_inputs(hidden);
+        let mut dz = vec![0.0; BATCH * 4 * hidden];
+        let mut d_c_prev = Vec::new();
+        for r in 0..BATCH {
+            for j in 0..hidden {
+                let e = r * hidden + j;
+                let d_h = if supervised { grad_h[e] } else { 0.0 } + d_h_next[e];
+                let d_c = (d_h * o[e]) * (1.0 - tanh_c[e] * tanh_c[e]) + d_c_next[e];
+                let quarters = [
+                    ((d_c * g[e]) * i[e]) * (1.0 - i[e]),
+                    ((d_c * c_prev[e]) * f[e]) * (1.0 - f[e]),
+                    (d_c * i[e]) * (1.0 - g[e] * g[e]),
+                    ((d_h * tanh_c[e]) * o[e]) * (1.0 - o[e]),
+                ];
+                for (q, v) in quarters.into_iter().enumerate() {
+                    dz[(4 * r + q) * hidden + j] = v;
+                }
+                d_c_prev.push(d_c * f[e]);
+            }
+        }
+        [dz, d_c_prev].concat()
     }
 
     #[test]
-    fn gate_sweeps_agree_across_paths_and_with_each_other() {
-        for h in [1usize, 4, 8, 11, 16, 32, 37] {
-            let z = noisy(4 * h, 51 + h as u64);
-            let c_prev = noisy(h, 52);
-            let run_train = || {
-                let mut i = vec![0.0; h];
-                let mut f = vec![0.0; h];
-                let mut g = vec![0.0; h];
-                let mut o = vec![0.0; h];
-                let mut c = vec![0.0; h];
-                let mut tc = vec![0.0; h];
-                let mut hh = vec![0.0; h];
-                lstm_gates_train(
-                    &z,
-                    &c_prev,
-                    &mut GateCaches {
-                        i: &mut i,
-                        f: &mut f,
-                        g: &mut g,
-                        o: &mut o,
-                        c: &mut c,
-                        tanh_c: &mut tc,
-                        h: &mut hh,
-                    },
-                );
-                (c, hh)
-            };
-            let (native, scalar) = both_paths(run_train);
-            assert_eq!(native, scalar, "train gate sweep diverged at h={h}");
-
-            let run_eval = || {
-                let mut c = vec![0.0; h];
-                let mut hh = vec![0.0; h];
-                lstm_gates_eval(&z, &c_prev, &mut c, &mut hh);
-                (c, hh)
-            };
-            let (e_native, e_scalar) = both_paths(run_eval);
-            assert_eq!(e_native, e_scalar, "eval gate sweep diverged at h={h}");
-            // Eval is the train sweep minus the caches.
-            assert_eq!(native, e_native, "train and eval sweeps disagree at h={h}");
-        }
+    fn backward_gate_sweep_agrees_across_paths() {
+        check(&[
+            (
+                "lstm_gates_backward_batch, supervised step",
+                |avx2, n| backward_run(avx2, n.max(1), true),
+                |n| backward_oracle(n.max(1), true),
+            ),
+            (
+                "lstm_gates_backward_batch, unsupervised step",
+                |avx2, n| backward_run(avx2, n.max(1), false),
+                |n| backward_oracle(n.max(1), false),
+            ),
+        ]);
     }
 
     #[test]
@@ -2150,9 +1619,8 @@ mod tests {
 
     #[test]
     fn force_scalar_toggle_is_observable() {
-        let _guard = toggle_lock().lock().unwrap();
-        set_force_scalar(true);
-        assert!(!simd_active(), "forced scalar must disable SIMD");
-        set_force_scalar(false);
+        let (native, forced) = both_paths(simd_active);
+        assert_eq!(native, has_avx2() && !env_force_scalar());
+        assert!(!forced, "forced scalar must disable SIMD");
     }
 }

@@ -55,10 +55,10 @@
 //! assert!(final_loss < 1e-2, "did not converge: {final_loss}");
 //! ```
 
-// `deny`, not `forbid`: the AVX2 intrinsic module in `kernels` (and its
-// feature-gated dispatch sites) carry the crate's only scoped
-// `#[allow(unsafe_code)]`s; everything else still refuses unsafe at
-// compile time.
+// `deny`, not `forbid`: the AVX2 lane in `kernels` (its intrinsics and
+// the one dispatch site into its `#[target_feature]` wrappers) carries
+// the crate's only scoped `#[allow(unsafe_code)]`s; everything else
+// still refuses unsafe at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -72,7 +72,7 @@ pub mod lstm;
 pub mod serialize;
 pub mod tensor;
 pub mod train;
-pub mod vmath;
+mod vmath;
 
 pub use adam::Adam;
 pub use block::NonLinearBlock;

@@ -7,9 +7,9 @@ use crate::kernels;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// Cache-block edge for the matmul kernels. 32×32 f32 tiles (4 KiB per
-/// operand tile) keep the working set inside L1 while leaving the
-/// element-wise accumulation contract untouched.
+/// Cache-block edge of the `matmul_transb` sweep. 32×32 f32 tiles
+/// (4 KiB per operand tile) keep the working set inside L1 while
+/// leaving the element-wise accumulation contract untouched.
 const BLOCK: usize = 32;
 
 /// A dense row-major matrix of `f32` values.
@@ -168,10 +168,10 @@ impl Tensor {
     /// buffer (`out` is overwritten, and resized only if its shape does
     /// not match).
     ///
-    /// The kernel is cache-blocked over output tiles; each output
-    /// element is still accumulated over `k` in increasing order, so the
-    /// result is bit-identical to the naive triple loop and independent
-    /// of the blocking.
+    /// One [`kernels::gemm_acc`] sweep over a zeroed `out`: each output
+    /// element is accumulated over `k` in increasing order with the
+    /// `self[r][k] == 0.0` skip, so the result is bit-identical to the
+    /// naive triple loop whatever the register tiling.
     ///
     /// # Panics
     ///
@@ -263,12 +263,11 @@ impl Tensor {
     /// to output row `row0`).
     ///
     /// Each cache tile is one [`kernels::dot_rows`] sweep — columns
-    /// four at a time in the [`kernels::dot4`] shape, remainder singly;
-    /// every output element is a canonical lane-ordered dot product
-    /// (8-way strided partial sums over `k`, fixed tree reduction —
-    /// DESIGN.md §14), identical on the AVX2 and scalar paths, so
-    /// neither the grouping nor the vector width ever changes a single
-    /// bit of the result.
+    /// four at a time, remainder singly; every output element is a
+    /// canonical lane-ordered dot product (8-way strided partial sums
+    /// over `k`, fixed tree reduction — DESIGN.md §14) on every lane
+    /// type, so neither the grouping nor the vector width ever changes a
+    /// single bit of the result.
     fn transb_rows(&self, other: &Tensor, out_rows: &mut [f32], row0: usize, row1: usize) {
         let (kk, n) = (self.cols, other.rows);
         for r0 in (row0..row1).step_by(BLOCK) {
@@ -586,45 +585,7 @@ pub(crate) fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], shape: (usize, us
         "gemm shape mismatch: {m}x{kk} @ {kk}x{n}"
     );
     out.fill(0.0);
-    // ikj with row blocking and a four-row micro-kernel: each B row
-    // loaded in the `k` loop feeds four output rows, quartering B
-    // traffic. Output rows touch disjoint accumulators and each
-    // element still adds its `a·b` terms in increasing `k` with the
-    // exact zero-skip of the single-row kernel; the whole
-    // (row-quad × k-tile) sweep is one [`kernels::axpy_panel4`]
-    // call, whose per-element dataflow is one multiply-add either
-    // way, so results stay bit-identical at any vector width.
-    for r0 in (0..m).step_by(BLOCK) {
-        let r1 = (r0 + BLOCK).min(m);
-        for k0 in (0..kk).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(kk);
-            let b_panel = &b[k0 * n..k1 * n];
-            let a_col = |row: usize| &a[row * kk + k0..row * kk + k1];
-            let mut r = r0;
-            while r + 4 <= r1 {
-                let (out0, rest) = out[r * n..(r + 4) * n].split_at_mut(n);
-                let (out1, rest) = rest.split_at_mut(n);
-                let (out2, out3) = rest.split_at_mut(n);
-                kernels::axpy_panel4(
-                    [a_col(r), a_col(r + 1), a_col(r + 2), a_col(r + 3)],
-                    b_panel,
-                    out0,
-                    out1,
-                    out2,
-                    out3,
-                );
-                r += 4;
-            }
-            while r + 2 <= r1 {
-                let (out_lo, out_hi) = out[r * n..(r + 2) * n].split_at_mut(n);
-                kernels::axpy_panel2(a_col(r), a_col(r + 1), b_panel, out_lo, out_hi);
-                r += 2;
-            }
-            if r < r1 {
-                kernels::axpy_panel(a_col(r), b_panel, &mut out[r * n..(r + 1) * n]);
-            }
-        }
-    }
+    kernels::gemm_acc(a, (kk, 1), b, out, shape);
 }
 
 impl fmt::Debug for Tensor {
@@ -995,16 +956,11 @@ mod tests {
             let b_t = irregular(n, k, salt ^ 0x5EED);
             let b = irregular(k, n, salt ^ 0xF00D);
             let grad_a = irregular(m, n, salt ^ 0x0DD);
-            let run = || {
+            let (native, scalar) = crate::kernels::tests::both_paths(|| {
                 let mut acc = Tensor::zeros(k, n);
                 a.matmul_transa_acc(&grad_a, &mut acc);
                 (a.matmul_transb(&b_t), a.matmul(&b), acc)
-            };
-            crate::kernels::set_force_scalar(false);
-            let native = run();
-            crate::kernels::set_force_scalar(true);
-            let scalar = run();
-            crate::kernels::set_force_scalar(false);
+            });
             for (which, x, y) in [
                 ("transb", &native.0, &scalar.0),
                 ("matmul", &native.1, &scalar.1),

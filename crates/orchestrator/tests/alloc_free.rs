@@ -185,6 +185,8 @@ fn lstm_scratch_forward_and_simd_kernels_are_allocation_free() {
     let mut a = vec![0.25f32; 37];
     let b = vec![0.5f32; 37];
     let bias = vec![0.125f32; 37];
+    let rows = vec![0.75f32; 5 * 37];
+    let mut sums = vec![0.0f32; 5];
     let z_row = vec![0.3f32; 64];
     let c_prev = vec![0.1f32; 16];
     let mut c_state = vec![0.0f32; 16];
@@ -197,12 +199,12 @@ fn lstm_scratch_forward_and_simd_kernels_are_allocation_free() {
             let hidden = lstm.forward_seq_scratch(&seq, &mut scratch);
             assert_eq!(hidden.len(), 12);
             let _ = kernels::dot(&a, &b);
-            let _ = kernels::dot4(&a, &b, &bias, &b, &bias);
+            kernels::dot_rows(&a, &rows, &mut sums);
             kernels::axpy(0.5, &b, &mut a);
-            kernels::add2_bias(&mut a, &b, &bias);
+            kernels::add2_bias_rows(&mut a, &b, &bias);
             kernels::relu(&mut a);
             kernels::bn_affine(&mut a, &bias, &b, &bias, &b);
-            kernels::lstm_gates_eval(&z_row, &c_prev, &mut c_state, &mut h_state);
+            kernels::lstm_gates_eval_batch(&z_row, &c_prev, 16, &mut c_state, &mut h_state);
         }
         let (allocs, bytes) = stop_counting();
         set_force_scalar(false);
