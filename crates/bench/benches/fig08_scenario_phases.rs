@@ -3,7 +3,7 @@
 //! relaxed {5,60}.
 
 use adrias_bench::banner;
-use adrias_orchestrator::engine::{run_schedule, EngineConfig};
+use adrias_orchestrator::engine::{run_stream_hooked, EngineConfig, ScheduleStream};
 use adrias_orchestrator::RandomPolicy;
 use adrias_scenarios::schedule::{build_schedule, PlacementStyle};
 use adrias_scenarios::ScenarioSpec;
@@ -56,11 +56,13 @@ fn main() {
 
         // Metric dynamics via the engine (includes Watcher feed).
         let mut policy = RandomPolicy::new(seed);
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::paper(),
             EngineConfig::default(),
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
+            &mut (),
         );
         for metric in [Metric::LlcLoads, Metric::LinkLatency] {
             let vals: Vec<f32> = report.samples.iter().map(|s| s.get(metric)).collect();

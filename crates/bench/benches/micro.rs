@@ -8,9 +8,9 @@
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
 //!   (`testbed_step`, `lstm`, `gemm`, `nn_forward`,
 //!   `train_step_workers`, `adrias_decision`, `decision_throughput`,
-//!   `obs_intern`, `obs_overhead`, `span_overhead`,
-//!   `residual_overhead`, `event_engine`); unmatched sections are
-//!   skipped entirely, including their setup.
+//!   `obs_overhead`, `span_overhead`, `residual_overhead`,
+//!   `event_engine`); unmatched sections are skipped entirely,
+//!   including their setup.
 //!
 //! The run always ends by writing `BENCH_nn.json` (the collected
 //! medians plus the derived batched-inference speedups) to the
@@ -237,31 +237,6 @@ fn bench_decision(h: &mut Harness) {
     });
 }
 
-/// The obs string-arena lookup against the owned-`String` path it
-/// replaced on the per-decision audit/trace record.
-fn bench_obs_intern(h: &mut Harness) {
-    let names = [
-        "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd",
-    ];
-    for name in names {
-        adrias_obs::intern(name); // steady state: every name already interned
-    }
-    h.bench_function("obs_intern_hit", |b| {
-        b.iter(|| {
-            for name in names {
-                black_box(adrias_obs::intern(name));
-            }
-        })
-    });
-    h.bench_function("obs_name_to_owned", |b| {
-        b.iter(|| {
-            for name in names {
-                black_box(name.to_owned());
-            }
-        })
-    });
-}
-
 /// The seed engine's forward data path, kept as the benchmark baseline:
 /// per-step `x @ W.T` projections that materialize the transposed weight
 /// every step, with per-gate `columns()` slices — exactly what
@@ -399,7 +374,7 @@ fn bench_worker_scaling(h: &mut Harness) {
 ///
 /// Three variants are timed:
 ///
-/// * `plain` — [`run_schedule`], the monomorphized no-op observer;
+/// * `plain` — the `()` observer, every hook an empty inlined method;
 /// * `traced` — audit trail + trace events only (per-decision and
 ///   per-completion work, no per-step metrics), the cost the "tracing
 ///   with no exporter stays ≤ 5%" claim is about;
@@ -416,8 +391,7 @@ fn bench_worker_scaling(h: &mut Harness) {
 fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     use adrias_obs::{ObsConfig, Observer};
     use adrias_orchestrator::engine::{
-        run_schedule, run_schedule_hooked, run_schedule_observed, EngineConfig, EngineObserver,
-        ScheduledArrival,
+        run_stream_hooked, EngineConfig, EngineObserver, ScheduleStream, ScheduledArrival,
     };
     use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
     use std::time::Instant;
@@ -473,21 +447,24 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     };
     let run_plain = || {
         let mut policy = RoundRobinPolicy::new();
-        black_box(run_schedule(
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         ));
     };
     let run_traced = || {
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        let mut traced = TracingOnly(ObservedRun::new(&mut obs));
-        black_box(run_schedule_hooked(
+        let mut traced = TracingOnly(ObservedRun::with_qos(&mut obs, None));
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
             &mut traced,
         ));
@@ -495,12 +472,13 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     let run_observed = || {
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        black_box(run_schedule_observed(
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         ));
     };
 
@@ -549,15 +527,17 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
 /// observed run. Both legs carry the full [`adrias_obs::Observer`]
 /// (audit, trace, histograms, flight recorder); the only difference is
 /// `ObsConfig::record_spans`, which gates span open/close bookkeeping
-/// and the decision-latency / queue-wait / slowdown sketch observes.
+/// and the queue-wait / slowdown sketch observes.
 ///
 /// Like [`bench_obs_overhead`], the derived `span_overhead_x` metric is
 /// the median on/off ratio over interleaved A/B rounds so machine drift
 /// cancels. CI gates it at ≤ 1.15×.
 fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{run_schedule_observed, EngineConfig, ScheduledArrival};
-    use adrias_orchestrator::RoundRobinPolicy;
+    use adrias_orchestrator::engine::{
+        run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+    };
+    use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
     use std::time::Instant;
 
     // The same sustained dense co-location mix as `bench_obs_overhead`.
@@ -583,12 +563,13 @@ fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
             record_spans,
             ..ObsConfig::default()
         });
-        black_box(run_schedule_observed(
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         ));
     };
     let run_spans_on = || run_with(true);
@@ -637,8 +618,10 @@ fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
 /// machine drift that sequential sections cannot.
 fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{run_schedule_hooked, EngineConfig, ScheduledArrival};
-    use adrias_orchestrator::{ObservedRun, ResidualConfig, ResidualTracker, TrackedRun};
+    use adrias_orchestrator::engine::{
+        run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+    };
+    use adrias_orchestrator::{ObservedRun, ResidualConfig, ResidualTracker};
     use adrias_scenarios::{train_stack, StackOptions};
     use std::cell::RefCell;
     use std::time::Instant;
@@ -666,11 +649,12 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
     let run_observed = || {
         let mut policy = stack.policy(0.8, 5.0);
         let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::new(&mut obs);
-        black_box(run_schedule_hooked(
+        let mut hooks = ObservedRun::with_qos(&mut obs, None);
+        black_box(run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
             &mut hooks,
         ));
@@ -680,11 +664,12 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
         let mut obs = Observer::new(ObsConfig::default());
         let mut tracker = ResidualTracker::new(ResidualConfig::default());
         let report = {
-            let mut hooks = TrackedRun::new(&mut tracker, ObservedRun::new(&mut obs));
-            run_schedule_hooked(
+            let mut hooks = (&mut tracker, ObservedRun::with_qos(&mut obs, None));
+            run_stream_hooked(
                 TestbedConfig::paper(),
                 engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
+                &[],
                 &mut policy,
                 &mut hooks,
             )
@@ -741,7 +726,7 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
 fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
     use adrias_obs::{ObsConfig, Observer};
     use adrias_orchestrator::engine::{
-        run_schedule_hooked, run_stream_hooked, EngineConfig, GeneratedStream, ScheduledArrival,
+        run_stream_hooked, EngineConfig, GeneratedStream, ScheduleStream, ScheduledArrival,
     };
     use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
     use adrias_workloads::{ArrivalSource, PoissonSource};
@@ -775,12 +760,13 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
     let run_schedule_leg = || -> f64 {
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::new(&mut obs);
+        let mut hooks = ObservedRun::with_qos(&mut obs, None);
         let t = Instant::now();
-        let report = run_schedule_hooked(
+        let report = run_stream_hooked(
             TestbedConfig::paper(),
             engine(),
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
             &mut hooks,
         );
@@ -793,7 +779,7 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
         let mut stream = GeneratedStream::new(make_source(), |_, t| make_arrival(t));
         let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::new(&mut obs);
+        let mut hooks = ObservedRun::with_qos(&mut obs, None);
         let t = Instant::now();
         let report = run_stream_hooked(
             TestbedConfig::paper(),
@@ -848,9 +834,6 @@ fn main() {
     }
     if enabled("adrias_decision") || enabled("decision_throughput") {
         bench_decision(&mut h);
-    }
-    if enabled("obs_intern") {
-        bench_obs_intern(&mut h);
     }
     let mut obs_overhead: (Option<f64>, Option<f64>) = (None, None);
     if enabled("obs_overhead") {
@@ -927,12 +910,6 @@ fn main() {
         h.median_ns("adrias_decision_fastpath"),
     ) {
         derived.push(("decision_miss_speedup_x", slow / fast));
-    }
-    if let (Some(owned), Some(hit)) = (
-        h.median_ns("obs_name_to_owned"),
-        h.median_ns("obs_intern_hit"),
-    ) {
-        derived.push(("obs_intern_vs_owned_x", owned / hit));
     }
     if let Some(traced) = obs_overhead.0 {
         println!("  traced vs plain engine run:           {traced:.3}x");

@@ -16,12 +16,17 @@
 //! * [`bench`] — wall-clock micro-benchmark harness with median/p95
 //!   reporting (replaces `criterion`);
 //! * [`alloc`] — a counting [`std::alloc::GlobalAlloc`] wrapper so
-//!   tests can assert a hot path performs zero heap allocations.
+//!   tests can assert a hot path performs zero heap allocations;
+//! * [`name`] — [`Name`], the free-to-clone string handle workload
+//!   names, policy names and trace labels travel as.
 
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod bench;
+pub mod name;
 pub mod prop;
 pub mod rng;
 pub mod thread;
+
+pub use name::Name;

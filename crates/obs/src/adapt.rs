@@ -20,6 +20,8 @@
 //! stream, so the `adaptation.jsonl` export inherits the byte-identity
 //! guarantees of the other exports.
 
+use adrias_core::Name;
+
 /// Why a completed application was *not* captured as a new signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureSkip {
@@ -65,10 +67,10 @@ impl CaptureSkip {
 /// how many Watcher rows it yielded, how many other applications were
 /// co-resident (captured signatures are contaminated by co-runners),
 /// and the skip reason if nothing was captured.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaptureRecord {
-    /// Application name (interned).
-    pub app: &'static str,
+    /// Application name.
+    pub app: Name,
     /// Residency window start, sim seconds.
     pub arrived_s: f64,
     /// Residency window end, sim seconds.
@@ -492,7 +494,7 @@ mod tests {
         let mut log = AdaptationLog::new();
         assert!(log.is_empty());
         log.record_capture(CaptureRecord {
-            app: "pca",
+            app: "pca".into(),
             arrived_s: 10.0,
             finished_s: 90.0,
             rows: 80,

@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use adrias_core::Name;
 use adrias_telemetry::{Metric, MetricVec, StateWindow};
 use adrias_workloads::{MemoryMode, WorkloadClass};
 
@@ -140,10 +141,9 @@ pub struct DecisionInput {
     pub at_s: f64,
     /// Deployment id assigned by the testbed.
     pub deployment_id: u64,
-    /// Workload name (e.g. `in-memory-analytics`), interned via
-    /// [`crate::intern::intern`] so per-decision recording stays
-    /// allocation-free after the first sighting of a name.
-    pub app: &'static str,
+    /// Workload name (e.g. `in-memory-analytics`): the profile's own
+    /// handle, so per-decision recording never allocates for it.
+    pub app: Name,
     /// Workload class.
     pub class: WorkloadClass,
     /// Summary of the Watcher history handed to the policy.
@@ -158,9 +158,8 @@ pub struct DecisionInput {
     pub rule: DecisionRule,
     /// The chosen placement.
     pub chosen: MemoryMode,
-    /// The policy that decided (e.g. `adrias`, `all-local`), interned
-    /// like [`DecisionInput::app`].
-    pub policy: &'static str,
+    /// The policy that decided (e.g. `adrias`, `all-local`).
+    pub policy: Name,
 }
 
 /// One audited decision, as exported to JSONL.
@@ -320,14 +319,14 @@ mod tests {
         DecisionInput {
             at_s: 1.0,
             deployment_id: 7,
-            app: "gmm",
+            app: "gmm".into(),
             class: WorkloadClass::BestEffort,
             window: WindowSummary::empty(),
             pred_local: local,
             pred_remote: remote,
             rule,
             chosen: MemoryMode::Local,
-            policy: "adrias",
+            policy: "adrias".into(),
         }
     }
 

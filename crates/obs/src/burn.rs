@@ -12,7 +12,7 @@
 //! Everything is computed from sim-clock completion instants and
 //! integer counts, so the emitted events — exported as `slo_burn`
 //! instants in the trace and surfaced in the report — are bitwise
-//! deterministic across engine cores, decision lanes and worker counts.
+//! deterministic across decision lanes and worker counts.
 
 use std::collections::VecDeque;
 

@@ -79,7 +79,7 @@ fn render_event_line(out: &mut String, e: &TraceEvent) {
             let _ = write!(
                 out,
                 r#"{{"type":"span","name":{},"cat":{},"t0_s":{},"t1_s":{},"track":{},"args":"#,
-                escape(e.name),
+                escape(&e.name),
                 escape(e.cat),
                 num_f64(t0_s),
                 num_f64(t1_s),
@@ -90,7 +90,7 @@ fn render_event_line(out: &mut String, e: &TraceEvent) {
             let _ = write!(
                 out,
                 r#"{{"type":"instant","name":{},"cat":{},"at_s":{},"track":{},"args":"#,
-                escape(e.name),
+                escape(&e.name),
                 escape(e.cat),
                 num_f64(at_s),
                 e.track
@@ -127,7 +127,7 @@ fn render_span_lines(out: &mut String, r: &LifecycleSpan) {
         r.deployment_id,
         num_f64(r.arrived_s),
         num_f64(r.finished_s),
-        escape(r.app),
+        escape(&r.app),
         escape(r.class),
         escape(r.mode),
         r.drained,
@@ -169,7 +169,7 @@ fn render_span_lines(out: &mut String, r: &LifecycleSpan) {
 /// closed deployment — the `lifecycle` root and its `queue`, `decision`
 /// and `resident` children, linked by `id`/`parent`. Span ids derive
 /// from the deployment id alone, so the file is byte-identical across
-/// same-seed runs, worker counts and engine cores.
+/// same-seed runs and worker counts.
 pub fn to_jsonl_spans(obs: &Observer) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -228,9 +228,9 @@ fn render_decision_line(out: &mut String, r: &DecisionRecord) {
         r.seq,
         num_f64(i.at_s),
         i.deployment_id,
-        escape(i.app),
-        escape(&i.class.to_string()),
-        escape(i.policy),
+        escape(&i.app),
+        escape(i.class.label()),
+        escape(&i.policy),
         escape(i.rule.tag()),
         opt_f32(i.rule.parameter()),
         i.window.rows,
@@ -246,7 +246,7 @@ fn render_decision_line(out: &mut String, r: &DecisionRecord) {
         r#"}},"pred_local":{},"pred_remote":{},"chosen":{},"margin":{},"near_flip":{}}}"#,
         opt_f32(i.pred_local),
         opt_f32(i.pred_remote),
-        escape(&i.chosen.to_string()),
+        escape(i.chosen.label()),
         opt_f32(r.margin),
         r.near_flip
     );
@@ -292,7 +292,7 @@ fn render_capture_line(out: &mut String, r: &CaptureRecord) {
     let _ = writeln!(
         out,
         r#"{{"type":"capture","app":{},"arrived_s":{},"finished_s":{},"rows":{},"co_runners":{},"skip":{}}}"#,
-        escape(r.app),
+        escape(&r.app),
         num_f64(r.arrived_s),
         num_f64(r.finished_s),
         r.rows,
@@ -437,7 +437,7 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
                 let _ = write!(
                     out,
                     r#"{{"name":{},"cat":{},"ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":"#,
-                    escape(e.name),
+                    escape(&e.name),
                     escape(e.cat),
                     num_f64(t0_s * 1e6),
                     num_f64((t1_s - t0_s).max(0.0) * 1e6),
@@ -448,7 +448,7 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
                 let _ = write!(
                     out,
                     r#"{{"name":{},"cat":{},"ph":"i","s":"t","ts":{},"pid":1,"tid":{},"args":"#,
-                    escape(e.name),
+                    escape(&e.name),
                     escape(e.cat),
                     num_f64(at_s * 1e6),
                     e.track
@@ -458,11 +458,15 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
         render_args(&mut out, &e.args);
         out.push('}');
     }
-    for r in obs.spans.records() {
+    for (run, r) in obs.spans.records_by_run() {
         // Decision lanes are deliberately left out of the args: the
         // Chrome trace is part of the byte-compared export set, which
         // must not vary between the fast and slow decision paths.
-        let tid = r.deployment_id + 1;
+        // A deployment's own track in its first run (the one its `app`
+        // span is on); later runs under the same observer reuse the
+        // deployment ids and restart the sim clock, so their trees go
+        // on tracks of their own.
+        let tid = (run << 32) + r.deployment_id + 1;
         let begin = |out: &mut String, name: &str, ts_s: f64| {
             let _ = write!(
                 out,
@@ -488,9 +492,9 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
         render_args(
             &mut out,
             &[
-                ("app", ArgValue::Str(r.app.to_owned())),
-                ("class", ArgValue::Str(r.class.to_owned())),
-                ("mode", ArgValue::Str(r.mode.to_owned())),
+                ("app", r.app.clone().into()),
+                ("class", r.class.into()),
+                ("mode", r.mode.into()),
                 ("drained", ArgValue::Num(f64::from(u8::from(r.drained)))),
             ],
         );
@@ -502,7 +506,7 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
         end(&mut out, "queue", r.decided_s);
         sep(&mut out);
         begin(&mut out, "decision", r.decided_s);
-        render_args(&mut out, &[("rule", ArgValue::Str(r.rule.to_owned()))]);
+        render_args(&mut out, &[("rule", r.rule.into())]);
         out.push('}');
         sep(&mut out);
         end(&mut out, "decision", r.decided_s);
@@ -642,14 +646,14 @@ mod tests {
         obs.record_decision(DecisionInput {
             at_s: 3.0,
             deployment_id: 0,
-            app: "gmm",
+            app: "gmm".into(),
             class: WorkloadClass::BestEffort,
             window: WindowSummary::empty(),
             pred_local: Some(90.0),
             pred_remote: Some(100.0),
             rule: DecisionRule::BetaSlack { beta: 1.0 },
             chosen: MemoryMode::Local,
-            policy: "adrias",
+            policy: "adrias".into(),
         });
         obs
     }
@@ -718,14 +722,14 @@ mod tests {
             obs.record_decision(DecisionInput {
                 at_s: 1.0,
                 deployment_id: 0,
-                app: "redis",
+                app: "redis".into(),
                 class: WorkloadClass::LatencyCritical,
                 window: WindowSummary::empty(),
                 pred_local: None,
                 pred_remote,
                 rule: DecisionRule::QosThreshold { qos_p99_ms: 5.0 },
                 chosen,
-                policy: "adrias",
+                policy: "adrias".into(),
             });
         };
         record(&mut obs, Some(4.0), MemoryMode::Remote); // compliant offload
@@ -787,7 +791,7 @@ mod tests {
         let mut obs = sample_observer();
         obs.spans.open(crate::spans::LifecycleSpan {
             deployment_id: 2,
-            app: "redis",
+            app: "redis".into(),
             class: "lc",
             mode: "remote",
             rule: "qos_threshold",
@@ -912,6 +916,33 @@ mod tests {
     }
 
     #[test]
+    fn a_second_run_under_one_observer_gets_lifecycle_tracks_of_its_own() {
+        // Run 1 ends; run 2 reuses deployment id 2 and restarts the sim
+        // clock before run 1's tree ended.
+        let mut obs = closed_span_observer();
+        obs.spans.drain_open(9.0, 9);
+        let again = obs.spans.records().next().unwrap().clone();
+        obs.spans.open(again);
+        obs.spans.close(2, 4.0, 4, false);
+        let runs: Vec<u64> = obs.spans.records_by_run().map(|(run, _)| run).collect();
+        assert_eq!(runs, [0, 1]);
+
+        let text = to_chrome_trace(&obs);
+        crate::validate::validate_chrome_trace(&text).expect("two runs, one valid trace");
+        let doc = json::parse(&text).unwrap();
+        let tids: std::collections::BTreeSet<u64> = doc
+            .get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("cat").unwrap().as_str() == Some("lifecycle"))
+            .map(|e| e.get("tid").unwrap().as_num().unwrap() as u64)
+            .collect();
+        assert_eq!(tids.into_iter().collect::<Vec<_>>(), [3, (1 << 32) + 3]);
+    }
+
+    #[test]
     fn flamegraph_renders_folded_stacks_only_when_wall_enabled() {
         let mut obs = sample_observer();
         assert!(render_flamegraph(&obs).is_empty());
@@ -937,14 +968,14 @@ mod tests {
         obs.record_decision(DecisionInput {
             at_s: 2.0,
             deployment_id: 2,
-            app: "redis",
+            app: "redis".into(),
             class: WorkloadClass::LatencyCritical,
             window: WindowSummary::empty(),
             pred_local: Some(4.0),
             pred_remote: Some(9.0),
             rule: DecisionRule::QosThreshold { qos_p99_ms: 5.0 },
             chosen: MemoryMode::Remote,
-            policy: "adrias",
+            policy: "adrias".into(),
         });
         write_post_mortem(&obs, &dir, 5.0).unwrap();
         let flight = std::fs::read_to_string(dir.join("flight.jsonl")).unwrap();
@@ -961,7 +992,7 @@ mod tests {
         use crate::adapt::{CaptureRecord, CaptureSkip, DriftEvent, ModelSwapRecord, SwapVerdict};
         let mut obs = sample_observer();
         obs.record_capture(CaptureRecord {
-            app: "pca",
+            app: "pca".into(),
             arrived_s: 10.0,
             finished_s: 95.5,
             rows: 85,
@@ -969,7 +1000,7 @@ mod tests {
             skip: None,
         });
         obs.record_capture(CaptureRecord {
-            app: "sort",
+            app: "sort".into(),
             arrived_s: 700.0,
             finished_s: 701.0,
             rows: 0,

@@ -43,7 +43,6 @@ pub mod audit;
 pub mod burn;
 pub mod export;
 pub mod flight;
-pub mod intern;
 pub mod json;
 pub mod observer;
 pub mod registry;
@@ -64,7 +63,6 @@ pub use export::{
     ExportPaths,
 };
 pub use flight::{FlightEntry, FlightRecorder};
-pub use intern::intern;
 pub use observer::{ObsConfig, Observer};
 pub use registry::{Histogram, Registry};
 pub use report::render_report;

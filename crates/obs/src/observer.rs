@@ -35,7 +35,7 @@ pub struct ObsConfig {
     /// Maximum retained flight-recorder entries (ring capacity).
     pub flight_capacity: usize,
     /// Whether to record per-deployment lifecycle spans (and feed the
-    /// decision-latency / queue-wait / slowdown quantile sketches).
+    /// queue-wait / slowdown quantile sketches).
     pub record_spans: bool,
 }
 
@@ -105,10 +105,8 @@ impl Observer {
     /// trace event on the engine track.
     pub fn record_decision(&mut self, input: DecisionInput) {
         // This runs on every orchestration decision, so the registry
-        // keys and classification args are static strings rather than
-        // formatted ones (they must match the `Display` impls the
-        // exports use).
-        use adrias_workloads::{MemoryMode, WorkloadClass};
+        // keys are static strings rather than formatted ones.
+        use adrias_workloads::MemoryMode;
         let mode_key = match input.chosen {
             MemoryMode::Local => "orchestrator.decisions.local",
             MemoryMode::Remote => "orchestrator.decisions.remote",
@@ -126,19 +124,10 @@ impl Observer {
         self.registry.counter_add("orchestrator.decisions", 1);
         self.registry.counter_add(mode_key, 1);
         self.registry.counter_add(rule_key, 1);
-        let class = match input.class {
-            WorkloadClass::BestEffort => "BE",
-            WorkloadClass::LatencyCritical => "LC",
-            WorkloadClass::Interference => "iBench",
-        };
-        let mode = match input.chosen {
-            MemoryMode::Local => "local",
-            MemoryMode::Remote => "remote",
-        };
         let mut args = vec![
-            ("app", input.app.into()),
-            ("class", class.into()),
-            ("mode", mode.into()),
+            ("app", input.app.clone().into()),
+            ("class", input.class.label().into()),
+            ("mode", input.chosen.label().into()),
             ("rule", input.rule.tag().into()),
         ];
         if let Some(l) = input.pred_local {
@@ -188,7 +177,7 @@ impl Observer {
         };
         self.registry.counter_add(key, 1);
         let mut args = vec![
-            ("app", record.app.into()),
+            ("app", record.app.clone().into()),
             ("rows", (record.rows as f64).into()),
             ("co_runners", (record.co_runners as f64).into()),
         ];
@@ -290,14 +279,14 @@ mod tests {
         obs.record_decision(DecisionInput {
             at_s: 2.0,
             deployment_id: 1,
-            app: "gmm",
+            app: "gmm".into(),
             class: WorkloadClass::BestEffort,
             window: WindowSummary::empty(),
             pred_local: Some(80.0),
             pred_remote: Some(100.0),
             rule: DecisionRule::BetaSlack { beta: 1.0 },
             chosen: MemoryMode::Local,
-            policy: "adrias",
+            policy: "adrias".into(),
         });
         assert_eq!(obs.audit.len(), 1);
         assert_eq!(obs.registry.counter("orchestrator.decisions"), 1);

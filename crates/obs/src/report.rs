@@ -255,14 +255,14 @@ mod tests {
         obs.record_decision(DecisionInput {
             at_s: 1.0,
             deployment_id: 0,
-            app: "gmm",
+            app: "gmm".into(),
             class: WorkloadClass::BestEffort,
             window: WindowSummary::empty(),
             pred_local: Some(99.0),
             pred_remote: Some(100.0),
             rule: DecisionRule::BetaSlack { beta: 1.0 },
             chosen: MemoryMode::Local,
-            policy: "adrias",
+            policy: "adrias".into(),
         });
         obs.registry
             .observe(&format!("{SLOWDOWN_PREFIX}in-memory-analytics"), 1.8);
@@ -280,7 +280,7 @@ mod tests {
         let mut obs = Observer::default();
         assert!(!render_report(&obs).contains("online adaptation"));
         obs.record_capture(CaptureRecord {
-            app: "pca",
+            app: "pca".into(),
             arrived_s: 0.0,
             finished_s: 1.0,
             rows: 0,

@@ -15,13 +15,15 @@
 //! the tree is reconstructible from any single line and ids never
 //! depend on ring state. All timestamps are **sim clock**, so the
 //! export (`spans.jsonl`, see [`crate::export::to_jsonl_spans`]) is
-//! byte-identical across same-seed runs, worker counts and engine
-//! cores — the same contract the flat exports carry.
+//! byte-identical across same-seed runs and worker counts — the same
+//! contract the flat exports carry.
 //!
 //! Closed records live in a bounded ring with an explicit drop counter
 //! (the meta line reports it), so a million-arrival run stays bounded.
 
 use std::collections::{BTreeMap, VecDeque};
+
+use adrias_core::Name;
 
 /// Child-phase offsets inside one deployment's span-id block.
 pub mod phase {
@@ -40,8 +42,8 @@ pub mod phase {
 pub struct LifecycleSpan {
     /// The deployment id the tree is keyed by.
     pub deployment_id: u64,
-    /// Application name (interned).
-    pub app: &'static str,
+    /// Application name.
+    pub app: Name,
     /// Workload class tag (e.g. `"BE"` / `"LC"`).
     pub class: &'static str,
     /// Chosen memory mode tag (`"local"` / `"remote"`).
@@ -83,8 +85,11 @@ pub struct SpanStore {
     enabled: bool,
     capacity: usize,
     open: BTreeMap<u64, LifecycleSpan>,
-    closed: VecDeque<LifecycleSpan>,
+    /// Each record beside the 0-based engine run it closed in.
+    closed: VecDeque<(u64, LifecycleSpan)>,
     dropped: u64,
+    /// Engine runs drained so far.
+    run: u64,
 }
 
 impl SpanStore {
@@ -101,6 +106,7 @@ impl SpanStore {
             open: BTreeMap::new(),
             closed: VecDeque::new(),
             dropped: 0,
+            run: 0,
         }
     }
 
@@ -135,9 +141,9 @@ impl SpanStore {
         self.open.len()
     }
 
-    /// Opens a deployment's tree at admission. The finish fields of
-    /// `span` are placeholders until [`SpanStore::close`]. No-op when
-    /// recording is disabled.
+    /// Opens a deployment's tree at admission; the finish fields are
+    /// stamped by [`SpanStore::close`]. No-op when recording is
+    /// disabled.
     pub fn open(&mut self, span: LifecycleSpan) {
         if !self.enabled {
             return;
@@ -159,20 +165,29 @@ impl SpanStore {
             self.closed.pop_front();
             self.dropped += 1;
         }
-        self.closed.push_back(span);
+        self.closed.push_back((self.run, span));
     }
 
-    /// Force-closes every still-open tree as drained (run end), in
-    /// deployment-id order.
+    /// Ends an engine run: force-closes every still-open tree as
+    /// drained, in deployment-id order, and moves on to the next run.
     pub fn drain_open(&mut self, finished_s: f64, closed_tick: u64) {
         while let Some(id) = self.open.keys().next().copied() {
             self.close(id, finished_s, closed_tick, true);
         }
+        self.run += 1;
     }
 
     /// Closed records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &LifecycleSpan> {
-        self.closed.iter()
+        self.closed.iter().map(|(_, span)| span)
+    }
+
+    /// Closed records beside the 0-based engine run each belongs to.
+    /// Deployment ids restart at 0 in every run, so a store that
+    /// outlives one run (a drift corpus) tells its trees apart by
+    /// `(run, deployment_id)`.
+    pub fn records_by_run(&self) -> impl Iterator<Item = (u64, &LifecycleSpan)> {
+        self.closed.iter().map(|(run, span)| (*run, span))
     }
 }
 
@@ -189,7 +204,7 @@ mod tests {
     fn span(id: u64, arrived: f64, decided: f64) -> LifecycleSpan {
         LifecycleSpan {
             deployment_id: id,
-            app: "gmm",
+            app: "gmm".into(),
             class: "be",
             mode: "local",
             rule: "static",

@@ -17,13 +17,15 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
+use adrias_core::Name;
+
 /// One argument attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// A numeric argument.
     Num(f64),
     /// A string argument.
-    Str(String),
+    Str(Name),
 }
 
 impl From<f64> for ArgValue {
@@ -38,14 +40,14 @@ impl From<f32> for ArgValue {
     }
 }
 
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_owned())
+impl From<&'static str> for ArgValue {
+    fn from(v: &'static str) -> Self {
+        ArgValue::Str(v.into())
     }
 }
 
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
+impl From<Name> for ArgValue {
+    fn from(v: Name) -> Self {
         ArgValue::Str(v)
     }
 }
@@ -70,9 +72,9 @@ pub enum TraceKind {
 /// One structured trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name (e.g. `engine.run`, `deploy`), interned in the global
-    /// string arena so recording an event never allocates for the name.
-    pub name: &'static str,
+    /// Event name: a static label (e.g. `engine.run`, `decision`) or an
+    /// application's name handle.
+    pub name: Name,
     /// Category (e.g. `engine`, `decision`, `app`).
     pub cat: &'static str,
     /// Temporal shape.
@@ -166,7 +168,7 @@ impl Tracer {
     /// Records a closed span `[t0_s, t1_s]` on the sim clock.
     pub fn span(
         &mut self,
-        name: &str,
+        name: impl Into<Name>,
         cat: &'static str,
         t0_s: f64,
         t1_s: f64,
@@ -174,7 +176,7 @@ impl Tracer {
         args: Vec<(&'static str, ArgValue)>,
     ) {
         self.push(TraceEvent {
-            name: crate::intern::intern(name),
+            name: name.into(),
             cat,
             kind: TraceKind::Span { t0_s, t1_s },
             track,
@@ -185,14 +187,14 @@ impl Tracer {
     /// Records a point event on the sim clock.
     pub fn instant(
         &mut self,
-        name: &str,
+        name: impl Into<Name>,
         cat: &'static str,
         at_s: f64,
         track: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
         self.push(TraceEvent {
-            name: crate::intern::intern(name),
+            name: name.into(),
             cat,
             kind: TraceKind::Instant { at_s },
             track,

@@ -553,14 +553,14 @@ mod tests {
         obs.record_decision(DecisionInput {
             at_s: 1.0,
             deployment_id: 0,
-            app: "gmm",
+            app: "gmm".into(),
             class: WorkloadClass::BestEffort,
             window: WindowSummary::empty(),
             pred_local: Some(10.0),
             pred_remote: Some(12.0),
             rule: DecisionRule::BetaSlack { beta: 1.0 },
             chosen: MemoryMode::Local,
-            policy: "adrias",
+            policy: "adrias".into(),
         });
         obs
     }
@@ -588,7 +588,7 @@ mod tests {
         use crate::adapt::{CaptureRecord, CaptureSkip, DriftEvent, ModelSwapRecord, SwapVerdict};
         let mut obs = observer();
         obs.record_capture(CaptureRecord {
-            app: "pca",
+            app: "pca".into(),
             arrived_s: 10.0,
             finished_s: 90.0,
             rows: 80,
@@ -596,7 +596,7 @@ mod tests {
             skip: None,
         });
         obs.record_capture(CaptureRecord {
-            app: "sort",
+            app: "sort".into(),
             arrived_s: 300.0,
             finished_s: 301.0,
             rows: 0,
@@ -677,14 +677,14 @@ mod tests {
         obs.record_decision(DecisionInput {
             at_s: 2.0,
             deployment_id: 1,
-            app: "kmeans",
+            app: "kmeans".into(),
             class: WorkloadClass::BestEffort,
             window: WindowSummary::empty(),
             pred_local: None,
             pred_remote: None,
             rule: DecisionRule::Static,
             chosen: MemoryMode::Remote,
-            policy: "all-remote",
+            policy: "all-remote".into(),
         });
         let text = export::to_jsonl_decisions(&obs);
         let tampered: String = text.lines().skip(1).map(|l| format!("{l}\n")).collect();
@@ -783,7 +783,7 @@ mod tests {
         let mut obs = observer();
         obs.spans.open(crate::spans::LifecycleSpan {
             deployment_id: 0,
-            app: "gmm",
+            app: "gmm".into(),
             class: "be",
             mode: "local",
             rule: "beta_slack",

@@ -5,8 +5,8 @@
 //! signatures and retrain periodically". This module makes that loop
 //! observable and evidence-driven:
 //!
-//! 1. [`ResidualTracker`] rides along an engine run (via
-//!    [`TrackedRun`]) and records, for every policy decision that
+//! 1. [`ResidualTracker`] rides along an engine run (as an
+//!    [`EngineObserver`]) and records, for every policy decision that
 //!    carried a prediction, the predicted-vs-realised slowdown residual
 //!    once the deployment finishes — plus the system-state forecast
 //!    error of the Ŝ window each decision consulted. Residuals feed
@@ -35,13 +35,12 @@ use adrias_obs::{
 };
 use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias_predictor::{PerfDataset, PerfModel, SystemStateModel};
-use adrias_sim::{DeploymentId, StepReport};
+use adrias_sim::DeploymentId;
 use adrias_telemetry::{MetricVec, METRIC_COUNT};
 use adrias_workloads::{WorkloadClass, WorkloadProfile};
 
 use crate::adrias::AdriasPolicy;
 use crate::engine::{AppOutcome, EngineObserver, RunReport};
-use crate::engine_obs::ObservedRun;
 use crate::policy::ExplainedDecision;
 
 /// Bucket bounds for residual histograms: relative errors from tight
@@ -265,24 +264,11 @@ fn rel_l2(pred: &MetricVec, actual: &MetricVec) -> f64 {
     num.sqrt() / den.sqrt().max(1e-9)
 }
 
-/// An [`ObservedRun`] with a [`ResidualTracker`] riding along: the
-/// audit trail, traces and sim metrics land in the observer exactly as
-/// in a plain observed run, while the tracker sees every decision and
-/// completion. The tracker only *reads* engine state, so decisions are
-/// bit-identical to an untracked run.
-pub struct TrackedRun<'t, 'o> {
-    tracker: &'t mut ResidualTracker,
-    run: ObservedRun<'o>,
-}
-
-impl<'t, 'o> TrackedRun<'t, 'o> {
-    /// Attaches `tracker` to an observed run.
-    pub fn new(tracker: &'t mut ResidualTracker, run: ObservedRun<'o>) -> Self {
-        Self { tracker, run }
-    }
-}
-
-impl EngineObserver for TrackedRun<'_, '_> {
+/// The tracker rides an engine run as one half of an observer pair —
+/// `(&mut tracker, ObservedRun::with_qos(obs, qos))` — and reads the
+/// two hooks it joins on. It only *reads* engine state, so decisions
+/// are bit-identical to an untracked run.
+impl EngineObserver for ResidualTracker {
     fn on_decision(
         &mut self,
         at_s: f64,
@@ -290,25 +276,13 @@ impl EngineObserver for TrackedRun<'_, '_> {
         profile: &WorkloadProfile,
         history: Option<&[MetricVec]>,
         decision: &ExplainedDecision,
-        policy_name: &str,
+        _policy_name: &str,
     ) {
-        self.tracker
-            .record_decision(at_s, id.index(), profile.class(), history, decision);
-        self.run
-            .on_decision(at_s, id, profile, history, decision, policy_name);
-    }
-
-    fn on_step(&mut self, report: &StepReport) {
-        self.run.on_step(report);
+        self.record_decision(at_s, id.index(), profile.class(), history, decision);
     }
 
     fn on_complete(&mut self, id: DeploymentId, outcome: &AppOutcome) {
-        self.tracker.record_completion(id.index(), outcome);
-        self.run.on_complete(id, outcome);
-    }
-
-    fn on_run_end(&mut self, report: &RunReport, last_arrival_s: f64) {
-        self.run.on_run_end(report, last_arrival_s);
+        self.record_completion(id.index(), outcome);
     }
 }
 
@@ -343,7 +317,7 @@ pub fn harvest_perf_records(report: &RunReport, class: WorkloadClass) -> Vec<Per
             continue;
         };
         records.push(PerfRecord {
-            app: o.name.clone(),
+            app: o.name.to_string(),
             mode: o.mode,
             history,
             future_120,
@@ -494,7 +468,7 @@ mod tests {
 
     fn be_outcome(id: usize, finished_s: f64, runtime_s: f64) -> AppOutcome {
         AppOutcome {
-            name: format!("app{id}"),
+            name: format!("app{id}").into(),
             class: WorkloadClass::BestEffort,
             mode: MemoryMode::Remote,
             policy_decided: true,
@@ -702,7 +676,7 @@ mod tests {
     #[test]
     fn harvested_records_mirror_policy_decided_outcomes() {
         use crate::baselines::AllRemotePolicy;
-        use crate::engine::{run_schedule, EngineConfig, ScheduledArrival};
+        use crate::engine::{run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival};
         use adrias_sim::TestbedConfig;
         use adrias_workloads::{ibench, spark, IbenchKind};
 
@@ -713,11 +687,13 @@ mod tests {
             ScheduledArrival::new(150.0, spark::by_name("gmm").unwrap()),
         ];
         let mut policy = AllRemotePolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig::default(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         let records = harvest_perf_records(&report, WorkloadClass::BestEffort);
         // Only gmm qualifies: policy-decided BE with a full 120 s

@@ -1,14 +1,17 @@
-//! The deployment engine: replays an arrival schedule against the
-//! testbed under a policy and records everything the evaluation needs.
+//! The deployment engine: drives an arrival stream against the testbed
+//! under a policy and records everything the evaluation needs.
+//! [`run_stream_hooked`] is the only way to run it.
 
 use adrias_core::rng::SeedableRng;
 use adrias_core::rng::Xoshiro256pp;
+use adrias_core::Name;
 
 use adrias_sim::{DeploymentId, LinkConfig, StepReport, Testbed, TestbedConfig};
 use adrias_telemetry::{MetricSample, MetricVec, Watcher};
 use adrias_workloads::keyvalue::tail_latency;
 use adrias_workloads::{LoadSpec, MemoryMode, WorkloadClass, WorkloadProfile};
 
+use crate::event::{EventHeap, EventKind};
 use crate::policy::{DecisionContext, ExplainedDecision, Policy};
 
 /// One entry of an arrival schedule.
@@ -57,8 +60,7 @@ impl ScheduledArrival {
 /// disaggregated fabrics — latency spikes (`base_latency_cycles` up),
 /// throughput collapse (`effective_cap_gbps` down), and link flapping
 /// (alternating degraded/healthy entries). Restoring the original
-/// `LinkConfig` in a later event heals the link; an empty schedule
-/// leaves the engine loop bit-identical to the un-faulted path.
+/// `LinkConfig` in a later event heals the link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Sim time at which the fault takes effect, seconds.
@@ -98,8 +100,8 @@ impl Default for EngineConfig {
 /// Outcome of one finished application.
 #[derive(Debug, Clone)]
 pub struct AppOutcome {
-    /// Workload name.
-    pub name: String,
+    /// Workload name (the profile's handle).
+    pub name: Name,
     /// Workload class.
     pub class: WorkloadClass,
     /// Mode it ran in.
@@ -126,7 +128,7 @@ pub struct AppOutcome {
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Name of the policy that ran.
-    pub policy: String,
+    pub policy: Name,
     /// Finished applications in completion order.
     pub outcomes: Vec<AppOutcome>,
     /// The full 1 Hz metric trace.
@@ -202,13 +204,15 @@ impl RunReport {
     }
 }
 
-/// Hooks the engine invokes while replaying a schedule.
+/// Hooks the engine invokes while driving a run.
 ///
-/// The engine loop is generic over the observer and the no-op
-/// implementation for `()` has empty inlined methods, so the
-/// unobserved [`run_schedule`] monomorphizes to exactly the
-/// pre-observability code — tracing costs nothing unless an observer
-/// is attached.
+/// [`run_stream_hooked`] is generic over the observer and every hook
+/// defaults to an empty inlined method, so a run under `()` compiles to
+/// the bare loop — tracing costs nothing unless an observer is
+/// attached. Observers compose: a pair `(A, B)` is an observer that
+/// hands every hook to `A` then `B`, and `&mut T` observes for `T`, so
+/// each concern stays one small impl and
+/// `(&mut tracker, ObservedRun::with_qos(obs, qos))` rides one run.
 pub trait EngineObserver {
     /// Called once per placement (policy-decided *and* forced), right
     /// after the deployment id is assigned.
@@ -295,6 +299,79 @@ pub trait EngineObserver {
 /// The no-op observer: every hook is an empty default method.
 impl EngineObserver for () {}
 
+/// Every [`EngineObserver`] hook, handed to each of `$part` in order.
+/// Wall profiling is on when any part asks for it, and `on_wall`
+/// reaches only the parts that asked.
+macro_rules! forward_hooks {
+    ($self:ident => $($part:expr),+) => {
+        fn on_decision(
+            &mut $self,
+            at_s: f64,
+            id: DeploymentId,
+            profile: &WorkloadProfile,
+            history: Option<&[MetricVec]>,
+            decision: &ExplainedDecision,
+            policy_name: &str,
+        ) {
+            $($part.on_decision(at_s, id, profile, history, decision, policy_name);)+
+        }
+
+        fn on_step(&mut $self, report: &StepReport) {
+            $($part.on_step(report);)+
+        }
+
+        fn on_complete(&mut $self, id: DeploymentId, outcome: &AppOutcome) {
+            $($part.on_complete(id, outcome);)+
+        }
+
+        fn on_run_end(&mut $self, report: &RunReport, last_arrival_s: f64) {
+            $($part.on_run_end(report, last_arrival_s);)+
+        }
+
+        fn on_admitted(
+            &mut $self,
+            id: DeploymentId,
+            arrived_s: f64,
+            decided_s: f64,
+            profile: &WorkloadProfile,
+            decision: &ExplainedDecision,
+            lane: &'static str,
+        ) {
+            $($part.on_admitted(id, arrived_s, decided_s, profile, decision, lane);)+
+        }
+
+        fn on_fault(&mut $self, at_s: f64) {
+            $($part.on_fault(at_s);)+
+        }
+
+        fn on_deadline(&mut $self, at_s: f64) {
+            $($part.on_deadline(at_s);)+
+        }
+
+        fn on_stream(&mut $self, label: &'static str) {
+            $($part.on_stream(label);)+
+        }
+
+        fn wall_profiling(&$self) -> bool {
+            false $(|| $part.wall_profiling())+
+        }
+
+        fn on_wall(&mut $self, label: &str, ns: u64) {
+            $(if $part.wall_profiling() {
+                $part.on_wall(label, ns);
+            })+
+        }
+    };
+}
+
+impl<A: EngineObserver, B: EngineObserver> EngineObserver for (A, B) {
+    forward_hooks!(self => self.0, self.1);
+}
+
+impl<T: EngineObserver + ?Sized> EngineObserver for &mut T {
+    forward_hooks!(self => (**self));
+}
+
 /// The load specification used to measure a store's tail latency,
 /// mirroring the paper: 10 k requests/client for Redis, 40 k for
 /// Memcached (≈30 k and ≈100 k ops/s respectively).
@@ -310,7 +387,7 @@ pub fn lc_load_spec(profile: &WorkloadProfile) -> LoadSpec {
 /// holds at most a handful of future arrivals in its heap and pulls
 /// the next one on demand.
 ///
-/// [`ScheduleStream`] adapts the pre-built `&[ScheduledArrival]` path
+/// [`ScheduleStream`] adapts a pre-built `&[ScheduledArrival]` slice
 /// onto this trait; [`GeneratedStream`] adapts any
 /// [`adrias_workloads::ArrivalSource`] (Poisson, diurnal, MMPP, trace
 /// replay, closed-loop think time).
@@ -353,9 +430,7 @@ pub trait ArrivalStream {
     }
 }
 
-/// [`ArrivalStream`] over a pre-built sorted schedule slice — the lens
-/// through which every legacy `&[ScheduledArrival]` entry point runs
-/// on the event engine.
+/// [`ArrivalStream`] over a pre-built sorted schedule slice.
 pub struct ScheduleStream<'a> {
     arrivals: &'a [ScheduledArrival],
     next: usize,
@@ -465,199 +540,16 @@ where
     }
 }
 
-/// Replays `arrivals` on a fresh testbed under `policy`.
-///
-/// Each simulated second: deploy due arrivals (consulting the policy
-/// unless the arrival forces a mode), step the testbed, feed the Watcher
-/// and collect completions. LC completions get their tail latency
-/// measured from the contention environment averaged over their
-/// residency.
-///
-/// Runs on the deterministic event-heap engine; same-seed runs are
-/// bit-identical regardless of worker count or host
-/// (`tests/event_engine_parity.rs`).
-///
-/// # Panics
-///
-/// Panics if `arrivals` is not sorted by arrival time.
-pub fn run_schedule(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    policy: &mut dyn Policy,
-) -> RunReport {
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(testbed_cfg, engine_cfg, &mut stream, &[], policy, &mut ())
-}
-
-/// [`run_schedule`] with an attached [`adrias_obs::Observer`]: every
-/// placement lands in the decision audit trail, each step feeds the sim
-/// metrics, and completed apps become trace spans. Same-seed runs leave
-/// byte-identical exports in the observer.
-pub fn run_schedule_observed(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    policy: &mut dyn Policy,
-    obs: &mut adrias_obs::Observer,
-) -> RunReport {
-    let mut run = crate::engine_obs::ObservedRun::with_qos(obs, engine_cfg.qos_p99_ms);
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(testbed_cfg, engine_cfg, &mut stream, &[], policy, &mut run)
-}
-
-/// [`run_schedule_observed`] with a link-degradation schedule: each
-/// [`FaultEvent`] is applied to the testbed just before the first step
-/// at or after its `at_s`, in order. An empty `faults` slice runs the
-/// exact un-faulted loop (same RNG streams, bit-identical report).
-///
-/// # Panics
-///
-/// Panics if `arrivals` or `faults` is not sorted by time.
-pub fn run_schedule_observed_faulted(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    faults: &[FaultEvent],
-    policy: &mut dyn Policy,
-    obs: &mut adrias_obs::Observer,
-) -> RunReport {
-    let mut run = crate::engine_obs::ObservedRun::with_qos(obs, engine_cfg.qos_p99_ms);
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(
-        testbed_cfg,
-        engine_cfg,
-        &mut stream,
-        faults,
-        policy,
-        &mut run,
-    )
-}
-
-/// [`run_schedule`] with a caller-supplied [`EngineObserver`] — the
-/// generic extension point behind both [`run_schedule`] (which passes
-/// the no-op `()` observer) and [`run_schedule_observed`] (which passes
-/// [`crate::ObservedRun`]). The loop is monomorphized per observer
-/// type, so an observer with empty hooks compiles down to the plain
-/// engine loop.
-pub fn run_schedule_hooked<O: EngineObserver>(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    arrivals: &[ScheduledArrival],
-    policy: &mut dyn Policy,
-    obs: &mut O,
-) -> RunReport {
-    let mut stream = ScheduleStream::new(arrivals);
-    run_event_inner(testbed_cfg, engine_cfg, &mut stream, &[], policy, obs)
-}
-
-/// Drives an [`ArrivalStream`] through the event engine — the entry
-/// point for generated open/closed-loop traffic, which has no schedule
-/// slice to replay.
-pub fn run_stream(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    stream: &mut dyn ArrivalStream,
-    policy: &mut dyn Policy,
-) -> RunReport {
-    run_event_inner(testbed_cfg, engine_cfg, stream, &[], policy, &mut ())
-}
-
-/// [`run_stream`] with a fault schedule and a caller-supplied observer.
-///
-/// # Panics
-///
-/// Panics if `faults` is not sorted by time.
-pub fn run_stream_hooked<O: EngineObserver>(
-    testbed_cfg: TestbedConfig,
-    engine_cfg: EngineConfig,
-    stream: &mut dyn ArrivalStream,
-    faults: &[FaultEvent],
-    policy: &mut dyn Policy,
-    obs: &mut O,
-) -> RunReport {
-    run_event_inner(testbed_cfg, engine_cfg, stream, faults, policy, obs)
-}
-
-/// Consults the policy (or the forced mode), deploys the arrival at the
-/// current testbed instant, and records it.
-#[allow(clippy::too_many_arguments)]
-fn deploy_arrival<O: EngineObserver>(
-    testbed: &mut Testbed,
-    watcher: &Watcher,
-    history_buf: &mut Vec<MetricVec>,
-    engine_cfg: &EngineConfig,
-    arrival: &ScheduledArrival,
-    policy: &mut dyn Policy,
-    obs: &mut O,
-    decided: &mut std::collections::HashMap<DeploymentId, (bool, WorkloadProfile)>,
-) {
-    let now = testbed.time_s();
-    let stamp = watcher.history_fill(engine_cfg.history_window_s, history_buf);
-    let history_rows: Option<&[MetricVec]> = stamp.map(|_| history_buf.as_slice());
-    let t0 = obs.wall_profiling().then(std::time::Instant::now);
-    let (decision, was_decided, lane) = match arrival.forced_mode {
-        Some(m) => (
-            ExplainedDecision {
-                mode: m,
-                rule: adrias_obs::DecisionRule::Forced,
-                pred_local: None,
-                pred_remote: None,
-            },
-            false,
-            "forced",
-        ),
-        None => {
-            let ctx = DecisionContext {
-                profile: &arrival.profile,
-                history: history_rows,
-                qos_p99_ms: engine_cfg.qos_p99_ms,
-                stamp,
-            };
-            let d = policy.decide_explained(&ctx);
-            (d, true, policy.lane())
-        }
-    };
-    if let Some(t0) = t0 {
-        // Split decide time into the model forward (reported by the
-        // policy) and everything around it, collapsed-stack style.
-        let total = t0.elapsed().as_nanos() as u64;
-        let forward = policy.take_forward_wall_ns();
-        obs.on_wall(
-            &format!("engine;decide;{lane}"),
-            total.saturating_sub(forward),
-        );
-        if forward > 0 {
-            obs.on_wall("engine;decide;forward", forward);
-        }
-    }
-    let duration = arrival
-        .duration_s
-        .unwrap_or_else(|| arrival.profile.base_runtime_s());
-    let id = testbed.deploy_for(arrival.profile.clone(), decision.mode, duration);
-    obs.on_decision(
-        now,
-        id,
-        &arrival.profile,
-        history_rows,
-        &decision,
-        policy.name(),
-    );
-    obs.on_admitted(id, arrival.at_s, now, &arrival.profile, &decision, lane);
-    decided.insert(id, (was_decided, arrival.profile.clone()));
-}
-
 /// Converts a testbed completion into an [`AppOutcome`], measuring LC
-/// tail latency from `lc_rng` — shared by both engine cores and
-/// [`run_isolated`] so the RNG consumption pattern is identical.
+/// tail latency from `lc_rng`.
 fn completed_outcome(
     done: adrias_sim::CompletedApp,
     policy_decided: bool,
-    profile: &WorkloadProfile,
     engine_cfg: &EngineConfig,
     lc_rng: &mut Xoshiro256pp,
 ) -> AppOutcome {
-    let (p99, p999, total) = if done.class == WorkloadClass::LatencyCritical {
+    let profile = &done.profile;
+    let (p99, p999, total) = if profile.is_latency_critical() {
         let spec = lc_load_spec(profile);
         let tl = tail_latency(
             profile,
@@ -671,8 +563,8 @@ fn completed_outcome(
         (None, None, None)
     };
     AppOutcome {
-        name: done.name,
-        class: done.class,
+        name: profile.name_handle().clone(),
+        class: profile.class(),
         mode: done.mode,
         policy_decided,
         arrived_s: done.arrived_s,
@@ -694,35 +586,48 @@ enum EventPayload {
     /// The 1 Hz watcher tick: step the testbed, sample, decide whether
     /// to continue.
     Sample,
-    /// Fold a testbed completion into the report.
-    Finish(adrias_sim::CompletedApp),
+    /// Fold the oldest queued testbed completion into the report. The
+    /// record waits in a FIFO beside the heap: finish events of one
+    /// tick pop in push order before anything later, and carrying the
+    /// record in the payload would grow every event the heap moves.
+    Finish,
     /// The drain budget expired; account for undelivered arrivals.
     Deadline,
 }
 
-/// The discrete-event engine core.
+/// Runs the engine: drives `stream` on a fresh testbed under `policy`,
+/// applying `faults` and reporting to `obs`.
 ///
-/// Pops events in `(time, kind-rank, seq)` order from a deterministic
-/// heap. Per instant the rank order admits arrivals first, applies
-/// faults second, then takes the watcher sample (which steps the
-/// testbed), folds completions in after the sample that surfaced them,
-/// and judges the drain deadline last. Bitwise parity with the step
-/// loop holds because the rank order reproduces the legacy loop's
-/// per-iteration phases exactly — the one transposition (legacy applies
-/// faults *before* deploying the same second's arrivals) is
-/// output-invariant, since a fault only rewrites the link config, which
-/// nothing before the testbed step reads.
+/// This is the only run function. A pre-built schedule is a
+/// [`ScheduleStream`], an un-faulted run passes `&[]`, an unobserved one
+/// `&mut ()`, an observed one [`crate::ObservedRun::with_qos`], and
+/// observers that ride together go in as a tuple.
 ///
-/// Arrivals are pulled lazily: at most one future open-loop arrival
-/// lives in the heap (plus at most one per closed-loop completion), so
-/// heap occupancy — and memory — is O(residents), not O(arrivals).
+/// Events pop in `(time, kind-rank, seq)` order from a deterministic
+/// heap, which is the whole ordering contract: per instant the rank
+/// admits arrivals first (consulting the policy unless the arrival
+/// forces a mode), applies faults second, then takes the 1 Hz watcher
+/// sample (which steps the testbed and feeds the Watcher), folds
+/// completions in after the sample that surfaced them — LC completions
+/// get their tail latency measured from the contention environment
+/// averaged over their residency — and judges the drain deadline last;
+/// `seq` keeps same-rank events in push order. Same-seed runs are
+/// therefore bit-identical regardless of worker count or host.
 ///
-/// The `stopped` flag implements the legacy break: the run ends at a
-/// watcher tick (natural idle or drain deadline), after which pending
-/// arrival/fault events drain without effect (arrivals count as
-/// unfinished), while completions surfaced by the final step are still
-/// folded in.
-fn run_event_inner<O: EngineObserver>(
+/// A fault takes effect at the first watcher tick at or after its
+/// `at_s`. Arrivals are pulled lazily: at most one future open-loop
+/// arrival lives in the heap (plus at most one per closed-loop
+/// completion), so heap occupancy is O(residents), not O(arrivals).
+///
+/// The run ends at a watcher tick (natural idle or drain deadline).
+/// From then on the `stopped` flag lets pending arrival and fault
+/// events drain without effect (arrivals count as unfinished), while
+/// completions surfaced by the final step are still folded in.
+///
+/// # Panics
+///
+/// Panics if `faults` is not sorted by time.
+pub fn run_stream_hooked<O: EngineObserver>(
     testbed_cfg: TestbedConfig,
     engine_cfg: EngineConfig,
     stream: &mut dyn ArrivalStream,
@@ -740,8 +645,10 @@ fn run_event_inner<O: EngineObserver>(
     let mut outcomes = Vec::new();
     let mut samples = Vec::new();
     let mut history_buf: Vec<MetricVec> = Vec::with_capacity(engine_cfg.history_window_s);
-    let mut decided: std::collections::HashMap<DeploymentId, (bool, WorkloadProfile)> =
-        std::collections::HashMap::new();
+    // Whether the policy placed deployment `id.index()`: the testbed
+    // numbers deployments densely from 0 in admission order.
+    let mut decided: Vec<bool> = Vec::new();
+    let mut finishing: std::collections::VecDeque<adrias_sim::CompletedApp> = Default::default();
 
     let final_hint = stream.final_arrival_hint();
     let mut last_pulled_s = 0.0_f64;
@@ -755,7 +662,7 @@ fn run_event_inner<O: EngineObserver>(
     obs.on_stream(stream.source_label());
     let mut sample_wall_ns = 0u64;
 
-    let mut heap: crate::event::EventHeap<EventPayload> = crate::event::EventHeap::new();
+    let mut heap: EventHeap<EventPayload> = EventHeap::new();
     if profiling {
         heap.enable_wall_profiling();
     }
@@ -765,7 +672,7 @@ fn run_event_inner<O: EngineObserver>(
         // last one wins.
         heap.push(
             f.at_s.ceil(),
-            crate::event::EventKind::FaultApply,
+            EventKind::FaultApply,
             EventPayload::Fault(f.link),
         );
     }
@@ -776,11 +683,7 @@ fn run_event_inner<O: EngineObserver>(
         &mut arrivals_in_heap,
         &mut last_pulled_s,
     );
-    heap.push(
-        0.0,
-        crate::event::EventKind::WatcherSample,
-        EventPayload::Sample,
-    );
+    heap.push(0.0, EventKind::WatcherSample, EventPayload::Sample);
 
     heap.run_until_idle(|heap, ev| match ev.payload {
         EventPayload::Arrival(arrival) => {
@@ -788,16 +691,51 @@ fn run_event_inner<O: EngineObserver>(
             if stopped {
                 skipped += 1;
             } else {
-                deploy_arrival(
-                    &mut testbed,
-                    &watcher,
-                    &mut history_buf,
-                    &engine_cfg,
-                    &arrival,
-                    policy,
-                    obs,
-                    &mut decided,
-                );
+                // Consult the policy (or the forced mode), deploy at the
+                // current testbed instant, and record the placement.
+                let now = testbed.time_s();
+                let stamp = watcher.history_fill(engine_cfg.history_window_s, &mut history_buf);
+                let history: Option<&[MetricVec]> = stamp.map(|_| history_buf.as_slice());
+                let profile = &arrival.profile;
+                let t0 = profiling.then(std::time::Instant::now);
+                let (decision, lane) = match arrival.forced_mode {
+                    Some(mode) => (
+                        ExplainedDecision {
+                            rule: adrias_obs::DecisionRule::Forced,
+                            ..ExplainedDecision::bare(mode)
+                        },
+                        "forced",
+                    ),
+                    None => {
+                        let ctx = DecisionContext {
+                            profile,
+                            history,
+                            qos_p99_ms: engine_cfg.qos_p99_ms,
+                            stamp,
+                        };
+                        (policy.decide_explained(&ctx), policy.lane())
+                    }
+                };
+                if let Some(t0) = t0 {
+                    // Split decide time into the model forward (reported
+                    // by the policy) and everything around it,
+                    // collapsed-stack style.
+                    let total = t0.elapsed().as_nanos() as u64;
+                    let forward = policy.take_forward_wall_ns();
+                    obs.on_wall(
+                        &format!("engine;decide;{lane}"),
+                        total.saturating_sub(forward),
+                    );
+                    if forward > 0 {
+                        obs.on_wall("engine;decide;forward", forward);
+                    }
+                }
+                let duration = arrival.duration_s.unwrap_or(profile.base_runtime_s());
+                let id = testbed.deploy_for(profile.clone(), decision.mode, duration);
+                obs.on_decision(now, id, profile, history, &decision, policy.name());
+                obs.on_admitted(id, arrival.at_s, now, profile, &decision, lane);
+                debug_assert_eq!(id.index() as usize, decided.len());
+                decided.push(arrival.forced_mode.is_none());
             }
             // Open-loop pull-ahead: keep exactly one future arrival in
             // the heap.
@@ -828,14 +766,10 @@ fn run_event_inner<O: EngineObserver>(
             obs.on_step(&report);
             // Completions pop at this tick's own instant (rank orders
             // them after the sample, before the next tick's arrivals),
-            // in report order — the lc_rng consumption order the step
-            // loop produces.
+            // in report order, which fixes the lc_rng consumption order.
             for done in report.finished {
-                heap.push(
-                    ev.time_s,
-                    crate::event::EventKind::DeploymentFinish,
-                    EventPayload::Finish(done),
-                );
+                finishing.push_back(done);
+                heap.push(ev.time_s, EventKind::DeploymentFinish, EventPayload::Finish);
             }
             let pending = arrivals_in_heap > 0 || !stream.is_exhausted();
             let deadline_s = final_hint.unwrap_or(last_pulled_s) + engine_cfg.max_drain_s;
@@ -845,27 +779,27 @@ fn run_event_inner<O: EngineObserver>(
                 stopped = true;
                 heap.push(
                     testbed.time_s(),
-                    crate::event::EventKind::DrainDeadline,
+                    EventKind::DrainDeadline,
                     EventPayload::Deadline,
                 );
             } else {
                 heap.push(
                     testbed.time_s(),
-                    crate::event::EventKind::WatcherSample,
+                    EventKind::WatcherSample,
                     EventPayload::Sample,
                 );
             }
         }
-        EventPayload::Finish(done) => {
+        EventPayload::Finish => {
             // Always folded in, even after the stop tick: the final
             // step's completions are processed before the run ends.
-            let (policy_decided, profile) = decided
-                .remove(&done.id)
-                .expect("completion for unknown deployment");
+            let done = finishing
+                .pop_front()
+                .expect("a completion per finish event");
             let id = done.id;
             let finished_s = done.finished_s;
-            let outcome =
-                completed_outcome(done, policy_decided, &profile, &engine_cfg, &mut lc_rng);
+            let policy_decided = decided[id.index() as usize];
+            let outcome = completed_outcome(done, policy_decided, &engine_cfg, &mut lc_rng);
             obs.on_complete(id, &outcome);
             outcomes.push(outcome);
             if stream.on_complete(finished_s) && !stopped {
@@ -894,7 +828,7 @@ fn run_event_inner<O: EngineObserver>(
     }
 
     let report = RunReport {
-        policy: policy.name().to_owned(),
+        policy: policy.name().to_owned().into(),
         outcomes,
         samples,
         link_bytes: testbed.link_bytes_total(),
@@ -912,7 +846,7 @@ fn run_event_inner<O: EngineObserver>(
 /// (a completion at `t + 0.4` thinking for less than the step
 /// remainder) land on the current tick rather than in the past.
 fn pull_arrival(
-    heap: &mut crate::event::EventHeap<EventPayload>,
+    heap: &mut EventHeap<EventPayload>,
     stream: &mut dyn ArrivalStream,
     floor_s: f64,
     arrivals_in_heap: &mut usize,
@@ -921,11 +855,7 @@ fn pull_arrival(
     if let Some(a) = stream.next_arrival() {
         *last_pulled_s = last_pulled_s.max(a.at_s);
         let tick = a.at_s.ceil().max(floor_s);
-        heap.push(
-            tick,
-            crate::event::EventKind::Arrival,
-            EventPayload::Arrival(a),
-        );
+        heap.push(tick, EventKind::Arrival, EventPayload::Arrival(a));
         *arrivals_in_heap += 1;
     }
 }
@@ -941,8 +871,8 @@ pub fn run_isolated(
 ) -> (AppOutcome, Vec<MetricSample>) {
     let mut testbed = Testbed::new(testbed_cfg, engine_cfg.seed);
     let mut lc_rng = Xoshiro256pp::seed_from_u64(engine_cfg.seed ^ 0x150);
-    let (done, trace) = testbed.run_isolated(profile.clone(), mode);
-    let outcome = completed_outcome(done, false, &profile, &engine_cfg, &mut lc_rng);
+    let (done, trace) = testbed.run_isolated(profile, mode);
+    let outcome = completed_outcome(done, false, &engine_cfg, &mut lc_rng);
     (outcome, trace)
 }
 
@@ -950,6 +880,7 @@ pub fn run_isolated(
 mod tests {
     use super::*;
     use crate::baselines::{AllLocalPolicy, AllRemotePolicy, RoundRobinPolicy};
+    use crate::ObservedRun;
     use adrias_workloads::{ibench, spark, IbenchKind};
 
     fn quick_engine() -> EngineConfig {
@@ -962,7 +893,14 @@ mod tests {
     #[test]
     fn empty_schedule_terminates_immediately() {
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(TestbedConfig::noiseless(), quick_engine(), &[], &mut policy);
+        let report = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            quick_engine(),
+            &mut ScheduleStream::new(&[]),
+            &[],
+            &mut policy,
+            &mut (),
+        );
         assert!(report.outcomes.is_empty());
         assert_eq!(report.unfinished, 0);
     }
@@ -972,11 +910,13 @@ mod tests {
         let app = spark::by_name("wordcount").unwrap();
         let arrivals = [ScheduledArrival::new(0.0, app.clone())];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(report.outcomes.len(), 1);
         let o = &report.outcomes[0];
@@ -992,11 +932,13 @@ mod tests {
         let app = spark::by_name("gmm").unwrap();
         let arrivals = [ScheduledArrival::new(0.0, app).with_mode(MemoryMode::Remote)];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(report.outcomes[0].mode, MemoryMode::Remote);
         assert!(!report.outcomes[0].policy_decided);
@@ -1008,11 +950,13 @@ mod tests {
         let redis = adrias_workloads::keyvalue::redis();
         let arrivals = [ScheduledArrival::new(0.0, redis).with_duration(40.0)];
         let mut policy = AllRemotePolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         let o = &report.outcomes[0];
         assert!(o.p99_ms.unwrap() > 0.0);
@@ -1027,11 +971,13 @@ mod tests {
             .map(|i| ScheduledArrival::new(i as f64 * 5.0, app.clone()))
             .collect();
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(report.placement_counts(), (2, 2));
         assert!((report.offload_fraction() - 0.5).abs() < 1e-6);
@@ -1041,20 +987,24 @@ mod tests {
     fn remote_apps_generate_link_traffic_local_do_not() {
         let app = spark::by_name("lr").unwrap();
         let mut all_local = AllLocalPolicy::new();
-        let local_report = run_schedule(
+        let local_report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &[ScheduledArrival::new(0.0, app.clone())],
+            &mut ScheduleStream::new(&[ScheduledArrival::new(0.0, app.clone())]),
+            &[],
             &mut all_local,
+            &mut (),
         );
         assert_eq!(local_report.link_bytes, 0.0);
 
         let mut all_remote = AllRemotePolicy::new();
-        let remote_report = run_schedule(
+        let remote_report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &[ScheduledArrival::new(0.0, app)],
+            &mut ScheduleStream::new(&[ScheduledArrival::new(0.0, app)]),
+            &[],
             &mut all_remote,
+            &mut (),
         );
         assert!(remote_report.link_bytes > 0.0);
     }
@@ -1070,11 +1020,13 @@ mod tests {
             ScheduledArrival::new(150.0, app),
         ];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         let o = report
             .outcomes
@@ -1101,7 +1053,14 @@ mod tests {
             ..quick_engine()
         };
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(TestbedConfig::noiseless(), cfg, &arrivals, &mut policy);
+        let report = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            cfg,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
+            &mut policy,
+            &mut (),
+        );
         assert!(report.end_time_s <= 60.0);
         assert_eq!(report.unfinished, 1);
     }
@@ -1115,11 +1074,13 @@ mod tests {
             ScheduledArrival::new(5.0, app),
         ];
         let mut policy = AllLocalPolicy::new();
-        let _ = run_schedule(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
     }
 
@@ -1130,13 +1091,13 @@ mod tests {
         let run = |faults: &[FaultEvent]| {
             let mut policy = AllRemotePolicy::new();
             let mut obs = adrias_obs::Observer::default();
-            let report = run_schedule_observed_faulted(
+            let report = run_stream_hooked(
                 TestbedConfig::paper(),
                 quick_engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
                 faults,
                 &mut policy,
-                &mut obs,
+                &mut ObservedRun::with_qos(&mut obs, None),
             );
             (
                 format!("{report:?}"),
@@ -1146,11 +1107,13 @@ mod tests {
         assert_eq!(run(&[]), run(&[]));
         let (plain_report, plain_events) = run(&[]);
         let mut policy = AllRemotePolicy::new();
-        let unfaulted = run_schedule(
+        let unfaulted = run_stream_hooked(
             TestbedConfig::paper(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(plain_report, format!("{unfaulted:?}"));
         assert!(!plain_events.is_empty());
@@ -1163,13 +1126,13 @@ mod tests {
         let run = |faults: &[FaultEvent]| {
             let mut policy = AllRemotePolicy::new();
             let mut obs = adrias_obs::Observer::default();
-            run_schedule_observed_faulted(
+            run_stream_hooked(
                 TestbedConfig::noiseless(),
                 quick_engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
                 faults,
                 &mut policy,
-                &mut obs,
+                &mut ObservedRun::with_qos(&mut obs, None),
             )
         };
         let healthy = run(&[]);
@@ -1215,20 +1178,22 @@ mod tests {
         let arrivals = [ScheduledArrival::new(10.0, app.clone())];
         let mut policy = AllRemotePolicy::new();
         let mut obs = adrias_obs::Observer::default();
-        let flapped = run_schedule_observed_faulted(
+        let flapped = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
             &flap,
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         let mut policy = AllRemotePolicy::new();
-        let healthy = run_schedule(
+        let healthy = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert!(
             (flapped.outcomes[0].runtime_s - healthy.outcomes[0].runtime_s).abs() < 1.0,
@@ -1253,13 +1218,13 @@ mod tests {
         ];
         let mut policy = AllLocalPolicy::new();
         let mut obs = adrias_obs::Observer::default();
-        let _ = run_schedule_observed_faulted(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &[],
+            &mut ScheduleStream::new(&[]),
             &faults,
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
     }
 
@@ -1275,11 +1240,13 @@ mod tests {
         ];
         let run = || {
             let mut policy = RoundRobinPolicy::new();
-            let report = run_schedule(
+            let report = run_stream_hooked(
                 TestbedConfig::paper(),
                 quick_engine(),
-                &arrivals,
+                &mut ScheduleStream::new(&arrivals),
+                &[],
                 &mut policy,
+                &mut (),
             );
             format!("{report:?}")
         };
@@ -1307,22 +1274,26 @@ mod tests {
             .collect();
         assert!(schedule.len() > 5);
         let mut policy = RoundRobinPolicy::new();
-        let scheduled = run_schedule(
+        let scheduled = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
+            &mut (),
         );
 
         let mut stream = GeneratedStream::new(process.source(horizon, seed), |_, t| {
             ScheduledArrival::new(t, app.clone())
         });
         let mut policy = RoundRobinPolicy::new();
-        let streamed = run_stream(
+        let streamed = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut stream,
+            &[],
             &mut policy,
+            &mut (),
         );
         assert_eq!(stream.issued(), schedule.len() as u64);
         assert_eq!(format!("{scheduled:?}"), format!("{streamed:?}"));
@@ -1334,11 +1305,13 @@ mod tests {
         let source = adrias_workloads::PoissonSource::new(0.2, 300.0, 5);
         let mut stream = GeneratedStream::new(source, |_, t| ScheduledArrival::new(t, app.clone()));
         let mut policy = RoundRobinPolicy::new();
-        let report = run_stream(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut stream,
+            &[],
             &mut policy,
+            &mut (),
         );
         assert!(!report.outcomes.is_empty());
         assert_eq!(report.outcomes.len() as u64, stream.issued());

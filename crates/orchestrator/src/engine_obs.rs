@@ -8,6 +8,7 @@
 //! folded into the registry once at the end of the run, keeping the
 //! per-simulated-second observation cost to plain arithmetic.
 
+use adrias_core::Name;
 use adrias_obs::{
     BurnConfig, DecisionInput, LifecycleSpan, Observer, SloBurnMonitor, WindowSummary,
 };
@@ -21,12 +22,15 @@ use crate::policy::ExplainedDecision;
 
 /// One observed engine run: borrows the [`Observer`] that collects the
 /// audit trail, traces, lifecycle spans, flight recorder and registry,
-/// plus the per-run sim accumulator.
-/// Created by [`crate::engine::run_schedule_observed`].
+/// plus the per-run sim accumulator. Pass one to
+/// [`crate::engine::run_stream_hooked`] to observe that run.
 pub struct ObservedRun<'a> {
     obs: &'a mut Observer,
     sim: SimMetrics,
     burn: Option<SloBurnMonitor>,
+    /// The run's policy name (one run, one policy), shared by every
+    /// audit record.
+    policy: Option<Name>,
     /// Watcher ticks seen so far (`on_step` calls) — the span clock.
     ticks: u64,
     /// Took-effect pop counts, flushed as `engine.events_popped.*`.
@@ -38,13 +42,8 @@ pub struct ObservedRun<'a> {
 }
 
 impl<'a> ObservedRun<'a> {
-    /// Wraps an observer for one engine run with no QoS target (no SLO
-    /// burn monitoring).
-    pub fn new(obs: &'a mut Observer) -> Self {
-        Self::with_qos(obs, None)
-    }
-
-    /// Wraps an observer for one engine run; when `qos_p99_ms` is set,
+    /// Wraps an observer for one engine run; when `qos_p99_ms` (the
+    /// run's [`crate::EngineConfig::qos_p99_ms`]) is set,
     /// LC completions additionally feed an [`SloBurnMonitor`] whose
     /// alerts land in the trace, the registry and `obs.burn`.
     pub fn with_qos(obs: &'a mut Observer, qos_p99_ms: Option<f32>) -> Self {
@@ -52,6 +51,7 @@ impl<'a> ObservedRun<'a> {
             obs,
             sim: SimMetrics::new(),
             burn: qos_p99_ms.map(|q| SloBurnMonitor::new(q, BurnConfig::default())),
+            policy: None,
             ticks: 0,
             admitted: 0,
             faults: 0,
@@ -72,17 +72,21 @@ impl EngineObserver for ObservedRun<'_> {
         decision: &ExplainedDecision,
         policy_name: &str,
     ) {
+        let policy = self
+            .policy
+            .get_or_insert_with(|| policy_name.to_owned().into())
+            .clone();
         self.obs.record_decision(DecisionInput {
             at_s,
             deployment_id: id.index(),
-            app: adrias_obs::intern(profile.name()),
+            app: profile.name_handle().clone(),
             class: profile.class(),
             window: history.map_or_else(WindowSummary::empty, WindowSummary::of_rows),
             pred_local: decision.pred_local,
             pred_remote: decision.pred_remote,
             rule: decision.rule,
             chosen: decision.mode,
-            policy: adrias_obs::intern(policy_name),
+            policy,
         });
     }
 
@@ -102,21 +106,14 @@ impl EngineObserver for ObservedRun<'_> {
         if !self.obs.spans.enabled() {
             return;
         }
-        // Both sketches record the admission delay; they are kept as
-        // separate series because an async-decision engine would split
-        // them (queue wait vs decide time).
-        let wait = decided_s - arrived_s;
         self.obs
             .registry
-            .sketch_observe("orchestrator.decision_latency_s", wait);
-        self.obs
-            .registry
-            .sketch_observe("orchestrator.queue_wait_s", wait);
+            .sketch_observe("orchestrator.queue_wait_s", decided_s - arrived_s);
         self.obs.spans.open(LifecycleSpan {
             deployment_id: id.index(),
-            app: adrias_obs::intern(profile.name()),
-            class: adrias_obs::intern(&profile.class().to_string()),
-            mode: adrias_obs::intern(&decision.mode.to_string()),
+            app: profile.name_handle().clone(),
+            class: profile.class().label(),
+            mode: decision.mode.label(),
             rule: decision.rule.tag(),
             lane,
             arrived_s,
@@ -170,8 +167,8 @@ impl EngineObserver for ObservedRun<'_> {
                 .sketch_observe("orchestrator.slowdown", f64::from(outcome.mean_slowdown));
         }
         let mut args = vec![
-            ("mode", outcome.mode.to_string().into()),
-            ("class", outcome.class.to_string().into()),
+            ("mode", outcome.mode.label().into()),
+            ("class", outcome.class.label().into()),
             ("slowdown", outcome.mean_slowdown.into()),
         ];
         if let Some(p99) = outcome.p99_ms {
@@ -194,7 +191,7 @@ impl EngineObserver for ObservedRun<'_> {
         // Track 0 is the engine; each deployment gets its own track so
         // residencies render as parallel rows in a timeline viewer.
         self.obs.tracer.span(
-            &outcome.name,
+            outcome.name.clone(),
             "app",
             outcome.arrived_s,
             outcome.finished_s,
@@ -213,15 +210,13 @@ impl EngineObserver for ObservedRun<'_> {
             report.end_time_s,
             0,
             vec![
-                ("policy", report.policy.as_str().into()),
+                ("policy", report.policy.clone().into()),
                 ("source", self.source.into()),
                 ("outcomes", (report.outcomes.len() as f64).into()),
                 ("unfinished", (report.unfinished as f64).into()),
             ],
         );
-        // Took-effect event counts, one counter per heap event kind —
-        // identical between the engine cores because the hooks fire at
-        // equivalent sites in both loops.
+        // Took-effect event counts, one counter per heap event kind.
         self.obs
             .registry
             .counter_add("engine.events_popped.arrival", self.admitted);
@@ -247,9 +242,7 @@ impl EngineObserver for ObservedRun<'_> {
         self.obs
             .registry
             .gauge_set("engine.end_time_s", report.end_time_s);
-        // Watcher ticks processed — identical between the event-heap
-        // and step-loop engines (one sample per simulated second), so
-        // the parity battery byte-compares it for free.
+        // Watcher ticks processed: one sample per simulated second.
         self.obs
             .registry
             .gauge_set("engine.ticks", report.samples.len() as f64);
@@ -270,7 +263,7 @@ impl EngineObserver for ObservedRun<'_> {
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinPolicy;
-    use crate::engine::{run_schedule, run_schedule_observed, EngineConfig, ScheduledArrival};
+    use crate::engine::{run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival};
     use adrias_obs::{export, ObsConfig};
     use adrias_sim::TestbedConfig;
     use adrias_workloads::{ibench, spark, IbenchKind, MemoryMode};
@@ -299,12 +292,13 @@ mod tests {
     fn every_placement_is_audited_exactly_once() {
         let mut obs = Observer::new(ObsConfig::default());
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         // One audit record per arrival: 2 policy-decided + 1 forced.
         assert_eq!(obs.audit.len(), 3);
@@ -343,15 +337,23 @@ mod tests {
     fn observed_run_report_matches_unobserved() {
         let mut obs = Observer::new(ObsConfig::default());
         let mut p1 = RoundRobinPolicy::new();
-        let observed = run_schedule_observed(
+        let observed = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut p1,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         let mut p2 = RoundRobinPolicy::new();
-        let plain = run_schedule(TestbedConfig::noiseless(), engine(), &schedule(), &mut p2);
+        let plain = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            engine(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
+            &mut p2,
+            &mut (),
+        );
         assert_eq!(observed.end_time_s, plain.end_time_s);
         assert_eq!(observed.outcomes.len(), plain.outcomes.len());
         for (a, b) in observed.outcomes.iter().zip(&plain.outcomes) {
@@ -368,12 +370,13 @@ mod tests {
         let run = || {
             let mut obs = Observer::new(ObsConfig::default());
             let mut policy = RoundRobinPolicy::new();
-            let _ = run_schedule_observed(
+            let _ = run_stream_hooked(
                 TestbedConfig::default(),
                 engine(),
-                &schedule(),
+                &mut ScheduleStream::new(&schedule()),
+                &[],
                 &mut policy,
-                &mut obs,
+                &mut ObservedRun::with_qos(&mut obs, None),
             );
             (
                 export::to_jsonl_events(&obs),
@@ -392,12 +395,13 @@ mod tests {
     fn lifecycle_spans_and_event_counters_record() {
         let mut obs = Observer::new(ObsConfig::default());
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         // One closed lifecycle tree per outcome, none left open.
         assert_eq!(obs.spans.len(), report.outcomes.len());
@@ -444,12 +448,13 @@ mod tests {
             ..ObsConfig::default()
         });
         let mut policy = RoundRobinPolicy::new();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
-            &schedule(),
+            &mut ScheduleStream::new(&schedule()),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, None),
         );
         assert!(obs.spans.is_empty());
         assert!(obs.registry.sketch("orchestrator.queue_wait_s").is_none());

@@ -35,14 +35,13 @@ pub(crate) mod test_support;
 
 pub use adapt::{
     fine_tune_candidate, gate_swap, harvest_perf_records, GateConfig, ModelTarget, ResidualConfig,
-    ResidualTracker, TrackedRun,
+    ResidualTracker,
 };
 pub use adrias::{be_rule, lc_rule, AdriasPolicy};
 pub use baselines::{AllLocalPolicy, AllRemotePolicy, RandomPolicy, RoundRobinPolicy};
 pub use engine::{
-    run_schedule, run_schedule_hooked, run_schedule_observed, run_schedule_observed_faulted,
-    run_stream, run_stream_hooked, AppOutcome, ArrivalStream, EngineConfig, EngineObserver,
-    FaultEvent, GeneratedStream, RunReport, ScheduleStream, ScheduledArrival,
+    run_stream_hooked, AppOutcome, ArrivalStream, EngineConfig, EngineObserver, FaultEvent,
+    GeneratedStream, RunReport, ScheduleStream, ScheduledArrival,
 };
 pub use engine_obs::ObservedRun;
 pub use event::{Event, EventHeap, EventKind};

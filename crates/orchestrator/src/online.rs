@@ -48,7 +48,7 @@ pub fn capture_unknown_signatures_audited(
             Some(CaptureSkip::NotRemote)
         } else if is_known(&o.name) {
             Some(CaptureSkip::AlreadyKnown)
-        } else if captured.iter().any(|s| s.app_name() == o.name) {
+        } else if captured.iter().any(|s| o.name == s.app_name()) {
             Some(CaptureSkip::DuplicateInRun)
         } else if hi <= lo {
             Some(CaptureSkip::EmptyResidency)
@@ -64,7 +64,7 @@ pub fn capture_unknown_signatures_audited(
             })
             .count();
         records.push(CaptureRecord {
-            app: adrias_obs::intern(&o.name),
+            app: o.name.clone(),
             arrived_s: o.arrived_s,
             finished_s: o.finished_s,
             rows: hi.saturating_sub(lo),
@@ -73,7 +73,7 @@ pub fn capture_unknown_signatures_audited(
         });
         if skip.is_none() {
             let rows: Vec<MetricVec> = report.samples[lo..hi].iter().map(|s| *s.vec()).collect();
-            captured.push(AppSignature::new(o.name.clone(), rows));
+            captured.push(AppSignature::new(o.name.to_string(), rows));
         }
     }
     (captured, records)
@@ -127,7 +127,7 @@ pub fn absorb_signatures_observed(
 mod tests {
     use super::*;
     use crate::baselines::AllRemotePolicy;
-    use crate::engine::{run_schedule, EngineConfig, ScheduledArrival};
+    use crate::engine::{run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival};
     use adrias_sim::TestbedConfig;
     use adrias_workloads::spark;
 
@@ -138,14 +138,16 @@ mod tests {
             .map(|(i, name)| ScheduledArrival::new(i as f64 * 10.0, spark::by_name(name).unwrap()))
             .collect();
         let mut policy = AllRemotePolicy::new();
-        run_schedule(
+        run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig {
                 lc_latency_samples: 500,
                 ..EngineConfig::default()
             },
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         )
     }
 
@@ -177,11 +179,13 @@ mod tests {
         use crate::baselines::AllLocalPolicy;
         let arrivals = vec![ScheduledArrival::new(0.0, spark::by_name("gmm").unwrap())];
         let mut policy = AllLocalPolicy::new();
-        let report = run_schedule(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig::default(),
-            &arrivals,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
             &mut policy,
+            &mut (),
         );
         assert!(capture_unknown_signatures(&report, |_| false).is_empty());
     }
@@ -232,9 +236,9 @@ mod tests {
         // Hand-built report: the trace is empty (e.g. truncated), so the
         // only outcome's residency clips to zero rows.
         let report = RunReport {
-            policy: "test".to_owned(),
+            policy: "test".into(),
             outcomes: vec![AppOutcome {
-                name: "ghost".to_owned(),
+                name: "ghost".into(),
                 class: WorkloadClass::BestEffort,
                 mode: MemoryMode::Remote,
                 policy_decided: true,
@@ -266,9 +270,10 @@ mod tests {
     /// signature.
     #[test]
     fn captured_signature_round_trips_to_the_same_decision_as_offline() {
-        use crate::engine::{run_isolated, run_schedule_observed, EngineConfig};
+        use crate::engine::{run_isolated, run_stream_hooked, EngineConfig, ScheduleStream};
         use crate::online::absorb_signatures_observed;
         use crate::test_support::policy_with_beta;
+        use crate::ObservedRun;
         use adrias_obs::{DecisionRule, Observer};
         use adrias_workloads::{ibench, IbenchKind};
 
@@ -287,12 +292,13 @@ mod tests {
         // stressor.
         let mut policy = policy_with_beta(0.7);
         let mut obs = Observer::default();
-        let report = run_schedule_observed(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
         );
         let pca = report.outcomes.iter().find(|o| o.name == "pca").unwrap();
         assert_eq!(pca.mode, MemoryMode::Remote, "unknown app goes remote");
@@ -310,12 +316,13 @@ mod tests {
 
         // Clean re-run: pca is now known, so the β-slack rule decides.
         let mut obs2 = Observer::default();
-        let _ = run_schedule_observed(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut policy,
-            &mut obs2,
+            &mut ObservedRun::with_qos(&mut obs2, engine.qos_p99_ms),
         );
         let captured_rec = obs2
             .audit
@@ -341,12 +348,13 @@ mod tests {
             trace.iter().map(|s| *s.vec()).collect(),
         ));
         let mut obs3 = Observer::default();
-        let _ = run_schedule_observed(
+        let _ = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
+            &[],
             &mut offline_policy,
-            &mut obs3,
+            &mut ObservedRun::with_qos(&mut obs3, engine.qos_p99_ms),
         );
         let offline_rec = obs3
             .audit

@@ -7,19 +7,28 @@
 //! (no history) and unknown-app remote-first. A second test pins the
 //! numeric floor under the policy: `Lstm::forward_seq_scratch` and the
 //! SIMD kernels (both the native dispatch and the forced-scalar
-//! fallback) run allocation-free in steady state.
+//! fallback) run allocation-free in steady state. A third pins the
+//! engine's side of the same path: a workload's name is never copied
+//! between arrival and completion. The last one is not about
+//! allocation but lives here with the other engine-surface pins:
+//! composed observers see every hook.
 
 use adrias_core::alloc::{start_counting, stop_counting, CountingAllocator};
 use adrias_core::rng::{Rng, SeedableRng, Xoshiro256pp};
 use adrias_nn::{kernels, set_force_scalar, Lstm, LstmScratch, Tensor};
-use adrias_orchestrator::{AdriasPolicy, DecisionContext, Policy};
+use adrias_orchestrator::policy::ExplainedDecision;
+use adrias_orchestrator::{
+    run_stream_hooked, AdriasPolicy, AppOutcome, DecisionContext, EngineConfig, EngineObserver,
+    FaultEvent, Policy, RoundRobinPolicy, RunReport, ScheduleStream, ScheduledArrival,
+};
 use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias_predictor::{
     PerfDataset, PerfModel, PerfModelConfig, SystemStateDataset, SystemStateModel,
     SystemStateModelConfig,
 };
+use adrias_sim::{DeploymentId, LinkConfig, StepReport, TestbedConfig};
 use adrias_telemetry::{Metric, MetricSample, MetricVec, WindowStamp};
-use adrias_workloads::{spark, AppSignature, MemoryMode, WorkloadProfile};
+use adrias_workloads::{spark, AppSignature, MemoryMode, WorkloadClass, WorkloadProfile};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -214,4 +223,212 @@ fn lstm_scratch_forward_and_simd_kernels_are_allocation_free() {
             "numeric floor allocated (force_scalar = {force_scalar})"
         );
     }
+}
+
+/// A workload's name is allocated once, when its profile is built:
+/// cloning the profile and carrying it through one unobserved
+/// arrival → completion cycle copies no name. Two runs that differ
+/// only in the length of the workload's name must therefore allocate
+/// the same number of blocks and bytes.
+///
+/// Measured on this schedule (64 arrivals, whole run): the parent commit
+/// copied the name 4 times per cycle (the stream's `ScheduledArrival`
+/// clone, `deploy_for`, the engine's `decided` map, `to_owned` at
+/// completion) and allocated (467 blocks, 71 063 bytes) for the 8-byte
+/// name against (467, 81 303) for the 48-byte one, 256 x 40 bytes
+/// apart; now both runs allocate (151, 55 547) — the per-step `refs`
+/// Vec went with the copies.
+#[test]
+fn names_are_never_copied_between_arrival_and_completion() {
+    let profile = |name: String| {
+        WorkloadProfile::builder(name, WorkloadClass::BestEffort)
+            .base_runtime_s(3.0)
+            .cpu_cores(2.0)
+            .build()
+    };
+    let short = profile("w".repeat(8));
+    let long = profile("w".repeat(48));
+
+    start_counting();
+    for _ in 0..16 {
+        std::hint::black_box(long.clone());
+    }
+    assert_eq!(stop_counting(), (0, 0), "a profile clone must not allocate");
+
+    let cycle_allocations = |profile: &WorkloadProfile| {
+        let arrivals: Vec<ScheduledArrival> = (0..64)
+            .map(|i| ScheduledArrival::new(f64::from(i) * 2.0, profile.clone()))
+            .collect();
+        let mut policy = RoundRobinPolicy::new();
+        start_counting();
+        let report = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            EngineConfig::default(),
+            &mut ScheduleStream::new(&arrivals),
+            &[],
+            &mut policy,
+            &mut (),
+        );
+        let counted = stop_counting();
+        assert_eq!(report.outcomes.len(), 64);
+        assert_eq!(report.outcomes[0].name, profile.name());
+        counted
+    };
+    assert_eq!(cycle_allocations(&short), cycle_allocations(&long));
+}
+
+/// Counts the calls to each of the nine [`EngineObserver`] event hooks
+/// and answers the tenth, `wall_profiling`, with `wants_wall`.
+#[derive(Default, Debug, PartialEq)]
+struct HookCounts {
+    wants_wall: bool,
+    decision: u64,
+    step: u64,
+    complete: u64,
+    run_end: u64,
+    admitted: u64,
+    fault: u64,
+    deadline: u64,
+    stream: u64,
+    wall: u64,
+}
+
+impl EngineObserver for HookCounts {
+    fn on_decision(
+        &mut self,
+        _at_s: f64,
+        _id: DeploymentId,
+        _profile: &WorkloadProfile,
+        _history: Option<&[MetricVec]>,
+        _decision: &ExplainedDecision,
+        _policy_name: &str,
+    ) {
+        self.decision += 1;
+    }
+
+    fn on_step(&mut self, _report: &StepReport) {
+        self.step += 1;
+    }
+
+    fn on_complete(&mut self, _id: DeploymentId, _outcome: &AppOutcome) {
+        self.complete += 1;
+    }
+
+    fn on_run_end(&mut self, _report: &RunReport, _last_arrival_s: f64) {
+        self.run_end += 1;
+    }
+
+    fn on_admitted(
+        &mut self,
+        _id: DeploymentId,
+        _arrived_s: f64,
+        _decided_s: f64,
+        _profile: &WorkloadProfile,
+        _decision: &ExplainedDecision,
+        _lane: &'static str,
+    ) {
+        self.admitted += 1;
+    }
+
+    fn on_fault(&mut self, _at_s: f64) {
+        self.fault += 1;
+    }
+
+    fn on_deadline(&mut self, _at_s: f64) {
+        self.deadline += 1;
+    }
+
+    fn on_stream(&mut self, _label: &'static str) {
+        self.stream += 1;
+    }
+
+    fn wall_profiling(&self) -> bool {
+        self.wants_wall
+    }
+
+    fn on_wall(&mut self, _label: &str, _ns: u64) {
+        self.wall += 1;
+    }
+}
+
+/// An observer sees the same calls on all ten hooks whether it runs
+/// alone, on either side of a pair, or behind `&mut` — and wall
+/// profiling reaches only the side of a pair that asked for it.
+#[test]
+fn composed_observers_see_every_hook() {
+    // Two jobs that finish, a fault, and a stressor that outlives the
+    // drain budget: every hook fires at least once.
+    let gmm = spark::by_name("gmm").unwrap();
+    let arrivals = [
+        ScheduledArrival::new(0.0, gmm.clone()),
+        ScheduledArrival::new(3.5, gmm.clone()).with_mode(MemoryMode::Remote),
+        ScheduledArrival::new(4.0, gmm).with_duration(1.0e6),
+    ];
+    let faults = [FaultEvent {
+        at_s: 2.0,
+        link: LinkConfig::paper(),
+    }];
+    fn drive<O: EngineObserver>(arrivals: &[ScheduledArrival], faults: &[FaultEvent], obs: &mut O) {
+        let engine = EngineConfig {
+            max_drain_s: 300.0,
+            ..EngineConfig::default()
+        };
+        let mut policy = RoundRobinPolicy::new();
+        let report = run_stream_hooked(
+            TestbedConfig::noiseless(),
+            engine,
+            &mut ScheduleStream::new(arrivals),
+            faults,
+            &mut policy,
+            obs,
+        );
+        assert_eq!((report.outcomes.len(), report.unfinished), (2, 1));
+    }
+    let counts = |wants_wall| HookCounts {
+        wants_wall,
+        ..HookCounts::default()
+    };
+
+    for wants_wall in [false, true] {
+        let mut alone = counts(wants_wall);
+        drive(&arrivals, &faults, &mut alone);
+        assert_eq!(
+            (alone.decision, alone.admitted, alone.complete),
+            (3, 3, 2),
+            "{alone:?}"
+        );
+        assert!(alone.step > 300 && alone.fault == 1 && alone.deadline == 1);
+        assert_eq!((alone.run_end, alone.stream), (1, 1));
+        // heap push, heap pop, sample, and one decide frame per arrival
+        // (round-robin has no model forward).
+        assert_eq!(alone.wall, if wants_wall { 3 + 3 } else { 0 });
+
+        let mut left = (counts(wants_wall), ());
+        drive(&arrivals, &faults, &mut left);
+        assert_eq!(left.0, alone);
+
+        let mut right = ((), counts(wants_wall));
+        drive(&arrivals, &faults, &mut right);
+        assert_eq!(right.1, alone);
+
+        let mut behind = counts(wants_wall);
+        drive(&arrivals, &faults, &mut &mut behind);
+        assert_eq!(behind, alone);
+    }
+
+    // One side asks for wall profiling, the other does not: both see
+    // every event hook, only the asking side sees `on_wall`.
+    let mut mixed = (counts(true), counts(false));
+    drive(&arrivals, &faults, &mut mixed);
+    let mut asked = counts(true);
+    drive(&arrivals, &faults, &mut asked);
+    assert_eq!(mixed.0, asked);
+    assert_eq!(
+        mixed.1,
+        HookCounts {
+            wants_wall: false,
+            wall: 0,
+            ..asked
+        }
+    );
 }

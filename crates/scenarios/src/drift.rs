@@ -17,12 +17,10 @@
 //! bit-identical to plain (un)observed runs.
 
 use adrias_obs::{DriftEvent, Observer, SwapVerdict};
-use adrias_orchestrator::engine::{
-    run_schedule_hooked, run_schedule_observed, EngineConfig, RunReport,
-};
+use adrias_orchestrator::engine::{run_stream_hooked, EngineConfig, RunReport, ScheduleStream};
 use adrias_orchestrator::{
     absorb_signatures_observed, fine_tune_candidate, gate_swap, harvest_perf_records, AdriasPolicy,
-    GateConfig, ModelTarget, ObservedRun, ResidualConfig, ResidualTracker, TrackedRun,
+    GateConfig, ModelTarget, ObservedRun, ResidualConfig, ResidualTracker,
 };
 use adrias_predictor::dataset::PerfRecord;
 use adrias_predictor::PerfDataset;
@@ -57,9 +55,10 @@ pub struct DriftRunConfig {
     /// Swap-gate parameters.
     pub gate: GateConfig,
     /// Track residuals at all. When `false` the phases replay exactly
-    /// like [`crate::runner::run_observed`] — no tracker hooks, no
-    /// drift events, no adaptation; reports are bit-identical to the
-    /// unobserved path.
+    /// like [`crate::runner::run_observed`] — no tracker riding along,
+    /// no drift events, no adaptation. The tracker only adds its
+    /// residual histograms and drift events: every other export is
+    /// byte-identical either way.
     pub track: bool,
     /// React to drift with capture absorption, fine-tuning and the swap
     /// gate. With `track = true, adapt = false` the loop observes but
@@ -175,11 +174,14 @@ pub fn run_drift_phases(
             qos_p99_ms: cfg.qos_p99_ms,
             ..EngineConfig::default()
         };
+        let mut stream = ScheduleStream::new(&schedule);
+        let observed = ObservedRun::with_qos(obs, engine.qos_p99_ms);
         let report = if cfg.track {
-            let mut hooks = TrackedRun::new(&mut tracker, ObservedRun::new(obs));
-            run_schedule_hooked(phase.testbed, engine, &schedule, policy, &mut hooks)
+            let mut hooks = (&mut tracker, observed);
+            run_stream_hooked(phase.testbed, engine, &mut stream, &[], policy, &mut hooks)
         } else {
-            run_schedule_observed(phase.testbed, engine, &schedule, policy, obs)
+            let mut hooks = observed;
+            run_stream_hooked(phase.testbed, engine, &mut stream, &[], policy, &mut hooks)
         };
 
         let (drifts, signatures_absorbed, verdicts) = if cfg.track {

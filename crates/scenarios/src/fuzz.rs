@@ -35,10 +35,10 @@ use adrias_core::rng::Xoshiro256pp;
 use adrias_core::thread::map_chunks;
 use adrias_obs::{DecisionRule, Observer};
 use adrias_orchestrator::engine::{
-    run_schedule_observed_faulted, EngineConfig, FaultEvent, RunReport,
+    run_stream_hooked, EngineConfig, FaultEvent, RunReport, ScheduleStream,
 };
 use adrias_orchestrator::qos::count_violations;
-use adrias_orchestrator::{DecisionContext, Policy, RandomPolicy, RoundRobinPolicy};
+use adrias_orchestrator::{DecisionContext, ObservedRun, Policy, RandomPolicy, RoundRobinPolicy};
 use adrias_sim::{LinkConfig, TestbedConfig};
 use adrias_workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
 
@@ -574,8 +574,14 @@ fn run_policy(cfg: &FuzzConfig, case: &FuzzCase, policy: &mut AnyPolicy) -> (Run
         ..EngineConfig::default()
     };
     let mut obs = Observer::default();
-    let report =
-        run_schedule_observed_faulted(cfg.testbed, engine, &schedule, &faults, policy, &mut obs);
+    let report = run_stream_hooked(
+        cfg.testbed,
+        engine,
+        &mut ScheduleStream::new(&schedule),
+        &faults,
+        policy,
+        &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
+    );
     (report, obs)
 }
 

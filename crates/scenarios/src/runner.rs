@@ -5,8 +5,8 @@
 
 use adrias_core::thread::map_chunks;
 use adrias_obs::Observer;
-use adrias_orchestrator::engine::{run_schedule, run_schedule_observed, EngineConfig, RunReport};
-use adrias_orchestrator::Policy;
+use adrias_orchestrator::engine::{run_stream_hooked, EngineConfig, RunReport, ScheduleStream};
+use adrias_orchestrator::{ObservedRun, Policy};
 use adrias_sim::TestbedConfig;
 use adrias_workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
 
@@ -158,7 +158,14 @@ where
                             qos_p99_ms,
                             ..EngineConfig::default()
                         };
-                        run_schedule(testbed_cfg, engine, &schedule, &mut policy)
+                        run_stream_hooked(
+                            testbed_cfg,
+                            engine,
+                            &mut ScheduleStream::new(&schedule),
+                            &[],
+                            &mut policy,
+                            &mut (),
+                        )
                     })
                     .collect()
             });
@@ -263,7 +270,9 @@ pub fn run_observed<P: Policy>(
         qos_p99_ms,
         ..EngineConfig::default()
     };
-    run_schedule_observed(testbed_cfg, engine, &schedule, policy, obs)
+    let mut stream = ScheduleStream::new(&schedule);
+    let mut hooks = ObservedRun::with_qos(obs, engine.qos_p99_ms);
+    run_stream_hooked(testbed_cfg, engine, &mut stream, &[], policy, &mut hooks)
 }
 
 /// Convenience: the median of a sample set (empty ⇒ 0).

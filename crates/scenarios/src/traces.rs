@@ -1,7 +1,7 @@
 //! Trace collection: the offline data-acquisition phase (§V-B1).
 
 use adrias_core::thread::map_chunks;
-use adrias_orchestrator::engine::{run_schedule, EngineConfig, RunReport};
+use adrias_orchestrator::engine::{run_stream_hooked, EngineConfig, RunReport, ScheduleStream};
 use adrias_orchestrator::RandomPolicy;
 use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias_sim::TestbedConfig;
@@ -100,7 +100,7 @@ impl TraceBundle {
                     _ => o.runtime_s as f32,
                 };
                 records.push(PerfRecord {
-                    app: o.name.clone(),
+                    app: o.name.to_string(),
                     mode: o.mode,
                     history,
                     future_120,
@@ -139,7 +139,8 @@ pub fn collect_traces(
                     ..EngineConfig::default()
                 };
                 let mut policy = RandomPolicy::new(spec.seed);
-                run_schedule(testbed_cfg, engine, &schedule, &mut policy)
+                let mut stream = ScheduleStream::new(&schedule);
+                run_stream_hooked(testbed_cfg, engine, &mut stream, &[], &mut policy, &mut ())
             })
             .collect()
     });
@@ -205,7 +206,7 @@ mod tests {
                 reports[0]
                     .outcomes
                     .iter()
-                    .any(|o| o.name == r.app && (o.runtime_s as f32 - r.perf).abs() < 1e-3)
+                    .any(|o| o.name == r.app.as_str() && (o.runtime_s as f32 - r.perf).abs() < 1e-3)
             })
             .count();
         assert!(first_report_records <= total);

@@ -93,8 +93,7 @@ mod tests {
         if let Some((w, m)) = extra {
             pairs.push((w.clone(), m));
         }
-        let refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
-        ResourcePressure::compute(&cfg(), &refs)
+        ResourcePressure::compute(&cfg(), pairs.iter().map(|(w, m)| (w, *m)))
     }
 
     #[test]

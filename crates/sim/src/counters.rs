@@ -8,7 +8,7 @@
 use adrias_core::rng::Rng;
 
 use adrias_telemetry::{dist, Metric, MetricSample, MetricVec};
-use adrias_workloads::{MemoryMode, WorkloadProfile};
+use adrias_workloads::WorkloadProfile;
 
 use crate::config::TestbedConfig;
 use crate::interconnect::Interconnect;
@@ -33,19 +33,19 @@ const FLIT_RX_FRACTION: f32 = 0.6;
 
 /// Synthesizes the Watcher sample for one simulation step.
 ///
-/// `resident` lists the currently deployed `(workload, mode)` pairs, `p`
-/// is the pressure snapshot for this step and `time_s` the simulation
-/// clock. Noise is multiplicative with relative standard deviation
+/// `resident` lists the currently deployed workloads, `p` is the
+/// pressure snapshot for this step and `time_s` the simulation clock.
+/// Noise is multiplicative with relative standard deviation
 /// `cfg.noise_rel_std`.
-pub fn sample<R: Rng + ?Sized>(
+pub fn sample<'a, R: Rng + ?Sized>(
     cfg: &TestbedConfig,
-    resident: &[(&WorkloadProfile, MemoryMode)],
+    resident: impl Iterator<Item = &'a WorkloadProfile>,
     p: &ResourcePressure,
     time_s: f64,
     rng: &mut R,
 ) -> MetricSample {
     let mut llc_loads = 0.0f32;
-    for (w, _) in resident {
+    for w in resident {
         let d = w.demand();
         llc_loads += d.cpu_cores * LLC_LOADS_PER_CORE + d.llc_mb * LLC_LOADS_PER_LLC_MB;
     }
@@ -85,7 +85,7 @@ mod tests {
     use super::*;
     use adrias_core::rng::SeedableRng;
     use adrias_core::rng::Xoshiro256pp;
-    use adrias_workloads::{ibench, spark, IbenchKind};
+    use adrias_workloads::{ibench, spark, IbenchKind, MemoryMode};
 
     fn rng() -> Xoshiro256pp {
         Xoshiro256pp::seed_from_u64(7)
@@ -95,9 +95,9 @@ mod tests {
         pairs: &[(adrias_workloads::WorkloadProfile, MemoryMode)],
         cfg: &TestbedConfig,
     ) -> MetricSample {
-        let refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
-        let p = ResourcePressure::compute(cfg, &refs);
-        sample(cfg, &refs, &p, 0.0, &mut rng())
+        let refs = pairs.iter().map(|(w, m)| (w, *m));
+        let p = ResourcePressure::compute(cfg, refs.clone());
+        sample(cfg, refs.map(|(w, _)| w), &p, 0.0, &mut rng())
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use adrias_core::Name;
 use adrias_obs::registry::default_buckets;
 use adrias_obs::{Histogram, Registry};
 use adrias_telemetry::Metric;
@@ -40,7 +41,7 @@ pub struct SimMetrics {
     llc: Histogram,
     slowdown: Histogram,
     slowdown_bounds: Vec<f64>,
-    slowdown_per_app: BTreeMap<String, Histogram>,
+    slowdown_per_app: BTreeMap<Name, Histogram>,
 }
 
 impl Default for SimMetrics {
@@ -104,7 +105,7 @@ impl SimMetrics {
             let slowdown = f64::from(done.mean_slowdown);
             self.slowdown.observe(slowdown);
             self.slowdown_per_app
-                .entry(done.name.clone())
+                .entry(done.profile.name_handle().clone())
                 .or_insert_with(|| Histogram::new(self.slowdown_bounds.clone()))
                 .observe(slowdown);
         }

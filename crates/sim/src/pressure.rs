@@ -38,8 +38,7 @@ fn pressure_of(utilization: f32, onset: f32) -> f32 {
 /// let resident: Vec<_> = (0..16)
 ///     .map(|_| (stressor.clone(), MemoryMode::Remote))
 ///     .collect();
-/// let refs: Vec<_> = resident.iter().map(|(w, m)| (w, *m)).collect();
-/// let p = ResourcePressure::compute(&cfg, &refs);
+/// let p = ResourcePressure::compute(&cfg, resident.iter().map(|(w, m)| (w, *m)));
 /// assert!(p.link_latency_cycles > 800.0); // saturated channel
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,17 +82,21 @@ impl ResourcePressure {
         }
     }
 
-    /// Computes pressures for a set of resident `(workload, mode)` pairs.
+    /// Computes pressures for the resident `(workload, mode)` pairs.
     ///
-    /// The computation runs in two passes: node-level pressures first
-    /// (CPU, L2, LLC from aggregate demand), then the link, whose offered
-    /// load depends on the LLC pressure because cache misses of
-    /// remote-mode applications convert into channel traffic.
-    pub fn compute(cfg: &TestbedConfig, resident: &[(&WorkloadProfile, MemoryMode)]) -> Self {
+    /// The computation runs in two passes over `resident` (hence
+    /// `Clone`): node-level pressures first (CPU, L2, LLC from aggregate
+    /// demand), then the link, whose offered load depends on the LLC
+    /// pressure because cache misses of remote-mode applications convert
+    /// into channel traffic.
+    pub fn compute<'a>(
+        cfg: &TestbedConfig,
+        resident: impl Iterator<Item = (&'a WorkloadProfile, MemoryMode)> + Clone,
+    ) -> Self {
         let mut cpu_total = 0.0f32;
         let mut l2_total = 0.0f32;
         let mut llc_total = 0.0f32;
-        for (w, _) in resident {
+        for (w, _) in resident.clone() {
             let d = w.demand();
             cpu_total += d.cpu_cores;
             l2_total += d.l2_mb;
@@ -172,7 +175,7 @@ mod tests {
     fn single_app_exerts_no_meaningful_pressure() {
         let app = spark::by_name("gmm").unwrap();
         let resident = [(&app, MemoryMode::Local)];
-        let p = ResourcePressure::compute(&cfg(), &resident);
+        let p = ResourcePressure::compute(&cfg(), resident.into_iter());
         assert!(p.cpu < 0.1);
         assert!(p.llc < 0.1);
         assert!(p.mem_bw < 0.1);
@@ -184,8 +187,7 @@ mod tests {
         let pairs: Vec<(adrias_workloads::WorkloadProfile, MemoryMode)> = (0..16)
             .map(|_| (stressor.clone(), MemoryMode::Local))
             .collect();
-        let refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
-        let p = ResourcePressure::compute(&cfg(), &refs);
+        let p = ResourcePressure::compute(&cfg(), pairs.iter().map(|(w, m)| (w, *m)));
         assert!(
             p.llc > 1.0,
             "16 LLC stressors should pressure the LLC: {}",
@@ -201,8 +203,7 @@ mod tests {
             let pairs: Vec<_> = (0..n)
                 .map(|_| (stressor.clone(), MemoryMode::Remote))
                 .collect();
-            let refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
-            let p = ResourcePressure::compute(&cfg(), &refs);
+            let p = ResourcePressure::compute(&cfg(), pairs.iter().map(|(w, m)| (w, *m)));
             if saturated {
                 assert!(
                     p.link_latency_cycles > 750.0,
@@ -226,8 +227,7 @@ mod tests {
         let pairs: Vec<_> = (0..16)
             .map(|_| (stressor.clone(), MemoryMode::Local))
             .collect();
-        let refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
-        let p = ResourcePressure::compute(&cfg(), &refs);
+        let p = ResourcePressure::compute(&cfg(), pairs.iter().map(|(w, m)| (w, *m)));
         assert_eq!(p.link_utilization, 0.0);
         assert!(p.mem_bw > 0.0, "local traffic should pressure local DRAM");
     }
@@ -238,8 +238,7 @@ mod tests {
         let pairs: Vec<_> = (0..8)
             .map(|_| (stressor.clone(), MemoryMode::Remote))
             .collect();
-        let refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
-        let p = ResourcePressure::compute(&cfg(), &refs);
+        let p = ResourcePressure::compute(&cfg(), pairs.iter().map(|(w, m)| (w, *m)));
         assert!(
             p.local_traffic_gbps > 0.0,
             "delivered remote traffic must appear in local controllers"
@@ -261,8 +260,7 @@ mod tests {
         let pairs: Vec<_> = (0..500)
             .map(|_| (stressor.clone(), MemoryMode::Local))
             .collect();
-        let refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
-        let p = ResourcePressure::compute(&cfg(), &refs);
+        let p = ResourcePressure::compute(&cfg(), pairs.iter().map(|(w, m)| (w, *m)));
         assert!(p.llc <= 4.0 + 1e-6);
     }
 }

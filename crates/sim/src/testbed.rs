@@ -143,10 +143,8 @@ impl Deployment {
 pub struct CompletedApp {
     /// Deployment handle.
     pub id: DeploymentId,
-    /// Workload name.
-    pub name: String,
-    /// Workload class.
-    pub class: WorkloadClass,
+    /// The workload that ran, moved out of its deployment.
+    pub profile: WorkloadProfile,
     /// Memory mode it ran in.
     pub mode: MemoryMode,
     /// Arrival time, seconds.
@@ -330,12 +328,8 @@ impl Testbed {
 
     /// Pressure snapshot for the current resident set.
     pub fn pressure(&self) -> ResourcePressure {
-        let refs: Vec<_> = self
-            .resident
-            .values()
-            .map(|d| (&d.profile, d.mode))
-            .collect();
-        ResourcePressure::compute(&self.cfg, &refs)
+        let placements = self.resident.values().map(|d| (&d.profile, d.mode));
+        ResourcePressure::compute(&self.cfg, placements)
     }
 
     /// Instantaneous slowdown factor of a resident deployment.
@@ -350,25 +344,17 @@ impl Testbed {
     /// deployment's progress, collects completions (with sub-second
     /// completion-time interpolation) and synthesizes the Watcher sample.
     pub fn step(&mut self) -> StepReport {
-        // One reference vec serves both the pressure model and the
-        // counter synthesis — profiles are borrowed, never cloned, so
-        // the per-step cost is independent of profile size.
-        let refs: Vec<_> = self
-            .resident
-            .values()
-            .map(|d| (&d.profile, d.mode))
-            .collect();
-        let pressure = ResourcePressure::compute(&self.cfg, &refs);
+        let pressure = self.pressure();
         let sample = counters::sample(
             &self.cfg,
-            &refs,
+            self.resident.values().map(|d| &d.profile),
             &pressure,
             self.time_s + Self::STEP_S,
             &mut self.rng,
         );
         self.link_bytes_total += f64::from(pressure.link_delivered_gbps) * 1e9 / 8.0 * Self::STEP_S;
 
-        let mut finished = Vec::new();
+        let mut finished_at: Vec<(DeploymentId, f64)> = Vec::new();
         let step_start = self.time_s;
         for d in self.resident.values_mut() {
             let sd = slowdown(&d.profile, d.mode, &pressure);
@@ -388,23 +374,25 @@ impl Testbed {
                 } else {
                     1.0
                 };
-                let finished_s = step_start + frac * Self::STEP_S;
-                finished.push(CompletedApp {
-                    id: d.id,
-                    name: d.profile.name().to_owned(),
-                    class: d.profile.class(),
+                finished_at.push((d.id, step_start + frac * Self::STEP_S));
+            }
+        }
+        let finished = finished_at
+            .into_iter()
+            .map(|(id, finished_s)| {
+                let d = self.resident.remove(&id).expect("finished while resident");
+                CompletedApp {
+                    id,
                     mode: d.mode,
                     arrived_s: d.arrived_s,
                     finished_s,
                     runtime_s: finished_s - d.arrived_s,
                     mean_slowdown: d.env.mean_slowdown(),
                     average_env: d.env.average_env(d.mode),
-                });
-            }
-        }
-        for c in &finished {
-            self.resident.remove(&c.id);
-        }
+                    profile: d.profile,
+                }
+            })
+            .collect();
         self.time_s += Self::STEP_S;
         StepReport {
             time_s: self.time_s,

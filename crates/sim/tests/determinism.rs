@@ -15,7 +15,11 @@ fn same_seed_replays_identically() {
         for _ in 0..200 {
             let r = tb.step();
             samples.push(r.sample);
-            finished.extend(r.finished.into_iter().map(|c| (c.name, c.finished_s)));
+            finished.extend(
+                r.finished
+                    .into_iter()
+                    .map(|c| (c.profile.name().to_owned(), c.finished_s)),
+            );
         }
         (samples, finished, tb.link_bytes_total())
     };

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use adrias_core::Name;
+
 /// Memory allocation mode decided by the orchestrator for one deployment.
 ///
 /// ThymesisFlow exposes the lender's memory as a CPU-less NUMA node on the
@@ -35,14 +37,19 @@ impl MemoryMode {
             MemoryMode::Remote => [0.0, 1.0],
         }
     }
+
+    /// The tag exports and [`fmt::Display`] print: `local` / `remote`.
+    pub fn label(self) -> &'static str {
+        match self {
+            MemoryMode::Local => "local",
+            MemoryMode::Remote => "remote",
+        }
+    }
 }
 
 impl fmt::Display for MemoryMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MemoryMode::Local => f.write_str("local"),
-            MemoryMode::Remote => f.write_str("remote"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -57,13 +64,21 @@ pub enum WorkloadClass {
     Interference,
 }
 
+impl WorkloadClass {
+    /// The tag exports and [`fmt::Display`] print: `BE` / `LC` /
+    /// `iBench`.
+    pub fn label(self) -> &'static str {
+        match self {
+            WorkloadClass::BestEffort => "BE",
+            WorkloadClass::LatencyCritical => "LC",
+            WorkloadClass::Interference => "iBench",
+        }
+    }
+}
+
 impl fmt::Display for WorkloadClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WorkloadClass::BestEffort => f.write_str("BE"),
-            WorkloadClass::LatencyCritical => f.write_str("LC"),
-            WorkloadClass::Interference => f.write_str("iBench"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -107,7 +122,8 @@ pub struct Sensitivity {
 /// A complete description of one deployable workload.
 ///
 /// Profiles are immutable after construction; build them with
-/// [`WorkloadProfile::builder`].
+/// [`WorkloadProfile::builder`]. The name is a shared [`Name`], so
+/// cloning a profile never allocates.
 ///
 /// # Examples
 ///
@@ -126,7 +142,7 @@ pub struct Sensitivity {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
-    name: String,
+    name: Name,
     class: WorkloadClass,
     demand: ResourceDemand,
     sensitivity: Sensitivity,
@@ -138,7 +154,7 @@ pub struct WorkloadProfile {
 
 impl WorkloadProfile {
     /// Starts building a profile for `name` of the given `class`.
-    pub fn builder(name: impl Into<String>, class: WorkloadClass) -> WorkloadProfileBuilder {
+    pub fn builder(name: impl Into<Name>, class: WorkloadClass) -> WorkloadProfileBuilder {
         WorkloadProfileBuilder {
             profile: WorkloadProfile {
                 name: name.into(),
@@ -155,6 +171,12 @@ impl WorkloadProfile {
 
     /// Unique workload name (e.g. `nweight`, `redis`).
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The name as its shared handle, for records that outlive the
+    /// profile.
+    pub fn name_handle(&self) -> &Name {
         &self.name
     }
 

@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use adrias::orchestrator::engine::{run_schedule, EngineConfig, ScheduledArrival};
+use adrias::orchestrator::engine::{
+    run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+};
 use adrias::orchestrator::Policy;
 use adrias::scenarios::{train_stack, StackOptions};
 use adrias::sim::TestbedConfig;
@@ -46,14 +48,16 @@ fn main() {
         adrias::workloads::keyvalue::memcached(),
     ));
 
-    let report = run_schedule(
+    let report = run_stream_hooked(
         TestbedConfig::paper(),
         EngineConfig {
             qos_p99_ms: Some(5.0),
             ..EngineConfig::default()
         },
-        &arrivals,
+        &mut ScheduleStream::new(&arrivals),
+        &[],
         &mut policy,
+        &mut (),
     );
 
     println!(

@@ -1,7 +1,8 @@
 //! Workspace-level adaptation contract: the drift loop's exports —
 //! capture audits, drift events, swap records — are byte-identical
-//! across same-seed runs and training worker counts, and the disabled
-//! loop is bit-identical to a plain observed run.
+//! across same-seed runs and training worker counts, the disabled
+//! loop is bit-identical to a plain observed run, and a tracker riding
+//! along adds its residual histograms to the exports and nothing else.
 
 use adrias::obs::{export, ObsConfig, Observer};
 use adrias::scenarios::{
@@ -142,5 +143,77 @@ fn disabled_loop_exports_match_a_plain_observed_run() {
         export::to_chrome_trace(&plain_obs),
     ]) {
         assert_eq!(*a, b, "disabled loop must export identical bytes");
+    }
+
+    // A tracker riding along adds and removes nothing but its own
+    // residual histograms. One stable-link phase with the detectors'
+    // threshold out of reach (a firing detector legitimately adds a
+    // drift event to the trace), a QoS target set so the burn monitor
+    // runs, tracked vs untracked.
+    let stable = &corpus[..1];
+    let run = |track: bool| {
+        let mut cfg = DriftRunConfig {
+            track,
+            adapt: false,
+            qos_p99_ms: Some(5.0),
+            ..DriftRunConfig::default()
+        };
+        cfg.residual.drift.lambda = f64::MAX;
+        let mut policy = stack.policy(0.8, 5.0);
+        let mut obs = Observer::new(ObsConfig::default());
+        let result = run_drift_phases(&catalog, stable, &mut policy, &cfg, &mut obs);
+        assert_eq!(result.total_drifts(), 0);
+        (obs, result)
+    };
+    let (tracked, tracked_result) = run(true);
+    let (untracked, _) = run(false);
+    assert_eq!(
+        export::to_jsonl_spans(&tracked),
+        export::to_jsonl_spans(&untracked)
+    );
+    assert_eq!(
+        export::to_jsonl_events(&tracked),
+        export::to_jsonl_events(&untracked)
+    );
+    assert_eq!(
+        export::to_jsonl_decisions(&tracked),
+        export::to_jsonl_decisions(&untracked)
+    );
+    assert_eq!(
+        export::to_chrome_trace(&tracked),
+        export::to_chrome_trace(&untracked)
+    );
+    let tracked_metrics = export::to_jsonl_metrics(&tracked);
+    let (residual, shared): (Vec<&str>, Vec<&str>) = tracked_metrics
+        .lines()
+        .partition(|l| l.contains(r#""name":"adapt.residual."#));
+    assert!(!residual.is_empty(), "the tracker must have tracked");
+    assert_eq!(
+        shared,
+        export::to_jsonl_metrics(&untracked)
+            .lines()
+            .collect::<Vec<_>>(),
+        "tracking may only add adapt.residual.* histograms"
+    );
+
+    let report = &tracked_result.phases[0].report;
+    let admissions = report.outcomes.len() + report.unfinished;
+    for obs in [&tracked, &untracked] {
+        assert_eq!(
+            obs.registry.counter("engine.events_popped.arrival") as usize,
+            admissions
+        );
+        let waits = obs.registry.sketch("orchestrator.queue_wait_s");
+        assert_eq!(waits.map(|s| s.count() as usize), Some(admissions));
+        assert_eq!(obs.spans.len(), report.outcomes.len());
+        // The QoS target reaches the burn monitor on both branches.
+        for window in ["slo.burn.rate.60s", "slo.burn.rate.300s"] {
+            assert_eq!(
+                obs.registry.gauge(window),
+                tracked.registry.gauge(window),
+                "{window}"
+            );
+            assert!(obs.registry.gauge(window).is_some(), "{window} missing");
+        }
     }
 }

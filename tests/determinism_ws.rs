@@ -57,10 +57,10 @@ fn run_once(seed: u64, threads: usize) -> Vec<PolicyOutcome> {
 }
 
 /// The decision trace of one report: who ran, when, where.
-fn decision_trace(r: &RunReport) -> Vec<(String, MemoryMode, f64, f64)> {
+fn decision_trace(r: &RunReport) -> Vec<(&str, MemoryMode, f64, f64)> {
     r.outcomes
         .iter()
-        .map(|o| (o.name.clone(), o.mode, o.arrived_s, o.runtime_s))
+        .map(|o| (&*o.name, o.mode, o.arrived_s, o.runtime_s))
         .collect()
 }
 

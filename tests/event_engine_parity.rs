@@ -14,8 +14,8 @@ use std::sync::OnceLock;
 use adrias::nn::set_force_scalar;
 use adrias::obs::export::{to_jsonl_decisions, to_jsonl_events, to_jsonl_metrics, to_jsonl_spans};
 use adrias::obs::Observer;
-use adrias::orchestrator::engine::{run_schedule_observed_faulted, EngineConfig};
-use adrias::orchestrator::AdriasPolicy;
+use adrias::orchestrator::engine::{run_stream_hooked, EngineConfig, ScheduleStream};
+use adrias::orchestrator::{AdriasPolicy, ObservedRun};
 use adrias::scenarios::fuzz::replay_corpus;
 use adrias::scenarios::schedule::PlacementStyle;
 use adrias::scenarios::{
@@ -72,13 +72,13 @@ fn run_fingerprint(
     };
     let mut policy = policy(stack, workers);
     let mut obs = Observer::default();
-    let report = run_schedule_observed_faulted(
+    let report = run_stream_hooked(
         TestbedConfig::noiseless(),
         engine,
-        &schedule,
+        &mut ScheduleStream::new(&schedule),
         &[],
         &mut policy,
-        &mut obs,
+        &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
     );
     [
         format!("{report:?}"),
@@ -231,13 +231,13 @@ fn faulted_runs_are_deterministic() {
     let run = || {
         let mut policy = policy(stack, 1);
         let mut obs = Observer::default();
-        let report = run_schedule_observed_faulted(
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
-            &schedule,
+            &mut ScheduleStream::new(&schedule),
             &faults,
             &mut policy,
-            &mut obs,
+            &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
         );
         (format!("{report:?}"), to_jsonl_events(&obs))
     };

@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use adrias::core_util::prop::prelude::*;
-use adrias::orchestrator::engine::{run_schedule, EngineConfig};
+use adrias::orchestrator::engine::{run_stream_hooked, EngineConfig, ScheduleStream};
 use adrias::orchestrator::{AdriasPolicy, DecisionContext};
 use adrias::predictor::dataset::HISTORY_S;
 use adrias::scenarios::schedule::PlacementStyle;
@@ -64,7 +64,14 @@ fn report_bytes(
         ..EngineConfig::default()
     };
     let mut policy = policy(stack, workers, fast);
-    let report = run_schedule(TestbedConfig::noiseless(), engine, &schedule, &mut policy);
+    let report = run_stream_hooked(
+        TestbedConfig::noiseless(),
+        engine,
+        &mut ScheduleStream::new(&schedule),
+        &[],
+        &mut policy,
+        &mut (),
+    );
     format!("{report:?}")
 }
 

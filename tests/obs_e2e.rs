@@ -4,8 +4,10 @@
 
 use adrias::core_util::rng::{Rng, SeedableRng, Xoshiro256pp};
 use adrias::obs::{export, DecisionRule, ObsConfig, Observer};
-use adrias::orchestrator::engine::{run_schedule_observed, EngineConfig, ScheduledArrival};
-use adrias::orchestrator::AdriasPolicy;
+use adrias::orchestrator::engine::{
+    run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
+};
+use adrias::orchestrator::{AdriasPolicy, ObservedRun};
 use adrias::predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias::predictor::{
     PerfDataset, PerfModel, PerfModelConfig, SystemStateDataset, SystemStateModel,
@@ -134,12 +136,14 @@ fn engine() -> EngineConfig {
 fn exports_with_workers(workers: usize) -> (Observer, [String; 5]) {
     let mut policy = policy_with_workers(workers);
     let mut obs = Observer::new(ObsConfig::default());
-    let _ = run_schedule_observed(
+    let engine = engine();
+    let _ = run_stream_hooked(
         TestbedConfig::noiseless(),
-        engine(),
-        &schedule(),
+        engine,
+        &mut ScheduleStream::new(&schedule()),
+        &[],
         &mut policy,
-        &mut obs,
+        &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
     );
     let docs = [
         export::to_jsonl_events(&obs),
@@ -200,6 +204,11 @@ fn every_decision_is_audited_once_with_margin() {
     adrias::obs::validate_jsonl_metrics(&docs[2]).expect("metrics");
     adrias::obs::validate_chrome_trace(&docs[3]).expect("trace");
     adrias::obs::validate_jsonl_spans(&docs[4]).expect("spans");
+    // `engine()` sets a QoS target, so the SLO burn monitor rode the run.
+    assert!(
+        docs[2].contains("slo.burn.rate.60s"),
+        "metrics export must carry the burn-rate gauges"
+    );
 
     // One closed lifecycle span per arrival, and every audited
     // deployment id reappears in its span tree.

@@ -111,7 +111,7 @@ proptest! {
             .collect();
         let mut refs: Vec<_> = pairs.iter().map(|(w, m)| (w, *m)).collect();
         refs.push((&app, MemoryMode::Remote));
-        let p = ResourcePressure::compute(&cfg, &refs);
+        let p = ResourcePressure::compute(&cfg, refs.iter().copied());
         let local = adrias::sim::slowdown(&app, MemoryMode::Local, &p);
         let remote = adrias::sim::slowdown(&app, MemoryMode::Remote, &p);
         prop_assert!(local >= 1.0 - 1e-5);
