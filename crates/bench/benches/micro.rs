@@ -379,7 +379,7 @@ fn bench_worker_scaling(h: &mut Harness) {
 ///   per-completion work, no per-step metrics), the cost the "tracing
 ///   with no exporter stays ≤ 5%" claim is about;
 /// * `observed` — the full [`adrias_obs::Observer`] including per-step
-///   pressure/latency histograms.
+///   pressure/latency sketches.
 ///
 /// Whole-run wall times on a shared machine drift by far more than the
 /// overhead being measured, so on top of the absolute sections the
@@ -523,11 +523,11 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     (Some(traced), Some(observed))
 }
 
-/// Lifecycle spans + quantile sketches on vs off, over the same dense
-/// observed run. Both legs carry the full [`adrias_obs::Observer`]
-/// (audit, trace, histograms, flight recorder); the only difference is
-/// `ObsConfig::record_spans`, which gates span open/close bookkeeping
-/// and the queue-wait / slowdown sketch observes.
+/// Lifecycle spans + the queue-wait sketch on vs off, over the same
+/// dense observed run. Both legs carry the full [`adrias_obs::Observer`]
+/// (audit, trace, per-step sketches, flight recorder); the only
+/// difference is `ObsConfig::record_spans`, which gates span open/close
+/// bookkeeping and the queue-wait sketch observe.
 ///
 /// Like [`bench_obs_overhead`], the derived `span_overhead_x` metric is
 /// the median on/off ratio over interleaved A/B rounds so machine drift

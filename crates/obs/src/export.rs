@@ -358,8 +358,7 @@ pub fn to_jsonl_adaptation(obs: &Observer) -> String {
 }
 
 /// Renders the metrics registry as JSONL: counters, then gauges, then
-/// histogram summaries, then quantile-sketch summaries, each in name
-/// order.
+/// distribution (sketch) summaries, each in name order.
 pub fn to_jsonl_metrics(obs: &Observer) -> String {
     let mut out = String::new();
     for (name, v) in obs.registry.counters() {
@@ -378,28 +377,15 @@ pub fn to_jsonl_metrics(obs: &Observer) -> String {
             num_f64(v)
         );
     }
-    for (name, h) in obs.registry.histograms() {
-        let _ = writeln!(
-            out,
-            r#"{{"type":"histogram","name":{},"count":{},"mean":{},"std":{},"min":{},"max":{},"p50":{},"p95":{},"p99":{}}}"#,
-            escape(name),
-            h.count(),
-            num_f32(h.mean()),
-            num_f32(h.std_dev()),
-            num_f64(h.min()),
-            num_f64(h.max()),
-            num_f64(h.quantile(0.5)),
-            num_f64(h.quantile(0.95)),
-            num_f64(h.quantile(0.99)),
-        );
-    }
     for (name, s) in obs.registry.sketches() {
         let _ = writeln!(
             out,
-            r#"{{"type":"sketch","name":{},"count":{},"zero":{},"min":{},"max":{},"p50":{},"p95":{},"p99":{},"buckets":{}}}"#,
+            r#"{{"type":"sketch","name":{},"count":{},"nonfinite":{},"zero":{},"mean":{},"min":{},"max":{},"p50":{},"p95":{},"p99":{},"buckets":{}}}"#,
             escape(name),
             s.count(),
+            s.nonfinite(),
             s.zero_count(),
+            num_f64(s.mean()),
             num_f64(s.min()),
             num_f64(s.max()),
             num_f64(s.quantile(0.5)),
@@ -840,12 +826,10 @@ mod tests {
     }
 
     #[test]
-    fn sketch_lines_follow_histograms_in_metrics_jsonl() {
+    fn sketch_lines_follow_gauges_in_metrics_jsonl() {
         let mut obs = sample_observer();
-        obs.registry
-            .sketch_observe("orchestrator.queue_wait_s", 0.5);
-        obs.registry
-            .sketch_observe("orchestrator.queue_wait_s", 1.5);
+        obs.registry.observe("orchestrator.queue_wait_s", 0.5);
+        obs.registry.observe("orchestrator.queue_wait_s", 1.5);
         let text = to_jsonl_metrics(&obs);
         let kinds: Vec<String> = text
             .lines()
@@ -860,12 +844,14 @@ mod tests {
             })
             .collect();
         let first_sketch = kinds.iter().position(|k| k == "sketch").unwrap();
-        assert!(kinds[..first_sketch].iter().all(|k| k != "sketch"));
-        assert!(kinds[..first_sketch].iter().any(|k| k == "histogram"));
+        assert_eq!(kinds[first_sketch - 1], "gauge");
+        assert!(kinds[first_sketch..].iter().all(|k| k == "sketch"));
         let sketch_line = text.lines().nth(first_sketch).unwrap();
         let doc = json::parse(sketch_line).unwrap();
         assert_eq!(doc.get("count").unwrap().as_num(), Some(2.0));
+        assert_eq!(doc.get("nonfinite").unwrap().as_num(), Some(0.0));
         assert_eq!(doc.get("zero").unwrap().as_num(), Some(0.0));
+        assert!((doc.get("mean").unwrap().as_num().unwrap() - 1.0).abs() < 1.0 / 256.0);
         assert!(doc.get("p99").unwrap().as_num().unwrap() <= 1.5);
     }
 

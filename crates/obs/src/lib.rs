@@ -8,11 +8,12 @@
 //!   clock** (never the wall clock), held in a bounded ring with an
 //!   explicit overflow counter. Two same-seed runs produce
 //!   byte-identical traces at any worker count.
-//! * [`registry`] — named counters, gauges, and fixed-bucket
-//!   histograms registered by the sim (testbed steps, contention
-//!   slowdowns, interconnect traffic), the orchestrator (decisions per
-//!   policy, drain time) and the predictor/nn layers (epoch loss,
-//!   minibatch throughput, gradient-chunk counts).
+//! * [`registry`] — named counters, gauges, and distributions (one
+//!   type: the mergeable [`Sketch`]) registered by the sim (testbed
+//!   steps, contention slowdowns, interconnect traffic), the
+//!   orchestrator (decisions per policy, drain time) and the
+//!   predictor/nn layers (epoch loss, minibatch throughput,
+//!   gradient-chunk counts).
 //! * [`audit`] — one [`DecisionRecord`] per orchestration decision:
 //!   the Watcher window the policy saw, the predicted local/remote
 //!   performance, the β-slack or QoS margin, and whether the decision
@@ -64,7 +65,7 @@ pub use export::{
 };
 pub use flight::{FlightEntry, FlightRecorder};
 pub use observer::{ObsConfig, Observer};
-pub use registry::{Histogram, Registry};
+pub use registry::Registry;
 pub use report::render_report;
 pub use sketch::Sketch;
 pub use spans::{LifecycleSpan, SpanStore};

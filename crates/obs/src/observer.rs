@@ -68,7 +68,7 @@ impl Default for ObsConfig {
 pub struct Observer {
     /// Deterministic event trace.
     pub tracer: Tracer,
-    /// Counters, gauges, histograms.
+    /// Counters, gauges, distributions.
     pub registry: Registry,
     /// Orchestration decision audit trail.
     pub audit: AuditTrail,
@@ -320,14 +320,25 @@ mod tests {
         obs.record_train_stats("predictor.system", &stats, &[0.9, 0.4]);
         assert_eq!(obs.registry.counter("predictor.system.epochs"), 1);
         assert_eq!(obs.registry.counter("predictor.system.grad_chunks"), 4);
-        assert_eq!(
-            obs.registry
-                .histogram("predictor.system.epoch_loss")
-                .unwrap()
-                .count(),
-            2
-        );
+        let losses = obs.registry.sketch("predictor.system.epoch_loss").unwrap();
+        assert_eq!(losses.count(), 2);
         let last = obs.registry.gauge("predictor.system.final_loss").unwrap();
         assert!((last - 0.4f64).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_nan_epoch_loss_is_counted_and_the_export_still_validates() {
+        let mut obs = Observer::default();
+        obs.record_train_stats("predictor.be", &TrainStats::new(), &[0.9, f32::NAN, 0.4]);
+        let text = crate::export::to_jsonl_metrics(&obs);
+        assert_eq!(
+            crate::validate_jsonl_metrics(&text),
+            Ok(text.lines().count())
+        );
+        let line = text.lines().find(|l| l.contains("epoch_loss")).unwrap();
+        assert!(
+            line.contains(r#""count":2,"nonfinite":1,"#) && !line.contains("null"),
+            "{line}"
+        );
     }
 }

@@ -1,179 +1,18 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms.
+//! The metrics registry: named counters, gauges and distributions.
 //!
 //! Components register metrics under dotted names (`sim.steps`,
 //! `orchestrator.decisions.local`, `predictor.system.epoch_loss`).
 //! Storage is `BTreeMap`-backed so every export iterates in a stable
 //! order — a prerequisite for byte-identical JSONL across runs.
 //!
-//! Histograms use **fixed bucket boundaries** chosen at registration:
-//! observation is O(log buckets) and the memory footprint is constant,
-//! which is what lets the engine observe every simulated second of a
-//! long run. Mean/σ come from the Welford accumulator in
-//! `adrias_telemetry::stats`; quantiles are interpolated from the bucket
-//! counts.
+//! Every distribution is a [`Sketch`]: one global log-bucket layout, so
+//! there is no bucket table to pick at registration, observation is a
+//! binary search over the occupied buckets, and cross-worker merges are
+//! exact.
 
 use std::collections::BTreeMap;
 
-use adrias_telemetry::stats::OnlineStats;
-
 use crate::sketch::Sketch;
-
-/// Default histogram boundaries: a log10 grid from `1e-3` to `1e12`,
-/// three buckets per decade. Wide enough for cycle latencies (~1e2),
-/// flit counts (~1e8) and slowdown factors (~1e0) alike.
-pub fn default_buckets() -> Vec<f64> {
-    let mut bounds = Vec::with_capacity(46);
-    for decade in -3..=11 {
-        for mantissa in [1.0, 2.0, 5.0] {
-            bounds.push(mantissa * 10f64.powi(decade));
-        }
-    }
-    bounds.push(1e12);
-    bounds
-}
-
-/// A fixed-bucket histogram with exact count/mean/σ and interpolated
-/// quantiles.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    /// `counts[i]` counts samples in `(bounds[i-1], bounds[i]]`;
-    /// `counts[bounds.len()]` is the overflow bucket.
-    counts: Vec<u64>,
-    stats: OnlineStats,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given strictly increasing upper
-    /// bucket boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bucket bounds must be strictly increasing"
-        );
-        let n = bounds.len();
-        Self {
-            bounds,
-            counts: vec![0; n + 1],
-            stats: OnlineStats::new(),
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, v: f64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.counts[idx] += 1;
-        self.stats.push(v as f32);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Mean of all observations.
-    pub fn mean(&self) -> f32 {
-        self.stats.mean()
-    }
-
-    /// Population standard deviation of all observations.
-    pub fn std_dev(&self) -> f32 {
-        self.stats.std_dev()
-    }
-
-    /// Smallest observation (`0.0` when empty).
-    pub fn min(&self) -> f64 {
-        if self.count() == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (`0.0` when empty).
-    pub fn max(&self) -> f64 {
-        if self.count() == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Bucket boundaries.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (the final entry is the overflow bucket).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Folds another histogram with identical bucket boundaries into
-    /// this one, as if its observations had been recorded here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket boundaries differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different buckets"
-        );
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.stats.merge(&other.stats);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The `q`-quantile (`0 ≤ q ≤ 1`) estimated by linear interpolation
-    /// inside the containing bucket, clamped to the observed min/max.
-    /// Returns `0.0` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = q * (total as f64 - 1.0);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if (seen + c) as f64 > rank {
-                let lo = if i == 0 { self.min } else { self.bounds[i - 1] };
-                let hi = if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max
-                };
-                let frac = (rank - seen as f64 + 0.5) / c as f64;
-                return (lo + frac * (hi - lo)).clamp(self.min, self.max);
-            }
-            seen += c;
-        }
-        self.max
-    }
-}
 
 /// The metrics registry.
 ///
@@ -187,13 +26,12 @@ impl Histogram {
 /// reg.gauge_set("engine.end_time_s", 720.0);
 /// reg.observe("sim.slowdown", 1.8);
 /// assert_eq!(reg.counter("sim.steps"), 1);
-/// assert_eq!(reg.histogram("sim.slowdown").unwrap().count(), 1);
+/// assert_eq!(reg.sketch("sim.slowdown").unwrap().count(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     sketches: BTreeMap<String, Sketch>,
 }
 
@@ -233,81 +71,9 @@ impl Registry {
         self.gauges.get(name).copied()
     }
 
-    /// Records `v` into the named histogram, creating it with
-    /// [`default_buckets`] on first use.
+    /// Records `v` into the named distribution, creating it on first
+    /// use.
     pub fn observe(&mut self, name: &str, v: f64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.observe(v),
-            None => {
-                let mut h = Histogram::new(default_buckets());
-                h.observe(v);
-                self.histograms.insert(name.to_owned(), h);
-            }
-        }
-    }
-
-    /// Records `v` into the named histogram, creating it with custom
-    /// `bounds` on first use (later calls ignore `bounds`).
-    pub fn observe_with(&mut self, name: &str, bounds: &[f64], v: f64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.observe(v),
-            None => {
-                let mut h = Histogram::new(bounds.to_vec());
-                h.observe(v);
-                self.histograms.insert(name.to_owned(), h);
-            }
-        }
-    }
-
-    /// Folds a pre-accumulated histogram into the named one (adopting a
-    /// clone of it on first use). Lets hot loops accumulate into a
-    /// lookup-free local histogram and pay one registry access per run.
-    /// Empty histograms are ignored so exports only carry observed
-    /// metrics.
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        if h.count() == 0 {
-            return;
-        }
-        match self.histograms.get_mut(name) {
-            Some(dst) => dst.merge(h),
-            None => {
-                self.histograms.insert(name.to_owned(), h.clone());
-            }
-        }
-    }
-
-    /// Folds every metric of `other` into this registry: counters add,
-    /// histograms merge bucket-wise (via [`Histogram::merge`], so
-    /// mean/σ come out as if all observations had landed here), and
-    /// gauges take `other`'s value (last-merge-wins). Merging
-    /// per-scenario registries in a fixed scenario order therefore
-    /// yields a cross-scenario view that is independent of how the
-    /// scenarios were scheduled across worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a histogram name exists in both registries with
-    /// different bucket boundaries.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, v) in other.counters() {
-            self.counter_add(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.gauge_set(name, v);
-        }
-        for (name, h) in other.histograms() {
-            self.merge_histogram(name, h);
-        }
-        for (name, s) in other.sketches() {
-            self.merge_sketch(name, s);
-        }
-    }
-
-    /// Records `v` into the named quantile sketch, creating it on first
-    /// use. Sketches share one global log-bucket layout (see
-    /// [`crate::sketch`]), so unlike [`Registry::observe`] there is no
-    /// bounds choice to make and cross-worker merges stay exact.
-    pub fn sketch_observe(&mut self, name: &str, v: f64) {
         match self.sketches.get_mut(name) {
             Some(s) => s.observe(v),
             None => {
@@ -318,7 +84,26 @@ impl Registry {
         }
     }
 
-    /// The named quantile sketch, if any sample was recorded.
+    /// Folds every metric of `other` into this registry: counters add,
+    /// sketches merge exactly (via [`Sketch::merge`], as if all samples
+    /// had landed here), and gauges take `other`'s value
+    /// (last-merge-wins). Merging per-scenario registries in a fixed
+    /// scenario order therefore yields a cross-scenario view that is
+    /// independent of how the scenarios were scheduled across worker
+    /// threads.
+    pub fn merge(&mut self, other: &Registry) {
+        for (name, v) in other.counters() {
+            self.counter_add(name, v);
+        }
+        for (name, v) in other.gauges() {
+            self.gauge_set(name, v);
+        }
+        for (name, s) in other.sketches() {
+            self.merge_sketch(name, s);
+        }
+    }
+
+    /// The named distribution, if any sample was recorded.
     pub fn sketch(&self, name: &str) -> Option<&Sketch> {
         self.sketches.get(name)
     }
@@ -329,7 +114,10 @@ impl Registry {
     }
 
     /// Folds a pre-accumulated sketch into the named one (adopting a
-    /// clone on first use). Empty sketches are ignored.
+    /// clone on first use). Lets hot loops accumulate into a
+    /// lookup-free local sketch and pay one registry access per run.
+    /// Empty sketches are ignored so exports only carry observed
+    /// metrics.
     pub fn merge_sketch(&mut self, name: &str, s: &Sketch) {
         if s.is_empty() {
             return;
@@ -342,11 +130,6 @@ impl Registry {
         }
     }
 
-    /// The named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -357,17 +140,9 @@ impl Registry {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.sketches.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.sketches.is_empty()
     }
 }
 
@@ -389,38 +164,17 @@ mod tests {
     }
 
     #[test]
-    fn histogram_tracks_exact_moments() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        for v in [0.5, 2.0, 2.0, 50.0, 500.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.counts(), &[1, 2, 1, 1]);
-        assert!((f64::from(h.mean()) - 110.9).abs() < 0.1);
-        assert_eq!(h.min(), 0.5);
-        assert_eq!(h.max(), 500.0);
-    }
-
-    #[test]
     fn quantiles_are_monotone_and_clamped() {
-        let mut h = Histogram::new(default_buckets());
+        let mut reg = Registry::new();
         for i in 1..=1000 {
-            h.observe(f64::from(i));
+            reg.observe("h", f64::from(i));
         }
-        let q50 = h.quantile(0.5);
-        let q95 = h.quantile(0.95);
-        let q99 = h.quantile(0.99);
+        let h = reg.sketch("h").unwrap();
+        let (q50, q95, q99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
         assert!(q50 <= q95 && q95 <= q99, "{q50} {q95} {q99}");
-        assert!((400.0..=600.0).contains(&q50), "median estimate {q50}");
+        assert!((496.0..=505.0).contains(&q50), "median estimate {q50}");
         assert!(q99 <= 1000.0);
-        assert_eq!(Histogram::new(vec![1.0]).quantile(0.99), 0.0);
-    }
-
-    #[test]
-    fn bucket_boundary_is_inclusive_upper() {
-        let mut h = Histogram::new(vec![1.0, 2.0]);
-        h.observe(1.0);
-        assert_eq!(h.counts(), &[1, 0, 0]);
+        assert!(h.min() <= h.mean() && h.mean() <= h.max());
     }
 
     #[test]
@@ -433,54 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn observe_with_keeps_first_bounds() {
-        let mut reg = Registry::new();
-        reg.observe_with("h", &[10.0], 3.0);
-        reg.observe_with("h", &[99.0], 30.0);
-        let h = reg.histogram("h").unwrap();
-        assert_eq!(h.bounds(), &[10.0]);
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_bounds_rejected() {
-        let _ = Histogram::new(vec![2.0, 1.0]);
-    }
-
-    #[test]
-    fn histogram_merge_matches_direct_observation() {
-        let bounds = vec![1.0, 10.0, 100.0];
-        let mut whole = Histogram::new(bounds.clone());
-        let mut a = Histogram::new(bounds.clone());
-        let mut b = Histogram::new(bounds.clone());
-        for v in [0.5, 2.0, 50.0] {
-            whole.observe(v);
-            a.observe(v);
-        }
-        for v in [2.0, 500.0] {
-            whole.observe(v);
-            b.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.counts(), whole.counts());
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-5);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
     fn registry_merge_adopts_and_skips_empty() {
         let mut reg = Registry::new();
-        let empty = Histogram::new(vec![1.0]);
-        reg.merge_histogram("h", &empty);
-        assert!(reg.histogram("h").is_none(), "empty merges leave no trace");
-        let mut h = Histogram::new(vec![1.0]);
+        reg.merge_sketch("h", &Sketch::new());
+        assert!(reg.sketch("h").is_none(), "empty merges leave no trace");
+        let mut h = Sketch::new();
         h.observe(0.5);
-        reg.merge_histogram("h", &h);
-        reg.merge_histogram("h", &h);
-        assert_eq!(reg.histogram("h").unwrap().count(), 2);
+        reg.merge_sketch("h", &h);
+        reg.merge_sketch("h", &h);
+        assert_eq!(reg.sketch("h").unwrap().count(), 2);
     }
 
     #[test]
@@ -498,7 +213,7 @@ mod tests {
         assert_eq!(a.counter("c"), 5);
         assert_eq!(a.counter("only_b"), 1);
         assert_eq!(a.gauge("g"), Some(-4.0), "gauges are last-merge-wins");
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
+        assert_eq!(a.sketch("h").unwrap().count(), 2);
         a.merge(&Registry::new());
         assert_eq!(a.counter("c"), 5);
     }
@@ -518,11 +233,11 @@ mod tests {
         assert_eq!(a.counter("b.count"), 3);
         assert_eq!(a.gauge("a.gauge"), Some(1.5));
         assert_eq!(a.gauge("b.gauge"), Some(-0.5));
-        assert_eq!(a.histogram("a.hist").unwrap().count(), 1);
-        assert_eq!(a.histogram("b.hist").unwrap().count(), 1);
+        assert_eq!(a.sketch("a.hist").unwrap().count(), 1);
+        assert_eq!(a.sketch("b.hist").unwrap().count(), 1);
         // `b` was only read from.
         assert_eq!(b.counter("b.count"), 3);
-        assert!(b.histogram("a.hist").is_none());
+        assert!(b.sketch("a.hist").is_none());
     }
 
     #[test]
@@ -537,13 +252,13 @@ mod tests {
         empty.merge(&populated);
         assert_eq!(empty.counter("c"), 4);
         assert_eq!(empty.gauge("g"), Some(2.0));
-        assert_eq!(empty.histogram("h").unwrap().count(), 1);
+        assert_eq!(empty.sketch("h").unwrap().count(), 1);
 
         // ...and populated.merge(empty) changes nothing.
         populated.merge(&Registry::new());
         assert_eq!(populated.counter("c"), 4);
         assert_eq!(populated.gauge("g"), Some(2.0));
-        assert_eq!(populated.histogram("h").unwrap().count(), 1);
+        assert_eq!(populated.sketch("h").unwrap().count(), 1);
 
         // Two empties stay empty.
         let mut x = Registry::new();
@@ -552,66 +267,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different buckets")]
-    fn merge_rejects_mismatched_buckets() {
-        let mut a = Histogram::new(vec![1.0]);
-        a.merge(&Histogram::new(vec![2.0]));
-    }
-
-    #[test]
-    fn empty_histogram_quantiles_and_moments_read_zero() {
-        let h = Histogram::new(default_buckets());
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0.0, "q{q} on empty");
-        }
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-    }
-
-    #[test]
-    fn single_bucket_histogram_interpolates_within_observed_range() {
-        // One bucket bound: everything below 10 lands in bucket 0, and
-        // quantiles must interpolate inside [min, max], never escape it.
-        let mut h = Histogram::new(vec![10.0]);
-        for v in [2.0, 4.0, 6.0] {
-            h.observe(v);
-        }
-        for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let est = h.quantile(q);
-            assert!((2.0..=6.0).contains(&est), "q{q} escaped range: {est}");
-        }
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
-    }
-
-    #[test]
     fn merge_after_empty_is_identical_to_the_source() {
-        let mut src = Histogram::new(vec![1.0, 10.0]);
+        let mut src = Registry::new();
         for v in [0.5, 5.0, 50.0] {
-            src.observe(v);
+            src.observe("h", v);
         }
         // empty.merge(src) must behave exactly like src for every read.
-        let mut dst = Histogram::new(vec![1.0, 10.0]);
+        let mut dst = Registry::new();
         dst.merge(&src);
-        assert_eq!(dst.counts(), src.counts());
-        assert_eq!(dst.count(), src.count());
-        assert_eq!(dst.min(), src.min());
-        assert_eq!(dst.max(), src.max());
-        for q in [0.0, 0.5, 0.99] {
-            assert_eq!(dst.quantile(q).to_bits(), src.quantile(q).to_bits());
-        }
-        // ...and merging an empty histogram afterwards changes nothing.
-        dst.merge(&Histogram::new(vec![1.0, 10.0]));
-        assert_eq!(dst.counts(), src.counts());
-        assert_eq!(dst.min(), src.min());
+        assert_eq!(dst.sketch("h"), src.sketch("h"));
+        // ...and merging an empty registry afterwards changes nothing.
+        dst.merge(&Registry::new());
+        assert_eq!(dst.sketch("h"), src.sketch("h"));
     }
 
     #[test]
     fn p99_on_a_single_sample_returns_that_sample() {
-        let mut h = Histogram::new(default_buckets());
-        h.observe(3.7);
-        // rank = q * (1 - 1) = 0 for every q: the clamp to [min, max]
-        // must pin all quantiles to the lone observation.
+        // The first observe of a name creates the sketch *and* records
+        // the sample; a lone sample pins every quantile.
+        let mut reg = Registry::new();
+        reg.observe("h", 3.7);
+        let h = reg.sketch("h").unwrap();
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 3.7, "q{q}");
         }
@@ -620,21 +296,17 @@ mod tests {
     #[test]
     fn registry_sketches_record_merge_and_iterate_in_name_order() {
         let mut a = Registry::new();
-        a.sketch_observe("z.lat", 1.0);
-        a.sketch_observe("a.lat", 2.0);
+        a.observe("z.lat", 1.0);
+        a.observe("a.lat", 2.0);
         let names: Vec<&str> = a.sketches().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a.lat", "z.lat"]);
         assert_eq!(a.sketch("a.lat").unwrap().count(), 1);
         assert!(a.sketch("missing").is_none());
 
         let mut b = Registry::new();
-        b.sketch_observe("a.lat", 4.0);
+        b.observe("a.lat", 4.0);
         a.merge(&b);
         assert_eq!(a.sketch("a.lat").unwrap().count(), 2);
-
-        // Empty sketches leave no trace, mirroring merge_histogram.
-        a.merge_sketch("ghost", &Sketch::new());
-        assert!(a.sketch("ghost").is_none());
         assert!(!a.is_empty());
         assert!(Registry::new().is_empty());
     }

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use crate::observer::Observer;
 
-/// Histogram-name prefix under which the sim observer records per-app
+/// Name prefix under which the sim observer records per-app
 /// contention slowdowns; the report ranks these as "top slowdown
 /// sources".
 pub const SLOWDOWN_PREFIX: &str = "sim.slowdown.app.";
@@ -180,9 +180,9 @@ fn render_near_flips(out: &mut String, obs: &Observer) {
 }
 
 fn render_slowdown_sources(out: &mut String, obs: &Observer) {
-    let mut sources: Vec<(&str, f32, u64)> = obs
+    let mut sources: Vec<(&str, f64, u64)> = obs
         .registry
-        .histograms()
+        .sketches()
         .filter_map(|(name, h)| {
             name.strip_prefix(SLOWDOWN_PREFIX)
                 .map(|app| (app, h.mean(), h.count()))
@@ -212,21 +212,14 @@ fn render_metrics(out: &mut String, obs: &Observer) {
     for (name, v) in obs.registry.gauges() {
         let _ = writeln!(out, "  gauge   {name:<38} {v}");
     }
-    for (name, h) in obs.registry.histograms() {
-        let _ = writeln!(
-            out,
-            "  hist    {name:<38} n={} mean={:.4} p95={:.4}",
-            h.count(),
-            h.mean(),
-            h.quantile(0.95)
-        );
-    }
     for (name, s) in obs.registry.sketches() {
         let _ = writeln!(
             out,
-            "  sketch  {name:<38} n={} p50={:.4} p99={:.4}",
+            "  sketch  {name:<38} n={} mean={:.4} p50={:.4} p95={:.4} p99={:.4}",
             s.count(),
+            s.mean(),
             s.quantile(0.5),
+            s.quantile(0.95),
             s.quantile(0.99)
         );
     }
@@ -327,8 +320,7 @@ mod tests {
             violations: 3,
             total: 5,
         });
-        obs.registry
-            .sketch_observe("orchestrator.queue_wait_s", 0.25);
+        obs.registry.observe("orchestrator.queue_wait_s", 0.25);
         let text = render_report(&obs);
         assert!(text.contains("SLO burn alerts: 1"));
         assert!(text.contains("window    60s rate 60%"));

@@ -301,30 +301,37 @@ pub fn validate_jsonl_metrics(text: &str) -> Result<usize, ValidateError> {
             "counter" | "gauge" => {
                 require_num(&doc, "value", line_no)?;
             }
-            "histogram" => {
-                let n = require_num(&doc, "count", line_no)?;
-                if n < 1.0 {
-                    return Err(err(line_no, "histogram with no observations exported"));
-                }
-                for key in ["mean", "std", "min", "max", "p50", "p95", "p99"] {
-                    require_num(&doc, key, line_no)?;
-                }
-            }
             "sketch" => {
                 let n = require_num(&doc, "count", line_no)?;
-                if n < 1.0 {
+                let nonfinite = require_num(&doc, "nonfinite", line_no)?;
+                if nonfinite < 0.0 {
+                    return Err(err(line_no, "negative `nonfinite` count"));
+                }
+                if n < 1.0 && nonfinite < 1.0 {
                     return Err(err(line_no, "sketch with no samples exported"));
                 }
-                for key in ["zero", "min", "max", "buckets"] {
+                for key in ["zero", "buckets"] {
                     require_num(&doc, key, line_no)?;
                 }
+                let min = require_num(&doc, "min", line_no)?;
                 let p50 = require_num(&doc, "p50", line_no)?;
                 let p95 = require_num(&doc, "p95", line_no)?;
                 let p99 = require_num(&doc, "p99", line_no)?;
-                if p50 > p95 || p95 > p99 {
+                let max = require_num(&doc, "max", line_no)?;
+                if !(min <= p50 && p50 <= p95 && p95 <= p99 && p99 <= max) {
                     return Err(err(
                         line_no,
-                        format!("sketch quantiles not monotone ({p50}, {p95}, {p99})"),
+                        format!(
+                            "sketch quantiles not monotone within [min, max] \
+                             ({min}, {p50}, {p95}, {p99}, {max})"
+                        ),
+                    ));
+                }
+                let mean = require_num(&doc, "mean", line_no)?;
+                if !(min <= mean && mean <= max) {
+                    return Err(err(
+                        line_no,
+                        format!("sketch mean {mean} outside [{min}, {max}]"),
                     ));
                 }
             }
@@ -854,21 +861,53 @@ mod tests {
 
     #[test]
     fn metrics_validator_accepts_sketches_and_rejects_bad_ones() {
-        let mut obs = observer();
-        obs.registry.sketch_observe("orchestrator.slowdown", 1.4);
-        let n = validate_jsonl_metrics(&export::to_jsonl_metrics(&obs)).unwrap();
-        assert!(n >= 6, "expected sketch line to count, got {n}");
+        let text = export::to_jsonl_metrics(&observer());
+        assert!(text.contains(r#"{"type":"sketch","name":"sim.slowdown","count":1,"#));
+        assert_eq!(validate_jsonl_metrics(&text), Ok(text.lines().count()));
 
-        let empty_sketch = r#"{"type":"sketch","name":"s","count":0,"zero":0,"min":0,"max":0,"p50":0,"p95":0,"p99":0,"buckets":0}"#;
-        assert!(validate_jsonl_metrics(empty_sketch)
+        // A sketch that saw only non-finite samples still exports.
+        let only_nan = r#"{"type":"sketch","name":"s","count":0,"nonfinite":2,"zero":0,"mean":0,"min":0,"max":0,"p50":0,"p95":0,"p99":0,"buckets":0}"#;
+        assert_eq!(validate_jsonl_metrics(only_nan), Ok(1));
+
+        let line = |fields: &str| format!(r#"{{"type":"sketch","name":"s",{fields},"buckets":2}}"#);
+        for (fields, reason) in [
+            (
+                r#""count":0,"nonfinite":0,"zero":0,"mean":0,"min":0,"max":0,"p50":0,"p95":0,"p99":0"#,
+                "no samples",
+            ),
+            (
+                r#""count":3,"nonfinite":0,"zero":0,"mean":5,"min":1,"max":9,"p50":5,"p95":4,"p99":9"#,
+                "not monotone",
+            ),
+            (
+                r#""count":3,"nonfinite":0,"zero":0,"mean":5,"min":6,"max":9,"p50":5,"p95":7,"p99":9"#,
+                "not monotone",
+            ),
+            (
+                r#""count":3,"nonfinite":0,"zero":0,"mean":5,"min":1,"max":8,"p50":5,"p95":7,"p99":9"#,
+                "not monotone",
+            ),
+            (
+                r#""count":3,"nonfinite":0,"zero":0,"mean":9.5,"min":1,"max":9,"p50":5,"p95":7,"p99":9"#,
+                "mean 9.5 outside",
+            ),
+            (
+                r#""count":3,"nonfinite":-1,"zero":0,"mean":5,"min":1,"max":9,"p50":5,"p95":7,"p99":9"#,
+                "negative `nonfinite`",
+            ),
+            (
+                r#""count":3,"zero":0,"mean":5,"min":1,"max":9,"p50":5,"p95":7,"p99":9"#,
+                "nonfinite",
+            ),
+        ] {
+            let got = validate_jsonl_metrics(&line(fields)).unwrap_err().reason;
+            assert!(got.contains(reason), "`{fields}`: {got}");
+        }
+
+        let histogram = r#"{"type":"histogram","name":"h","count":1,"mean":1,"std":0,"min":1,"max":1,"p50":1,"p95":1,"p99":1}"#;
+        assert!(validate_jsonl_metrics(histogram)
             .unwrap_err()
             .reason
-            .contains("no samples"));
-
-        let inverted = r#"{"type":"sketch","name":"s","count":3,"zero":0,"min":1,"max":9,"p50":5,"p95":4,"p99":9,"buckets":2}"#;
-        assert!(validate_jsonl_metrics(inverted)
-            .unwrap_err()
-            .reason
-            .contains("not monotone"));
+            .contains("unknown metric type `histogram`"));
     }
 }

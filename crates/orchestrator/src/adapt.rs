@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 
 use adrias_obs::{
-    DriftConfig, DriftEvent, Histogram, ModelSwapRecord, Observer, PageHinkley, SwapVerdict,
+    DriftConfig, DriftEvent, ModelSwapRecord, Observer, PageHinkley, Sketch, SwapVerdict,
 };
 use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias_predictor::{PerfDataset, PerfModel, SystemStateModel};
@@ -42,10 +42,6 @@ use adrias_workloads::{WorkloadClass, WorkloadProfile};
 use crate::adrias::AdriasPolicy;
 use crate::engine::{AppOutcome, EngineObserver, RunReport};
 use crate::policy::ExplainedDecision;
-
-/// Bucket bounds for residual histograms: relative errors from tight
-/// (1 %) to hopeless (5×).
-pub const REL_ERR_BUCKETS: [f64; 9] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0];
 
 /// Which of the policy's two performance models an adaptation action
 /// targets.
@@ -105,9 +101,9 @@ struct PendingPrediction {
 pub struct ResidualTracker {
     cfg: ResidualConfig,
     pending: HashMap<u64, PendingPrediction>,
-    be_err: Histogram,
-    lc_err: Histogram,
-    sys_err: Histogram,
+    be_err: Sketch,
+    lc_err: Sketch,
+    sys_err: Sketch,
     be_ph: PageHinkley,
     lc_ph: PageHinkley,
     sys_ph: PageHinkley,
@@ -123,9 +119,9 @@ impl ResidualTracker {
         Self {
             cfg,
             pending: HashMap::new(),
-            be_err: Histogram::new(REL_ERR_BUCKETS.to_vec()),
-            lc_err: Histogram::new(REL_ERR_BUCKETS.to_vec()),
-            sys_err: Histogram::new(REL_ERR_BUCKETS.to_vec()),
+            be_err: Sketch::new(),
+            lc_err: Sketch::new(),
+            sys_err: Sketch::new(),
             be_ph: PageHinkley::new("be.rel_err", cfg.drift),
             lc_ph: PageHinkley::new("lc.rel_err", cfg.drift),
             sys_ph: PageHinkley::new("system.rel_err", cfg.drift),
@@ -161,7 +157,7 @@ impl ResidualTracker {
     }
 
     /// Joins a completed deployment with its pending prediction and
-    /// folds the relative residual into the per-class histogram and
+    /// folds the relative residual into the per-class sketch and
     /// drift detector.
     pub fn record_completion(&mut self, id: u64, outcome: &AppOutcome) {
         let Some(pending) = self.pending.remove(&id) else {
@@ -178,11 +174,11 @@ impl ResidualTracker {
             return;
         }
         let rel_err = f64::from((pending.predicted - realised).abs() / realised);
-        let (hist, ph) = match pending.class {
+        let (errs, ph) = match pending.class {
             WorkloadClass::LatencyCritical => (&mut self.lc_err, &mut self.lc_ph),
             _ => (&mut self.be_err, &mut self.be_ph),
         };
-        hist.observe(rel_err);
+        errs.observe(rel_err);
         if let Some(event) = ph.observe(rel_err, outcome.finished_s) {
             self.drifts.push(event);
         }
@@ -226,20 +222,17 @@ impl ResidualTracker {
         &self.drifts
     }
 
-    /// Folds the accumulated residual histograms into the observer's
+    /// Folds the accumulated residual sketches into the observer's
     /// registry (under `adapt.residual.*`), records the drift events,
-    /// and returns them. Histograms reset so a later flush never
+    /// and returns them. Sketches reset so a later flush never
     /// double-counts; the Page–Hinkley detectors keep their state.
     pub fn flush(&mut self, obs: &mut Observer) -> Vec<DriftEvent> {
-        for (name, hist) in [
+        for (name, errs) in [
             ("adapt.residual.be.rel_err", &mut self.be_err),
             ("adapt.residual.lc.rel_err", &mut self.lc_err),
             ("adapt.residual.system.rel_err", &mut self.sys_err),
         ] {
-            if hist.count() > 0 {
-                obs.registry.merge_histogram(name, hist);
-                *hist = Histogram::new(REL_ERR_BUCKETS.to_vec());
-            }
+            obs.registry.merge_sketch(name, &std::mem::take(errs));
         }
         let drifts = std::mem::take(&mut self.drifts);
         for event in &drifts {
@@ -528,17 +521,17 @@ mod tests {
         let drained = tracker.flush(&mut obs);
         assert_eq!(drained.len(), obs.adapt.drifts().len());
         assert!(tracker.pending_drifts().is_empty());
-        let hist = obs
+        let errs = obs
             .registry
-            .histogram("adapt.residual.be.rel_err")
+            .sketch("adapt.residual.be.rel_err")
             .expect("flushed");
-        assert_eq!(hist.count(), 14);
+        assert_eq!(errs.count(), 14);
         // A second flush with nothing new records nothing extra.
         let again = tracker.flush(&mut obs);
         assert!(again.is_empty());
         assert_eq!(
             obs.registry
-                .histogram("adapt.residual.be.rel_err")
+                .sketch("adapt.residual.be.rel_err")
                 .unwrap()
                 .count(),
             14

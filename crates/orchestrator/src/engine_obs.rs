@@ -108,7 +108,7 @@ impl EngineObserver for ObservedRun<'_> {
         }
         self.obs
             .registry
-            .sketch_observe("orchestrator.queue_wait_s", decided_s - arrived_s);
+            .observe("orchestrator.queue_wait_s", decided_s - arrived_s);
         self.obs.spans.open(LifecycleSpan {
             deployment_id: id.index(),
             app: profile.name_handle().clone(),
@@ -162,9 +162,6 @@ impl EngineObserver for ObservedRun<'_> {
             self.obs
                 .spans
                 .close(id.index(), outcome.finished_s, self.ticks, false);
-            self.obs
-                .registry
-                .sketch_observe("orchestrator.slowdown", f64::from(outcome.mean_slowdown));
         }
         let mut args = vec![
             ("mode", outcome.mode.label().into()),
@@ -427,10 +424,10 @@ mod tests {
         );
         assert_eq!(obs.registry.counter("engine.events_popped.fault"), 0);
         assert_eq!(obs.registry.counter("engine.events_popped.deadline"), 0);
-        // Admission sketches saw every arrival; slowdown every finish.
+        // The admission sketch saw every arrival; slowdown every finish.
         let wait = obs.registry.sketch("orchestrator.queue_wait_s").unwrap();
         assert_eq!(wait.count(), 3);
-        let slow = obs.registry.sketch("orchestrator.slowdown").unwrap();
+        let slow = obs.registry.sketch("sim.slowdown").unwrap();
         assert_eq!(slow.count() as usize, report.outcomes.len());
         // The flight recorder kept the arrival→finish interleaving.
         assert!(obs.flight.recorded() > 0);

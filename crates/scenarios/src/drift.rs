@@ -57,7 +57,7 @@ pub struct DriftRunConfig {
     /// Track residuals at all. When `false` the phases replay exactly
     /// like [`crate::runner::run_observed`] — no tracker riding along,
     /// no drift events, no adaptation. The tracker only adds its
-    /// residual histograms and drift events: every other export is
+    /// residual sketches and drift events: every other export is
     /// byte-identical either way.
     pub track: bool,
     /// React to drift with capture absorption, fine-tuning and the swap
@@ -141,7 +141,7 @@ impl DriftRunResult {
 ///
 /// Per phase: replay the scenario with the tracker riding along, score
 /// the system-state forecasts against the realised trace, flush the
-/// residual histograms and drift events into `obs`. If drift fired and
+/// residual sketches and drift events into `obs`. If drift fired and
 /// adaptation is enabled: absorb any online-captured signatures, then
 /// for every drifted model target harvest the capture buffer
 /// (policy-decided outcomes of all phases so far), fine-tune a
@@ -403,11 +403,8 @@ mod tests {
         // Observe-only never touches the models.
         assert_eq!(policy.be_model().version(), 0);
         assert!(obs.adapt.swaps().is_empty());
-        // But it does track: residual histograms landed in the registry.
-        assert!(obs
-            .registry
-            .histogram("adapt.residual.be.rel_err")
-            .is_some());
+        // But it does track: residual sketches landed in the registry.
+        assert!(obs.registry.sketch("adapt.residual.be.rel_err").is_some());
     }
 
     #[test]

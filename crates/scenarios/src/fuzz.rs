@@ -40,6 +40,7 @@ use adrias_orchestrator::engine::{
 use adrias_orchestrator::qos::count_violations;
 use adrias_orchestrator::{DecisionContext, ObservedRun, Policy, RandomPolicy, RoundRobinPolicy};
 use adrias_sim::{LinkConfig, TestbedConfig};
+use adrias_telemetry::stats;
 use adrias_workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
 
 use crate::schedule::{build_schedule, PlacementStyle};
@@ -723,9 +724,9 @@ pub fn run_suite(
             .flat_map(|o| pick(o).iter().copied())
             .collect()
     };
-    let adrias_median = crate::runner::median(&pool(|o| &o.adrias_slowdowns));
-    let random_median = crate::runner::median(&pool(|o| &o.random_slowdowns));
-    let rr_median = crate::runner::median(&pool(|o| &o.rr_slowdowns));
+    let adrias_median = stats::median(&pool(|o| &o.adrias_slowdowns));
+    let random_median = stats::median(&pool(|o| &o.random_slowdowns));
+    let rr_median = stats::median(&pool(|o| &o.rr_slowdowns));
 
     let mut fp = String::new();
     for o in &outcomes {

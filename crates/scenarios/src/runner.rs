@@ -182,8 +182,8 @@ where
 /// scenario runs fully observed with its own private
 /// [`adrias_obs::Observer`], and the per-scenario registries are folded
 /// into one [`adrias_obs::Registry`] per policy with
-/// [`adrias_obs::Registry::merge`] — counters sum, histograms merge
-/// bucket-wise, gauges are last-scenario-wins.
+/// [`adrias_obs::Registry::merge`] — counters sum, sketches merge
+/// exactly, gauges are last-scenario-wins.
 ///
 /// Scenarios still run in parallel across `threads` workers, but the
 /// fold always happens on the calling thread in **spec order**, so the
@@ -275,15 +275,11 @@ pub fn run_observed<P: Policy>(
     run_stream_hooked(testbed_cfg, engine, &mut stream, &[], policy, &mut hooks)
 }
 
-/// Convenience: the median of a sample set (empty ⇒ 0).
-pub fn median(xs: &[f32]) -> f32 {
-    adrias_telemetry::stats::median(xs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adrias_orchestrator::{AllLocalPolicy, AllRemotePolicy, RandomPolicy, RoundRobinPolicy};
+    use adrias_telemetry::stats;
 
     fn specs() -> Vec<ScenarioSpec> {
         vec![
@@ -403,8 +399,8 @@ mod tests {
             2,
             make,
         );
-        let local_median = median(&outcomes[0].all_be_runtimes());
-        let remote_median = median(&outcomes[1].all_be_runtimes());
+        let local_median = stats::median(&outcomes[0].all_be_runtimes());
+        let remote_median = stats::median(&outcomes[1].all_be_runtimes());
         assert!(
             remote_median > local_median,
             "remote median {remote_median} vs local {local_median}"
@@ -445,7 +441,8 @@ mod tests {
     }
 
     /// Structural fingerprint of a registry for exact comparison:
-    /// every counter, gauge bit pattern, and histogram shape/moments.
+    /// every counter, gauge bit pattern, and the bits of every sketch
+    /// read.
     fn registry_fingerprint(reg: &adrias_obs::Registry) -> Vec<String> {
         let mut lines: Vec<String> = Vec::new();
         for (name, v) in reg.counters() {
@@ -454,14 +451,21 @@ mod tests {
         for (name, v) in reg.gauges() {
             lines.push(format!("gauge {name} {:016x}", v.to_bits()));
         }
-        for (name, h) in reg.histograms() {
+        for (name, s) in reg.sketches() {
+            let reads = [
+                s.mean(),
+                s.min(),
+                s.max(),
+                s.quantile(0.5),
+                s.quantile(0.99),
+            ];
             lines.push(format!(
-                "hist {name} n={} counts={:?} mean={:08x} min={:016x} max={:016x}",
-                h.count(),
-                h.counts(),
-                h.mean().to_bits(),
-                h.min().to_bits(),
-                h.max().to_bits()
+                "sketch {name} n={} nonfinite={} zero={} buckets={} reads={:016x?}",
+                s.count(),
+                s.nonfinite(),
+                s.zero_count(),
+                s.occupied_buckets(),
+                reads.map(f64::to_bits)
             ));
         }
         lines

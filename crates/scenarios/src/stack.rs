@@ -275,7 +275,7 @@ mod tests {
         assert!(obs.registry.counter("predictor.lc.grad_chunks") > 0);
         assert_eq!(
             obs.registry
-                .histogram("predictor.system.epoch_loss")
+                .sketch("predictor.system.epoch_loss")
                 .unwrap()
                 .count() as usize,
             stack.train_losses.system.len()

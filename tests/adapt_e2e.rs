@@ -2,7 +2,7 @@
 //! capture audits, drift events, swap records — are byte-identical
 //! across same-seed runs and training worker counts, the disabled
 //! loop is bit-identical to a plain observed run, and a tracker riding
-//! along adds its residual histograms to the exports and nothing else.
+//! along adds its residual sketches to the exports and nothing else.
 
 use adrias::obs::{export, ObsConfig, Observer};
 use adrias::scenarios::{
@@ -146,7 +146,7 @@ fn disabled_loop_exports_match_a_plain_observed_run() {
     }
 
     // A tracker riding along adds and removes nothing but its own
-    // residual histograms. One stable-link phase with the detectors'
+    // residual sketches. One stable-link phase with the detectors'
     // threshold out of reach (a firing detector legitimately adds a
     // drift event to the trace), a QoS target set so the burn monitor
     // runs, tracked vs untracked.
@@ -193,7 +193,7 @@ fn disabled_loop_exports_match_a_plain_observed_run() {
         export::to_jsonl_metrics(&untracked)
             .lines()
             .collect::<Vec<_>>(),
-        "tracking may only add adapt.residual.* histograms"
+        "tracking may only add adapt.residual.* sketches"
     );
 
     let report = &tracked_result.phases[0].report;
