@@ -6,7 +6,7 @@
 //! Environment knobs on top of the harness's own:
 //!
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
-//!   (`testbed_step`, `lstm`, `gemm`, `nn_forward`,
+//!   (`testbed_step`, `lc_tail`, `lstm`, `gemm`, `nn_forward`,
 //!   `train_step_workers`, `adrias_decision`, `decision_throughput`,
 //!   `obs_overhead`, `span_overhead`, `residual_overhead`,
 //!   `event_engine`); unmatched sections are skipped entirely,
@@ -22,7 +22,8 @@ use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 use adrias_nn::{accumulate_minibatch, GradModel, Layer, Linear, Lstm, MseLoss, Tensor};
 use adrias_sim::{Testbed, TestbedConfig};
 use adrias_telemetry::{Metric, MetricVec};
-use adrias_workloads::{spark, MemoryMode, WorkloadCatalog};
+use adrias_workloads::keyvalue::{self, sample_latencies, tail_latency};
+use adrias_workloads::{spark, LatencyEnv, LoadSpec, MemoryMode, WorkloadCatalog};
 
 fn bench_sim_step(h: &mut Harness) {
     h.bench_function("testbed_step_20_apps", |b| {
@@ -49,6 +50,54 @@ fn bench_sim_step(h: &mut Harness) {
             },
         )
     });
+}
+
+/// Per-run nanoseconds of two legs, `run(false)` and `run(true)`, timed
+/// in alternating rounds of `runs` runs with each leg keeping its
+/// fastest round. For ratios CI gates: sequentially sampled sections
+/// drift apart by more than a gate's margin on a shared host, while
+/// every round of a leg does identical work and a neighbour only ever
+/// adds time, so the minima converge on the quiet-host cost.
+fn fastest_interleaved(rounds: usize, runs: u32, mut run: impl FnMut(bool)) -> (f64, f64) {
+    let mut time_leg = |second: bool| {
+        let t = std::time::Instant::now();
+        for _ in 0..runs {
+            run(second);
+        }
+        t.elapsed().as_secs_f64() * 1e9 / f64::from(runs)
+    };
+    let (mut first, mut second) = (f64::MAX, f64::MAX);
+    for _ in 0..rounds {
+        first = first.min(time_leg(false));
+        second = second.min(time_leg(true));
+    }
+    (first, second)
+}
+
+/// One LC completion's tail measurement (8 000 lognormal draws, then
+/// p99 and p99.9) next to the draws alone, same seed. Returns the
+/// derived `lc_tail_to_draws_x` — what reading the quantiles costs on
+/// top: ≈ 1.1 by selection, ≈ 2.8 when `percentile` sorted a copy
+/// twice.
+fn bench_lc_tail(h: &mut Harness) -> f64 {
+    const SAMPLES: usize = 8000;
+    const ROUNDS: usize = 40;
+    let redis = keyvalue::redis();
+    let load = LoadSpec::default();
+    let env = LatencyEnv::idle(MemoryMode::Remote);
+    let (draws, tail) = fastest_interleaved(ROUNDS, 10, |quantiles| {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x1C);
+        if quantiles {
+            black_box(tail_latency(&redis, &load, &env, SAMPLES, &mut rng));
+        } else {
+            black_box(sample_latencies(&redis, &load, &env, SAMPLES, &mut rng));
+        }
+    });
+    h.record_ns("lc_tail_latency_8000", tail);
+    h.record_ns("lc_latency_draws_8000", draws);
+    let ratio = tail / draws;
+    println!("  LC tail vs its draws, fastest of {ROUNDS} interleaved rounds: {ratio:.2}x");
+    ratio
 }
 
 /// Returns the derived `bwd_to_fwd_x`: backward cost in units of the
@@ -78,34 +127,19 @@ fn bench_lstm(h: &mut Harness) -> f64 {
         })
     });
 
-    // The backward alone is the difference of two legs, and the
-    // sequential sections above drift apart by more than the gate's
-    // margin on a shared host. Interleave short forward /
-    // forward+backward legs and keep the fastest of each: every leg
-    // does identical work and a neighbour only ever adds time, so the
-    // minima converge on the quiet-host cost. Rounds are ~40 ms, so
-    // unlike the whole-run pairs below they are not scaled down by
-    // `ADRIAS_BENCH_PAIRS`.
+    // The backward alone is the difference of two legs. Rounds are
+    // ~40 ms, so unlike the whole-run pairs below they are not scaled
+    // down by `ADRIAS_BENCH_PAIRS`.
     const ROUNDS: usize = 40;
-    const RUNS_PER_LEG: u32 = 20;
-    let mut time_leg = |backward: bool| {
-        let t = std::time::Instant::now();
-        for _ in 0..RUNS_PER_LEG {
-            let out = lstm.forward_last(&seq);
-            if backward {
-                lstm.zero_grad();
-                black_box(lstm.backward_last(&out));
-            } else {
-                black_box(out);
-            }
+    let (forward, both) = fastest_interleaved(ROUNDS, 20, |backward| {
+        let out = lstm.forward_last(&seq);
+        if backward {
+            lstm.zero_grad();
+            black_box(lstm.backward_last(&out));
+        } else {
+            black_box(out);
         }
-        t.elapsed().as_secs_f64() * 1e9 / f64::from(RUNS_PER_LEG)
-    };
-    let (mut forward, mut both) = (f64::MAX, f64::MAX);
-    for _ in 0..ROUNDS {
-        forward = forward.min(time_leg(false));
-        both = both.min(time_leg(true));
-    }
+    });
     h.record_ns("lstm_backward_b32_t24_h32", both - forward);
     let ratio = (both - forward) / forward;
     println!("  backward vs forward, fastest of {ROUNDS} interleaved rounds: {ratio:.2}x");
@@ -237,57 +271,15 @@ fn bench_decision(h: &mut Harness) {
     });
 }
 
-/// The seed engine's forward data path, kept as the benchmark baseline:
-/// per-step `x @ W.T` projections that materialize the transposed weight
-/// every step, with per-gate `columns()` slices — exactly what
-/// `Lstm::forward_seq` did before the batched engine replaced it with
-/// once-per-sequence transposes, reused `matmul_into` buffers and a
-/// fused gate sweep.
-fn seed_lstm_last(w_ih: &Tensor, w_hh: &Tensor, bias: &Tensor, seq: &[Tensor]) -> Tensor {
-    let batch = seq[0].rows();
-    let h = w_hh.cols();
-    let mut h_prev = Tensor::zeros(batch, h);
-    let mut c_prev = Tensor::zeros(batch, h);
-    let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
-    for x in seq {
-        let z = {
-            let zx = x.matmul(&w_ih.transpose());
-            let zh = h_prev.matmul(&w_hh.transpose());
-            (&zx + &zh).add_row_broadcast(bias)
-        };
-        let i = z.columns(0, h).map(sigmoid);
-        let f = z.columns(h, 2 * h).map(sigmoid);
-        let g = z.columns(2 * h, 3 * h).map(f32::tanh);
-        let o = z.columns(3 * h, 4 * h).map(sigmoid);
-        let c = &(&f * &c_prev) + &(&i * &g);
-        let tanh_c = c.map(f32::tanh);
-        h_prev = &o * &tanh_c;
-        c_prev = c;
-    }
-    h_prev
-}
-
-/// Batched inference vs. the same work issued one sample at a time —
-/// once through the new kernels (isolating the batch-amortized dispatch
-/// and allocation overhead) and once through the seed engine's data path
-/// (the end-to-end engine-vs-engine comparison). The derived
-/// `batched_vs_seed_speedup_x` metric in `BENCH_nn.json` tracks the PR's
-/// speedup claim.
+/// Batched inference vs. the same work issued one sample at a time
+/// through the same kernels, isolating the batch-amortized dispatch and
+/// allocation overhead (`batched_forward_speedup_x`).
 fn bench_batched_forward(h: &mut Harness) {
     const BATCH: usize = 32;
     const SEQ: usize = 24;
     let mut rng = Xoshiro256pp::seed_from_u64(9);
     let mut lstm = Lstm::new(7, 32, &mut rng);
     let mut readout = Linear::new(32, 7, &mut rng);
-
-    let mut lstm_params: Vec<Tensor> = Vec::new();
-    lstm.visit_params(&mut |p, _| lstm_params.push(p.clone()));
-    let (w_ih, w_hh, bias) = (
-        lstm_params[0].clone(),
-        lstm_params[1].clone(),
-        lstm_params[2].clone(),
-    );
-    let (ro_w, ro_b) = (readout.weight().clone(), readout.bias().clone());
 
     let batched_seq: Vec<Tensor> = (0..SEQ)
         .map(|_| adrias_nn::init::uniform(BATCH, 7, 1.0, &mut rng))
@@ -308,14 +300,6 @@ fn bench_batched_forward(h: &mut Harness) {
             for seq in &single_seqs {
                 let h_last = lstm.forward_last(seq);
                 black_box(readout.forward(&h_last, false));
-            }
-        })
-    });
-    h.bench_function("nn_forward_per_sample_seed_engine_b32", |b| {
-        b.iter(|| {
-            for seq in &single_seqs {
-                let h_last = seed_lstm_last(&w_ih, &w_hh, &bias, seq);
-                black_box(h_last.matmul(&ro_w.transpose()).add_row_broadcast(&ro_b));
             }
         })
     });
@@ -822,6 +806,7 @@ fn main() {
     if enabled("testbed_step") {
         bench_sim_step(&mut h);
     }
+    let lc_tail_to_draws = enabled("lc_tail").then(|| bench_lc_tail(&mut h));
     let bwd_to_fwd = enabled("lstm").then(|| bench_lstm(&mut h));
     if enabled("gemm") {
         bench_gemm(&mut h);
@@ -867,6 +852,9 @@ fn main() {
     if let Some(ratio) = bwd_to_fwd {
         derived.push(("bwd_to_fwd_x", ratio));
     }
+    if let Some(ratio) = lc_tail_to_draws {
+        derived.push(("lc_tail_to_draws_x", ratio));
+    }
     if let (Some(scalar), Some(simd)) = (
         h.median_ns("gemm_transb_scalar_64x128x64"),
         h.median_ns("gemm_transb_64x128x64"),
@@ -882,14 +870,6 @@ fn main() {
         let speedup = per_sample / batched;
         println!("  batched vs per-sample (same kernels): {speedup:.2}x");
         derived.push(("batched_forward_speedup_x", speedup));
-    }
-    if let (Some(seed), Some(batched)) = (
-        h.median_ns("nn_forward_per_sample_seed_engine_b32"),
-        h.median_ns("nn_forward_batched_b32"),
-    ) {
-        let speedup = seed / batched;
-        println!("  batched vs seed engine path:          {speedup:.2}x");
-        derived.push(("batched_vs_seed_speedup_x", speedup));
     }
     if let (Some(w1), Some(w2)) = (
         h.median_ns("train_step_workers_1"),

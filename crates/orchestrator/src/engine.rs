@@ -612,7 +612,9 @@ enum EventPayload {
 /// get their tail latency measured from the contention environment
 /// averaged over their residency — and judges the drain deadline last;
 /// `seq` keeps same-rank events in push order. Same-seed runs are
-/// therefore bit-identical regardless of worker count or host.
+/// therefore bit-identical regardless of worker count or host. A tick
+/// that would be the very next pop is taken in place instead of being
+/// pushed and popped, which no handler and no hook can tell apart.
 ///
 /// A fault takes effect at the first watcher tick at or after its
 /// `at_s`. Arrivals are pulled lazily: at most one future open-loop
@@ -756,38 +758,42 @@ pub fn run_stream_hooked<O: EngineObserver>(
             }
         }
         EventPayload::Sample => {
-            let t0 = profiling.then(std::time::Instant::now);
-            let report = testbed.step();
-            watcher.record(report.sample);
-            samples.push(report.sample);
-            if let Some(t0) = t0 {
-                sample_wall_ns += t0.elapsed().as_nanos() as u64;
-            }
-            obs.on_step(&report);
-            // Completions pop at this tick's own instant (rank orders
-            // them after the sample, before the next tick's arrivals),
-            // in report order, which fixes the lc_rng consumption order.
-            for done in report.finished {
-                finishing.push_back(done);
-                heap.push(ev.time_s, EventKind::DeploymentFinish, EventPayload::Finish);
-            }
-            let pending = arrivals_in_heap > 0 || !stream.is_exhausted();
-            let deadline_s = final_hint.unwrap_or(last_pulled_s) + engine_cfg.max_drain_s;
-            if !pending && testbed.resident_count() == 0 {
-                stopped = true; // natural idle: the heap drains out
-            } else if testbed.time_s() >= deadline_s {
-                stopped = true;
-                heap.push(
-                    testbed.time_s(),
-                    EventKind::DrainDeadline,
-                    EventPayload::Deadline,
-                );
-            } else {
-                heap.push(
-                    testbed.time_s(),
-                    EventKind::WatcherSample,
-                    EventPayload::Sample,
-                );
+            // Ticks are taken in place for as long as the next one would
+            // be the next event to pop anyway — nothing in the heap due
+            // at or before it, which a `Finish` pushed below always is —
+            // so a quiet second costs no heap round trip.
+            let mut tick_s = ev.time_s;
+            loop {
+                let t0 = profiling.then(std::time::Instant::now);
+                let report = testbed.step();
+                watcher.record(report.sample);
+                samples.push(report.sample);
+                if let Some(t0) = t0 {
+                    sample_wall_ns += t0.elapsed().as_nanos() as u64;
+                }
+                obs.on_step(&report);
+                // Completions pop at this tick's own instant (rank
+                // orders them after the sample, before the next tick's
+                // arrivals), in report order, which fixes the lc_rng
+                // consumption order.
+                for done in report.finished {
+                    finishing.push_back(done);
+                    heap.push(tick_s, EventKind::DeploymentFinish, EventPayload::Finish);
+                }
+                tick_s = testbed.time_s();
+                let pending = arrivals_in_heap > 0 || !stream.is_exhausted();
+                let deadline_s = final_hint.unwrap_or(last_pulled_s) + engine_cfg.max_drain_s;
+                if !pending && testbed.resident_count() == 0 {
+                    stopped = true; // natural idle: the heap drains out
+                    break;
+                } else if tick_s >= deadline_s {
+                    stopped = true;
+                    heap.push(tick_s, EventKind::DrainDeadline, EventPayload::Deadline);
+                    break;
+                } else if heap.peek().is_some_and(|(due_s, _)| due_s <= tick_s) {
+                    heap.push(tick_s, EventKind::WatcherSample, EventPayload::Sample);
+                    break;
+                }
             }
         }
         EventPayload::Finish => {

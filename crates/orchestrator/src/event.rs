@@ -206,8 +206,9 @@ impl<P> EventHeap<P> {
     /// Drains the heap through `handler` until no events remain —
     /// run-until-idle semantics. The handler may push further events.
     /// Returns the number of [`EventKind::WatcherSample`] events
-    /// processed (the engine's tick count); an empty heap returns 0
-    /// without invoking the handler.
+    /// popped (a floor on the engine's tick count: it takes the ticks
+    /// of a quiet span in place); an empty heap returns 0 without
+    /// invoking the handler.
     pub fn run_until_idle<F: FnMut(&mut Self, Event<P>)>(&mut self, mut handler: F) -> u64 {
         let mut ticks = 0;
         while let Some(ev) = self.pop() {

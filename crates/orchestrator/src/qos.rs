@@ -37,8 +37,8 @@ pub fn qos_levels(samples: &[f32], n_levels: usize) -> Vec<f32> {
     if n_levels == 0 {
         return Vec::new();
     }
-    // `stats::percentile` sorts with `partial_cmp(..).expect(..)` and
-    // would panic on NaN; strip every non-finite sample up front so a
+    // `stats::percentile` compares with `partial_cmp(..).expect(..)`
+    // and would panic on NaN; strip every non-finite sample up front so a
     // single corrupt p99 cannot take the whole derivation down.
     let finite: Vec<f32> = samples.iter().copied().filter(|p| p.is_finite()).collect();
     if finite.is_empty() {

@@ -9,9 +9,10 @@
 //! SIMD kernels (both the native dispatch and the forced-scalar
 //! fallback) run allocation-free in steady state. A third pins the
 //! engine's side of the same path: a workload's name is never copied
-//! between arrival and completion. The last one is not about
-//! allocation but lives here with the other engine-surface pins:
-//! composed observers see every hook.
+//! between arrival and completion, and a simulated second in which
+//! nothing arrives or finishes allocates nothing at all. The last one
+//! is not about allocation but lives here with the other
+//! engine-surface pins: composed observers see every hook.
 
 use adrias_core::alloc::{start_counting, stop_counting, CountingAllocator};
 use adrias_core::rng::{Rng, SeedableRng, Xoshiro256pp};
@@ -275,6 +276,63 @@ fn names_are_never_copied_between_arrival_and_completion() {
         counted
     };
     assert_eq!(cycle_allocations(&short), cycle_allocations(&long));
+}
+
+/// Counts allocations between two watcher ticks of a run.
+struct SpanAllocations {
+    from_s: f64,
+    to_s: f64,
+    ticks: u64,
+    counted: Option<(u64, u64)>,
+}
+
+impl EngineObserver for SpanAllocations {
+    fn on_step(&mut self, report: &StepReport) {
+        if report.time_s == self.from_s {
+            start_counting();
+        } else if report.time_s == self.to_s {
+            self.counted = Some(stop_counting());
+        } else if report.time_s > self.from_s && report.time_s < self.to_s {
+            self.ticks += 1;
+        }
+    }
+}
+
+/// A quiet second — one resident or none, nothing arriving, nothing
+/// finishing — costs its noise draws, a watcher row and a `samples`
+/// push: no heap event, and no allocation while `samples` has room.
+/// `Testbed::step`'s `finished_at` and `finished` vectors stay empty
+/// (an empty `Vec` owns no block) and the engine takes the tick in
+/// place. The span sits between two doublings of `samples` (1 024 →
+/// 2 048 rows), first over a busy-but-quiet node, then over an idle one.
+#[test]
+fn quiet_ticks_allocate_nothing() {
+    let lr = spark::by_name("lr").unwrap();
+    for busy_s in [1_500.0, 10.0] {
+        let arrivals = [
+            ScheduledArrival::new(0.0, lr.clone())
+                .with_mode(MemoryMode::Remote)
+                .with_duration(busy_s),
+            ScheduledArrival::new(2_500.0, lr.clone()).with_duration(5.0),
+        ];
+        let mut span = SpanAllocations {
+            from_s: 1_100.0,
+            to_s: 2_000.0,
+            ticks: 0,
+            counted: None,
+        };
+        let report = run_stream_hooked(
+            TestbedConfig::paper(),
+            EngineConfig::default(),
+            &mut ScheduleStream::new(&arrivals),
+            &[],
+            &mut RoundRobinPolicy::new(),
+            &mut span,
+        );
+        assert_eq!(report.outcomes.len(), 2);
+        assert_eq!(span.ticks, 899);
+        assert_eq!(span.counted, Some((0, 0)), "quiet ticks allocated");
+    }
 }
 
 /// Counts the calls to each of the nine [`EngineObserver`] event hooks

@@ -7,7 +7,7 @@
 
 use adrias_core::rng::Rng;
 
-use adrias_telemetry::{dist, Metric, MetricSample, MetricVec};
+use adrias_telemetry::{dist, Metric, MetricVec};
 use adrias_workloads::WorkloadProfile;
 
 use crate::config::TestbedConfig;
@@ -31,19 +31,19 @@ const MEM_LOAD_FRACTION: f32 = 0.7;
 /// Fraction of link flits flowing toward the borrower (reads dominate).
 const FLIT_RX_FRACTION: f32 = 0.6;
 
-/// Synthesizes the Watcher sample for one simulation step.
-///
-/// `resident` lists the currently deployed workloads, `p` is the
-/// pressure snapshot for this step and `time_s` the simulation clock.
-/// Noise is multiplicative with relative standard deviation
-/// `cfg.noise_rel_std`.
-pub fn sample<'a, R: Rng + ?Sized>(
+/// Largest `noise_rel_std` for which a noise factor is certainly finite
+/// as `f32` (a Box–Muller deviate is below 9), so `+0.0 × factor` is
+/// `+0.0` and the draw behind it may be skipped.
+const MAX_ZERO_SKIP_REL_STD: f64 = 1e30;
+
+/// The counter values before measurement noise: a pure function of the
+/// resident workloads, the pressure snapshot `p` and `cfg.link`, so the
+/// testbed computes it once per resident-set epoch.
+pub fn noiseless<'a>(
     cfg: &TestbedConfig,
     resident: impl Iterator<Item = &'a WorkloadProfile>,
     p: &ResourcePressure,
-    time_s: f64,
-    rng: &mut R,
-) -> MetricSample {
+) -> MetricVec {
     let mut llc_loads = 0.0f32;
     for w in resident {
         let d = w.demand();
@@ -63,21 +63,42 @@ pub fn sample<'a, R: Rng + ?Sized>(
     let flits_tx = flits * (1.0 - FLIT_RX_FRACTION);
 
     let mut vec = MetricVec::zero();
-    let noisy = |value: f32, rng: &mut R| -> f32 {
-        if cfg.noise_rel_std <= 0.0 {
-            value
+    vec.set(Metric::LlcLoads, llc_loads);
+    vec.set(Metric::LlcMisses, llc_misses);
+    vec.set(Metric::MemLoads, mem_loads);
+    vec.set(Metric::MemStores, mem_stores);
+    vec.set(Metric::LinkFlitsTx, flits_tx);
+    vec.set(Metric::LinkFlitsRx, flits_rx);
+    vec.set(Metric::LinkLatency, p.link_latency_cycles);
+    vec
+}
+
+/// Applies one step's measurement noise to the [`noiseless`] counters:
+/// multiplicative, relative standard deviation `cfg.noise_rel_std`, one
+/// draw per metric in canonical order.
+///
+/// A counter whose noiseless bits are `+0.0` stays `+0.0` under any
+/// finite non-negative factor, so its draw is skipped — the stream still
+/// advances by what the draw would have consumed, which keeps every
+/// later sample where it was. On an idle node that is six of the seven.
+pub fn perturb<R: Rng + ?Sized>(
+    cfg: &TestbedConfig,
+    noiseless: &MetricVec,
+    rng: &mut R,
+) -> MetricVec {
+    if cfg.noise_rel_std <= 0.0 {
+        return *noiseless;
+    }
+    let skip_zeros = cfg.noise_rel_std < MAX_ZERO_SKIP_REL_STD;
+    let mut values = *noiseless.as_array();
+    for v in &mut values {
+        if skip_zeros && v.to_bits() == 0 {
+            dist::skip_standard_normal(rng);
         } else {
-            value * dist::noise_factor(rng, cfg.noise_rel_std) as f32
+            *v *= dist::noise_factor(rng, cfg.noise_rel_std) as f32;
         }
-    };
-    vec.set(Metric::LlcLoads, noisy(llc_loads, rng));
-    vec.set(Metric::LlcMisses, noisy(llc_misses, rng));
-    vec.set(Metric::MemLoads, noisy(mem_loads, rng));
-    vec.set(Metric::MemStores, noisy(mem_stores, rng));
-    vec.set(Metric::LinkFlitsTx, noisy(flits_tx, rng));
-    vec.set(Metric::LinkFlitsRx, noisy(flits_rx, rng));
-    vec.set(Metric::LinkLatency, noisy(p.link_latency_cycles, rng));
-    MetricSample::new(time_s, vec)
+    }
+    MetricVec::from_array(values)
 }
 
 #[cfg(test)]
@@ -85,6 +106,7 @@ mod tests {
     use super::*;
     use adrias_core::rng::SeedableRng;
     use adrias_core::rng::Xoshiro256pp;
+    use adrias_telemetry::MetricSample;
     use adrias_workloads::{ibench, spark, IbenchKind, MemoryMode};
 
     fn rng() -> Xoshiro256pp {
@@ -97,7 +119,8 @@ mod tests {
     ) -> MetricSample {
         let refs = pairs.iter().map(|(w, m)| (w, *m));
         let p = ResourcePressure::compute(cfg, refs.clone());
-        sample(cfg, refs.map(|(w, _)| w), &p, 0.0, &mut rng())
+        let clean = noiseless(cfg, refs.map(|(w, _)| w), &p);
+        MetricSample::new(0.0, perturb(cfg, &clean, &mut rng()))
     }
 
     #[test]

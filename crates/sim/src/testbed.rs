@@ -6,7 +6,7 @@ use std::fmt;
 use adrias_core::rng::SeedableRng;
 use adrias_core::rng::Xoshiro256pp;
 
-use adrias_telemetry::MetricSample;
+use adrias_telemetry::{MetricSample, MetricVec};
 use adrias_workloads::{LatencyEnv, MemoryMode, WorkloadClass, WorkloadProfile};
 
 use crate::config::TestbedConfig;
@@ -57,8 +57,12 @@ impl EnvAccumulator {
         self.slowdown += f64::from(sd);
     }
 
+    /// The completion-time average. A deployment completes inside the
+    /// progress loop of a step, after that step's `push`, so `steps` is
+    /// at least 1 here.
     fn average_env(&self, mode: MemoryMode) -> LatencyEnv {
-        let n = f64::from(self.steps.max(1));
+        debug_assert!(self.steps > 0, "averaged before the first step");
+        let n = f64::from(self.steps);
         LatencyEnv {
             mode,
             cpu_pressure: (self.cpu / n) as f32,
@@ -66,11 +70,7 @@ impl EnvAccumulator {
             llc_pressure: (self.llc / n) as f32,
             mem_bw_pressure: (self.mem_bw / n) as f32,
             link_utilization: (self.link_util / n) as f32,
-            link_latency_cycles: if self.steps == 0 {
-                350.0
-            } else {
-                (self.link_lat / n) as f32
-            },
+            link_latency_cycles: (self.link_lat / n) as f32,
         }
     }
 
@@ -93,6 +93,9 @@ pub struct Deployment {
     duration_s: f32,
     work_done_s: f64,
     env: EnvAccumulator,
+    /// Slowdown under the current epoch's pressure; meaningful only
+    /// while [`Testbed`]'s epoch memo is valid.
+    slowdown: f32,
 }
 
 impl Deployment {
@@ -124,11 +127,6 @@ impl Deployment {
     /// Completed work, seconds of isolated-equivalent execution.
     pub fn work_done_s(&self) -> f64 {
         self.work_done_s
-    }
-
-    /// Environment averaged over residency so far.
-    pub fn average_env(&self) -> LatencyEnv {
-        self.env.average_env(self.mode)
     }
 
     /// Whether progress is scaled by contention (BE) or wall-clock
@@ -205,6 +203,19 @@ pub struct Testbed {
     resident: BTreeMap<DeploymentId, Deployment>,
     rng: Xoshiro256pp,
     link_bytes_total: f64,
+    /// What a step derives from (resident set, `cfg.link`) alone, kept
+    /// until either changes: `deploy_for`, `remove`, `set_link` and any
+    /// completion drop it. While it is `Some`, every resident's
+    /// `slowdown` field belongs to it too.
+    epoch: Option<Epoch>,
+}
+
+/// The memoised part of a step.
+#[derive(Debug, Clone, Copy)]
+struct Epoch {
+    pressure: ResourcePressure,
+    /// [`counters::noiseless`] under `pressure`.
+    counters: MetricVec,
 }
 
 impl Testbed {
@@ -220,6 +231,7 @@ impl Testbed {
             resident: BTreeMap::new(),
             rng: Xoshiro256pp::seed_from_u64(seed),
             link_bytes_total: 0.0,
+            epoch: None,
         }
     }
 
@@ -253,6 +265,7 @@ impl Testbed {
             "saturated latency below base latency"
         );
         self.cfg.link = link;
+        self.epoch = None;
     }
 
     /// Current simulation time, seconds.
@@ -296,13 +309,16 @@ impl Testbed {
                 duration_s,
                 work_done_s: 0.0,
                 env: EnvAccumulator::default(),
+                slowdown: 0.0,
             },
         );
+        self.epoch = None;
         id
     }
 
     /// Removes a deployment before completion; returns it if resident.
     pub fn remove(&mut self, id: DeploymentId) -> Option<Deployment> {
+        self.epoch = None;
         self.resident.remove(&id)
     }
 
@@ -328,14 +344,23 @@ impl Testbed {
 
     /// Pressure snapshot for the current resident set.
     pub fn pressure(&self) -> ResourcePressure {
-        let placements = self.resident.values().map(|d| (&d.profile, d.mode));
-        ResourcePressure::compute(&self.cfg, placements)
+        match &self.epoch {
+            Some(epoch) => epoch.pressure,
+            None => {
+                let placements = self.resident.values().map(|d| (&d.profile, d.mode));
+                ResourcePressure::compute(&self.cfg, placements)
+            }
+        }
     }
 
     /// Instantaneous slowdown factor of a resident deployment.
     pub fn slowdown_of(&self, id: DeploymentId) -> Option<f32> {
         let d = self.resident.get(&id)?;
-        Some(slowdown(&d.profile, d.mode, &self.pressure()))
+        Some(if self.epoch.is_some() {
+            d.slowdown
+        } else {
+            slowdown(&d.profile, d.mode, &self.pressure())
+        })
     }
 
     /// Advances the simulation by one second.
@@ -343,21 +368,33 @@ impl Testbed {
     /// Computes the pressure for the current resident set, advances every
     /// deployment's progress, collects completions (with sub-second
     /// completion-time interpolation) and synthesizes the Watcher sample.
+    /// Pressure, noiseless counters and slowdowns are reused from the
+    /// previous step while the resident set and link are what they were;
+    /// the noise draws and every accumulator still run once per second.
     pub fn step(&mut self) -> StepReport {
-        let pressure = self.pressure();
-        let sample = counters::sample(
-            &self.cfg,
-            self.resident.values().map(|d| &d.profile),
-            &pressure,
+        let warm = self.epoch.is_some();
+        let Epoch { pressure, counters } = self.epoch.unwrap_or_else(|| {
+            let pressure = self.pressure();
+            let profiles = self.resident.values().map(|d| &d.profile);
+            Epoch {
+                pressure,
+                counters: counters::noiseless(&self.cfg, profiles, &pressure),
+            }
+        });
+        self.epoch = Some(Epoch { pressure, counters });
+        let sample = MetricSample::new(
             self.time_s + Self::STEP_S,
-            &mut self.rng,
+            counters::perturb(&self.cfg, &counters, &mut self.rng),
         );
         self.link_bytes_total += f64::from(pressure.link_delivered_gbps) * 1e9 / 8.0 * Self::STEP_S;
 
         let mut finished_at: Vec<(DeploymentId, f64)> = Vec::new();
         let step_start = self.time_s;
         for d in self.resident.values_mut() {
-            let sd = slowdown(&d.profile, d.mode, &pressure);
+            if !warm {
+                d.slowdown = slowdown(&d.profile, d.mode, &pressure);
+            }
+            let sd = d.slowdown;
             d.env.push(&pressure, sd);
             let rate = if d.contended_progress() {
                 1.0 / f64::from(sd)
@@ -376,6 +413,9 @@ impl Testbed {
                 };
                 finished_at.push((d.id, step_start + frac * Self::STEP_S));
             }
+        }
+        if !finished_at.is_empty() {
+            self.epoch = None;
         }
         let finished = finished_at
             .into_iter()

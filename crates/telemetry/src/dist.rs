@@ -24,6 +24,15 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Advances `rng` by exactly the two uniforms one [`standard_normal`]
+/// draw consumes, without computing the deviate. For callers whose
+/// result cannot depend on the draw (a noise factor multiplying `+0.0`)
+/// but whose stream position must.
+pub fn skip_standard_normal<R: Rng + ?Sized>(rng: &mut R) {
+    rng.next_u64();
+    rng.next_u64();
+}
+
 /// Samples `N(mean, std_dev²)`.
 ///
 /// # Panics
@@ -72,6 +81,7 @@ pub fn noise_factor<R: Rng + ?Sized>(rng: &mut R, rel_std: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adrias_core::rng::RngCore;
     use adrias_core::rng::SeedableRng;
     use adrias_core::rng::Xoshiro256pp;
 
@@ -116,6 +126,17 @@ mod tests {
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(xs.iter().all(|&x| x >= 0.0));
         assert!((mean - 1.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn skipping_a_draw_leaves_the_stream_where_the_draw_would() {
+        let mut drawn = Xoshiro256pp::seed_from_u64(9);
+        let mut skipped = Xoshiro256pp::seed_from_u64(9);
+        for _ in 0..100 {
+            let _ = noise_factor(&mut drawn, 0.02);
+            skip_standard_normal(&mut skipped);
+            assert_eq!(drawn.next_u64(), skipped.next_u64());
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn median(xs: &[f32]) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `[0, 100]`.
+/// Panics if `p` is outside `[0, 100]`, or if `xs` holds a NaN.
 ///
 /// # Examples
 ///
@@ -60,21 +60,49 @@ pub fn median(xs: &[f32]) -> f32 {
 /// assert_eq!(percentile(&xs, 50.0), 2.5);
 /// ```
 pub fn percentile(xs: &[f32], p: f64) -> f32 {
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    if xs.is_empty() {
-        return 0.0;
+    let [v] = percentiles_in_place(&mut xs.to_vec(), [p]);
+    v
+}
+
+/// [`percentile`] at each of the ascending `ps`, reordering `xs` instead
+/// of copying it — for a caller that owns its samples and reads several
+/// quantiles of them.
+///
+/// Order statistics are read by selection, not by sorting: one O(n)
+/// partition at the first rank, and each later rank found inside the
+/// upper partition the one before it left. The values returned are the
+/// ones a full sort would give (samples that compare equal are the same
+/// bits, `±0.0` aside).
+///
+/// # Panics
+///
+/// Panics if a `p` is outside `[0, 100]`, if `ps` is not ascending, or
+/// if `xs` holds a NaN.
+pub fn percentiles_in_place<const N: usize>(xs: &mut [f32], ps: [f64; N]) -> [f32; N] {
+    let cmp = |a: &f32, b: &f32| a.partial_cmp(b).expect("non-NaN samples");
+    let n = xs.len();
+    let mut out = [0.0; N];
+    // `xs[..base]` holds the `base` smallest samples.
+    let mut base = 0;
+    for (out, p) in out.iter_mut().zip(ps) {
+        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+        if n == 0 {
+            continue;
+        }
+        let rank = p / 100.0 * (n - 1) as f64;
+        let lo = rank.floor() as usize;
+        assert!(lo >= base, "percentiles must be ascending");
+        let (_, &mut at_lo, above) = xs[base..].select_nth_unstable_by(lo - base, cmp);
+        base = lo;
+        *out = if rank.ceil() as usize == lo {
+            at_lo
+        } else {
+            let at_hi = above.iter().copied().min_by(cmp).expect("rank below n - 1");
+            let frac = (rank - lo as f64) as f32;
+            at_lo * (1.0 - frac) + at_hi * frac
+        };
     }
-    let mut sorted: Vec<f32> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN samples"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = (rank - lo as f64) as f32;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
+    out
 }
 
 /// Pearson's linear correlation coefficient between `xs` and `ys`.
@@ -311,6 +339,24 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn percentile_rejects_out_of_range() {
         let _ = percentile(&[1.0], 101.0);
+    }
+
+    #[test]
+    fn percentile_panics_on_a_nan_wherever_it_sits() {
+        for at in [0, 1, 500, 998, 999] {
+            for p in [0.0, 37.5, 99.0, 100.0] {
+                let mut xs: Vec<f32> = (0..1000).map(|i| (i * 7 % 1000) as f32).collect();
+                xs[at] = f32::NAN;
+                let caught = std::panic::catch_unwind(|| percentile(&xs, p));
+                assert!(caught.is_err(), "NaN at {at} slipped through p{p}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be ascending")]
+    fn percentiles_in_place_rejects_descending_ranks() {
+        let _ = percentiles_in_place(&mut [1.0, 2.0, 3.0, 4.0, 5.0], [90.0, 10.0]);
     }
 
     #[test]

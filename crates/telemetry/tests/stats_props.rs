@@ -11,7 +11,51 @@ use adrias_core::prop::prelude::*;
 
 use adrias_telemetry::stats;
 
+/// `percentile` as it was written before it selected: copy, stable sort,
+/// index. The values it reads are the specification.
+fn percentile_by_sorting(xs: &[f32], p: f64) -> f32 {
+    let mut sorted: Vec<f32> = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN samples"));
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = (rank - lo as f64) as f32;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
 proptest! {
+    /// Selection reads the same order statistics a sort does, bit for
+    /// bit: lengths up to 10 000, anything from two distinct values
+    /// (almost every comparison a tie) to all distinct, `p` at 0, at 100,
+    /// on a rank and between ranks — and the in-place pair form agrees
+    /// with two separate calls.
+    #[test]
+    fn percentile_is_bitwise_clone_and_sort(
+        raw in prop::collection::vec(0u32..1_000_000, 1..=10_000),
+        levels in prop::sample::select(vec![2u32, 17, 1_000, 1_000_000]),
+        rank in 0usize..10_000,
+        between in prop::sample::select(vec![0.0f64, 0.25, 0.5, 0.999]),
+        other in 0.0f64..100.0,
+    ) {
+        let xs: Vec<f32> = raw.iter().map(|&r| (r % levels) as f32 * 0.37 - 5.0).collect();
+        let last = (xs.len() - 1).max(1) as f64;
+        let on_rank = (100.0 * (rank as f64 + between) / last).min(100.0);
+        for p in [0.0, 100.0, on_rank, other] {
+            let (got, want) = (stats::percentile(&xs, p), percentile_by_sorting(&xs, p));
+            prop_assert!(got.to_bits() == want.to_bits(), "p{p}: {got} vs sorted {want}");
+        }
+        let (lo, hi) = if on_rank <= other { (on_rank, other) } else { (other, on_rank) };
+        let pair = stats::percentiles_in_place(&mut xs.clone(), [lo, hi]);
+        prop_assert_eq!(
+            pair.map(f32::to_bits),
+            [percentile_by_sorting(&xs, lo), percentile_by_sorting(&xs, hi)].map(f32::to_bits)
+        );
+    }
+
     /// A percentile is always bracketed by the sample min and max, and
     /// the extreme percentiles hit them exactly.
     #[test]

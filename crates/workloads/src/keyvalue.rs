@@ -308,13 +308,17 @@ pub fn tail_latency<R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> TailLatency {
-    let lat = sample_latencies(profile, load, env, samples, rng);
+    let mut lat = sample_latencies(profile, load, env, samples, rng);
     let contention = median_inflation(profile, env) * link_inflation(profile, env);
     let throughput = capacity_ops(profile) / contention;
+    // The mean sums in draw order, so it is read before the samples are
+    // partitioned.
+    let mean_ms = stats::mean(&lat);
+    let [p99_ms, p999_ms] = stats::percentiles_in_place(&mut lat, [99.0, 99.9]);
     TailLatency {
-        mean_ms: stats::mean(&lat),
-        p99_ms: stats::percentile(&lat, 99.0),
-        p999_ms: stats::percentile(&lat, 99.9),
+        mean_ms,
+        p99_ms,
+        p999_ms,
         total_time_s: load.total_requests() as f32 / throughput,
     }
 }
