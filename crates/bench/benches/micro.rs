@@ -1,20 +1,18 @@
 //! Micro-benchmarks for the hot paths: simulator stepping, LSTM
-//! training/inference, the batched predictor engine and the full Adrias
-//! scheduling decision. Runs on the in-tree `adrias_core::bench` harness
+//! training/inference and the full Adrias scheduling decision. Runs on the in-tree `adrias_core::bench` harness
 //! (median/p95 wall-clock).
 //!
 //! Environment knobs on top of the harness's own:
 //!
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
-//!   (`testbed_step`, `lc_tail`, `lstm`, `gemm`, `nn_forward`,
-//!   `train_step_workers`, `adrias_decision`, `decision_throughput`,
+//!   (`testbed_step`, `lc_tail`, `lstm`, `gemm`, `train_step_workers`,
+//!   `adrias_decision`, `decision_throughput`, `decision_burst`,
 //!   `obs_overhead`, `span_overhead`, `residual_overhead`,
 //!   `event_engine`); unmatched sections are skipped entirely,
 //!   including their setup.
 //!
 //! The run always ends by writing `BENCH_nn.json` (the collected
-//! medians plus the derived batched-inference speedups) to the
-//! workspace root.
+//! medians plus the derived ratios) to the workspace root.
 
 use adrias_core::bench::{black_box, Harness};
 use adrias_core::rng::{SeedableRng, Xoshiro256pp};
@@ -25,30 +23,47 @@ use adrias_telemetry::{Metric, MetricVec};
 use adrias_workloads::keyvalue::{self, sample_latencies, tail_latency};
 use adrias_workloads::{spark, LatencyEnv, LoadSpec, MemoryMode, WorkloadCatalog};
 
+/// A paper-config testbed holding `apps` catalog picks, local and remote
+/// in turn, each resident for `residency_s`.
+fn populated_testbed(apps: usize, residency_s: f32) -> Testbed {
+    let mut tb = Testbed::new(TestbedConfig::paper(), 1);
+    let catalog = WorkloadCatalog::paper();
+    let mut rng = Xoshiro256pp::seed_from_u64(5);
+    for i in 0..apps {
+        let w = catalog.pick(&mut rng).clone();
+        let mode = if i % 2 == 0 {
+            MemoryMode::Local
+        } else {
+            MemoryMode::Remote
+        };
+        tb.deploy_for(w, mode, residency_s);
+    }
+    tb
+}
+
 fn bench_sim_step(h: &mut Harness) {
     h.bench_function("testbed_step_20_apps", |b| {
         b.iter_batched(
-            || {
-                let mut tb = Testbed::new(TestbedConfig::paper(), 1);
-                let catalog = WorkloadCatalog::paper();
-                let mut rng = Xoshiro256pp::seed_from_u64(5);
-                for i in 0..20 {
-                    let w = catalog.pick(&mut rng).clone();
-                    let mode = if i % 2 == 0 {
-                        MemoryMode::Local
-                    } else {
-                        MemoryMode::Remote
-                    };
-                    tb.deploy_for(w, mode, 100_000.0);
-                }
-                tb
-            },
+            || populated_testbed(20, 100_000.0),
             |mut tb| {
                 for _ in 0..100 {
                     black_box(tb.step());
                 }
             },
         )
+    });
+
+    // A rack-scale node: 4 000 residents that outlive the bench, and a
+    // cold epoch every step (`set_link` forgets the memo, as an arrival
+    // or a completion would) — one pressure sum, one counter sum, 4 000
+    // slowdowns and the progress pass over the resident store.
+    let mut tb = populated_testbed(4_000, 1.0e9);
+    let link = tb.config().link;
+    h.bench_function("testbed_step_4000_apps", |b| {
+        b.iter(|| {
+            tb.set_link(link);
+            black_box(tb.step())
+        })
     });
 }
 
@@ -204,11 +219,16 @@ fn bench_gemm(h: &mut Harness) {
 ///   [`adrias_telemetry::WindowStamp`] per call, i.e. every decision is
 ///   a forecast-cache **miss** (one scratch-based `Ŝ` forecast + one
 ///   batched perf pass, zero heap allocations).
-/// * `adrias_decision_cached` — the fast lane with a constant stamp,
-///   i.e. every decision after the first is a forecast-cache **hit**.
+/// * `adrias_decision_cached` — the fast lane with a constant stamp and
+///   one application: every decision after the first is a **memo hit**
+///   on the per-stamp record (the signature-table lookup, the head
+///   lookup and the placement rule; no model work at all).
 /// * `decision_throughput` — a stream of 64 decisions across four apps
 ///   where the stamp advances every 8 decisions, the engine's
 ///   steady-state mix of hits and misses.
+/// * `decision_burst_128x17` — 128 decisions on one fresh stamp, the 17
+///   Spark applications taking turns: one forecast, one history-branch
+///   pass, 17 head passes and 111 memo hits — a `burst_dense` second.
 fn bench_decision(h: &mut Harness) {
     use adrias_orchestrator::{DecisionContext, Policy};
     use adrias_scenarios::{train_stack, StackOptions};
@@ -269,37 +289,15 @@ fn bench_decision(h: &mut Harness) {
             }
         })
     });
-}
 
-/// Batched inference vs. the same work issued one sample at a time
-/// through the same kernels, isolating the batch-amortized dispatch and
-/// allocation overhead (`batched_forward_speedup_x`).
-fn bench_batched_forward(h: &mut Harness) {
-    const BATCH: usize = 32;
-    const SEQ: usize = 24;
-    let mut rng = Xoshiro256pp::seed_from_u64(9);
-    let mut lstm = Lstm::new(7, 32, &mut rng);
-    let mut readout = Linear::new(32, 7, &mut rng);
-
-    let batched_seq: Vec<Tensor> = (0..SEQ)
-        .map(|_| adrias_nn::init::uniform(BATCH, 7, 1.0, &mut rng))
-        .collect();
-    // The identical samples, pre-sliced into batch-1 sequences.
-    let single_seqs: Vec<Vec<Tensor>> = (0..BATCH)
-        .map(|r| batched_seq.iter().map(|x| x.rows_slice(r, r + 1)).collect())
-        .collect();
-
-    h.bench_function("nn_forward_batched_b32", |b| {
+    let suite = spark::suite();
+    let mut burst = stack.policy(0.8, 5.0);
+    let mut version = 1u64 << 40;
+    h.bench_function("decision_burst_128x17", |b| {
         b.iter(|| {
-            let h_last = lstm.forward_last(&batched_seq);
-            black_box(readout.forward(&h_last, false))
-        })
-    });
-    h.bench_function("nn_forward_per_sample_b32", |b| {
-        b.iter(|| {
-            for seq in &single_seqs {
-                let h_last = lstm.forward_last(seq);
-                black_box(readout.forward(&h_last, false));
+            version += 1;
+            for app in suite.iter().cycle().take(128) {
+                black_box(burst.decide(&ctx(Some(version), app)));
             }
         })
     });
@@ -811,13 +809,13 @@ fn main() {
     if enabled("gemm") {
         bench_gemm(&mut h);
     }
-    if enabled("nn_forward") {
-        bench_batched_forward(&mut h);
-    }
     if enabled("train_step_workers") {
         bench_worker_scaling(&mut h);
     }
-    if enabled("adrias_decision") || enabled("decision_throughput") {
+    if ["adrias_decision", "decision_throughput", "decision_burst"]
+        .into_iter()
+        .any(enabled)
+    {
         bench_decision(&mut h);
     }
     let mut obs_overhead: (Option<f64>, Option<f64>) = (None, None);
@@ -862,14 +860,6 @@ fn main() {
         let speedup = scalar / simd;
         println!("  SIMD vs scalar transb GEMM:           {speedup:.2}x");
         derived.push(("simd_gemm_speedup_x", speedup));
-    }
-    if let (Some(per_sample), Some(batched)) = (
-        h.median_ns("nn_forward_per_sample_b32"),
-        h.median_ns("nn_forward_batched_b32"),
-    ) {
-        let speedup = per_sample / batched;
-        println!("  batched vs per-sample (same kernels): {speedup:.2}x");
-        derived.push(("batched_forward_speedup_x", speedup));
     }
     if let (Some(w1), Some(w2)) = (
         h.median_ns("train_step_workers_1"),

@@ -6,6 +6,7 @@
 //! reference-counted `str`; cloning either never touches the heap, and
 //! it compares, orders and prints as the string it holds.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -53,6 +54,14 @@ impl Deref for Name {
             Repr::Static(s) => s,
             Repr::Shared(s) => s,
         }
+    }
+}
+
+/// A map keyed by `Name` answers `&str` lookups: equality and order
+/// are those of the text.
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self
     }
 }
 
@@ -108,6 +117,16 @@ mod tests {
         assert!(a < b);
         assert_eq!(built, "gmm");
         assert_eq!(format!("{built} {built:?}"), "gmm \"gmm\"");
+    }
+
+    #[test]
+    fn a_map_keyed_by_name_is_looked_up_by_str() {
+        let mut map = std::collections::BTreeMap::new();
+        map.insert(Name::from(String::from("gmm")), 1);
+        map.insert(Name::from("redis"), 2);
+        assert_eq!(map.get("gmm"), Some(&1));
+        assert_eq!(map.get("redis"), Some(&2));
+        assert_eq!(map.get("pca"), None);
     }
 
     #[test]

@@ -35,53 +35,65 @@ use crate::tensor::{gemm_into, Tensor};
 /// Construction transposes the projection weights once and sizes every
 /// intermediate buffer, so the steady-state forward performs zero heap
 /// allocations (buffers grow only if a later call uses a larger batch
-/// or a longer sequence). A scratch is bound to the `Lstm` it was built
-/// from; rebuild it if the weights change.
+/// or a longer sequence). Sequences live in flat `steps × batch × width`
+/// arenas, step `t` one contiguous slot — the layout a stacked layer
+/// reads as the left operand of its own input projection. A scratch is
+/// bound to the `Lstm` it was built from; rebuild it if the weights
+/// change.
 #[derive(Debug, Clone, Default)]
 pub struct LstmScratch {
     w_ih_t: Tensor, // in × 4H
     w_hh_t: Tensor, // H × 4H
-    zx: Tensor,
-    zh: Tensor,
-    h0: Tensor,
-    c: Tensor,
-    c_next: Tensor,
-    outputs: Vec<Tensor>,
+    /// Steps of the most recent forward (`0`: none has run).
+    steps: usize,
+    /// `X·W_ihᵀ` for the whole sequence, slot `t` (`batch × 4H`); the
+    /// step loop turns slot `t` into the pre-activations `z_t` in place.
+    zx: Vec<f32>,
+    /// `h_{t−1}·W_hhᵀ` of the current step (`batch × 4H`).
+    zh: Vec<f32>,
+    /// Hidden states, `steps + 1` slots: slot 0 is the zero initial
+    /// state, slot `t + 1` the output of step `t`.
+    h: Vec<f32>,
+    c: Vec<f32>,
+    c_next: Vec<f32>,
 }
 
 impl LstmScratch {
     /// Builds a scratch for `lstm`, pre-transposing its weights and
-    /// pre-sizing the step buffers for `batch` rows and `seq_len` steps.
+    /// pre-sizing the arenas for `batch` rows and `seq_len` steps.
     pub fn new(lstm: &Lstm, batch: usize, seq_len: usize) -> Self {
-        let h = lstm.hidden_size;
-        let mut s = Self {
-            zx: Tensor::zeros(batch, 4 * h),
-            zh: Tensor::zeros(batch, 4 * h),
-            h0: Tensor::zeros(batch, h),
-            c: Tensor::zeros(batch, h),
-            c_next: Tensor::zeros(batch, h),
-            outputs: (0..seq_len).map(|_| Tensor::zeros(batch, h)).collect(),
-            ..Self::default()
-        };
+        let mut s = Self::default();
         lstm.w_ih.transpose_into(&mut s.w_ih_t);
         lstm.w_hh.transpose_into(&mut s.w_hh_t);
+        s.size_for(lstm.hidden_size, batch, seq_len);
         s
     }
 
-    /// The hidden state after step `seq_len - 1` of the most recent
-    /// [`Lstm::forward_seq_scratch`] call on this scratch — the same
-    /// tensor [`Lstm::forward_last_scratch`] returns, re-borrowable
-    /// without re-running the forward.
+    /// Sizes every arena for `steps × batch` rows (growing allocations
+    /// only past their high-water mark) and zeroes the initial state.
+    fn size_for(&mut self, hidden: usize, batch: usize, steps: usize) {
+        let (bh, bz) = (batch * hidden, batch * 4 * hidden);
+        self.zx.resize(steps * bz, 0.0);
+        self.zh.resize(bz, 0.0);
+        self.h.resize((steps + 1) * bh, 0.0);
+        self.h[..bh].fill(0.0);
+        zeroed(&mut self.c, bh);
+        self.c_next.resize(bh, 0.0);
+    }
+
+    /// The hidden state after the last step of the most recent
+    /// [`Lstm::forward_seq_scratch`] call on this scratch (`batch × H`,
+    /// row-major) — what [`Lstm::forward_last_scratch`] returns,
+    /// re-borrowable without re-running the forward.
     ///
     /// # Panics
     ///
-    /// Panics if no forward of at least `seq_len` steps has run yet.
-    pub fn last_output(&self, seq_len: usize) -> &Tensor {
-        assert!(
-            seq_len >= 1 && seq_len <= self.outputs.len(),
-            "no forward of {seq_len} steps has run"
-        );
-        &self.outputs[seq_len - 1]
+    /// Panics if no forward has run yet.
+    pub fn last_output(&self) -> &[f32] {
+        assert!(self.steps > 0, "no forward has run on this scratch");
+        // `h` is exactly `steps + 1` slots long; the last one.
+        let slot = self.h.len() / (self.steps + 1);
+        &self.h[self.steps * slot..]
     }
 }
 
@@ -290,91 +302,82 @@ impl Lstm {
     /// Eval-mode [`Lstm::forward_seq`] into reusable `scratch` buffers:
     /// no BPTT cache, no per-step allocations, `&self` receiver.
     ///
-    /// The arithmetic is the exact fused-gate formulation of
-    /// [`Lstm::forward_seq`] — same kernels, same per-element expression
-    /// and `k` order — so every returned hidden state is bit-identical
-    /// to the training-path forward. Returns the per-step hidden states
-    /// (for stacking); see [`Lstm::forward_last_scratch`] for the
-    /// last-state readout.
+    /// `seq` is the whole input sequence as one flat
+    /// `steps × batch × input_size` arena (step `t` one contiguous
+    /// `batch × input_size` slot) and the result the per-step hidden
+    /// states in the same layout, `steps × batch × hidden` — so a
+    /// stacked layer takes the layer below's result as its `seq`.
+    ///
+    /// The input projection `X·W_ihᵀ` of all `steps · batch` rows is one
+    /// GEMM ahead of the step loop; a step then costs the recurrent
+    /// projection, the fuse `(zx_t + zh_t) + b` and the gate sweep. Every
+    /// GEMM output element is its own `k`-ordered chain whatever rows
+    /// share the call, and the fuse and the sweep are the kernels of
+    /// [`Lstm::forward_seq`] on the same operands, so every hidden state
+    /// is bit-identical to the training-path forward.
     ///
     /// # Panics
     ///
-    /// Panics if `seq` is empty or any step has the wrong width, or if
-    /// `scratch` was built for a different `Lstm` shape.
+    /// Panics if `seq` is empty or not a whole number of
+    /// `batch × input_size` steps, or if `scratch` was built for a
+    /// different `Lstm` shape.
     pub fn forward_seq_scratch<'s>(
         &self,
-        seq: &[Tensor],
+        seq: &[f32],
+        batch: usize,
         scratch: &'s mut LstmScratch,
-    ) -> &'s [Tensor] {
-        assert!(!seq.is_empty(), "LSTM requires a non-empty sequence");
-        let batch = seq[0].rows();
-        let h = self.hidden_size;
+    ) -> &'s [f32] {
+        let (inp, h) = (self.input_size, self.hidden_size);
         let hw = 4 * h;
+        let (bx, bh, bz) = (batch * inp, batch * h, batch * hw);
+        assert!(
+            !seq.is_empty() && bx > 0,
+            "LSTM requires a non-empty sequence"
+        );
+        assert!(
+            seq.len().is_multiple_of(bx),
+            "LSTM expects whole steps of {batch} x {inp} inputs, got {} values",
+            seq.len()
+        );
         assert_eq!(
             scratch.w_ih_t.shape(),
-            (self.input_size, hw),
+            (inp, hw),
             "scratch built for a different LSTM shape"
         );
+        let steps = seq.len() / bx;
+        scratch.size_for(h, batch, steps);
         let LstmScratch {
             w_ih_t,
             w_hh_t,
             zx,
             zh,
-            h0,
+            h: hs,
             c,
             c_next,
-            outputs,
+            ..
         } = scratch;
-        h0.reshape_for(batch, h);
-        h0.data_mut().iter_mut().for_each(|v| *v = 0.0);
-        c.reshape_for(batch, h);
-        c.data_mut().iter_mut().for_each(|v| *v = 0.0);
-        while outputs.len() < seq.len() {
-            outputs.push(Tensor::zeros(batch, h));
-        }
-        for (t, x) in seq.iter().enumerate() {
-            assert_eq!(
-                x.cols(),
-                self.input_size,
-                "LSTM expects {} input features, got {}",
-                self.input_size,
-                x.cols()
-            );
-            assert_eq!(x.rows(), batch, "inconsistent batch size inside sequence");
-            x.matmul_into(w_ih_t, zx);
-            let h_prev = if t == 0 { &*h0 } else { &outputs[t - 1] };
-            h_prev.matmul_into(w_hh_t, zh);
-            // z = zx + zh + bias (row broadcast), fused in place into zx
-            // — the same vectorised whole-batch sweep as the training
-            // path.
-            kernels::add2_bias_rows(zx.data_mut(), zh.data(), self.bias.data());
-            // Fused vectorised gate sweep, element-for-element the
-            // expressions of `forward_seq`, writing only h_t and c_t
-            // (no BPTT cache).
-            let h_t = &mut outputs[t];
-            h_t.reshape_for(batch, h);
-            c_next.reshape_for(batch, h);
-            kernels::lstm_gates_eval_batch(
-                zx.data(),
-                c.data(),
-                h,
-                c_next.data_mut(),
-                h_t.data_mut(),
-            );
+        gemm_into(seq, w_ih_t.data(), zx, (steps * batch, inp, hw));
+        for (t, z) in zx.chunks_exact_mut(bz).enumerate() {
+            let (h_prev, h_next) = hs[t * bh..(t + 2) * bh].split_at_mut(bh);
+            gemm_into(h_prev, w_hh_t.data(), zh, (batch, h, hw));
+            kernels::add2_bias_rows(z, zh, self.bias.data());
+            kernels::lstm_gates_eval_batch(z, c, h, c_next, h_next);
             std::mem::swap(c, c_next);
         }
-        &scratch.outputs[..seq.len()]
+        scratch.steps = steps;
+        &scratch.h[bh..]
     }
 
-    /// Eval-mode last-hidden-state readout via
+    /// Eval-mode last-hidden-state readout (`batch × hidden`) via
     /// [`Lstm::forward_seq_scratch`].
     pub fn forward_last_scratch<'s>(
         &self,
-        seq: &[Tensor],
+        seq: &[f32],
+        batch: usize,
         scratch: &'s mut LstmScratch,
-    ) -> &'s Tensor {
-        let n = seq.len();
-        &self.forward_seq_scratch(seq, scratch)[n - 1]
+    ) -> &'s [f32] {
+        self.forward_seq_scratch(seq, batch, scratch);
+        scratch.last_output()
     }
 
     /// Backpropagates through time.
@@ -572,34 +575,66 @@ mod tests {
         }
     }
 
+    /// Every step of `seq`, one after the other: the flat arena layout
+    /// of [`Lstm::forward_seq_scratch`].
+    fn flat(seq: &[Tensor]) -> Vec<f32> {
+        seq.iter().flat_map(|x| x.data().iter().copied()).collect()
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The training-path forward is the oracle: per-step projections,
+    /// tensors in and out. The shapes are the two decision stacks
+    /// (system 7→48→48, perf 7→24→24, one window of 24 pooled steps) and
+    /// a ragged multi-row one; each runs with dispatch live and forced
+    /// portable.
     #[test]
     fn scratch_forward_is_bit_identical_to_forward_seq() {
-        let mut r = rng();
-        let mut lstm = Lstm::new(4, 6, &mut r);
-        let seq = toy_seq(9, 3, 4, &mut r);
-        let want = lstm.forward_seq(&seq);
-        let mut scratch = LstmScratch::new(&lstm, 3, 9);
-        // Run twice through the same scratch: the second pass must see
-        // no stale state from the first.
-        for _ in 0..2 {
-            let got = lstm.forward_seq_scratch(&seq, &mut scratch);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.shape(), w.shape());
-                for (a, b) in g.data().iter().zip(w.data()) {
+        for (inp, hidden, batch, steps) in [
+            (7, 48, 1, 24),
+            (48, 48, 1, 24),
+            (7, 24, 1, 24),
+            (4, 6, 3, 9),
+        ] {
+            let mut r = rng();
+            let mut lstm = Lstm::new(inp, hidden, &mut r);
+            let seq = toy_seq(steps, batch, inp, &mut r);
+            let short = toy_seq(steps / 2, batch.min(2), inp, &mut r);
+            let long = toy_seq(steps + 3, batch + 1, inp, &mut r);
+            let want = flat(&lstm.forward_seq(&seq));
+            let want_short = lstm.forward_last(&short);
+            let want_long = flat(&lstm.forward_seq(&long));
+            let mut scratch = LstmScratch::new(&lstm, batch, steps);
+            crate::kernels::tests::both_paths(|| {
+                // Twice through the same scratch: the second pass must
+                // see no stale state from the first.
+                for _ in 0..2 {
+                    let got = lstm.forward_seq_scratch(&flat(&seq), batch, &mut scratch);
+                    assert_eq!(bits(got), bits(&want), "{inp}->{hidden} x{batch} T{steps}");
                     assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "scratch path must be bit-identical"
+                        bits(scratch.last_output()),
+                        bits(&want[(steps - 1) * batch * hidden..])
                     );
                 }
-            }
+                // Shrink, then grow past the built size, then back.
+                let got = lstm.forward_last_scratch(&flat(&short), short[0].rows(), &mut scratch);
+                assert_eq!(bits(got), bits(want_short.data()));
+                let got = lstm.forward_seq_scratch(&flat(&long), batch + 1, &mut scratch);
+                assert_eq!(bits(got), bits(&want_long));
+                let got = lstm.forward_seq_scratch(&flat(&seq), batch, &mut scratch);
+                assert_eq!(bits(got), bits(&want));
+            });
         }
-        // Shorter sequences and smaller batches reuse the same scratch.
-        let short = toy_seq(4, 2, 4, &mut r);
-        let want_short = lstm.forward_last(&short);
-        let got_short = lstm.forward_last_scratch(&short, &mut scratch);
-        assert_eq!(got_short.data(), want_short.data());
+    }
+
+    #[test]
+    #[should_panic(expected = "whole steps")]
+    fn scratch_forward_rejects_a_partial_step() {
+        let lstm = Lstm::new(3, 2, &mut rng());
+        let mut scratch = LstmScratch::new(&lstm, 2, 4);
+        let _ = lstm.forward_seq_scratch(&[0.0; 3 * 2 * 4 + 1], 2, &mut scratch);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The Adrias policy: prediction-driven memory-mode selection.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use adrias_predictor::{
-    PerfModel, PerfQuery, PerfScratch, SystemScratch, SystemStateModel, Tensor,
-};
+use adrias_core::Name;
+use adrias_predictor::{PerfModel, PerfQuery, PerfScratch, SystemScratch, SystemStateModel};
 use adrias_telemetry::{MetricVec, WindowStamp};
 use adrias_workloads::{AppSignature, MemoryMode, WorkloadClass};
 
@@ -54,7 +53,9 @@ pub struct AdriasPolicy {
     system_model: SystemStateModel,
     be_model: PerfModel,
     lc_model: PerfModel,
-    signatures: HashMap<String, AppSignature>,
+    /// The signature store: one entry per known application, looked up
+    /// once per decision.
+    apps: BTreeMap<Name, KnownApp>,
     beta: f32,
     default_qos_p99_ms: f32,
     /// Routes decisions through the allocation-free cached lane
@@ -71,47 +72,87 @@ pub struct AdriasPolicy {
     wall_profile: bool,
     /// Accumulated forward wall nanoseconds since the last drain.
     forward_wall_ns: u64,
-    /// Memoised system-state forecast, keyed by the Watcher stamp of
-    /// the window it was computed from.
-    forecast_cache: Option<(WindowStamp, MetricVec)>,
-    /// Per-app signature-branch features (`h_k`), precomputed through
-    /// each perf model at signature-store time — the signature LSTMs
-    /// never run on the decision path.
-    be_sig_feats: HashMap<String, Tensor>,
-    lc_sig_feats: HashMap<String, Tensor>,
-    /// Memoised history-branch features (`h_s`) per perf model, keyed
-    /// like the forecast cache.
-    be_hist: HistFeatCache,
-    lc_hist: HistFeatCache,
+    /// What the fast lane has computed from the current Watcher window.
+    record: StampRecord,
     sys_scratch: SystemScratch,
     be_scratch: PerfScratch,
     lc_scratch: PerfScratch,
 }
 
-/// Memoised history-branch features of one performance model: the
-/// batch-2 `h_s` tensor plus the [`WindowStamp`] of the window it was
-/// computed from. The tensor buffer is kept across invalidations and
-/// overwritten in place, so steady-state misses allocate nothing.
-#[derive(Debug, Clone, Default)]
-struct HistFeatCache {
-    stamp: Option<WindowStamp>,
-    feats: Option<Tensor>,
+/// One known application: its captured signature and the
+/// signature-branch features (`h_k`, `1 × hidden`) through each perf
+/// model, computed when the signature is stored (or a model swapped) —
+/// the signature LSTMs never run on the decision path.
+#[derive(Debug, Clone)]
+struct KnownApp {
+    signature: AppSignature,
+    be_h_k: Vec<f32>,
+    lc_h_k: Vec<f32>,
 }
 
-impl HistFeatCache {
-    /// Replaces the cached features with `fresh`, reusing the buffer,
-    /// and re-keys the cache on `stamp` (`None` ⇒ never hit again).
-    fn store(&mut self, stamp: Option<WindowStamp>, fresh: &Tensor) {
-        match &mut self.feats {
-            Some(buf) => buf.data_mut().copy_from_slice(fresh.data()),
-            None => self.feats = Some(fresh.clone()),
+/// The signature-branch features of `signature` through `model`.
+fn signature_features(
+    model: &PerfModel,
+    scratch: &mut PerfScratch,
+    signature: &AppSignature,
+) -> Vec<f32> {
+    let window = model.normalized_signature_window(signature);
+    model.signature_features_into(&window, scratch).to_vec()
+}
+
+/// Everything the fast lane memoises, keyed **once** on the
+/// [`WindowStamp`] of the Watcher window it was computed from — equal
+/// stamps guarantee bit-identical windows (see
+/// [`DecisionContext::stamp`]). Each slot fills on first use under that
+/// stamp; a different stamp empties them all. The buffers keep their
+/// capacity across resets, so steady-state decisions allocate nothing.
+///
+/// Besides the stamp, a slot depends on a perf model (`h_s`, `heads`)
+/// and on a stored signature (`heads`): [`AdriasPolicy::swap_be_model`] /
+/// [`AdriasPolicy::swap_lc_model`] and [`AdriasPolicy::store_signature`]
+/// empty exactly those.
+#[derive(Debug, Default)]
+struct StampRecord {
+    stamp: Option<WindowStamp>,
+    /// The system-state forecast `Ŝ`.
+    s_hat: Option<MetricVec>,
+    /// History-branch features `h_s` (`1 × hidden`) through the BE
+    /// (`[0]`) and LC (`[1]`) perf model; empty until computed.
+    h_s: [Vec<f32>; 2],
+    /// The prediction head's `(local, remote)` per application and
+    /// class, in first-decision order. Arrivals sharing a stamp come
+    /// from a catalog of a few dozen names, so a scan beats hashing.
+    heads: Vec<(Name, WorkloadClass, (f32, f32))>,
+}
+
+impl StampRecord {
+    /// Empties every slot unless the record already belongs to `stamp`.
+    fn rekey(&mut self, stamp: WindowStamp) {
+        if self.stamp != Some(stamp) {
+            self.reset();
+            self.stamp = Some(stamp);
         }
-        self.stamp = stamp;
     }
 
-    fn clear(&mut self) {
+    fn reset(&mut self) {
         self.stamp = None;
+        self.s_hat = None;
+        self.h_s.iter_mut().for_each(Vec::clear);
+        self.heads.clear();
     }
+
+    /// Empties what came through the BE (`lc == false`) or LC perf
+    /// model.
+    fn forget_model(&mut self, lc: bool) {
+        self.h_s[usize::from(lc)].clear();
+        self.heads.retain(|(_, class, _)| is_lc(*class) != lc);
+    }
+}
+
+/// Which perf model scores `class`: LC services the LC model,
+/// everything else the BE model.
+fn is_lc(class: WorkloadClass) -> bool {
+    class == WorkloadClass::LatencyCritical
 }
 
 impl std::fmt::Debug for AdriasPolicy {
@@ -120,7 +161,7 @@ impl std::fmt::Debug for AdriasPolicy {
             f,
             "AdriasPolicy(beta={}, {} signatures)",
             self.beta,
-            self.signatures.len()
+            self.apps.len()
         )
     }
 }
@@ -156,18 +197,14 @@ impl AdriasPolicy {
             system_model,
             be_model,
             lc_model,
-            signatures: HashMap::new(),
+            apps: BTreeMap::new(),
             beta,
             default_qos_p99_ms,
             fast_path: true,
             test_qos_bypass: false,
             wall_profile: false,
             forward_wall_ns: 0,
-            forecast_cache: None,
-            be_sig_feats: HashMap::new(),
-            lc_sig_feats: HashMap::new(),
-            be_hist: HistFeatCache::default(),
-            lc_hist: HistFeatCache::default(),
+            record: StampRecord::default(),
             sys_scratch,
             be_scratch,
             lc_scratch,
@@ -182,13 +219,11 @@ impl AdriasPolicy {
     ///
     /// Both lanes produce bit-identical decisions (pinned by tests); the
     /// slow lane exists so parity checks and benchmarks have an honest
-    /// reference. Disabling the fast path also drops the forecast cache.
+    /// reference. Disabling the fast path also drops what it memoised.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
         if !enabled {
-            self.forecast_cache = None;
-            self.be_hist.clear();
-            self.lc_hist.clear();
+            self.record.reset();
         }
     }
 
@@ -224,7 +259,7 @@ impl AdriasPolicy {
 
     /// Whether a signature is stored for `app`.
     pub fn knows(&self, app: &str) -> bool {
-        self.signatures.contains_key(app)
+        self.apps.contains_key(app)
     }
 
     /// Stores (or replaces) a captured signature.
@@ -234,20 +269,15 @@ impl AdriasPolicy {
     /// the decision fast lane never touches signature data — or the
     /// signature LSTMs — at decision time.
     pub fn store_signature(&mut self, signature: AppSignature) {
-        let name = signature.app_name().to_owned();
-        let be_window = self.be_model.normalized_signature_window(&signature);
-        let be_feats = self
-            .be_model
-            .signature_features_into(&be_window, &mut self.be_scratch)
-            .clone();
-        self.be_sig_feats.insert(name.clone(), be_feats);
-        let lc_window = self.lc_model.normalized_signature_window(&signature);
-        let lc_feats = self
-            .lc_model
-            .signature_features_into(&lc_window, &mut self.lc_scratch)
-            .clone();
-        self.lc_sig_feats.insert(name.clone(), lc_feats);
-        self.signatures.insert(name, signature);
+        let name = Name::from(signature.app_name().to_owned());
+        // Predictions memoised from the signature this one replaces.
+        self.record.heads.retain(|(app, ..)| *app != name);
+        let app = KnownApp {
+            be_h_k: signature_features(&self.be_model, &mut self.be_scratch, &signature),
+            lc_h_k: signature_features(&self.lc_model, &mut self.lc_scratch, &signature),
+            signature,
+        };
+        self.apps.insert(name, app);
     }
 
     /// The trained best-effort performance model currently deployed.
@@ -265,12 +295,9 @@ impl AdriasPolicy {
         &self.system_model
     }
 
-    /// The stored application signatures, sorted by name (the backing
-    /// store is a hash map, so the accessor fixes the order).
+    /// The stored application signatures, sorted by name.
     pub fn signatures(&self) -> Vec<&AppSignature> {
-        let mut sigs: Vec<&AppSignature> = self.signatures.values().collect();
-        sigs.sort_by(|a, b| a.app_name().cmp(b.app_name()));
-        sigs
+        self.apps.values().map(|app| &app.signature).collect()
     }
 
     /// Hot-swaps the best-effort performance model for `model`.
@@ -278,7 +305,7 @@ impl AdriasPolicy {
     /// Everything derived from the old model is rebuilt: the prediction
     /// scratch (which snapshots batch-norm running stats), the per-app
     /// signature features (the new model may normalize differently), and
-    /// the memoised forecast/history caches. Decisions after the swap
+    /// what the fast lane memoised through it. Decisions after the swap
     /// are exactly what a policy constructed with `model` would make.
     ///
     /// # Panics
@@ -288,17 +315,9 @@ impl AdriasPolicy {
         assert!(model.is_trained(), "cannot swap in an untrained BE model");
         self.be_model = model;
         self.be_scratch = self.be_model.make_scratch();
-        self.forecast_cache = None;
-        self.be_hist.clear();
-        self.be_sig_feats.clear();
-        for signature in self.signatures.values() {
-            let window = self.be_model.normalized_signature_window(signature);
-            let feats = self
-                .be_model
-                .signature_features_into(&window, &mut self.be_scratch)
-                .clone();
-            self.be_sig_feats
-                .insert(signature.app_name().to_owned(), feats);
+        self.record.forget_model(false);
+        for app in self.apps.values_mut() {
+            app.be_h_k = signature_features(&self.be_model, &mut self.be_scratch, &app.signature);
         }
     }
 
@@ -312,17 +331,9 @@ impl AdriasPolicy {
         assert!(model.is_trained(), "cannot swap in an untrained LC model");
         self.lc_model = model;
         self.lc_scratch = self.lc_model.make_scratch();
-        self.forecast_cache = None;
-        self.lc_hist.clear();
-        self.lc_sig_feats.clear();
-        for signature in self.signatures.values() {
-            let window = self.lc_model.normalized_signature_window(signature);
-            let feats = self
-                .lc_model
-                .signature_features_into(&window, &mut self.lc_scratch)
-                .clone();
-            self.lc_sig_feats
-                .insert(signature.app_name().to_owned(), feats);
+        self.record.forget_model(true);
+        for app in self.apps.values_mut() {
+            app.lc_h_k = signature_features(&self.lc_model, &mut self.lc_scratch, &app.signature);
         }
     }
 
@@ -330,7 +341,7 @@ impl AdriasPolicy {
     /// mode, or `None` when no history window or signature is available.
     pub fn predict_perf(&mut self, ctx: &DecisionContext<'_>, mode: MemoryMode) -> Option<f32> {
         let history = ctx.history?;
-        let signature = self.signatures.get(ctx.profile.name())?;
+        let signature = &self.apps.get(ctx.profile.name())?.signature;
         let s_hat = self.system_model.predict(history);
         let model = match ctx.profile.class() {
             WorkloadClass::LatencyCritical => &mut self.lc_model,
@@ -339,33 +350,102 @@ impl AdriasPolicy {
         Some(model.predict(history, signature, mode, Some(&s_hat)))
     }
 
-    /// Predicted `(local, remote)` performance with (at most) one
-    /// system-state forward pass and one **batched** performance-model
-    /// pass over both candidate modes — the per-decision fast path.
+    /// Predicted `(local, remote)` performance, or `None` when no
+    /// history window or signature is available — the per-decision
+    /// prediction.
     ///
-    /// On the default fast lane the system-state forecast `Ŝ` is
-    /// memoised on [`DecisionContext::stamp`] (same Watcher window ⇒
-    /// zero system-model work) and the batched pass runs through
-    /// preallocated scratch, so the steady-state decision makes no heap
-    /// allocations. Each entry is bit-identical to the corresponding
+    /// On the default fast lane every stage is memoised on
+    /// [`DecisionContext::stamp`] — the forecast `Ŝ`, the history
+    /// features of the perf model in charge, and the head's answer for
+    /// this application — so a repeated `(stamp, application)` costs two
+    /// lookups, and whatever does run goes through preallocated
+    /// scratch: the steady-state decision makes no heap allocations.
+    /// Each entry is bit-identical to the corresponding
     /// [`AdriasPolicy::predict_perf`] call on either lane.
     pub fn predict_perf_both(&mut self, ctx: &DecisionContext<'_>) -> Option<(f32, f32)> {
+        self.predict(ctx).ok()
+    }
+
+    /// [`AdriasPolicy::predict_perf_both`], or the decision to fall back
+    /// on when there is nothing to predict from. The one signature-table
+    /// lookup of a decision happens here.
+    fn predict(&mut self, ctx: &DecisionContext<'_>) -> Result<(f32, f32), ExplainedDecision> {
+        let Some(app) = self.apps.get(ctx.profile.name()) else {
+            // Unknown application: remote-first to capture a signature.
+            return Err(ExplainedDecision {
+                rule: DecisionRule::UnknownRemoteFirst,
+                ..ExplainedDecision::bare(MemoryMode::Remote)
+            });
+        };
+        let Some(history) = ctx.history else {
+            // Watcher warm-up: play safe.
+            return Err(ExplainedDecision {
+                rule: DecisionRule::WarmupDefault,
+                ..ExplainedDecision::bare(MemoryMode::Local)
+            });
+        };
         let t0 = self.wall_profile.then(std::time::Instant::now);
-        let out = if self.fast_path {
-            self.predict_perf_both_fast(ctx)
+        let preds = if self.fast_path {
+            let class = ctx.profile.class();
+            let lc = is_lc(class);
+            let (model, scratch, h_k) = if lc {
+                (&self.lc_model, &mut self.lc_scratch, &app.lc_h_k)
+            } else {
+                (&self.be_model, &mut self.be_scratch, &app.be_h_k)
+            };
+            // A stamp vouches that the window is the one the record was
+            // filled from. A stamp-less context can make no such
+            // promise: it computes everything on a blank record of its
+            // own, reading and leaving nothing.
+            let mut unkeyed = StampRecord::default();
+            let record = match ctx.stamp {
+                Some(stamp) => {
+                    self.record.rekey(stamp);
+                    &mut self.record
+                }
+                None => &mut unkeyed,
+            };
+            let name = ctx.profile.name_handle();
+            let memoised = record
+                .heads
+                .iter()
+                .find(|(app, c, _)| *c == class && app == name);
+            match memoised {
+                Some(&(.., preds)) => preds,
+                None => {
+                    let s_hat = *record.s_hat.get_or_insert_with(|| {
+                        self.system_model
+                            .predict_into(history, &mut self.sys_scratch)
+                    });
+                    let h_s = &mut record.h_s[usize::from(lc)];
+                    if h_s.is_empty() {
+                        h_s.extend_from_slice(model.history_features_into(history, scratch));
+                    }
+                    let [local, remote] = model.predict_both_from_features(
+                        h_s,
+                        h_k,
+                        [MemoryMode::Local, MemoryMode::Remote],
+                        Some(&s_hat),
+                        scratch,
+                    );
+                    record.heads.push((name.clone(), class, (local, remote)));
+                    (local, remote)
+                }
+            }
         } else {
             self.predict_perf_both_slow(ctx)
+                .expect("a known application and a window")
         };
         if let Some(t0) = t0 {
             self.forward_wall_ns += t0.elapsed().as_nanos() as u64;
         }
-        out
+        Ok(preds)
     }
 
     /// Reference implementation: allocating, uncached.
     fn predict_perf_both_slow(&mut self, ctx: &DecisionContext<'_>) -> Option<(f32, f32)> {
         let history = ctx.history?;
-        let signature = self.signatures.get(ctx.profile.name())?;
+        let signature = &self.apps.get(ctx.profile.name())?.signature;
         let s_hat = self.system_model.predict(history);
         let model = match ctx.profile.class() {
             WorkloadClass::LatencyCritical => &mut self.lc_model,
@@ -386,63 +466,6 @@ impl AdriasPolicy {
             },
         ]);
         Some((preds[0], preds[1]))
-    }
-
-    /// Cached lane: memoised `Ŝ` and history features + scratch-backed
-    /// head pass over precomputed signature features.
-    fn predict_perf_both_fast(&mut self, ctx: &DecisionContext<'_>) -> Option<(f32, f32)> {
-        let history = ctx.history?;
-        if !self.signatures.contains_key(ctx.profile.name()) {
-            return None;
-        }
-        // `WindowStamp` equality guarantees the history window is
-        // bit-identical to the one the cached forecast was computed
-        // from (see `DecisionContext::stamp`); a stamp-less context
-        // can make no such promise, so it always recomputes and never
-        // populates the cache.
-        let s_hat = match (ctx.stamp, self.forecast_cache) {
-            (Some(stamp), Some((cached_stamp, cached))) if stamp == cached_stamp => cached,
-            (stamp, _) => {
-                let fresh = self
-                    .system_model
-                    .predict_into(history, &mut self.sys_scratch);
-                if let Some(stamp) = stamp {
-                    self.forecast_cache = Some((stamp, fresh));
-                }
-                fresh
-            }
-        };
-        let (model, scratch, sig_feats, hist) = match ctx.profile.class() {
-            WorkloadClass::LatencyCritical => (
-                &self.lc_model,
-                &mut self.lc_scratch,
-                &self.lc_sig_feats,
-                &mut self.lc_hist,
-            ),
-            _ => (
-                &self.be_model,
-                &mut self.be_scratch,
-                &self.be_sig_feats,
-                &mut self.be_hist,
-            ),
-        };
-        let h_k = sig_feats.get(ctx.profile.name())?;
-        // Same keying rule as the forecast: the history LSTM branch is
-        // a pure function of the window, so a stamp hit skips it.
-        let hit = matches!((ctx.stamp, hist.stamp), (Some(s), Some(c)) if s == c);
-        if !hit {
-            let fresh = model.history_features_into(history, scratch);
-            hist.store(ctx.stamp, fresh);
-        }
-        let h_s = hist.feats.as_ref().expect("stored above or on a hit");
-        let [local, remote] = model.predict_both_from_features(
-            h_s,
-            h_k,
-            [MemoryMode::Local, MemoryMode::Remote],
-            Some(&s_hat),
-            scratch,
-        );
-        Some((local, remote))
     }
 }
 
@@ -472,23 +495,9 @@ impl Policy for AdriasPolicy {
     }
 
     fn decide_explained(&mut self, ctx: &DecisionContext<'_>) -> ExplainedDecision {
-        if !self.knows(ctx.profile.name()) {
-            // Unknown application: remote-first to capture a signature.
-            return ExplainedDecision {
-                mode: MemoryMode::Remote,
-                rule: DecisionRule::UnknownRemoteFirst,
-                pred_local: None,
-                pred_remote: None,
-            };
-        }
-        let Some((pred_local, pred_remote)) = self.predict_perf_both(ctx) else {
-            // Watcher warm-up: play safe.
-            return ExplainedDecision {
-                mode: MemoryMode::Local,
-                rule: DecisionRule::WarmupDefault,
-                pred_local: None,
-                pred_remote: None,
-            };
+        let (pred_local, pred_remote) = match self.predict(ctx) {
+            Ok(preds) => preds,
+            Err(fallback) => return fallback,
         };
         let (mode, rule) = match ctx.profile.class() {
             WorkloadClass::LatencyCritical => {
@@ -673,13 +682,26 @@ mod tests {
     fn forecast_cache_keys_on_window_stamp() {
         let mut policy = policy_with_beta(0.7);
         let gmm = spark::by_name("gmm").unwrap();
+        let nweight = spark::by_name("nweight").unwrap();
         let history = vec![metric_row(0.0); HISTORY_S];
+        // (stamp, Ŝ filled, h_s filled [BE, LC], heads) of the record.
+        let slots = |p: &AdriasPolicy| {
+            let r = &p.record;
+            (
+                r.stamp,
+                r.s_hat.is_some(),
+                [!r.h_s[0].is_empty(), !r.h_s[1].is_empty()],
+                r.heads.len(),
+            )
+        };
+        let blank = (None, false, [false, false], 0);
 
-        // Stamp-less contexts never populate the cache.
+        // Stamp-less contexts leave the record alone.
         let _ = policy.decide(&ctx_for(&gmm, &history, None));
-        assert!(policy.forecast_cache.is_none());
+        assert_eq!(slots(&policy), blank);
 
-        // The first stamped decision computes and stores the forecast...
+        // The first stamped decision keys the record and fills what it
+        // needed: Ŝ, the BE model's h_s, one head...
         let s1 = WindowStamp {
             source: 7,
             version: 1,
@@ -691,15 +713,24 @@ mod tests {
             stamp: Some(s1),
         };
         let d1 = policy.decide_explained(&ctx);
-        assert_eq!(policy.forecast_cache.expect("cache populated").0, s1);
+        assert_eq!(slots(&policy), (Some(s1), true, [true, false], 1));
 
-        // ...a repeat with the same stamp serves the cached Ŝ...
+        // ...a repeat with the same stamp is served from it, a second
+        // application adds its own head, and a stamp-less context in
+        // between neither sees nor disturbs any of it...
         let d2 = policy.decide_explained(&ctx);
         assert_eq!(d1, d2);
-        assert_eq!(policy.forecast_cache.unwrap().0, s1);
+        let _ = policy.decide(&ctx_for(&nweight, &history, None));
+        assert_eq!(slots(&policy), (Some(s1), true, [true, false], 1));
+        let _ = policy.decide(&DecisionContext {
+            profile: &nweight,
+            ..ctx
+        });
+        assert_eq!(slots(&policy), (Some(s1), true, [true, false], 2));
 
-        // ...and a version bump recomputes and re-keys it. The window
-        // contents are unchanged here, so the decision must be too.
+        // ...and a version bump empties every slot and re-keys it. The
+        // window contents are unchanged here, so the decision must be
+        // too.
         let s2 = WindowStamp {
             source: 7,
             version: 2,
@@ -708,12 +739,12 @@ mod tests {
             stamp: Some(s2),
             ..ctx
         });
-        assert_eq!(policy.forecast_cache.unwrap().0, s2);
+        assert_eq!(slots(&policy), (Some(s2), true, [true, false], 1));
         assert_eq!(d1, d3);
 
-        // Disabling the fast path drops the cache.
+        // Disabling the fast path drops the record.
         policy.set_fast_path(false);
-        assert!(policy.forecast_cache.is_none());
+        assert_eq!(slots(&policy), blank);
     }
 
     adrias_core::proptest! {

@@ -7,7 +7,7 @@ use adrias_core::rng::Xoshiro256pp;
 use adrias_core::Name;
 
 use adrias_sim::{DeploymentId, LinkConfig, StepReport, Testbed, TestbedConfig};
-use adrias_telemetry::{MetricSample, MetricVec, Watcher};
+use adrias_telemetry::{MetricSample, MetricVec, Watcher, WindowStamp};
 use adrias_workloads::keyvalue::tail_latency;
 use adrias_workloads::{LoadSpec, MemoryMode, WorkloadClass, WorkloadProfile};
 
@@ -647,6 +647,8 @@ pub fn run_stream_hooked<O: EngineObserver>(
     let mut outcomes = Vec::new();
     let mut samples = Vec::new();
     let mut history_buf: Vec<MetricVec> = Vec::with_capacity(engine_cfg.history_window_s);
+    // The Watcher stamp `history_buf` was filled at.
+    let mut filled_at: Option<WindowStamp> = None;
     // Whether the policy placed deployment `id.index()`: the testbed
     // numbers deployments densely from 0 in admission order.
     let mut decided: Vec<bool> = Vec::new();
@@ -661,6 +663,10 @@ pub fn run_stream_hooked<O: EngineObserver>(
 
     let profiling = obs.wall_profiling();
     policy.set_wall_profiling(profiling);
+    // Fixed for the run, so asked once rather than per arrival.
+    let policy_name: Name = policy.name().to_owned().into();
+    let policy_lane = policy.lane();
+    let decide_frame = format!("engine;decide;{policy_lane}");
     obs.on_stream(stream.source_label());
     let mut sample_wall_ns = 0u64;
 
@@ -696,17 +702,23 @@ pub fn run_stream_hooked<O: EngineObserver>(
                 // Consult the policy (or the forced mode), deploy at the
                 // current testbed instant, and record the placement.
                 let now = testbed.time_s();
-                let stamp = watcher.history_fill(engine_cfg.history_window_s, &mut history_buf);
+                // The window moves once a second, arrivals come in
+                // bursts: copy it only when its stamp moved.
+                let stamp = watcher.window_stamp(engine_cfg.history_window_s);
+                if stamp.is_some() && stamp != filled_at {
+                    filled_at = watcher.history_fill(engine_cfg.history_window_s, &mut history_buf);
+                }
                 let history: Option<&[MetricVec]> = stamp.map(|_| history_buf.as_slice());
                 let profile = &arrival.profile;
                 let t0 = profiling.then(std::time::Instant::now);
-                let (decision, lane) = match arrival.forced_mode {
+                let (decision, lane, frame) = match arrival.forced_mode {
                     Some(mode) => (
                         ExplainedDecision {
                             rule: adrias_obs::DecisionRule::Forced,
                             ..ExplainedDecision::bare(mode)
                         },
                         "forced",
+                        "engine;decide;forced",
                     ),
                     None => {
                         let ctx = DecisionContext {
@@ -715,7 +727,8 @@ pub fn run_stream_hooked<O: EngineObserver>(
                             qos_p99_ms: engine_cfg.qos_p99_ms,
                             stamp,
                         };
-                        (policy.decide_explained(&ctx), policy.lane())
+                        let decision = policy.decide_explained(&ctx);
+                        (decision, policy_lane, decide_frame.as_str())
                     }
                 };
                 if let Some(t0) = t0 {
@@ -724,17 +737,14 @@ pub fn run_stream_hooked<O: EngineObserver>(
                     // collapsed-stack style.
                     let total = t0.elapsed().as_nanos() as u64;
                     let forward = policy.take_forward_wall_ns();
-                    obs.on_wall(
-                        &format!("engine;decide;{lane}"),
-                        total.saturating_sub(forward),
-                    );
+                    obs.on_wall(frame, total.saturating_sub(forward));
                     if forward > 0 {
                         obs.on_wall("engine;decide;forward", forward);
                     }
                 }
                 let duration = arrival.duration_s.unwrap_or(profile.base_runtime_s());
                 let id = testbed.deploy_for(profile.clone(), decision.mode, duration);
-                obs.on_decision(now, id, profile, history, &decision, policy.name());
+                obs.on_decision(now, id, profile, history, &decision, &policy_name);
                 obs.on_admitted(id, arrival.at_s, now, profile, &decision, lane);
                 debug_assert_eq!(id.index() as usize, decided.len());
                 decided.push(arrival.forced_mode.is_none());
@@ -834,7 +844,7 @@ pub fn run_stream_hooked<O: EngineObserver>(
     }
 
     let report = RunReport {
-        policy: policy.name().to_owned().into(),
+        policy: policy_name,
         outcomes,
         samples,
         link_bytes: testbed.link_bytes_total(),

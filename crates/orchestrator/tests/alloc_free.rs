@@ -4,10 +4,12 @@
 //! binary's global allocator and asserts that, after one warm-up
 //! decision, `decide_explained` allocates nothing on any of its lanes:
 //! cache hit (repeated stamp), cache miss (bumped stamp), warm-up
-//! (no history) and unknown-app remote-first. A second test pins the
-//! numeric floor under the policy: `Lstm::forward_seq_scratch` and the
-//! SIMD kernels (both the native dispatch and the forced-scalar
-//! fallback) run allocation-free in steady state. A third pins the
+//! (no history) and unknown-app remote-first — and nothing over a burst
+//! of arrivals that share one stamp across a whole catalog. Another
+//! test pins the numeric floor under the policy:
+//! `Lstm::forward_seq_scratch` and the SIMD kernels (both the native
+//! dispatch and the forced-scalar fallback) run allocation-free in
+//! steady state. A further one pins the
 //! engine's side of the same path: a workload's name is never copied
 //! between arrival and completion, and a simulated second in which
 //! nothing arrives or finishes allocates nothing at all. The last one
@@ -16,7 +18,7 @@
 
 use adrias_core::alloc::{start_counting, stop_counting, CountingAllocator};
 use adrias_core::rng::{Rng, SeedableRng, Xoshiro256pp};
-use adrias_nn::{kernels, set_force_scalar, Lstm, LstmScratch, Tensor};
+use adrias_nn::{kernels, set_force_scalar, Lstm, LstmScratch};
 use adrias_orchestrator::policy::ExplainedDecision;
 use adrias_orchestrator::{
     run_stream_hooked, AdriasPolicy, AppOutcome, DecisionContext, EngineConfig, EngineObserver,
@@ -170,6 +172,43 @@ fn decision_fast_lane_is_allocation_free() {
     assert_eq!(degenerate_allocs, 0, "degenerate lanes must not allocate");
 }
 
+/// A burst: 256 arrivals on one stamp, the 17 Spark applications taking
+/// turns. The per-stamp record's head table grew to the catalog's size
+/// under an earlier stamp and keeps that capacity when a new stamp
+/// empties it, so neither the 17 first decisions of the burst (forecast,
+/// history features and a head each) nor the 239 repeats allocate.
+#[test]
+fn a_burst_on_one_stamp_is_allocation_free() {
+    let mut policy = tiny_policy();
+    let apps = spark::suite();
+    assert_eq!(apps.len(), 17);
+    for (i, app) in apps.iter().enumerate() {
+        let rows = vec![metric_row(i as f32 * 0.05); 20];
+        policy.store_signature(AppSignature::new(app.name(), rows));
+    }
+    let history = vec![metric_row(0.05); HISTORY_S];
+    let mut decide = |app, version| {
+        policy.decide_explained(&DecisionContext {
+            profile: app,
+            history: Some(&history),
+            qos_p99_ms: None,
+            stamp: Some(WindowStamp {
+                source: u64::MAX,
+                version,
+            }),
+        })
+    };
+    // Warm-up: one pass over the catalog sizes the head table.
+    let warm: Vec<ExplainedDecision> = apps.iter().map(|app| decide(app, 1)).collect();
+    assert!(warm.iter().all(|d| d.pred_local.is_some()));
+    start_counting();
+    for (i, app) in apps.iter().cycle().take(256).enumerate() {
+        let d = decide(app, 2);
+        assert_eq!(d, warm[i % apps.len()], "identical window, {}", app.name());
+    }
+    assert_eq!(stop_counting(), (0, 0), "a burst on one stamp allocated");
+}
+
 /// The vectorised numeric floor never allocates: after the scratch is
 /// built, repeated `forward_seq_scratch` passes and every public SIMD
 /// kernel run with zero heap traffic — on the native dispatch path and
@@ -178,19 +217,13 @@ fn decision_fast_lane_is_allocation_free() {
 fn lstm_scratch_forward_and_simd_kernels_are_allocation_free() {
     let mut rng = Xoshiro256pp::seed_from_u64(11);
     let lstm = Lstm::new(6, 16, &mut rng);
-    let seq: Vec<Tensor> = (0..12)
-        .map(|t| {
-            let mut x = Tensor::zeros(4, 6);
-            x.data_mut()
-                .iter_mut()
-                .enumerate()
-                .for_each(|(i, v)| *v = ((t * 31 + i) as f32 * 0.37).sin());
-            x
-        })
+    // 12 steps of a 4 x 6 batch, as one flat arena.
+    let seq: Vec<f32> = (0..12 * 4 * 6)
+        .map(|i| ((i / 24 * 31 + i % 24) as f32 * 0.37).sin())
         .collect();
     let mut scratch = LstmScratch::new(&lstm, 4, 12);
     // Warm-up sizes any lazily-grown buffer.
-    lstm.forward_seq_scratch(&seq, &mut scratch);
+    lstm.forward_seq_scratch(&seq, 4, &mut scratch);
 
     let mut a = vec![0.25f32; 37];
     let b = vec![0.5f32; 37];
@@ -206,8 +239,8 @@ fn lstm_scratch_forward_and_simd_kernels_are_allocation_free() {
         set_force_scalar(force_scalar);
         start_counting();
         for _ in 0..4 {
-            let hidden = lstm.forward_seq_scratch(&seq, &mut scratch);
-            assert_eq!(hidden.len(), 12);
+            let hidden = lstm.forward_seq_scratch(&seq, 4, &mut scratch);
+            assert_eq!(hidden.len(), 12 * 4 * 16);
             let _ = kernels::dot(&a, &b);
             kernels::dot_rows(&a, &rows, &mut sums);
             kernels::axpy(0.5, &b, &mut a);

@@ -23,7 +23,7 @@ use adrias_workloads::{AppSignature, MemoryMode};
 use crate::dataset::{pool_rows, pool_rows_into, seq_tensors, PerfDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::norm::{Normalizer, ScalarNormalizer};
-use crate::scratch::PerfScratch;
+use crate::scratch::{fill_seq, PerfScratch};
 
 /// Width of the non-sequence side input: mode one-hot (2) + `Ŝ` (7).
 const SIDE_WIDTH: usize = 2 + METRIC_COUNT;
@@ -507,16 +507,12 @@ impl PerfModel {
         assert!(self.is_trained(), "make_scratch before train");
         PerfScratch {
             pooled: Vec::with_capacity(SEQ_LEN),
-            seq_s: (0..SEQ_LEN)
-                .map(|_| Tensor::zeros(2, METRIC_COUNT))
-                .collect(),
-            seq_k: (0..SEQ_LEN)
-                .map(|_| Tensor::zeros(2, METRIC_COUNT))
-                .collect(),
-            s1: LstmScratch::new(&self.lstm_s1, 2, SEQ_LEN),
-            s2: LstmScratch::new(&self.lstm_s2, 2, SEQ_LEN),
-            k1: LstmScratch::new(&self.lstm_k1, 2, SEQ_LEN),
-            k2: LstmScratch::new(&self.lstm_k2, 2, SEQ_LEN),
+            seq_s: vec![0.0; SEQ_LEN * METRIC_COUNT],
+            seq_k: vec![0.0; SEQ_LEN * METRIC_COUNT],
+            s1: LstmScratch::new(&self.lstm_s1, 1, SEQ_LEN),
+            s2: LstmScratch::new(&self.lstm_s2, 1, SEQ_LEN),
+            k1: LstmScratch::new(&self.lstm_k1, 1, SEQ_LEN),
+            k2: LstmScratch::new(&self.lstm_k2, 1, SEQ_LEN),
             inv_std: self.blocks.iter().map(|b| b.eval_inv_std()).collect(),
             concat: Tensor::zeros(2, 2 * self.cfg.hidden + SIDE_WIDTH),
             x0: Tensor::zeros(2, self.cfg.block_width),
@@ -543,11 +539,11 @@ impl PerfModel {
     }
 
     /// Runs the **history branch** (pool → normalize → stacked history
-    /// LSTMs) into `scratch`, returning the batch-2 feature tensor
-    /// `h_s`. The result depends only on the raw history window — not
-    /// on the application, memory mode or `Ŝ` — so the orchestrator
-    /// memoises it per Watcher `WindowStamp` and skips the whole branch
-    /// on a stamp hit.
+    /// LSTMs, on the one window there is) into `scratch`, returning the
+    /// `1 × hidden` feature row `h_s`. The result depends only on the
+    /// raw history window — not on the application, memory mode or `Ŝ` —
+    /// so the orchestrator memoises it per Watcher `WindowStamp` and
+    /// skips the whole branch on a stamp hit.
     ///
     /// # Panics
     ///
@@ -556,7 +552,7 @@ impl PerfModel {
         &self,
         history_1hz: &[MetricVec],
         scratch: &'a mut PerfScratch,
-    ) -> &'a Tensor {
+    ) -> &'a [f32] {
         let metric_norm = self
             .metric_norm
             .as_ref()
@@ -572,27 +568,17 @@ impl PerfModel {
         for r in pooled.iter_mut() {
             *r = metric_norm.normalize(r);
         }
-        // Both batch rows share the same history window; only the side
-        // input downstream differs per mode. Same fill as `seq_tensors`
-        // over two identical windows.
-        for (t, x) in seq_s.iter_mut().enumerate() {
-            let d = x.data_mut();
-            for (c, &m) in Metric::ALL.iter().enumerate() {
-                let v = pooled[t].get(m);
-                d[c] = v;
-                d[METRIC_COUNT + c] = v;
-            }
-        }
-        self.lstm_s2
-            .forward_last_scratch(self.lstm_s1.forward_seq_scratch(seq_s, s1), s2)
+        fill_seq(pooled, seq_s);
+        let h1 = self.lstm_s1.forward_seq_scratch(seq_s, 1, s1);
+        self.lstm_s2.forward_last_scratch(h1, 1, s2)
     }
 
     /// Runs the **signature branch** (stacked signature LSTMs) into
-    /// `scratch`, returning the batch-2 feature tensor `h_k`. The
+    /// `scratch`, returning the `1 × hidden` feature row `h_k`. The
     /// result depends only on the stored application signature, so the
     /// orchestrator computes it once per known application at
-    /// construction time and never re-runs this branch on the decision
-    /// path.
+    /// signature-store time and never re-runs this branch on the
+    /// decision path.
     ///
     /// `sig_window` must come from
     /// [`PerfModel::normalized_signature_window`] on this model.
@@ -605,40 +591,34 @@ impl PerfModel {
         &self,
         sig_window: &[MetricVec],
         scratch: &'a mut PerfScratch,
-    ) -> &'a Tensor {
+    ) -> &'a [f32] {
         assert_eq!(
             sig_window.len(),
             SEQ_LEN,
             "signature window must be normalized_signature_window output"
         );
         let PerfScratch { seq_k, k1, k2, .. } = scratch;
-        for (t, x) in seq_k.iter_mut().enumerate() {
-            let d = x.data_mut();
-            for (c, &m) in Metric::ALL.iter().enumerate() {
-                let v = sig_window[t].get(m);
-                d[c] = v;
-                d[METRIC_COUNT + c] = v;
-            }
-        }
-        self.lstm_k2
-            .forward_last_scratch(self.lstm_k1.forward_seq_scratch(seq_k, k1), k2)
+        fill_seq(sig_window, seq_k);
+        let h1 = self.lstm_k1.forward_seq_scratch(seq_k, 1, k1);
+        self.lstm_k2.forward_last_scratch(h1, 1, k2)
     }
 
     /// The prediction **head** on precomputed branch features: manual
-    /// `[h_s | h_k | side]` concatenation, the batch-norm MLP blocks and
-    /// the read-out. `h_s`/`h_k` must be (copies of) the outputs of
-    /// [`PerfModel::history_features_into`] /
+    /// `[h_s | h_k | side]` concatenation (both candidate rows share the
+    /// feature rows and differ in the mode one-hot), the batch-norm MLP
+    /// blocks and the read-out. `h_s`/`h_k` must be (copies of) the
+    /// outputs of [`PerfModel::history_features_into`] /
     /// [`PerfModel::signature_features_into`] on this model; the result
     /// is bit-identical to [`PerfModel::predict_both_into`] with the
     /// corresponding raw inputs.
     ///
     /// # Panics
     ///
-    /// Panics if the model is untrained or the feature shapes mismatch.
+    /// Panics if the model is untrained or the feature widths mismatch.
     pub fn predict_both_from_features(
         &self,
-        h_s: &Tensor,
-        h_k: &Tensor,
+        h_s: &[f32],
+        h_k: &[f32],
         modes: [MemoryMode; 2],
         s_hat: Option<&MetricVec>,
         scratch: &mut PerfScratch,
@@ -654,8 +634,9 @@ impl PerfModel {
         self.head(h_s, h_k, modes, s_hat, inv_std, concat, x0, x1, out)
     }
 
-    /// Allocation-free scoring of both candidate memory modes in one
-    /// batch-2 forward: the decision fast lane's cache-miss path.
+    /// Allocation-free scoring of both candidate memory modes — the
+    /// LSTM branches once, the head at batch 2: the decision fast
+    /// lane's cache-miss path.
     /// Returns the predicted performance for `modes[0]` and `modes[1]`,
     /// bit-identical to [`PerfModel::predict_batch`] over the
     /// equivalent two queries (pinned by tests), but takes `&self`,
@@ -682,9 +663,7 @@ impl PerfModel {
         self.history_features_into(history_1hz, scratch);
         self.signature_features_into(sig_window, scratch);
         let PerfScratch {
-            s1: _,
             s2,
-            k1: _,
             k2,
             inv_std,
             concat,
@@ -693,16 +672,15 @@ impl PerfModel {
             out,
             ..
         } = scratch;
-        let h_s = s2.last_output(SEQ_LEN);
-        let h_k = k2.last_output(SEQ_LEN);
+        let (h_s, h_k) = (s2.last_output(), k2.last_output());
         self.head(h_s, h_k, modes, s_hat, inv_std, concat, x0, x1, out)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn head(
         &self,
-        h_s: &Tensor,
-        h_k: &Tensor,
+        h_s: &[f32],
+        h_k: &[f32],
         modes: [MemoryMode; 2],
         s_hat: Option<&MetricVec>,
         inv_std: &[Vec<f32>],
@@ -720,24 +698,19 @@ impl PerfModel {
         let cw = 2 * h + SIDE_WIDTH;
         let norm_s_hat = s_hat.map(|v| metric_norm.normalize(v));
         // Manual `h_s ++ h_k ++ side` concatenation (what `hcat` does,
-        // without the two intermediate tensors).
-        {
-            let hs = h_s.data();
-            let hk = h_k.data();
-            let cd = concat.data_mut();
-            for (b, mode) in modes.iter().enumerate() {
-                let row = &mut cd[b * cw..(b + 1) * cw];
-                row[..h].copy_from_slice(&hs[b * h..(b + 1) * h]);
-                row[h..2 * h].copy_from_slice(&hk[b * h..(b + 1) * h]);
-                let one_hot = mode.one_hot();
-                row[2 * h] = one_hot[0];
-                row[2 * h + 1] = one_hot[1];
-                for (c, &m) in Metric::ALL.iter().enumerate() {
-                    row[2 * h + 2 + c] = match &norm_s_hat {
-                        Some(v) => v.get(m),
-                        None => 0.0,
-                    };
-                }
+        // without the two intermediate tensors); the one feature row
+        // goes into both candidate rows.
+        for (row, mode) in concat.data_mut().chunks_exact_mut(cw).zip(modes) {
+            row[..h].copy_from_slice(h_s);
+            row[h..2 * h].copy_from_slice(h_k);
+            let one_hot = mode.one_hot();
+            row[2 * h] = one_hot[0];
+            row[2 * h + 1] = one_hot[1];
+            for (c, &m) in Metric::ALL.iter().enumerate() {
+                row[2 * h + 2 + c] = match &norm_s_hat {
+                    Some(v) => v.get(m),
+                    None => 0.0,
+                };
             }
         }
         let mut cur: &mut Tensor = x0;

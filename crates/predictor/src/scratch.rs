@@ -22,7 +22,17 @@
 //! the exact per-element expressions of its allocating counterpart.
 
 use adrias_nn::{LstmScratch, Tensor};
-use adrias_telemetry::MetricVec;
+use adrias_telemetry::{MetricVec, METRIC_COUNT};
+
+/// Writes one window into `seq` as the flat `rows.len() × METRIC_COUNT`
+/// input arena of a batch-1 [`adrias_nn::Lstm::forward_seq_scratch`] —
+/// the values `seq_tensors` stacks for that window.
+pub(crate) fn fill_seq(rows: &[MetricVec], seq: &mut [f32]) {
+    assert_eq!(seq.len(), rows.len() * METRIC_COUNT, "window length");
+    for (slot, row) in seq.chunks_exact_mut(METRIC_COUNT).zip(rows) {
+        slot.copy_from_slice(row.as_array());
+    }
+}
 
 /// Reusable buffers for [`crate::SystemStateModel::predict_into`]
 /// (batch 1).
@@ -32,12 +42,15 @@ use adrias_telemetry::MetricVec;
 pub struct SystemScratch {
     /// Pooled-and-normalized history window ([`crate::dataset::SEQ_LEN`] rows).
     pub(crate) pooled: Vec<MetricVec>,
-    /// Per-timestep `1 × METRIC_COUNT` input tensors.
-    pub(crate) seq: Vec<Tensor>,
+    /// The window as the LSTM's flat input arena
+    /// ([`crate::dataset::SEQ_LEN`] steps of `METRIC_COUNT`).
+    pub(crate) seq: Vec<f32>,
     /// Activation scratch for the first stacked LSTM.
     pub(crate) lstm1: LstmScratch,
     /// Activation scratch for the second stacked LSTM.
     pub(crate) lstm2: LstmScratch,
+    /// The last hidden state as the blocks' `1 × hidden` input.
+    pub(crate) h2: Tensor,
     /// Per-block batch-norm evaluation scales, captured at build time.
     pub(crate) inv_std: Vec<Vec<f32>>,
     /// Ping-pong activation buffer for the non-linear blocks.
@@ -48,18 +61,20 @@ pub struct SystemScratch {
     pub(crate) out: Tensor,
 }
 
-/// Reusable buffers for [`crate::PerfModel::predict_both_into`]
-/// (batch 2: one row per candidate memory mode).
+/// Reusable buffers for [`crate::PerfModel::predict_both_into`]: the
+/// two LSTM branches at batch 1 (there is one history window and one
+/// signature), the head at batch 2 (one row per candidate memory mode).
 ///
 /// Build with [`crate::PerfModel::make_scratch`] after training.
 #[derive(Debug, Clone)]
 pub struct PerfScratch {
     /// Pooled-and-normalized history window ([`crate::dataset::SEQ_LEN`] rows).
     pub(crate) pooled: Vec<MetricVec>,
-    /// Per-timestep `2 × METRIC_COUNT` history input tensors.
-    pub(crate) seq_s: Vec<Tensor>,
-    /// Per-timestep `2 × METRIC_COUNT` signature input tensors.
-    pub(crate) seq_k: Vec<Tensor>,
+    /// The history window as a flat LSTM input arena
+    /// ([`crate::dataset::SEQ_LEN`] steps of `METRIC_COUNT`).
+    pub(crate) seq_s: Vec<f32>,
+    /// The signature window, likewise.
+    pub(crate) seq_k: Vec<f32>,
     /// Activation scratch for the first history LSTM.
     pub(crate) s1: LstmScratch,
     /// Activation scratch for the second history LSTM.

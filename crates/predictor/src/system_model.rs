@@ -19,7 +19,7 @@ use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 use crate::dataset::{pool_rows, pool_rows_into, seq_tensors, SystemStateDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::norm::Normalizer;
-use crate::scratch::SystemScratch;
+use crate::scratch::{fill_seq, SystemScratch};
 
 /// Hyper-parameters for [`SystemStateModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -345,11 +345,10 @@ impl SystemStateModel {
         assert!(self.is_trained(), "make_scratch before train");
         SystemScratch {
             pooled: Vec::with_capacity(SEQ_LEN),
-            seq: (0..SEQ_LEN)
-                .map(|_| Tensor::zeros(1, METRIC_COUNT))
-                .collect(),
+            seq: vec![0.0; SEQ_LEN * METRIC_COUNT],
             lstm1: LstmScratch::new(&self.lstm1, 1, SEQ_LEN),
             lstm2: LstmScratch::new(&self.lstm2, 1, SEQ_LEN),
+            h2: Tensor::zeros(1, self.cfg.hidden),
             inv_std: self.blocks.iter().map(|b| b.eval_inv_std()).collect(),
             x0: Tensor::zeros(1, self.cfg.block_width),
             x1: Tensor::zeros(1, self.cfg.block_width),
@@ -380,6 +379,7 @@ impl SystemStateModel {
             seq,
             lstm1,
             lstm2,
+            h2,
             inv_std,
             x0,
             x1,
@@ -389,15 +389,10 @@ impl SystemStateModel {
         for r in pooled.iter_mut() {
             *r = norm.normalize(r);
         }
-        // The same fill as `seq_tensors` for a batch of one window.
-        for (t, x) in seq.iter_mut().enumerate() {
-            let row = x.data_mut();
-            for (c, &m) in Metric::ALL.iter().enumerate() {
-                row[c] = pooled[t].get(m);
-            }
-        }
-        let h1 = self.lstm1.forward_seq_scratch(seq, lstm1);
-        let h2 = self.lstm2.forward_last_scratch(h1, lstm2);
+        fill_seq(pooled, seq);
+        let h1 = self.lstm1.forward_seq_scratch(seq, 1, lstm1);
+        h2.data_mut()
+            .copy_from_slice(self.lstm2.forward_last_scratch(h1, 1, lstm2));
         let mut cur: &mut Tensor = x0;
         let mut next: &mut Tensor = x1;
         self.blocks[0].forward_eval_into(h2, cur, &inv_std[0]);

@@ -1,6 +1,5 @@
 //! The stateful testbed: deployments, progress and completions.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use adrias_core::rng::SeedableRng;
@@ -134,6 +133,12 @@ impl Deployment {
     fn contended_progress(&self) -> bool {
         self.profile.class() == WorkloadClass::BestEffort
     }
+
+    /// Whether the nominal work is done (the deployment leaves at the
+    /// end of the step that gets it here).
+    fn is_complete(&self) -> bool {
+        self.work_done_s >= f64::from(self.duration_s)
+    }
 }
 
 /// Record of one finished application.
@@ -200,7 +205,10 @@ pub struct Testbed {
     cfg: TestbedConfig,
     time_s: f64,
     next_id: u64,
-    resident: BTreeMap<DeploymentId, Deployment>,
+    /// Resident deployments in strictly increasing id order: ids are
+    /// issued in increasing order, so a deployment is a `push`, and
+    /// every removal keeps the order.
+    resident: Vec<Deployment>,
     rng: Xoshiro256pp,
     link_bytes_total: f64,
     /// What a step derives from (resident set, `cfg.link`) alone, kept
@@ -228,7 +236,7 @@ impl Testbed {
             cfg,
             time_s: 0.0,
             next_id: 0,
-            resident: BTreeMap::new(),
+            resident: Vec::new(),
             rng: Xoshiro256pp::seed_from_u64(seed),
             link_bytes_total: 0.0,
             epoch: None,
@@ -299,32 +307,36 @@ impl Testbed {
         assert!(duration_s > 0.0, "duration must be positive");
         let id = DeploymentId(self.next_id);
         self.next_id += 1;
-        self.resident.insert(
+        self.resident.push(Deployment {
             id,
-            Deployment {
-                id,
-                profile,
-                mode,
-                arrived_s: self.time_s,
-                duration_s,
-                work_done_s: 0.0,
-                env: EnvAccumulator::default(),
-                slowdown: 0.0,
-            },
-        );
+            profile,
+            mode,
+            arrived_s: self.time_s,
+            duration_s,
+            work_done_s: 0.0,
+            env: EnvAccumulator::default(),
+            slowdown: 0.0,
+        });
         self.epoch = None;
         id
     }
 
+    /// Position of `id` in the id-ordered resident store.
+    fn position(&self, id: DeploymentId) -> Option<usize> {
+        self.resident.binary_search_by_key(&id, |d| d.id).ok()
+    }
+
     /// Removes a deployment before completion; returns it if resident.
+    /// Removing an id that is not resident changes nothing.
     pub fn remove(&mut self, id: DeploymentId) -> Option<Deployment> {
+        let at = self.position(id)?;
         self.epoch = None;
-        self.resident.remove(&id)
+        Some(self.resident.remove(at))
     }
 
     /// Whether `id` is still resident.
     pub fn is_resident(&self, id: DeploymentId) -> bool {
-        self.resident.contains_key(&id)
+        self.position(id).is_some()
     }
 
     /// Number of resident deployments.
@@ -332,14 +344,19 @@ impl Testbed {
         self.resident.len()
     }
 
-    /// Iterates over resident deployments in id order.
+    /// Iterates over resident deployments in id order. Ids are strictly
+    /// increasing along the iteration, and this order is what the
+    /// simulation is defined over: the f32 pressure and counter sums add
+    /// their terms in it, and a step reports its completions in it
+    /// (which fixes the order downstream consumers draw random numbers
+    /// in).
     pub fn resident(&self) -> impl Iterator<Item = &Deployment> + '_ {
-        self.resident.values()
+        self.resident.iter()
     }
 
     /// A deployment by id, if resident.
     pub fn deployment(&self, id: DeploymentId) -> Option<&Deployment> {
-        self.resident.get(&id)
+        self.position(id).map(|at| &self.resident[at])
     }
 
     /// Pressure snapshot for the current resident set.
@@ -347,7 +364,7 @@ impl Testbed {
         match &self.epoch {
             Some(epoch) => epoch.pressure,
             None => {
-                let placements = self.resident.values().map(|d| (&d.profile, d.mode));
+                let placements = self.resident.iter().map(|d| (&d.profile, d.mode));
                 ResourcePressure::compute(&self.cfg, placements)
             }
         }
@@ -355,7 +372,7 @@ impl Testbed {
 
     /// Instantaneous slowdown factor of a resident deployment.
     pub fn slowdown_of(&self, id: DeploymentId) -> Option<f32> {
-        let d = self.resident.get(&id)?;
+        let d = self.deployment(id)?;
         Some(if self.epoch.is_some() {
             d.slowdown
         } else {
@@ -375,7 +392,7 @@ impl Testbed {
         let warm = self.epoch.is_some();
         let Epoch { pressure, counters } = self.epoch.unwrap_or_else(|| {
             let pressure = self.pressure();
-            let profiles = self.resident.values().map(|d| &d.profile);
+            let profiles = self.resident.iter().map(|d| &d.profile);
             Epoch {
                 pressure,
                 counters: counters::noiseless(&self.cfg, profiles, &pressure),
@@ -388,9 +405,11 @@ impl Testbed {
         );
         self.link_bytes_total += f64::from(pressure.link_delivered_gbps) * 1e9 / 8.0 * Self::STEP_S;
 
-        let mut finished_at: Vec<(DeploymentId, f64)> = Vec::new();
+        // Completion instants of this step, in id order; stays empty (no
+        // allocation) on a step that finishes nothing.
+        let mut finished_at: Vec<f64> = Vec::new();
         let step_start = self.time_s;
-        for d in self.resident.values_mut() {
+        for d in &mut self.resident {
             if !warm {
                 d.slowdown = slowdown(&d.profile, d.mode, &pressure);
             }
@@ -403,7 +422,7 @@ impl Testbed {
             };
             let before = d.work_done_s;
             d.work_done_s += rate * Self::STEP_S;
-            if d.work_done_s >= f64::from(d.duration_s) {
+            if d.is_complete() {
                 // Interpolate the in-step completion instant.
                 let need = f64::from(d.duration_s) - before;
                 let frac = if rate > 0.0 {
@@ -411,18 +430,20 @@ impl Testbed {
                 } else {
                     1.0
                 };
-                finished_at.push((d.id, step_start + frac * Self::STEP_S));
+                finished_at.push(step_start + frac * Self::STEP_S);
             }
         }
-        if !finished_at.is_empty() {
+        let finished = if finished_at.is_empty() {
+            Vec::new()
+        } else {
             self.epoch = None;
-        }
-        let finished = finished_at
-            .into_iter()
-            .map(|(id, finished_s)| {
-                let d = self.resident.remove(&id).expect("finished while resident");
-                CompletedApp {
-                    id,
+            // One in-order compaction pass: the completed deployments
+            // leave in id order, pairing up with `finished_at`.
+            self.resident
+                .extract_if(.., |d| d.is_complete())
+                .zip(finished_at)
+                .map(|(d, finished_s)| CompletedApp {
+                    id: d.id,
                     mode: d.mode,
                     arrived_s: d.arrived_s,
                     finished_s,
@@ -430,9 +451,9 @@ impl Testbed {
                     mean_slowdown: d.env.mean_slowdown(),
                     average_env: d.env.average_env(d.mode),
                     profile: d.profile,
-                }
-            })
-            .collect();
+                })
+                .collect()
+        };
         self.time_s += Self::STEP_S;
         StepReport {
             time_s: self.time_s,

@@ -164,6 +164,14 @@ impl Watcher {
         }
     }
 
+    /// The stamp [`Watcher::history_fill`] would return for a window of
+    /// `r` rows, without copying them: `Some` exactly when at least `r`
+    /// samples are recorded. A caller that kept the rows of an earlier
+    /// fill refills only when this differs from the stamp it kept.
+    pub fn window_stamp(&self, r: usize) -> Option<WindowStamp> {
+        (self.ring.len() >= r).then(|| self.stamp())
+    }
+
     /// Allocation-free [`Watcher::history_window`]: copies the last `r`
     /// rows (oldest first) into `out`, replacing its contents, and
     /// returns the current [`WindowStamp`]. Returns `None` — leaving
@@ -266,16 +274,22 @@ mod tests {
         let mut w = Watcher::new(6);
         let mut buf = Vec::new();
         assert!(w.history_fill(1, &mut buf).is_none());
+        assert!(w.window_stamp(1).is_none());
         for t in 0..9 {
             w.record(sample(t as f64, t as f32));
         }
         let stamp = w.history_fill(4, &mut buf).expect("window available");
         assert_eq!(stamp, w.stamp());
+        assert_eq!(w.window_stamp(4), Some(stamp));
         assert_eq!(buf, w.history_window(4).unwrap().rows());
         // Refilling with a shorter window replaces the contents.
         w.history_fill(2, &mut buf).expect("window available");
         assert_eq!(buf, w.history_window(2).unwrap().rows());
         assert!(w.history_fill(7, &mut buf).is_none());
+        assert!(
+            w.window_stamp(7).is_none(),
+            "Some exactly when a fill succeeds"
+        );
         assert_eq!(buf.len(), 2, "failed fill must leave the buffer alone");
     }
 

@@ -15,7 +15,9 @@ use adrias::scenarios::schedule::PlacementStyle;
 use adrias::scenarios::{build_schedule, train_stack, ScenarioSpec, StackOptions, TrainedStack};
 use adrias::sim::TestbedConfig;
 use adrias::telemetry::{MetricVec, WindowStamp, METRIC_COUNT};
-use adrias::workloads::{spark, AppSignature, WorkloadCatalog};
+use adrias::workloads::{
+    keyvalue, spark, AppSignature, WorkloadCatalog, WorkloadClass, WorkloadProfile,
+};
 
 fn trained() -> &'static (WorkloadCatalog, TrainedStack) {
     static STACK: OnceLock<(WorkloadCatalog, TrainedStack)> = OnceLock::new();
@@ -175,6 +177,180 @@ fn signature_store_hot_swap_and_stamp_bump_invalidate_the_fast_lane() {
     };
     let p4 = parity_probe(&mut fast, &mut slow, &window2, stamp2);
     assert_ne!(p3, p4, "predictions ignored the new Watcher window");
+}
+
+/// One prediction as bit patterns, so "the same answer" means the same
+/// bits.
+fn predict_bits(
+    policy: &mut AdriasPolicy,
+    profile: &WorkloadProfile,
+    window: &[MetricVec],
+    stamp: Option<WindowStamp>,
+) -> (u32, u32) {
+    let (local, remote) = policy
+        .predict_perf_both(&DecisionContext {
+            profile,
+            history: Some(window),
+            qos_p99_ms: Some(5.0),
+            stamp,
+        })
+        .expect("a known application and a window");
+    (local.to_bits(), remote.to_bits())
+}
+
+/// A fast-lane policy built from scratch on the given perf models and
+/// the stack's signatures with `replaced` swapped in: what a policy
+/// that went through the same mutations must answer like.
+fn fresh_policy(
+    stack: &TrainedStack,
+    be_model: &adrias::predictor::PerfModel,
+    lc_model: &adrias::predictor::PerfModel,
+    replaced: Option<&AppSignature>,
+) -> AdriasPolicy {
+    let signatures = stack
+        .signatures
+        .iter()
+        .map(|s| match replaced {
+            Some(r) if r.app_name() == s.app_name() => r.clone(),
+            _ => s.clone(),
+        })
+        .collect();
+    AdriasPolicy::new(
+        stack.system_model.clone(),
+        be_model.clone(),
+        lc_model.clone(),
+        signatures,
+        0.8,
+        5.0,
+    )
+}
+
+/// The head's answer is memoised per `(stamp, application, class)`: a
+/// repeat is served from the record and must be, bit for bit, what the
+/// slow lane computes from scratch — for several applications
+/// interleaved on one stamp, a BE and an LC profile among them that
+/// share a *name* and so differ in nothing but the model that scores
+/// them.
+#[test]
+fn a_repeated_stamp_and_app_answers_what_the_slow_lane_answers() {
+    let (_, stack) = trained();
+    let mut fast = policy(stack, 1, true);
+    let mut slow = policy(stack, 1, false);
+    let gmm = spark::by_name("gmm").unwrap();
+    let gmm_as_lc = WorkloadProfile::builder("gmm", WorkloadClass::LatencyCritical).build();
+    let apps = [
+        gmm.clone(),
+        spark::by_name("nweight").unwrap(),
+        keyvalue::memcached(),
+        gmm_as_lc.clone(),
+    ];
+    for version in 1..4 {
+        let window = synth_window(version);
+        let stamp = Some(WindowStamp { source: 7, version });
+        let want: Vec<_> = apps
+            .iter()
+            .map(|app| predict_bits(&mut slow, app, &window, stamp))
+            .collect();
+        // First round fills the record, the next two are served from it.
+        for round in 0..3 {
+            for (app, want) in apps.iter().zip(&want) {
+                let got = predict_bits(&mut fast, app, &window, stamp);
+                assert_eq!(got, *want, "{} at round {round}", app.name());
+            }
+        }
+        assert_ne!(
+            predict_bits(&mut fast, &gmm, &window, stamp),
+            predict_bits(&mut fast, &gmm_as_lc, &window, stamp),
+            "a BE and an LC profile of one name share a record entry"
+        );
+    }
+}
+
+/// The record is keyed on the stamp alone, so whatever else an entry
+/// depends on has to empty it: between two decisions on the *same*
+/// stamp, a replaced signature and a swapped BE or LC model must each
+/// turn the second answer into what a policy built from scratch that
+/// way gives — not the first answer again.
+#[test]
+fn each_reset_point_turns_a_same_stamp_answer_into_a_fresh_policys() {
+    let (_, stack) = trained();
+    let mut subject = policy(stack, 1, true);
+    let window = synth_window(3);
+    let stamp = Some(WindowStamp {
+        source: 7,
+        version: 1,
+    });
+    let gmm = spark::by_name("gmm").unwrap();
+    let memcached = keyvalue::memcached();
+    let (be, lc) = (&stack.be_model, &stack.lc_model);
+
+    let check = |subject: &mut AdriasPolicy,
+                 what: &str,
+                 mut fresh: AdriasPolicy,
+                 moved: &WorkloadProfile,
+                 before: [(u32, u32); 2]| {
+        let after = [&gmm, &memcached].map(|app| predict_bits(subject, app, &window, stamp));
+        let want = [&gmm, &memcached].map(|app| predict_bits(&mut fresh, app, &window, stamp));
+        assert_eq!(after, want, "{what}: not a fresh policy's answer");
+        let i = usize::from(moved.name() == "memcached");
+        assert_ne!(after[i], before[i], "{what}: {} did not move", moved.name());
+        assert_eq!(after[1 - i], before[1 - i], "{what}: the other one moved");
+        after
+    };
+
+    let p0 = [&gmm, &memcached].map(|app| predict_bits(&mut subject, app, &window, stamp));
+
+    let recaptured = synth_signature("gmm", 99);
+    subject.store_signature(recaptured.clone());
+    let fresh = fresh_policy(stack, be, lc, Some(&recaptured));
+    let p1 = check(&mut subject, "store_signature", fresh, &gmm, p0);
+
+    subject.swap_be_model(lc.clone());
+    let fresh = fresh_policy(stack, lc, lc, Some(&recaptured));
+    let p2 = check(&mut subject, "swap_be_model", fresh, &gmm, p1);
+
+    subject.swap_lc_model(be.clone());
+    let fresh = fresh_policy(stack, lc, be, Some(&recaptured));
+    check(&mut subject, "swap_lc_model", fresh, &memcached, p2);
+}
+
+/// A context without a stamp vouches for nothing: it is never answered
+/// from the record, and nothing it computes is kept for a later
+/// decision to find.
+#[test]
+fn stamp_less_contexts_never_hit_and_never_fill() {
+    let (_, stack) = trained();
+    let mut fast = policy(stack, 1, true);
+    let mut slow = policy(stack, 1, false);
+    let gmm = spark::by_name("gmm").unwrap();
+    let (w1, w2, w3) = (synth_window(1), synth_window(2), synth_window(3));
+    let stamp = Some(WindowStamp {
+        source: 7,
+        version: 1,
+    });
+    let want = |slow: &mut AdriasPolicy, w: &[MetricVec]| predict_bits(slow, &gmm, w, None);
+    let (a1, a2, a3) = (
+        want(&mut slow, &w1),
+        want(&mut slow, &w2),
+        want(&mut slow, &w3),
+    );
+    assert!(
+        a1 != a2 && a2 != a3 && a1 != a3,
+        "windows too alike to tell"
+    );
+
+    // Stamp-less before anything is memoised, twice on different
+    // windows: the second must not find the first.
+    assert_eq!(predict_bits(&mut fast, &gmm, &w2, None), a2);
+    assert_eq!(predict_bits(&mut fast, &gmm, &w3, None), a3);
+    // A stamped decision next must not find either of them...
+    assert_eq!(predict_bits(&mut fast, &gmm, &w1, stamp), a1);
+    // ...a stamp-less one after it must not be served the stamped
+    // answer...
+    assert_eq!(predict_bits(&mut fast, &gmm, &w2, None), a2);
+    // ...and must have left the record as it was: under the stamp's
+    // promise, the memoised answer is served whatever rows come along.
+    assert_eq!(predict_bits(&mut fast, &gmm, &w3, stamp), a1);
 }
 
 proptest! {

@@ -10,6 +10,9 @@
 //! unfinished count — because skipping ahead is only a speed-up if
 //! nothing downstream can tell. (ROADMAP item 4's "skip-ahead ≡
 //! per-second" metamorphic oracle.)
+//!
+//! The reference also copies the history window on *every* arrival, as
+//! the engine did before it keyed the copy on the Watcher stamp.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -19,16 +22,18 @@ use adrias::core_util::rng::{SeedableRng, Xoshiro256pp};
 use adrias::obs::DecisionRule;
 use adrias::orchestrator::engine::lc_load_spec;
 use adrias::orchestrator::{
-    run_stream_hooked, AppOutcome, ArrivalStream, DecisionContext, EngineConfig, EventHeap,
-    EventKind, ExplainedDecision, FaultEvent, GeneratedStream, Policy, RandomPolicy,
+    run_stream_hooked, AppOutcome, ArrivalStream, DecisionContext, EngineConfig, EngineObserver,
+    EventHeap, EventKind, ExplainedDecision, FaultEvent, GeneratedStream, Policy, RandomPolicy,
     RoundRobinPolicy, RunReport, ScheduleStream, ScheduledArrival,
 };
 use adrias::scenarios::schedule::PlacementStyle;
-use adrias::scenarios::{build_schedule, load_corpus, train_stack, FuzzConfig, StackOptions};
-use adrias::sim::{CompletedApp, LinkConfig, Testbed, TestbedConfig};
+use adrias::scenarios::{
+    build_schedule, load_corpus, train_stack, FuzzConfig, StackOptions, TrainedStack,
+};
+use adrias::sim::{CompletedApp, DeploymentId, LinkConfig, StepReport, Testbed, TestbedConfig};
 use adrias::telemetry::{MetricVec, Watcher};
 use adrias::workloads::keyvalue::{self, tail_latency};
-use adrias::workloads::{spark, ClosedLoopSource, MemoryMode, WorkloadCatalog};
+use adrias::workloads::{spark, ClosedLoopSource, MemoryMode, WorkloadCatalog, WorkloadProfile};
 
 enum Payload {
     Arrival(ScheduledArrival),
@@ -417,11 +422,119 @@ fn drain_deadline_expires_mid_span() {
     assert_eq!(report.end_time_s, 290.0);
 }
 
+fn stack() -> &'static TrainedStack {
+    static STACK: OnceLock<TrainedStack> = OnceLock::new();
+    STACK.get_or_init(|| train_stack(&WorkloadCatalog::paper(), &StackOptions::quick()))
+}
+
+/// Keeps a Watcher of its own from the step reports and checks, at every
+/// decision, that the engine handed out exactly the rows a fresh
+/// `history_fill` on it returns (or no window, when that returns none).
+struct FreshWindow {
+    watcher: Watcher,
+    window_s: usize,
+    rows: Vec<MetricVec>,
+    decisions: usize,
+    with_window: usize,
+}
+
+impl EngineObserver for FreshWindow {
+    fn on_step(&mut self, report: &StepReport) {
+        self.watcher.record(report.sample);
+    }
+
+    fn on_decision(
+        &mut self,
+        at_s: f64,
+        _id: DeploymentId,
+        _profile: &WorkloadProfile,
+        history: Option<&[MetricVec]>,
+        _decision: &ExplainedDecision,
+        _policy_name: &str,
+    ) {
+        let fresh = self.watcher.history_fill(self.window_s, &mut self.rows);
+        let want = fresh.map(|_| self.rows.as_slice());
+        let bits = |rows: &[MetricVec]| -> Vec<[u32; 7]> {
+            rows.iter()
+                .map(|r| r.as_array().map(f32::to_bits))
+                .collect()
+        };
+        assert_eq!(history.map(bits), want.map(bits), "window at t = {at_s}");
+        self.decisions += 1;
+        self.with_window += usize::from(history.is_some());
+    }
+}
+
+/// A burst on one stamp: the engine copies the window once and the
+/// policy answers repeats from its per-stamp record, the reference
+/// copies and (on the slow lane) predicts from scratch per arrival.
+/// 70 arrivals land on tick 200 — forced ones and repeats of the same
+/// application among them — then a tick, 40 more on the next stamp, a
+/// quiet tick, and a last few; a handful arrive before the window has
+/// filled.
+#[test]
+fn a_burst_of_arrivals_on_one_tick() {
+    let catalog = WorkloadCatalog::paper();
+    let apps: Vec<&WorkloadProfile> = catalog.entries().iter().collect();
+    let mut arrivals = vec![ScheduledArrival::new(0.0, spark::by_name("sort").unwrap())
+        .with_mode(MemoryMode::Remote)
+        .with_duration(400.0)];
+    let mut burst = |from_s: f64, count: usize| {
+        for i in 0..count {
+            // Strictly inside (from_s, from_s + 1]: one tick.
+            let at_s = from_s + (i + 1) as f64 / count as f64;
+            let a = ScheduledArrival::new(at_s, apps[(i * 5) % apps.len()].clone())
+                .with_duration(3.0 + (i % 7) as f32);
+            arrivals.push(match i % 6 {
+                0 => a.with_mode(MemoryMode::Local),
+                3 => a.with_mode(MemoryMode::Remote),
+                _ => a,
+            });
+        }
+    };
+    burst(50.0, 5);
+    burst(199.0, 70);
+    burst(200.0, 40);
+    burst(202.0, 6);
+
+    let engine_cfg = EngineConfig {
+        qos_p99_ms: Some(5.0),
+        ..EngineConfig::default()
+    };
+    let mut probe = FreshWindow {
+        watcher: Watcher::new(engine_cfg.history_window_s),
+        window_s: engine_cfg.history_window_s,
+        rows: Vec::new(),
+        decisions: 0,
+        with_window: 0,
+    };
+    let got = run_stream_hooked(
+        TestbedConfig::paper(),
+        engine_cfg,
+        &mut ScheduleStream::new(&arrivals),
+        &[],
+        &mut stack().policy(0.7, 5.0),
+        &mut probe,
+    );
+    assert_eq!((probe.decisions, probe.with_window), (122, 116));
+    for fast in [true, false] {
+        let mut reference = stack().policy(0.7, 5.0);
+        reference.set_fast_path(fast);
+        let want = run_per_second(
+            TestbedConfig::paper(),
+            engine_cfg,
+            &mut ScheduleStream::new(&arrivals),
+            &[],
+            &mut reference,
+        );
+        assert_same_bits(&format!("burst, fast = {fast}"), &got, &want);
+    }
+    assert_eq!(got.outcomes.len(), 122);
+}
+
 #[test]
 fn every_corpus_case_under_every_policy() {
-    static STACK: OnceLock<adrias::scenarios::TrainedStack> = OnceLock::new();
-    let stack =
-        STACK.get_or_init(|| train_stack(&WorkloadCatalog::paper(), &StackOptions::quick()));
+    let stack = stack();
     let cfg = FuzzConfig::default();
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let entries = load_corpus(&dir).expect("committed corpus loads");
