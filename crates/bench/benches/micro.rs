@@ -89,11 +89,12 @@ fn fastest_interleaved(rounds: usize, runs: u32, mut run: impl FnMut(bool)) -> (
     (first, second)
 }
 
-/// One LC completion's tail measurement (8 000 lognormal draws, then
-/// p99 and p99.9) next to the draws alone, same seed. Returns the
-/// derived `lc_tail_to_draws_x` — what reading the quantiles costs on
-/// top: ≈ 1.1 by selection, ≈ 2.8 when `percentile` sorted a copy
-/// twice.
+/// One LC completion's tail measurement (p99 and p99.9 of 8 000
+/// lognormal draws) next to evaluating those draws, same seed. Returns
+/// the derived `lc_tail_to_draws_x`: ≈ 0.14 now that `tail_latency`
+/// evaluates only the draws that can reach its tail (the 16 000 raw
+/// generator outputs alone are ≈ 0.08); ≈ 1.1 when it evaluated every
+/// draw and selected, ≈ 2.8 when it sorted a copy twice.
 fn bench_lc_tail(h: &mut Harness) -> f64 {
     const SAMPLES: usize = 8000;
     const ROUNDS: usize = 40;

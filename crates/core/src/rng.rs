@@ -141,11 +141,19 @@ impl StandardSample for bool {
     }
 }
 
+/// The `[0, 1)` double `gen::<f64>()` makes of one raw output: its top
+/// 53 bits over 2⁵³, exactly — so it is monotone in `raw`, and a caller
+/// holding the raw word can reason about the double in integers.
+#[inline]
+pub fn unit_f64(raw: u64) -> f64 {
+    (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 impl StandardSample for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
 }
 

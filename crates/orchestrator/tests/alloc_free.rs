@@ -12,9 +12,11 @@
 //! steady state. A further one pins the
 //! engine's side of the same path: a workload's name is never copied
 //! between arrival and completion, and a simulated second in which
-//! nothing arrives or finishes allocates nothing at all. The last one
-//! is not about allocation but lives here with the other
-//! engine-surface pins: composed observers see every hook.
+//! nothing arrives or finishes allocates nothing at all — and an LC
+//! completion's 8 000-sample tail measurement allocates its certified
+//! tail, not its samples. The last one is not about allocation but
+//! lives here with the other engine-surface pins: composed observers
+//! see every hook.
 
 use adrias_core::alloc::{start_counting, stop_counting, CountingAllocator};
 use adrias_core::rng::{Rng, SeedableRng, Xoshiro256pp};
@@ -31,7 +33,10 @@ use adrias_predictor::{
 };
 use adrias_sim::{DeploymentId, LinkConfig, StepReport, TestbedConfig};
 use adrias_telemetry::{Metric, MetricSample, MetricVec, WindowStamp};
-use adrias_workloads::{spark, AppSignature, MemoryMode, WorkloadClass, WorkloadProfile};
+use adrias_workloads::keyvalue::{self, tail_latency};
+use adrias_workloads::{
+    spark, AppSignature, LatencyEnv, LoadSpec, MemoryMode, WorkloadClass, WorkloadProfile,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -445,6 +450,33 @@ impl EngineObserver for HookCounts {
 /// An observer sees the same calls on all ten hooks whether it runs
 /// alone, on either side of a pair, or behind `&mut` — and wall
 /// profiling reaches only the side of a pair that asked for it.
+/// One LC completion's tail measurement at the engine's shipped sample
+/// count holds only the draws it certified as the tail (≈ 120 of the
+/// 8 000), not the 32 KB sample vector it used to fill — so a completion
+/// no longer moves the allocator's layout under the run (the
+/// `peak_rss_mb` note in EXPERIMENTS.md).
+#[test]
+fn an_lc_tail_measurement_allocates_its_tail_not_its_samples() {
+    let samples = EngineConfig::default().lc_latency_samples;
+    assert_eq!(samples, 8_000);
+    let load = LoadSpec::default();
+    for store in keyvalue::suite() {
+        for mode in MemoryMode::BOTH {
+            let env = LatencyEnv::idle(mode);
+            let mut rng = Xoshiro256pp::seed_from_u64(0x1C);
+            start_counting();
+            let tl = tail_latency(&store, &load, &env, samples, &mut rng);
+            let (allocs, bytes) = stop_counting();
+            assert!(tl.p999_ms > tl.p99_ms);
+            assert!(
+                bytes < 8 * 1024,
+                "{} {mode:?}: {bytes} bytes in {allocs} allocations",
+                store.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn composed_observers_see_every_hook() {
     // Two jobs that finish, a fault, and a stressor that outlives the

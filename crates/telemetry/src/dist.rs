@@ -5,7 +5,7 @@
 //! models need (normal, lognormal, exponential) are implemented here via
 //! standard transforms (Box–Muller, inverse CDF).
 
-use adrias_core::rng::Rng;
+use adrias_core::rng::{unit_f64, Rng};
 
 /// Samples a standard normal deviate via the Box–Muller transform.
 ///
@@ -18,10 +18,32 @@ use adrias_core::rng::Rng;
 /// assert!(z.is_finite());
 /// ```
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Avoid ln(0) by sampling u1 from the half-open (0, 1].
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
+    normal_from_bits(normal_bits(rng))
+}
+
+/// The two raw outputs one [`standard_normal`] draw consumes.
+pub fn normal_bits<R: Rng + ?Sized>(rng: &mut R) -> [u64; 2] {
+    [rng.next_u64(), rng.next_u64()]
+}
+
+/// The Box–Muller deviate of two raw outputs: radius `√(−2 ln u1)` from
+/// the first, angle `2π·u2` from the second.
+#[inline]
+pub fn normal_from_bits([raw1, raw2]: [u64; 2]) -> f64 {
+    // Avoid ln(0) by mapping u1 to the half-open (0, 1].
+    let u1 = 1.0 - unit_f64(raw1);
+    let u2 = unit_f64(raw2);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Whether the deviate of `bits` can reach that of `[radius, 0]` (angle
+/// 0: the radius itself), decided on integers: the radius grows with the
+/// first word, and the cosine is positive only in the first and last
+/// quarter turn, top two bits of the second word `00` or `11`. `false`
+/// is a proof up to rounding (deviate < reference + 1e-14); `true` is not.
+#[inline]
+pub fn normal_reaches(bits: [u64; 2], radius: u64) -> bool {
+    bits[0] >= radius && matches!(bits[1] >> 62, 0 | 3)
 }
 
 /// Advances `rng` by exactly the two uniforms one [`standard_normal`]
@@ -29,8 +51,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// result cannot depend on the draw (a noise factor multiplying `+0.0`)
 /// but whose stream position must.
 pub fn skip_standard_normal<R: Rng + ?Sized>(rng: &mut R) {
-    rng.next_u64();
-    rng.next_u64();
+    normal_bits(rng);
 }
 
 /// Samples `N(mean, std_dev²)`.
@@ -136,6 +157,51 @@ mod tests {
             let _ = noise_factor(&mut drawn, 0.02);
             skip_standard_normal(&mut skipped);
             assert_eq!(drawn.next_u64(), skipped.next_u64());
+        }
+    }
+
+    #[test]
+    fn the_split_draw_is_the_formula_over_two_uniform_doubles() {
+        let mut split = Xoshiro256pp::seed_from_u64(5);
+        let mut whole = Xoshiro256pp::seed_from_u64(5);
+        for _ in 0..10_000 {
+            let u1: f64 = 1.0 - whole.gen::<f64>();
+            let u2: f64 = whole.gen();
+            let want = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            assert_eq!(standard_normal(&mut split).to_bits(), want.to_bits());
+        }
+        assert_eq!(split.next_u64(), whole.next_u64());
+    }
+
+    #[test]
+    fn a_draw_that_cannot_reach_sits_below_the_reference() {
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        for radius in [0, 1 << 63, 0xE8 << 56, u64::MAX - (1 << 20), u64::MAX] {
+            let reference = normal_from_bits([radius, 0]);
+            let mut reached = 0;
+            for _ in 0..50_000 {
+                let bits = normal_bits(&mut rng);
+                if normal_reaches(bits, radius) {
+                    reached += 1;
+                } else {
+                    let z = normal_from_bits(bits);
+                    assert!(z < reference + 1e-14, "{bits:x?}: {z} vs {reference}");
+                }
+            }
+            assert_eq!(reached == 0, radius > u64::MAX - (1 << 21), "{radius:#x}");
+        }
+        // The ends of the two kept quarter turns, at the largest radius:
+        // just inside is evaluated, just outside is at most rounding
+        // above zero.
+        for (angle, kept) in [
+            ((1 << 62) - 1, true),
+            (1 << 62, false),
+            ((3 << 62) - 1, false),
+            (3 << 62, true),
+        ] {
+            let bits = [u64::MAX, angle];
+            assert_eq!(normal_reaches(bits, 0), kept, "{angle:#x}");
+            assert!(kept || normal_from_bits(bits) < 1e-14, "{angle:#x}");
         }
     }
 

@@ -66,7 +66,13 @@ pub fn percentile(xs: &[f32], p: f64) -> f32 {
 
 /// [`percentile`] at each of the ascending `ps`, reordering `xs` instead
 /// of copying it — for a caller that owns its samples and reads several
-/// quantiles of them.
+/// quantiles of them. Panics as [`percentiles_of_top`] does.
+pub fn percentiles_in_place<const N: usize>(xs: &mut [f32], ps: [f64; N]) -> [f32; N] {
+    percentiles_of_top(xs, xs.len(), ps).expect("a whole population holds every rank")
+}
+
+/// [`percentiles_in_place`] of `n` samples of which `top` holds only the
+/// `top.len()` largest; `None` when `ps[0]` reads a rank below them.
 ///
 /// Order statistics are read by selection, not by sorting: one O(n)
 /// partition at the first rank, and each later rank found inside the
@@ -76,13 +82,17 @@ pub fn percentile(xs: &[f32], p: f64) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if a `p` is outside `[0, 100]`, if `ps` is not ascending, or
-/// if `xs` holds a NaN.
-pub fn percentiles_in_place<const N: usize>(xs: &mut [f32], ps: [f64; N]) -> [f32; N] {
+/// Panics if a `p` is outside `[0, 100]`, if `ps` is not ascending, if
+/// `top` holds a NaN or is longer than `n`.
+pub fn percentiles_of_top<const N: usize>(
+    top: &mut [f32],
+    n: usize,
+    ps: [f64; N],
+) -> Option<[f32; N]> {
     let cmp = |a: &f32, b: &f32| a.partial_cmp(b).expect("non-NaN samples");
-    let n = xs.len();
+    let below = n.checked_sub(top.len()).expect("top is part of n");
     let mut out = [0.0; N];
-    // `xs[..base]` holds the `base` smallest samples.
+    // `top[..base]` holds the `base` smallest samples of the slice.
     let mut base = 0;
     for (out, p) in out.iter_mut().zip(ps) {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
@@ -90,19 +100,20 @@ pub fn percentiles_in_place<const N: usize>(xs: &mut [f32], ps: [f64; N]) -> [f3
             continue;
         }
         let rank = p / 100.0 * (n - 1) as f64;
-        let lo = rank.floor() as usize;
+        let floor = rank.floor() as usize;
+        let lo = floor.checked_sub(below)?;
         assert!(lo >= base, "percentiles must be ascending");
-        let (_, &mut at_lo, above) = xs[base..].select_nth_unstable_by(lo - base, cmp);
+        let (_, &mut at_lo, above) = top[base..].select_nth_unstable_by(lo - base, cmp);
         base = lo;
-        *out = if rank.ceil() as usize == lo {
+        *out = if rank.ceil() as usize == floor {
             at_lo
         } else {
             let at_hi = above.iter().copied().min_by(cmp).expect("rank below n - 1");
-            let frac = (rank - lo as f64) as f32;
+            let frac = (rank - floor as f64) as f32;
             at_lo * (1.0 - frac) + at_hi * frac
         };
     }
-    out
+    Some(out)
 }
 
 /// Pearson's linear correlation coefficient between `xs` and `ys`.

@@ -56,6 +56,46 @@ proptest! {
         );
     }
 
+    /// Reading the quantiles of a population from its top `m` values
+    /// alone gives the full-slice read, bit for bit, for every `m` that
+    /// reaches down to the first rank — ties across the cut and `m == n`
+    /// included — and `None` for an `m` one short of it.
+    #[test]
+    fn top_of_a_population_reads_what_the_whole_does(
+        raw in prop::collection::vec(0u32..1_000_000, 1..=3_000),
+        levels in prop::sample::select(vec![2u32, 17, 1_000_000]),
+        lo in 0.0f64..100.0,
+        hi in 0.0f64..100.0,
+        cut in 0.0f64..1.0,
+    ) {
+        let xs: Vec<f32> = raw.iter().map(|&r| (r % levels) as f32 * 0.37 - 5.0).collect();
+        let n = xs.len();
+        let ps = if lo <= hi { [lo, hi, 100.0] } else { [hi, lo, 100.0] };
+        let want = stats::percentiles_in_place(&mut xs.clone(), ps).map(f32::to_bits);
+        let mut sorted = xs.clone();
+        sorted.sort_by(f32::total_cmp);
+        let least = n - (ps[0] / 100.0 * (n - 1) as f64).floor() as usize;
+        for m in [least, least + ((n - least) as f64 * cut) as usize, n] {
+            // Hand the top in arrival order, not sorted.
+            let floor = sorted[n - m];
+            let mut spare = sorted[n - m..].iter().filter(|&&x| x == floor).count();
+            let mut top = Vec::new();
+            for &x in &xs {
+                if x > floor || (x == floor && spare > 0) {
+                    spare -= usize::from(x == floor);
+                    top.push(x);
+                }
+            }
+            prop_assert_eq!(top.len(), m);
+            let got = stats::percentiles_of_top(&mut top, n, ps).map(|q| q.map(f32::to_bits));
+            prop_assert!(got == Some(want), "top {m} of {n}: {got:x?} vs {want:x?}");
+        }
+        if least > 1 {
+            let mut short = sorted[n - least + 1..].to_vec();
+            prop_assert_eq!(stats::percentiles_of_top(&mut short, n, ps), None);
+        }
+    }
+
     /// A percentile is always bracketed by the sample min and max, and
     /// the extreme percentiles hit them exactly.
     #[test]
