@@ -15,7 +15,7 @@
 //! medians plus the derived ratios) to the workspace root.
 
 use adrias_core::bench::{black_box, Harness};
-use adrias_core::rng::{SeedableRng, Xoshiro256pp};
+use adrias_core::rng::{Rng, SeedableRng, Xoshiro256pp};
 
 use adrias_nn::{accumulate_minibatch, GradModel, Layer, Linear, Lstm, MseLoss, Tensor};
 use adrias_sim::{Testbed, TestbedConfig};
@@ -41,7 +41,24 @@ fn populated_testbed(apps: usize, residency_s: f32) -> Testbed {
     tb
 }
 
-fn bench_sim_step(h: &mut Harness) {
+/// One second's arrivals at the churned node of [`bench_sim_step`].
+fn churn_arrivals(tb: &mut Testbed, no_lc: &WorkloadCatalog, rng: &mut Xoshiro256pp) {
+    for _ in 0..42 {
+        let w = no_lc.pick(rng).clone();
+        let mode = MemoryMode::BOTH[usize::from(rng.gen_range(0..4) != 0)];
+        tb.deploy_for(w, mode, rng.gen_range(4.0..=12.0));
+    }
+}
+
+/// Returns the derived `dense_step_to_fold_x`: a cold dense step in
+/// units of one in-order `f32` sum over as many terms as it has
+/// residents — the floor a single pass pays, since the pressure and
+/// counter sums are defined as in-order chains. ≈ 4 with the hot/cold
+/// resident store (two passes over 24-byte load records, one over
+/// 32-byte progress records); ≈ 12 when every pass walked 184-byte
+/// deployments, pushed each one's own environment sums and evaluated
+/// each one's own slowdown.
+fn bench_sim_step(h: &mut Harness) -> f64 {
     h.bench_function("testbed_step_20_apps", |b| {
         b.iter_batched(
             || populated_testbed(20, 100_000.0),
@@ -55,8 +72,9 @@ fn bench_sim_step(h: &mut Harness) {
 
     // A rack-scale node: 4 000 residents that outlive the bench, and a
     // cold epoch every step (`set_link` forgets the memo, as an arrival
-    // or a completion would) — one pressure sum, one counter sum, 4 000
-    // slowdowns and the progress pass over the resident store.
+    // or a completion would) — the two passes of the pressure and
+    // counter sums, one slowdown per kin (≤ 46 for the catalog) and the
+    // progress pass over the resident store.
     let mut tb = populated_testbed(4_000, 1.0e9);
     let link = tb.config().link;
     h.bench_function("testbed_step_4000_apps", |b| {
@@ -65,6 +83,47 @@ fn bench_sim_step(h: &mut Harness) {
             black_box(tb.step())
         })
     });
+
+    // The same density in churn, which the static node never sees: 42
+    // arrivals a second from the no-LC catalog, 3:1 remote:local, asking
+    // for 4–12 s, against as many completions once the population has
+    // settled — so a step also pays its arrivals' `deploy_for`s, its
+    // report and the compaction of what left.
+    let paper = WorkloadCatalog::paper();
+    let no_lc = paper.best_effort().chain(paper.interference()).cloned();
+    let no_lc = WorkloadCatalog::from_profiles(no_lc.collect());
+    let mut churned = Testbed::new(TestbedConfig::paper(), 1);
+    let mut rng = Xoshiro256pp::seed_from_u64(9);
+    for _ in 0..2_000 {
+        churn_arrivals(&mut churned, &no_lc, &mut rng);
+        churned.step();
+    }
+    h.bench_function("testbed_step_4000_churn", |b| {
+        b.iter(|| {
+            churn_arrivals(&mut churned, &no_lc, &mut rng);
+            black_box(churned.step())
+        })
+    });
+    println!("  churned node: {} residents", churned.resident_count());
+
+    const ROUNDS: usize = 40;
+    let terms: Vec<f32> = (0..4_000).map(|i| 1.0 + (i % 7) as f32 * 0.125).collect();
+    let (fold, step) = fastest_interleaved(ROUNDS, 50, |dense_step| {
+        if dense_step {
+            tb.set_link(link);
+            black_box(tb.step());
+        } else {
+            black_box(
+                black_box(&terms)
+                    .iter()
+                    .fold(0.0f32, |sum, term| sum + term),
+            );
+        }
+    });
+    h.record_ns("f32_fold_4000", fold);
+    let ratio = step / fold;
+    println!("  dense cold step vs one in-order f32 sum, fastest of {ROUNDS} interleaved rounds: {ratio:.2}x");
+    ratio
 }
 
 /// Per-run nanoseconds of two legs, `run(false)` and `run(true)`, timed
@@ -802,9 +861,7 @@ fn main() {
     let enabled = |section: &str| filter.is_empty() || section.contains(filter.as_str());
 
     let mut h = Harness::new("micro");
-    if enabled("testbed_step") {
-        bench_sim_step(&mut h);
-    }
+    let dense_step_to_fold = enabled("testbed_step").then(|| bench_sim_step(&mut h));
     let lc_tail_to_draws = enabled("lc_tail").then(|| bench_lc_tail(&mut h));
     let bwd_to_fwd = enabled("lstm").then(|| bench_lstm(&mut h));
     if enabled("gemm") {
@@ -853,6 +910,9 @@ fn main() {
     }
     if let Some(ratio) = lc_tail_to_draws {
         derived.push(("lc_tail_to_draws_x", ratio));
+    }
+    if let Some(ratio) = dense_step_to_fold {
+        derived.push(("dense_step_to_fold_x", ratio));
     }
     if let (Some(scalar), Some(simd)) = (
         h.median_ns("gemm_transb_scalar_64x128x64"),

@@ -12,9 +12,11 @@
 //! steady state. A further one pins the
 //! engine's side of the same path: a workload's name is never copied
 //! between arrival and completion, and a simulated second in which
-//! nothing arrives or finishes allocates nothing at all — and an LC
-//! completion's 8 000-sample tail measurement allocates its certified
-//! tail, not its samples. The last one is not about allocation but
+//! nothing arrives or finishes allocates nothing at all, one in which
+//! deployments finish allocates once and an arrival into a testbed that
+//! has been this full before not at all — and an LC completion's
+//! 8 000-sample tail measurement allocates its certified tail, not its
+//! samples. The last one is not about allocation but
 //! lives here with the other engine-surface pins: composed observers
 //! see every hook.
 
@@ -31,11 +33,11 @@ use adrias_predictor::{
     PerfDataset, PerfModel, PerfModelConfig, SystemStateDataset, SystemStateModel,
     SystemStateModelConfig,
 };
-use adrias_sim::{DeploymentId, LinkConfig, StepReport, TestbedConfig};
+use adrias_sim::{CompletedApp, DeploymentId, LinkConfig, StepReport, Testbed, TestbedConfig};
 use adrias_telemetry::{Metric, MetricSample, MetricVec, WindowStamp};
 use adrias_workloads::keyvalue::{self, tail_latency};
 use adrias_workloads::{
-    spark, AppSignature, LatencyEnv, LoadSpec, MemoryMode, WorkloadClass, WorkloadProfile,
+    ibench, spark, AppSignature, LatencyEnv, LoadSpec, MemoryMode, WorkloadClass, WorkloadProfile,
 };
 
 #[global_allocator]
@@ -339,10 +341,10 @@ impl EngineObserver for SpanAllocations {
 /// A quiet second — one resident or none, nothing arriving, nothing
 /// finishing — costs its noise draws, a watcher row and a `samples`
 /// push: no heap event, and no allocation while `samples` has room.
-/// `Testbed::step`'s `finished_at` and `finished` vectors stay empty
-/// (an empty `Vec` owns no block) and the engine takes the tick in
-/// place. The span sits between two doublings of `samples` (1 024 →
-/// 2 048 rows), first over a busy-but-quiet node, then over an idle one.
+/// `Testbed::step`'s `finished` vector stays empty (an empty `Vec` owns
+/// no block) and the engine takes the tick in place. The span sits
+/// between two doublings of `samples` (1 024 → 2 048 rows), first over a
+/// busy-but-quiet node, then over an idle one.
 #[test]
 fn quiet_ticks_allocate_nothing() {
     let lr = spark::by_name("lr").unwrap();
@@ -371,6 +373,72 @@ fn quiet_ticks_allocate_nothing() {
         assert_eq!(span.ticks, 899);
         assert_eq!(span.counted, Some((0, 0)), "quiet ticks allocated");
     }
+}
+
+/// Thirty arrivals a second from the no-LC catalog, 3:1 remote:local,
+/// asking for 2–6 s each.
+fn arrive(tb: &mut Testbed, catalog: &[WorkloadProfile], second: usize) {
+    for i in 0..30 {
+        let n = second * 30 + i;
+        let mode = MemoryMode::BOTH[usize::from(!n.is_multiple_of(4))];
+        tb.deploy_for(
+            catalog[n % catalog.len()].clone(),
+            mode,
+            2.0 + (n % 5) as f32,
+        );
+    }
+}
+
+/// A step that completes `k` deployments allocates once: its `finished`
+/// report, sized before it is filled (the positions and instants it is
+/// built from live in a scratch the testbed keeps). And a `deploy_for`
+/// into a store that has held this many residents allocates nothing: the
+/// id-ordered arrays keep their capacity, and cold slots, arrival-instant
+/// sums and kin entries come back off their free lists — including for a
+/// deployment that is removed in the tick it arrived in. The first wave
+/// sizes everything; the node then drains, and the second wave — the same
+/// population second for second, since population depends on nothing
+/// random — is the one counted.
+#[test]
+fn a_completing_step_allocates_its_report_and_a_deploy_nothing() {
+    let catalog: Vec<WorkloadProfile> = spark::suite()
+        .into_iter()
+        .chain(ibench::all_profiles())
+        .collect();
+    let mut tb = Testbed::new(TestbedConfig::paper(), 7);
+    for second in 0..40 {
+        arrive(&mut tb, &catalog, second);
+        tb.step();
+    }
+    while tb.resident_count() > 0 {
+        tb.step();
+    }
+    let (mut completing_steps, mut completions) = (0, 0);
+    for second in 0..40 {
+        start_counting();
+        arrive(&mut tb, &catalog, second);
+        let id = tb.deploy_for(
+            catalog[second % catalog.len()].clone(),
+            MemoryMode::Remote,
+            9.0,
+        );
+        let removed = tb.remove(id);
+        assert_eq!(
+            stop_counting(),
+            (0, 0),
+            "second {second}: a deploy allocated"
+        );
+        assert!(removed.is_some());
+        start_counting();
+        let report = tb.step();
+        let counted = stop_counting();
+        let k = report.finished.len();
+        let report_bytes = (k * std::mem::size_of::<CompletedApp>()) as u64;
+        assert_eq!(counted, (u64::from(k > 0), report_bytes), "second {second}");
+        completing_steps += usize::from(k > 1);
+        completions += k;
+    }
+    assert!(completing_steps > 20 && completions > 400, "{completions}");
 }
 
 /// Counts the calls to each of the nine [`EngineObserver`] event hooks

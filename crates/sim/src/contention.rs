@@ -14,7 +14,7 @@
 //!
 //! [`Sensitivity`]: adrias_workloads::Sensitivity
 
-use adrias_workloads::{MemoryMode, WorkloadProfile};
+use adrias_workloads::{MemoryMode, Sensitivity, WorkloadProfile};
 
 use crate::pressure::ResourcePressure;
 
@@ -51,22 +51,62 @@ const STACKING_WEIGHT: f32 = 0.5;
 /// assert!((remote - nweight.remote_penalty()).abs() < 0.05);
 /// ```
 pub fn slowdown(profile: &WorkloadProfile, mode: MemoryMode, p: &ResourcePressure) -> f32 {
-    let s = profile.sensitivity();
-    let local_term = 1.0 + s.cpu * p.cpu + s.l2 * p.l2 + s.llc * p.llc + s.mem_bw * p.mem_bw;
-    match mode {
-        MemoryMode::Local => local_term,
-        MemoryMode::Remote => {
-            let latency_ratio = (p.link_latency_cycles / 350.0).max(1.0) - 1.0;
-            let overload = (p.link_utilization - LINK_OVERLOAD_ONSET).clamp(0.0, LINK_OVERLOAD_CAP);
-            let link_term = 1.0
-                + s.mem_bw
-                    * (LINK_LATENCY_WEIGHT * latency_ratio + LINK_OVERLOAD_WEIGHT * overload);
-            let stacking_term = if profile.stacking() {
-                1.0 + STACKING_WEIGHT * (s.cpu * p.cpu + s.l2 * p.l2)
-            } else {
-                1.0
-            };
-            local_term * profile.remote_penalty() * link_term * stacking_term
+    Kin::of(profile, mode).slowdown(p)
+}
+
+/// Everything [`slowdown`] reads of a placement — and nothing else, the
+/// name least of all: placements of equal kin slow down alike under any
+/// pressure, so the testbed evaluates one per kin, not one per resident.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kin {
+    sensitivity: Sensitivity,
+    remote_penalty: f32,
+    stacking: bool,
+    mode: MemoryMode,
+}
+
+impl PartialEq for Kin {
+    /// By bit pattern: `-0.0` and `0.0`, or two NaNs, are told apart
+    /// exactly when their bits are, so equal kins are equal *inputs*.
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |k: &Kin| {
+            let s = k.sensitivity;
+            [s.cpu, s.l2, s.llc, s.mem_bw, k.remote_penalty].map(f32::to_bits)
+        };
+        (self.stacking, self.mode) == (other.stacking, other.mode) && bits(self) == bits(other)
+    }
+}
+
+impl Kin {
+    pub(crate) fn of(profile: &WorkloadProfile, mode: MemoryMode) -> Self {
+        Self {
+            sensitivity: *profile.sensitivity(),
+            remote_penalty: profile.remote_penalty(),
+            stacking: profile.stacking(),
+            mode,
+        }
+    }
+
+    /// The body of [`slowdown`].
+    pub(crate) fn slowdown(&self, p: &ResourcePressure) -> f32 {
+        let s = &self.sensitivity;
+        let local_term = 1.0 + s.cpu * p.cpu + s.l2 * p.l2 + s.llc * p.llc + s.mem_bw * p.mem_bw;
+        match self.mode {
+            MemoryMode::Local => local_term,
+            MemoryMode::Remote => {
+                let latency_ratio = (p.link_latency_cycles / 350.0).max(1.0) - 1.0;
+                let overload =
+                    (p.link_utilization - LINK_OVERLOAD_ONSET).clamp(0.0, LINK_OVERLOAD_CAP);
+                let link_term = 1.0
+                    + s.mem_bw
+                        * (LINK_LATENCY_WEIGHT * latency_ratio + LINK_OVERLOAD_WEIGHT * overload);
+                let stacking_term = if self.stacking {
+                    1.0 + STACKING_WEIGHT * (s.cpu * p.cpu + s.l2 * p.l2)
+                } else {
+                    1.0
+                };
+                local_term * self.remote_penalty * link_term * stacking_term
+            }
         }
     }
 }

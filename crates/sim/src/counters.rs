@@ -8,7 +8,7 @@
 use adrias_core::rng::Rng;
 
 use adrias_telemetry::{dist, Metric, MetricVec};
-use adrias_workloads::WorkloadProfile;
+use adrias_workloads::{ResourceDemand, WorkloadProfile};
 
 use crate::config::TestbedConfig;
 use crate::interconnect::Interconnect;
@@ -46,9 +46,23 @@ pub fn noiseless<'a>(
 ) -> MetricVec {
     let mut llc_loads = 0.0f32;
     for w in resident {
-        let d = w.demand();
-        llc_loads += d.cpu_cores * LLC_LOADS_PER_CORE + d.llc_mb * LLC_LOADS_PER_LLC_MB;
+        llc_loads += llc_loads_of(w.demand());
     }
+    over_llc_loads(cfg, llc_loads, p)
+}
+
+/// One resident's term of the `LlcLoads` sum.
+pub(crate) fn llc_loads_of(d: &ResourceDemand) -> f32 {
+    d.cpu_cores * LLC_LOADS_PER_CORE + d.llc_mb * LLC_LOADS_PER_LLC_MB
+}
+
+/// [`noiseless`] after its one pass over the residents: `llc_loads` is
+/// the in-order sum of their [`llc_loads_of`].
+pub(crate) fn over_llc_loads(
+    cfg: &TestbedConfig,
+    llc_loads: f32,
+    p: &ResourcePressure,
+) -> MetricVec {
     let miss_ratio = (BASE_MISS_RATIO + MISS_RATIO_PER_PRESSURE * p.llc).min(MAX_MISS_RATIO);
     let llc_misses = llc_loads * miss_ratio;
 

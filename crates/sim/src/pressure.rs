@@ -6,7 +6,7 @@
 //! values scale the slowdown of sensitive co-runners (see
 //! [`crate::contention`]).
 
-use adrias_workloads::{LatencyEnv, MemoryMode, WorkloadProfile};
+use adrias_workloads::{LatencyEnv, MemoryMode, ResourceDemand, WorkloadProfile};
 
 use crate::config::TestbedConfig;
 use crate::interconnect::{Interconnect, LinkState};
@@ -65,6 +65,23 @@ pub struct ResourcePressure {
     pub local_traffic_gbps: f32,
 }
 
+/// Aggregate CPU, L2 and LLC demand: the first pass of
+/// [`ResourcePressure::compute`], one `add` per resident in id order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeDemand {
+    cpu: f32,
+    l2: f32,
+    llc: f32,
+}
+
+impl NodeDemand {
+    pub(crate) fn add(&mut self, d: &ResourceDemand) {
+        self.cpu += d.cpu_cores;
+        self.l2 += d.l2_mb;
+        self.llc += d.llc_mb;
+    }
+}
+
 impl ResourcePressure {
     /// An idle testbed.
     pub fn idle(cfg: &TestbedConfig) -> Self {
@@ -93,26 +110,32 @@ impl ResourcePressure {
         cfg: &TestbedConfig,
         resident: impl Iterator<Item = (&'a WorkloadProfile, MemoryMode)> + Clone,
     ) -> Self {
-        let mut cpu_total = 0.0f32;
-        let mut l2_total = 0.0f32;
-        let mut llc_total = 0.0f32;
-        for (w, _) in resident.clone() {
-            let d = w.demand();
-            cpu_total += d.cpu_cores;
-            l2_total += d.l2_mb;
-            llc_total += d.llc_mb;
+        let resident = resident.map(|(w, mode)| (w.demand(), mode));
+        let mut node = NodeDemand::default();
+        for (d, _) in resident.clone() {
+            node.add(d);
         }
-        let cpu = pressure_of(cpu_total / cfg.node.cores, CPU_PRESSURE_ONSET);
-        let l2 = pressure_of(l2_total / cfg.node.l2_mb, CACHE_PRESSURE_ONSET);
-        let llc = pressure_of(llc_total / cfg.node.llc_mb, CACHE_PRESSURE_ONSET);
+        Self::over_node_demand(cfg, node, resident)
+    }
+
+    /// The link pass of [`ResourcePressure::compute`] over the same
+    /// residents, in the same order, as `node` was summed from.
+    pub(crate) fn over_node_demand<'a>(
+        cfg: &TestbedConfig,
+        node: NodeDemand,
+        resident: impl Iterator<Item = (&'a ResourceDemand, MemoryMode)>,
+    ) -> Self {
+        let cpu = pressure_of(node.cpu / cfg.node.cores, CPU_PRESSURE_ONSET);
+        let l2 = pressure_of(node.l2 / cfg.node.l2_mb, CACHE_PRESSURE_ONSET);
+        let llc = pressure_of(node.llc / cfg.node.llc_mb, CACHE_PRESSURE_ONSET);
 
         // Link pass: remote-mode applications offer a latency-throttled
         // fraction of their bandwidth demand, inflated by LLC misses.
         let miss_inflation = 1.0 + cfg.link.miss_traffic_coupling * llc;
         let mut offered = 0.0f32;
         let mut local_bw = 0.0f32;
-        for (w, mode) in resident {
-            let bw = w.demand().mem_bw_gbps;
+        for (d, mode) in resident {
+            let bw = d.mem_bw_gbps;
             match mode {
                 MemoryMode::Remote => {
                     offered += bw * cfg.link.link_demand_factor * miss_inflation;

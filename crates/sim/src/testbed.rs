@@ -6,12 +6,12 @@ use adrias_core::rng::SeedableRng;
 use adrias_core::rng::Xoshiro256pp;
 
 use adrias_telemetry::{MetricSample, MetricVec};
-use adrias_workloads::{LatencyEnv, MemoryMode, WorkloadClass, WorkloadProfile};
+use adrias_workloads::{LatencyEnv, MemoryMode, ResourceDemand, WorkloadClass, WorkloadProfile};
 
 use crate::config::TestbedConfig;
-use crate::contention::slowdown;
+use crate::contention::Kin;
 use crate::counters;
-use crate::pressure::ResourcePressure;
+use crate::pressure::{NodeDemand, ResourcePressure};
 
 /// Opaque handle identifying one deployment on the testbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,9 +31,12 @@ impl fmt::Display for DeploymentId {
     }
 }
 
-/// Accumulated environment statistics over a deployment's residency.
+/// Pressure summed over every step since one arrival instant. All the
+/// deployments admitted at that instant share it: each would add the
+/// same six terms in the same order from `0.0`, so the sums are taken
+/// once and read at completion.
 #[derive(Debug, Clone, Copy, Default)]
-struct EnvAccumulator {
+struct ArrivalEnv {
     steps: u32,
     cpu: f64,
     l2: f64,
@@ -41,11 +44,10 @@ struct EnvAccumulator {
     mem_bw: f64,
     link_util: f64,
     link_lat: f64,
-    slowdown: f64,
 }
 
-impl EnvAccumulator {
-    fn push(&mut self, p: &ResourcePressure, sd: f32) {
+impl ArrivalEnv {
+    fn push(&mut self, p: &ResourcePressure) {
         self.steps += 1;
         self.cpu += f64::from(p.cpu);
         self.l2 += f64::from(p.l2);
@@ -53,13 +55,12 @@ impl EnvAccumulator {
         self.mem_bw += f64::from(p.mem_bw);
         self.link_util += f64::from(p.link_utilization);
         self.link_lat += f64::from(p.link_latency_cycles);
-        self.slowdown += f64::from(sd);
     }
 
     /// The completion-time average. A deployment completes inside the
     /// progress loop of a step, after that step's `push`, so `steps` is
     /// at least 1 here.
-    fn average_env(&self, mode: MemoryMode) -> LatencyEnv {
+    fn average(&self, mode: MemoryMode) -> LatencyEnv {
         debug_assert!(self.steps > 0, "averaged before the first step");
         let n = f64::from(self.steps);
         LatencyEnv {
@@ -72,13 +73,110 @@ impl EnvAccumulator {
             link_latency_cycles: (self.link_lat / n) as f32,
         }
     }
+}
 
-    fn mean_slowdown(&self) -> f32 {
-        if self.steps == 0 {
-            1.0
-        } else {
-            (self.slowdown / f64::from(self.steps)) as f32
+/// What the pressure and counter folds read of a resident.
+#[derive(Debug, Clone, Copy)]
+struct Load {
+    demand: ResourceDemand,
+    mode: MemoryMode,
+}
+
+/// What the progress loop reads and writes of a resident. These differ
+/// between residents that share everything else: `work_done_s` by
+/// duration, the slowdown sum by which epochs the residency spanned.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    work_done_s: f64,
+    slowdown_sum: f64,
+    duration_s: f32,
+    /// Index into `Testbed::kins`.
+    kin: u32,
+    /// Index into `Testbed::arrivals`.
+    arrival: u32,
+    /// Index into `Testbed::cold`.
+    slot: u32,
+}
+
+/// A [`Kin`] with what the progress loop needs of it under the current
+/// epoch's pressure; `slowdown` and `rate` are meaningful only while
+/// [`Testbed`]'s epoch memo is valid.
+#[derive(Debug, Clone, Copy)]
+struct KinRate {
+    kin: Kin,
+    /// Whether progress is scaled by contention (BE) or wall-clock (LC
+    /// services and micro-benchmarks run for a fixed duration).
+    contended: bool,
+    slowdown: f32,
+    /// Work done per second: `1 / slowdown` if `contended`, else 1.
+    rate: f64,
+}
+
+/// Index-stable, reference-counted entries. An entry whose last
+/// reference leaves is the next one reused, so the table never holds
+/// more entries than were referenced at once.
+#[derive(Debug)]
+struct Shared<T> {
+    /// `(references, value)`; zero references marks a free entry.
+    entries: Vec<(u32, T)>,
+    free: Vec<u32>,
+}
+
+impl<T> Shared<T> {
+    fn new() -> Self {
+        Self {
+            entries: Vec::new(),
+            free: Vec::new(),
         }
+    }
+
+    /// Stores `value` under one reference.
+    fn insert(&mut self, value: T) -> u32 {
+        if let Some(at) = self.free.pop() {
+            self.entries[at as usize] = (1, value);
+            return at;
+        }
+        let at = u32::try_from(self.entries.len()).expect("fewer than 2^32 entries");
+        self.entries.push((1, value));
+        // Room to free every entry, so that `release` never allocates.
+        self.free.reserve(self.entries.len());
+        at
+    }
+
+    /// The entry with a holder whose value `is` what is looked for.
+    fn find(&self, is: impl Fn(&T) -> bool) -> Option<u32> {
+        let held = |(refs, value): &(u32, T)| *refs > 0 && is(value);
+        self.entries.iter().position(held).map(|at| at as u32)
+    }
+
+    /// Takes one more reference to the live entry `at`.
+    fn acquire(&mut self, at: u32) -> u32 {
+        self.entries[at as usize].0 += 1;
+        at
+    }
+
+    /// Drops one reference; whether it was the last.
+    fn release(&mut self, at: u32) -> bool {
+        let refs = &mut self.entries[at as usize].0;
+        *refs -= 1;
+        if *refs == 0 {
+            self.free.push(at);
+        }
+        *refs == 0
+    }
+
+    /// The values that have a holder.
+    fn live_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        let live = self.entries.iter_mut().filter(|(refs, _)| *refs > 0);
+        live.map(|(_, value)| value)
+    }
+}
+
+impl<T> std::ops::Index<u32> for Shared<T> {
+    type Output = T;
+
+    fn index(&self, at: u32) -> &T {
+        &self.entries[at as usize].1
     }
 }
 
@@ -90,11 +188,6 @@ pub struct Deployment {
     mode: MemoryMode,
     arrived_s: f64,
     duration_s: f32,
-    work_done_s: f64,
-    env: EnvAccumulator,
-    /// Slowdown under the current epoch's pressure; meaningful only
-    /// while [`Testbed`]'s epoch memo is valid.
-    slowdown: f32,
 }
 
 impl Deployment {
@@ -121,23 +214,6 @@ impl Deployment {
     /// Nominal work to complete, seconds of isolated execution.
     pub fn duration_s(&self) -> f32 {
         self.duration_s
-    }
-
-    /// Completed work, seconds of isolated-equivalent execution.
-    pub fn work_done_s(&self) -> f64 {
-        self.work_done_s
-    }
-
-    /// Whether progress is scaled by contention (BE) or wall-clock
-    /// (LC services and micro-benchmarks run for a fixed duration).
-    fn contended_progress(&self) -> bool {
-        self.profile.class() == WorkloadClass::BestEffort
-    }
-
-    /// Whether the nominal work is done (the deployment leaves at the
-    /// end of the step that gets it here).
-    fn is_complete(&self) -> bool {
-        self.work_done_s >= f64::from(self.duration_s)
     }
 }
 
@@ -205,16 +281,34 @@ pub struct Testbed {
     cfg: TestbedConfig,
     time_s: f64,
     next_id: u64,
-    /// Resident deployments in strictly increasing id order: ids are
-    /// issued in increasing order, so a deployment is a `push`, and
-    /// every removal keeps the order.
-    resident: Vec<Deployment>,
+    /// The residents in strictly increasing id order — ids are issued in
+    /// increasing order, so a deployment is a `push`, and every removal
+    /// keeps the order — split by reader: `loads[i]` and `progress[i]`
+    /// are the same resident.
+    loads: Vec<Load>,
+    progress: Vec<Progress>,
+    /// What only admission, completion and the by-id readers touch, at
+    /// `Progress::slot`: completions never move it.
+    cold: Shared<Option<Deployment>>,
+    /// Environment sums, one per arrival instant that still has a
+    /// resident.
+    arrivals: Shared<ArrivalEnv>,
+    /// The entry of `arrivals` for `time_s`, once something arrived; it
+    /// is held open by a reference of its own until the next step, so
+    /// everything admitted at one `time_s` shares it whatever left in
+    /// between.
+    arriving: Option<u32>,
+    /// One entry per distinct `(Kin, contended)` among the residents.
+    kins: Shared<KinRate>,
+    /// `(position, completion instant)` of the current step's
+    /// completions, in id order; empty between steps.
+    finished_at: Vec<(usize, f64)>,
     rng: Xoshiro256pp,
     link_bytes_total: f64,
     /// What a step derives from (resident set, `cfg.link`) alone, kept
     /// until either changes: `deploy_for`, `remove`, `set_link` and any
-    /// completion drop it. While it is `Some`, every resident's
-    /// `slowdown` field belongs to it too.
+    /// completion drop it. While it is `Some`, every kin's `slowdown`
+    /// and `rate` belong to it too.
     epoch: Option<Epoch>,
 }
 
@@ -236,7 +330,13 @@ impl Testbed {
             cfg,
             time_s: 0.0,
             next_id: 0,
-            resident: Vec::new(),
+            loads: Vec::new(),
+            progress: Vec::new(),
+            cold: Shared::new(),
+            arrivals: Shared::new(),
+            arriving: None,
+            kins: Shared::new(),
+            finished_at: Vec::new(),
             rng: Xoshiro256pp::seed_from_u64(seed),
             link_bytes_total: 0.0,
             epoch: None,
@@ -307,23 +407,69 @@ impl Testbed {
         assert!(duration_s > 0.0, "duration must be positive");
         let id = DeploymentId(self.next_id);
         self.next_id += 1;
-        self.resident.push(Deployment {
+        let kin = Kin::of(&profile, mode);
+        let contended = profile.class() == WorkloadClass::BestEffort;
+        let kin = match self.kins.find(|k| k.contended == contended && k.kin == kin) {
+            Some(at) => self.kins.acquire(at),
+            None => self.kins.insert(KinRate {
+                kin,
+                contended,
+                slowdown: 0.0,
+                rate: 0.0,
+            }),
+        };
+        let arrival = match self.arriving {
+            Some(open) => open,
+            // Under the tick's own reference, given up at its step.
+            None => *self
+                .arriving
+                .insert(self.arrivals.insert(ArrivalEnv::default())),
+        };
+        self.arrivals.acquire(arrival);
+        self.loads.push(Load {
+            demand: *profile.demand(),
+            mode,
+        });
+        let slot = self.cold.insert(Some(Deployment {
             id,
             profile,
             mode,
             arrived_s: self.time_s,
             duration_s,
+        }));
+        self.progress.push(Progress {
             work_done_s: 0.0,
-            env: EnvAccumulator::default(),
-            slowdown: 0.0,
+            slowdown_sum: 0.0,
+            duration_s,
+            kin,
+            arrival,
+            slot,
         });
         self.epoch = None;
         id
     }
 
+    /// The cold record of the resident `p`.
+    fn deployment_of(&self, p: &Progress) -> &Deployment {
+        self.cold[p.slot]
+            .as_ref()
+            .expect("a resident's slot is full")
+    }
+
     /// Position of `id` in the id-ordered resident store.
     fn position(&self, id: DeploymentId) -> Option<usize> {
-        self.resident.binary_search_by_key(&id, |d| d.id).ok()
+        let id_of = |p: &Progress| self.deployment_of(p).id;
+        self.progress.binary_search_by_key(&id, id_of).ok()
+    }
+
+    /// Gives back what `p`, already out of the id-ordered arrays, holds
+    /// of the shared tables.
+    fn retire(&mut self, p: &Progress) -> Deployment {
+        self.kins.release(p.kin);
+        self.arrivals.release(p.arrival);
+        self.cold.release(p.slot);
+        let slot = &mut self.cold.entries[p.slot as usize].1;
+        slot.take().expect("a resident's slot is full")
     }
 
     /// Removes a deployment before completion; returns it if resident.
@@ -331,7 +477,9 @@ impl Testbed {
     pub fn remove(&mut self, id: DeploymentId) -> Option<Deployment> {
         let at = self.position(id)?;
         self.epoch = None;
-        Some(self.resident.remove(at))
+        self.loads.remove(at);
+        let p = self.progress.remove(at);
+        Some(self.retire(&p))
     }
 
     /// Whether `id` is still resident.
@@ -341,7 +489,7 @@ impl Testbed {
 
     /// Number of resident deployments.
     pub fn resident_count(&self) -> usize {
-        self.resident.len()
+        self.progress.len()
     }
 
     /// Iterates over resident deployments in id order. Ids are strictly
@@ -349,34 +497,66 @@ impl Testbed {
     /// simulation is defined over: the f32 pressure and counter sums add
     /// their terms in it, and a step reports its completions in it
     /// (which fixes the order downstream consumers draw random numbers
-    /// in).
+    /// in). The records yielded are the cold third of the store — what
+    /// a step reads and writes every second is kept apart from them.
     pub fn resident(&self) -> impl Iterator<Item = &Deployment> + '_ {
-        self.resident.iter()
+        self.progress.iter().map(|p| self.deployment_of(p))
     }
 
     /// A deployment by id, if resident.
     pub fn deployment(&self, id: DeploymentId) -> Option<&Deployment> {
-        self.position(id).map(|at| &self.resident[at])
+        self.position(id)
+            .map(|at| self.deployment_of(&self.progress[at]))
+    }
+
+    /// Pressure and noiseless counters of the current resident set, in
+    /// two passes over the load records: [`ResourcePressure::compute`]
+    /// and [`counters::noiseless`] with their first passes taken
+    /// together, each sum adding the terms it always did in id order.
+    fn fold(&self) -> Epoch {
+        let mut node = NodeDemand::default();
+        let mut llc_loads = 0.0f32;
+        for load in &self.loads {
+            node.add(&load.demand);
+            llc_loads += counters::llc_loads_of(&load.demand);
+        }
+        let placements = self.loads.iter().map(|load| (&load.demand, load.mode));
+        let pressure = ResourcePressure::over_node_demand(&self.cfg, node, placements);
+        Epoch {
+            pressure,
+            counters: counters::over_llc_loads(&self.cfg, llc_loads, &pressure),
+        }
+    }
+
+    /// Starts the memo for the current resident set and link: the fold,
+    /// and every live kin's slowdown and progress rate under its
+    /// pressure.
+    fn open_epoch(&mut self) -> Epoch {
+        let epoch = self.fold();
+        for k in self.kins.live_mut() {
+            k.slowdown = k.kin.slowdown(&epoch.pressure);
+            k.rate = if k.contended {
+                1.0 / f64::from(k.slowdown)
+            } else {
+                1.0
+            };
+        }
+        self.epoch = Some(epoch);
+        epoch
     }
 
     /// Pressure snapshot for the current resident set.
     pub fn pressure(&self) -> ResourcePressure {
-        match &self.epoch {
-            Some(epoch) => epoch.pressure,
-            None => {
-                let placements = self.resident.iter().map(|d| (&d.profile, d.mode));
-                ResourcePressure::compute(&self.cfg, placements)
-            }
-        }
+        self.epoch.unwrap_or_else(|| self.fold()).pressure
     }
 
     /// Instantaneous slowdown factor of a resident deployment.
     pub fn slowdown_of(&self, id: DeploymentId) -> Option<f32> {
-        let d = self.deployment(id)?;
+        let kin = &self.kins[self.progress[self.position(id)?].kin];
         Some(if self.epoch.is_some() {
-            d.slowdown
+            kin.slowdown
         } else {
-            slowdown(&d.profile, d.mode, &self.pressure())
+            kin.kin.slowdown(&self.pressure())
         })
     }
 
@@ -385,74 +565,53 @@ impl Testbed {
     /// Computes the pressure for the current resident set, advances every
     /// deployment's progress, collects completions (with sub-second
     /// completion-time interpolation) and synthesizes the Watcher sample.
-    /// Pressure, noiseless counters and slowdowns are reused from the
-    /// previous step while the resident set and link are what they were;
-    /// the noise draws and every accumulator still run once per second.
+    /// Pressure, noiseless counters and one slowdown per kin are reused
+    /// from the previous step while the resident set and link are what
+    /// they were; the noise draws and every accumulator — per arrival
+    /// instant for the environment, per resident for progress — still run
+    /// once per second.
     pub fn step(&mut self) -> StepReport {
-        let warm = self.epoch.is_some();
-        let Epoch { pressure, counters } = self.epoch.unwrap_or_else(|| {
-            let pressure = self.pressure();
-            let profiles = self.resident.iter().map(|d| &d.profile);
-            Epoch {
-                pressure,
-                counters: counters::noiseless(&self.cfg, profiles, &pressure),
-            }
-        });
-        self.epoch = Some(Epoch { pressure, counters });
+        let Epoch { pressure, counters } = match self.epoch {
+            Some(epoch) => epoch,
+            None => self.open_epoch(),
+        };
         let sample = MetricSample::new(
             self.time_s + Self::STEP_S,
             counters::perturb(&self.cfg, &counters, &mut self.rng),
         );
         self.link_bytes_total += f64::from(pressure.link_delivered_gbps) * 1e9 / 8.0 * Self::STEP_S;
+        // What arrives after this step starts its own sums.
+        if let Some(open) = self.arriving.take() {
+            self.arrivals.release(open);
+        }
+        for env in self.arrivals.live_mut() {
+            env.push(&pressure);
+        }
 
-        // Completion instants of this step, in id order; stays empty (no
-        // allocation) on a step that finishes nothing.
-        let mut finished_at: Vec<f64> = Vec::new();
         let step_start = self.time_s;
-        for d in &mut self.resident {
-            if !warm {
-                d.slowdown = slowdown(&d.profile, d.mode, &pressure);
-            }
-            let sd = d.slowdown;
-            d.env.push(&pressure, sd);
-            let rate = if d.contended_progress() {
-                1.0 / f64::from(sd)
-            } else {
-                1.0
-            };
-            let before = d.work_done_s;
-            d.work_done_s += rate * Self::STEP_S;
-            if d.is_complete() {
+        for (at, p) in self.progress.iter_mut().enumerate() {
+            let KinRate { slowdown, rate, .. } = self.kins[p.kin];
+            p.slowdown_sum += f64::from(slowdown);
+            let before = p.work_done_s;
+            p.work_done_s += rate * Self::STEP_S;
+            // Done: the deployment leaves at the end of this step.
+            if p.work_done_s >= f64::from(p.duration_s) {
                 // Interpolate the in-step completion instant.
-                let need = f64::from(d.duration_s) - before;
+                let need = f64::from(p.duration_s) - before;
                 let frac = if rate > 0.0 {
                     (need / rate).clamp(0.0, 1.0)
                 } else {
                     1.0
                 };
-                finished_at.push(step_start + frac * Self::STEP_S);
+                self.finished_at
+                    .push((at, step_start + frac * Self::STEP_S));
             }
         }
-        let finished = if finished_at.is_empty() {
+        // A step that finishes nothing moves and allocates nothing.
+        let finished = if self.finished_at.is_empty() {
             Vec::new()
         } else {
-            self.epoch = None;
-            // One in-order compaction pass: the completed deployments
-            // leave in id order, pairing up with `finished_at`.
-            self.resident
-                .extract_if(.., |d| d.is_complete())
-                .zip(finished_at)
-                .map(|(d, finished_s)| CompletedApp {
-                    id: d.id,
-                    mode: d.mode,
-                    arrived_s: d.arrived_s,
-                    finished_s,
-                    runtime_s: finished_s - d.arrived_s,
-                    mean_slowdown: d.env.mean_slowdown(),
-                    average_env: d.env.average_env(d.mode),
-                    profile: d.profile,
-                })
-                .collect()
+            self.take_finished()
         };
         self.time_s += Self::STEP_S;
         StepReport {
@@ -461,6 +620,40 @@ impl Testbed {
             pressure,
             finished,
         }
+    }
+
+    /// Takes the residents listed in `finished_at` out of the store as
+    /// the step's report, in one allocation, and compacts the two
+    /// id-ordered arrays: the survivors between two completions move
+    /// down in one piece.
+    fn take_finished(&mut self) -> Vec<CompletedApp> {
+        let (len, n) = (self.progress.len(), self.finished_at.len());
+        let mut finished = Vec::with_capacity(n);
+        for i in 0..n {
+            let (at, finished_s) = self.finished_at[i];
+            let next = self.finished_at.get(i + 1).map_or(len, |next| next.0);
+            let p = self.progress[at];
+            let env = self.arrivals[p.arrival];
+            let d = self.retire(&p);
+            finished.push(CompletedApp {
+                id: d.id,
+                mode: d.mode,
+                arrived_s: d.arrived_s,
+                finished_s,
+                runtime_s: finished_s - d.arrived_s,
+                mean_slowdown: (p.slowdown_sum / f64::from(env.steps)) as f32,
+                average_env: env.average(d.mode),
+                profile: d.profile,
+            });
+            // `i` residents before `at` have left, and now `at`.
+            self.loads.copy_within(at + 1..next, at - i);
+            self.progress.copy_within(at + 1..next, at - i);
+        }
+        self.loads.truncate(len - n);
+        self.progress.truncate(len - n);
+        self.finished_at.clear();
+        self.epoch = None;
+        finished
     }
 
     /// Runs `profile` to completion in isolation on an otherwise empty
@@ -479,7 +672,7 @@ impl Testbed {
         mode: MemoryMode,
     ) -> (CompletedApp, Vec<MetricSample>) {
         assert!(
-            self.resident.is_empty(),
+            self.progress.is_empty(),
             "run_isolated requires an empty testbed"
         );
         let id = self.deploy(profile, mode);
@@ -630,6 +823,91 @@ mod tests {
         let app = spark::by_name("gmm").unwrap();
         tb.deploy(app.clone(), MemoryMode::Local);
         let _ = tb.run_isolated(app, MemoryMode::Local);
+    }
+
+    /// The two records a step streams over stay as small as what it
+    /// reads of them; anything else a resident carries belongs in the
+    /// cold `Deployment`.
+    #[test]
+    fn hot_records_stay_small() {
+        assert!(std::mem::size_of::<Load>() <= 24);
+        assert!(std::mem::size_of::<Progress>() <= 32);
+    }
+
+    /// A kin is what `slowdown` and the progress rate read, by bit
+    /// pattern: equal fields share one whatever the name, and one
+    /// differing bit, `stacking`, the class or the mode each make another.
+    #[test]
+    fn kin_is_keyed_on_what_slowdown_reads_not_on_the_name() {
+        use adrias_workloads::Sensitivity;
+        let build = |name: &'static str, class, llc_bits: u32, stacking| {
+            let sensitivity = Sensitivity {
+                llc: f32::from_bits(llc_bits),
+                ..Sensitivity::default()
+            };
+            let builder = WorkloadProfile::builder(name, class).sensitivity(sensitivity);
+            builder.stacking(stacking).build()
+        };
+        let (be, lc) = (WorkloadClass::BestEffort, WorkloadClass::LatencyCritical);
+        let half = 0.5f32.to_bits();
+        let mut tb = testbed();
+        let mut kin_after = |profile: WorkloadProfile, mode| {
+            let id = tb.deploy_for(profile, mode, 5.0);
+            let at = tb.position(id).unwrap();
+            (tb.progress[at].kin, tb.kins.entries.len())
+        };
+        let (local, remote) = (MemoryMode::Local, MemoryMode::Remote);
+        // (profile, mode) → (its kin, kins in the table).
+        for (profile, mode, want) in [
+            (build("a", be, half, false), local, (0, 1)),
+            (build("b", be, half, false), local, (0, 1)),
+            (build("a", be, half ^ 1, false), local, (1, 2)),
+            (build("a", be, half, true), local, (2, 3)),
+            (build("a", lc, half, false), local, (3, 4)),
+            (build("a", be, half, false), remote, (4, 5)),
+            (build("c", lc, half, false), local, (3, 5)),
+        ] {
+            assert_eq!(kin_after(profile, mode), want);
+        }
+    }
+
+    /// Neither shared table outgrows the resident count: an entry whose
+    /// last holder left is the next one handed out, also within a tick.
+    #[test]
+    fn shared_entries_are_reused_once_their_last_holder_leaves() {
+        let mut tb = testbed();
+        let apps = spark::suite();
+        for round in 0..50 {
+            let id = tb.deploy_for(apps[round % apps.len()].clone(), MemoryMode::Remote, 2.0);
+            assert!(tb.remove(id).is_some());
+            if round % 3 == 0 {
+                tb.step();
+            }
+        }
+        let sizes = |tb: &Testbed| {
+            let (cold, arrivals, kins) = (&tb.cold, &tb.arrivals, &tb.kins);
+            [
+                cold.entries.len(),
+                arrivals.entries.len(),
+                kins.entries.len(),
+            ]
+        };
+        assert_eq!(sizes(&tb), [1, 1, 1]);
+        // Four arrivals a second that stay 1–3 s: at most 12 resident,
+        // from at most 3 instants, however long it goes on.
+        for second in 0..200 {
+            for i in 0..4 {
+                let app = ibench::all_profiles()[(second + i) % 4].clone();
+                tb.deploy_for(app, MemoryMode::Local, 1.0 + ((second + i) % 3) as f32);
+            }
+            tb.step();
+            assert!(tb.resident_count() <= 12);
+        }
+        let within = sizes(&tb)
+            .iter()
+            .zip([12, 3, 4])
+            .all(|(&len, most)| len <= most);
+        assert!(within, "{:?}", sizes(&tb));
     }
 
     #[test]
