@@ -6,8 +6,8 @@
 //! 0.9} ≈ All-Local; β = 0.8 offloads ≈10 % with ≈0.5 % median drop;
 //! β = 0.7 offloads ≈35 % with ≈15 % drop; β = 0.6 over-offloads.
 
-use adrias_bench::{banner, bench_stack, dist_summary, eval_specs, threads, ComparedPolicy};
-use adrias_orchestrator::{AllLocalPolicy, RandomPolicy, RoundRobinPolicy};
+use adrias_bench::{banner, bench_stack, dist_summary, eval_specs, threads};
+use adrias_orchestrator::{AllLocalPolicy, Policy, RandomPolicy, RoundRobinPolicy};
 use adrias_scenarios::run_comparison;
 use adrias_sim::TestbedConfig;
 use adrias_telemetry::stats;
@@ -36,11 +36,13 @@ fn main() {
         n_policies,
         Some(QOS_MS),
         threads(),
-        |i| match i {
-            0 => ComparedPolicy::Random(RandomPolicy::new(4242)),
-            1 => ComparedPolicy::RoundRobin(RoundRobinPolicy::new()),
-            2 => ComparedPolicy::AllLocal(AllLocalPolicy::new()),
-            j => ComparedPolicy::adrias(&stack, BETAS[j - 3], QOS_MS),
+        |i| -> Box<dyn Policy + Send> {
+            match i {
+                0 => Box::new(RandomPolicy::new(4242)),
+                1 => Box::new(RoundRobinPolicy::new()),
+                2 => Box::new(AllLocalPolicy::new()),
+                j => Box::new(stack.policy(BETAS[j - 3], QOS_MS)),
+            }
         },
     );
 

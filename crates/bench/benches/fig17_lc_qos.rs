@@ -5,8 +5,8 @@
 //! ≈1/3 of LC deployments; at strict levels it adds ≈5 % (Redis) /
 //! ≈20 % (Memcached) more violations; Random/RR much worse.
 
-use adrias_bench::{banner, bench_stack, eval_specs, threads, ComparedPolicy};
-use adrias_orchestrator::{qos_levels, AllLocalPolicy, RandomPolicy, RoundRobinPolicy};
+use adrias_bench::{banner, bench_stack, eval_specs, threads};
+use adrias_orchestrator::{qos_levels, AllLocalPolicy, Policy, RandomPolicy, RoundRobinPolicy};
 use adrias_scenarios::run_comparison;
 use adrias_sim::TestbedConfig;
 use adrias_workloads::{WorkloadCatalog, WorkloadClass};
@@ -45,11 +45,13 @@ fn main() {
             4,
             Some(*qos),
             threads(),
-            |i| match i {
-                0 => ComparedPolicy::Random(RandomPolicy::new(77)),
-                1 => ComparedPolicy::RoundRobin(RoundRobinPolicy::new()),
-                2 => ComparedPolicy::AllLocal(AllLocalPolicy::new()),
-                _ => ComparedPolicy::adrias(&stack, 0.8, *qos),
+            |i| -> Box<dyn Policy + Send> {
+                match i {
+                    0 => Box::new(RandomPolicy::new(77)),
+                    1 => Box::new(RoundRobinPolicy::new()),
+                    2 => Box::new(AllLocalPolicy::new()),
+                    _ => Box::new(stack.policy(0.8, *qos)),
+                }
             },
         );
         println!("\n--- QoS level {li} (p99 <= {qos:.2} ms) ---");

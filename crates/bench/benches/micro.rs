@@ -18,6 +18,11 @@ use adrias_core::bench::{black_box, Harness};
 use adrias_core::rng::{Rng, SeedableRng, Xoshiro256pp};
 
 use adrias_nn::{accumulate_minibatch, GradModel, Layer, Linear, Lstm, MseLoss, Tensor};
+use adrias_orchestrator::engine::{
+    run_stream_hooked, ArrivalStream, EngineConfig, EngineObserver, GeneratedStream,
+    ScheduleStream, ScheduledArrival,
+};
+use adrias_orchestrator::{ObservedRun, Policy, RoundRobinPolicy};
 use adrias_sim::{Testbed, TestbedConfig};
 use adrias_telemetry::{Metric, MetricVec};
 use adrias_workloads::keyvalue::{self, sample_latencies, tail_latency};
@@ -148,6 +153,79 @@ fn fastest_interleaved(rounds: usize, runs: u32, mut run: impl FnMut(bool)) -> (
     (first, second)
 }
 
+/// The median, over interleaved rounds, of each leg's wall time in units
+/// of `base`'s. For whole-run overheads of a few percent: wall times on
+/// a shared machine drift by far more than that between sequentially
+/// sampled sections, while a round times every leg back to back (five
+/// runs each, `base` last) and contributes one ratio per leg, so the
+/// slow drift cancels. `ADRIAS_BENCH_PAIRS` sets the round count
+/// (default 40); three untimed rounds come first.
+fn paired_ratios(legs: &[(&str, &dyn Fn())], base: &dyn Fn()) -> Vec<f64> {
+    let pairs: usize = std::env::var("ADRIAS_BENCH_PAIRS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(40);
+    let time_leg = |f: &dyn Fn()| {
+        let t = std::time::Instant::now();
+        for _ in 0..5 {
+            f();
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let mut ratios = vec![Vec::with_capacity(pairs); legs.len()];
+    for round in 0..3 + pairs {
+        let walls: Vec<f64> = legs.iter().map(|(_, leg)| time_leg(leg)).collect();
+        let base = time_leg(base);
+        if round >= 3 {
+            for (ratios, wall) in ratios.iter_mut().zip(walls) {
+                ratios.push(wall / base);
+            }
+        }
+    }
+    let medians = ratios.iter_mut().map(|r| {
+        r.sort_by(f64::total_cmp);
+        r[r.len() / 2]
+    });
+    legs.iter()
+        .zip(medians)
+        .map(|((label, _), median)| {
+            println!("  {label}, median of {pairs} interleaved rounds: {median:.3}x");
+            median
+        })
+        .collect()
+}
+
+/// A sustained dense co-location mix (the paper's operating point): 20
+/// Spark apps arriving over 40 s, each resident for a fixed 600 s, so
+/// the testbed carries ~20 apps for most of the run and a step does
+/// representative contention work.
+fn dense_mix() -> Vec<ScheduledArrival> {
+    [
+        "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd", "rf", "linear", "bayes",
+        "terasort", "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, name)| {
+        ScheduledArrival::new(i as f64 * 2.0, spark::by_name(name).unwrap()).with_duration(600.0)
+    })
+    .collect()
+}
+
+/// One paper-testbed engine run of `stream` under `policy`, watched by
+/// `obs`, with the LC tail measurement scaled down to 100 draws.
+fn bench_run<O: EngineObserver>(
+    stream: &mut dyn ArrivalStream,
+    policy: &mut dyn Policy,
+    obs: &mut O,
+) -> adrias_orchestrator::RunReport {
+    let engine = EngineConfig {
+        lc_latency_samples: 100,
+        ..EngineConfig::default()
+    };
+    run_stream_hooked(TestbedConfig::paper(), engine, stream, &[], policy, obs)
+}
+
 /// One LC completion's tail measurement (p99 and p99.9 of 8 000
 /// lognormal draws) next to evaluating those draws, same seed. Returns
 /// the derived `lc_tail_to_draws_x`: ≈ 0.14 now that `tail_latency`
@@ -269,20 +347,18 @@ fn bench_gemm(h: &mut Harness) {
     }
 }
 
-/// The full Adrias scheduling decision through both lanes.
+/// The full Adrias scheduling decision.
 ///
-/// * `adrias_decision` — the slow lane (`set_fast_path(false)`): the
-///   pre-PR baseline that re-runs the forecast and allocates fresh
-///   buffers on every call. Kept honest so the derived speedup compares
-///   against real work, not a strawman.
-/// * `adrias_decision_fastpath` — the fast lane with a fresh
+/// * `adrias_decision_fastpath` — a fresh
 ///   [`adrias_telemetry::WindowStamp`] per call, i.e. every decision is
 ///   a forecast-cache **miss** (one scratch-based `Ŝ` forecast + one
 ///   batched perf pass, zero heap allocations).
-/// * `adrias_decision_cached` — the fast lane with a constant stamp and
-///   one application: every decision after the first is a **memo hit**
-///   on the per-stamp record (the signature-table lookup, the head
-///   lookup and the placement rule; no model work at all).
+/// * `adrias_decision_cached` — a constant stamp and one application:
+///   every decision after the first is a **memo hit** on the per-stamp
+///   record (the signature-table lookup, the head lookup and the
+///   placement rule; no model work at all). The derived
+///   `decision_fastpath_speedup_x` is miss over hit: ≈ 1 000, and 1 for
+///   a record that stopped hitting.
 /// * `decision_throughput` — a stream of 64 decisions across four apps
 ///   where the stamp advances every 8 decisions, the engine's
 ///   steady-state mix of hits and misses.
@@ -290,7 +366,7 @@ fn bench_gemm(h: &mut Harness) {
 ///   Spark applications taking turns: one forecast, one history-branch
 ///   pass, 17 head passes and 111 memo hits — a `burst_dense` second.
 fn bench_decision(h: &mut Harness) {
-    use adrias_orchestrator::{DecisionContext, Policy};
+    use adrias_orchestrator::DecisionContext;
     use adrias_scenarios::{train_stack, StackOptions};
     use adrias_telemetry::WindowStamp;
 
@@ -317,12 +393,6 @@ fn bench_decision(h: &mut Harness) {
         qos_p99_ms: Some(5.0),
         stamp: stamp_v.map(stamp),
     };
-
-    let mut slow = stack.policy(0.8, 5.0);
-    slow.set_fast_path(false);
-    h.bench_function("adrias_decision", |b| {
-        b.iter(|| black_box(slow.decide(&ctx(None, &app))))
-    });
 
     let mut fast = stack.policy(0.8, 5.0);
     let mut version = 0u64;
@@ -423,20 +493,11 @@ fn bench_worker_scaling(h: &mut Harness) {
 /// * `observed` — the full [`adrias_obs::Observer`] including per-step
 ///   pressure/latency sketches.
 ///
-/// Whole-run wall times on a shared machine drift by far more than the
-/// overhead being measured, so on top of the absolute sections the
-/// bench runs interleaved A/B/C rounds — each round times all variants
-/// back-to-back and contributes one ratio per variant — and reports the
-/// median ratios as the derived `obs_tracing_overhead_x` /
-/// `obs_overhead_x` metrics. Pairing cancels the slow drift that
-/// sequential sections cannot.
-fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
+/// On top of the absolute sections the derived `obs_tracing_overhead_x`
+/// / `obs_overhead_x` metrics are the [`paired_ratios`] medians of
+/// traced and observed over plain.
+fn bench_obs_overhead(h: &mut Harness) -> (f64, f64) {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{
-        run_stream_hooked, EngineConfig, EngineObserver, ScheduleStream, ScheduledArrival,
-    };
-    use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
-    use std::time::Instant;
 
     /// [`ObservedRun`] minus the per-step metrics hook: decisions,
     /// completions and the run span still record, `on_step` stays the
@@ -467,59 +528,29 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
         }
     }
 
-    // A sustained dense co-location mix (the paper's operating point):
-    // 20 Spark apps arriving over 40 s, each resident for a fixed 600 s,
-    // so the testbed carries ~20 apps for most of the run and the
-    // baseline step does representative contention work.
-    let apps = [
-        "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd", "rf", "linear", "bayes",
-        "terasort", "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd",
-    ];
-    let arrivals: Vec<ScheduledArrival> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            ScheduledArrival::new(i as f64 * 2.0, spark::by_name(name).unwrap())
-                .with_duration(600.0)
-        })
-        .collect();
-    let engine = || EngineConfig {
-        lc_latency_samples: 100,
-        ..EngineConfig::default()
-    };
+    let arrivals = dense_mix();
+    let dense = || ScheduleStream::new(&arrivals);
     let run_plain = || {
-        let mut policy = RoundRobinPolicy::new();
-        black_box(run_stream_hooked(
-            TestbedConfig::paper(),
-            engine(),
-            &mut ScheduleStream::new(&arrivals),
-            &[],
-            &mut policy,
+        black_box(bench_run(
+            &mut dense(),
+            &mut RoundRobinPolicy::new(),
             &mut (),
         ));
     };
     let run_traced = || {
-        let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
         let mut traced = TracingOnly(ObservedRun::with_qos(&mut obs, None));
-        black_box(run_stream_hooked(
-            TestbedConfig::paper(),
-            engine(),
-            &mut ScheduleStream::new(&arrivals),
-            &[],
-            &mut policy,
+        black_box(bench_run(
+            &mut dense(),
+            &mut RoundRobinPolicy::new(),
             &mut traced,
         ));
     };
     let run_observed = || {
-        let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig::default());
-        black_box(run_stream_hooked(
-            TestbedConfig::paper(),
-            engine(),
-            &mut ScheduleStream::new(&arrivals),
-            &[],
-            &mut policy,
+        black_box(bench_run(
+            &mut dense(),
+            &mut RoundRobinPolicy::new(),
             &mut ObservedRun::with_qos(&mut obs, None),
         ));
     };
@@ -528,41 +559,14 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
     h.bench_function("engine_run_traced_no_export", |b| b.iter(run_traced));
     h.bench_function("engine_run_observed_no_export", |b| b.iter(run_observed));
 
-    let pairs: usize = std::env::var("ADRIAS_BENCH_PAIRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    const RUNS_PER_LEG: usize = 5;
-    let time_leg = |f: &dyn Fn()| {
-        let t = Instant::now();
-        for _ in 0..RUNS_PER_LEG {
-            f();
-        }
-        t.elapsed().as_secs_f64()
-    };
-    for _ in 0..3 {
-        time_leg(&run_plain);
-        time_leg(&run_traced);
-        time_leg(&run_observed);
-    }
-    let mut traced_ratios = Vec::with_capacity(pairs);
-    let mut observed_ratios = Vec::with_capacity(pairs);
-    for _ in 0..pairs {
-        let traced = time_leg(&run_traced);
-        let observed = time_leg(&run_observed);
-        let plain = time_leg(&run_plain);
-        traced_ratios.push(traced / plain);
-        observed_ratios.push(observed / plain);
-    }
-    let median = |r: &mut Vec<f64>| {
-        r.sort_by(f64::total_cmp);
-        r[r.len() / 2]
-    };
-    let traced = median(&mut traced_ratios);
-    let observed = median(&mut observed_ratios);
-    println!("  tracing-only overhead, median of {pairs} interleaved rounds: {traced:.3}x");
-    println!("  full-metrics overhead, median of {pairs} interleaved rounds: {observed:.3}x");
-    (Some(traced), Some(observed))
+    let ratios = paired_ratios(
+        &[
+            ("tracing-only overhead", &run_traced),
+            ("full-metrics overhead", &run_observed),
+        ],
+        &run_plain,
+    );
+    (ratios[0], ratios[1])
 }
 
 /// Lifecycle spans + the queue-wait sketch on vs off, over the same
@@ -571,46 +575,21 @@ fn bench_obs_overhead(h: &mut Harness) -> (Option<f64>, Option<f64>) {
 /// difference is `ObsConfig::record_spans`, which gates span open/close
 /// bookkeeping and the queue-wait sketch observe.
 ///
-/// Like [`bench_obs_overhead`], the derived `span_overhead_x` metric is
-/// the median on/off ratio over interleaved A/B rounds so machine drift
-/// cancels. CI gates it at ≤ 1.15×.
-fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
+/// The derived `span_overhead_x` metric is the [`paired_ratios`] median
+/// of on over off; CI gates it.
+fn bench_span_overhead(h: &mut Harness) -> f64 {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{
-        run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
-    };
-    use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
-    use std::time::Instant;
 
-    // The same sustained dense co-location mix as `bench_obs_overhead`.
-    let apps = [
-        "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd", "rf", "linear", "bayes",
-        "terasort", "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd",
-    ];
-    let arrivals: Vec<ScheduledArrival> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            ScheduledArrival::new(i as f64 * 2.0, spark::by_name(name).unwrap())
-                .with_duration(600.0)
-        })
-        .collect();
-    let engine = || EngineConfig {
-        lc_latency_samples: 100,
-        ..EngineConfig::default()
-    };
+    let arrivals = dense_mix();
+    let dense = || ScheduleStream::new(&arrivals);
     let run_with = |record_spans: bool| {
-        let mut policy = RoundRobinPolicy::new();
         let mut obs = Observer::new(ObsConfig {
             record_spans,
             ..ObsConfig::default()
         });
-        black_box(run_stream_hooked(
-            TestbedConfig::paper(),
-            engine(),
-            &mut ScheduleStream::new(&arrivals),
-            &[],
-            &mut policy,
+        black_box(bench_run(
+            &mut dense(),
+            &mut RoundRobinPolicy::new(),
             &mut ObservedRun::with_qos(&mut obs, None),
         ));
     };
@@ -620,32 +599,7 @@ fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
     h.bench_function("engine_run_spans_on", |b| b.iter(run_spans_on));
     h.bench_function("engine_run_spans_off", |b| b.iter(run_spans_off));
 
-    let pairs: usize = std::env::var("ADRIAS_BENCH_PAIRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    const RUNS_PER_LEG: usize = 5;
-    let time_leg = |f: &dyn Fn()| {
-        let t = Instant::now();
-        for _ in 0..RUNS_PER_LEG {
-            f();
-        }
-        t.elapsed().as_secs_f64()
-    };
-    for _ in 0..3 {
-        time_leg(&run_spans_on);
-        time_leg(&run_spans_off);
-    }
-    let mut ratios = Vec::with_capacity(pairs);
-    for _ in 0..pairs {
-        let on = time_leg(&run_spans_on);
-        let off = time_leg(&run_spans_off);
-        ratios.push(on / off);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let median = ratios[ratios.len() / 2];
-    println!("  span+sketch overhead, median of {pairs} interleaved rounds: {median:.3}x");
-    Some(median)
+    paired_ratios(&[("span+sketch overhead", &run_spans_on)], &run_spans_off)[0]
 }
 
 /// The residual tracker riding along a dense paper-config run vs the
@@ -655,67 +609,35 @@ fn bench_span_overhead(h: &mut Harness) -> Option<f64> {
 /// joins at decision and completion, the end-of-run system-forecast
 /// scoring pass, and the flush into the registry.
 ///
-/// Like [`bench_obs_overhead`], the derived `online_residual_overhead_x`
-/// metric is the median ratio over interleaved A/B rounds, which cancels
-/// machine drift that sequential sections cannot.
-fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
+/// The derived `online_residual_overhead_x` metric is the
+/// [`paired_ratios`] median of tracked over observed; CI gates it.
+fn bench_residual_overhead(h: &mut Harness) -> f64 {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{
-        run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
-    };
-    use adrias_orchestrator::{ObservedRun, ResidualConfig, ResidualTracker};
+    use adrias_orchestrator::{ResidualConfig, ResidualTracker};
     use adrias_scenarios::{train_stack, StackOptions};
     use std::cell::RefCell;
-    use std::time::Instant;
 
     let catalog = WorkloadCatalog::paper();
     let stack = train_stack(&catalog, &StackOptions::quick());
-    // The same sustained dense co-location mix as `bench_obs_overhead`.
-    let apps = [
-        "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd", "rf", "linear", "bayes",
-        "terasort", "gmm", "sort", "pca", "lr", "kmeans", "nweight", "als", "svd",
-    ];
-    let arrivals: Vec<ScheduledArrival> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            ScheduledArrival::new(i as f64 * 2.0, spark::by_name(name).unwrap())
-                .with_duration(600.0)
-        })
-        .collect();
-    let engine = || EngineConfig {
-        lc_latency_samples: 100,
-        ..EngineConfig::default()
-    };
+    let arrivals = dense_mix();
+    let dense = || ScheduleStream::new(&arrivals);
     let scorer = RefCell::new(stack.system_model.clone());
     let run_observed = || {
-        let mut policy = stack.policy(0.8, 5.0);
         let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::with_qos(&mut obs, None);
-        black_box(run_stream_hooked(
-            TestbedConfig::paper(),
-            engine(),
-            &mut ScheduleStream::new(&arrivals),
-            &[],
-            &mut policy,
-            &mut hooks,
+        black_box(bench_run(
+            &mut dense(),
+            &mut stack.policy(0.8, 5.0),
+            &mut ObservedRun::with_qos(&mut obs, None),
         ));
     };
     let run_tracked = || {
-        let mut policy = stack.policy(0.8, 5.0);
         let mut obs = Observer::new(ObsConfig::default());
         let mut tracker = ResidualTracker::new(ResidualConfig::default());
-        let report = {
-            let mut hooks = (&mut tracker, ObservedRun::with_qos(&mut obs, None));
-            run_stream_hooked(
-                TestbedConfig::paper(),
-                engine(),
-                &mut ScheduleStream::new(&arrivals),
-                &[],
-                &mut policy,
-                &mut hooks,
-            )
-        };
+        let report = bench_run(
+            &mut dense(),
+            &mut stack.policy(0.8, 5.0),
+            &mut (&mut tracker, ObservedRun::with_qos(&mut obs, None)),
+        );
         tracker.score_system_forecasts(&report, &mut scorer.borrow_mut());
         black_box(tracker.flush(&mut obs));
     };
@@ -723,32 +645,10 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
     h.bench_function("engine_run_adrias_observed", |b| b.iter(run_observed));
     h.bench_function("engine_run_adrias_tracked", |b| b.iter(run_tracked));
 
-    let pairs: usize = std::env::var("ADRIAS_BENCH_PAIRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    const RUNS_PER_LEG: usize = 5;
-    let time_leg = |f: &dyn Fn()| {
-        let t = Instant::now();
-        for _ in 0..RUNS_PER_LEG {
-            f();
-        }
-        t.elapsed().as_secs_f64()
-    };
-    for _ in 0..3 {
-        time_leg(&run_observed);
-        time_leg(&run_tracked);
-    }
-    let mut ratios = Vec::with_capacity(pairs);
-    for _ in 0..pairs {
-        let tracked = time_leg(&run_tracked);
-        let observed = time_leg(&run_observed);
-        ratios.push(tracked / observed);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let median = ratios[ratios.len() / 2];
-    println!("  residual-tracking overhead, median of {pairs} interleaved rounds: {median:.3}x");
-    Some(median)
+    paired_ratios(
+        &[("residual-tracking overhead", &run_tracked)],
+        &run_observed,
+    )[0]
 }
 
 /// End-to-end event-engine throughput: a high-rate Poisson stream of
@@ -767,10 +667,6 @@ fn bench_residual_overhead(h: &mut Harness) -> Option<f64> {
 /// is the gate the ISSUE pins: CI fails if it falls below 1e5/s.
 fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
     use adrias_obs::{ObsConfig, Observer};
-    use adrias_orchestrator::engine::{
-        run_stream_hooked, EngineConfig, GeneratedStream, ScheduleStream, ScheduledArrival,
-    };
-    use adrias_orchestrator::{ObservedRun, RoundRobinPolicy};
     use adrias_workloads::{ArrivalSource, PoissonSource};
     use std::time::Instant;
 
@@ -779,10 +675,6 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
     const SEED: u64 = 41;
 
     let app = spark::by_name("lr").unwrap();
-    let engine = || EngineConfig {
-        lc_latency_samples: 100,
-        ..EngineConfig::default()
-    };
     let make_source = || PoissonSource::new(RATE_PER_S, HORIZON_S, SEED);
     let make_arrival = |t: f64| ScheduledArrival::new(t, app.clone()).with_duration(1.0);
 
@@ -804,14 +696,7 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
         let mut obs = Observer::new(ObsConfig::default());
         let mut hooks = ObservedRun::with_qos(&mut obs, None);
         let t = Instant::now();
-        let report = run_stream_hooked(
-            TestbedConfig::paper(),
-            engine(),
-            &mut ScheduleStream::new(&schedule),
-            &[],
-            &mut policy,
-            &mut hooks,
-        );
+        let report = bench_run(&mut ScheduleStream::new(&schedule), &mut policy, &mut hooks);
         let elapsed = t.elapsed().as_secs_f64();
         assert_eq!(report.unfinished, 0, "arrivals left behind in bench run");
         black_box(report);
@@ -823,14 +708,7 @@ fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
         let mut obs = Observer::new(ObsConfig::default());
         let mut hooks = ObservedRun::with_qos(&mut obs, None);
         let t = Instant::now();
-        let report = run_stream_hooked(
-            TestbedConfig::paper(),
-            engine(),
-            &mut stream,
-            &[],
-            &mut policy,
-            &mut hooks,
-        );
+        let report = bench_run(&mut stream, &mut policy, &mut hooks);
         let elapsed = t.elapsed().as_secs_f64();
         assert_eq!(report.unfinished, 0, "arrivals left behind in bench run");
         assert_eq!(report.outcomes.len() as u64, stream.issued());
@@ -876,18 +754,9 @@ fn main() {
     {
         bench_decision(&mut h);
     }
-    let mut obs_overhead: (Option<f64>, Option<f64>) = (None, None);
-    if enabled("obs_overhead") {
-        obs_overhead = bench_obs_overhead(&mut h);
-    }
-    let mut span_overhead: Option<f64> = None;
-    if enabled("span_overhead") {
-        span_overhead = bench_span_overhead(&mut h);
-    }
-    let mut residual_overhead: Option<f64> = None;
-    if enabled("residual_overhead") {
-        residual_overhead = bench_residual_overhead(&mut h);
-    }
+    let obs_overhead = enabled("obs_overhead").then(|| bench_obs_overhead(&mut h));
+    let span_overhead = enabled("span_overhead").then(|| bench_span_overhead(&mut h));
+    let residual_overhead = enabled("residual_overhead").then(|| bench_residual_overhead(&mut h));
     let mut engine_throughput: Vec<(&'static str, f64)> = Vec::new();
     if enabled("event_engine") {
         engine_throughput = bench_event_engine(&mut h);
@@ -928,25 +797,17 @@ fn main() {
     ) {
         derived.push(("worker_dispatch_overhead_x", w2 / w1));
     }
-    if let (Some(slow), Some(cached)) = (
-        h.median_ns("adrias_decision"),
+    if let (Some(miss), Some(hit)) = (
+        h.median_ns("adrias_decision_fastpath"),
         h.median_ns("adrias_decision_cached"),
     ) {
-        let speedup = slow / cached;
-        println!("  cached fast-lane vs slow decision:    {speedup:.2}x");
+        let speedup = miss / hit;
+        println!("  memo hit vs forecast-miss decision:   {speedup:.2}x");
         derived.push(("decision_fastpath_speedup_x", speedup));
     }
-    if let (Some(slow), Some(fast)) = (
-        h.median_ns("adrias_decision"),
-        h.median_ns("adrias_decision_fastpath"),
-    ) {
-        derived.push(("decision_miss_speedup_x", slow / fast));
-    }
-    if let Some(traced) = obs_overhead.0 {
+    if let Some((traced, observed)) = obs_overhead {
         println!("  traced vs plain engine run:           {traced:.3}x");
         derived.push(("obs_tracing_overhead_x", traced));
-    }
-    if let Some(observed) = obs_overhead.1 {
         println!("  observed vs plain engine run:         {observed:.3}x");
         derived.push(("obs_overhead_x", observed));
     }

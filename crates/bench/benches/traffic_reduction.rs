@@ -6,8 +6,8 @@
 //! still generates up to 55 % less channel traffic by favouring
 //! less memory-intensive applications for remote placement.
 
-use adrias_bench::{banner, bench_stack, eval_specs, threads, ComparedPolicy};
-use adrias_orchestrator::{AllLocalPolicy, RandomPolicy, RoundRobinPolicy};
+use adrias_bench::{banner, bench_stack, eval_specs, threads};
+use adrias_orchestrator::{AllLocalPolicy, Policy, RandomPolicy, RoundRobinPolicy};
 use adrias_scenarios::run_comparison;
 use adrias_sim::TestbedConfig;
 use adrias_workloads::WorkloadCatalog;
@@ -30,12 +30,14 @@ fn main() {
         5,
         Some(6.0),
         threads(),
-        |i| match i {
-            0 => ComparedPolicy::Random(RandomPolicy::new(31)),
-            1 => ComparedPolicy::RoundRobin(RoundRobinPolicy::new()),
-            2 => ComparedPolicy::AllLocal(AllLocalPolicy::new()),
-            3 => ComparedPolicy::adrias(&stack, 0.8, 6.0),
-            _ => ComparedPolicy::adrias(&stack, 0.7, 6.0),
+        |i| -> Box<dyn Policy + Send> {
+            match i {
+                0 => Box::new(RandomPolicy::new(31)),
+                1 => Box::new(RoundRobinPolicy::new()),
+                2 => Box::new(AllLocalPolicy::new()),
+                3 => Box::new(stack.policy(0.8, 6.0)),
+                _ => Box::new(stack.policy(0.7, 6.0)),
+            }
         },
     );
 

@@ -19,52 +19,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use adrias_orchestrator::{
-    AdriasPolicy, AllLocalPolicy, DecisionContext, Policy, RandomPolicy, RoundRobinPolicy,
-};
 use adrias_scenarios::{scaled_corpus, train_stack, ScenarioSpec, StackOptions, TrainedStack};
-use adrias_workloads::{MemoryMode, WorkloadCatalog};
-
-/// A single type unifying all compared schedulers, so the benches can
-/// return them from one `make_policy` closure.
-#[allow(clippy::large_enum_variant)]
-pub enum ComparedPolicy {
-    /// The deep-learning-driven Adrias policy.
-    Adrias(Box<AdriasPolicy>),
-    /// Uniform random placement.
-    Random(RandomPolicy),
-    /// Alternating placement.
-    RoundRobin(RoundRobinPolicy),
-    /// Conventional all-local placement.
-    AllLocal(AllLocalPolicy),
-}
-
-impl ComparedPolicy {
-    /// Builds Adrias with the given slack and QoS from a trained stack.
-    pub fn adrias(stack: &TrainedStack, beta: f32, qos_p99_ms: f32) -> Self {
-        ComparedPolicy::Adrias(Box::new(stack.policy(beta, qos_p99_ms)))
-    }
-}
-
-impl Policy for ComparedPolicy {
-    fn name(&self) -> &str {
-        match self {
-            ComparedPolicy::Adrias(p) => p.name(),
-            ComparedPolicy::Random(p) => p.name(),
-            ComparedPolicy::RoundRobin(p) => p.name(),
-            ComparedPolicy::AllLocal(p) => p.name(),
-        }
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> MemoryMode {
-        match self {
-            ComparedPolicy::Adrias(p) => p.decide(ctx),
-            ComparedPolicy::Random(p) => p.decide(ctx),
-            ComparedPolicy::RoundRobin(p) => p.decide(ctx),
-            ComparedPolicy::AllLocal(p) => p.decide(ctx),
-        }
-    }
-}
+use adrias_workloads::WorkloadCatalog;
 
 /// Reads a `usize` environment knob with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {

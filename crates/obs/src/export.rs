@@ -445,9 +445,6 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
         out.push('}');
     }
     for (run, r) in obs.spans.records_by_run() {
-        // Decision lanes are deliberately left out of the args: the
-        // Chrome trace is part of the byte-compared export set, which
-        // must not vary between the fast and slow decision paths.
         // A deployment's own track in its first run (the one its `app`
         // span is on); later runs under the same observer reuse the
         // deployment ids and restart the sim clock, so their trees go

@@ -50,8 +50,7 @@ pub struct LifecycleSpan {
     pub mode: &'static str,
     /// The decision rule tag that fired (see `DecisionRule::tag`).
     pub rule: &'static str,
-    /// The decision lane (`"fast"` / `"slow"` / `"direct"` /
-    /// `"forced"`).
+    /// The decision lane (`"fast"` / `"direct"` / `"forced"`).
     pub lane: &'static str,
     /// Raw scheduled arrival instant, sim seconds.
     pub arrived_s: f64,

@@ -342,7 +342,7 @@ pub fn validate_jsonl_metrics(text: &str) -> Result<usize, ValidateError> {
     Ok(count)
 }
 
-const KNOWN_LANES: [&str; 4] = ["fast", "slow", "direct", "forced"];
+const KNOWN_LANES: [&str; 3] = ["fast", "direct", "forced"];
 
 /// Validates a `spans.jsonl` export. Returns the number of span lines
 /// (excluding the meta header).
@@ -835,14 +835,19 @@ mod tests {
             .reason
             .contains("lifecycle root"));
 
-        let bad_lane = format!(
-            "{meta}\n{}",
-            r#"{"type":"span","phase":"decision","id":2,"parent":0,"deployment_id":0,"t0_s":1,"t1_s":1,"rule":"static","lane":"warp"}"#
-        );
-        assert!(validate_jsonl_spans(&bad_lane)
-            .unwrap_err()
-            .reason
-            .contains("unknown lane"));
+        // `slow` was a lane until the uncached path moved into the
+        // tests as their oracle; no policy reports it any more.
+        for lane in ["warp", "slow"] {
+            let bad_lane = format!(
+                "{meta}\n{}",
+                r#"{"type":"span","phase":"decision","id":2,"parent":0,"deployment_id":0,"t0_s":1,"t1_s":1,"rule":"static","lane":"LANE"}"#
+                    .replace("LANE", lane)
+            );
+            assert!(validate_jsonl_spans(&bad_lane)
+                .unwrap_err()
+                .reason
+                .contains("unknown lane"));
+        }
 
         let backwards = format!(
             "{meta}\n{}",

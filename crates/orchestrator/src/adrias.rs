@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use adrias_core::Name;
-use adrias_predictor::{PerfModel, PerfQuery, PerfScratch, SystemScratch, SystemStateModel};
+use adrias_predictor::{PerfModel, PerfScratch, SystemScratch, SystemStateModel};
 use adrias_telemetry::{MetricVec, WindowStamp};
 use adrias_workloads::{AppSignature, MemoryMode, WorkloadClass};
 
@@ -58,10 +58,6 @@ pub struct AdriasPolicy {
     apps: BTreeMap<Name, KnownApp>,
     beta: f32,
     default_qos_p99_ms: f32,
-    /// Routes decisions through the allocation-free cached lane
-    /// (default). The slow lane survives for parity pinning and honest
-    /// benchmarking; both produce bit-identical decisions.
-    fast_path: bool,
     /// Test-only fault injection: when set, the LC branch ignores the
     /// QoS threshold and offloads unconditionally. Exists so the
     /// adversarial fuzzer can prove its QoS oracle detects a genuinely
@@ -72,7 +68,7 @@ pub struct AdriasPolicy {
     wall_profile: bool,
     /// Accumulated forward wall nanoseconds since the last drain.
     forward_wall_ns: u64,
-    /// What the fast lane has computed from the current Watcher window.
+    /// What decisions have computed from the current Watcher window.
     record: StampRecord,
     sys_scratch: SystemScratch,
     be_scratch: PerfScratch,
@@ -100,7 +96,7 @@ fn signature_features(
     model.signature_features_into(&window, scratch).to_vec()
 }
 
-/// Everything the fast lane memoises, keyed **once** on the
+/// Everything a decision memoises, keyed **once** on the
 /// [`WindowStamp`] of the Watcher window it was computed from — equal
 /// stamps guarantee bit-identical windows (see
 /// [`DecisionContext::stamp`]). Each slot fills on first use under that
@@ -129,16 +125,11 @@ impl StampRecord {
     /// Empties every slot unless the record already belongs to `stamp`.
     fn rekey(&mut self, stamp: WindowStamp) {
         if self.stamp != Some(stamp) {
-            self.reset();
             self.stamp = Some(stamp);
+            self.s_hat = None;
+            self.h_s.iter_mut().for_each(Vec::clear);
+            self.heads.clear();
         }
-    }
-
-    fn reset(&mut self) {
-        self.stamp = None;
-        self.s_hat = None;
-        self.h_s.iter_mut().for_each(Vec::clear);
-        self.heads.clear();
     }
 
     /// Empties what came through the BE (`lc == false`) or LC perf
@@ -200,7 +191,6 @@ impl AdriasPolicy {
             apps: BTreeMap::new(),
             beta,
             default_qos_p99_ms,
-            fast_path: true,
             test_qos_bypass: false,
             wall_profile: false,
             forward_wall_ns: 0,
@@ -213,23 +203,6 @@ impl AdriasPolicy {
             policy.store_signature(signature);
         }
         policy
-    }
-
-    /// Enables or disables the cached, allocation-free decision lane.
-    ///
-    /// Both lanes produce bit-identical decisions (pinned by tests); the
-    /// slow lane exists so parity checks and benchmarks have an honest
-    /// reference. Disabling the fast path also drops what it memoised.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-        if !enabled {
-            self.record.reset();
-        }
-    }
-
-    /// Whether the cached decision lane is active.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
     }
 
     /// **Test-only** fault injection: when enabled, latency-critical
@@ -266,8 +239,8 @@ impl AdriasPolicy {
     ///
     /// Also runs each performance model's signature LSTM branch on the
     /// normalized window and stores the resulting `h_k` features, so
-    /// the decision fast lane never touches signature data — or the
-    /// signature LSTMs — at decision time.
+    /// a decision never touches signature data — or the signature
+    /// LSTMs — at decision time.
     pub fn store_signature(&mut self, signature: AppSignature) {
         let name = Name::from(signature.app_name().to_owned());
         // Predictions memoised from the signature this one replaces.
@@ -305,7 +278,7 @@ impl AdriasPolicy {
     /// Everything derived from the old model is rebuilt: the prediction
     /// scratch (which snapshots batch-norm running stats), the per-app
     /// signature features (the new model may normalize differently), and
-    /// what the fast lane memoised through it. Decisions after the swap
+    /// what decisions memoised through it. Decisions after the swap
     /// are exactly what a policy constructed with `model` would make.
     ///
     /// # Panics
@@ -339,6 +312,12 @@ impl AdriasPolicy {
 
     /// Predicted performance (execution time for BE, p99 for LC) for one
     /// mode, or `None` when no history window or signature is available.
+    ///
+    /// Uncached and allocating: the forecast and the perf model run in
+    /// full on every call and nothing memoised is read or written. That
+    /// makes it the oracle the decision path is pinned against — every
+    /// prediction [`Policy::decide_explained`] reports must equal this
+    /// one bit for bit (`tests/fastpath_parity.rs`).
     pub fn predict_perf(&mut self, ctx: &DecisionContext<'_>, mode: MemoryMode) -> Option<f32> {
         let history = ctx.history?;
         let signature = &self.apps.get(ctx.profile.name())?.signature;
@@ -354,14 +333,13 @@ impl AdriasPolicy {
     /// history window or signature is available — the per-decision
     /// prediction.
     ///
-    /// On the default fast lane every stage is memoised on
-    /// [`DecisionContext::stamp`] — the forecast `Ŝ`, the history
-    /// features of the perf model in charge, and the head's answer for
-    /// this application — so a repeated `(stamp, application)` costs two
-    /// lookups, and whatever does run goes through preallocated
-    /// scratch: the steady-state decision makes no heap allocations.
-    /// Each entry is bit-identical to the corresponding
-    /// [`AdriasPolicy::predict_perf`] call on either lane.
+    /// Every stage is memoised on [`DecisionContext::stamp`] — the
+    /// forecast `Ŝ`, the history features of the perf model in charge,
+    /// and the head's answer for this application — so a repeated
+    /// `(stamp, application)` costs two lookups, and whatever does run
+    /// goes through preallocated scratch: the steady-state decision
+    /// makes no heap allocations. Each entry is bit-identical to the
+    /// corresponding [`AdriasPolicy::predict_perf`] call.
     pub fn predict_perf_both(&mut self, ctx: &DecisionContext<'_>) -> Option<(f32, f32)> {
         self.predict(ctx).ok()
     }
@@ -385,87 +363,56 @@ impl AdriasPolicy {
             });
         };
         let t0 = self.wall_profile.then(std::time::Instant::now);
-        let preds = if self.fast_path {
-            let class = ctx.profile.class();
-            let lc = is_lc(class);
-            let (model, scratch, h_k) = if lc {
-                (&self.lc_model, &mut self.lc_scratch, &app.lc_h_k)
-            } else {
-                (&self.be_model, &mut self.be_scratch, &app.be_h_k)
-            };
-            // A stamp vouches that the window is the one the record was
-            // filled from. A stamp-less context can make no such
-            // promise: it computes everything on a blank record of its
-            // own, reading and leaving nothing.
-            let mut unkeyed = StampRecord::default();
-            let record = match ctx.stamp {
-                Some(stamp) => {
-                    self.record.rekey(stamp);
-                    &mut self.record
-                }
-                None => &mut unkeyed,
-            };
-            let name = ctx.profile.name_handle();
-            let memoised = record
-                .heads
-                .iter()
-                .find(|(app, c, _)| *c == class && app == name);
-            match memoised {
-                Some(&(.., preds)) => preds,
-                None => {
-                    let s_hat = *record.s_hat.get_or_insert_with(|| {
-                        self.system_model
-                            .predict_into(history, &mut self.sys_scratch)
-                    });
-                    let h_s = &mut record.h_s[usize::from(lc)];
-                    if h_s.is_empty() {
-                        h_s.extend_from_slice(model.history_features_into(history, scratch));
-                    }
-                    let [local, remote] = model.predict_both_from_features(
-                        h_s,
-                        h_k,
-                        [MemoryMode::Local, MemoryMode::Remote],
-                        Some(&s_hat),
-                        scratch,
-                    );
-                    record.heads.push((name.clone(), class, (local, remote)));
-                    (local, remote)
-                }
-            }
+        let class = ctx.profile.class();
+        let lc = is_lc(class);
+        let (model, scratch, h_k) = if lc {
+            (&self.lc_model, &mut self.lc_scratch, &app.lc_h_k)
         } else {
-            self.predict_perf_both_slow(ctx)
-                .expect("a known application and a window")
+            (&self.be_model, &mut self.be_scratch, &app.be_h_k)
+        };
+        // A stamp vouches that the window is the one the record was
+        // filled from. A stamp-less context can make no such promise: it
+        // computes everything on a blank record of its own, reading and
+        // leaving nothing.
+        let mut unkeyed = StampRecord::default();
+        let record = match ctx.stamp {
+            Some(stamp) => {
+                self.record.rekey(stamp);
+                &mut self.record
+            }
+            None => &mut unkeyed,
+        };
+        let name = ctx.profile.name_handle();
+        let memoised = record
+            .heads
+            .iter()
+            .find(|(app, c, _)| *c == class && app == name);
+        let preds = match memoised {
+            Some(&(.., preds)) => preds,
+            None => {
+                let s_hat = *record.s_hat.get_or_insert_with(|| {
+                    self.system_model
+                        .predict_into(history, &mut self.sys_scratch)
+                });
+                let h_s = &mut record.h_s[usize::from(lc)];
+                if h_s.is_empty() {
+                    h_s.extend_from_slice(model.history_features_into(history, scratch));
+                }
+                let [local, remote] = model.predict_both_from_features(
+                    h_s,
+                    h_k,
+                    [MemoryMode::Local, MemoryMode::Remote],
+                    Some(&s_hat),
+                    scratch,
+                );
+                record.heads.push((name.clone(), class, (local, remote)));
+                (local, remote)
+            }
         };
         if let Some(t0) = t0 {
             self.forward_wall_ns += t0.elapsed().as_nanos() as u64;
         }
         Ok(preds)
-    }
-
-    /// Reference implementation: allocating, uncached.
-    fn predict_perf_both_slow(&mut self, ctx: &DecisionContext<'_>) -> Option<(f32, f32)> {
-        let history = ctx.history?;
-        let signature = &self.apps.get(ctx.profile.name())?.signature;
-        let s_hat = self.system_model.predict(history);
-        let model = match ctx.profile.class() {
-            WorkloadClass::LatencyCritical => &mut self.lc_model,
-            _ => &mut self.be_model,
-        };
-        let preds = model.predict_batch(&[
-            PerfQuery {
-                history,
-                signature,
-                mode: MemoryMode::Local,
-                s_hat: Some(&s_hat),
-            },
-            PerfQuery {
-                history,
-                signature,
-                mode: MemoryMode::Remote,
-                s_hat: Some(&s_hat),
-            },
-        ]);
-        Some((preds[0], preds[1]))
     }
 }
 
@@ -475,11 +422,7 @@ impl Policy for AdriasPolicy {
     }
 
     fn lane(&self) -> &'static str {
-        if self.fast_path {
-            "fast"
-        } else {
-            "slow"
-        }
+        "fast"
     }
 
     fn set_wall_profiling(&mut self, enabled: bool) {
@@ -527,11 +470,8 @@ impl Policy for AdriasPolicy {
 mod tests {
     use super::*;
     use crate::test_support::{metric_row, policy_with_beta};
-    use adrias_core::prop::prelude::*;
-    use adrias_core::rng::Xoshiro256pp;
-    use adrias_core::rng::{Rng, SeedableRng};
     use adrias_predictor::dataset::HISTORY_S;
-    use adrias_telemetry::{MetricSample, MetricVec};
+    use adrias_telemetry::MetricVec;
     use adrias_workloads::{keyvalue, spark, WorkloadProfile};
 
     fn ctx_for<'a>(
@@ -741,73 +681,5 @@ mod tests {
         });
         assert_eq!(slots(&policy), (Some(s2), true, [true, false], 1));
         assert_eq!(d1, d3);
-
-        // Disabling the fast path drops the record.
-        policy.set_fast_path(false);
-        assert_eq!(slots(&policy), blank);
-    }
-
-    adrias_core::proptest! {
-        /// Fast-lane decisions (memoised forecast + scratch kernels) are
-        /// bit-identical to the slow reference lane across
-        /// window-version boundaries, including the warm-up edge where
-        /// no history window exists yet and the repeat-stamp case where
-        /// the memoised forecast is served.
-        #[test]
-        fn fast_and_slow_lanes_are_bit_identical(
-            seed in 0u64..1_000,
-            steps in prop::collection::vec(0usize..4, 1..10),
-        ) {
-            use adrias_telemetry::Watcher;
-
-            const WINDOW: usize = 16;
-            let mut fast = policy_with_beta(0.7);
-            let mut slow = policy_with_beta(0.7);
-            slow.set_fast_path(false);
-            prop_assert!(fast.fast_path() && !slow.fast_path());
-
-            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xFA57);
-            let mut watcher = Watcher::new(WINDOW);
-            let mut t = 0.0f64;
-            // Sometimes start with a full window, sometimes from scratch.
-            for _ in 0..(seed % 24) {
-                watcher.record(MetricSample::new(t, metric_row(rng.gen_range(-0.2..0.2))));
-                t += 1.0;
-            }
-            let apps = [
-                spark::by_name("gmm").unwrap(),
-                spark::by_name("nweight").unwrap(),
-                keyvalue::redis(),
-                spark::by_name("pca").unwrap(), // unknown to the policy
-            ];
-            let mut history: Vec<MetricVec> = Vec::new();
-            for (i, &n) in steps.iter().enumerate() {
-                // `n == 0` leaves the stamp unchanged: the fast lane
-                // must serve the memoised forecast and still match.
-                for _ in 0..n {
-                    watcher.record(MetricSample::new(t, metric_row(rng.gen_range(-0.2..0.2))));
-                    t += 1.0;
-                }
-                let stamp = watcher.history_fill(WINDOW, &mut history);
-                let ctx = DecisionContext {
-                    profile: &apps[i % apps.len()],
-                    history: stamp.map(|_| history.as_slice()),
-                    qos_p99_ms: if i % 2 == 0 { Some(5.0) } else { None },
-                    stamp,
-                };
-                let f = fast.decide_explained(&ctx);
-                let s = slow.decide_explained(&ctx);
-                prop_assert_eq!(f.mode, s.mode);
-                prop_assert_eq!(f.rule, s.rule);
-                prop_assert_eq!(
-                    f.pred_local.map(f32::to_bits),
-                    s.pred_local.map(f32::to_bits)
-                );
-                prop_assert_eq!(
-                    f.pred_remote.map(f32::to_bits),
-                    s.pred_remote.map(f32::to_bits)
-                );
-            }
-        }
     }
 }

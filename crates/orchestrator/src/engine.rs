@@ -247,8 +247,8 @@ pub trait EngineObserver {
     /// Called once per admission, right after
     /// [`EngineObserver::on_decision`], with the causal-lifecycle
     /// coordinates: the raw arrival instant, the admitting watcher tick
-    /// (`decided_s`), and the decision lane — `"fast"`, `"slow"`,
-    /// `"direct"`, or `"forced"` for arrivals that bypass the policy.
+    /// (`decided_s`), and the decision lane — `"fast"`, `"direct"`, or
+    /// `"forced"` for arrivals that bypass the policy.
     fn on_admitted(
         &mut self,
         id: DeploymentId,

@@ -83,11 +83,11 @@ pub trait Policy {
         ExplainedDecision::bare(self.decide(ctx))
     }
 
-    /// The decision lane this policy currently runs on, as recorded in
-    /// lifecycle spans: `"fast"` (memoised forward path), `"slow"`
-    /// (full forward), or `"direct"` (no prediction involved — the
-    /// default for baselines). The engine tags forced placements as
-    /// `"forced"` without consulting the policy.
+    /// The decision lane this policy runs on, as recorded in lifecycle
+    /// spans: `"fast"` (memoised forward path) or `"direct"` (no
+    /// prediction involved — the default for baselines). The engine
+    /// tags forced placements as `"forced"` without consulting the
+    /// policy.
     fn lane(&self) -> &'static str {
         "direct"
     }
@@ -103,9 +103,40 @@ pub trait Policy {
     }
 }
 
+/// A boxed policy is the policy: every method forwards, so a
+/// `Box<dyn Policy + Send>` is the one sum type heterogeneous
+/// comparisons need and nothing the inner policy reports is erased.
+impl<P: Policy + ?Sized> Policy for Box<P> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> MemoryMode {
+        (**self).decide(ctx)
+    }
+
+    fn decide_explained(&mut self, ctx: &DecisionContext<'_>) -> ExplainedDecision {
+        (**self).decide_explained(ctx)
+    }
+
+    fn lane(&self) -> &'static str {
+        (**self).lane()
+    }
+
+    fn set_wall_profiling(&mut self, enabled: bool) {
+        (**self).set_wall_profiling(enabled);
+    }
+
+    fn take_forward_wall_ns(&mut self) -> u64 {
+        (**self).take_forward_wall_ns()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{metric_row, policy_with_beta};
+    use adrias_predictor::dataset::HISTORY_S;
     use adrias_workloads::spark;
 
     struct Always(MemoryMode);
@@ -132,6 +163,33 @@ mod tests {
         let mut p: Box<dyn Policy> = Box::new(Always(MemoryMode::Remote));
         assert_eq!(p.decide(&ctx), MemoryMode::Remote);
         assert_eq!(p.name(), "always");
+    }
+
+    /// A box forwards the whole trait, not just `name` and `decide`:
+    /// the hand-written sum types this impl replaced answered
+    /// `Static` / `None` / `"direct"` for an Adrias policy inside.
+    #[test]
+    fn a_boxed_adrias_policy_keeps_its_rule_predictions_and_lane() {
+        let gmm = spark::by_name("gmm").unwrap();
+        let history = vec![metric_row(0.0); HISTORY_S];
+        let ctx = DecisionContext {
+            profile: &gmm,
+            history: Some(&history),
+            qos_p99_ms: None,
+            stamp: None,
+        };
+        let want = policy_with_beta(0.7).decide_explained(&ctx);
+        assert_eq!(want.rule, DecisionRule::BetaSlack { beta: 0.7 });
+        assert!(want.pred_local.is_some() && want.pred_remote.is_some());
+
+        let mut boxed: Box<dyn Policy + Send> = Box::new(policy_with_beta(0.7));
+        assert_eq!(boxed.decide_explained(&ctx), want);
+        assert_eq!(boxed.decide(&ctx), want.mode);
+        assert_eq!(boxed.lane(), "fast");
+        assert_eq!(boxed.name(), "Adrias(b=0.7)");
+        boxed.set_wall_profiling(true);
+        boxed.decide(&ctx);
+        assert!(boxed.take_forward_wall_ns() > 0);
     }
 
     #[test]

@@ -11,23 +11,22 @@
 //! the swap gate; the verdict (swap or rejection, with held-out
 //! accuracy either way) lands in the observer's adaptation log.
 //!
-//! The runner reuses the exact schedule construction and engine seeding
-//! of [`crate::runner::run_observed`], and the tracker only *reads*
-//! engine state — so with adaptation disabled the per-phase reports are
-//! bit-identical to plain (un)observed runs.
+//! Every phase is a [`crate::runner::Replay`], and the tracker only
+//! *reads* engine state — so with adaptation disabled the per-phase
+//! reports are bit-identical to plain (un)observed replays.
 
 use adrias_obs::{DriftEvent, Observer, SwapVerdict};
-use adrias_orchestrator::engine::{run_stream_hooked, EngineConfig, RunReport, ScheduleStream};
+use adrias_orchestrator::engine::RunReport;
 use adrias_orchestrator::{
     absorb_signatures_observed, fine_tune_candidate, gate_swap, harvest_perf_records, AdriasPolicy,
-    GateConfig, ModelTarget, ObservedRun, ResidualConfig, ResidualTracker,
+    GateConfig, ModelTarget, ResidualConfig, ResidualTracker,
 };
 use adrias_predictor::dataset::PerfRecord;
 use adrias_predictor::PerfDataset;
 use adrias_sim::TestbedConfig;
 use adrias_workloads::{AppSignature, WorkloadCatalog, WorkloadClass};
 
-use crate::schedule::{build_schedule, PlacementStyle};
+use crate::runner::Replay;
 use crate::spec::ScenarioSpec;
 
 /// One phase of a drifting corpus: a testbed state and the scenario
@@ -55,7 +54,7 @@ pub struct DriftRunConfig {
     /// Swap-gate parameters.
     pub gate: GateConfig,
     /// Track residuals at all. When `false` the phases replay exactly
-    /// like [`crate::runner::run_observed`] — no tracker riding along,
+    /// like a plain observed [`Replay`] — no tracker riding along,
     /// no drift events, no adaptation. The tracker only adds its
     /// residual sketches and drift events: every other export is
     /// byte-identical either way.
@@ -168,20 +167,15 @@ pub fn run_drift_phases(
     let mut capture_buffer: Vec<RunReport> = Vec::new();
 
     for phase in phases {
-        let schedule = build_schedule(&phase.spec, catalog, PlacementStyle::PolicyDecided);
-        let engine = EngineConfig {
-            seed: phase.spec.seed ^ 0xE6E,
+        let replay = Replay {
             qos_p99_ms: cfg.qos_p99_ms,
-            ..EngineConfig::default()
+            ..Replay::new(phase.testbed, catalog, phase.spec)
         };
-        let mut stream = ScheduleStream::new(&schedule);
-        let observed = ObservedRun::with_qos(obs, engine.qos_p99_ms);
+        let mut observed = replay.observed(obs);
         let report = if cfg.track {
-            let mut hooks = (&mut tracker, observed);
-            run_stream_hooked(phase.testbed, engine, &mut stream, &[], policy, &mut hooks)
+            replay.run(policy, &mut (&mut tracker, observed))
         } else {
-            let mut hooks = observed;
-            run_stream_hooked(phase.testbed, engine, &mut stream, &[], policy, &mut hooks)
+            replay.run(policy, &mut observed)
         };
 
         let (drifts, signatures_absorbed, verdicts) = if cfg.track {
@@ -300,7 +294,6 @@ pub fn demo_phases(seed: u64) -> Vec<DriftPhase> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_observed;
     use crate::stack::{train_stack, StackOptions};
     use adrias_workloads::WorkloadCatalog;
     use std::sync::OnceLock;
@@ -336,15 +329,13 @@ mod tests {
         assert!(obs.adapt.is_empty(), "disabled mode records no adaptation");
 
         for (phase, outcome) in phases.iter().zip(&result.phases) {
-            let mut plain_policy = stack.policy(0.8, 5.0);
-            let mut plain_obs = Observer::default();
-            let plain = run_observed(
-                phase.testbed,
-                &catalog,
-                &phase.spec,
-                Some(5.0),
-                &mut plain_policy,
-                &mut plain_obs,
+            let plain = Replay {
+                qos_p99_ms: Some(5.0),
+                ..Replay::new(phase.testbed, &catalog, phase.spec)
+            };
+            let plain = plain.run(
+                &mut stack.policy(0.8, 5.0),
+                &mut plain.observed(&mut Observer::default()),
             );
             assert_eq!(
                 outcome.report.end_time_s.to_bits(),
@@ -376,15 +367,10 @@ mod tests {
             &mut obs,
         );
 
-        let mut plain_policy = stack.policy(0.8, 5.0);
-        let mut plain_obs = Observer::default();
-        let plain = run_observed(
-            phases[0].testbed,
-            &catalog,
-            &phases[0].spec,
-            None,
-            &mut plain_policy,
-            &mut plain_obs,
+        let plain = Replay::new(phases[0].testbed, &catalog, phases[0].spec);
+        let plain = plain.run(
+            &mut stack.policy(0.8, 5.0),
+            &mut plain.observed(&mut Observer::default()),
         );
         let tracked_report = &tracked.phases[0].report;
         assert_eq!(

@@ -34,16 +34,14 @@ use adrias_core::prop::{
 use adrias_core::rng::Xoshiro256pp;
 use adrias_core::thread::map_chunks;
 use adrias_obs::{DecisionRule, Observer};
-use adrias_orchestrator::engine::{
-    run_stream_hooked, EngineConfig, FaultEvent, RunReport, ScheduleStream,
-};
+use adrias_orchestrator::engine::{FaultEvent, RunReport};
 use adrias_orchestrator::qos::count_violations;
-use adrias_orchestrator::{DecisionContext, ObservedRun, Policy, RandomPolicy, RoundRobinPolicy};
+use adrias_orchestrator::{Policy, RandomPolicy, RoundRobinPolicy};
 use adrias_sim::{LinkConfig, TestbedConfig};
 use adrias_telemetry::stats;
 use adrias_workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
 
-use crate::schedule::{build_schedule, PlacementStyle};
+use crate::runner::Replay;
 use crate::spec::ScenarioSpec;
 use crate::stack::TrainedStack;
 
@@ -237,8 +235,8 @@ pub struct FuzzCase {
     pub arrivals: ArrivalShape,
     /// Scenario duration, seconds (palette: 480/640/800).
     pub duration_s: u32,
-    /// Scenario seed (drives arrivals, app choice, forced modes and the
-    /// engine's latency RNG via the `seed ^ 0xE6E` convention).
+    /// Scenario seed (drives arrivals, app choice, forced modes and,
+    /// through [`Replay::engine_config`], the engine's own streams).
     pub seed: u64,
     /// Link-degradation schedule, unordered; lowered and sorted by
     /// [`FuzzCase::fault_events`].
@@ -499,91 +497,27 @@ pub fn case_digest(reports: &[&RunReport], qos_violations: usize) -> u64 {
     fnv1a(fp.as_bytes())
 }
 
-/// Wrapper so heterogeneous policies can share the engine call path.
-enum AnyPolicy {
-    Adrias(Box<adrias_orchestrator::AdriasPolicy>),
-    Random(RandomPolicy),
-    Rr(RoundRobinPolicy),
-}
-
-impl Policy for AnyPolicy {
-    fn name(&self) -> &str {
-        match self {
-            AnyPolicy::Adrias(p) => p.name(),
-            AnyPolicy::Random(p) => p.name(),
-            AnyPolicy::Rr(p) => p.name(),
-        }
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> MemoryMode {
-        match self {
-            AnyPolicy::Adrias(p) => p.decide(ctx),
-            AnyPolicy::Random(p) => p.decide(ctx),
-            AnyPolicy::Rr(p) => p.decide(ctx),
-        }
-    }
-
-    // Must forward: the default impl would erase the decision rule and
-    // predictions from the audit trail, blinding the QoS oracle.
-    fn decide_explained(
-        &mut self,
-        ctx: &DecisionContext<'_>,
-    ) -> adrias_orchestrator::ExplainedDecision {
-        match self {
-            AnyPolicy::Adrias(p) => p.decide_explained(ctx),
-            AnyPolicy::Random(p) => p.decide_explained(ctx),
-            AnyPolicy::Rr(p) => p.decide_explained(ctx),
-        }
-    }
-
-    // Forwarded so lifecycle spans in post-mortem bundles carry the
-    // real fast/slow lane instead of the baseline "direct" default.
-    fn lane(&self) -> &'static str {
-        match self {
-            AnyPolicy::Adrias(p) => p.lane(),
-            AnyPolicy::Random(p) => p.lane(),
-            AnyPolicy::Rr(p) => p.lane(),
-        }
-    }
-
-    fn set_wall_profiling(&mut self, enabled: bool) {
-        match self {
-            AnyPolicy::Adrias(p) => p.set_wall_profiling(enabled),
-            AnyPolicy::Random(p) => p.set_wall_profiling(enabled),
-            AnyPolicy::Rr(p) => p.set_wall_profiling(enabled),
-        }
-    }
-
-    fn take_forward_wall_ns(&mut self) -> u64 {
-        match self {
-            AnyPolicy::Adrias(p) => p.take_forward_wall_ns(),
-            AnyPolicy::Random(p) => p.take_forward_wall_ns(),
-            AnyPolicy::Rr(p) => p.take_forward_wall_ns(),
-        }
-    }
-}
-
 /// Runs one policy over the case's faulted scenario, observed.
-fn run_policy(cfg: &FuzzConfig, case: &FuzzCase, policy: &mut AnyPolicy) -> (RunReport, Observer) {
-    let spec = case.spec();
-    let catalog = case.mix.catalog();
-    let schedule = build_schedule(&spec, &catalog, PlacementStyle::PolicyDecided);
-    let faults = case.fault_events();
-    let engine = EngineConfig {
-        seed: spec.seed ^ 0xE6E,
+fn run_policy(cfg: &FuzzConfig, case: &FuzzCase, policy: &mut dyn Policy) -> (RunReport, Observer) {
+    let (catalog, faults) = (case.mix.catalog(), case.fault_events());
+    let replay = Replay {
         qos_p99_ms: Some(cfg.qos_p99_ms),
-        ..EngineConfig::default()
+        faults: &faults,
+        ..Replay::new(cfg.testbed, &catalog, case.spec())
     };
     let mut obs = Observer::default();
-    let report = run_stream_hooked(
-        cfg.testbed,
-        engine,
-        &mut ScheduleStream::new(&schedule),
-        &faults,
-        policy,
-        &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
-    );
+    let report = replay.run(policy, &mut replay.observed(&mut obs));
     (report, obs)
+}
+
+/// The Adrias policy a campaign runs: the stack's models at the
+/// configured β and QoS, with the seeded QoS bypass armed on request.
+fn adrias_policy(stack: &TrainedStack, cfg: &FuzzConfig) -> adrias_orchestrator::AdriasPolicy {
+    let mut policy = stack.policy(cfg.beta, cfg.qos_p99_ms);
+    if cfg.qos_bypass {
+        policy.set_test_qos_bypass(true);
+    }
+    policy
 }
 
 fn be_slowdowns(report: &RunReport) -> Vec<f32> {
@@ -615,14 +549,7 @@ pub fn audit_qos_violations(obs: &Observer, qos_p99_ms: f32) -> usize {
 /// Runs one case under Adrias and both baselines and evaluates the
 /// per-case oracle. Bitwise deterministic in `(cfg, case)`.
 pub fn run_case(stack: &TrainedStack, cfg: &FuzzConfig, case: &FuzzCase) -> CaseOutcome {
-    let mut adrias = {
-        let mut p = stack.policy(cfg.beta, cfg.qos_p99_ms);
-        if cfg.qos_bypass {
-            p.set_test_qos_bypass(true);
-        }
-        AnyPolicy::Adrias(Box::new(p))
-    };
-    let (adrias_report, adrias_obs) = run_policy(cfg, case, &mut adrias);
+    let (adrias_report, adrias_obs) = run_policy(cfg, case, &mut adrias_policy(stack, cfg));
     let qos_violations = audit_qos_violations(&adrias_obs, cfg.qos_p99_ms);
     let qos_evidence = if qos_violations > 0 {
         adrias_obs::to_jsonl_qos_counterexamples(&adrias_obs, cfg.qos_p99_ms)
@@ -630,10 +557,8 @@ pub fn run_case(stack: &TrainedStack, cfg: &FuzzConfig, case: &FuzzCase) -> Case
         String::new()
     };
 
-    let mut random = AnyPolicy::Random(RandomPolicy::new(case.seed ^ 0xBA5E));
-    let (random_report, _) = run_policy(cfg, case, &mut random);
-    let mut rr = AnyPolicy::Rr(RoundRobinPolicy::new());
-    let (rr_report, _) = run_policy(cfg, case, &mut rr);
+    let (random_report, _) = run_policy(cfg, case, &mut RandomPolicy::new(case.seed ^ 0xBA5E));
+    let (rr_report, _) = run_policy(cfg, case, &mut RoundRobinPolicy::new());
 
     let digest = case_digest(
         &[&adrias_report, &random_report, &rr_report],
@@ -838,14 +763,7 @@ pub fn dump_post_mortem(
     case: &FuzzCase,
     dir: &std::path::Path,
 ) -> Result<usize, String> {
-    let mut adrias = {
-        let mut p = stack.policy(cfg.beta, cfg.qos_p99_ms);
-        if cfg.qos_bypass {
-            p.set_test_qos_bypass(true);
-        }
-        AnyPolicy::Adrias(Box::new(p))
-    };
-    let (_, obs) = run_policy(cfg, case, &mut adrias);
+    let (_, obs) = run_policy(cfg, case, &mut adrias_policy(stack, cfg));
     let violations = audit_qos_violations(&obs, cfg.qos_p99_ms);
     adrias_obs::write_post_mortem(&obs, dir, cfg.qos_p99_ms).map_err(|e| e.to_string())?;
     Ok(violations)
@@ -855,14 +773,7 @@ pub fn dump_post_mortem(
 /// the Adrias leg (the baselines don't participate in the QoS oracle),
 /// so shrinking stays cheap.
 fn qos_check(stack: &TrainedStack, cfg: &FuzzConfig, case: &FuzzCase) -> Result<(), PropFail> {
-    let mut adrias = {
-        let mut p = stack.policy(cfg.beta, cfg.qos_p99_ms);
-        if cfg.qos_bypass {
-            p.set_test_qos_bypass(true);
-        }
-        AnyPolicy::Adrias(Box::new(p))
-    };
-    let (_, obs) = run_policy(cfg, case, &mut adrias);
+    let (_, obs) = run_policy(cfg, case, &mut adrias_policy(stack, cfg));
     let violations = audit_qos_violations(&obs, cfg.qos_p99_ms);
     if violations > 0 {
         Err(PropFail::new(

@@ -14,8 +14,9 @@
 //! * [`signatures`] — application-signature capture (isolated remote
 //!   runs);
 //! * [`stack`] — one-call training of the full Adrias model stack;
-//! * [`runner`] — the orchestration-evaluation loop comparing policies
-//!   across scenarios (Figs. 16–17), with parallel execution;
+//! * [`runner`] — the one scenario replay every caller goes through,
+//!   and the orchestration-evaluation loop comparing policies across
+//!   scenarios (Figs. 16–17), with parallel execution;
 //! * [`drift`] — the drifting-workload runner closing the §V-C online
 //!   loop: residual tracking, drift detection and audited hot-swaps;
 //! * [`fuzz`] — the adversarial scenario fuzzer: property-driven
@@ -49,7 +50,7 @@ pub use fuzz::{
     AppMix, ArrivalShape, CaseOutcome, FaultKind, FaultSpec, FuzzCase, FuzzConfig, ReplayReport,
     SuiteReport, SuiteVerdict,
 };
-pub use runner::{run_comparison, run_comparison_merged, run_observed, PolicyOutcome};
+pub use runner::{run_comparison, PolicyOutcome, Replay};
 pub use schedule::build_schedule;
 pub use signatures::collect_signatures;
 pub use spec::{paper_corpus, scaled_corpus, ScenarioSpec};

@@ -5,7 +5,10 @@
 
 use adrias_core::thread::map_chunks;
 use adrias_obs::Observer;
-use adrias_orchestrator::engine::{run_stream_hooked, EngineConfig, RunReport, ScheduleStream};
+use adrias_orchestrator::engine::{
+    run_stream_hooked, EngineConfig, EngineObserver, FaultEvent, RunReport, ScheduleStream,
+    ScheduledArrival,
+};
 use adrias_orchestrator::{ObservedRun, Policy};
 use adrias_sim::TestbedConfig;
 use adrias_workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
@@ -115,13 +118,91 @@ impl PolicyOutcome {
     }
 }
 
+/// One scenario replay, described: everything that fixes a run except
+/// the policy deciding it and the observer watching it.
+///
+/// This is the one place a [`ScenarioSpec`] is lowered onto the engine —
+/// the arrival schedule, the engine seed derived from the scenario seed
+/// and the [`EngineConfig`] defaults — so two replays of one description
+/// differ in nothing but what the policy does with them.
+#[derive(Debug, Clone, Copy)]
+pub struct Replay<'a> {
+    /// Testbed conditions.
+    pub testbed: TestbedConfig,
+    /// Catalog the arrivals are drawn from.
+    pub catalog: &'a WorkloadCatalog,
+    /// The arrival scenario.
+    pub spec: ScenarioSpec,
+    /// Who places each arrival: the policy, or the schedule itself.
+    pub style: PlacementStyle,
+    /// Active p99 QoS constraint handed to policies, milliseconds.
+    pub qos_p99_ms: Option<f32>,
+    /// Link faults, sorted by time (`&[]` for a healthy run).
+    pub faults: &'a [FaultEvent],
+}
+
+impl<'a> Replay<'a> {
+    /// An un-faulted, QoS-less replay of `spec` with every arrival left
+    /// to the policy; override fields with struct-update syntax.
+    pub fn new(testbed: TestbedConfig, catalog: &'a WorkloadCatalog, spec: ScenarioSpec) -> Self {
+        Self {
+            testbed,
+            catalog,
+            spec,
+            style: PlacementStyle::PolicyDecided,
+            qos_p99_ms: None,
+            faults: &[],
+        }
+    }
+
+    /// The arrival schedule this description lowers to.
+    pub fn schedule(&self) -> Vec<ScheduledArrival> {
+        build_schedule(&self.spec, self.catalog, self.style)
+    }
+
+    /// The engine configuration this description lowers to: the
+    /// defaults, the QoS constraint, and the engine's sub-stream of the
+    /// scenario seed (the schedule generator draws from the seed
+    /// itself, the testbed noise and LC latency draws from this tweak).
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            seed: self.spec.seed ^ 0xE6E,
+            qos_p99_ms: self.qos_p99_ms,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// The full observer for this replay — audit trail, metrics and
+    /// spans into `obs` — with its SLO burn monitor on the constraint
+    /// the policies see.
+    pub fn observed<'o>(&self, obs: &'o mut Observer) -> ObservedRun<'o> {
+        ObservedRun::with_qos(obs, self.qos_p99_ms)
+    }
+
+    /// Replays the scenario under `policy`, watched by `obs` (`&mut ()`
+    /// for an unobserved run, [`Replay::observed`] for the audit trail,
+    /// metrics and spans; observers that ride together go in as a
+    /// tuple). The report does not depend on the observer.
+    pub fn run<O: EngineObserver>(&self, policy: &mut dyn Policy, obs: &mut O) -> RunReport {
+        run_stream_hooked(
+            self.testbed,
+            self.engine_config(),
+            &mut ScheduleStream::new(&self.schedule()),
+            self.faults,
+            policy,
+            obs,
+        )
+    }
+}
+
 /// Replays `specs` under each policy produced by `make_policy`.
 ///
 /// `make_policy(i)` is called once per (policy index, scenario) pair,
 /// so every scenario starts from identical policy state and results
 /// are independent of `threads`; every policy sees the *identical*
 /// arrival schedules (same seeds, same forced iBench modes). Scenarios
-/// of one policy run in parallel across `threads` workers.
+/// of one policy run in parallel across `threads` workers. Policies of
+/// different types compare as `Box<dyn Policy + Send>`.
 ///
 /// # Panics
 ///
@@ -147,132 +228,24 @@ where
             let reports: Vec<RunReport> = map_chunks(specs, threads, |chunk| {
                 chunk
                     .iter()
-                    .map(|spec| {
+                    .map(|&spec| {
                         // Fresh policy state per scenario: placements
                         // depend only on (policy, spec), never on how
                         // specs were chunked across workers.
-                        let mut policy = make_policy(pi);
-                        let schedule = build_schedule(spec, catalog, PlacementStyle::PolicyDecided);
-                        let engine = EngineConfig {
-                            seed: spec.seed ^ 0xE6E,
+                        let replay = Replay {
                             qos_p99_ms,
-                            ..EngineConfig::default()
+                            ..Replay::new(testbed_cfg, catalog, spec)
                         };
-                        run_stream_hooked(
-                            testbed_cfg,
-                            engine,
-                            &mut ScheduleStream::new(&schedule),
-                            &[],
-                            &mut policy,
-                            &mut (),
-                        )
+                        replay.run(&mut make_policy(pi), &mut ())
                     })
                     .collect()
             });
-            let probe = make_policy(pi);
             PolicyOutcome {
-                policy: probe.name().to_owned(),
+                policy: reports[0].policy.to_string(),
                 reports,
             }
         })
         .collect()
-}
-
-/// [`run_comparison`] with a merged cross-scenario metrics view: each
-/// scenario runs fully observed with its own private
-/// [`adrias_obs::Observer`], and the per-scenario registries are folded
-/// into one [`adrias_obs::Registry`] per policy with
-/// [`adrias_obs::Registry::merge`] — counters sum, sketches merge
-/// exactly, gauges are last-scenario-wins.
-///
-/// Scenarios still run in parallel across `threads` workers, but the
-/// fold always happens on the calling thread in **spec order**, so the
-/// merged registry (and every report) is bit-identical at any thread
-/// count — the same invariance contract `run_comparison` pins for its
-/// reports.
-///
-/// # Panics
-///
-/// Panics if `specs` is empty, `n_policies` is zero or `threads` is zero.
-pub fn run_comparison_merged<F, P>(
-    testbed_cfg: TestbedConfig,
-    catalog: &WorkloadCatalog,
-    specs: &[ScenarioSpec],
-    n_policies: usize,
-    qos_p99_ms: Option<f32>,
-    threads: usize,
-    make_policy: F,
-) -> Vec<(PolicyOutcome, adrias_obs::Registry)>
-where
-    F: Fn(usize) -> P + Sync,
-    P: Policy + Send,
-{
-    assert!(!specs.is_empty(), "no scenarios to run");
-    assert!(n_policies > 0, "no policies to compare");
-    assert!(threads > 0, "need at least one worker thread");
-    (0..n_policies)
-        .map(|pi| {
-            let results: Vec<(RunReport, adrias_obs::Registry)> =
-                map_chunks(specs, threads, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|spec| {
-                            let mut policy = make_policy(pi);
-                            let mut obs = Observer::default();
-                            let report = run_observed(
-                                testbed_cfg,
-                                catalog,
-                                spec,
-                                qos_p99_ms,
-                                &mut policy,
-                                &mut obs,
-                            );
-                            (report, obs.registry)
-                        })
-                        .collect()
-                });
-            let mut merged = adrias_obs::Registry::new();
-            let mut reports = Vec::with_capacity(results.len());
-            for (report, registry) in results {
-                merged.merge(&registry);
-                reports.push(report);
-            }
-            let probe = make_policy(pi);
-            (
-                PolicyOutcome {
-                    policy: probe.name().to_owned(),
-                    reports,
-                },
-                merged,
-            )
-        })
-        .collect()
-}
-
-/// Replays one scenario under `policy` with full observability: every
-/// placement lands in `obs`'s audit trail, every testbed step feeds the
-/// metrics registry, and completions become trace spans.
-///
-/// Uses the same schedule construction and engine seeding as
-/// [`run_comparison`], so the returned report is bit-identical to the
-/// corresponding unobserved run.
-pub fn run_observed<P: Policy>(
-    testbed_cfg: TestbedConfig,
-    catalog: &WorkloadCatalog,
-    spec: &ScenarioSpec,
-    qos_p99_ms: Option<f32>,
-    policy: &mut P,
-    obs: &mut Observer,
-) -> RunReport {
-    let schedule = build_schedule(spec, catalog, PlacementStyle::PolicyDecided);
-    let engine = EngineConfig {
-        seed: spec.seed ^ 0xE6E,
-        qos_p99_ms,
-        ..EngineConfig::default()
-    };
-    let mut stream = ScheduleStream::new(&schedule);
-    let mut hooks = ObservedRun::with_qos(obs, engine.qos_p99_ms);
-    run_stream_hooked(testbed_cfg, engine, &mut stream, &[], policy, &mut hooks)
 }
 
 #[cfg(test)]
@@ -288,39 +261,12 @@ mod tests {
         ]
     }
 
-    enum AnyPolicy {
-        Local(AllLocalPolicy),
-        Remote(AllRemotePolicy),
-        Random(RandomPolicy),
-        Rr(RoundRobinPolicy),
-    }
-
-    impl Policy for AnyPolicy {
-        fn name(&self) -> &str {
-            match self {
-                AnyPolicy::Local(p) => p.name(),
-                AnyPolicy::Remote(p) => p.name(),
-                AnyPolicy::Random(p) => p.name(),
-                AnyPolicy::Rr(p) => p.name(),
-            }
-        }
-
-        fn decide(&mut self, ctx: &adrias_orchestrator::DecisionContext<'_>) -> MemoryMode {
-            match self {
-                AnyPolicy::Local(p) => p.decide(ctx),
-                AnyPolicy::Remote(p) => p.decide(ctx),
-                AnyPolicy::Random(p) => p.decide(ctx),
-                AnyPolicy::Rr(p) => p.decide(ctx),
-            }
-        }
-    }
-
-    fn make(i: usize) -> AnyPolicy {
+    fn make(i: usize) -> Box<dyn Policy + Send> {
         match i {
-            0 => AnyPolicy::Local(AllLocalPolicy::new()),
-            1 => AnyPolicy::Remote(AllRemotePolicy::new()),
-            2 => AnyPolicy::Random(RandomPolicy::new(99)),
-            _ => AnyPolicy::Rr(RoundRobinPolicy::new()),
+            0 => Box::new(AllLocalPolicy::new()),
+            1 => Box::new(AllRemotePolicy::new()),
+            2 => Box::new(RandomPolicy::new(99)),
+            _ => Box::new(RoundRobinPolicy::new()),
         }
     }
 
@@ -412,15 +358,8 @@ mod tests {
         let spec = ScenarioSpec::new(5.0, 25.0, 700.0, 11);
         let catalog = WorkloadCatalog::paper();
         let mut obs = adrias_obs::Observer::new(adrias_obs::ObsConfig::default());
-        let mut policy = RoundRobinPolicy::new();
-        let observed = run_observed(
-            TestbedConfig::noiseless(),
-            &catalog,
-            &spec,
-            None,
-            &mut policy,
-            &mut obs,
-        );
+        let replay = Replay::new(TestbedConfig::noiseless(), &catalog, spec);
+        let observed = replay.run(&mut RoundRobinPolicy::new(), &mut replay.observed(&mut obs));
         // Every arrival — forced stressors included — is audited once.
         assert_eq!(
             obs.audit.len(),
@@ -435,98 +374,68 @@ mod tests {
             1,
             |_| RoundRobinPolicy::new(),
         );
+        assert_eq!(plain[0].policy, "Round-Robin");
         let plain = &plain[0].reports[0];
         assert_eq!(observed.end_time_s.to_bits(), plain.end_time_s.to_bits());
         assert_eq!(observed.link_bytes.to_bits(), plain.link_bytes.to_bits());
     }
 
-    /// Structural fingerprint of a registry for exact comparison:
-    /// every counter, gauge bit pattern, and the bits of every sketch
-    /// read.
-    fn registry_fingerprint(reg: &adrias_obs::Registry) -> Vec<String> {
-        let mut lines: Vec<String> = Vec::new();
-        for (name, v) in reg.counters() {
-            lines.push(format!("counter {name} {v}"));
-        }
-        for (name, v) in reg.gauges() {
-            lines.push(format!("gauge {name} {:016x}", v.to_bits()));
-        }
-        for (name, s) in reg.sketches() {
-            let reads = [
-                s.mean(),
-                s.min(),
-                s.max(),
-                s.quantile(0.5),
-                s.quantile(0.99),
-            ];
-            lines.push(format!(
-                "sketch {name} n={} nonfinite={} zero={} buckets={} reads={:016x?}",
-                s.count(),
-                s.nonfinite(),
-                s.zero_count(),
-                s.occupied_buckets(),
-                reads.map(f64::to_bits)
-            ));
-        }
-        lines
-    }
-
+    /// The description is the whole run: its schedule and engine
+    /// configuration handed to the engine by hand give the report
+    /// `run` gives, and a fault or a forced placement style in the
+    /// description reaches the engine.
     #[test]
-    fn merged_registry_is_thread_count_invariant() {
+    fn a_replay_is_its_schedule_and_engine_config() {
         let catalog = WorkloadCatalog::paper();
-        let specs = [
-            ScenarioSpec::new(5.0, 25.0, 700.0, 11),
-            ScenarioSpec::new(5.0, 45.0, 700.0, 12),
-            ScenarioSpec::new(5.0, 35.0, 700.0, 13),
-        ];
-        let run = |threads| {
-            run_comparison_merged(
-                TestbedConfig::noiseless(),
-                &catalog,
-                &specs,
-                2,
-                Some(5.0),
-                threads,
-                make,
-            )
+        let spec = ScenarioSpec::new(5.0, 25.0, 700.0, 11);
+        let faults = [FaultEvent {
+            at_s: 100.0,
+            link: adrias_sim::LinkConfig {
+                effective_cap_gbps: 0.25,
+                ..adrias_sim::LinkConfig::paper()
+            },
+        }];
+        let healthy = Replay {
+            qos_p99_ms: Some(5.0),
+            ..Replay::new(TestbedConfig::noiseless(), &catalog, spec)
         };
-        let single = run(1);
-        let parallel = run(3);
-        assert_eq!(single.len(), parallel.len());
-        for ((oa, ra), (ob, rb)) in single.iter().zip(&parallel) {
-            assert_eq!(oa.policy, ob.policy);
-            assert_eq!(registry_fingerprint(ra), registry_fingerprint(rb));
-            for (a, b) in oa.reports.iter().zip(&ob.reports) {
-                assert_eq!(a.end_time_s.to_bits(), b.end_time_s.to_bits());
-                assert_eq!(a.link_bytes.to_bits(), b.link_bytes.to_bits());
-            }
-        }
-        // The merged view really is cross-scenario: decisions from all
-        // three scenarios land in one counter, and the reports match
-        // the unobserved comparison path bit-for-bit.
-        let merged = &single[0].1;
-        let per_report: u64 = single[0]
-            .0
-            .reports
-            .iter()
-            .map(|r| (r.outcomes.len() + r.unfinished) as u64)
-            .sum();
-        assert_eq!(merged.counter("orchestrator.decisions"), per_report);
-        let plain = run_comparison(
-            TestbedConfig::noiseless(),
-            &catalog,
-            &specs,
-            2,
-            Some(5.0),
-            2,
-            make,
+        let engine = healthy.engine_config();
+        assert_eq!(engine.qos_p99_ms, Some(5.0));
+        assert_ne!(engine.seed, spec.seed);
+        assert_eq!(
+            EngineConfig {
+                seed: 7,
+                qos_p99_ms: None,
+                ..engine
+            },
+            EngineConfig::default()
         );
-        for ((outcome, _), unobserved) in single.iter().zip(&plain) {
-            for (a, b) in outcome.reports.iter().zip(&unobserved.reports) {
-                assert_eq!(a.end_time_s.to_bits(), b.end_time_s.to_bits());
-                assert_eq!(a.link_bytes.to_bits(), b.link_bytes.to_bits());
-            }
+
+        let by_hand = run_stream_hooked(
+            healthy.testbed,
+            engine,
+            &mut ScheduleStream::new(&healthy.schedule()),
+            &[],
+            &mut RoundRobinPolicy::new(),
+            &mut (),
+        );
+        let run = healthy.run(&mut RoundRobinPolicy::new(), &mut ());
+        assert_eq!(format!("{run:?}"), format!("{by_hand:?}"));
+
+        let faulted = Replay {
+            faults: &faults,
+            ..healthy
         }
+        .run(&mut RoundRobinPolicy::new(), &mut ());
+        assert_ne!(faulted.link_bytes.to_bits(), run.link_bytes.to_bits());
+
+        let forced = Replay {
+            style: PlacementStyle::RandomForced,
+            ..healthy
+        }
+        .run(&mut RoundRobinPolicy::new(), &mut ());
+        assert_eq!(forced.placement_counts(), (0, 0));
+        assert_ne!(run.placement_counts(), (0, 0));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Trace collection: the offline data-acquisition phase (§V-B1).
 
 use adrias_core::thread::map_chunks;
-use adrias_orchestrator::engine::{run_stream_hooked, EngineConfig, RunReport, ScheduleStream};
+use adrias_orchestrator::engine::RunReport;
 use adrias_orchestrator::RandomPolicy;
 use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
 use adrias_sim::TestbedConfig;
 use adrias_telemetry::MetricSample;
 use adrias_workloads::{TraceSource, WorkloadCatalog, WorkloadClass};
 
-use crate::schedule::{build_schedule, PlacementStyle};
+use crate::runner::Replay;
+use crate::schedule::PlacementStyle;
 use crate::spec::ScenarioSpec;
 
 /// The collected traces of a scenario corpus.
@@ -132,15 +133,12 @@ pub fn collect_traces(
     let reports: Vec<RunReport> = map_chunks(specs, threads, |chunk| {
         chunk
             .iter()
-            .map(|spec| {
-                let schedule = build_schedule(spec, catalog, PlacementStyle::RandomForced);
-                let engine = EngineConfig {
-                    seed: spec.seed ^ 0xE6E,
-                    ..EngineConfig::default()
+            .map(|&spec| {
+                let replay = Replay {
+                    style: PlacementStyle::RandomForced,
+                    ..Replay::new(testbed_cfg, catalog, spec)
                 };
-                let mut policy = RandomPolicy::new(spec.seed);
-                let mut stream = ScheduleStream::new(&schedule);
-                run_stream_hooked(testbed_cfg, engine, &mut stream, &[], &mut policy, &mut ())
+                replay.run(&mut RandomPolicy::new(spec.seed), &mut ())
             })
             .collect()
     });

@@ -5,35 +5,10 @@
 //! cargo run --release --example latency_critical
 //! ```
 
-use adrias::orchestrator::{qos_levels, AllLocalPolicy, DecisionContext, Policy, RandomPolicy};
+use adrias::orchestrator::{qos_levels, AllLocalPolicy, Policy, RandomPolicy};
 use adrias::scenarios::{run_comparison, scaled_corpus, train_stack, StackOptions};
 use adrias::sim::TestbedConfig;
-use adrias::workloads::{MemoryMode, WorkloadCatalog, WorkloadClass};
-
-#[allow(clippy::large_enum_variant)]
-enum Compared {
-    Adrias(adrias::orchestrator::AdriasPolicy),
-    Random(RandomPolicy),
-    AllLocal(AllLocalPolicy),
-}
-
-impl Policy for Compared {
-    fn name(&self) -> &str {
-        match self {
-            Compared::Adrias(p) => p.name(),
-            Compared::Random(p) => p.name(),
-            Compared::AllLocal(p) => p.name(),
-        }
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> MemoryMode {
-        match self {
-            Compared::Adrias(p) => p.decide(ctx),
-            Compared::Random(p) => p.decide(ctx),
-            Compared::AllLocal(p) => p.decide(ctx),
-        }
-    }
-}
+use adrias::workloads::{WorkloadCatalog, WorkloadClass};
 
 fn main() {
     println!("=== LC orchestration under QoS constraints (compact Fig. 17) ===\n");
@@ -65,10 +40,12 @@ fn main() {
             3,
             Some(*qos),
             4,
-            |i| match i {
-                0 => Compared::Random(RandomPolicy::new(23)),
-                1 => Compared::AllLocal(AllLocalPolicy::new()),
-                _ => Compared::Adrias(stack.policy(0.8, *qos)),
+            |i| -> Box<dyn Policy + Send> {
+                match i {
+                    0 => Box::new(RandomPolicy::new(23)),
+                    1 => Box::new(AllLocalPolicy::new()),
+                    _ => Box::new(stack.policy(0.8, *qos)),
+                }
             },
         );
         println!("--- QoS level {li}: p99 <= {qos:.2} ms ---");

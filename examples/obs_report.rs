@@ -17,10 +17,6 @@
 //! * `ADRIAS_OBS_WORKERS` — inference worker count for the trained
 //!   models (default `1`). All exports must stay byte-identical at any
 //!   worker count (CI compares 1 vs 8).
-//! * `ADRIAS_SLOW_DECISIONS` — set to `1` to run the Adrias policy's
-//!   slow decision lane instead of the default fast lane. The flat
-//!   exports must stay byte-identical either way (CI compares them);
-//!   only `spans.jsonl` may differ, since spans record the lane.
 //! * `ADRIAS_OBS_WALL` — set to `1` to switch on the engine
 //!   self-profiler and additionally write `flame.folded`, a collapsed
 //!   stack attributing host wall time to engine phases. Wall numbers
@@ -31,7 +27,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use adrias::obs::{self, ObsConfig, Observer};
-use adrias::scenarios::{run_observed, train_stack, ScenarioSpec, StackOptions};
+use adrias::scenarios::{train_stack, Replay, ScenarioSpec, StackOptions};
 use adrias::sim::TestbedConfig;
 use adrias::workloads::WorkloadCatalog;
 
@@ -87,10 +83,6 @@ fn main() -> ExitCode {
             5.0,
         )
     };
-    if std::env::var("ADRIAS_SLOW_DECISIONS").as_deref() == Ok("1") {
-        policy.set_fast_path(false);
-        println!("(slow decision lane forced via ADRIAS_SLOW_DECISIONS)\n");
-    }
 
     let profile_wall = std::env::var("ADRIAS_OBS_WALL").as_deref() == Ok("1");
     let spec = ScenarioSpec::new(5.0, 30.0, 700.0, seed);
@@ -101,14 +93,11 @@ fn main() -> ExitCode {
     // The offline phase's training counters and epoch losses land in
     // the same registry as the run metrics.
     stack.record_obs(&mut observer);
-    let report = run_observed(
-        TestbedConfig::noiseless(),
-        &catalog,
-        &spec,
-        Some(5.0),
-        &mut policy,
-        &mut observer,
-    );
+    let replay = Replay {
+        qos_p99_ms: Some(5.0),
+        ..Replay::new(TestbedConfig::noiseless(), &catalog, spec)
+    };
+    let report = replay.run(&mut policy, &mut replay.observed(&mut observer));
     println!(
         "Scenario done: {} outcomes, {} audited decisions, {:.1} MB over the link.\n",
         report.outcomes.len(),

@@ -6,42 +6,11 @@
 //! cargo run --release --example spark_analytics
 //! ```
 
-use adrias::orchestrator::{
-    AllLocalPolicy, DecisionContext, Policy, RandomPolicy, RoundRobinPolicy,
-};
+use adrias::orchestrator::{AllLocalPolicy, Policy, RandomPolicy, RoundRobinPolicy};
 use adrias::scenarios::{run_comparison, scaled_corpus, train_stack, StackOptions};
 use adrias::sim::TestbedConfig;
 use adrias::telemetry::stats;
-use adrias::workloads::{MemoryMode, WorkloadCatalog};
-
-/// Wrapper unifying the compared policies under one type.
-#[allow(clippy::large_enum_variant)]
-enum Compared {
-    Adrias(adrias::orchestrator::AdriasPolicy),
-    Random(RandomPolicy),
-    RoundRobin(RoundRobinPolicy),
-    AllLocal(AllLocalPolicy),
-}
-
-impl Policy for Compared {
-    fn name(&self) -> &str {
-        match self {
-            Compared::Adrias(p) => p.name(),
-            Compared::Random(p) => p.name(),
-            Compared::RoundRobin(p) => p.name(),
-            Compared::AllLocal(p) => p.name(),
-        }
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> MemoryMode {
-        match self {
-            Compared::Adrias(p) => p.decide(ctx),
-            Compared::Random(p) => p.decide(ctx),
-            Compared::RoundRobin(p) => p.decide(ctx),
-            Compared::AllLocal(p) => p.decide(ctx),
-        }
-    }
-}
+use adrias::workloads::WorkloadCatalog;
 
 fn main() {
     println!("=== BE orchestration comparison (compact Fig. 16) ===\n");
@@ -60,11 +29,13 @@ fn main() {
         n_policies,
         Some(5.0),
         4,
-        |i| match i {
-            0 => Compared::Random(RandomPolicy::new(17)),
-            1 => Compared::RoundRobin(RoundRobinPolicy::new()),
-            2 => Compared::AllLocal(AllLocalPolicy::new()),
-            j => Compared::Adrias(stack.policy(betas[j - 3], 5.0)),
+        |i| -> Box<dyn Policy + Send> {
+            match i {
+                0 => Box::new(RandomPolicy::new(17)),
+                1 => Box::new(RoundRobinPolicy::new()),
+                2 => Box::new(AllLocalPolicy::new()),
+                j => Box::new(stack.policy(betas[j - 3], 5.0)),
+            }
         },
     );
 

@@ -6,7 +6,7 @@
 
 use adrias::obs::{export, ObsConfig, Observer};
 use adrias::scenarios::{
-    degraded_testbed, run_drift_phases, run_observed, train_stack, DriftPhase, DriftRunConfig,
+    degraded_testbed, run_drift_phases, train_stack, DriftPhase, DriftRunConfig, Replay,
     ScenarioSpec, StackOptions, TrainedStack,
 };
 use adrias::sim::TestbedConfig;
@@ -108,14 +108,8 @@ fn disabled_loop_exports_match_a_plain_observed_run() {
     let mut plain_obs = Observer::new(ObsConfig::default());
     let mut plain_reports = Vec::new();
     for phase in &corpus {
-        plain_reports.push(run_observed(
-            phase.testbed,
-            &catalog,
-            &phase.spec,
-            None,
-            &mut plain_policy,
-            &mut plain_obs,
-        ));
+        let replay = Replay::new(phase.testbed, &catalog, phase.spec);
+        plain_reports.push(replay.run(&mut plain_policy, &mut replay.observed(&mut plain_obs)));
     }
 
     for (a, b) in looped.phases.iter().map(|p| &p.report).zip(&plain_reports) {

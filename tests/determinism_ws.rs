@@ -20,27 +20,6 @@ fn specs(seed: u64) -> Vec<ScenarioSpec> {
     ]
 }
 
-enum EitherPolicy {
-    Random(RandomPolicy),
-    Rr(RoundRobinPolicy),
-}
-
-impl Policy for EitherPolicy {
-    fn name(&self) -> &str {
-        match self {
-            EitherPolicy::Random(p) => p.name(),
-            EitherPolicy::Rr(p) => p.name(),
-        }
-    }
-
-    fn decide(&mut self, ctx: &adrias::orchestrator::DecisionContext<'_>) -> MemoryMode {
-        match self {
-            EitherPolicy::Random(p) => p.decide(ctx),
-            EitherPolicy::Rr(p) => p.decide(ctx),
-        }
-    }
-}
-
 fn run_once(seed: u64, threads: usize) -> Vec<PolicyOutcome> {
     run_comparison(
         TestbedConfig::noiseless(),
@@ -49,9 +28,11 @@ fn run_once(seed: u64, threads: usize) -> Vec<PolicyOutcome> {
         2,
         Some(5.0),
         threads,
-        |i| match i {
-            0 => EitherPolicy::Random(RandomPolicy::new(99)),
-            _ => EitherPolicy::Rr(RoundRobinPolicy::new()),
+        |i| -> Box<dyn Policy + Send> {
+            match i {
+                0 => Box::new(RandomPolicy::new(99)),
+                _ => Box::new(RoundRobinPolicy::new()),
+            }
         },
     )
 }

@@ -1,36 +1,11 @@
 //! End-to-end integration: train the Adrias stack on simulated traces,
 //! orchestrate fresh scenarios and compare against the baselines.
 
-use adrias::orchestrator::{AllLocalPolicy, DecisionContext, Policy, RandomPolicy};
+use adrias::orchestrator::{AllLocalPolicy, Policy, RandomPolicy};
 use adrias::scenarios::{run_comparison, train_stack, ScenarioSpec, StackOptions};
 use adrias::sim::TestbedConfig;
 use adrias::telemetry::stats;
 use adrias::workloads::{MemoryMode, WorkloadCatalog};
-
-#[allow(clippy::large_enum_variant)]
-enum AnyPolicy {
-    Adrias(adrias::orchestrator::AdriasPolicy),
-    Random(RandomPolicy),
-    AllLocal(AllLocalPolicy),
-}
-
-impl Policy for AnyPolicy {
-    fn name(&self) -> &str {
-        match self {
-            AnyPolicy::Adrias(p) => p.name(),
-            AnyPolicy::Random(p) => p.name(),
-            AnyPolicy::AllLocal(p) => p.name(),
-        }
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> MemoryMode {
-        match self {
-            AnyPolicy::Adrias(p) => p.decide(ctx),
-            AnyPolicy::Random(p) => p.decide(ctx),
-            AnyPolicy::AllLocal(p) => p.decide(ctx),
-        }
-    }
-}
 
 #[test]
 fn adrias_stack_orchestrates_better_than_random() {
@@ -48,10 +23,12 @@ fn adrias_stack_orchestrates_better_than_random() {
         3,
         Some(8.0),
         2,
-        |i| match i {
-            0 => AnyPolicy::AllLocal(AllLocalPolicy::new()),
-            1 => AnyPolicy::Random(RandomPolicy::new(55)),
-            _ => AnyPolicy::Adrias(stack.policy(0.7, 8.0)),
+        |i| -> Box<dyn Policy + Send> {
+            match i {
+                0 => Box::new(AllLocalPolicy::new()),
+                1 => Box::new(RandomPolicy::new(55)),
+                _ => Box::new(stack.policy(0.7, 8.0)),
+            }
         },
     );
 

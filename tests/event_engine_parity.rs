@@ -14,12 +14,10 @@ use std::sync::OnceLock;
 use adrias::nn::set_force_scalar;
 use adrias::obs::export::{to_jsonl_decisions, to_jsonl_events, to_jsonl_metrics, to_jsonl_spans};
 use adrias::obs::Observer;
-use adrias::orchestrator::engine::{run_stream_hooked, EngineConfig, ScheduleStream};
-use adrias::orchestrator::{AdriasPolicy, ObservedRun};
+use adrias::orchestrator::AdriasPolicy;
 use adrias::scenarios::fuzz::replay_corpus;
-use adrias::scenarios::schedule::PlacementStyle;
 use adrias::scenarios::{
-    build_schedule, load_corpus, run_case, train_stack, FuzzConfig, ScenarioSpec, StackOptions,
+    load_corpus, run_case, train_stack, FuzzConfig, Replay, ScenarioSpec, StackOptions,
     TrainedStack,
 };
 use adrias::sim::TestbedConfig;
@@ -64,22 +62,12 @@ fn run_fingerprint(
     workers: usize,
 ) -> [String; 5] {
     let spec = ScenarioSpec::new(5.0, 30.0, 700.0, seed);
-    let schedule = build_schedule(&spec, catalog, PlacementStyle::PolicyDecided);
-    let engine = EngineConfig {
-        seed: spec.seed ^ 0xE6E,
+    let replay = Replay {
         qos_p99_ms: Some(5.0),
-        ..EngineConfig::default()
+        ..Replay::new(TestbedConfig::noiseless(), catalog, spec)
     };
-    let mut policy = policy(stack, workers);
     let mut obs = Observer::default();
-    let report = run_stream_hooked(
-        TestbedConfig::noiseless(),
-        engine,
-        &mut ScheduleStream::new(&schedule),
-        &[],
-        &mut policy,
-        &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
-    );
+    let report = replay.run(&mut policy(stack, workers), &mut replay.observed(&mut obs));
     [
         format!("{report:?}"),
         to_jsonl_decisions(&obs),
@@ -207,13 +195,6 @@ fn faulted_runs_are_deterministic() {
     use adrias::orchestrator::engine::FaultEvent;
     use adrias::sim::LinkConfig;
     let (catalog, stack) = trained();
-    let spec = ScenarioSpec::new(5.0, 25.0, 700.0, 3);
-    let schedule = build_schedule(&spec, catalog, PlacementStyle::PolicyDecided);
-    let engine = EngineConfig {
-        seed: spec.seed ^ 0xE6E,
-        qos_p99_ms: Some(5.0),
-        ..EngineConfig::default()
-    };
     let faults = [
         FaultEvent {
             at_s: 120.0,
@@ -228,17 +209,18 @@ fn faulted_runs_are_deterministic() {
             link: LinkConfig::paper(),
         },
     ];
-    let run = || {
-        let mut policy = policy(stack, 1);
-        let mut obs = Observer::default();
-        let report = run_stream_hooked(
+    let replay = Replay {
+        qos_p99_ms: Some(5.0),
+        faults: &faults,
+        ..Replay::new(
             TestbedConfig::noiseless(),
-            engine,
-            &mut ScheduleStream::new(&schedule),
-            &faults,
-            &mut policy,
-            &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
-        );
+            catalog,
+            ScenarioSpec::new(5.0, 25.0, 700.0, 3),
+        )
+    };
+    let run = || {
+        let mut obs = Observer::default();
+        let report = replay.run(&mut policy(stack, 1), &mut replay.observed(&mut obs));
         (format!("{report:?}"), to_jsonl_events(&obs))
     };
     assert_eq!(run(), run());

@@ -26,10 +26,7 @@ use adrias::orchestrator::{
     EventHeap, EventKind, ExplainedDecision, FaultEvent, GeneratedStream, Policy, RandomPolicy,
     RoundRobinPolicy, RunReport, ScheduleStream, ScheduledArrival,
 };
-use adrias::scenarios::schedule::PlacementStyle;
-use adrias::scenarios::{
-    build_schedule, load_corpus, train_stack, FuzzConfig, StackOptions, TrainedStack,
-};
+use adrias::scenarios::{load_corpus, train_stack, FuzzConfig, Replay, StackOptions, TrainedStack};
 use adrias::sim::{CompletedApp, DeploymentId, LinkConfig, StepReport, Testbed, TestbedConfig};
 use adrias::telemetry::{MetricVec, Watcher};
 use adrias::workloads::keyvalue::{self, tail_latency};
@@ -465,9 +462,9 @@ impl EngineObserver for FreshWindow {
     }
 }
 
-/// A burst on one stamp: the engine copies the window once and the
-/// policy answers repeats from its per-stamp record, the reference
-/// copies and (on the slow lane) predicts from scratch per arrival.
+/// A burst on one stamp: the engine copies the window once, the
+/// reference copies it per arrival; the policy answers repeats from its
+/// per-stamp record under both.
 /// 70 arrivals land on tick 200 — forced ones and repeats of the same
 /// application among them — then a tick, 40 more on the next stamp, a
 /// quiet tick, and a last few; a handful arrive before the window has
@@ -517,18 +514,14 @@ fn a_burst_of_arrivals_on_one_tick() {
         &mut probe,
     );
     assert_eq!((probe.decisions, probe.with_window), (122, 116));
-    for fast in [true, false] {
-        let mut reference = stack().policy(0.7, 5.0);
-        reference.set_fast_path(fast);
-        let want = run_per_second(
-            TestbedConfig::paper(),
-            engine_cfg,
-            &mut ScheduleStream::new(&arrivals),
-            &[],
-            &mut reference,
-        );
-        assert_same_bits(&format!("burst, fast = {fast}"), &got, &want);
-    }
+    let want = run_per_second(
+        TestbedConfig::paper(),
+        engine_cfg,
+        &mut ScheduleStream::new(&arrivals),
+        &[],
+        &mut stack().policy(0.7, 5.0),
+    );
+    assert_same_bits("burst", &got, &want);
     assert_eq!(got.outcomes.len(), 122);
 }
 
@@ -541,14 +534,15 @@ fn every_corpus_case_under_every_policy() {
     assert!(!entries.is_empty());
     for entry in &entries {
         let case = &entry.case;
-        let spec = case.spec();
-        let schedule = build_schedule(&spec, &case.mix.catalog(), PlacementStyle::PolicyDecided);
-        let faults = case.fault_events();
-        let engine_cfg = EngineConfig {
-            seed: spec.seed ^ 0xE6E,
+        let (catalog, faults) = (case.mix.catalog(), case.fault_events());
+        // Both engines take their schedule and configuration from the
+        // one description the fuzzer replays this case through.
+        let replay = Replay {
             qos_p99_ms: Some(cfg.qos_p99_ms),
-            ..EngineConfig::default()
+            faults: &faults,
+            ..Replay::new(cfg.testbed, &catalog, case.spec())
         };
+        let (schedule, engine_cfg) = (replay.schedule(), replay.engine_config());
         // The corpus' own (noiseless) testbed, and the paper's noise so
         // the draw-skipping path runs under the same traffic.
         for testbed_cfg in [cfg.testbed, TestbedConfig::paper()] {
