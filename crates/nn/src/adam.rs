@@ -60,16 +60,6 @@ impl Adam {
         self.lr
     }
 
-    /// Sets a new learning rate (e.g. for decay schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not strictly positive.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive, got {lr}");
-        self.lr = lr;
-    }
-
     /// Number of completed steps.
     pub fn steps(&self) -> u64 {
         self.t

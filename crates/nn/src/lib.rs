@@ -19,8 +19,9 @@
 //!   composite;
 //! * [`Sequential`] — a feed-forward container;
 //! * [`MseLoss`] and [`Adam`] — training machinery;
-//! * [`GradModel`] and [`accumulate_minibatch`] — deterministic
-//!   data-parallel gradient accumulation over minibatch chunks;
+//! * [`GradModel`], [`accumulate_minibatch`] and [`fit`] — deterministic
+//!   data-parallel gradient accumulation over minibatch chunks, and the
+//!   one epoch/shuffle/Adam loop around it;
 //! * [`serialize`] — plain-text weight (de)serialization.
 //!
 //! # Examples
@@ -82,5 +83,6 @@ pub use loss::MseLoss;
 pub use lstm::{Lstm, LstmScratch};
 pub use tensor::Tensor;
 pub use train::{
-    accumulate_minibatch, mix_seed, resolved_workers, GradModel, TrainStats, SERIAL_BATCH_FLOOR,
+    accumulate_minibatch, fit, mix_seed, resolved_workers, FitPlan, GradModel, TrainStats,
+    SERIAL_BATCH_FLOOR,
 };

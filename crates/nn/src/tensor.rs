@@ -1,7 +1,5 @@
 //! A row-major 2-D `f32` matrix.
 
-use adrias_core::thread::map_chunks;
-
 use crate::kernels;
 
 use std::fmt;
@@ -218,65 +216,21 @@ impl Tensor {
             "matmul_transb shape mismatch: {}x{} @ ({}x{})T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let m = self.rows;
-        out.reshape_for(m, other.rows);
-        self.transb_rows(other, &mut out.data, 0, m);
-    }
-
-    /// [`Tensor::matmul_transb`] with the output rows split across up to
-    /// `threads` scoped worker threads (via
-    /// [`adrias_core::thread::map_chunks`]).
-    ///
-    /// Output rows are independent dot-product groups and every row runs
-    /// the identical serial micro-kernel, so the result is bit-identical
-    /// to [`Tensor::matmul_transb`] for **any** thread count — the same
-    /// chunk-ordered determinism contract as the data-parallel trainer.
-    /// Worth it only for training-size batches; `threads <= 1` or a
-    /// single-row product runs inline with no spawn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions do not match or `threads` is zero.
-    pub fn matmul_transb_threaded(&self, other: &Tensor, threads: usize) -> Tensor {
-        assert!(threads > 0, "need at least one worker thread");
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transb shape mismatch: {}x{} @ ({}x{})T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        if threads == 1 || self.rows < 2 {
-            return self.matmul_transb(other);
-        }
-        let n = other.rows;
-        let row_idx: Vec<usize> = (0..self.rows).collect();
-        let data = map_chunks(&row_idx, threads, |chunk| {
-            let (lo, hi) = (chunk[0], chunk[chunk.len() - 1] + 1);
-            let mut part = vec![0.0f32; (hi - lo) * n];
-            self.transb_rows(other, &mut part, lo, hi);
-            part
-        });
-        Tensor::from_vec(self.rows, n, data)
-    }
-
-    /// Serial `self @ otherᵀ` micro-kernel over output rows
-    /// `[row0, row1)`, writing into `out_rows` (whose row 0 corresponds
-    /// to output row `row0`).
-    ///
-    /// Each cache tile is one [`kernels::dot_rows`] sweep — columns
-    /// four at a time, remainder singly; every output element is a
-    /// canonical lane-ordered dot product (8-way strided partial sums
-    /// over `k`, fixed tree reduction — DESIGN.md §14) on every lane
-    /// type, so neither the grouping nor the vector width ever changes a
-    /// single bit of the result.
-    fn transb_rows(&self, other: &Tensor, out_rows: &mut [f32], row0: usize, row1: usize) {
-        let (kk, n) = (self.cols, other.rows);
-        for r0 in (row0..row1).step_by(BLOCK) {
-            let r1 = (r0 + BLOCK).min(row1);
+        let (m, kk, n) = (self.rows, self.cols, other.rows);
+        out.reshape_for(m, n);
+        // Each cache tile is one [`kernels::dot_rows`] sweep — columns
+        // four at a time, remainder singly; every output element is a
+        // canonical lane-ordered dot product (8-way strided partial sums
+        // over `k`, fixed tree reduction — DESIGN.md §14) on every lane
+        // type, so neither the grouping nor the vector width ever
+        // changes a single bit of the result.
+        for r0 in (0..m).step_by(BLOCK) {
+            let r1 = (r0 + BLOCK).min(m);
             for c0 in (0..n).step_by(BLOCK) {
                 let c1 = (c0 + BLOCK).min(n);
                 for r in r0..r1 {
                     let a_row = &self.data[r * kk..(r + 1) * kk];
-                    let out_row = &mut out_rows[(r - row0) * n..(r - row0 + 1) * n];
+                    let out_row = &mut out.data[r * n..(r + 1) * n];
                     kernels::dot_rows(a_row, &other.data[c0 * kk..c1 * kk], &mut out_row[c0..c1]);
                 }
             }
@@ -334,13 +288,6 @@ impl Tensor {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// In-place element-wise map.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Transpose.
@@ -978,26 +925,6 @@ mod tests {
             // And the SIMD path must still meet the longhand spec.
             assert_eq!(native.0.data(), naive_transb(&a, &b_t).data());
         }
-    }
-
-    /// The scoped-thread row split must be bit-identical to the serial
-    /// kernel for every thread count on a training-size batch.
-    #[test]
-    fn threaded_transb_is_thread_count_invariant() {
-        let a = irregular(96, 64, 11); // a training-size activation batch
-        let w = irregular(48, 64, 12); // out_features × in_features
-        let serial = a.matmul_transb(&w);
-        for threads in [1usize, 2, 3, 8] {
-            let split = a.matmul_transb_threaded(&w, threads);
-            assert_eq!(
-                split.data(),
-                serial.data(),
-                "row split diverged at {threads} threads"
-            );
-        }
-        // Degenerate single-row product takes the inline path.
-        let one = irregular(1, 64, 13);
-        assert_eq!(one.matmul_transb_threaded(&w, 8), one.matmul_transb(&w));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   delta against the snapshot, again in chunk order;
 //! * the minibatch loss is reduced in `f64` in chunk order.
 
+use adrias_core::rng::{SeedableRng, SliceRandom, Xoshiro256pp};
 use adrias_core::thread::map_chunks;
 
+use crate::adam::Adam;
 use crate::tensor::Tensor;
 
 /// A model whose parameters, gradients, and running buffers can be
@@ -216,6 +218,77 @@ where
     total_loss as f32
 }
 
+/// The hyper-parameters of one [`fit`] run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FitPlan {
+    /// Passes over the sample indices.
+    pub epochs: usize,
+    /// Samples per optimizer step.
+    pub batch_size: usize,
+    /// Samples per gradient chunk (clamped to at least 1).
+    pub grad_chunk: usize,
+    /// Worker threads, resolved through [`resolved_workers`].
+    pub workers: usize,
+    /// Adam learning rate.
+    pub learning_rate: f32,
+    /// Run seed: chunk `c` of step `s` is handed the dropout seed
+    /// `mix_seed(&[seed, s, c])`.
+    pub seed: u64,
+    /// The shuffle stream is seeded `seed ^ shuffle_salt`, so models
+    /// sharing a seed still draw distinct sample orders.
+    pub shuffle_salt: u64,
+}
+
+/// The training loop: `plan.epochs` shuffled passes over sample indices
+/// `0..n` in minibatches of `plan.batch_size`, each one
+/// [`accumulate_minibatch`] followed by an Adam step over
+/// [`GradModel::visit_params`]. Returns the mean minibatch loss of every
+/// epoch and the work counters.
+///
+/// `pass(model, dropout_seed, idxs)` runs forward and backward over the
+/// samples `idxs` on a chunk clone and returns their mean loss;
+/// `dropout_seed` depends only on `(plan.seed, step, chunk)`. The loss
+/// trace inherits [`accumulate_minibatch`]'s contract: bit-identical at
+/// every worker count.
+///
+/// # Panics
+///
+/// Panics if `plan.batch_size` is zero.
+pub fn fit<M, F>(model: &mut M, n: usize, plan: &FitPlan, pass: &F) -> (Vec<f32>, TrainStats)
+where
+    M: GradModel,
+    F: Fn(&mut M, u64, &[usize]) -> f32 + Sync,
+{
+    let workers = resolved_workers(plan.workers);
+    let grad_chunk = plan.grad_chunk.max(1);
+    let mut rng = Xoshiro256pp::seed_from_u64(plan.seed ^ plan.shuffle_salt);
+    let mut opt = Adam::new(plan.learning_rate);
+    let mut epoch_losses = Vec::with_capacity(plan.epochs);
+    let mut idx: Vec<usize> = (0..n).collect();
+    let mut step = 0u64;
+    let mut stats = TrainStats::new();
+    for _ in 0..plan.epochs {
+        idx.shuffle(&mut rng);
+        let mut total = 0.0f64;
+        let mut batches = 0usize;
+        for minibatch in idx.chunks(plan.batch_size) {
+            stats.record_minibatch(minibatch.len(), grad_chunk);
+            let loss =
+                accumulate_minibatch(model, minibatch, grad_chunk, workers, &|m, chunk, idxs| {
+                    pass(m, mix_seed(&[plan.seed, step, chunk as u64]), idxs)
+                });
+            opt.begin_step();
+            model.visit_params(&mut |p, g| opt.update(p, g));
+            total += f64::from(loss);
+            batches += 1;
+            step += 1;
+        }
+        epoch_losses.push((total / batches.max(1) as f64) as f32);
+        stats.record_epoch();
+    }
+    (epoch_losses, stats)
+}
+
 fn take_grads<M: GradModel>(model: &mut M) -> Vec<Tensor> {
     let mut grads = Vec::new();
     model.visit_params(&mut |_, g| grads.push(std::mem::take(g)));
@@ -301,6 +374,48 @@ mod tests {
                 assert_eq!(one.1, other.1, "params differ at {workers} workers");
                 assert_eq!(one.2, other.2, "grads differ at {workers} workers");
             }
+        }
+    }
+
+    /// `fit` adds a shuffle, Adam and a loop around
+    /// `accumulate_minibatch` and inherits its contract — stated once
+    /// here for every model trained through it. 300-sample minibatches
+    /// sit above `SERIAL_BATCH_FLOOR`, so the threads really spawn.
+    #[test]
+    fn fit_returns_one_loss_trace_at_every_worker_count() {
+        let run = |workers: usize| {
+            let (mut model, x, y) = toy();
+            let plan = FitPlan {
+                epochs: 3,
+                batch_size: 300,
+                grad_chunk: 4,
+                workers,
+                learning_rate: 1e-2,
+                seed: 7,
+                shuffle_salt: 0x5A17,
+            };
+            let (losses, stats) = fit(&mut model, 600, &plan, &|m, _, idxs| {
+                let xb = Tensor::from_fn(idxs.len(), 3, |r, c| x.get(idxs[r] % 16, c));
+                let yb = Tensor::from_fn(idxs.len(), 1, |r, _| y.get(idxs[r] % 16, 0));
+                let mut mse = MseLoss::new();
+                let pred = m.lin.forward(&xb, true);
+                let l = mse.forward(&pred, &yb);
+                m.lin.backward(&mse.backward());
+                l
+            });
+            assert_eq!(stats.epochs, 3);
+            assert_eq!(stats.minibatches, 6);
+            assert_eq!(stats.samples, 1800);
+            let mut params = Vec::new();
+            model.visit_params(&mut |p, _| params.push(p.clone()));
+            let bits: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+            (bits, params)
+        };
+        let one = run(1);
+        let loss = |epoch: usize| f32::from_bits(one.0[epoch]);
+        assert!(loss(2) < loss(0), "Adam did not descend");
+        for workers in [2, 8] {
+            assert_eq!(run(workers), one, "{workers} workers");
         }
     }
 

@@ -279,46 +279,40 @@ impl EngineObserver for ResidualTracker {
     }
 }
 
-/// Harvests performance records of one workload class from a finished
-/// run — the live capture buffer the fine-tuning pass trains on. A
-/// record needs the full history window before arrival and enough trace
-/// to cover the forecast horizon, mirroring the offline trace
-/// collection.
-pub fn harvest_perf_records(report: &RunReport, class: WorkloadClass) -> Vec<PerfRecord> {
-    let mut records = Vec::new();
-    for o in &report.outcomes {
-        if o.class != class || !o.policy_decided {
-            continue;
-        }
-        let perf = match class {
-            WorkloadClass::LatencyCritical => match o.p99_ms {
-                Some(p99) => p99,
-                None => continue,
-            },
-            _ => o.runtime_s as f32,
-        };
-        if perf <= 0.0 {
-            continue;
-        }
-        let Some(history) = report.history_before(o.arrived_s, HISTORY_S) else {
-            continue;
-        };
-        let Some(future_120) = report.mean_between(o.arrived_s, o.arrived_s + 120.0) else {
-            continue;
-        };
-        let Some(future_exec) = report.mean_between(o.arrived_s, o.finished_s) else {
-            continue;
-        };
-        records.push(PerfRecord {
-            app: o.name.to_string(),
-            mode: o.mode,
-            history,
-            future_120,
-            future_exec,
-            perf,
-        });
-    }
-    records
+/// Harvests the performance records of one workload class from a
+/// finished run, outcomes filtered by `keep` — the offline trace
+/// collection keeps every outcome, the live capture buffer the
+/// fine-tuning pass trains on only the policy-decided ones. A record
+/// needs the full [`HISTORY_S`]-second window before arrival and at
+/// least one trace sample after it; early arrivals are dropped. BE
+/// performance is the wall-clock runtime, LC performance the measured
+/// p99; an outcome without a positive one yields no record.
+pub fn harvest_perf_records<'r>(
+    report: &'r RunReport,
+    class: WorkloadClass,
+    keep: impl Fn(&AppOutcome) -> bool + 'r,
+) -> impl Iterator<Item = PerfRecord> + 'r {
+    report
+        .outcomes
+        .iter()
+        .filter(move |o| o.class == class && keep(o))
+        .filter_map(move |o| {
+            let perf = match class {
+                WorkloadClass::LatencyCritical => o.p99_ms?,
+                _ => o.runtime_s as f32,
+            };
+            if perf <= 0.0 {
+                return None;
+            }
+            Some(PerfRecord {
+                app: o.name.to_string(),
+                mode: o.mode,
+                history: report.history_before(o.arrived_s, HISTORY_S)?,
+                future_120: report.mean_between(o.arrived_s, o.arrived_s + 120.0)?,
+                future_exec: report.mean_between(o.arrived_s, o.finished_s)?,
+                perf,
+            })
+        })
 }
 
 /// Derives a fine-tuned candidate from an incumbent: clones the weights
@@ -688,7 +682,9 @@ mod tests {
             &mut policy,
             &mut (),
         );
-        let records = harvest_perf_records(&report, WorkloadClass::BestEffort);
+        let decided = |o: &AppOutcome| o.policy_decided;
+        let records: Vec<PerfRecord> =
+            harvest_perf_records(&report, WorkloadClass::BestEffort, decided).collect();
         // Only gmm qualifies: policy-decided BE with a full 120 s
         // history window before arrival.
         assert_eq!(records.len(), 1);
@@ -698,6 +694,9 @@ mod tests {
         assert!(r.perf > 0.0);
         assert_eq!(r.mode, MemoryMode::Remote);
         // The stressor is forced, not policy-decided.
-        assert!(harvest_perf_records(&report, WorkloadClass::Interference).is_empty());
+        assert_eq!(
+            harvest_perf_records(&report, WorkloadClass::Interference, decided).count(),
+            0
+        );
     }
 }

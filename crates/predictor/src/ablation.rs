@@ -167,17 +167,11 @@ pub fn sample_count_sweep(
     source: SHatSource,
     mut system_model: Option<&mut SystemStateModel>,
 ) -> Vec<(usize, RegressionReport)> {
-    use adrias_workloads::AppSignature;
-    let sigs: Vec<AppSignature> = train
-        .signatures()
-        .iter()
-        .map(|(name, rows)| AppSignature::new(name.clone(), rows.clone()))
-        .collect();
     sizes
         .iter()
         .filter(|&&n| n >= 2 && n <= train.len())
         .map(|&n| {
-            let subset = PerfDataset::new(train.records()[..n].to_vec(), &sigs);
+            let subset = train.with_records(train.records()[..n].to_vec());
             let train_hats = source.materialize(&subset, system_model.as_deref_mut());
             let test_hats = source.materialize(test, system_model.as_deref_mut());
             let mut model = PerfModel::new(cfg);

@@ -159,20 +159,6 @@ impl SystemStateDataset {
         }
     }
 
-    /// Builds a dataset directly from prepared samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn from_samples(samples: Vec<SystemStateSample>) -> Self {
-        assert!(!samples.is_empty(), "empty dataset");
-        let normalizer = Normalizer::fit_windows(samples.iter().map(|s| s.history.as_slice()));
-        Self {
-            samples,
-            normalizer,
-        }
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -214,23 +200,17 @@ impl SystemStateDataset {
             "split leaves an empty side ({} samples, cut {cut})",
             self.samples.len()
         );
-        let train_samples: Vec<_> = idx[..cut]
-            .iter()
-            .map(|&i| self.samples[i].clone())
-            .collect();
-        let test_samples: Vec<_> = idx[cut..]
-            .iter()
-            .map(|&i| self.samples[i].clone())
-            .collect();
-        let normalizer =
-            Normalizer::fit_windows(train_samples.iter().map(|s| s.history.as_slice()));
+        let side =
+            |idx: &[usize]| -> Vec<_> { idx.iter().map(|&i| self.samples[i].clone()).collect() };
+        let (train, test) = (side(&idx[..cut]), side(&idx[cut..]));
+        let normalizer = Normalizer::fit_windows(train.iter().map(|s| s.history.as_slice()));
         (
             Self {
-                samples: train_samples,
+                samples: train,
                 normalizer: normalizer.clone(),
             },
             Self {
-                samples: test_samples,
+                samples: test,
                 normalizer,
             },
         )
@@ -373,6 +353,32 @@ impl PerfDataset {
         &self.signatures
     }
 
+    /// The signature store as signatures again (already [`SEQ_LEN`]
+    /// rows each), to build a dataset of other records over it.
+    fn signature_set(&self) -> Vec<AppSignature> {
+        self.signatures
+            .iter()
+            .map(|(name, rows)| AppSignature::new(name.clone(), rows.clone()))
+            .collect()
+    }
+
+    /// A dataset of `records` over this one's signature store, its
+    /// normalizers fitted afresh.
+    pub(crate) fn with_records(&self, records: Vec<PerfRecord>) -> Self {
+        Self::new(records, &self.signature_set())
+    }
+
+    /// The two sides of a split as datasets: normalizers are fitted on
+    /// `train` and shared by `other`.
+    fn with_train_norms(&self, train: Vec<PerfRecord>, other: Vec<PerfRecord>) -> (Self, Self) {
+        let sigs = self.signature_set();
+        let train_ds = Self::new(train, &sigs);
+        let mut other_ds = Self::new(other, &sigs);
+        other_ds.metric_norm = train_ds.metric_norm.clone();
+        other_ds.target_norm = train_ds.target_norm;
+        (train_ds, other_ds)
+    }
+
     /// Shuffled train/test split; normalizers refit on the training part.
     ///
     /// # Panics
@@ -386,25 +392,8 @@ impl PerfDataset {
             cut > 0 && cut < self.records.len(),
             "split leaves an empty side"
         );
-        let sigs: Vec<AppSignature> = self
-            .signatures
-            .iter()
-            .map(|(name, rows)| AppSignature::new(name.clone(), rows.clone()))
-            .collect();
-        let train: Vec<_> = idx[..cut]
-            .iter()
-            .map(|&i| self.records[i].clone())
-            .collect();
-        let test: Vec<_> = idx[cut..]
-            .iter()
-            .map(|&i| self.records[i].clone())
-            .collect();
-        let train_ds = Self::new(train, &sigs);
-        // Test set reuses the training normalizers.
-        let mut test_ds = Self::new(test, &sigs);
-        test_ds.metric_norm = train_ds.metric_norm.clone();
-        test_ds.target_norm = train_ds.target_norm;
-        (train_ds, test_ds)
+        let side = |idx: &[usize]| idx.iter().map(|&i| self.records[i].clone()).collect();
+        self.with_train_norms(side(&idx[..cut]), side(&idx[cut..]))
     }
 
     /// Deterministic index-based holdout split: every `every_k`-th
@@ -430,19 +419,7 @@ impl PerfDataset {
                 train.push(r.clone());
             }
         }
-        if train.is_empty() || hold.is_empty() {
-            return None;
-        }
-        let sigs: Vec<AppSignature> = self
-            .signatures
-            .iter()
-            .map(|(name, rows)| AppSignature::new(name.clone(), rows.clone()))
-            .collect();
-        let train_ds = Self::new(train, &sigs);
-        let mut hold_ds = Self::new(hold, &sigs);
-        hold_ds.metric_norm = train_ds.metric_norm.clone();
-        hold_ds.target_norm = train_ds.target_norm;
-        Some((train_ds, hold_ds))
+        (!train.is_empty() && !hold.is_empty()).then(|| self.with_train_norms(train, hold))
     }
 
     /// Splits by application: records of `app` become the test set
@@ -452,31 +429,7 @@ impl PerfDataset {
     pub fn split_leave_out(&self, app: &str) -> Option<(Self, Self)> {
         let (test, train): (Vec<_>, Vec<_>) =
             self.records.iter().cloned().partition(|r| r.app == app);
-        if test.is_empty() || train.is_empty() {
-            return None;
-        }
-        let sigs: Vec<AppSignature> = self
-            .signatures
-            .iter()
-            .map(|(name, rows)| AppSignature::new(name.clone(), rows.clone()))
-            .collect();
-        let train_ds = Self::new(train, &sigs);
-        let mut test_ds = Self::new(test, &sigs);
-        test_ds.metric_norm = train_ds.metric_norm.clone();
-        test_ds.target_norm = train_ds.target_norm;
-        Some((train_ds, test_ds))
-    }
-
-    /// Pooled, normalized history window of record `i`.
-    pub(crate) fn history_window(&self, i: usize) -> Vec<MetricVec> {
-        self.metric_norm
-            .normalize_window(&pool_rows(&self.records[i].history, SEQ_LEN))
-    }
-
-    /// Pooled, normalized signature window of record `i`.
-    pub(crate) fn signature_window(&self, i: usize) -> Vec<MetricVec> {
-        let rows = &self.signatures[&self.records[i].app];
-        self.metric_norm.normalize_window(rows)
+        (!train.is_empty() && !test.is_empty()).then(|| self.with_train_norms(train, test))
     }
 
     /// Normalized (log-space) target of record `i`.

@@ -13,7 +13,12 @@
 //!
 //! Both follow the paper's architecture: two stacked LSTM layers feeding
 //! a triplet of non-linear blocks (Linear→ReLU→BatchNorm→Dropout) and a
-//! linear read-out, trained with Adam on MSE.
+//! linear read-out, trained with Adam on MSE. That shape is written
+//! once, in the private `parts` module: the system-state model is one
+//! `Encoder` and a `Head`, the performance model two encoders (history,
+//! signature) and a head; both train through [`adrias_nn::fit`] and
+//! persist through one save/load pair ([`persist`]) that restores a
+//! model bit for bit.
 //!
 //! The crate also hosts the evaluation machinery for the accuracy section
 //! of the paper: train/test splits ([`dataset`]), `R²`/MAE reports
@@ -28,6 +33,7 @@ pub mod ablation;
 pub mod dataset;
 pub mod eval;
 pub mod norm;
+mod parts;
 pub mod perf_model;
 pub mod persist;
 pub mod scratch;
@@ -45,3 +51,25 @@ pub use persist::{
 };
 pub use scratch::{PerfScratch, SystemScratch};
 pub use system_model::{SystemStateModel, SystemStateModelConfig};
+
+/// FNV-1a over the bit patterns of `values`: what the golden tests pin
+/// loss traces and parameter sets to.
+#[cfg(test)]
+pub(crate) fn digest_bits(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Every parameter, then every running buffer, of `model` in
+/// [`adrias_nn::GradModel`] order.
+#[cfg(test)]
+pub(crate) fn model_state<M: adrias_nn::GradModel>(model: &mut M) -> Vec<f32> {
+    let mut state = Vec::new();
+    model.visit_params(&mut |p, _| state.extend_from_slice(p.data()));
+    model.visit_buffers(&mut |b| state.extend_from_slice(b.data()));
+    state
+}

@@ -69,6 +69,13 @@ impl Normalizer {
         Self { mean, std }
     }
 
+    /// Rebuilds a normalizer from persisted per-metric statistics, each
+    /// array in canonical metric order — exactly the values
+    /// [`Normalizer::mean`] / [`Normalizer::std`] report.
+    pub fn from_parts(mean: [f32; METRIC_COUNT], std: [f32; METRIC_COUNT]) -> Self {
+        Self { mean, std }
+    }
+
     /// Fits on every row of a collection of windows.
     ///
     /// # Panics

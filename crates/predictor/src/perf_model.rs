@@ -9,21 +9,19 @@
 //! one LC model over Redis + Memcached, rather than one model per
 //! application (§V-B2).
 
-use adrias_core::rng::SeedableRng;
-use adrias_core::rng::SliceRandom;
-use adrias_core::rng::Xoshiro256pp;
+use std::collections::BTreeMap;
 
-use adrias_nn::{
-    accumulate_minibatch, mix_seed, resolved_workers, Adam, GradModel, Layer, Linear, Lstm,
-    LstmScratch, MseLoss, NonLinearBlock, Tensor, TrainStats,
-};
+use adrias_core::rng::{SeedableRng, Xoshiro256pp};
+
+use adrias_nn::{fit, FitPlan, GradModel, MseLoss, Tensor, TrainStats};
 use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 use adrias_workloads::{AppSignature, MemoryMode};
 
-use crate::dataset::{pool_rows, pool_rows_into, seq_tensors, PerfDataset, SEQ_LEN};
+use crate::dataset::{pool_rows, seq_tensors, PerfDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::norm::{Normalizer, ScalarNormalizer};
-use crate::scratch::{fill_seq, PerfScratch};
+use crate::parts::{Encoder, Head};
+use crate::scratch::{fill_history, fill_seq, PerfScratch};
 
 /// Width of the non-sequence side input: mode one-hot (2) + `Ŝ` (7).
 const SIDE_WIDTH: usize = 2 + METRIC_COUNT;
@@ -87,45 +85,72 @@ impl PerfModelConfig {
     }
 }
 
-/// The universal performance predictor.
+/// The universal performance predictor: a history `Encoder` and a
+/// signature `Encoder` whose feature rows, concatenated with the side
+/// input, feed a one-output `Head`.
 #[derive(Debug, Clone)]
 pub struct PerfModel {
     cfg: PerfModelConfig,
-    lstm_s1: Lstm,
-    lstm_s2: Lstm,
-    lstm_k1: Lstm,
-    lstm_k2: Lstm,
-    blocks: Vec<NonLinearBlock>,
-    out: Linear,
-    metric_norm: Option<Normalizer>,
-    target_norm: Option<ScalarNormalizer>,
+    history: Encoder,
+    signature: Encoder,
+    head: Head,
+    pub(crate) metric_norm: Option<Normalizer>,
+    pub(crate) target_norm: Option<ScalarNormalizer>,
     train_stats: Option<TrainStats>,
     version: u64,
+}
+
+/// A head output (normalized log performance) in original units.
+fn to_perf(target_norm: &ScalarNormalizer, z: f32) -> f32 {
+    target_norm.denormalize(z.clamp(-10.0, 10.0)).exp()
+}
+
+/// The `(seq_s, seq_k, side)` input tensors of `rows` rows under `norm`.
+///
+/// `windows(b)` returns row `b`'s raw 1 Hz history and its signature
+/// already resampled to [`SEQ_LEN`] rows; the history is pooled, both
+/// are normalized and stacked per time step. `side(b)` returns its
+/// memory mode and raw `Ŝ`; the side row is the mode one-hot followed by
+/// the normalized `Ŝ` (zeros for `None`).
+fn inputs<'a>(
+    norm: &Normalizer,
+    rows: usize,
+    windows: impl Fn(usize) -> (&'a [MetricVec], &'a [MetricVec]),
+    side: impl Fn(usize) -> (MemoryMode, Option<&'a MetricVec>),
+) -> (Vec<Tensor>, Vec<Tensor>, Tensor) {
+    let windows_s: Vec<_> = (0..rows)
+        .map(|b| norm.normalize_window(&pool_rows(windows(b).0, SEQ_LEN)))
+        .collect();
+    let windows_k: Vec<_> = (0..rows)
+        .map(|b| norm.normalize_window(windows(b).1))
+        .collect();
+    let (seq_s, seq_k) = (seq_tensors(&windows_s), seq_tensors(&windows_k));
+    let side = Tensor::from_fn(rows, SIDE_WIDTH, |b, c| {
+        let (mode, s_hat) = side(b);
+        if c < 2 {
+            mode.one_hot()[c]
+        } else {
+            s_hat.map_or(0.0, |v| norm.normalize(v).get(Metric::ALL[c - 2]))
+        }
+    });
+    (seq_s, seq_k, side)
 }
 
 impl PerfModel {
     /// Creates an untrained model.
     pub fn new(cfg: PerfModelConfig) -> Self {
         let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
-        let lstm_s1 = Lstm::new(METRIC_COUNT, cfg.hidden, &mut rng);
-        let lstm_s2 = Lstm::new(cfg.hidden, cfg.hidden, &mut rng);
-        let lstm_k1 = Lstm::new(METRIC_COUNT, cfg.hidden, &mut rng);
-        let lstm_k2 = Lstm::new(cfg.hidden, cfg.hidden, &mut rng);
-        let concat = 2 * cfg.hidden + SIDE_WIDTH;
-        let blocks = vec![
-            NonLinearBlock::new(concat, cfg.block_width, cfg.dropout, &mut rng),
-            NonLinearBlock::new(cfg.block_width, cfg.block_width, cfg.dropout, &mut rng),
-            NonLinearBlock::new(cfg.block_width, cfg.block_width, cfg.dropout, &mut rng),
-        ];
-        let out = Linear::new(cfg.block_width, 1, &mut rng);
         Self {
             cfg,
-            lstm_s1,
-            lstm_s2,
-            lstm_k1,
-            lstm_k2,
-            blocks,
-            out,
+            history: Encoder::new(cfg.hidden, &mut rng),
+            signature: Encoder::new(cfg.hidden, &mut rng),
+            head: Head::new(
+                2 * cfg.hidden + SIDE_WIDTH,
+                cfg.block_width,
+                1,
+                cfg.dropout,
+                &mut rng,
+            ),
             metric_norm: None,
             target_norm: None,
             train_stats: None,
@@ -141,13 +166,6 @@ impl PerfModel {
     /// Whether [`PerfModel::train`] has run.
     pub fn is_trained(&self) -> bool {
         self.metric_norm.is_some()
-    }
-
-    /// Overrides the worker-thread count used by batched inference
-    /// (`0` = auto via `ADRIAS_WORKERS`/parallelism). Results are
-    /// bit-identical at any setting; this only tunes dispatch.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.cfg.workers = workers;
     }
 
     /// Work counters from the most recent [`PerfModel::train`] call
@@ -184,126 +202,44 @@ impl PerfModel {
         side: &Tensor,
         train: bool,
     ) -> Tensor {
-        let h_s = self.lstm_s2.forward_last(&self.lstm_s1.forward_seq(seq_s));
-        let h_k = self.lstm_k2.forward_last(&self.lstm_k1.forward_seq(seq_k));
-        let mut x = h_s.hcat(&h_k).hcat(side);
-        for b in &mut self.blocks {
-            x = b.forward(&x, train);
-        }
-        self.out.forward(&x, train)
+        let h_s = self.history.forward(seq_s);
+        let h_k = self.signature.forward(seq_k);
+        self.head.forward(h_s.hcat(&h_k).hcat(side), train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) {
-        let mut g = self.out.backward(grad_out);
-        for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
-        }
+        let g = self.head.backward(grad_out);
         let h = self.cfg.hidden;
         let d_h_s = g.columns(0, h);
         let d_h_k = g.columns(h, 2 * h);
-        let d_seq_s = self.lstm_s2.backward_last(&d_h_s);
-        self.lstm_s1.backward_seq_params(&d_seq_s);
-        let d_seq_k = self.lstm_k2.backward_last(&d_h_k);
-        self.lstm_k1.backward_seq_params(&d_seq_k);
+        self.history.backward(&d_h_s);
+        self.signature.backward(&d_h_k);
     }
 
-    fn zero_grad(&mut self) {
-        self.lstm_s1.zero_grad();
-        self.lstm_s2.zero_grad();
-        self.lstm_k1.zero_grad();
-        self.lstm_k2.zero_grad();
-        for b in &mut self.blocks {
-            b.zero_grad();
-        }
-        self.out.zero_grad();
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.lstm_s1.visit_params(f);
-        self.lstm_s2.visit_params(f);
-        self.lstm_k1.visit_params(f);
-        self.lstm_k2.visit_params(f);
-        for b in &mut self.blocks {
-            b.visit_params(f);
-        }
-        self.out.visit_params(f);
-    }
-
-    /// Rebases every dropout stream on `seed` (salted per block), so a
-    /// chunk clone's masks depend only on `(run seed, step, chunk)`.
-    fn reseed_dropout(&mut self, seed: u64) {
-        for (i, b) in self.blocks.iter_mut().enumerate() {
-            b.reseed_dropout(seed, i as u64 + 1);
-        }
-    }
-
-    /// Persistence hook: the captured normalizers, if trained. The
-    /// scalar target normalizer is returned as `(mean, std)`.
-    pub(crate) fn norms_for_persist(&self) -> Option<(Normalizer, (f32, f32))> {
-        let metric = self.metric_norm.clone()?;
-        let target = self.target_norm?;
-        Some((metric, (target.mean(), target.std())))
-    }
-
-    /// Persistence hook: restores the normalizers on load.
-    pub(crate) fn set_norms_for_persist(&mut self, metric: Normalizer, target: (f32, f32)) {
-        self.metric_norm = Some(metric);
-        self.target_norm = Some(ScalarNormalizer::from_parts(target.0, target.1));
-    }
-
-    /// Persistence hook: visits parameters read-only in stable order,
-    /// then the batch-norm running statistics.
-    pub(crate) fn visit_params_for_persist(&mut self, f: &mut dyn FnMut(&Tensor)) {
-        self.visit_params(&mut |p, _| f(p));
-        for b in &mut self.blocks {
-            b.visit_buffers(&mut |p| f(p));
-        }
-    }
-
-    /// Persistence hook: visits parameters mutably in stable order, then
-    /// the batch-norm running statistics.
-    pub(crate) fn visit_params_for_persist_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.visit_params(&mut |p, _| f(p));
-        for b in &mut self.blocks {
-            b.visit_buffers(f);
-        }
-    }
-
-    /// Builds the side-input tensor (mode one-hot ++ normalized `Ŝ`) for
-    /// a batch of records.
-    fn side_tensor(ds: &PerfDataset, idxs: &[usize], s_hats: &[Option<MetricVec>]) -> Tensor {
-        Tensor::from_fn(idxs.len(), SIDE_WIDTH, |b, c| {
-            let i = idxs[b];
-            let mode = ds.records()[i].mode.one_hot();
-            if c < 2 {
-                mode[c]
-            } else {
-                match &s_hats[i] {
-                    Some(vec) => ds.metric_norm().normalize(vec).get(Metric::ALL[c - 2]),
-                    None => 0.0,
-                }
-            }
-        })
-    }
-
+    /// Input and target tensors of the records `idxs` of `ds`.
     fn batch(
-        &self,
         ds: &PerfDataset,
         idxs: &[usize],
         s_hats: &[Option<MetricVec>],
     ) -> (Vec<Tensor>, Vec<Tensor>, Tensor, Tensor) {
-        let windows_s: Vec<_> = idxs.iter().map(|&i| ds.history_window(i)).collect();
-        let windows_k: Vec<_> = idxs.iter().map(|&i| ds.signature_window(i)).collect();
-        let seq_s = seq_tensors(&windows_s);
-        let seq_k = seq_tensors(&windows_k);
-        let side = Self::side_tensor(ds, idxs, s_hats);
+        let record = |b: usize| &ds.records()[idxs[b]];
+        let (seq_s, seq_k, side) = inputs(
+            ds.metric_norm(),
+            idxs.len(),
+            |b| {
+                let r = record(b);
+                let signature = ds.signature(&r.app).expect("records keep known apps");
+                (r.history.as_slice(), signature)
+            },
+            |b| (record(b).mode, s_hats[idxs[b]].as_ref()),
+        );
         let target = Tensor::from_fn(idxs.len(), 1, |b, _| ds.target(idxs[b]));
         (seq_s, seq_k, side, target)
     }
 
-    /// Trains on `dataset`, feeding `s_hats[i]` as the `Ŝ` input of
-    /// record `i` (`None` ⇒ zeros, the `{None,·}` ablation variant).
-    /// Returns the mean loss per epoch.
+    /// Trains on `dataset` with [`adrias_nn::fit`], feeding `s_hats[i]`
+    /// as the `Ŝ` input of record `i` (`None` ⇒ zeros, the `{None,·}`
+    /// ablation variant). Returns the mean loss per epoch.
     ///
     /// # Panics
     ///
@@ -316,49 +252,28 @@ impl PerfModel {
         );
         self.metric_norm = Some(dataset.metric_norm().clone());
         self.target_norm = Some(*dataset.target_norm());
-        let workers = resolved_workers(self.cfg.workers);
-        let grad_chunk = self.cfg.grad_chunk.max(1);
-        let seed = self.cfg.seed;
-        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x7EA1);
-        let mut opt = Adam::new(self.cfg.learning_rate);
-        let mut idx: Vec<usize> = (0..dataset.len()).collect();
-        let mut epoch_losses = Vec::with_capacity(self.cfg.epochs);
-        let mut step = 0u64;
-        let mut stats = TrainStats::new();
-        for _ in 0..self.cfg.epochs {
-            idx.shuffle(&mut rng);
-            let mut total = 0.0f64;
-            let mut batches = 0usize;
-            for minibatch in idx.chunks(self.cfg.batch_size) {
-                stats.record_minibatch(minibatch.len(), grad_chunk);
-                let step_now = step;
-                let loss = accumulate_minibatch(
-                    self,
-                    minibatch,
-                    grad_chunk,
-                    workers,
-                    &|m, chunk, idxs| {
-                        m.reseed_dropout(mix_seed(&[seed, step_now, chunk as u64]));
-                        let (seq_s, seq_k, side, target) = m.batch(dataset, idxs, s_hats);
-                        let mut loss_fn = MseLoss::new();
-                        let pred = m.forward(&seq_s, &seq_k, &side, true);
-                        let l = loss_fn.forward(&pred, &target);
-                        let grad = loss_fn.backward();
-                        m.backward(&grad);
-                        l
-                    },
-                );
-                opt.begin_step();
-                self.visit_params(&mut |p, g| opt.update(p, g));
-                total += f64::from(loss);
-                batches += 1;
-                step += 1;
-            }
-            epoch_losses.push((total / batches.max(1) as f64) as f32);
-            stats.record_epoch();
-        }
+        let c = self.cfg;
+        let plan = FitPlan {
+            epochs: c.epochs,
+            batch_size: c.batch_size,
+            grad_chunk: c.grad_chunk,
+            workers: c.workers,
+            learning_rate: c.learning_rate,
+            seed: c.seed,
+            shuffle_salt: 0x7EA1,
+        };
+        let (losses, stats) = fit(self, dataset.len(), &plan, &|m, dropout_seed, idxs| {
+            m.head.reseed_dropout(dropout_seed);
+            let (seq_s, seq_k, side, target) = Self::batch(dataset, idxs, s_hats);
+            let mut loss_fn = MseLoss::new();
+            let pred = m.forward(&seq_s, &seq_k, &side, true);
+            let l = loss_fn.forward(&pred, &target);
+            let grad = loss_fn.backward();
+            m.backward(&grad);
+            l
+        });
         self.train_stats = Some(stats);
-        epoch_losses
+        losses
     }
 
     /// Evaluates on a test dataset, returning the report in original
@@ -380,15 +295,11 @@ impl PerfModel {
         let mut pred = Vec::with_capacity(dataset.len());
         let idx: Vec<usize> = (0..dataset.len()).collect();
         for chunk in idx.chunks(self.cfg.batch_size.max(1)) {
-            let (seq_s, seq_k, side, _) = self.batch(dataset, chunk, s_hats);
+            let (seq_s, seq_k, side, _) = Self::batch(dataset, chunk, s_hats);
             let out = self.forward(&seq_s, &seq_k, &side, false);
             for (b, &i) in chunk.iter().enumerate() {
                 truth.push(dataset.records()[i].perf);
-                pred.push(
-                    target_norm
-                        .denormalize(out.get(b, 0).clamp(-10.0, 10.0))
-                        .exp(),
-                );
+                pred.push(to_perf(&target_norm, out.get(b, 0)));
             }
         }
         RegressionReport::new(&truth, &pred)
@@ -400,26 +311,16 @@ impl PerfModel {
         dataset: &PerfDataset,
         s_hats: &[Option<MetricVec>],
     ) -> Vec<(String, RegressionReport)> {
-        let mut apps: Vec<String> = dataset
-            .records()
-            .iter()
-            .map(|r| r.app.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        apps.sort();
         let overall = self.evaluate(dataset, s_hats);
-        apps.into_iter()
-            .map(|app| {
-                let (truth, pred): (Vec<f32>, Vec<f32>) = dataset
-                    .records()
-                    .iter()
-                    .zip(&overall.pairs)
-                    .filter(|(r, _)| r.app == app)
-                    .map(|(_, &(t, p))| (t, p))
-                    .unzip();
-                (app, RegressionReport::new(&truth, &pred))
-            })
+        let mut by_app: BTreeMap<&str, (Vec<f32>, Vec<f32>)> = BTreeMap::new();
+        for (r, &(truth, pred)) in dataset.records().iter().zip(&overall.pairs) {
+            let (truths, preds) = by_app.entry(&r.app).or_default();
+            truths.push(truth);
+            preds.push(pred);
+        }
+        by_app
+            .into_iter()
+            .map(|(app, (truths, preds))| (app.to_owned(), RegressionReport::new(&truths, &preds)))
             .collect()
     }
 
@@ -452,8 +353,8 @@ impl PerfModel {
 
     /// Batched [`PerfModel::predict`]: stacks all queries into one
     /// forward pass. Entry `i` of the result is bit-identical to
-    /// `predict` on `queries[i]`. The orchestrator uses this to score
-    /// both memory modes of an arriving application in a single pass.
+    /// `predict` on `queries[i]`. This is the allocating reference the
+    /// orchestrator's scratch lane is held to.
     ///
     /// # Panics
     ///
@@ -465,39 +366,27 @@ impl PerfModel {
             .clone()
             .expect("PerfModel::predict before train");
         let target_norm = self.target_norm.expect("trained");
-        let windows_s: Vec<_> = queries
+        let signatures: Vec<AppSignature> = queries
             .iter()
-            .map(|q| metric_norm.normalize_window(&pool_rows(q.history, SEQ_LEN)))
+            .map(|q| q.signature.resampled(SEQ_LEN))
             .collect();
-        let windows_k: Vec<_> = queries
-            .iter()
-            .map(|q| metric_norm.normalize_window(q.signature.resampled(SEQ_LEN).rows()))
-            .collect();
-        let seq_s = seq_tensors(&windows_s);
-        let seq_k = seq_tensors(&windows_k);
-        let side = Tensor::from_fn(queries.len(), SIDE_WIDTH, |b, c| {
-            if c < 2 {
-                queries[b].mode.one_hot()[c]
-            } else {
-                match queries[b].s_hat {
-                    Some(v) => metric_norm.normalize(v).get(Metric::ALL[c - 2]),
-                    None => 0.0,
-                }
-            }
-        });
+        let (seq_s, seq_k, side) = inputs(
+            &metric_norm,
+            queries.len(),
+            |b| (queries[b].history, signatures[b].rows()),
+            |b| (queries[b].mode, queries[b].s_hat),
+        );
         let out = self.forward(&seq_s, &seq_k, &side, false);
         (0..queries.len())
-            .map(|b| {
-                target_norm
-                    .denormalize(out.get(b, 0).clamp(-10.0, 10.0))
-                    .exp()
-            })
+            .map(|b| to_perf(&target_norm, out.get(b, 0)))
             .collect()
     }
 
-    /// Builds the reusable inference scratch for
-    /// [`PerfModel::predict_both_into`], capturing this model's shapes
-    /// and batch-norm evaluation scales.
+    /// Builds the reusable inference scratch for the fast lane
+    /// ([`PerfModel::history_features_into`],
+    /// [`PerfModel::signature_features_into`],
+    /// [`PerfModel::predict_both_from_features`]), capturing this
+    /// model's shapes and batch-norm evaluation scales.
     ///
     /// # Panics
     ///
@@ -509,15 +398,10 @@ impl PerfModel {
             pooled: Vec::with_capacity(SEQ_LEN),
             seq_s: vec![0.0; SEQ_LEN * METRIC_COUNT],
             seq_k: vec![0.0; SEQ_LEN * METRIC_COUNT],
-            s1: LstmScratch::new(&self.lstm_s1, 1, SEQ_LEN),
-            s2: LstmScratch::new(&self.lstm_s2, 1, SEQ_LEN),
-            k1: LstmScratch::new(&self.lstm_k1, 1, SEQ_LEN),
-            k2: LstmScratch::new(&self.lstm_k2, 1, SEQ_LEN),
-            inv_std: self.blocks.iter().map(|b| b.eval_inv_std()).collect(),
+            history: self.history.make_scratch(),
+            signature: self.signature.make_scratch(),
             concat: Tensor::zeros(2, 2 * self.cfg.hidden + SIDE_WIDTH),
-            x0: Tensor::zeros(2, self.cfg.block_width),
-            x1: Tensor::zeros(2, self.cfg.block_width),
-            out: Tensor::zeros(2, 1),
+            head: self.head.make_scratch(2),
         }
     }
 
@@ -538,8 +422,8 @@ impl PerfModel {
         metric_norm.normalize_window(signature.resampled(SEQ_LEN).rows())
     }
 
-    /// Runs the **history branch** (pool → normalize → stacked history
-    /// LSTMs, on the one window there is) into `scratch`, returning the
+    /// Runs the **history branch** (pool → normalize → history encoder,
+    /// on the one window there is) into `scratch`, returning the
     /// `1 × hidden` feature row `h_s`. The result depends only on the
     /// raw history window — not on the application, memory mode or `Ŝ` —
     /// so the orchestrator memoises it per Watcher `WindowStamp` and
@@ -560,25 +444,18 @@ impl PerfModel {
         let PerfScratch {
             pooled,
             seq_s,
-            s1,
-            s2,
+            history,
             ..
         } = scratch;
-        pool_rows_into(history_1hz, SEQ_LEN, pooled);
-        for r in pooled.iter_mut() {
-            *r = metric_norm.normalize(r);
-        }
-        fill_seq(pooled, seq_s);
-        let h1 = self.lstm_s1.forward_seq_scratch(seq_s, 1, s1);
-        self.lstm_s2.forward_last_scratch(h1, 1, s2)
+        fill_history(history_1hz, metric_norm, pooled, seq_s);
+        self.history.features_into(seq_s, history)
     }
 
-    /// Runs the **signature branch** (stacked signature LSTMs) into
-    /// `scratch`, returning the `1 × hidden` feature row `h_k`. The
-    /// result depends only on the stored application signature, so the
-    /// orchestrator computes it once per known application at
-    /// signature-store time and never re-runs this branch on the
-    /// decision path.
+    /// Runs the **signature branch** (signature encoder) into `scratch`,
+    /// returning the `1 × hidden` feature row `h_k`. The result depends
+    /// only on the stored application signature, so the orchestrator
+    /// computes it once per known application at signature-store time
+    /// and never re-runs this branch on the decision path.
     ///
     /// `sig_window` must come from
     /// [`PerfModel::normalized_signature_window`] on this model.
@@ -597,20 +474,22 @@ impl PerfModel {
             SEQ_LEN,
             "signature window must be normalized_signature_window output"
         );
-        let PerfScratch { seq_k, k1, k2, .. } = scratch;
+        let PerfScratch {
+            seq_k, signature, ..
+        } = scratch;
         fill_seq(sig_window, seq_k);
-        let h1 = self.lstm_k1.forward_seq_scratch(seq_k, 1, k1);
-        self.lstm_k2.forward_last_scratch(h1, 1, k2)
+        self.signature.features_into(seq_k, signature)
     }
 
-    /// The prediction **head** on precomputed branch features: manual
+    /// The prediction **head** on precomputed branch features, scoring
+    /// both candidate memory modes at batch 2 without allocating: manual
     /// `[h_s | h_k | side]` concatenation (both candidate rows share the
     /// feature rows and differ in the mode one-hot), the batch-norm MLP
     /// blocks and the read-out. `h_s`/`h_k` must be (copies of) the
     /// outputs of [`PerfModel::history_features_into`] /
     /// [`PerfModel::signature_features_into`] on this model; the result
-    /// is bit-identical to [`PerfModel::predict_both_into`] with the
-    /// corresponding raw inputs.
+    /// is then bit-identical to [`PerfModel::predict_batch`] over the
+    /// equivalent two queries (pinned by tests).
     ///
     /// # Panics
     ///
@@ -623,72 +502,6 @@ impl PerfModel {
         s_hat: Option<&MetricVec>,
         scratch: &mut PerfScratch,
     ) -> [f32; 2] {
-        let PerfScratch {
-            inv_std,
-            concat,
-            x0,
-            x1,
-            out,
-            ..
-        } = scratch;
-        self.head(h_s, h_k, modes, s_hat, inv_std, concat, x0, x1, out)
-    }
-
-    /// Allocation-free scoring of both candidate memory modes — the
-    /// LSTM branches once, the head at batch 2: the decision fast
-    /// lane's cache-miss path.
-    /// Returns the predicted performance for `modes[0]` and `modes[1]`,
-    /// bit-identical to [`PerfModel::predict_batch`] over the
-    /// equivalent two queries (pinned by tests), but takes `&self`,
-    /// reuses `scratch` and performs zero heap allocations in steady
-    /// state. Composition of [`PerfModel::history_features_into`],
-    /// [`PerfModel::signature_features_into`] and
-    /// [`PerfModel::predict_both_from_features`].
-    ///
-    /// `sig_window` must come from
-    /// [`PerfModel::normalized_signature_window`] on this model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is untrained, the history is empty, or
-    /// `sig_window`/`scratch` do not match this model.
-    pub fn predict_both_into(
-        &self,
-        history_1hz: &[MetricVec],
-        sig_window: &[MetricVec],
-        modes: [MemoryMode; 2],
-        s_hat: Option<&MetricVec>,
-        scratch: &mut PerfScratch,
-    ) -> [f32; 2] {
-        self.history_features_into(history_1hz, scratch);
-        self.signature_features_into(sig_window, scratch);
-        let PerfScratch {
-            s2,
-            k2,
-            inv_std,
-            concat,
-            x0,
-            x1,
-            out,
-            ..
-        } = scratch;
-        let (h_s, h_k) = (s2.last_output(), k2.last_output());
-        self.head(h_s, h_k, modes, s_hat, inv_std, concat, x0, x1, out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn head(
-        &self,
-        h_s: &[f32],
-        h_k: &[f32],
-        modes: [MemoryMode; 2],
-        s_hat: Option<&MetricVec>,
-        inv_std: &[Vec<f32>],
-        concat: &mut Tensor,
-        x0: &mut Tensor,
-        x1: &mut Tensor,
-        out: &mut Tensor,
-    ) -> [f32; 2] {
         let metric_norm = self
             .metric_norm
             .as_ref()
@@ -696,37 +509,21 @@ impl PerfModel {
         let target_norm = self.target_norm.expect("trained");
         let h = self.cfg.hidden;
         let cw = 2 * h + SIDE_WIDTH;
-        let norm_s_hat = s_hat.map(|v| metric_norm.normalize(v));
+        let side = s_hat.map_or([0.0; METRIC_COUNT], |v| {
+            *metric_norm.normalize(v).as_array()
+        });
+        let PerfScratch { concat, head, .. } = scratch;
         // Manual `h_s ++ h_k ++ side` concatenation (what `hcat` does,
         // without the two intermediate tensors); the one feature row
         // goes into both candidate rows.
         for (row, mode) in concat.data_mut().chunks_exact_mut(cw).zip(modes) {
             row[..h].copy_from_slice(h_s);
             row[h..2 * h].copy_from_slice(h_k);
-            let one_hot = mode.one_hot();
-            row[2 * h] = one_hot[0];
-            row[2 * h + 1] = one_hot[1];
-            for (c, &m) in Metric::ALL.iter().enumerate() {
-                row[2 * h + 2 + c] = match &norm_s_hat {
-                    Some(v) => v.get(m),
-                    None => 0.0,
-                };
-            }
+            row[2 * h..2 * h + 2].copy_from_slice(&mode.one_hot());
+            row[2 * h + 2..].copy_from_slice(&side);
         }
-        let mut cur: &mut Tensor = x0;
-        let mut next: &mut Tensor = x1;
-        self.blocks[0].forward_eval_into(concat, cur, &inv_std[0]);
-        for (i, b) in self.blocks.iter().enumerate().skip(1) {
-            b.forward_eval_into(cur, next, &inv_std[i]);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        self.out.forward_into(cur, out);
-        let perf = |b: usize| {
-            target_norm
-                .denormalize(out.get(b, 0).clamp(-10.0, 10.0))
-                .exp()
-        };
-        [perf(0), perf(1)]
+        let out = self.head.forward_eval(concat, head);
+        [0, 1].map(|b| to_perf(&target_norm, out.get(b, 0)))
     }
 }
 
@@ -743,19 +540,25 @@ pub struct PerfQuery<'a> {
     pub s_hat: Option<&'a MetricVec>,
 }
 
+/// Parameter order — history encoder, signature encoder (each layer 1
+/// then 2), the three blocks, the read-out, then the blocks' batch-norm
+/// buffers — is also the `p0, p1, …` order of a saved model (see
+/// [`crate::persist`]).
 impl GradModel for PerfModel {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        PerfModel::visit_params(self, f);
+        self.history.visit_params(f);
+        self.signature.visit_params(f);
+        self.head.visit_params(f);
     }
 
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for b in &mut self.blocks {
-            b.visit_buffers(f);
-        }
+        self.head.visit_buffers(f);
     }
 
     fn zero_grad(&mut self) {
-        PerfModel::zero_grad(self);
+        self.history.zero_grad();
+        self.signature.zero_grad();
+        self.head.zero_grad();
     }
 }
 
@@ -888,8 +691,11 @@ mod tests {
         );
     }
 
+    /// The scratch lane as the policy runs it — history branch,
+    /// signature branch, head at batch 2 — against the allocating
+    /// reference.
     #[test]
-    fn predict_both_into_is_bit_identical_to_predict_batch() {
+    fn predict_both_from_features_is_bit_identical_to_predict_batch() {
         let (ds, s_hats) = synthetic_dataset(120, 11);
         let mut model = PerfModel::new(PerfModelConfig::tiny());
         model.train(&ds, &s_hats);
@@ -903,27 +709,20 @@ mod tests {
             let sig = AppSignature::new(*app, ds.signature(app).unwrap().to_vec());
             let sig_window = model.normalized_signature_window(&sig);
             let s_hat = if i == 0 { Some(&rec.future_120) } else { None };
-            let want = model.predict_batch(&[
-                PerfQuery {
-                    history: &rec.history,
-                    signature: &sig,
-                    mode: MemoryMode::Local,
-                    s_hat,
-                },
-                PerfQuery {
-                    history: &rec.history,
-                    signature: &sig,
-                    mode: MemoryMode::Remote,
-                    s_hat,
-                },
-            ]);
-            let got = model.predict_both_into(
-                &rec.history,
-                &sig_window,
-                [MemoryMode::Local, MemoryMode::Remote],
+            let want = model.predict_batch(&MemoryMode::BOTH.map(|mode| PerfQuery {
+                history: &rec.history,
+                signature: &sig,
+                mode,
                 s_hat,
-                &mut scratch,
-            );
+            }));
+            let h_s = model
+                .history_features_into(&rec.history, &mut scratch)
+                .to_vec();
+            let h_k = model
+                .signature_features_into(&sig_window, &mut scratch)
+                .to_vec();
+            let got =
+                model.predict_both_from_features(&h_s, &h_k, MemoryMode::BOTH, s_hat, &mut scratch);
             assert_eq!(got[0].to_bits(), want[0].to_bits(), "{app}: local diverged");
             assert_eq!(
                 got[1].to_bits(),
@@ -931,6 +730,19 @@ mod tests {
                 "{app}: remote diverged"
             );
         }
+    }
+
+    /// Recorded at the commit before the models were rebuilt on
+    /// `parts` and `fit`; see the system model's twin.
+    #[test]
+    fn tiny_training_run_reproduces_its_golden_digests() {
+        let (ds, s_hats) = synthetic_dataset(120, 11);
+        let mut model = PerfModel::new(PerfModelConfig::tiny());
+        let losses = model.train(&ds, &s_hats);
+        assert_eq!(crate::digest_bits(&losses), 0xbc67_6f99_4685_fbc1);
+        let state = crate::model_state(&mut model);
+        assert_eq!(state.len(), 4353);
+        assert_eq!(crate::digest_bits(&state), 0x3831_1567_4e01_2281);
     }
 
     #[test]

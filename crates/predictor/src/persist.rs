@@ -9,10 +9,10 @@
 use std::fmt;
 
 use adrias_nn::serialize::{read_tensors, write_tensors, ParseTensorError};
-use adrias_nn::Tensor;
-use adrias_telemetry::{Metric, MetricVec};
+use adrias_nn::{GradModel, Tensor};
+use adrias_telemetry::{Metric, METRIC_COUNT};
 
-use crate::norm::Normalizer;
+use crate::norm::{Normalizer, ScalarNormalizer};
 use crate::perf_model::{PerfModel, PerfModelConfig};
 use crate::system_model::{SystemStateModel, SystemStateModelConfig};
 
@@ -80,27 +80,170 @@ impl From<ParseTensorError> for LoadModelError {
     }
 }
 
-fn normalizer_tensors(norm: &Normalizer) -> (Tensor, Tensor) {
-    let mean = Tensor::from_fn(1, Metric::ALL.len(), |_, c| norm.mean(Metric::ALL[c]));
-    let std = Tensor::from_fn(1, Metric::ALL.len(), |_, c| norm.std(Metric::ALL[c]));
-    (mean, std)
+/// The normalizer slots of a model: the metric normalizer, and the
+/// scalar target normalizer if the model has one (its `mean std` then
+/// close the header line).
+type Norms<'a> = (
+    &'a mut Option<Normalizer>,
+    Option<&'a mut Option<ScalarNormalizer>>,
+);
+
+/// What [`save`] and [`load`] need of a model beyond [`GradModel`],
+/// whose `visit_params` then `visit_buffers` order *is* the
+/// `p0, p1, …` order of the file.
+trait Persisted: GradModel {
+    /// The header's model-type tag.
+    const KIND: &'static str;
+    /// The seven architecture words of the header.
+    fn arch(&self) -> String;
+    /// An untrained model of the architecture [`Persisted::arch`] wrote.
+    fn build(arch: &[&str]) -> Option<Self>;
+    fn norms(&mut self) -> Norms<'_>;
 }
 
-fn normalizer_from(mean: &Tensor, std: &Tensor) -> Result<Normalizer, LoadModelError> {
-    if mean.shape() != (1, Metric::ALL.len()) || std.shape() != (1, Metric::ALL.len()) {
-        return Err(LoadModelError::ShapeMismatch {
-            slot: "normalizer".to_owned(),
+/// Both config types spell the architecture fields alike; the
+/// training-only parallelism knobs are not part of the architecture
+/// and are not persisted.
+macro_rules! persisted {
+    ($model:ident, $cfg:ident, $kind:literal, $this:ident => $norms:expr) => {
+        impl Persisted for $model {
+            const KIND: &'static str = $kind;
+
+            fn arch(&self) -> String {
+                let c = self.config();
+                format!(
+                    "{} {} {} {} {} {} {}",
+                    c.hidden,
+                    c.block_width,
+                    c.dropout,
+                    c.learning_rate,
+                    c.epochs,
+                    c.batch_size,
+                    c.seed
+                )
+            }
+
+            fn build(arch: &[&str]) -> Option<Self> {
+                let [hidden, block, dropout, lr, epochs, batch, seed] = arch else {
+                    return None;
+                };
+                Some(Self::new($cfg {
+                    hidden: hidden.parse().ok()?,
+                    block_width: block.parse().ok()?,
+                    dropout: dropout.parse().ok()?,
+                    learning_rate: lr.parse().ok()?,
+                    epochs: epochs.parse().ok()?,
+                    batch_size: batch.parse().ok()?,
+                    seed: seed.parse().ok()?,
+                    ..Default::default()
+                }))
+            }
+
+            fn norms(&mut $this) -> Norms<'_> {
+                $norms
+            }
+        }
+    };
+}
+
+persisted!(SystemStateModel, SystemStateModelConfig, "system",
+    self => (&mut self.normalizer, None));
+persisted!(PerfModel, PerfModelConfig, "perf",
+    self => (&mut self.metric_norm, Some(&mut self.target_norm)));
+
+fn save<M: Persisted>(model: &mut M) -> Result<String, SaveModelError> {
+    let mut text = format!("adrias-model {} {}", M::KIND, model.arch());
+    let (metric, target) = model.norms();
+    let norm = metric.clone().ok_or(SaveModelError::Untrained)?;
+    if let Some(target) = target {
+        let t = target.ok_or(SaveModelError::Untrained)?;
+        text.push_str(&format!(" {} {}", t.mean(), t.std()));
+    }
+    text.push('\n');
+    let stat = |of: fn(&Normalizer, Metric) -> f32| {
+        Tensor::from_fn(1, METRIC_COUNT, |_, c| of(&norm, Metric::ALL[c]))
+    };
+    let mut named: Vec<(String, Tensor)> = vec![
+        ("norm_mean".into(), stat(Normalizer::mean)),
+        ("norm_std".into(), stat(Normalizer::std)),
+    ];
+    let mut push = |t: &Tensor| named.push((format!("p{}", named.len() - 2), t.clone()));
+    model.visit_params(&mut |p, _| push(p));
+    model.visit_buffers(&mut |b| push(b));
+    let refs: Vec<(&str, &Tensor)> = named.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    text.push_str(&write_tensors(&refs));
+    Ok(text)
+}
+
+fn load<M: Persisted>(text: &str) -> Result<M, LoadModelError> {
+    let (header, rest) = text
+        .split_once('\n')
+        .ok_or_else(|| LoadModelError::BadHeader(text.to_owned()))?;
+    let bad_header = || LoadModelError::BadHeader(header.to_owned());
+    let words: Vec<&str> = header.split_whitespace().collect();
+    let ["adrias-model", kind, words @ ..] = words.as_slice() else {
+        return Err(bad_header());
+    };
+    if *kind != M::KIND {
+        return Err(LoadModelError::WrongKind {
+            found: (*kind).to_owned(),
+            expected: M::KIND,
         });
     }
-    // Reconstruct by fitting on two synthetic rows that reproduce the
-    // exact mean/std: mean ± std per metric.
-    let mut lo = MetricVec::zero();
-    let mut hi = MetricVec::zero();
-    for m in Metric::ALL {
-        lo.set(m, mean.get(0, m.index()) - std.get(0, m.index()));
-        hi.set(m, mean.get(0, m.index()) + std.get(0, m.index()));
+    let (arch, target_words) = words.split_at_checked(7).ok_or_else(bad_header)?;
+    let mut model = M::build(arch).ok_or_else(bad_header)?;
+    let mut tensors = read_tensors(rest)?.into_iter();
+    let mut stats = |slot: &str| match tensors.next() {
+        Some((name, t)) if name == slot && t.shape() == (1, METRIC_COUNT) => {
+            Ok(<[f32; METRIC_COUNT]>::try_from(t.data()).expect("shape checked"))
+        }
+        _ => Err(LoadModelError::ShapeMismatch {
+            slot: slot.to_owned(),
+        }),
+    };
+    let norm = Normalizer::from_parts(stats("norm_mean")?, stats("norm_std")?);
+
+    let mut next = 0usize;
+    let mut error = None;
+    let mut restore = |p: &mut Tensor| {
+        if error.is_some() {
+            return;
+        }
+        match tensors.next() {
+            Some((_, t)) if t.shape() == p.shape() => *p = t,
+            Some((name, _)) => error = Some(name),
+            None => error = Some(format!("p{next} (missing)")),
+        }
+        next += 1;
+    };
+    model.visit_params(&mut |p, _| restore(p));
+    model.visit_buffers(&mut restore);
+    if let Some(slot) = error {
+        return Err(LoadModelError::ShapeMismatch { slot });
     }
-    Ok(Normalizer::fit(&[lo, hi]))
+    let trailing = tensors.count();
+    if trailing > 0 {
+        return Err(LoadModelError::ShapeMismatch {
+            slot: format!(
+                "trailing parameters ({next} loaded, {} provided)",
+                next + trailing
+            ),
+        });
+    }
+    let (metric, target) = model.norms();
+    *metric = Some(norm);
+    match (target, target_words) {
+        (None, []) => {}
+        (Some(target), [mean, std]) => {
+            let parsed = mean.parse::<f32>().ok().zip(std.parse::<f32>().ok());
+            let (mean, std) = parsed
+                .filter(|&(_, std)| std > 0.0)
+                .ok_or_else(bad_header)?;
+            *target = Some(ScalarNormalizer::from_parts(mean, std));
+        }
+        _ => return Err(bad_header()),
+    }
+    Ok(model)
 }
 
 /// Serializes a trained system-state model.
@@ -110,73 +253,17 @@ fn normalizer_from(mean: &Tensor, std: &Tensor) -> Result<Normalizer, LoadModelE
 /// Returns [`SaveModelError::Untrained`] if the model has not been
 /// trained.
 pub fn save_system_model(model: &mut SystemStateModel) -> Result<String, SaveModelError> {
-    let norm = model
-        .normalizer_for_persist()
-        .ok_or(SaveModelError::Untrained)?;
-    let cfg = *model.config();
-    let mut header = format!(
-        "adrias-model system {} {} {} {} {} {} {}\n",
-        cfg.hidden,
-        cfg.block_width,
-        cfg.dropout,
-        cfg.learning_rate,
-        cfg.epochs,
-        cfg.batch_size,
-        cfg.seed
-    );
-    let (mean, std) = normalizer_tensors(&norm);
-    let mut named: Vec<(String, Tensor)> =
-        vec![("norm_mean".into(), mean), ("norm_std".into(), std)];
-    let mut idx = 0usize;
-    model.visit_params_for_persist(&mut |p| {
-        named.push((format!("p{idx}"), p.clone()));
-        idx += 1;
-    });
-    let refs: Vec<(&str, &Tensor)> = named.iter().map(|(n, t)| (n.as_str(), t)).collect();
-    header.push_str(&write_tensors(&refs));
-    Ok(header)
+    save(model)
 }
 
-/// Restores a system-state model saved by [`save_system_model`].
+/// Restores a system-state model saved by [`save_system_model`]; it
+/// predicts the bits the saved model did.
 ///
 /// # Errors
 ///
 /// Returns [`LoadModelError`] on malformed input or mismatched shapes.
 pub fn load_system_model(text: &str) -> Result<SystemStateModel, LoadModelError> {
-    let (header, rest) = text
-        .split_once('\n')
-        .ok_or_else(|| LoadModelError::BadHeader(text.to_owned()))?;
-    let parts: Vec<&str> = header.split_whitespace().collect();
-    match parts.as_slice() {
-        ["adrias-model", kind, ..] if *kind != "system" => {
-            return Err(LoadModelError::WrongKind {
-                found: (*kind).to_owned(),
-                expected: "system",
-            });
-        }
-        _ => {}
-    }
-    let ["adrias-model", _, hidden, block, dropout, lr, epochs, batch, seed] = parts[..] else {
-        return Err(LoadModelError::BadHeader(header.to_owned()));
-    };
-    let parse_err = || LoadModelError::BadHeader(header.to_owned());
-    let cfg = SystemStateModelConfig {
-        hidden: hidden.parse().map_err(|_| parse_err())?,
-        block_width: block.parse().map_err(|_| parse_err())?,
-        dropout: dropout.parse().map_err(|_| parse_err())?,
-        learning_rate: lr.parse().map_err(|_| parse_err())?,
-        epochs: epochs.parse().map_err(|_| parse_err())?,
-        batch_size: batch.parse().map_err(|_| parse_err())?,
-        seed: seed.parse().map_err(|_| parse_err())?,
-        // Training-only parallelism knobs are not part of the
-        // architecture and are not persisted.
-        ..Default::default()
-    };
-    let tensors = read_tensors(rest)?;
-    let mut model = SystemStateModel::new(cfg);
-    let norm = restore_params(tensors, |f| model.visit_params_for_persist_mut(f))?;
-    model.set_normalizer_for_persist(norm);
-    Ok(model)
+    load(text)
 }
 
 /// Serializes a trained performance model.
@@ -186,136 +273,17 @@ pub fn load_system_model(text: &str) -> Result<SystemStateModel, LoadModelError>
 /// Returns [`SaveModelError::Untrained`] if the model has not been
 /// trained.
 pub fn save_perf_model(model: &mut PerfModel) -> Result<String, SaveModelError> {
-    let (norm, target) = model.norms_for_persist().ok_or(SaveModelError::Untrained)?;
-    let cfg = *model.config();
-    let mut header = format!(
-        "adrias-model perf {} {} {} {} {} {} {} {} {}\n",
-        cfg.hidden,
-        cfg.block_width,
-        cfg.dropout,
-        cfg.learning_rate,
-        cfg.epochs,
-        cfg.batch_size,
-        cfg.seed,
-        target.0,
-        target.1
-    );
-    let (mean, std) = normalizer_tensors(&norm);
-    let mut named: Vec<(String, Tensor)> =
-        vec![("norm_mean".into(), mean), ("norm_std".into(), std)];
-    let mut idx = 0usize;
-    model.visit_params_for_persist(&mut |p| {
-        named.push((format!("p{idx}"), p.clone()));
-        idx += 1;
-    });
-    let refs: Vec<(&str, &Tensor)> = named.iter().map(|(n, t)| (n.as_str(), t)).collect();
-    header.push_str(&write_tensors(&refs));
-    Ok(header)
+    save(model)
 }
 
-/// Restores a performance model saved by [`save_perf_model`].
+/// Restores a performance model saved by [`save_perf_model`]; it
+/// predicts the bits the saved model did.
 ///
 /// # Errors
 ///
 /// Returns [`LoadModelError`] on malformed input or mismatched shapes.
 pub fn load_perf_model(text: &str) -> Result<PerfModel, LoadModelError> {
-    let (header, rest) = text
-        .split_once('\n')
-        .ok_or_else(|| LoadModelError::BadHeader(text.to_owned()))?;
-    let parts: Vec<&str> = header.split_whitespace().collect();
-    match parts.as_slice() {
-        ["adrias-model", kind, ..] if *kind != "perf" => {
-            return Err(LoadModelError::WrongKind {
-                found: (*kind).to_owned(),
-                expected: "perf",
-            });
-        }
-        _ => {}
-    }
-    let ["adrias-model", _, hidden, block, dropout, lr, epochs, batch, seed, t_mean, t_std] =
-        parts[..]
-    else {
-        return Err(LoadModelError::BadHeader(header.to_owned()));
-    };
-    let parse_err = || LoadModelError::BadHeader(header.to_owned());
-    let cfg = PerfModelConfig {
-        hidden: hidden.parse().map_err(|_| parse_err())?,
-        block_width: block.parse().map_err(|_| parse_err())?,
-        dropout: dropout.parse().map_err(|_| parse_err())?,
-        learning_rate: lr.parse().map_err(|_| parse_err())?,
-        epochs: epochs.parse().map_err(|_| parse_err())?,
-        batch_size: batch.parse().map_err(|_| parse_err())?,
-        seed: seed.parse().map_err(|_| parse_err())?,
-        // Training-only parallelism knobs are not part of the
-        // architecture and are not persisted.
-        ..Default::default()
-    };
-    let target_mean: f32 = t_mean.parse().map_err(|_| parse_err())?;
-    let target_std: f32 = t_std.parse().map_err(|_| parse_err())?;
-    let tensors = read_tensors(rest)?;
-    let mut model = PerfModel::new(cfg);
-    let norm = restore_params(tensors, |f| model.visit_params_for_persist_mut(f))?;
-    model.set_norms_for_persist(norm, (target_mean, target_std));
-    Ok(model)
-}
-
-fn restore_params(
-    tensors: Vec<(String, Tensor)>,
-    mut visit: impl FnMut(&mut dyn FnMut(&mut Tensor)),
-) -> Result<Normalizer, LoadModelError> {
-    let mut mean = None;
-    let mut std = None;
-    let mut params = Vec::new();
-    for (name, t) in tensors {
-        match name.as_str() {
-            "norm_mean" => mean = Some(t),
-            "norm_std" => std = Some(t),
-            _ => params.push((name, t)),
-        }
-    }
-    let mean = mean.ok_or(LoadModelError::ShapeMismatch {
-        slot: "norm_mean".to_owned(),
-    })?;
-    let std = std.ok_or(LoadModelError::ShapeMismatch {
-        slot: "norm_std".to_owned(),
-    })?;
-    let norm = normalizer_from(&mean, &std)?;
-
-    let mut cursor = 0usize;
-    let mut error: Option<LoadModelError> = None;
-    visit(&mut |p: &mut Tensor| {
-        if error.is_some() {
-            return;
-        }
-        match params.get(cursor) {
-            Some((name, t)) if t.shape() == p.shape() => {
-                *p = t.clone();
-                let _ = name;
-            }
-            Some((name, _)) => {
-                error = Some(LoadModelError::ShapeMismatch { slot: name.clone() });
-            }
-            None => {
-                error = Some(LoadModelError::ShapeMismatch {
-                    slot: format!("p{cursor} (missing)"),
-                });
-            }
-        }
-        cursor += 1;
-    });
-    if let Some(e) = error {
-        return Err(e);
-    }
-    if cursor != params.len() {
-        return Err(LoadModelError::ShapeMismatch {
-            slot: format!(
-                "trailing parameters ({} loaded, {} provided)",
-                cursor,
-                params.len()
-            ),
-        });
-    }
-    Ok(norm)
+    load(text)
 }
 
 #[cfg(test)]
@@ -323,7 +291,7 @@ mod tests {
     use super::*;
     use crate::dataset::{PerfRecord, SystemStateDataset, HISTORY_S};
     use crate::PerfDataset;
-    use adrias_telemetry::MetricSample;
+    use adrias_telemetry::{MetricSample, MetricVec};
     use adrias_workloads::{AppSignature, MemoryMode};
 
     fn rowv(x: f32) -> MetricVec {
@@ -354,56 +322,104 @@ mod tests {
         let mut model = trained_system_model();
         let text = save_system_model(&mut model).expect("trained");
         let mut restored = load_system_model(&text).expect("loads");
+        assert_eq!(restored.normalizer, model.normalizer);
         let window: Vec<MetricVec> = (0..HISTORY_S).map(|t| rowv((t as f32) * 0.01)).collect();
         let a = model.predict(&window);
         let b = restored.predict(&window);
         for m in Metric::ALL {
-            assert!(
-                (a.get(m) - b.get(m)).abs() <= 1e-3 * a.get(m).abs().max(1.0),
-                "{m}: {} vs {}",
-                a.get(m),
-                b.get(m)
-            );
+            assert_eq!(a.get(m).to_bits(), b.get(m).to_bits(), "{m}");
         }
     }
 
-    #[test]
-    fn perf_model_round_trips() {
-        let records: Vec<PerfRecord> = (0..24)
+    fn perf_records(history: impl Fn(f32) -> Vec<MetricVec>) -> Vec<PerfRecord> {
+        (0..24)
             .map(|i| {
                 let x = i as f32 / 24.0;
                 PerfRecord {
                     app: "a".into(),
-                    mode: if i % 2 == 0 {
-                        MemoryMode::Local
-                    } else {
-                        MemoryMode::Remote
-                    },
-                    history: vec![rowv(x); HISTORY_S],
+                    mode: MemoryMode::BOTH[i % 2],
+                    history: history(x),
                     future_120: rowv(x),
                     future_exec: rowv(x),
                     perf: 50.0 + 20.0 * x,
                 }
             })
-            .collect();
-        let sig = AppSignature::new("a", vec![rowv(0.3); 10]);
-        let ds = PerfDataset::new(records, std::slice::from_ref(&sig));
+            .collect()
+    }
+
+    fn trained_perf_model(
+        records: Vec<PerfRecord>,
+        sig: &AppSignature,
+        hidden: usize,
+        block_width: usize,
+    ) -> PerfModel {
+        let ds = PerfDataset::new(records, std::slice::from_ref(sig));
         let hats: Vec<Option<MetricVec>> =
             ds.records().iter().map(|r| Some(r.future_120)).collect();
         let mut model = PerfModel::new(PerfModelConfig {
             epochs: 3,
-            hidden: 5,
-            block_width: 8,
+            hidden,
+            block_width,
             ..PerfModelConfig::tiny()
         });
         model.train(&ds, &hats);
+        model
+    }
 
+    #[test]
+    fn perf_model_round_trips() {
+        let sig = AppSignature::new("a", vec![rowv(0.3); 10]);
+        let mut model = trained_perf_model(perf_records(|x| vec![rowv(x); HISTORY_S]), &sig, 5, 8);
         let text = save_perf_model(&mut model).expect("trained");
         let mut restored = load_perf_model(&text).expect("loads");
+        assert_eq!(restored.metric_norm, model.metric_norm);
+        assert_eq!(restored.target_norm, model.target_norm);
         let window = vec![rowv(0.4); HISTORY_S];
         let a = model.predict(&window, &sig, MemoryMode::Remote, Some(&rowv(0.4)));
         let b = restored.predict(&window, &sig, MemoryMode::Remote, Some(&rowv(0.4)));
-        assert!((a - b).abs() <= 1e-3 * a.abs().max(1.0), "{a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+    }
+
+    /// `tests/fixtures/perf_model_pr21.txt` was written by
+    /// `save_perf_model` at the commit before the models were rebuilt on
+    /// `parts` (PR 21, `1f8e306`), from the model trained below; the
+    /// bits are what that model predicted there. Loading the file walks
+    /// today's `GradModel` order over the old `p0, p1, …`, so a
+    /// reordered encoder, layer or block loads the wrong weights and
+    /// fails here — and retraining the same model today must still
+    /// write the same file.
+    #[test]
+    fn a_model_saved_before_the_refactor_loads_and_predicts_the_same_bits() {
+        let text = include_str!("../tests/fixtures/perf_model_pr21.txt");
+        let mut restored = load_perf_model(text).expect("fixture loads");
+        let sig = AppSignature::new("a", (0..10).map(|t| rowv(0.3 + 0.05 * t as f32)).collect());
+        let window: Vec<MetricVec> = (0..HISTORY_S)
+            .map(|t| rowv(0.4 + 0.002 * t as f32))
+            .collect();
+        let local = restored.predict(&window, &sig, MemoryMode::Local, Some(&rowv(0.4)));
+        let remote = restored.predict(&window, &sig, MemoryMode::Remote, None);
+        assert_eq!(local.to_bits(), 0x426d_d19c, "local {local}");
+        assert_eq!(remote.to_bits(), 0x4274_45a3, "remote {remote}");
+
+        let records = perf_records(|x| {
+            (0..HISTORY_S)
+                .map(|t| rowv(x + 0.1 * ((t as f32) * 0.3).sin()))
+                .collect()
+        });
+        let mut retrained = trained_perf_model(records, &sig, 3, 4);
+        assert_eq!(save_perf_model(&mut retrained).expect("trained"), text);
+    }
+
+    #[test]
+    fn a_non_positive_target_std_is_a_bad_header_not_a_panic() {
+        let text = include_str!("../tests/fixtures/perf_model_pr21.txt");
+        let (header, rest) = text.split_once('\n').unwrap();
+        let words: Vec<&str> = header.split(' ').collect();
+        for bad in ["0", "-1", "NaN"] {
+            let header = [&words[..words.len() - 1], &[bad]].concat().join(" ");
+            let err = load_perf_model(&format!("{header}\n{rest}")).unwrap_err();
+            assert!(matches!(err, LoadModelError::BadHeader(_)), "{bad}: {err}");
+        }
     }
 
     #[test]

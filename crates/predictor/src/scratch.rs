@@ -4,11 +4,13 @@
 //! every application arrival. The general-purpose `predict*` entry
 //! points allocate their pooled windows, sequence tensors and LSTM
 //! activations per call; at decision rates that allocation churn
-//! dominates. This module holds the buffer bundles —
-//! [`SystemScratch`] and [`PerfScratch`] — that
-//! [`crate::SystemStateModel::predict_into`] and
-//! [`crate::PerfModel::predict_both_into`] reuse across calls so the
-//! hot path performs **zero heap allocations** (asserted by the
+//! dominates. This module holds the buffer bundles — [`SystemScratch`]
+//! and [`PerfScratch`], each the model's input staging plus one
+//! `EncoderScratch` per encoder and a `HeadScratch` (see
+//! `parts`) — that [`crate::SystemStateModel::predict_into`] and
+//! [`crate::PerfModel`]'s `*_features_into` /
+//! [`crate::PerfModel::predict_both_from_features`] reuse across calls
+//! so the hot path performs **zero heap allocations** (asserted by the
 //! orchestrator's `alloc_free` test with a counting global allocator).
 //!
 //! A scratch is built from a *trained* model
@@ -21,8 +23,12 @@
 //! allocating entry points — every kernel the fast lane uses computes
 //! the exact per-element expressions of its allocating counterpart.
 
-use adrias_nn::{LstmScratch, Tensor};
+use adrias_nn::Tensor;
 use adrias_telemetry::{MetricVec, METRIC_COUNT};
+
+use crate::dataset::{pool_rows_into, SEQ_LEN};
+use crate::norm::Normalizer;
+use crate::parts::{EncoderScratch, HeadScratch};
 
 /// Writes one window into `seq` as the flat `rows.len() × METRIC_COUNT`
 /// input arena of a batch-1 [`adrias_nn::Lstm::forward_seq_scratch`] —
@@ -34,63 +40,54 @@ pub(crate) fn fill_seq(rows: &[MetricVec], seq: &mut [f32]) {
     }
 }
 
+/// Stages a raw 1 Hz history window for an encoder: pooled to
+/// [`SEQ_LEN`] rows and normalized in `pooled`, then flattened into
+/// `seq`.
+pub(crate) fn fill_history(
+    history_1hz: &[MetricVec],
+    norm: &Normalizer,
+    pooled: &mut Vec<MetricVec>,
+    seq: &mut [f32],
+) {
+    pool_rows_into(history_1hz, SEQ_LEN, pooled);
+    for r in pooled.iter_mut() {
+        *r = norm.normalize(r);
+    }
+    fill_seq(pooled, seq);
+}
+
 /// Reusable buffers for [`crate::SystemStateModel::predict_into`]
 /// (batch 1).
 ///
 /// Build with [`crate::SystemStateModel::make_scratch`] after training.
 #[derive(Debug, Clone)]
 pub struct SystemScratch {
-    /// Pooled-and-normalized history window ([`crate::dataset::SEQ_LEN`] rows).
+    /// Pooled-and-normalized history window ([`SEQ_LEN`] rows).
     pub(crate) pooled: Vec<MetricVec>,
-    /// The window as the LSTM's flat input arena
-    /// ([`crate::dataset::SEQ_LEN`] steps of `METRIC_COUNT`).
+    /// The window as the encoder's flat input arena.
     pub(crate) seq: Vec<f32>,
-    /// Activation scratch for the first stacked LSTM.
-    pub(crate) lstm1: LstmScratch,
-    /// Activation scratch for the second stacked LSTM.
-    pub(crate) lstm2: LstmScratch,
-    /// The last hidden state as the blocks' `1 × hidden` input.
+    pub(crate) encoder: EncoderScratch,
+    /// The encoder's feature row as the head's `1 × hidden` input.
     pub(crate) h2: Tensor,
-    /// Per-block batch-norm evaluation scales, captured at build time.
-    pub(crate) inv_std: Vec<Vec<f32>>,
-    /// Ping-pong activation buffer for the non-linear blocks.
-    pub(crate) x0: Tensor,
-    /// Ping-pong activation buffer for the non-linear blocks.
-    pub(crate) x1: Tensor,
-    /// Read-out staging (`1 × METRIC_COUNT`).
-    pub(crate) out: Tensor,
+    pub(crate) head: HeadScratch,
 }
 
-/// Reusable buffers for [`crate::PerfModel::predict_both_into`]: the
-/// two LSTM branches at batch 1 (there is one history window and one
-/// signature), the head at batch 2 (one row per candidate memory mode).
+/// Reusable buffers for [`crate::PerfModel`]'s fast lane: the two
+/// encoders at batch 1 (there is one history window and one signature),
+/// the head at batch 2 (one row per candidate memory mode).
 ///
 /// Build with [`crate::PerfModel::make_scratch`] after training.
 #[derive(Debug, Clone)]
 pub struct PerfScratch {
-    /// Pooled-and-normalized history window ([`crate::dataset::SEQ_LEN`] rows).
+    /// Pooled-and-normalized history window ([`SEQ_LEN`] rows).
     pub(crate) pooled: Vec<MetricVec>,
-    /// The history window as a flat LSTM input arena
-    /// ([`crate::dataset::SEQ_LEN`] steps of `METRIC_COUNT`).
+    /// The history window as a flat encoder input arena.
     pub(crate) seq_s: Vec<f32>,
     /// The signature window, likewise.
     pub(crate) seq_k: Vec<f32>,
-    /// Activation scratch for the first history LSTM.
-    pub(crate) s1: LstmScratch,
-    /// Activation scratch for the second history LSTM.
-    pub(crate) s2: LstmScratch,
-    /// Activation scratch for the first signature LSTM.
-    pub(crate) k1: LstmScratch,
-    /// Activation scratch for the second signature LSTM.
-    pub(crate) k2: LstmScratch,
-    /// Per-block batch-norm evaluation scales, captured at build time.
-    pub(crate) inv_std: Vec<Vec<f32>>,
-    /// Concatenated `[h_s | h_k | side]` block input.
+    pub(crate) history: EncoderScratch,
+    pub(crate) signature: EncoderScratch,
+    /// Concatenated `[h_s | h_k | side]` head input (`2 × …`).
     pub(crate) concat: Tensor,
-    /// Ping-pong activation buffer for the non-linear blocks.
-    pub(crate) x0: Tensor,
-    /// Ping-pong activation buffer for the non-linear blocks.
-    pub(crate) x1: Tensor,
-    /// Read-out staging (`2 × 1`).
-    pub(crate) out: Tensor,
+    pub(crate) head: HeadScratch,
 }

@@ -5,21 +5,17 @@
 //! the next horizon window. Architecture per the paper: two stacked LSTM
 //! layers, a triplet of non-linear blocks, and a linear read-out.
 
-use adrias_core::rng::SeedableRng;
-use adrias_core::rng::SliceRandom;
-use adrias_core::rng::Xoshiro256pp;
+use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 use adrias_core::thread::map_chunks;
 
-use adrias_nn::{
-    accumulate_minibatch, mix_seed, resolved_workers, Adam, GradModel, Layer, Linear, Lstm,
-    LstmScratch, MseLoss, NonLinearBlock, Tensor, TrainStats,
-};
+use adrias_nn::{fit, resolved_workers, FitPlan, GradModel, MseLoss, Tensor, TrainStats};
 use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 
-use crate::dataset::{pool_rows, pool_rows_into, seq_tensors, SystemStateDataset, SEQ_LEN};
+use crate::dataset::{pool_rows, seq_tensors, SystemStateDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::norm::Normalizer;
-use crate::scratch::{fill_seq, SystemScratch};
+use crate::parts::{Encoder, Head};
+use crate::scratch::{fill_history, SystemScratch};
 
 /// Hyper-parameters for [`SystemStateModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,7 +77,8 @@ impl SystemStateModelConfig {
     }
 }
 
-/// The stacked-LSTM system-state forecaster.
+/// The stacked-LSTM system-state forecaster: one `Encoder` over the
+/// history window and a `Head` reading out the seven metrics.
 ///
 /// # Examples
 ///
@@ -91,32 +88,31 @@ impl SystemStateModelConfig {
 #[derive(Debug, Clone)]
 pub struct SystemStateModel {
     cfg: SystemStateModelConfig,
-    lstm1: Lstm,
-    lstm2: Lstm,
-    blocks: Vec<NonLinearBlock>,
-    out: Linear,
-    normalizer: Option<Normalizer>,
+    encoder: Encoder,
+    head: Head,
+    pub(crate) normalizer: Option<Normalizer>,
     train_stats: Option<TrainStats>,
+}
+
+/// Row `b` of a `· × METRIC_COUNT` output as a metric vector.
+fn metric_row(out: &Tensor, b: usize) -> MetricVec {
+    MetricVec::from_array(out.row(b).try_into().expect("one column per metric"))
 }
 
 impl SystemStateModel {
     /// Creates an untrained model.
     pub fn new(cfg: SystemStateModelConfig) -> Self {
         let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
-        let lstm1 = Lstm::new(METRIC_COUNT, cfg.hidden, &mut rng);
-        let lstm2 = Lstm::new(cfg.hidden, cfg.hidden, &mut rng);
-        let blocks = vec![
-            NonLinearBlock::new(cfg.hidden, cfg.block_width, cfg.dropout, &mut rng),
-            NonLinearBlock::new(cfg.block_width, cfg.block_width, cfg.dropout, &mut rng),
-            NonLinearBlock::new(cfg.block_width, cfg.block_width, cfg.dropout, &mut rng),
-        ];
-        let out = Linear::new(cfg.block_width, METRIC_COUNT, &mut rng);
         Self {
             cfg,
-            lstm1,
-            lstm2,
-            blocks,
-            out,
+            encoder: Encoder::new(cfg.hidden, &mut rng),
+            head: Head::new(
+                cfg.hidden,
+                cfg.block_width,
+                METRIC_COUNT,
+                cfg.dropout,
+                &mut rng,
+            ),
             normalizer: None,
             train_stats: None,
         }
@@ -132,13 +128,6 @@ impl SystemStateModel {
         self.normalizer.is_some()
     }
 
-    /// Overrides the worker-thread count used by batched inference
-    /// (`0` = auto via `ADRIAS_WORKERS`/parallelism). Results are
-    /// bit-identical at any setting; this only tunes dispatch.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.cfg.workers = workers;
-    }
-
     /// Work counters from the most recent [`SystemStateModel::train`]
     /// call (`None` before training, and for models restored from a
     /// persisted snapshot).
@@ -147,131 +136,47 @@ impl SystemStateModel {
     }
 
     fn forward(&mut self, seq: &[Tensor], train: bool) -> Tensor {
-        let h1 = self.lstm1.forward_seq(seq);
-        let h2 = self.lstm2.forward_last(&h1);
-        let mut x = h2;
-        for b in &mut self.blocks {
-            x = b.forward(&x, train);
-        }
-        self.out.forward(&x, train)
+        let h = self.encoder.forward(seq);
+        self.head.forward(h, train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) {
-        let mut g = self.out.backward(grad_out);
-        for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
-        }
-        let d_seq1 = self.lstm2.backward_last(&g);
-        self.lstm1.backward_seq_params(&d_seq1);
-    }
-
-    fn zero_grad(&mut self) {
-        self.lstm1.zero_grad();
-        self.lstm2.zero_grad();
-        for b in &mut self.blocks {
-            b.zero_grad();
-        }
-        self.out.zero_grad();
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.lstm1.visit_params(f);
-        self.lstm2.visit_params(f);
-        for b in &mut self.blocks {
-            b.visit_params(f);
-        }
-        self.out.visit_params(f);
-    }
-
-    /// Rebases every dropout stream on `seed` (salted per block), so a
-    /// chunk clone's masks depend only on `(run seed, step, chunk)`.
-    fn reseed_dropout(&mut self, seed: u64) {
-        for (i, b) in self.blocks.iter_mut().enumerate() {
-            b.reseed_dropout(seed, i as u64 + 1);
-        }
-    }
-
-    /// Persistence hook: the captured normalizer, if trained.
-    pub(crate) fn normalizer_for_persist(&self) -> Option<Normalizer> {
-        self.normalizer.clone()
-    }
-
-    /// Persistence hook: restores the normalizer on load.
-    pub(crate) fn set_normalizer_for_persist(&mut self, norm: Normalizer) {
-        self.normalizer = Some(norm);
-    }
-
-    /// Persistence hook: visits parameters read-only in stable order,
-    /// then the batch-norm running statistics.
-    pub(crate) fn visit_params_for_persist(&mut self, f: &mut dyn FnMut(&Tensor)) {
-        self.visit_params(&mut |p, _| f(p));
-        for b in &mut self.blocks {
-            b.visit_buffers(&mut |p| f(p));
-        }
-    }
-
-    /// Persistence hook: visits parameters mutably in stable order, then
-    /// the batch-norm running statistics.
-    pub(crate) fn visit_params_for_persist_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.visit_params(&mut |p, _| f(p));
-        for b in &mut self.blocks {
-            b.visit_buffers(f);
-        }
+        let g = self.head.backward(grad_out);
+        self.encoder.backward(&g);
     }
 
     /// Trains on `dataset` and returns the mean loss per epoch.
     ///
-    /// Each minibatch is split into fixed-size gradient chunks that run
-    /// data-parallel on up to `cfg.workers` threads (see
-    /// [`accumulate_minibatch`]); the loss trace is bit-identical for
-    /// any worker count. The dataset's normalizer is captured so that
+    /// Runs [`adrias_nn::fit`]: each minibatch is split into fixed-size
+    /// gradient chunks that run data-parallel on up to `cfg.workers`
+    /// threads, and the loss trace is bit-identical for any worker
+    /// count. The dataset's normalizer is captured so that
     /// [`SystemStateModel::predict`] can consume raw (unnormalized)
     /// windows at run time.
     pub fn train(&mut self, dataset: &SystemStateDataset) -> Vec<f32> {
         self.normalizer = Some(dataset.normalizer().clone());
-        let workers = resolved_workers(self.cfg.workers);
-        let grad_chunk = self.cfg.grad_chunk.max(1);
-        let seed = self.cfg.seed;
-        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5EED);
-        let mut opt = Adam::new(self.cfg.learning_rate);
-        let mut epoch_losses = Vec::with_capacity(self.cfg.epochs);
-        let mut idx: Vec<usize> = (0..dataset.len()).collect();
-        let mut step = 0u64;
-        let mut stats = TrainStats::new();
-        for _epoch in 0..self.cfg.epochs {
-            idx.shuffle(&mut rng);
-            let mut total = 0.0f64;
-            let mut batches = 0usize;
-            for minibatch in idx.chunks(self.cfg.batch_size) {
-                stats.record_minibatch(minibatch.len(), grad_chunk);
-                let step_now = step;
-                let loss = accumulate_minibatch(
-                    self,
-                    minibatch,
-                    grad_chunk,
-                    workers,
-                    &|m, chunk, idxs| {
-                        m.reseed_dropout(mix_seed(&[seed, step_now, chunk as u64]));
-                        let (seq, target) = dataset.batch(idxs);
-                        let mut loss_fn = MseLoss::new();
-                        let pred = m.forward(&seq, true);
-                        let l = loss_fn.forward(&pred, &target);
-                        let grad = loss_fn.backward();
-                        m.backward(&grad);
-                        l
-                    },
-                );
-                opt.begin_step();
-                self.visit_params(&mut |p, g| opt.update(p, g));
-                total += f64::from(loss);
-                batches += 1;
-                step += 1;
-            }
-            epoch_losses.push((total / batches.max(1) as f64) as f32);
-            stats.record_epoch();
-        }
+        let c = self.cfg;
+        let plan = FitPlan {
+            epochs: c.epochs,
+            batch_size: c.batch_size,
+            grad_chunk: c.grad_chunk,
+            workers: c.workers,
+            learning_rate: c.learning_rate,
+            seed: c.seed,
+            shuffle_salt: 0x5EED,
+        };
+        let (losses, stats) = fit(self, dataset.len(), &plan, &|m, dropout_seed, idxs| {
+            m.head.reseed_dropout(dropout_seed);
+            let (seq, target) = dataset.batch(idxs);
+            let mut loss_fn = MseLoss::new();
+            let pred = m.forward(&seq, true);
+            let l = loss_fn.forward(&pred, &target);
+            let grad = loss_fn.backward();
+            m.backward(&grad);
+            l
+        });
         self.train_stats = Some(stats);
-        epoch_losses
+        losses
     }
 
     /// Predicts `Ŝ` (denormalized per-metric horizon means) from a raw
@@ -323,13 +228,7 @@ impl SystemStateModel {
         let seq = seq_tensors(&windows);
         let out = self.forward(&seq, false);
         (0..histories.len())
-            .map(|b| {
-                let mut vec = MetricVec::zero();
-                for m in Metric::ALL {
-                    vec.set(m, out.get(b, m.index()));
-                }
-                norm.denormalize(&vec)
-            })
+            .map(|b| norm.denormalize(&metric_row(&out, b)))
             .collect()
     }
 
@@ -346,13 +245,9 @@ impl SystemStateModel {
         SystemScratch {
             pooled: Vec::with_capacity(SEQ_LEN),
             seq: vec![0.0; SEQ_LEN * METRIC_COUNT],
-            lstm1: LstmScratch::new(&self.lstm1, 1, SEQ_LEN),
-            lstm2: LstmScratch::new(&self.lstm2, 1, SEQ_LEN),
+            encoder: self.encoder.make_scratch(),
             h2: Tensor::zeros(1, self.cfg.hidden),
-            inv_std: self.blocks.iter().map(|b| b.eval_inv_std()).collect(),
-            x0: Tensor::zeros(1, self.cfg.block_width),
-            x1: Tensor::zeros(1, self.cfg.block_width),
-            out: Tensor::zeros(1, METRIC_COUNT),
+            head: self.head.make_scratch(1),
         }
     }
 
@@ -377,35 +272,14 @@ impl SystemStateModel {
         let SystemScratch {
             pooled,
             seq,
-            lstm1,
-            lstm2,
+            encoder,
             h2,
-            inv_std,
-            x0,
-            x1,
-            out,
+            head,
         } = scratch;
-        pool_rows_into(history_1hz, SEQ_LEN, pooled);
-        for r in pooled.iter_mut() {
-            *r = norm.normalize(r);
-        }
-        fill_seq(pooled, seq);
-        let h1 = self.lstm1.forward_seq_scratch(seq, 1, lstm1);
+        fill_history(history_1hz, norm, pooled, seq);
         h2.data_mut()
-            .copy_from_slice(self.lstm2.forward_last_scratch(h1, 1, lstm2));
-        let mut cur: &mut Tensor = x0;
-        let mut next: &mut Tensor = x1;
-        self.blocks[0].forward_eval_into(h2, cur, &inv_std[0]);
-        for (i, b) in self.blocks.iter().enumerate().skip(1) {
-            b.forward_eval_into(cur, next, &inv_std[i]);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        self.out.forward_into(cur, out);
-        let mut vec = MetricVec::zero();
-        for m in Metric::ALL {
-            vec.set(m, out.get(0, m.index()));
-        }
-        norm.denormalize(&vec)
+            .copy_from_slice(self.encoder.features_into(seq, encoder));
+        norm.denormalize(&metric_row(self.head.forward_eval(h2, head), 0))
     }
 
     /// Evaluates on a test dataset: per-metric `R²` plus the overall
@@ -432,13 +306,9 @@ impl SystemStateModel {
             let out = self.forward(&seq, false);
             for (b, &i) in chunk.iter().enumerate() {
                 let raw_target = dataset.samples()[i].target;
-                let mut raw_pred = MetricVec::zero();
-                for m in Metric::ALL {
-                    raw_pred.set(m, out.get(b, m.index()));
-                    truth_norm.push(target.get(b, m.index()));
-                    pred_norm.push(out.get(b, m.index()));
-                }
-                let raw_pred = norm.denormalize(&raw_pred);
+                truth_norm.extend_from_slice(target.row(b));
+                pred_norm.extend_from_slice(out.row(b));
+                let raw_pred = norm.denormalize(&metric_row(&out, b));
                 for m in Metric::ALL {
                     truth[m.index()].push(raw_target.get(m));
                     pred[m.index()].push(raw_pred.get(m));
@@ -459,19 +329,22 @@ impl SystemStateModel {
     }
 }
 
+/// Parameter order — encoder layer 1, layer 2, the three blocks, the
+/// read-out, then the blocks' batch-norm buffers — is also the
+/// `p0, p1, …` order of a saved model (see [`crate::persist`]).
 impl GradModel for SystemStateModel {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        SystemStateModel::visit_params(self, f);
+        self.encoder.visit_params(f);
+        self.head.visit_params(f);
     }
 
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for b in &mut self.blocks {
-            b.visit_buffers(f);
-        }
+        self.head.visit_buffers(f);
     }
 
     fn zero_grad(&mut self) {
-        SystemStateModel::zero_grad(self);
+        self.encoder.zero_grad();
+        self.head.zero_grad();
     }
 }
 
@@ -543,6 +416,20 @@ mod tests {
             "overall R² too low on synthetic data: {}",
             overall.r2
         );
+    }
+
+    /// Recorded at the commit before the models were rebuilt on
+    /// `parts` and `fit`: any drift in RNG draw order, parameter visit
+    /// order, the shuffle salt, the dropout reseed or a reduction order
+    /// moves one of these.
+    #[test]
+    fn tiny_training_run_reproduces_its_golden_digests() {
+        let mut model = SystemStateModel::new(SystemStateModelConfig::tiny());
+        let losses = model.train(&dataset());
+        assert_eq!(crate::digest_bits(&losses), 0x8fa5_8a92_8e80_2229);
+        let state = crate::model_state(&mut model);
+        assert_eq!(state.len(), 3223);
+        assert_eq!(crate::digest_bits(&state), 0x48ab_8b75_01d4_916f);
     }
 
     #[test]

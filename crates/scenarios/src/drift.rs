@@ -238,7 +238,7 @@ fn adapt_to_drift(
         };
         let records: Vec<PerfRecord> = capture_buffer
             .iter()
-            .flat_map(|r| harvest_perf_records(r, class))
+            .flat_map(|r| harvest_perf_records(r, class, |o| o.policy_decided))
             .collect();
         if records.is_empty() {
             continue;

@@ -26,18 +26,8 @@ pub struct PolicyOutcome {
 }
 
 impl PolicyOutcome {
-    /// All policy-decided BE runtimes for one application across the
-    /// corpus (the Fig. 16 distributions).
-    pub fn be_runtimes(&self, app: &str) -> Vec<f32> {
-        self.reports
-            .iter()
-            .flat_map(|r| r.decided_of_class(WorkloadClass::BestEffort))
-            .filter(|o| o.name == app)
-            .map(|o| o.runtime_s as f32)
-            .collect()
-    }
-
-    /// All policy-decided BE runtimes, every application pooled.
+    /// All policy-decided BE runtimes, every application pooled (the
+    /// Fig. 16 distributions).
     pub fn all_be_runtimes(&self) -> Vec<f32> {
         self.reports
             .iter()

@@ -2,8 +2,8 @@
 
 use adrias_core::thread::map_chunks;
 use adrias_orchestrator::engine::RunReport;
-use adrias_orchestrator::RandomPolicy;
-use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
+use adrias_orchestrator::{harvest_perf_records, RandomPolicy};
+use adrias_predictor::dataset::PerfRecord;
 use adrias_sim::TestbedConfig;
 use adrias_telemetry::MetricSample;
 use adrias_workloads::{TraceSource, WorkloadCatalog, WorkloadClass};
@@ -74,43 +74,13 @@ impl TraceBundle {
         TraceSource::new(self.arrival_times(idx))
     }
 
-    /// Extracts performance records for one workload class.
-    ///
-    /// A record needs a full [`HISTORY_S`]-second window before arrival
-    /// and at least one trace sample after it; early arrivals are
-    /// dropped. BE performance is the wall-clock runtime; LC performance
-    /// the measured p99.
+    /// Performance records of one workload class over every outcome of
+    /// every scenario (see [`harvest_perf_records`]).
     pub fn perf_records(&self, class: WorkloadClass) -> Vec<PerfRecord> {
-        let mut records = Vec::new();
-        for report in &self.reports {
-            for o in report.outcomes.iter().filter(|o| o.class == class) {
-                let Some(history) = report.history_before(o.arrived_s, HISTORY_S) else {
-                    continue;
-                };
-                let Some(future_120) = report.mean_between(o.arrived_s, o.arrived_s + 120.0) else {
-                    continue;
-                };
-                let Some(future_exec) = report.mean_between(o.arrived_s, o.finished_s) else {
-                    continue;
-                };
-                let perf = match class {
-                    WorkloadClass::LatencyCritical => match o.p99_ms {
-                        Some(p) => p,
-                        None => continue,
-                    },
-                    _ => o.runtime_s as f32,
-                };
-                records.push(PerfRecord {
-                    app: o.name.to_string(),
-                    mode: o.mode,
-                    history,
-                    future_120,
-                    future_exec,
-                    perf,
-                });
-            }
-        }
-        records
+        self.reports
+            .iter()
+            .flat_map(|r| harvest_perf_records(r, class, |_| true))
+            .collect()
     }
 }
 
@@ -148,6 +118,7 @@ pub fn collect_traces(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adrias_predictor::dataset::HISTORY_S;
 
     fn small_specs() -> Vec<ScenarioSpec> {
         vec![

@@ -14,9 +14,6 @@
 //!   deployment timeline.
 //! * `ADRIAS_OBS_SEED` — scenario seed (default `7`). Two runs with the
 //!   same seed produce byte-identical exports.
-//! * `ADRIAS_OBS_WORKERS` — inference worker count for the trained
-//!   models (default `1`). All exports must stay byte-identical at any
-//!   worker count (CI compares 1 vs 8).
 //! * `ADRIAS_OBS_WALL` — set to `1` to switch on the engine
 //!   self-profiler and additionally write `flame.folded`, a collapsed
 //!   stack attributing host wall time to engine phases. Wall numbers
@@ -61,28 +58,7 @@ fn main() -> ExitCode {
 
     let catalog = WorkloadCatalog::paper();
     let stack = train_stack(&catalog, &StackOptions::quick());
-    let workers: usize = env_or("ADRIAS_OBS_WORKERS", 1);
-    let mut policy = if workers == 1 {
-        stack.policy(0.7, 5.0)
-    } else {
-        // Rebuild the policy with the requested inference worker count
-        // without retraining: exports must not depend on it.
-        println!("({workers} inference workers via ADRIAS_OBS_WORKERS)\n");
-        let mut system_model = stack.system_model.clone();
-        let mut be_model = stack.be_model.clone();
-        let mut lc_model = stack.lc_model.clone();
-        system_model.set_workers(workers);
-        be_model.set_workers(workers);
-        lc_model.set_workers(workers);
-        adrias::orchestrator::AdriasPolicy::new(
-            system_model,
-            be_model,
-            lc_model,
-            stack.signatures.clone(),
-            0.7,
-            5.0,
-        )
-    };
+    let mut policy = stack.policy(0.7, 5.0);
 
     let profile_wall = std::env::var("ADRIAS_OBS_WALL").as_deref() == Ok("1");
     let spec = ScenarioSpec::new(5.0, 30.0, 700.0, seed);

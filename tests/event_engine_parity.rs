@@ -1,10 +1,10 @@
 //! Pins the event-heap engine's determinism contract: every committed
 //! corpus case must match its manifest digest, every seeded scenario
 //! must produce byte-identical RunReports, audit trails, and JSONL
-//! exports across worker counts 1/2/8 and across repeated runs, and the
-//! SIMD kernel layer must be bitwise interchangeable with its forced-
-//! scalar fallback (the lane-order accumulation contract, DESIGN.md
-//! §14). This is the harness that once pinned the event engine against
+//! exports across repeated runs, the corpus replay harness must be
+//! worker-count invariant, and the SIMD kernel layer must be bitwise
+//! interchangeable with its forced-scalar fallback (the lane-order
+//! accumulation contract, DESIGN.md §14). This is the harness that once pinned the event engine against
 //! the retired 1 Hz step loop; the step loop is gone, so the oracle is
 //! now the corpus manifest plus self-consistency.
 
@@ -14,7 +14,6 @@ use std::sync::OnceLock;
 use adrias::nn::set_force_scalar;
 use adrias::obs::export::{to_jsonl_decisions, to_jsonl_events, to_jsonl_metrics, to_jsonl_spans};
 use adrias::obs::Observer;
-use adrias::orchestrator::AdriasPolicy;
 use adrias::scenarios::fuzz::replay_corpus;
 use adrias::scenarios::{
     load_corpus, run_case, train_stack, FuzzConfig, Replay, ScenarioSpec, StackOptions,
@@ -32,42 +31,21 @@ fn trained() -> &'static (WorkloadCatalog, TrainedStack) {
     })
 }
 
-/// Builds the Adrias policy with the given inference worker count,
-/// without retraining.
-fn policy(stack: &TrainedStack, workers: usize) -> AdriasPolicy {
-    let mut system_model = stack.system_model.clone();
-    let mut be_model = stack.be_model.clone();
-    let mut lc_model = stack.lc_model.clone();
-    system_model.set_workers(workers);
-    be_model.set_workers(workers);
-    lc_model.set_workers(workers);
-    AdriasPolicy::new(
-        system_model,
-        be_model,
-        lc_model,
-        stack.signatures.clone(),
-        0.8,
-        5.0,
-    )
-}
+/// The byte streams of [`run_fingerprint`], in its order.
+const STREAMS: [&str; 5] = ["report", "decisions", "events", "metrics", "spans"];
 
 /// One full observed scenario run rendered to every byte stream the
 /// determinism contract covers: the exact RunReport debug form, the
 /// decision audit trail, the event log, the metrics export, and the
 /// lifecycle spans.
-fn run_fingerprint(
-    stack: &TrainedStack,
-    catalog: &WorkloadCatalog,
-    seed: u64,
-    workers: usize,
-) -> [String; 5] {
+fn run_fingerprint(stack: &TrainedStack, catalog: &WorkloadCatalog, seed: u64) -> [String; 5] {
     let spec = ScenarioSpec::new(5.0, 30.0, 700.0, seed);
     let replay = Replay {
         qos_p99_ms: Some(5.0),
         ..Replay::new(TestbedConfig::noiseless(), catalog, spec)
     };
     let mut obs = Observer::default();
-    let report = replay.run(&mut policy(stack, workers), &mut replay.observed(&mut obs));
+    let report = replay.run(&mut stack.policy(0.8, 5.0), &mut replay.observed(&mut obs));
     [
         format!("{report:?}"),
         to_jsonl_decisions(&obs),
@@ -121,15 +99,13 @@ fn corpus_replay_is_green_and_worker_invariant() {
     }
 }
 
-/// Seeds {0,1,2} × workers {1,2,8}: the RunReport and all four JSONL
-/// exports are byte-identical across worker counts, with the 1-worker
-/// run as the golden reference, and a repeated 1-worker run reproduces
-/// it exactly.
+/// Seeds {0,1,2}: a repeated run reproduces the RunReport and all four
+/// JSONL exports exactly.
 #[test]
-fn engine_runs_are_byte_identical_across_workers_and_repeats() {
+fn engine_runs_are_byte_identical_across_repeats() {
     let (catalog, stack) = trained();
     for seed in [0u64, 1, 2] {
-        let golden = run_fingerprint(stack, catalog, seed, 1);
+        let golden = run_fingerprint(stack, catalog, seed);
         assert!(
             golden[0].contains("outcomes"),
             "run produced no outcomes for seed {seed}"
@@ -142,48 +118,35 @@ fn engine_runs_are_byte_identical_across_workers_and_repeats() {
             golden[4].lines().count() > 1,
             "run closed no lifecycle spans for seed {seed}"
         );
-        for workers in [1usize, 2, 8] {
-            let other = run_fingerprint(stack, catalog, seed, workers);
-            for (i, stream) in ["report", "decisions", "events", "metrics", "spans"]
-                .iter()
-                .enumerate()
-            {
-                assert_eq!(
-                    golden[i], other[i],
-                    "engine diverged on {stream} at seed {seed}, {workers} workers"
-                );
-            }
+        let again = run_fingerprint(stack, catalog, seed);
+        for (i, stream) in STREAMS.iter().enumerate() {
+            assert_eq!(
+                golden[i], again[i],
+                "engine diverged on {stream} at seed {seed}"
+            );
         }
     }
 }
 
 /// The forced-scalar kernel path reproduces the native (SIMD where
-/// available) byte streams exactly, across worker counts — the
-/// lane-order accumulation contract holds end to end, from GEMM
-/// micro-kernels through LSTM gates to the exported JSONL. The toggle
-/// is process-global; because both paths are bit-identical, tests
-/// running concurrently under either setting still agree.
+/// available) byte streams exactly — the lane-order accumulation
+/// contract holds end to end, from GEMM micro-kernels through LSTM
+/// gates to the exported JSONL. The toggle is process-global; because
+/// both paths are bit-identical, tests running concurrently under
+/// either setting still agree.
 #[test]
 fn forced_scalar_kernels_reproduce_native_runs_byte_for_byte() {
     let (catalog, stack) = trained();
     let seed = 1u64;
-    let native = run_fingerprint(stack, catalog, seed, 1);
+    let native = run_fingerprint(stack, catalog, seed);
     set_force_scalar(true);
-    let scalar_runs: Vec<[String; 5]> = [1usize, 2, 8]
-        .iter()
-        .map(|&w| run_fingerprint(stack, catalog, seed, w))
-        .collect();
+    let scalar = run_fingerprint(stack, catalog, seed);
     set_force_scalar(false);
-    for (scalar, workers) in scalar_runs.iter().zip([1usize, 2, 8]) {
-        for (i, stream) in ["report", "decisions", "events", "metrics", "spans"]
-            .iter()
-            .enumerate()
-        {
-            assert_eq!(
-                native[i], scalar[i],
-                "forced-scalar diverged from native on {stream} at {workers} workers"
-            );
-        }
+    for (i, stream) in STREAMS.iter().enumerate() {
+        assert_eq!(
+            native[i], scalar[i],
+            "forced-scalar diverged from native on {stream}"
+        );
     }
 }
 
@@ -220,7 +183,7 @@ fn faulted_runs_are_deterministic() {
     };
     let run = || {
         let mut obs = Observer::default();
-        let report = replay.run(&mut policy(stack, 1), &mut replay.observed(&mut obs));
+        let report = replay.run(&mut stack.policy(0.8, 5.0), &mut replay.observed(&mut obs));
         (format!("{report:?}"), to_jsonl_events(&obs))
     };
     assert_eq!(run(), run());

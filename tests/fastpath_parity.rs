@@ -4,8 +4,8 @@
 //! allocation-free scratch; the uncached, allocating
 //! [`AdriasPolicy::predict_perf`] shares none of that. [`Checked`] wraps
 //! a real policy and asserts on **every decision** that the two agree
-//! bit for bit — over whole engine runs for every seed and worker
-//! count, and across every mutation that must empty the memo.
+//! bit for bit — over whole engine runs for every seed, and across
+//! every mutation that must empty the memo.
 
 use std::sync::OnceLock;
 
@@ -74,28 +74,13 @@ fn trained() -> &'static (WorkloadCatalog, TrainedStack) {
     })
 }
 
-/// Builds the Adrias policy with the given inference worker count,
-/// without retraining.
-fn policy(stack: &TrainedStack, workers: usize) -> AdriasPolicy {
-    let mut system_model = stack.system_model.clone();
-    let mut be_model = stack.be_model.clone();
-    let mut lc_model = stack.lc_model.clone();
-    system_model.set_workers(workers);
-    be_model.set_workers(workers);
-    lc_model.set_workers(workers);
-    AdriasPolicy::new(
-        system_model,
-        be_model,
-        lc_model,
-        stack.signatures.clone(),
-        0.8,
-        5.0,
-    )
+fn policy(stack: &TrainedStack) -> AdriasPolicy {
+    stack.policy(0.8, 5.0)
 }
 
-fn checked(stack: &TrainedStack, workers: usize) -> Checked {
+fn checked(stack: &TrainedStack) -> Checked {
     Checked {
-        inner: policy(stack, workers),
+        inner: policy(stack),
         compared: 0,
     }
 }
@@ -174,7 +159,7 @@ fn probe(subject: &mut Checked, window: &[MetricVec], stamp: WindowStamp) -> [(u
 #[test]
 fn signature_store_hot_swap_and_stamp_bump_invalidate_the_fast_lane() {
     let (_, stack) = trained();
-    let mut subject = checked(stack, 1);
+    let mut subject = checked(stack);
     let window = synth_window(1);
     let stamp = WindowStamp {
         source: 7,
@@ -248,7 +233,7 @@ fn fresh_policy(
 #[test]
 fn a_repeated_stamp_and_app_answers_what_the_oracle_answers() {
     let (_, stack) = trained();
-    let mut subject = checked(stack, 1);
+    let mut subject = checked(stack);
     let gmm = spark::by_name("gmm").unwrap();
     let gmm_as_lc = WorkloadProfile::builder("gmm", WorkloadClass::LatencyCritical).build();
     let apps = [
@@ -286,7 +271,7 @@ fn a_repeated_stamp_and_app_answers_what_the_oracle_answers() {
 #[test]
 fn each_reset_point_turns_a_same_stamp_answer_into_a_fresh_policys() {
     let (_, stack) = trained();
-    let mut subject = checked(stack, 1);
+    let mut subject = checked(stack);
     let window = synth_window(3);
     let stamp = Some(WindowStamp {
         source: 7,
@@ -334,14 +319,14 @@ fn stamp_less_contexts_never_hit_and_never_fill() {
     let (_, stack) = trained();
     // Unchecked: the last decision below hands a stamp a window it was
     // not issued for, which the oracle would rightly refuse.
-    let mut subject = policy(stack, 1);
+    let mut subject = policy(stack);
     let gmm = spark::by_name("gmm").unwrap();
     let (w1, w2, w3) = (synth_window(1), synth_window(2), synth_window(3));
     let stamp = Some(WindowStamp {
         source: 7,
         version: 1,
     });
-    let mut oracle = policy(stack, 1);
+    let mut oracle = policy(stack);
     let [a1, a2, a3] = [&w1, &w2, &w3].map(|window| {
         let ctx = DecisionContext {
             profile: &gmm,
@@ -385,7 +370,7 @@ proptest! {
         window_seed in 0u64..1_000,
     ) {
         let (_, stack) = trained();
-        let mut subject = checked(stack, 1);
+        let mut subject = checked(stack);
         let mut version = 1u64;
         let mut window = synth_window(window_seed);
         let mut swap_toggle = false;
@@ -429,7 +414,7 @@ proptest! {
     ) {
         const WINDOW: usize = 16;
         let (_, stack) = trained();
-        let mut subject = checked(stack, 1);
+        let mut subject = checked(stack);
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xFA57);
         let mut watcher = Watcher::new(WINDOW);
         let mut t = 0.0f64;
@@ -470,31 +455,28 @@ proptest! {
     }
 }
 
-/// Seeds {0,1,2} × workers {1,2,8}: every decision of a whole engine run
-/// is the oracle's, checked in place, and the oracle riding along moves
-/// nothing — the report is byte-identical to an unchecked one-worker
-/// run's.
+/// Seeds {0,1,2}: every decision of a whole engine run is the oracle's,
+/// checked in place, and the oracle riding along moves nothing — the
+/// report is byte-identical to an unchecked run's.
 #[test]
 fn every_decision_of_a_whole_run_matches_the_uncached_oracle() {
     let (catalog, stack) = trained();
     for seed in [0u64, 1, 2] {
-        let golden = report_bytes(catalog, seed, &mut policy(stack, 1));
+        let golden = report_bytes(catalog, seed, &mut policy(stack));
         assert!(
             golden.contains("outcomes"),
             "run produced no outcomes for seed {seed}"
         );
-        for workers in [1usize, 2, 8] {
-            let mut subject = checked(stack, workers);
-            assert_eq!(
-                golden,
-                report_bytes(catalog, seed, &mut subject),
-                "checked run diverged at seed {seed}, {workers} workers"
-            );
-            assert!(
-                subject.compared > 10,
-                "seed {seed}: the oracle saw only {} predictions",
-                subject.compared
-            );
-        }
+        let mut subject = checked(stack);
+        assert_eq!(
+            golden,
+            report_bytes(catalog, seed, &mut subject),
+            "checked run diverged at seed {seed}"
+        );
+        assert!(
+            subject.compared > 10,
+            "seed {seed}: the oracle saw only {} predictions",
+            subject.compared
+        );
     }
 }

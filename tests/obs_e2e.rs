@@ -1,6 +1,6 @@
 //! Workspace-level observability contract: every placement is audited
 //! exactly once with its decision margin, and the structured exports
-//! are byte-identical across same-seed runs and training worker counts.
+//! are byte-identical across same-seed runs.
 
 use adrias::core_util::rng::{Rng, SeedableRng, Xoshiro256pp};
 use adrias::obs::{export, DecisionRule, ObsConfig, Observer};
@@ -25,10 +25,8 @@ fn metric_row(x: f32) -> MetricVec {
     v
 }
 
-/// Trains a minimal Adrias stack (as in the policy unit tests) with an
-/// explicit data-parallel worker count so worker invariance can be
-/// checked end to end: training → policy → engine → exports.
-fn policy_with_workers(workers: usize) -> AdriasPolicy {
+/// Trains a minimal Adrias stack (as in the policy unit tests).
+fn trained_policy() -> AdriasPolicy {
     let mut rng = Xoshiro256pp::seed_from_u64(0);
 
     let trace: Vec<MetricSample> = (0..400)
@@ -39,7 +37,6 @@ fn policy_with_workers(workers: usize) -> AdriasPolicy {
         epochs: 4,
         hidden: 6,
         block_width: 8,
-        workers,
         ..SystemStateModelConfig::tiny()
     });
     system_model.train(&sys_ds);
@@ -99,7 +96,6 @@ fn policy_with_workers(workers: usize) -> AdriasPolicy {
         block_width: 12,
         learning_rate: 4e-3,
         dropout: 0.0,
-        workers,
         ..PerfModelConfig::tiny()
     };
     let be_hats: Vec<Option<MetricVec>> =
@@ -133,8 +129,8 @@ fn engine() -> EngineConfig {
 
 /// Runs the schedule under a freshly trained policy and returns the
 /// five export documents.
-fn exports_with_workers(workers: usize) -> (Observer, [String; 5]) {
-    let mut policy = policy_with_workers(workers);
+fn exports() -> (Observer, [String; 5]) {
+    let mut policy = trained_policy();
     let mut obs = Observer::new(ObsConfig::default());
     let engine = engine();
     let _ = run_stream_hooked(
@@ -157,7 +153,7 @@ fn exports_with_workers(workers: usize) -> (Observer, [String; 5]) {
 
 #[test]
 fn every_decision_is_audited_once_with_margin() {
-    let (obs, docs) = exports_with_workers(1);
+    let (obs, docs) = exports();
     let arrivals = schedule().len();
     assert_eq!(obs.audit.len(), arrivals, "one audit record per arrival");
 
@@ -225,13 +221,8 @@ fn every_decision_is_audited_once_with_margin() {
 }
 
 #[test]
-fn same_seed_runs_and_worker_counts_export_identical_bytes() {
-    let (_, base) = exports_with_workers(1);
-    let (_, again) = exports_with_workers(1);
+fn same_seed_runs_export_identical_bytes() {
+    let (_, base) = exports();
+    let (_, again) = exports();
     assert_eq!(base, again, "same-seed reruns must be byte-identical");
-
-    for workers in [2usize, 8] {
-        let (_, docs) = exports_with_workers(workers);
-        assert_eq!(base, docs, "exports diverged at {workers} training workers");
-    }
 }
