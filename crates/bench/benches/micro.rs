@@ -1,26 +1,28 @@
-//! Micro-benchmarks for the hot paths: simulator stepping, LSTM
-//! training/inference and the full Adrias scheduling decision. Runs on the in-tree `adrias_core::bench` harness
-//! (median/p95 wall-clock).
+//! The hot paths as gated ratios: each section times the legs of one or
+//! two ratios on the in-tree `adrias_core::bench` harness, and each
+//! ratio is a [`Gate`] row stated once, beside the code that computes
+//! it, with the reason for its bound. Every leg is an operand of a row
+//! and every derived number but `simd_active` is one; absolute costs
+//! per layer are the perf ledger's (`benchmark/`).
 //!
 //! Environment knobs on top of the harness's own:
 //!
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
-//!   (`testbed_step`, `lc_tail`, `lstm`, `gemm`, `train_step_workers`,
-//!   `adrias_decision`, `decision_throughput`, `decision_burst`,
-//!   `obs_overhead`, `span_overhead`, `residual_overhead`,
-//!   `event_engine`); unmatched sections are skipped entirely,
-//!   including their setup.
+//!   (`testbed_step`, `lc_tail`, `lstm`, `gemm`, `adrias_decision`,
+//!   `obs_overhead`, `span_overhead`, `residual_overhead`); unmatched
+//!   sections are skipped entirely, including their setup.
 //!
-//! The run always ends by writing `BENCH_nn.json` (the collected
-//! medians plus the derived ratios) to the workspace root.
+//! The run always ends by writing `BENCH_nn.json` (the medians, the
+//! derived ratios and each row's verdict) to the workspace root, and
+//! exits non-zero naming every row that failed.
 
-use adrias_core::bench::{black_box, Harness};
-use adrias_core::rng::{Rng, SeedableRng, Xoshiro256pp};
+use adrias_core::bench::{black_box, Gate, Harness};
+use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 
-use adrias_nn::{accumulate_minibatch, GradModel, Layer, Linear, Lstm, MseLoss, Tensor};
+use adrias_nn::{Lstm, Tensor};
+use adrias_obs::{ObsConfig, Observer};
 use adrias_orchestrator::engine::{
-    run_stream_hooked, ArrivalStream, EngineConfig, EngineObserver, GeneratedStream,
-    ScheduleStream, ScheduledArrival,
+    run_stream_hooked, EngineConfig, EngineObserver, ScheduleStream, ScheduledArrival,
 };
 use adrias_orchestrator::{ObservedRun, Policy, RoundRobinPolicy};
 use adrias_sim::{Testbed, TestbedConfig};
@@ -28,88 +30,37 @@ use adrias_telemetry::{Metric, MetricVec};
 use adrias_workloads::keyvalue::{self, sample_latencies, tail_latency};
 use adrias_workloads::{spark, LatencyEnv, LoadSpec, MemoryMode, WorkloadCatalog};
 
-/// A paper-config testbed holding `apps` catalog picks, local and remote
-/// in turn, each resident for `residency_s`.
-fn populated_testbed(apps: usize, residency_s: f32) -> Testbed {
+/// One cold `Testbed::step` over 4 000 residents over one dependent
+/// `f32` sum of 4 000 terms — what a single pass of the pressure or
+/// counter sums costs at least, since those are defined as in-order
+/// chains — same process, fastest of interleaved legs. The step is two
+/// passes over 24-byte load records, one slowdown per kin and one pass
+/// over 32-byte progress records, and reads 4.0–4.3 (EXPERIMENTS.md "A
+/// dense step costs what differs"). It read ≈ 12 when four passes
+/// walked 184-byte deployments that each kept their own environment
+/// sums and evaluated their own slowdown, so neither the fat record nor
+/// the per-resident work can come back unnoticed. The reference leg is
+/// latency-bound and the step is throughput-bound, so a core whose SMT
+/// sibling is busy reads the ratio higher (7.3–7.9 here, 15.8 for the
+/// old store): a failure at 7–8 on an otherwise green run is a
+/// contended runner, one at ≥ 10 is the regression.
+const DENSE_STEP_TO_FOLD: Gate = Gate::at_most("dense_step_to_fold_x", 6.0);
+
+fn bench_sim_step(h: &mut Harness) {
+    // A rack-scale node: 4 000 catalog picks, local and remote in turn,
+    // that outlive the bench, and a cold epoch every step (`set_link`
+    // forgets the memo, as an arrival or a completion would) — the two
+    // passes of the pressure and counter sums, one slowdown per kin
+    // (≤ 46 for the catalog) and the progress pass over the resident
+    // store.
     let mut tb = Testbed::new(TestbedConfig::paper(), 1);
     let catalog = WorkloadCatalog::paper();
     let mut rng = Xoshiro256pp::seed_from_u64(5);
-    for i in 0..apps {
+    for i in 0..4_000 {
         let w = catalog.pick(&mut rng).clone();
-        let mode = if i % 2 == 0 {
-            MemoryMode::Local
-        } else {
-            MemoryMode::Remote
-        };
-        tb.deploy_for(w, mode, residency_s);
+        tb.deploy_for(w, MemoryMode::BOTH[i % 2], 1.0e9);
     }
-    tb
-}
-
-/// One second's arrivals at the churned node of [`bench_sim_step`].
-fn churn_arrivals(tb: &mut Testbed, no_lc: &WorkloadCatalog, rng: &mut Xoshiro256pp) {
-    for _ in 0..42 {
-        let w = no_lc.pick(rng).clone();
-        let mode = MemoryMode::BOTH[usize::from(rng.gen_range(0..4) != 0)];
-        tb.deploy_for(w, mode, rng.gen_range(4.0..=12.0));
-    }
-}
-
-/// Returns the derived `dense_step_to_fold_x`: a cold dense step in
-/// units of one in-order `f32` sum over as many terms as it has
-/// residents — the floor a single pass pays, since the pressure and
-/// counter sums are defined as in-order chains. ≈ 4 with the hot/cold
-/// resident store (two passes over 24-byte load records, one over
-/// 32-byte progress records); ≈ 12 when every pass walked 184-byte
-/// deployments, pushed each one's own environment sums and evaluated
-/// each one's own slowdown.
-fn bench_sim_step(h: &mut Harness) -> f64 {
-    h.bench_function("testbed_step_20_apps", |b| {
-        b.iter_batched(
-            || populated_testbed(20, 100_000.0),
-            |mut tb| {
-                for _ in 0..100 {
-                    black_box(tb.step());
-                }
-            },
-        )
-    });
-
-    // A rack-scale node: 4 000 residents that outlive the bench, and a
-    // cold epoch every step (`set_link` forgets the memo, as an arrival
-    // or a completion would) — the two passes of the pressure and
-    // counter sums, one slowdown per kin (≤ 46 for the catalog) and the
-    // progress pass over the resident store.
-    let mut tb = populated_testbed(4_000, 1.0e9);
     let link = tb.config().link;
-    h.bench_function("testbed_step_4000_apps", |b| {
-        b.iter(|| {
-            tb.set_link(link);
-            black_box(tb.step())
-        })
-    });
-
-    // The same density in churn, which the static node never sees: 42
-    // arrivals a second from the no-LC catalog, 3:1 remote:local, asking
-    // for 4–12 s, against as many completions once the population has
-    // settled — so a step also pays its arrivals' `deploy_for`s, its
-    // report and the compaction of what left.
-    let paper = WorkloadCatalog::paper();
-    let no_lc = paper.best_effort().chain(paper.interference()).cloned();
-    let no_lc = WorkloadCatalog::from_profiles(no_lc.collect());
-    let mut churned = Testbed::new(TestbedConfig::paper(), 1);
-    let mut rng = Xoshiro256pp::seed_from_u64(9);
-    for _ in 0..2_000 {
-        churn_arrivals(&mut churned, &no_lc, &mut rng);
-        churned.step();
-    }
-    h.bench_function("testbed_step_4000_churn", |b| {
-        b.iter(|| {
-            churn_arrivals(&mut churned, &no_lc, &mut rng);
-            black_box(churned.step())
-        })
-    });
-    println!("  churned node: {} residents", churned.resident_count());
 
     const ROUNDS: usize = 40;
     let terms: Vec<f32> = (0..4_000).map(|i| 1.0 + (i % 7) as f32 * 0.125).collect();
@@ -125,10 +76,17 @@ fn bench_sim_step(h: &mut Harness) -> f64 {
             );
         }
     });
+    h.record_ns("testbed_step_4000_apps", step);
     h.record_ns("f32_fold_4000", fold);
-    let ratio = step / fold;
-    println!("  dense cold step vs one in-order f32 sum, fastest of {ROUNDS} interleaved rounds: {ratio:.2}x");
-    ratio
+    h.gate(&DENSE_STEP_TO_FOLD, step / fold);
+}
+
+/// Gates `gate` on the median of the sampled leg `over` in units of the
+/// sampled leg `under`'s.
+fn gate_sampled(h: &mut Harness, gate: &Gate, over: &str, under: &str) {
+    let median = |leg| h.median_ns(leg).expect("the section sampled the leg");
+    let ratio = median(over) / median(under);
+    h.gate(gate, ratio);
 }
 
 /// Per-run nanoseconds of two legs, `run(false)` and `run(true)`, timed
@@ -153,46 +111,38 @@ fn fastest_interleaved(rounds: usize, runs: u32, mut run: impl FnMut(bool)) -> (
     (first, second)
 }
 
-/// The median, over interleaved rounds, of each leg's wall time in units
+/// The median, over interleaved rounds, of `leg`'s wall time in units
 /// of `base`'s. For whole-run overheads of a few percent: wall times on
 /// a shared machine drift by far more than that between sequentially
-/// sampled sections, while a round times every leg back to back (five
-/// runs each, `base` last) and contributes one ratio per leg, so the
-/// slow drift cancels. `ADRIAS_BENCH_PAIRS` sets the round count
-/// (default 40); three untimed rounds come first.
-fn paired_ratios(legs: &[(&str, &dyn Fn())], base: &dyn Fn()) -> Vec<f64> {
+/// sampled sections, while a round times both legs back to back (five
+/// runs each, `base` last) and contributes one ratio, so the slow drift
+/// cancels. `ADRIAS_BENCH_PAIRS` sets the round count (default 40);
+/// three untimed rounds come first. Each leg's median wall per run is
+/// recorded under its name.
+fn paired_ratio(h: &mut Harness, leg: (&str, &dyn Fn()), base: (&str, &dyn Fn())) -> f64 {
     let pairs: usize = std::env::var("ADRIAS_BENCH_PAIRS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(40);
-    let time_leg = |f: &dyn Fn()| {
+    let time = |f: &dyn Fn()| {
         let t = std::time::Instant::now();
         for _ in 0..5 {
             f();
         }
-        t.elapsed().as_secs_f64()
+        t.elapsed().as_secs_f64() * 1e9 / 5.0
     };
-    let mut ratios = vec![Vec::with_capacity(pairs); legs.len()];
-    for round in 0..3 + pairs {
-        let walls: Vec<f64> = legs.iter().map(|(_, leg)| time_leg(leg)).collect();
-        let base = time_leg(base);
-        if round >= 3 {
-            for (ratios, wall) in ratios.iter_mut().zip(walls) {
-                ratios.push(wall / base);
-            }
-        }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    for _ in 0..3 {
+        time(leg.1);
+        time(base.1);
     }
-    let medians = ratios.iter_mut().map(|r| {
-        r.sort_by(f64::total_cmp);
-        r[r.len() / 2]
-    });
-    legs.iter()
-        .zip(medians)
-        .map(|((label, _), median)| {
-            println!("  {label}, median of {pairs} interleaved rounds: {median:.3}x");
-            median
-        })
-        .collect()
+    let rounds: Vec<(f64, f64)> = (0..pairs).map(|_| (time(leg.1), time(base.1))).collect();
+    h.record_ns(leg.0, median(rounds.iter().map(|r| r.0).collect()));
+    h.record_ns(base.0, median(rounds.iter().map(|r| r.1).collect()));
+    median(rounds.iter().map(|(leg, base)| leg / base).collect())
 }
 
 /// A sustained dense co-location mix (the paper's operating point): 20
@@ -212,27 +162,48 @@ fn dense_mix() -> Vec<ScheduledArrival> {
     .collect()
 }
 
-/// One paper-testbed engine run of `stream` under `policy`, watched by
-/// `obs`, with the LC tail measurement scaled down to 100 draws.
-fn bench_run<O: EngineObserver>(
-    stream: &mut dyn ArrivalStream,
+/// One paper-testbed engine run of the dense mix under `policy`,
+/// watched by `hooks`, with the LC tail measurement scaled down to 100
+/// draws.
+fn dense_run<O: EngineObserver>(
+    arrivals: &[ScheduledArrival],
     policy: &mut dyn Policy,
-    obs: &mut O,
+    hooks: &mut O,
 ) -> adrias_orchestrator::RunReport {
     let engine = EngineConfig {
         lc_latency_samples: 100,
         ..EngineConfig::default()
     };
-    run_stream_hooked(TestbedConfig::paper(), engine, stream, &[], policy, obs)
+    let mut stream = ScheduleStream::new(arrivals);
+    run_stream_hooked(
+        TestbedConfig::paper(),
+        engine,
+        &mut stream,
+        &[],
+        policy,
+        hooks,
+    )
 }
 
-/// One LC completion's tail measurement (p99 and p99.9 of 8 000
-/// lognormal draws) next to evaluating those draws, same seed. Returns
-/// the derived `lc_tail_to_draws_x`: ≈ 0.14 now that `tail_latency`
-/// evaluates only the draws that can reach its tail (the 16 000 raw
-/// generator outputs alone are ≈ 0.08); ≈ 1.1 when it evaluated every
-/// draw and selected, ≈ 2.8 when it sorted a copy twice.
-fn bench_lc_tail(h: &mut Harness) -> f64 {
+/// [`dense_run`] under a fresh in-memory observer configured by `cfg`,
+/// no exporter attached.
+fn observed_run(arrivals: &[ScheduledArrival], policy: &mut dyn Policy, cfg: ObsConfig) {
+    let mut obs = Observer::new(cfg);
+    let mut hooks = ObservedRun::with_qos(&mut obs, None);
+    black_box(dense_run(arrivals, policy, &mut hooks));
+}
+
+/// One LC completion's tail measurement (`tail_latency`: p99 and p99.9
+/// of 8 000 lognormal draws) over evaluating those 8 000 draws
+/// (`sample_latencies`), same process and seed, fastest of interleaved
+/// legs. `tail_latency` evaluates only the ≈ 5 % of draws that can
+/// reach its p99 and reads 0.13–0.15, of which ≈ 0.08 is advancing the
+/// generator 16 000 times (EXPERIMENTS.md "An LC completion costs its
+/// tail"). A regression to evaluating every draw reads ≥ 1.0, and a
+/// sort on top of that ≥ 2.7, so neither can come back unnoticed.
+const LC_TAIL_TO_DRAWS: Gate = Gate::at_most("lc_tail_to_draws_x", 0.35);
+
+fn bench_lc_tail(h: &mut Harness) {
     const SAMPLES: usize = 8000;
     const ROUNDS: usize = 40;
     let redis = keyvalue::redis();
@@ -248,14 +219,27 @@ fn bench_lc_tail(h: &mut Harness) -> f64 {
     });
     h.record_ns("lc_tail_latency_8000", tail);
     h.record_ns("lc_latency_draws_8000", draws);
-    let ratio = tail / draws;
-    println!("  LC tail vs its draws, fastest of {ROUNDS} interleaved rounds: {ratio:.2}x");
-    ratio
+    h.gate(&LC_TAIL_TO_DRAWS, tail / draws);
 }
 
-/// Returns the derived `bwd_to_fwd_x`: backward cost in units of the
-/// forward (theory ≈ 2).
-fn bench_lstm(h: &mut Harness) -> f64 {
+/// The LSTM forward on the AVX2 lane over the same forward forced onto
+/// the portable lane — one kernel source at two lane types, both legs
+/// in one process (`set_force_scalar`), bit-identical outputs. Reads
+/// 1.9–2.0 at full settings (EXPERIMENTS.md "Single-source kernels":
+/// the portable lane is the same tiled source at SSE2 width, so the
+/// ratio is lower than when it was a plain loop). A runner without AVX2
+/// runs the portable lane on both legs; the bench says so
+/// (`simd_active` = 0) and the row is skipped.
+const SIMD_LSTM_SPEEDUP: Gate = Gate::at_least("simd_lstm_speedup_x", 1.5).only_if("simd_active");
+
+/// `Lstm::backward_last` in units of `forward_last` on the bench shape,
+/// fastest of interleaved legs: theory is ≈ 2, the pre-PR-12 tensor-op
+/// BPTT sat at ≈ 5. The legs alternate in one process and the ratio
+/// reads 2.1–2.45 on the AVX2 path and ≈ 2.2 forced scalar
+/// (EXPERIMENTS.md "Training floor"), the same at smoke settings.
+const BWD_TO_FWD: Gate = Gate::at_most("bwd_to_fwd_x", 2.5);
+
+fn bench_lstm(h: &mut Harness) {
     let mut rng = Xoshiro256pp::seed_from_u64(2);
     let mut lstm = Lstm::new(7, 32, &mut rng);
     let seq: Vec<Tensor> = (0..24)
@@ -264,21 +248,16 @@ fn bench_lstm(h: &mut Harness) -> f64 {
     h.bench_function("lstm_forward_b32_t24_h32", |b| {
         b.iter(|| black_box(lstm.forward_last(&seq)))
     });
-    // The same forward with the SIMD kernel layer forced onto its
-    // scalar fallback — the bit-identical "before" column behind the
-    // derived `simd_lstm_speedup_x` metric.
     adrias_nn::set_force_scalar(true);
     h.bench_function("lstm_forward_scalar_b32_t24_h32", |b| {
         b.iter(|| black_box(lstm.forward_last(&seq)))
     });
     adrias_nn::set_force_scalar(false);
-    h.bench_function("lstm_forward_backward_b32_t24_h32", |b| {
-        b.iter(|| {
-            let out = lstm.forward_last(&seq);
-            lstm.zero_grad();
-            black_box(lstm.backward_last(&out));
-        })
-    });
+    let (portable, native) = (
+        "lstm_forward_scalar_b32_t24_h32",
+        "lstm_forward_b32_t24_h32",
+    );
+    gate_sampled(h, &SIMD_LSTM_SPEEDUP, portable, native);
 
     // The backward alone is the difference of two legs. Rounds are
     // ~40 ms, so unlike the whole-run pairs below they are not scaled
@@ -293,17 +272,19 @@ fn bench_lstm(h: &mut Harness) -> f64 {
             black_box(out);
         }
     });
+    h.record_ns("lstm_forward_backward_b32_t24_h32", both);
     h.record_ns("lstm_backward_b32_t24_h32", both - forward);
-    let ratio = (both - forward) / forward;
-    println!("  backward vs forward, fastest of {ROUNDS} interleaved rounds: {ratio:.2}x");
-    ratio
+    h.gate(&BWD_TO_FWD, (both - forward) / forward);
 }
 
 /// The `matmul_transb` micro-kernel (the dot-product GEMM behind every
-/// `Linear::forward_into` on the decision fast lane), native vs
-/// forced-scalar — the A/B behind `simd_gemm_speedup_x`. The two paths
-/// produce bit-identical outputs (the lane-order accumulation
-/// contract), so the ratio is pure kernel throughput.
+/// `Linear::forward_into` on the decision fast lane), AVX2 lane over
+/// forced-portable lane. The two produce bit-identical outputs (the
+/// lane-order accumulation contract), so the ratio is pure kernel
+/// throughput; it reads 1.34–1.41 at full settings and is skipped
+/// without AVX2, as [`SIMD_LSTM_SPEEDUP`] is.
+const SIMD_GEMM_SPEEDUP: Gate = Gate::at_least("simd_gemm_speedup_x", 1.2).only_if("simd_active");
+
 fn bench_gemm(h: &mut Harness) {
     let mut rng = Xoshiro256pp::seed_from_u64(13);
     let a = adrias_nn::init::uniform(64, 128, 1.0, &mut rng);
@@ -323,31 +304,11 @@ fn bench_gemm(h: &mut Harness) {
         })
     });
     adrias_nn::set_force_scalar(false);
-
-    // The accumulate-GEMM tile behind `Tensor::matmul_into` — the LSTM's
-    // `x·W_ihᵀ` / `h·W_hhᵀ` forward products and BPTT's `dz·W` — at the
-    // decision-miss shape (one row) and the training-batch shape.
-    let w = adrias_nn::init::uniform(32, 128, 1.0, &mut rng);
-    for (rows, native, scalar) in [
-        (1, "gemm_into_1x32x128", "gemm_into_scalar_1x32x128"),
-        (32, "gemm_into_32x32x128", "gemm_into_scalar_32x32x128"),
-    ] {
-        let x = adrias_nn::init::uniform(rows, 32, 1.0, &mut rng);
-        let mut out = Tensor::zeros(rows, 128);
-        for (name, force) in [(native, false), (scalar, true)] {
-            adrias_nn::set_force_scalar(force);
-            h.bench_function(name, |b| {
-                b.iter(|| {
-                    x.matmul_into(&w, &mut out);
-                    black_box(out.get(0, 0));
-                })
-            });
-        }
-        adrias_nn::set_force_scalar(false);
-    }
+    let (portable, native) = ("gemm_transb_scalar_64x128x64", "gemm_transb_64x128x64");
+    gate_sampled(h, &SIMD_GEMM_SPEEDUP, portable, native);
 }
 
-/// The full Adrias scheduling decision.
+/// A forecast-miss Adrias decision over a memo hit.
 ///
 /// * `adrias_decision_fastpath` — a fresh
 ///   [`adrias_telemetry::WindowStamp`] per call, i.e. every decision is
@@ -356,15 +317,16 @@ fn bench_gemm(h: &mut Harness) {
 /// * `adrias_decision_cached` — a constant stamp and one application:
 ///   every decision after the first is a **memo hit** on the per-stamp
 ///   record (the signature-table lookup, the head lookup and the
-///   placement rule; no model work at all). The derived
-///   `decision_fastpath_speedup_x` is miss over hit: ≈ 1 000, and 1 for
-///   a record that stopped hitting.
-/// * `decision_throughput` — a stream of 64 decisions across four apps
-///   where the stamp advances every 8 decisions, the engine's
-///   steady-state mix of hits and misses.
-/// * `decision_burst_128x17` — 128 decisions on one fresh stamp, the 17
-///   Spark applications taking turns: one forecast, one history-branch
-///   pass, 17 head passes and 111 memo hits — a `burst_dense` second.
+///   placement rule; no model work at all).
+///
+/// 18.9 µs over 17.6 ns ≈ 1 000 (EXPERIMENTS.md "The engine's callers,
+/// written once"), at smoke settings too: orders of magnitude do not
+/// drown in runner noise, so the floor is a number. A record that
+/// stopped hitting reads 1; hits that ran the prediction head again
+/// (the state before PR 17: 125 over the old slow-lane numerator, which
+/// was ≈ 4.2 misses) would read ≈ 30.
+const DECISION_FASTPATH_SPEEDUP: Gate = Gate::at_least("decision_fastpath_speedup_x", 50.0);
+
 fn bench_decision(h: &mut Harness) {
     use adrias_orchestrator::DecisionContext;
     use adrias_scenarios::{train_stack, StackOptions};
@@ -373,7 +335,6 @@ fn bench_decision(h: &mut Harness) {
     let catalog = WorkloadCatalog::paper();
     let stack = train_stack(&catalog, &StackOptions::quick());
     let app = spark::by_name("lr").unwrap();
-    let apps = ["lr", "gmm", "nweight", "sort"].map(|n| spark::by_name(n).unwrap());
     let history: Vec<MetricVec> = (0..120)
         .map(|t| {
             let mut v = MetricVec::zero();
@@ -408,422 +369,138 @@ fn bench_decision(h: &mut Harness) {
         b.iter(|| black_box(cached.decide(&ctx(Some(1), &app))))
     });
 
-    let mut stream = stack.policy(0.8, 5.0);
-    let mut base = 1u64 << 32;
-    h.bench_function("decision_throughput_64", |b| {
-        b.iter(|| {
-            base += 64;
-            for i in 0..64u64 {
-                let v = base + i / 8;
-                black_box(stream.decide(&ctx(Some(v), &apps[(i % 4) as usize])));
-            }
-        })
-    });
-
-    let suite = spark::suite();
-    let mut burst = stack.policy(0.8, 5.0);
-    let mut version = 1u64 << 40;
-    h.bench_function("decision_burst_128x17", |b| {
-        b.iter(|| {
-            version += 1;
-            for app in suite.iter().cycle().take(128) {
-                black_box(burst.decide(&ctx(Some(version), app)));
-            }
-        })
-    });
+    let (miss, hit) = ("adrias_decision_fastpath", "adrias_decision_cached");
+    gate_sampled(h, &DECISION_FASTPATH_SPEEDUP, miss, hit);
 }
 
-/// A minimal [`GradModel`] for exercising the data-parallel trainer
-/// without dragging in the full predictor stack.
-#[derive(Clone)]
-struct ToyNet {
-    lin: Linear,
-}
+/// The dense run under the full in-memory [`adrias_obs::Observer`]
+/// (audit trail, trace events and the per-step pressure/latency
+/// sketches, no exporter) over the same run unobserved (the `()`
+/// observer, every hook an empty inlined method), [`paired_ratio`]
+/// median — ≈ 1–2 µs per decision for owned audit and trace strings
+/// and a fixed tax per simulated second (link latency + three pressure
+/// sketches), so the ratio depends on how much work a second carries.
+/// Tracing alone read 1.00–1.03 and is not gated apart. At CI's smoke
+/// settings ten whole-bench runs read 1.144–1.196 with one at 1.367,
+/// and 22 runs of the section alone 1.309–1.367, as the parent's binary
+/// does (1.319–1.426): one binary in two heap layouts, the lottery of
+/// ROADMAP item 1 (EXPERIMENTS.md "The evaluation, written once"). The
+/// ceiling is twice the worst excess seen, so it catches the per-step
+/// cost doubling in either mode, not a 10 % drift.
+const OBS_OVERHEAD: Gate = Gate::at_most("obs_overhead_x", 1.75);
 
-impl GradModel for ToyNet {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.lin.visit_params(f);
-    }
-}
-
-/// One deterministic minibatch accumulation at 1 vs. N workers. On a
-/// single-core runner the interesting number is the dispatch overhead;
-/// the loss trace is bit-identical either way.
-fn bench_worker_scaling(h: &mut Harness) {
-    const IN: usize = 16;
-    const OUT: usize = 4;
-    let mut rng = Xoshiro256pp::seed_from_u64(21);
-    let master = ToyNet {
-        lin: Linear::new(IN, OUT, &mut rng),
-    };
-    let data = adrias_nn::init::uniform(256, IN, 1.0, &mut rng);
-    let targets = adrias_nn::init::uniform(256, OUT, 1.0, &mut rng);
-    let batch: Vec<usize> = (0..64).collect();
-    let pass = |m: &mut ToyNet, _chunk: usize, idxs: &[usize]| -> f32 {
-        let x = Tensor::from_fn(idxs.len(), IN, |r, c| data.get(idxs[r], c));
-        let t = Tensor::from_fn(idxs.len(), OUT, |r, c| targets.get(idxs[r], c));
-        let pred = m.lin.forward(&x, true);
-        let mut loss = MseLoss::new();
-        let l = loss.forward(&pred, &t);
-        m.lin.backward(&loss.backward());
-        l
-    };
-    for workers in [1usize, 2] {
-        h.bench_function(&format!("train_step_workers_{workers}"), |b| {
-            b.iter(|| {
-                let mut m = master.clone();
-                black_box(accumulate_minibatch(&mut m, &batch, 8, workers, &pass))
-            })
-        });
-    }
-}
-
-/// The same arrival schedule replayed unobserved (the monomorphized
-/// no-op observer) and with a full in-memory [`adrias_obs::Observer`]
-/// attached but no exporter running. Uses the paper testbed config with
-/// a dense 12-app schedule so the baseline step carries representative
-/// contention work.
-///
-/// Three variants are timed:
-///
-/// * `plain` — the `()` observer, every hook an empty inlined method;
-/// * `traced` — audit trail + trace events only (per-decision and
-///   per-completion work, no per-step metrics), the cost the "tracing
-///   with no exporter stays ≤ 5%" claim is about;
-/// * `observed` — the full [`adrias_obs::Observer`] including per-step
-///   pressure/latency sketches.
-///
-/// On top of the absolute sections the derived `obs_tracing_overhead_x`
-/// / `obs_overhead_x` metrics are the [`paired_ratios`] medians of
-/// traced and observed over plain.
-fn bench_obs_overhead(h: &mut Harness) -> (f64, f64) {
-    use adrias_obs::{ObsConfig, Observer};
-
-    /// [`ObservedRun`] minus the per-step metrics hook: decisions,
-    /// completions and the run span still record, `on_step` stays the
-    /// default no-op.
-    struct TracingOnly<'a>(ObservedRun<'a>);
-    impl EngineObserver for TracingOnly<'_> {
-        fn on_decision(
-            &mut self,
-            at_s: f64,
-            id: adrias_sim::DeploymentId,
-            profile: &adrias_workloads::WorkloadProfile,
-            history: Option<&[MetricVec]>,
-            decision: &adrias_orchestrator::policy::ExplainedDecision,
-            policy_name: &str,
-        ) {
-            self.0
-                .on_decision(at_s, id, profile, history, decision, policy_name);
-        }
-        fn on_complete(
-            &mut self,
-            id: adrias_sim::DeploymentId,
-            outcome: &adrias_orchestrator::AppOutcome,
-        ) {
-            self.0.on_complete(id, outcome);
-        }
-        fn on_run_end(&mut self, report: &adrias_orchestrator::RunReport, last_arrival_s: f64) {
-            self.0.on_run_end(report, last_arrival_s);
-        }
-    }
-
+fn bench_obs_overhead(h: &mut Harness) {
     let arrivals = dense_mix();
-    let dense = || ScheduleStream::new(&arrivals);
     let run_plain = || {
-        black_box(bench_run(
-            &mut dense(),
-            &mut RoundRobinPolicy::new(),
-            &mut (),
-        ));
-    };
-    let run_traced = || {
-        let mut obs = Observer::new(ObsConfig::default());
-        let mut traced = TracingOnly(ObservedRun::with_qos(&mut obs, None));
-        black_box(bench_run(
-            &mut dense(),
-            &mut RoundRobinPolicy::new(),
-            &mut traced,
-        ));
+        black_box(dense_run(&arrivals, &mut RoundRobinPolicy::new(), &mut ()));
     };
     let run_observed = || {
-        let mut obs = Observer::new(ObsConfig::default());
-        black_box(bench_run(
-            &mut dense(),
+        observed_run(
+            &arrivals,
             &mut RoundRobinPolicy::new(),
-            &mut ObservedRun::with_qos(&mut obs, None),
-        ));
+            ObsConfig::default(),
+        );
     };
-
-    h.bench_function("engine_run_plain", |b| b.iter(run_plain));
-    h.bench_function("engine_run_traced_no_export", |b| b.iter(run_traced));
-    h.bench_function("engine_run_observed_no_export", |b| b.iter(run_observed));
-
-    let ratios = paired_ratios(
-        &[
-            ("tracing-only overhead", &run_traced),
-            ("full-metrics overhead", &run_observed),
-        ],
-        &run_plain,
-    );
-    (ratios[0], ratios[1])
+    let observed = ("engine_run_observed_no_export", &run_observed as &dyn Fn());
+    let ratio = paired_ratio(h, observed, ("engine_run_plain", &run_plain));
+    h.gate(&OBS_OVERHEAD, ratio);
 }
 
-/// Lifecycle spans + the queue-wait sketch on vs off, over the same
-/// dense observed run. Both legs carry the full [`adrias_obs::Observer`]
-/// (audit, trace, per-step sketches, flight recorder); the only
-/// difference is `ObsConfig::record_spans`, which gates span open/close
-/// bookkeeping and the queue-wait sketch observe.
-///
-/// The derived `span_overhead_x` metric is the [`paired_ratios`] median
-/// of on over off; CI gates it.
-fn bench_span_overhead(h: &mut Harness) -> f64 {
-    use adrias_obs::{ObsConfig, Observer};
+/// Lifecycle spans + the queue-wait sketch on over off, the same dense
+/// observed run, [`paired_ratio`] median. Both legs carry the full
+/// [`adrias_obs::Observer`] (audit, trace, per-step sketches, flight
+/// recorder); the only difference is `ObsConfig::record_spans`, which
+/// gates span open/close bookkeeping and the queue-wait sketch observe.
+/// It reads 1.00–1.02 at 40 rounds; at CI's smoke settings (three
+/// rounds) 22 runs of the section alone read 0.990–1.062 and one
+/// whole-bench run on a contended host 0.866 (EXPERIMENTS.md "The
+/// engine's callers, written once"). 1.15 is the ceiling the feature
+/// was accepted under, more than twice the worst excess seen.
+const SPAN_OVERHEAD: Gate = Gate::at_most("span_overhead_x", 1.15);
 
+fn bench_span_overhead(h: &mut Harness) {
     let arrivals = dense_mix();
-    let dense = || ScheduleStream::new(&arrivals);
     let run_with = |record_spans: bool| {
-        let mut obs = Observer::new(ObsConfig {
+        let cfg = ObsConfig {
             record_spans,
             ..ObsConfig::default()
-        });
-        black_box(bench_run(
-            &mut dense(),
-            &mut RoundRobinPolicy::new(),
-            &mut ObservedRun::with_qos(&mut obs, None),
-        ));
+        };
+        observed_run(&arrivals, &mut RoundRobinPolicy::new(), cfg);
     };
-    let run_spans_on = || run_with(true);
-    let run_spans_off = || run_with(false);
-
-    h.bench_function("engine_run_spans_on", |b| b.iter(run_spans_on));
-    h.bench_function("engine_run_spans_off", |b| b.iter(run_spans_off));
-
-    paired_ratios(&[("span+sketch overhead", &run_spans_on)], &run_spans_off)[0]
+    let (run_spans_on, run_spans_off) = (|| run_with(true), || run_with(false));
+    let on = ("engine_run_spans_on", &run_spans_on as &dyn Fn());
+    let ratio = paired_ratio(h, on, ("engine_run_spans_off", &run_spans_off));
+    h.gate(&SPAN_OVERHEAD, ratio);
 }
 
-/// The residual tracker riding along a dense paper-config run vs the
-/// same run with plain observability. Both legs use the trained Adrias
-/// policy (so decisions carry the predictions the tracker joins on) and
-/// the tracked leg pays the full online-adaptation read path: pending
-/// joins at decision and completion, the end-of-run system-forecast
-/// scoring pass, and the flush into the registry.
-///
-/// The derived `online_residual_overhead_x` metric is the
-/// [`paired_ratios`] median of tracked over observed; CI gates it.
-fn bench_residual_overhead(h: &mut Harness) -> f64 {
-    use adrias_obs::{ObsConfig, Observer};
+/// The residual tracker riding along the dense run over the same run
+/// observed only, [`paired_ratio`] median. Both legs use the trained
+/// Adrias policy (so decisions carry the predictions the tracker joins
+/// on) and the tracked leg pays the full online-adaptation read path:
+/// pending joins at decision and completion, the end-of-run
+/// system-forecast scoring pass, and the flush into the registry. It
+/// reads 0.98–1.005 at 40 rounds; at CI's smoke settings (three rounds)
+/// 22 runs of the section alone read 0.959–1.114, the upper end on a
+/// contended host (EXPERIMENTS.md "The engine's callers, written
+/// once"). The ceiling is twice the worst excess seen.
+const ONLINE_RESIDUAL_OVERHEAD: Gate = Gate::at_most("online_residual_overhead_x", 1.25);
+
+fn bench_residual_overhead(h: &mut Harness) {
     use adrias_orchestrator::{ResidualConfig, ResidualTracker};
     use adrias_scenarios::{train_stack, StackOptions};
     use std::cell::RefCell;
 
-    let catalog = WorkloadCatalog::paper();
-    let stack = train_stack(&catalog, &StackOptions::quick());
+    let stack = train_stack(&WorkloadCatalog::paper(), &StackOptions::quick());
     let arrivals = dense_mix();
-    let dense = || ScheduleStream::new(&arrivals);
     let scorer = RefCell::new(stack.system_model.clone());
     let run_observed = || {
-        let mut obs = Observer::new(ObsConfig::default());
-        black_box(bench_run(
-            &mut dense(),
-            &mut stack.policy(0.8, 5.0),
-            &mut ObservedRun::with_qos(&mut obs, None),
-        ));
+        observed_run(&arrivals, &mut stack.policy(0.8, 5.0), ObsConfig::default());
     };
     let run_tracked = || {
         let mut obs = Observer::new(ObsConfig::default());
         let mut tracker = ResidualTracker::new(ResidualConfig::default());
-        let report = bench_run(
-            &mut dense(),
-            &mut stack.policy(0.8, 5.0),
-            &mut (&mut tracker, ObservedRun::with_qos(&mut obs, None)),
-        );
+        let mut hooks = (&mut tracker, ObservedRun::with_qos(&mut obs, None));
+        let report = dense_run(&arrivals, &mut stack.policy(0.8, 5.0), &mut hooks);
         tracker.score_system_forecasts(&report, &mut scorer.borrow_mut());
         black_box(tracker.flush(&mut obs));
     };
-
-    h.bench_function("engine_run_adrias_observed", |b| b.iter(run_observed));
-    h.bench_function("engine_run_adrias_tracked", |b| b.iter(run_tracked));
-
-    paired_ratios(
-        &[("residual-tracking overhead", &run_tracked)],
-        &run_observed,
-    )[0]
-}
-
-/// End-to-end event-engine throughput: a high-rate Poisson stream of
-/// short best-effort jobs through the engine with the full in-memory
-/// observer attached — arrival generation, heap scheduling, the policy
-/// decision, sim stepping, completion accounting and obs recording are
-/// all on the clock. Two legs over the *same* materialized arrival
-/// sequence:
-///
-/// * `schedule` — the event heap replaying the pre-built schedule;
-/// * `streamed` — the event heap pulling straight from the generator
-///   with O(1) arrivals in memory, the path the million-arrival example
-///   uses.
-///
-/// The derived `decisions_per_sec` metric (streamed leg, median of 5)
-/// is the gate the ISSUE pins: CI fails if it falls below 1e5/s.
-fn bench_event_engine(h: &mut Harness) -> Vec<(&'static str, f64)> {
-    use adrias_obs::{ObsConfig, Observer};
-    use adrias_workloads::{ArrivalSource, PoissonSource};
-    use std::time::Instant;
-
-    const RATE_PER_S: f64 = 400.0;
-    const HORIZON_S: f64 = 250.0;
-    const SEED: u64 = 41;
-
-    let app = spark::by_name("lr").unwrap();
-    let make_source = || PoissonSource::new(RATE_PER_S, HORIZON_S, SEED);
-    let make_arrival = |t: f64| ScheduledArrival::new(t, app.clone()).with_duration(1.0);
-
-    // The identical arrival sequence, pre-materialized for the two
-    // schedule-driven legs.
-    let schedule: Vec<ScheduledArrival> = {
-        let mut src = make_source();
-        let mut out = Vec::new();
-        while let Some(t) = src.next_time() {
-            out.push(make_arrival(t));
-        }
-        out
-    };
-    let n = schedule.len();
-    println!("  event-engine workload: {n} Poisson arrivals over {HORIZON_S} s");
-
-    let run_schedule_leg = || -> f64 {
-        let mut policy = RoundRobinPolicy::new();
-        let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::with_qos(&mut obs, None);
-        let t = Instant::now();
-        let report = bench_run(&mut ScheduleStream::new(&schedule), &mut policy, &mut hooks);
-        let elapsed = t.elapsed().as_secs_f64();
-        assert_eq!(report.unfinished, 0, "arrivals left behind in bench run");
-        black_box(report);
-        n as f64 / elapsed
-    };
-    let run_stream_leg = || -> f64 {
-        let mut stream = GeneratedStream::new(make_source(), |_, t| make_arrival(t));
-        let mut policy = RoundRobinPolicy::new();
-        let mut obs = Observer::new(ObsConfig::default());
-        let mut hooks = ObservedRun::with_qos(&mut obs, None);
-        let t = Instant::now();
-        let report = bench_run(&mut stream, &mut policy, &mut hooks);
-        let elapsed = t.elapsed().as_secs_f64();
-        assert_eq!(report.unfinished, 0, "arrivals left behind in bench run");
-        assert_eq!(report.outcomes.len() as u64, stream.issued());
-        black_box(report);
-        n as f64 / elapsed
-    };
-
-    // Warm-up, then median of 5 per leg.
-    run_stream_leg();
-    let median = |mut xs: Vec<f64>| -> f64 {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    };
-    let event = median((0..5).map(|_| run_schedule_leg()).collect());
-    let streamed = median((0..5).map(|_| run_stream_leg()).collect());
-    println!("  event heap (schedule): {event:>12.0} decisions/s");
-    println!("  event heap (streamed): {streamed:>12.0} decisions/s");
-    h.record_ns("engine_arrival_event_heap", 1e9 / event);
-    h.record_ns("engine_arrival_streamed", 1e9 / streamed);
-    vec![
-        ("decisions_per_sec", streamed),
-        ("decisions_per_sec_event_schedule", event),
-    ]
+    let tracked = ("engine_run_adrias_tracked", &run_tracked as &dyn Fn());
+    let ratio = paired_ratio(h, tracked, ("engine_run_adrias_observed", &run_observed));
+    h.gate(&ONLINE_RESIDUAL_OVERHEAD, ratio);
 }
 
 fn main() {
     let filter = std::env::var("ADRIAS_BENCH_FILTER").unwrap_or_default();
-    let enabled = |section: &str| filter.is_empty() || section.contains(filter.as_str());
+    type Section = fn(&mut Harness);
+    let sections: [(&str, Section); 8] = [
+        ("testbed_step", bench_sim_step),
+        ("lc_tail", bench_lc_tail),
+        ("lstm", bench_lstm),
+        ("gemm", bench_gemm),
+        ("adrias_decision", bench_decision),
+        ("obs_overhead", bench_obs_overhead),
+        ("span_overhead", bench_span_overhead),
+        ("residual_overhead", bench_residual_overhead),
+    ];
 
     let mut h = Harness::new("micro");
-    let dense_step_to_fold = enabled("testbed_step").then(|| bench_sim_step(&mut h));
-    let lc_tail_to_draws = enabled("lc_tail").then(|| bench_lc_tail(&mut h));
-    let bwd_to_fwd = enabled("lstm").then(|| bench_lstm(&mut h));
-    if enabled("gemm") {
-        bench_gemm(&mut h);
+    // 1 when the native legs run the AVX2 lane: the `simd_*` rows bind
+    // only then.
+    h.derive("simd_active", f64::from(u8::from(adrias_nn::simd_active())));
+    for (section, bench) in sections {
+        if filter.is_empty() || section.contains(filter.as_str()) {
+            bench(&mut h);
+        }
     }
-    if enabled("train_step_workers") {
-        bench_worker_scaling(&mut h);
-    }
-    if ["adrias_decision", "decision_throughput", "decision_burst"]
-        .into_iter()
-        .any(enabled)
-    {
-        bench_decision(&mut h);
-    }
-    let obs_overhead = enabled("obs_overhead").then(|| bench_obs_overhead(&mut h));
-    let span_overhead = enabled("span_overhead").then(|| bench_span_overhead(&mut h));
-    let residual_overhead = enabled("residual_overhead").then(|| bench_residual_overhead(&mut h));
-    let mut engine_throughput: Vec<(&'static str, f64)> = Vec::new();
-    if enabled("event_engine") {
-        engine_throughput = bench_event_engine(&mut h);
-    }
-
-    // 1 when the native legs above ran the AVX2 lane: CI gates the
-    // `simd_*_speedup_x` ratios on numbers only then.
-    let mut derived: Vec<(&str, f64)> =
-        vec![("simd_active", f64::from(u8::from(adrias_nn::simd_active())))];
-    if let (Some(scalar), Some(simd)) = (
-        h.median_ns("lstm_forward_scalar_b32_t24_h32"),
-        h.median_ns("lstm_forward_b32_t24_h32"),
-    ) {
-        let speedup = scalar / simd;
-        println!("  SIMD vs scalar LSTM forward:          {speedup:.2}x");
-        derived.push(("simd_lstm_speedup_x", speedup));
-    }
-    if let Some(ratio) = bwd_to_fwd {
-        derived.push(("bwd_to_fwd_x", ratio));
-    }
-    if let Some(ratio) = lc_tail_to_draws {
-        derived.push(("lc_tail_to_draws_x", ratio));
-    }
-    if let Some(ratio) = dense_step_to_fold {
-        derived.push(("dense_step_to_fold_x", ratio));
-    }
-    if let (Some(scalar), Some(simd)) = (
-        h.median_ns("gemm_transb_scalar_64x128x64"),
-        h.median_ns("gemm_transb_64x128x64"),
-    ) {
-        let speedup = scalar / simd;
-        println!("  SIMD vs scalar transb GEMM:           {speedup:.2}x");
-        derived.push(("simd_gemm_speedup_x", speedup));
-    }
-    if let (Some(w1), Some(w2)) = (
-        h.median_ns("train_step_workers_1"),
-        h.median_ns("train_step_workers_2"),
-    ) {
-        derived.push(("worker_dispatch_overhead_x", w2 / w1));
-    }
-    if let (Some(miss), Some(hit)) = (
-        h.median_ns("adrias_decision_fastpath"),
-        h.median_ns("adrias_decision_cached"),
-    ) {
-        let speedup = miss / hit;
-        println!("  memo hit vs forecast-miss decision:   {speedup:.2}x");
-        derived.push(("decision_fastpath_speedup_x", speedup));
-    }
-    if let Some((traced, observed)) = obs_overhead {
-        println!("  traced vs plain engine run:           {traced:.3}x");
-        derived.push(("obs_tracing_overhead_x", traced));
-        println!("  observed vs plain engine run:         {observed:.3}x");
-        derived.push(("obs_overhead_x", observed));
-    }
-    if let Some(spans) = span_overhead {
-        println!("  spans+sketches vs spans-off run:      {spans:.3}x");
-        derived.push(("span_overhead_x", spans));
-    }
-    if let Some(tracked) = residual_overhead {
-        println!("  tracked vs observed engine run:       {tracked:.3}x");
-        derived.push(("online_residual_overhead_x", tracked));
-    }
-    derived.extend(engine_throughput);
 
     // `cargo bench` runs with the package directory as cwd; anchor the
     // report at the workspace root so CI and humans find it in one place.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_nn.json");
-    h.write_json(&path, &derived).expect("write BENCH_nn.json");
+    h.write_json(&path).expect("write BENCH_nn.json");
     println!("wrote {}", path.display());
+    let failed = h.failed_gates();
+    if !failed.is_empty() {
+        eprintln!("gates failed: {}", failed.join(", "));
+        std::process::exit(1);
+    }
 }

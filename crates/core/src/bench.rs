@@ -9,6 +9,11 @@
 //! Environment knobs: `ADRIAS_BENCH_SAMPLES` (default 30 windows) and
 //! `ADRIAS_BENCH_WARMUP_MS` (default 200 ms per benchmark).
 //!
+//! A ratio of two benchmarks that must stay on one side of a number is
+//! a [`Gate`]: [`Harness::gate`] records the value and its verdict, the
+//! JSON report carries both, and [`Harness::failed_gates`] is what the
+//! bench binary turns into its exit code.
+//!
 //! ```no_run
 //! use adrias_core::bench::{black_box, Harness};
 //!
@@ -133,10 +138,72 @@ impl Bencher {
     }
 }
 
+/// Which side of a number a gated metric must stay on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The metric may not exceed this.
+    AtMost(f64),
+    /// The metric may not fall below this.
+    AtLeast(f64),
+}
+
+impl Bound {
+    /// The comparison as written in a report, its number, and whether
+    /// `value` satisfies it (a NaN satisfies neither).
+    fn check(self, value: f64) -> (&'static str, f64, bool) {
+        match self {
+            Bound::AtMost(b) => ("<=", b, value <= b),
+            Bound::AtLeast(b) => (">=", b, value >= b),
+        }
+    }
+}
+
+/// A derived metric and the bound a run must keep it within.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gate {
+    /// The derived metric's name in the report.
+    pub metric: &'static str,
+    /// The side of which number it must stay on.
+    pub bound: Bound,
+    /// A derived metric, recorded earlier, that must be non-zero for the
+    /// bound to mean anything; at zero (or absent) the gate is skipped.
+    pub only_if: Option<&'static str>,
+}
+
+impl Gate {
+    /// A ceiling on `metric`.
+    pub const fn at_most(metric: &'static str, bound: f64) -> Self {
+        Self {
+            metric,
+            bound: Bound::AtMost(bound),
+            only_if: None,
+        }
+    }
+
+    /// A floor under `metric`.
+    pub const fn at_least(metric: &'static str, bound: f64) -> Self {
+        Self {
+            metric,
+            bound: Bound::AtLeast(bound),
+            only_if: None,
+        }
+    }
+
+    /// The same bound, binding only while the derived `flag` is non-zero.
+    pub const fn only_if(self, flag: &'static str) -> Self {
+        Self {
+            only_if: Some(flag),
+            ..self
+        }
+    }
+}
+
 /// A named group of benchmarks; prints one line per benchmark.
 pub struct Harness {
     group: String,
     reports: Vec<(String, BenchReport)>,
+    derived: Vec<(&'static str, f64)>,
+    verdicts: Vec<(Gate, &'static str)>,
 }
 
 impl Harness {
@@ -146,6 +213,8 @@ impl Harness {
         Self {
             group: group.to_owned(),
             reports: Vec::new(),
+            derived: Vec::new(),
+            verdicts: Vec::new(),
         }
     }
 
@@ -198,14 +267,43 @@ impl Harness {
             .map(|(_, r)| r.median_ns)
     }
 
+    /// Records a scalar computed from the reports (a ratio, a flag) for
+    /// the report's `"derived"` object.
+    pub fn derive(&mut self, name: &'static str, value: f64) -> &mut Self {
+        self.derived.push((name, value));
+        self
+    }
+
+    /// Records `value` as the derived metric `gate` names and prints
+    /// which side of the bound it fell on. A NaN fails either bound.
+    pub fn gate(&mut self, gate: &Gate, value: f64) -> &mut Self {
+        let on = |flag| self.derived.iter().any(|&(d, v)| d == flag && v != 0.0);
+        let applies = gate.only_if.is_none_or(on);
+        let (op, bound, holds) = gate.bound.check(value);
+        let verdict = match (applies, holds) {
+            (false, _) => "skipped",
+            (true, true) => "pass",
+            (true, false) => "fail",
+        };
+        println!(
+            "  gate {:<34} {value:>10.3} {op} {bound}: {verdict}",
+            gate.metric
+        );
+        self.verdicts.push((*gate, verdict));
+        self.derive(gate.metric, value)
+    }
+
+    /// The gated metrics that fell on the wrong side of their bound.
+    pub fn failed_gates(&self) -> Vec<&'static str> {
+        let failed = self.verdicts.iter().filter(|(_, v)| *v == "fail");
+        failed.map(|(gate, _)| gate.metric).collect()
+    }
+
     /// Writes the collected reports as a small JSON document, e.g. for a
-    /// CI artifact. `derived` carries extra scalar metrics computed from
-    /// the reports (ratios, speedups) under a `"derived"` object.
-    pub fn write_json(
-        &self,
-        path: &std::path::Path,
-        derived: &[(&str, f64)],
-    ) -> std::io::Result<()> {
+    /// CI artifact: the benchmarks, the `"derived"` scalars, and one
+    /// `"gates"` row per gated metric with its bound and verdict.
+    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
+        let derived = &self.derived;
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"group\": {},\n", json_string(&self.group)));
@@ -226,7 +324,21 @@ impl Harness {
             let sep = if i + 1 == derived.len() { "" } else { ", " };
             s.push_str(&format!("{}: {value:.4}{sep}", json_string(name)));
         }
-        s.push_str("}\n}\n");
+        s.push_str("},\n  \"gates\": [\n");
+        for (i, (gate, verdict)) in self.verdicts.iter().enumerate() {
+            let sep = if i + 1 == self.verdicts.len() {
+                ""
+            } else {
+                ","
+            };
+            let (op, bound, _) = gate.bound.check(f64::NAN);
+            s.push_str(&format!(
+                "    {{\"metric\": {}, \"op\": \"{op}\", \"bound\": {bound}, \
+                 \"verdict\": \"{verdict}\"}}{sep}\n",
+                json_string(gate.metric),
+            ));
+        }
+        s.push_str("  ]\n}\n");
         std::fs::write(path, s)
     }
 }
@@ -299,7 +411,8 @@ mod tests {
         let mut h = Harness::new("jsontest");
         h.bench_function("case", |b| b.iter(|| 1u64 + 1));
         let path = std::env::temp_dir().join("adrias_bench_write_json_test.json");
-        h.write_json(&path, &[("speedup_x", 2.0)]).unwrap();
+        h.derive("speedup_x", 2.0);
+        h.write_json(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(text.contains("\"group\": \"jsontest\""));
@@ -307,6 +420,35 @@ mod tests {
         assert!(text.contains("\"speedup_x\": 2.0000"));
         assert!(h.median_ns("case").is_some());
         assert!(h.median_ns("missing").is_none());
+    }
+
+    #[test]
+    fn a_gate_fails_on_the_wrong_side_of_its_bound_and_only_when_it_applies() {
+        let mut h = Harness::new("gatetest");
+        h.derive("lane_on", 1.0).derive("lane_off", 0.0);
+        h.gate(&Gate::at_most("under_x", 2.0), 1.5);
+        h.gate(&Gate::at_most("over_x", 2.0), 2.5);
+        h.gate(&Gate::at_least("slow_x", 50.0).only_if("lane_on"), 30.0);
+        h.gate(&Gate::at_least("off_x", 50.0).only_if("lane_off"), 1.0);
+        h.gate(&Gate::at_least("unset_x", 50.0).only_if("no_lane"), 1.0);
+        h.gate(&Gate::at_most("nan_x", 2.0), f64::NAN);
+        assert_eq!(h.failed_gates(), ["over_x", "slow_x", "nan_x"]);
+
+        let path = std::env::temp_dir().join("adrias_bench_gate_test.json");
+        h.write_json(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            text.contains("\"over_x\": 2.5000"),
+            "a gated value is a derived value"
+        );
+        for row in [
+            r#"{"metric": "under_x", "op": "<=", "bound": 2, "verdict": "pass"}"#,
+            r#"{"metric": "slow_x", "op": ">=", "bound": 50, "verdict": "fail"}"#,
+            r#"{"metric": "off_x", "op": ">=", "bound": 50, "verdict": "skipped"}"#,
+        ] {
+            assert!(text.contains(row), "{row} not in {text}");
+        }
     }
 
     #[test]
