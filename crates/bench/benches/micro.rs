@@ -8,8 +8,9 @@
 //! Environment knobs on top of the harness's own:
 //!
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
-//!   (`testbed_step`, `lc_tail`, `lstm`, `gemm`, `adrias_decision`,
-//!   `obs_overhead`, `span_overhead`, `residual_overhead`); unmatched
+//!   (`testbed_step`, `lc_tail`, `lstm`, `encoder_forward`, `gemm`,
+//!   `adrias_decision`, `obs_overhead`, `span_overhead`,
+//!   `residual_overhead`); unmatched
 //!   sections are skipped entirely, including their setup.
 //!
 //! The run always ends by writing `BENCH_nn.json` (the medians, the
@@ -19,7 +20,7 @@
 use adrias_core::bench::{black_box, Gate, Harness};
 use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 
-use adrias_nn::{Lstm, Tensor};
+use adrias_nn::{kernels, Lstm, LstmScratch, Tensor};
 use adrias_obs::{ObsConfig, Observer};
 use adrias_orchestrator::engine::{
     run_stream_hooked, EngineConfig, EngineObserver, ScheduleStream, ScheduledArrival,
@@ -277,6 +278,89 @@ fn bench_lstm(h: &mut Harness) {
     h.gate(&BWD_TO_FWD, (both - forward) / forward);
 }
 
+/// One batch-1 forward of the system model's encoder (7 → 48 → 48 over
+/// 24 steps, two `Lstm::forward_seq_scratch` calls — two thirds of a
+/// forecast miss) over its four GEMMs alone, the same shapes through
+/// `kernels::gemm_acc` on zeroed outputs: per layer one input
+/// projection (24 × 7 and 24 × 48 into 192 columns) and 24 recurrent
+/// row products (1 × 48 into 192). Same process, fastest of 200
+/// interleaved rounds. The GEMMs sit at two FP µops per vector
+/// multiply-add on two ports, so the ratio is what the fuse, the gate
+/// sweeps and dispatch add on top of that floor: 41.5 µs over 30.5 µs,
+/// 1.35–1.38 on a quiet host and up to 1.45 on a contended one (32
+/// runs, ten of them whole-bench smoke runs; the sweeps are
+/// latency-bound and the GEMMs throughput-bound, so a busy sibling
+/// moves the ratio). With the gate sweeps back in one pass it reads
+/// 1.42–1.44 quiet, with a dispatch per kernel per step 1.36–1.37
+/// (EXPERIMENTS.md "The forecast miss at its floor"): on this host the
+/// bound cannot tell either apart from contention, and is set to what
+/// it can: work per step that is not the step's arithmetic — an
+/// allocation, a transposition, lane values forced through memory.
+const ENCODER_FORWARD_TO_GEMM: Gate = Gate::at_most("encoder_forward_to_gemm_x", 1.5);
+
+fn bench_encoder(h: &mut Harness) {
+    const INPUTS: usize = 7;
+    const HIDDEN: usize = 48;
+    const STEPS: usize = 24;
+    let mut rng = Xoshiro256pp::seed_from_u64(3);
+    let layers = [
+        Lstm::new(INPUTS, HIDDEN, &mut rng),
+        Lstm::new(HIDDEN, HIDDEN, &mut rng),
+    ];
+    let mut scratch = layers.each_ref().map(|l| LstmScratch::new(l, 1, STEPS));
+    let window = adrias_nn::init::uniform(STEPS, INPUTS, 1.0, &mut rng);
+
+    // The GEMM legs' operands: per layer the `in × 4H` and `H × 4H`
+    // right-hand sides and one row per step on the left.
+    let gate_cols = 4 * HIDDEN;
+    let operands = [INPUTS, HIDDEN].map(|inputs| {
+        (
+            adrias_nn::init::uniform(STEPS, inputs, 1.0, &mut rng),
+            adrias_nn::init::uniform(inputs, gate_cols, 1.0, &mut rng),
+            adrias_nn::init::uniform(STEPS, HIDDEN, 1.0, &mut rng),
+            adrias_nn::init::uniform(HIDDEN, gate_cols, 1.0, &mut rng),
+        )
+    });
+    let mut zx = Tensor::zeros(STEPS, gate_cols);
+    let mut zh = Tensor::zeros(1, gate_cols);
+
+    const ROUNDS: usize = 200;
+    let (gemms, forward) = fastest_interleaved(ROUNDS, 50, |encoder_forward| {
+        if encoder_forward {
+            let [l1, l2] = &layers;
+            let [s1, s2] = &mut scratch;
+            let h1 = l1.forward_seq_scratch(black_box(window.data()), 1, s1);
+            black_box(l2.forward_last_scratch(h1, 1, s2));
+        } else {
+            for (x, w_ih_t, h_prev, w_hh_t) in &operands {
+                let inputs = x.cols();
+                zx.fill(0.0);
+                kernels::gemm_acc(
+                    black_box(x.data()),
+                    (inputs, 1),
+                    w_ih_t.data(),
+                    zx.data_mut(),
+                    (STEPS, inputs, gate_cols),
+                );
+                for row in h_prev.data().chunks_exact(HIDDEN) {
+                    zh.fill(0.0);
+                    kernels::gemm_acc(
+                        black_box(row),
+                        (HIDDEN, 1),
+                        w_hh_t.data(),
+                        zh.data_mut(),
+                        (1, HIDDEN, gate_cols),
+                    );
+                }
+                black_box((&zx, &zh));
+            }
+        }
+    });
+    h.record_ns("encoder_forward_b1_t24_h48", forward);
+    h.record_ns("encoder_gemms_b1_t24_h48", gemms);
+    h.gate(&ENCODER_FORWARD_TO_GEMM, forward / gemms);
+}
+
 /// The `matmul_transb` micro-kernel (the dot-product GEMM behind every
 /// `Linear::forward_into` on the decision fast lane), AVX2 lane over
 /// forced-portable lane. The two produce bit-identical outputs (the
@@ -381,12 +465,21 @@ fn bench_decision(h: &mut Harness) {
 /// and a fixed tax per simulated second (link latency + three pressure
 /// sketches), so the ratio depends on how much work a second carries.
 /// Tracing alone read 1.00–1.03 and is not gated apart. At CI's smoke
-/// settings ten whole-bench runs read 1.144–1.196 with one at 1.367,
-/// and 22 runs of the section alone 1.309–1.367, as the parent's binary
-/// does (1.319–1.426): one binary in two heap layouts, the lottery of
-/// ROADMAP item 1 (EXPERIMENTS.md "The evaluation, written once"). The
-/// ceiling is twice the worst excess seen, so it catches the per-step
-/// cost doubling in either mode, not a 10 % drift.
+/// settings ten whole-bench runs read 1.127–1.285 and ten runs of the
+/// section alone 1.328–1.477 — two modes of one binary, as at the
+/// parent, and not the tensor-alignment lottery they were once put down
+/// to: the section runs `RoundRobinPolicy` and executes no `adrias-nn`
+/// kernel, and the modes are still there with every tensor aligned.
+/// They are the allocator handing memory back between runs: with
+/// glibc's `MALLOC_TRIM_THRESHOLD_` and `MALLOC_MMAP_THRESHOLD_` both
+/// pinned high the section alone reads 1.16–1.28 (six of six runs) and
+/// both legs run a quarter faster, i.e. in a fresh process each run
+/// page-faults its ≥ 128 KiB buffers and the trimmed heap top in again
+/// — the observed leg more of them — while after the earlier sections
+/// the heap is grown and fragmented and serves them from free lists
+/// (EXPERIMENTS.md "The forecast miss at its floor"). The ceiling is
+/// twice the worst excess seen before this was understood, so it
+/// catches the per-step cost doubling in either mode, not a 10 % drift.
 const OBS_OVERHEAD: Gate = Gate::at_most("obs_overhead_x", 1.75);
 
 fn bench_obs_overhead(h: &mut Harness) {
@@ -472,10 +565,11 @@ fn bench_residual_overhead(h: &mut Harness) {
 fn main() {
     let filter = std::env::var("ADRIAS_BENCH_FILTER").unwrap_or_default();
     type Section = fn(&mut Harness);
-    let sections: [(&str, Section); 8] = [
+    let sections: [(&str, Section); 9] = [
         ("testbed_step", bench_sim_step),
         ("lc_tail", bench_lc_tail),
         ("lstm", bench_lstm),
+        ("encoder_forward", bench_encoder),
         ("gemm", bench_gemm),
         ("adrias_decision", bench_decision),
         ("obs_overhead", bench_obs_overhead),

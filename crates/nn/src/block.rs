@@ -8,6 +8,7 @@
 
 use adrias_core::rng::Rng;
 
+use crate::aligned::AlignedVec;
 use crate::layer::{BatchNorm1d, Dropout, Layer, Linear, Relu};
 use crate::tensor::Tensor;
 
@@ -69,9 +70,9 @@ impl NonLinearBlock {
     }
 
     /// Precomputes the batch-norm evaluation scale (see
-    /// [`BatchNorm1d::eval_inv_std`]) — one `Vec` per trained block,
+    /// [`BatchNorm1d::eval_inv_std`]) — one buffer per trained block,
     /// reused by every [`NonLinearBlock::forward_eval_into`] call.
-    pub fn eval_inv_std(&self) -> Vec<f32> {
+    pub fn eval_inv_std(&self) -> AlignedVec {
         self.norm.eval_inv_std()
     }
 
@@ -84,6 +85,13 @@ impl NonLinearBlock {
         self.linear.forward_into(input, out);
         crate::kernels::relu(out.data_mut());
         self.norm.forward_eval_assign(out, inv_std);
+    }
+
+    /// Visits every `f32` buffer of the linear and batch-norm layers,
+    /// by name (see [`crate::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        self.linear.visit_storage(f);
+        self.norm.visit_storage(f);
     }
 }
 

@@ -35,8 +35,14 @@
 //!
 //! A `#[target_feature]` function cannot inline into a caller compiled
 //! for the base target, so each public kernel covers a whole product,
-//! column block or batch per call — one dispatch, with every lane
-//! operation inlined inside the wrapper.
+//! column block, batch or — [`lstm_seq_eval`] — sequence per call: one
+//! dispatch, with every lane operation inlined inside the wrapper.
+//!
+//! What the bodies do *not* fix is scheduling: how many passes a sweep
+//! makes, how a GEMM's columns are cut into strips, how much one
+//! dispatch covers. Those move no bit as long as each element keeps its
+//! expression and its chain order (DESIGN.md §14, "Scheduling is
+//! outside the contract").
 //!
 //! Dispatch can be forced to `Portable` for A/B measurement and
 //! cross-checking: `ADRIAS_FORCE_SCALAR=1` in the environment (read
@@ -249,7 +255,7 @@ mod avx2 {
         _mm256_set1_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps, _mm256_xor_ps,
     };
 
-    use super::{generic, GateCaches, Lane, StepCaches, LANES};
+    use super::{generic, GateCaches, Lane, SeqArenas, StepCaches, LANES};
 
     #[derive(Clone, Copy)]
     struct Avx2(__m256);
@@ -380,6 +386,7 @@ mod avx2 {
             hidden: usize,
             dz: &mut [f32],
         );
+        fn lstm_seq_eval(w_hh_t: &[f32], bias: &[f32], hidden: usize, seq: &mut SeqArenas<'_>);
     }
 }
 
@@ -594,7 +601,10 @@ fn assert_gate_batch(z: &[f32], c_prev: &[f32], hidden: usize) {
 /// `batch` rows of `4·hidden` pre-activations (gate order
 /// `i, f, g, o`), `c_prev` and every cache slice hold `batch` rows of
 /// `hidden`. Computes all four gates, the new cell state, `tanh(c)`
-/// and the hidden output in a single pass, writing every BPTT cache.
+/// and the hidden output, writing every BPTT cache — in two passes per
+/// row (the gates and `c`, then `tanh(c)` and `h`), so that the
+/// `tanh(c)` chains overlap instead of each waiting at the end of its
+/// gates'.
 ///
 /// # Panics
 ///
@@ -644,6 +654,59 @@ pub fn lstm_gates_eval_batch(
         simd_active(),
         lstm_gates_eval_batch(z, c_prev, hidden, c_out, h_out)
     )
+}
+
+/// The arenas of one eval-mode LSTM layer over a whole sequence
+/// ([`lstm_seq_eval`]), `steps × batch` rows.
+pub struct SeqArenas<'a> {
+    /// In: the input projections `x_t·W_ihᵀ`, step `t` one
+    /// `batch × 4·hidden` slot. Out: the pre-activations `z_t`.
+    pub zx: &'a mut [f32],
+    /// Staging for one step's recurrent projection (`batch × 4·hidden`).
+    pub zh: &'a mut [f32],
+    /// Hidden states, `steps + 1` slots of `batch × hidden`: slot 0 is
+    /// the initial state (read), slot `t + 1` the output of step `t`
+    /// (written).
+    pub h: &'a mut [f32],
+    /// The initial cell state (`batch × hidden`); it and `c_next` take
+    /// turns holding the running one, so both are clobbered.
+    pub c: &'a mut [f32],
+    /// The other cell-state buffer.
+    pub c_next: &'a mut [f32],
+}
+
+/// Every step of an eval-mode LSTM layer in one dispatch: for each
+/// step `t`, the recurrent projection `zh = h_{t-1}·W_hhᵀ` ([`gemm_acc`]
+/// on a zeroed `zh`, `w_hh_t` being `hidden × 4·hidden`), the fuse
+/// `z_t = (zx_t + zh) + b` ([`add2_bias_rows`]) and the gate sweep
+/// ([`lstm_gates_eval_batch`]) — those kernels' bodies on those
+/// operands in that order, so every value is what the step-by-step
+/// composition of the public kernels writes. What it saves is the
+/// three `#[target_feature]` crossings per step with their shape
+/// checks — ≈ 10 ns of a step, which shows on a 24-wide layer and not
+/// on a 48-wide one — and the step loop as a second thing to maintain
+/// in `lstm.rs`.
+///
+/// # Panics
+///
+/// Panics if `hidden` is zero or any slice is not whole rows of the
+/// width documented on [`SeqArenas`].
+pub fn lstm_seq_eval(w_hh_t: &[f32], bias: &[f32], hidden: usize, seq: &mut SeqArenas<'_>) {
+    assert!(hidden > 0, "hidden width must be non-zero");
+    let (hw, bh) = (4 * hidden, seq.c.len());
+    assert!(
+        bh > 0 && bh.is_multiple_of(hidden) && seq.c_next.len() == bh,
+        "cell state must be whole hidden rows"
+    );
+    assert!(
+        w_hh_t.len() == hidden * hw && bias.len() == hw && seq.zh.len() == 4 * bh,
+        "recurrent projection shape mismatch"
+    );
+    assert!(
+        seq.zx.len().is_multiple_of(4 * bh) && seq.h.len() == seq.zx.len() / 4 + bh,
+        "sequence arenas must hold whole steps"
+    );
+    at!(simd_active(), lstm_seq_eval(w_hh_t, bias, hidden, seq))
 }
 
 /// The forward caches one BPTT step reads back: the four gates,
@@ -723,7 +786,7 @@ pub fn lstm_gates_backward_batch(
 mod generic {
     use std::array::from_fn;
 
-    use super::{tail_reduce, GateCaches, Lane, StepCaches, LANES};
+    use super::{tail_reduce, GateCaches, Lane, SeqArenas, StepCaches, LANES};
     use crate::vmath::{sigmoid, tanh};
 
     #[inline(always)]
@@ -958,7 +1021,10 @@ mod generic {
     /// registers for the broadcast coefficient and the `b` vector, and
     /// at least 8 independent add chains to cover the add latency. A
     /// single output row (`m == 1`, a decision's forward pass) cannot
-    /// stack rows, so it takes 8 vectors at a time instead.
+    /// stack rows, so its chains are its vectors: the row is cut into
+    /// the fewest strips of at most 8 vectors, as equal as they come
+    /// (12 → 6 + 6, 20 → 7 + 7 + 6, 24 → 8 + 8 + 8), so that no strip
+    /// is left with the two or three chains of a remainder.
     #[inline(always)]
     pub(super) fn gemm_acc<L: Lane>(
         a: &[f32],
@@ -973,17 +1039,24 @@ mod generic {
         while v0 < vectors {
             let left = vectors - v0;
             let width = match left {
-                8.. if m == 1 => 8,
+                _ if m == 1 => left.div_ceil(left.div_ceil(8)),
                 6.. => 6,
                 2.. => 2,
                 _ => 1,
             };
             let ragged = !n.is_multiple_of(LANES) && v0 + width == vectors;
             let c0 = v0 * LANES;
-            match width {
-                8 => strip::<L, 1, 8>(a, a_strides, b, out, (m, n), c0, ragged),
-                6 => strip::<L, 2, 6>(a, a_strides, b, out, (m, n), c0, ragged),
-                2 => strip::<L, 6, 2>(a, a_strides, b, out, (m, n), c0, ragged),
+            match (m, width) {
+                (1, 8) => strip::<L, 1, 8>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 7) => strip::<L, 1, 7>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 6) => strip::<L, 1, 6>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 5) => strip::<L, 1, 5>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 4) => strip::<L, 1, 4>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 3) => strip::<L, 1, 3>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 2) => strip::<L, 1, 2>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, _) => strip::<L, 1, 1>(a, a_strides, b, out, (m, n), c0, ragged),
+                (_, 6) => strip::<L, 2, 6>(a, a_strides, b, out, (m, n), c0, ragged),
+                (_, 2) => strip::<L, 6, 2>(a, a_strides, b, out, (m, n), c0, ragged),
                 _ => strip::<L, 8, 1>(a, a_strides, b, out, (m, n), c0, ragged),
             }
             v0 += width;
@@ -1030,17 +1103,27 @@ mod generic {
         );
     }
 
-    /// The forward LSTM cell on one vector of each pre-activation
-    /// quarter and of `c_prev`: `[i, f, g, o, c, tanh(c), h]`.
+    /// First pass of the forward LSTM cell on one vector of each
+    /// pre-activation quarter and of `c_prev`: the gates and the new
+    /// cell state, `[i, f, g, o, c]`.
     #[inline(always)]
-    fn cell<L: Lane>([zi, zf, zg, zo, c_prev]: [L; 5]) -> [L; 7] {
+    fn cell_gates<L: Lane>([zi, zf, zg, zo, c_prev]: [L; 5]) -> [L; 5] {
         let (i, f, g, o) = (sigmoid(zi), sigmoid(zf), tanh(zg), sigmoid(zo));
-        let c = f.mul(c_prev).add(i.mul(g));
-        let tanh_c = tanh(c);
-        [i, f, g, o, c, tanh_c, o.mul(tanh_c)]
+        [i, f, g, o, f.mul(c_prev).add(i.mul(g))]
     }
 
-    /// Batch row `r`'s five [`cell`] inputs: the `(i, f, g, o)`
+    /// Second pass: `[tanh(c), h]` from the output gate and the new
+    /// cell state. `tanh(c)` hangs off the end of all four gate chains;
+    /// computed in the same iteration it is pure exposed latency (an
+    /// iteration of `cell_gates` fills the reorder window by itself),
+    /// as a sweep of its own its short iterations overlap.
+    #[inline(always)]
+    fn cell_output<L: Lane>(o: L, c: L) -> [L; 2] {
+        let tanh_c = tanh(c);
+        [tanh_c, o.mul(tanh_c)]
+    }
+
+    /// Batch row `r`'s five [`cell_gates`] inputs: the `(i, f, g, o)`
     /// quarters of its `4·hidden` pre-activation row, and `c_prev`.
     #[inline(always)]
     fn cell_inputs<'a>(z: &'a [f32], c_prev: &'a [f32], hidden: usize, r: usize) -> [&'a [f32]; 5] {
@@ -1059,7 +1142,7 @@ mod generic {
     ) {
         for r in 0..c_prev.len() / hidden {
             let at = r * hidden..(r + 1) * hidden;
-            sweep::<L, 5, 7>(
+            sweep::<L, 5, 5>(
                 cell_inputs(z, c_prev, hidden, r),
                 [
                     &mut out.i[at.clone()],
@@ -1067,11 +1150,15 @@ mod generic {
                     &mut out.g[at.clone()],
                     &mut out.o[at.clone()],
                     &mut out.c[at.clone()],
-                    &mut out.tanh_c[at.clone()],
-                    &mut out.h[at],
                 ],
                 #[inline(always)]
-                |x, _| cell(x),
+                |x, _| cell_gates(x),
+            );
+            sweep::<L, 2, 2>(
+                [&out.o[at.clone()], &out.c[at.clone()]],
+                [&mut out.tanh_c[at.clone()], &mut out.h[at]],
+                #[inline(always)]
+                |[o, c], _| cell_output(o, c),
             );
         }
     }
@@ -1086,15 +1173,45 @@ mod generic {
     ) {
         for r in 0..c_prev.len() / hidden {
             let at = r * hidden..(r + 1) * hidden;
+            // The output gate waits in `h_out` between the passes.
             sweep::<L, 5, 2>(
                 cell_inputs(z, c_prev, hidden, r),
-                [&mut c_out[at.clone()], &mut h_out[at]],
+                [&mut c_out[at.clone()], &mut h_out[at.clone()]],
                 #[inline(always)]
                 |x, _| {
-                    let [.., c, _, h] = cell(x);
-                    [c, h]
+                    let [.., o, c] = cell_gates(x);
+                    [c, o]
                 },
             );
+            sweep::<L, 1, 1>(
+                [&c_out[at.clone()]],
+                [&mut h_out[at]],
+                #[inline(always)]
+                |[c], [o]| {
+                    let [_, h] = cell_output(o, c);
+                    [h]
+                },
+            );
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn lstm_seq_eval<L: Lane>(
+        w_hh_t: &[f32],
+        bias: &[f32],
+        hidden: usize,
+        seq: &mut SeqArenas<'_>,
+    ) {
+        let (hw, bh) = (4 * hidden, seq.c.len());
+        let batch = bh / hidden;
+        let (mut c, mut c_next) = (&mut *seq.c, &mut *seq.c_next);
+        for (t, z) in seq.zx.chunks_exact_mut(batch * hw).enumerate() {
+            let (h_prev, h_next) = seq.h[t * bh..(t + 2) * bh].split_at_mut(bh);
+            seq.zh.fill(0.0);
+            gemm_acc::<L>(h_prev, (hidden, 1), w_hh_t, seq.zh, (batch, hidden, hw));
+            add2_bias_rows::<L>(z, seq.zh, bias);
+            lstm_gates_eval_batch::<L>(z, c, hidden, c_next, h_next);
+            std::mem::swap(&mut c, &mut c_next);
         }
     }
 
@@ -1548,6 +1665,97 @@ pub(crate) mod tests {
                 },
             ),
         ]);
+    }
+
+    /// One layer's eval forward through [`lstm_seq_eval`] and through
+    /// the step-by-step composition of the public kernels it fuses:
+    /// `(pre-activations, hidden states, final cell state)` of each.
+    type SeqRun = (Vec<f32>, Vec<f32>, Vec<f32>);
+
+    fn seq_runs(hidden: usize, batch: usize, steps: usize) -> (SeqRun, SeqRun) {
+        let (hw, bh) = (4 * hidden, batch * hidden);
+        let salt = (hidden * 100 + batch * 10 + steps) as u64;
+        let w_hh_t: Vec<f32> = noisy(hidden * hw, salt).iter().map(|w| w / 8.0).collect();
+        let bias = noisy(hw, salt ^ 1);
+        let zx0 = noisy(steps * batch * hw, salt ^ 2);
+        let mut h0 = vec![0.0; (steps + 1) * bh];
+        h0[..bh].copy_from_slice(&noisy(bh, salt ^ 3));
+        let c0 = noisy(bh, salt ^ 4);
+
+        let (mut zx, mut h, mut c, mut c_next) =
+            (zx0.clone(), h0.clone(), c0.clone(), vec![f32::NAN; bh]);
+        lstm_seq_eval(
+            &w_hh_t,
+            &bias,
+            hidden,
+            &mut SeqArenas {
+                zx: &mut zx,
+                zh: &mut vec![f32::NAN; batch * hw],
+                h: &mut h,
+                c: &mut c,
+                c_next: &mut c_next,
+            },
+        );
+        // An odd step count leaves the running state in `c_next`.
+        let fused = (zx, h, if steps.is_multiple_of(2) { c } else { c_next });
+
+        let (mut zx, mut h, mut c) = (zx0, h0, c0);
+        for (t, z) in zx.chunks_exact_mut(batch * hw).enumerate() {
+            let (h_prev, h_next) = h[t * bh..(t + 2) * bh].split_at_mut(bh);
+            let mut zh = vec![0.0; batch * hw];
+            gemm_acc(h_prev, (hidden, 1), &w_hh_t, &mut zh, (batch, hidden, hw));
+            add2_bias_rows(z, &zh, &bias);
+            let mut c_new = vec![f32::NAN; bh];
+            lstm_gates_eval_batch(z, &c, hidden, &mut c_new, h_next);
+            c = c_new;
+        }
+        (fused, (zx, h, c))
+    }
+
+    /// Dispatch granularity is scheduling: the one-dispatch sequence
+    /// kernel writes what the per-step kernels write, on either lane.
+    #[test]
+    fn fused_sequence_kernel_equals_the_step_by_step_composition() {
+        for hidden in [10, 12, 24, 33, 48] {
+            for batch in [1, 2, 5] {
+                for steps in [1, 2, 24] {
+                    let (native, forced) = both_paths(|| seq_runs(hidden, batch, steps));
+                    for (lane, (fused, stepwise)) in [("native", &native), ("portable", &forced)] {
+                        for (what, got, want) in [
+                            ("z", &fused.0, &stepwise.0),
+                            ("h", &fused.1, &stepwise.1),
+                            ("c", &fused.2, &stepwise.2),
+                        ] {
+                            assert_eq!(
+                                bits(got),
+                                bits(want),
+                                "{what} differs on the {lane} lane at H={hidden} B={batch} T={steps}"
+                            );
+                        }
+                    }
+                    assert_eq!(bits(&native.0 .1), bits(&forced.0 .1), "lanes differ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole steps")]
+    fn sequence_kernel_rejects_a_partial_step() {
+        let (mut zx, mut zh, mut h) = ([0.0; 8 + 1], [0.0; 8], [0.0; 4 + 2]);
+        let (mut c, mut c_next) = ([0.0; 2], [0.0; 2]);
+        lstm_seq_eval(
+            &[0.0; 16],
+            &[0.0; 8],
+            2,
+            &mut SeqArenas {
+                zx: &mut zx,
+                zh: &mut zh,
+                h: &mut h,
+                c: &mut c,
+                c_next: &mut c_next,
+            },
+        );
     }
 
     /// Backward-sweep inputs: the six cached blocks, `grad_h`,

@@ -3,6 +3,7 @@
 use adrias_core::rng::Xoshiro256pp;
 use adrias_core::rng::{Rng, SeedableRng};
 
+use crate::aligned::AlignedVec;
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -111,6 +112,18 @@ impl Linear {
         );
         input.matmul_transb_into(&self.weight, out);
         out.add_row_broadcast_assign(&self.bias);
+    }
+
+    /// Visits every `f32` buffer the layer owns, by name (see
+    /// [`crate::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        f("linear.weight", self.weight.data());
+        f("linear.bias", self.bias.data());
+        f("linear.grad_weight", self.grad_weight.data());
+        f("linear.grad_bias", self.grad_bias.data());
+        if let Some(x) = &self.cached_input {
+            f("linear.cached_input", x.data());
+        }
     }
 }
 
@@ -230,12 +243,10 @@ impl BatchNorm1d {
     /// Precomputes the per-feature `1/√(running_var+eps)` used by the
     /// evaluation branch of [`Layer::forward`]. The inference fast lane
     /// computes this once per trained model and reuses it for every
-    /// decision, keeping `sqrt` and the `Vec` allocation off the hot
-    /// path.
-    pub fn eval_inv_std(&self) -> Vec<f32> {
-        (0..self.features())
-            .map(|c| 1.0 / (self.running_var.get(0, c) + self.eps).sqrt())
-            .collect()
+    /// decision, keeping `sqrt` and the allocation off the hot path.
+    pub fn eval_inv_std(&self) -> AlignedVec {
+        let var = self.running_var.data().iter();
+        AlignedVec::from_iter_exact(self.features(), var.map(|v| 1.0 / (v + self.eps).sqrt()))
     }
 
     /// Applies the evaluation-mode affine map in place:
@@ -255,6 +266,24 @@ impl BatchNorm1d {
         for r in 0..n {
             let row = &mut data[r * d..(r + 1) * d];
             crate::kernels::bn_affine(row, mean, inv_std, gamma, beta);
+        }
+    }
+
+    /// Visits every `f32` buffer the layer owns, by name (see
+    /// [`crate::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        for (name, tensor) in [
+            ("batchnorm.gamma", &self.gamma),
+            ("batchnorm.beta", &self.beta),
+            ("batchnorm.grad_gamma", &self.grad_gamma),
+            ("batchnorm.grad_beta", &self.grad_beta),
+            ("batchnorm.running_mean", &self.running_mean),
+            ("batchnorm.running_var", &self.running_var),
+        ] {
+            f(name, tensor.data());
+        }
+        if let Some(cache) = &self.cache {
+            f("batchnorm.x_hat", cache.x_hat.data());
         }
     }
 }

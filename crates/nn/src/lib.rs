@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod adam;
+pub mod aligned;
 pub mod block;
 pub mod init;
 pub mod kernels;
@@ -76,6 +77,7 @@ pub mod train;
 mod vmath;
 
 pub use adam::Adam;
+pub use aligned::AlignedVec;
 pub use block::NonLinearBlock;
 pub use kernels::{set_force_scalar, simd_active};
 pub use layer::{BatchNorm1d, Dropout, Layer, Linear, Relu, Sequential};

@@ -25,8 +25,9 @@
 
 use adrias_core::rng::Rng;
 
+use crate::aligned::AlignedVec;
 use crate::init;
-use crate::kernels::{self, GateCaches, StepCaches};
+use crate::kernels::{self, GateCaches, SeqArenas, StepCaches};
 use crate::tensor::{gemm_into, Tensor};
 
 /// Reusable buffers for the allocation-free eval-mode forward pass
@@ -48,14 +49,14 @@ pub struct LstmScratch {
     steps: usize,
     /// `X·W_ihᵀ` for the whole sequence, slot `t` (`batch × 4H`); the
     /// step loop turns slot `t` into the pre-activations `z_t` in place.
-    zx: Vec<f32>,
+    zx: AlignedVec,
     /// `h_{t−1}·W_hhᵀ` of the current step (`batch × 4H`).
-    zh: Vec<f32>,
+    zh: AlignedVec,
     /// Hidden states, `steps + 1` slots: slot 0 is the zero initial
     /// state, slot `t + 1` the output of step `t`.
-    h: Vec<f32>,
-    c: Vec<f32>,
-    c_next: Vec<f32>,
+    h: AlignedVec,
+    c: AlignedVec,
+    c_next: AlignedVec,
 }
 
 impl LstmScratch {
@@ -77,7 +78,7 @@ impl LstmScratch {
         self.zh.resize(bz, 0.0);
         self.h.resize((steps + 1) * bh, 0.0);
         self.h[..bh].fill(0.0);
-        zeroed(&mut self.c, bh);
+        self.c.zeroed(bh);
         self.c_next.resize(bh, 0.0);
     }
 
@@ -94,6 +95,22 @@ impl LstmScratch {
         // `h` is exactly `steps + 1` slots long; the last one.
         let slot = self.h.len() / (self.steps + 1);
         &self.h[self.steps * slot..]
+    }
+
+    /// Visits every `f32` buffer the scratch owns, by name — the
+    /// alignment tests walk a whole trained stack through these.
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        for (name, buf) in [
+            ("scratch.w_ih_t", self.w_ih_t.data()),
+            ("scratch.w_hh_t", self.w_hh_t.data()),
+            ("scratch.zx", &self.zx),
+            ("scratch.zh", &self.zh),
+            ("scratch.h", &self.h),
+            ("scratch.c", &self.c),
+            ("scratch.c_next", &self.c_next),
+        ] {
+            f(name, buf);
+        }
     }
 }
 
@@ -115,33 +132,27 @@ struct Workspace {
     w_hh_t: Tensor,
     weights_t_fresh: bool,
     /// Inputs `x_t`, slot `t`.
-    x: Vec<f32>,
+    x: AlignedVec,
     /// Hidden and cell states, `steps + 1` slots: slot 0 is the zero
     /// initial state, slot `t + 1` the state after step `t` — so slot
     /// `t` is what step `t` sees as `h_{t-1}` / `c_{t-1}`.
-    h: Vec<f32>,
-    c: Vec<f32>,
+    h: AlignedVec,
+    c: AlignedVec,
     /// Gate activations and `tanh(c_t)`, slot `t`.
-    i: Vec<f32>,
-    f: Vec<f32>,
-    g: Vec<f32>,
-    o: Vec<f32>,
-    tanh_c: Vec<f32>,
+    i: AlignedVec,
+    f: AlignedVec,
+    g: AlignedVec,
+    o: AlignedVec,
+    tanh_c: AlignedVec,
     /// Forward pre-activations (`batch × 4H` each).
-    zx: Vec<f32>,
-    zh: Vec<f32>,
+    zx: AlignedVec,
+    zh: AlignedVec,
     /// Backward: pre-activation gradient (`batch × 4H`), the recurrent
     /// gradients (`batch × H`) and the bias column sums (`4H`).
-    dz: Vec<f32>,
-    d_h_next: Vec<f32>,
-    d_c_next: Vec<f32>,
-    bias_sum: Vec<f32>,
-}
-
-/// Resizes `buf` to `len` zeros, reusing its allocation.
-fn zeroed(buf: &mut Vec<f32>, len: usize) {
-    buf.clear();
-    buf.resize(len, 0.0);
+    dz: AlignedVec,
+    d_h_next: AlignedVec,
+    d_c_next: AlignedVec,
+    bias_sum: AlignedVec,
 }
 
 /// A single LSTM layer.
@@ -211,7 +222,7 @@ impl Lstm {
         let (batch, h) = (self.ws.batch, self.hidden_size);
         self.ws.h[batch * h..]
             .chunks_exact(batch * h)
-            .map(|h_t| Tensor::from_vec(batch, h, h_t.to_vec()))
+            .map(|h_t| Tensor::from_slice(batch, h, h_t))
             .collect()
     }
 
@@ -220,7 +231,7 @@ impl Lstm {
         self.run_forward(seq);
         let (batch, h) = (self.ws.batch, self.hidden_size);
         let last = &self.ws.h[self.ws.steps * batch * h..];
-        Tensor::from_vec(batch, h, last.to_vec())
+        Tensor::from_slice(batch, h, last)
     }
 
     /// The training-mode forward: fills the workspace's BPTT cache
@@ -310,11 +321,13 @@ impl Lstm {
     ///
     /// The input projection `X·W_ihᵀ` of all `steps · batch` rows is one
     /// GEMM ahead of the step loop; a step then costs the recurrent
-    /// projection, the fuse `(zx_t + zh_t) + b` and the gate sweep. Every
-    /// GEMM output element is its own `k`-ordered chain whatever rows
-    /// share the call, and the fuse and the sweep are the kernels of
-    /// [`Lstm::forward_seq`] on the same operands, so every hidden state
-    /// is bit-identical to the training-path forward.
+    /// projection, the fuse `(zx_t + zh_t) + b` and the gate sweep, and
+    /// the whole loop is one kernel dispatch
+    /// ([`kernels::lstm_seq_eval`]). Every GEMM output element is its
+    /// own `k`-ordered chain whatever rows share the call, and the fuse
+    /// and the sweep are the kernel bodies of [`Lstm::forward_seq`] on
+    /// the same operands, so every hidden state is bit-identical to the
+    /// training-path forward.
     ///
     /// # Panics
     ///
@@ -329,7 +342,7 @@ impl Lstm {
     ) -> &'s [f32] {
         let (inp, h) = (self.input_size, self.hidden_size);
         let hw = 4 * h;
-        let (bx, bh, bz) = (batch * inp, batch * h, batch * hw);
+        let (bx, bh) = (batch * inp, batch * h);
         assert!(
             !seq.is_empty() && bx > 0,
             "LSTM requires a non-empty sequence"
@@ -346,24 +359,24 @@ impl Lstm {
         );
         let steps = seq.len() / bx;
         scratch.size_for(h, batch, steps);
-        let LstmScratch {
-            w_ih_t,
-            w_hh_t,
-            zx,
-            zh,
-            h: hs,
-            c,
-            c_next,
-            ..
-        } = scratch;
-        gemm_into(seq, w_ih_t.data(), zx, (steps * batch, inp, hw));
-        for (t, z) in zx.chunks_exact_mut(bz).enumerate() {
-            let (h_prev, h_next) = hs[t * bh..(t + 2) * bh].split_at_mut(bh);
-            gemm_into(h_prev, w_hh_t.data(), zh, (batch, h, hw));
-            kernels::add2_bias_rows(z, zh, self.bias.data());
-            kernels::lstm_gates_eval_batch(z, c, h, c_next, h_next);
-            std::mem::swap(c, c_next);
-        }
+        gemm_into(
+            seq,
+            scratch.w_ih_t.data(),
+            &mut scratch.zx,
+            (steps * batch, inp, hw),
+        );
+        kernels::lstm_seq_eval(
+            scratch.w_hh_t.data(),
+            self.bias.data(),
+            h,
+            &mut SeqArenas {
+                zx: &mut scratch.zx,
+                zh: &mut scratch.zh,
+                h: &mut scratch.h,
+                c: &mut scratch.c,
+                c_next: &mut scratch.c_next,
+            },
+        );
         scratch.steps = steps;
         &scratch.h[bh..]
     }
@@ -446,8 +459,8 @@ impl Lstm {
         let (bx, bh) = (batch * inp, batch * h);
         ws.dz.resize(batch * hw, 0.0);
         ws.bias_sum.resize(hw, 0.0);
-        zeroed(&mut ws.d_h_next, bh);
-        zeroed(&mut ws.d_c_next, bh);
+        ws.d_h_next.zeroed(bh);
+        ws.d_c_next.zeroed(bh);
         let mut d_inputs = if want_inputs {
             vec![Tensor::zeros(batch, inp); steps]
         } else {
@@ -495,7 +508,7 @@ impl Lstm {
                     *s += v;
                 }
             }
-            for (g, &s) in self.grad_bias.data_mut().iter_mut().zip(&ws.bias_sum) {
+            for (g, &s) in self.grad_bias.data_mut().iter_mut().zip(ws.bias_sum.iter()) {
                 *g += s;
             }
             // Input and recurrent gradients.
@@ -521,6 +534,38 @@ impl Lstm {
         f(&mut self.w_ih, &mut self.grad_w_ih);
         f(&mut self.w_hh, &mut self.grad_w_hh);
         f(&mut self.bias, &mut self.grad_bias);
+    }
+
+    /// Visits every `f32` buffer the layer owns, by name: parameters,
+    /// gradients, the cached transposes and the training workspace.
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        let ws = &self.ws;
+        for (name, buf) in [
+            ("lstm.w_ih", self.w_ih.data()),
+            ("lstm.w_hh", self.w_hh.data()),
+            ("lstm.bias", self.bias.data()),
+            ("lstm.grad_w_ih", self.grad_w_ih.data()),
+            ("lstm.grad_w_hh", self.grad_w_hh.data()),
+            ("lstm.grad_bias", self.grad_bias.data()),
+            ("lstm.ws.w_ih_t", ws.w_ih_t.data()),
+            ("lstm.ws.w_hh_t", ws.w_hh_t.data()),
+            ("lstm.ws.x", &ws.x),
+            ("lstm.ws.h", &ws.h),
+            ("lstm.ws.c", &ws.c),
+            ("lstm.ws.i", &ws.i),
+            ("lstm.ws.f", &ws.f),
+            ("lstm.ws.g", &ws.g),
+            ("lstm.ws.o", &ws.o),
+            ("lstm.ws.tanh_c", &ws.tanh_c),
+            ("lstm.ws.zx", &ws.zx),
+            ("lstm.ws.zh", &ws.zh),
+            ("lstm.ws.dz", &ws.dz),
+            ("lstm.ws.d_h_next", &ws.d_h_next),
+            ("lstm.ws.d_c_next", &ws.d_c_next),
+            ("lstm.ws.bias_sum", &ws.bias_sum),
+        ] {
+            f(name, buf);
+        }
     }
 
     /// Zeroes accumulated parameter gradients.
@@ -626,6 +671,17 @@ mod tests {
                 let got = lstm.forward_seq_scratch(&flat(&seq), batch, &mut scratch);
                 assert_eq!(bits(got), bits(&want));
             });
+            // The arenas above grew past their built size (`size_for`),
+            // as did the workspace (`long` after `short`); a clone of a
+            // clone owns fresh allocations. All of it stays aligned.
+            let aligned = &mut |name: &'static str, buf: &[f32]| {
+                let phase = buf.as_ptr() as usize % crate::aligned::ALIGN;
+                assert!(buf.is_empty() || phase == 0, "{name} at phase {phase}");
+            };
+            scratch.visit_storage(aligned);
+            scratch.clone().clone().visit_storage(aligned);
+            lstm.visit_storage(aligned);
+            lstm.clone().clone().visit_storage(aligned);
         }
     }
 

@@ -1,5 +1,6 @@
 //! A row-major 2-D `f32` matrix.
 
+use crate::aligned::AlignedVec;
 use crate::kernels;
 
 use std::fmt;
@@ -14,7 +15,9 @@ const BLOCK: usize = 32;
 ///
 /// This is deliberately small: just the operations the layers in this
 /// crate need. Shapes are validated eagerly; mismatches panic with the
-/// offending dimensions.
+/// offending dimensions. The elements live in an [`AlignedVec`]: the
+/// first one sits on a 32-byte boundary in every tensor, however it
+/// was built, cloned, grown or loaded (DESIGN.md §14).
 ///
 /// # Examples
 ///
@@ -31,17 +34,13 @@ const BLOCK: usize = 32;
 pub struct Tensor {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: AlignedVec,
 }
 
 impl Tensor {
     /// A `rows × cols` tensor of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self::full(rows, cols, 0.0)
     }
 
     /// A `rows × cols` tensor filled with `value`.
@@ -49,39 +48,54 @@ impl Tensor {
         Self {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: AlignedVec::filled(rows * cols, value),
         }
     }
 
-    /// Builds a tensor from row-major data.
+    /// Builds a tensor from row-major data, copying it into aligned
+    /// storage of its own (`data`'s allocation is dropped); prefer
+    /// [`Tensor::from_slice`] when the values are only borrowed.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+        Self::from_slice(rows, cols, &data)
+    }
+
+    /// Builds a tensor from borrowed row-major data: one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_slice(rows: usize, cols: usize, data: &[f32]) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
             "data length {} does not match shape {rows}x{cols}",
             data.len()
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: AlignedVec::from_slice(data),
+        }
     }
 
-    /// Builds a tensor element-wise from a function of `(row, col)`.
+    /// Builds a tensor element-wise from a function of `(row, col)`,
+    /// called in row-major order.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
+        let cells = (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c)));
+        Self {
+            rows,
+            cols,
+            data: AlignedVec::from_iter_exact(rows * cols, cells.map(|(r, c)| f(r, c))),
         }
-        Self { rows, cols, data }
     }
 
     /// A `1 × values.len()` row vector.
     pub fn row_vector(values: &[f32]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
+        Self::from_slice(1, values.len(), values)
     }
 
     /// `(rows, cols)`.
@@ -277,7 +291,7 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn add_scaled_assign(&mut self, other: &Tensor, factor: f32) {
         self.assert_same_shape(other, "add_scaled_assign");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(other.data()) {
             *a += factor * b;
         }
     }
@@ -319,7 +333,7 @@ impl Tensor {
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
+            data: AlignedVec::from_iter_exact(self.len(), self.data.iter().map(|&v| f(v))),
         }
     }
 
@@ -333,12 +347,10 @@ impl Tensor {
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data: AlignedVec::from_iter_exact(
+                self.len(),
+                self.data.iter().zip(other.data()).map(|(&a, &b)| f(a, b)),
+            ),
         }
     }
 
@@ -349,7 +361,7 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "add_assign");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(other.data()) {
             *a += b;
         }
     }
@@ -363,7 +375,7 @@ impl Tensor {
 
     /// In-place scaling.
     pub fn scale_assign(&mut self, factor: f32) {
-        for a in &mut self.data {
+        for a in self.data.iter_mut() {
             *a *= factor;
         }
     }
@@ -402,7 +414,7 @@ impl Tensor {
         );
         for r in 0..self.rows {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (v, &b) in row.iter_mut().zip(&bias.data) {
+            for (v, &b) in row.iter_mut().zip(bias.data()) {
                 *v += b;
             }
         }
@@ -433,12 +445,12 @@ impl Tensor {
             "hcat row mismatch: {} vs {}",
             self.rows, other.rows
         );
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        for r in 0..self.rows {
-            data.extend_from_slice(&self.data[r * self.cols..(r + 1) * self.cols]);
-            data.extend_from_slice(&other.data[r * other.cols..(r + 1) * other.cols]);
+        let rows = (0..self.rows).flat_map(|r| [self.row(r), other.row(r)]);
+        Tensor {
+            rows: self.rows,
+            cols: self.cols + other.cols,
+            data: AlignedVec::concat(self.len() + other.len(), rows),
         }
-        Tensor::from_vec(self.rows, self.cols + other.cols, data)
     }
 
     /// The sub-matrix of columns `[start, end)`.
@@ -451,11 +463,12 @@ impl Tensor {
             start <= end && end <= self.cols,
             "bad column range {start}..{end}"
         );
-        let mut data = Vec::with_capacity(self.rows * (end - start));
-        for r in 0..self.rows {
-            data.extend_from_slice(&self.data[r * self.cols + start..r * self.cols + end]);
+        let rows = (0..self.rows).map(|r| &self.row(r)[start..end]);
+        Tensor {
+            rows: self.rows,
+            cols: end - start,
+            data: AlignedVec::concat(self.rows * (end - start), rows),
         }
-        Tensor::from_vec(self.rows, end - start, data)
     }
 
     /// The sub-matrix of rows `[start, end)`.
@@ -468,10 +481,10 @@ impl Tensor {
             start <= end && end <= self.rows,
             "bad row range {start}..{end}"
         );
-        Tensor::from_vec(
+        Tensor::from_slice(
             end - start,
             self.cols,
-            self.data[start * self.cols..end * self.cols].to_vec(),
+            &self.data[start * self.cols..end * self.cols],
         )
     }
 
@@ -484,12 +497,15 @@ impl Tensor {
         assert!(!tensors.is_empty(), "vcat of nothing");
         let cols = tensors[0].cols;
         let rows: usize = tensors.iter().map(|t| t.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for t in tensors {
+        let parts = tensors.iter().map(|t| {
             assert_eq!(t.cols, cols, "vcat column mismatch");
-            data.extend_from_slice(&t.data);
+            t.data()
+        });
+        Tensor {
+            rows,
+            cols,
+            data: AlignedVec::concat(rows * cols, parts),
         }
-        Tensor::from_vec(rows, cols, data)
     }
 
     /// Frobenius norm.
@@ -861,6 +877,15 @@ mod tests {
             (31, 65, 2, 4),  // NR tail of 2
             (2, 7, 3, 5),    // columns below one unroll group
             (66, 33, 41, 6), // multi-row tail in matmul_into
+            // A single output row is cut into near-equal strips of at
+            // most 8 vectors: 5, 6, 6 + 6, 7 + 7 + 6, 8 + 8 + 8, and
+            // 7 + 6 + 6 + 6 with a ragged last vector.
+            (1, 9, 40, 7),
+            (1, 24, 48, 8),
+            (1, 24, 96, 9),
+            (1, 48, 160, 10),
+            (1, 48, 192, 11),
+            (1, 48, 195, 12),
         ] {
             let a = irregular(m, k, salt);
             let b_t = irregular(n, k, salt ^ 0xABCD);
@@ -898,6 +923,8 @@ mod tests {
             (9, 17, 33, 46),
             (33, 35, 37, 47),
             (66, 63, 41, 48),
+            (1, 24, 96, 49),  // the single-row strips: 6 + 6,
+            (1, 48, 195, 50), // 7 + 6 + 6 + 6 with a ragged tail
         ] {
             let a = irregular(m, k, salt);
             let b_t = irregular(n, k, salt ^ 0x5EED);
@@ -943,6 +970,50 @@ mod tests {
         let mut got = a.clone();
         got.add_row_broadcast_assign(&bias);
         assert_eq!(got.data(), want.data());
+    }
+
+    /// Storage is aligned however a tensor got it, growth in place
+    /// included, and where it sits is no part of a tensor's value.
+    #[test]
+    fn storage_is_aligned_and_its_offset_is_not_part_of_equality() {
+        let phase = |t: &Tensor| t.data().as_ptr() as usize % crate::aligned::ALIGN;
+        let a = irregular(5, 7, 25);
+        let mut grown = Tensor::zeros(1, 3);
+        grown.copy_from(&a); // `reshape_for` past the capacity
+        let wide = irregular(7, 33, 26);
+        let mut product = Tensor::zeros(1, 1);
+        a.matmul_into(&wide, &mut product);
+        let loaded = crate::serialize::read_tensors(&crate::serialize::write_tensors(&[("a", &a)]))
+            .expect("round trip");
+        for t in [
+            &a,
+            &a.clone().clone(),
+            &grown,
+            &product,
+            &loaded[0].1,
+            &a.transpose(),
+            &a.hcat(&a),
+            &a.columns(1, 4),
+            &a.rows_slice(1, 3),
+            &Tensor::vcat(&[&a, &a]),
+            &a.map(f32::abs),
+            &(&a + &a),
+            &Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]),
+            &Tensor::row_vector(&[1.0; 9]),
+            &Tensor::full(3, 3, 2.0),
+        ] {
+            assert_eq!(phase(t), 0, "{t:?}");
+        }
+        assert_eq!(grown, a);
+        assert_eq!(loaded[0].1, a);
+
+        let shifted = |offset| Tensor {
+            rows: 5,
+            cols: 7,
+            data: AlignedVec::with_offset(a.data(), offset),
+        };
+        assert_eq!(shifted(1), shifted(5));
+        assert_eq!(shifted(3), a);
     }
 
     #[test]

@@ -220,6 +220,17 @@ impl AdriasPolicy {
         self.test_qos_bypass = enabled;
     }
 
+    /// Visits every `f32` buffer of the three models and their decision
+    /// scratches, by name (see [`adrias_nn::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        self.system_model.visit_storage(f);
+        self.be_model.visit_storage(f);
+        self.lc_model.visit_storage(f);
+        self.sys_scratch.visit_storage(f);
+        self.be_scratch.visit_storage(f);
+        self.lc_scratch.visit_storage(f);
+    }
+
     /// The slack parameter β.
     pub fn beta(&self) -> f32 {
         self.beta

@@ -13,7 +13,7 @@
 //! part of the saved-model format (see [`crate::persist`]).
 
 use adrias_core::rng::Rng;
-use adrias_nn::{Layer, Linear, Lstm, LstmScratch, NonLinearBlock, Tensor};
+use adrias_nn::{AlignedVec, Layer, Linear, Lstm, LstmScratch, NonLinearBlock, Tensor};
 use adrias_telemetry::METRIC_COUNT;
 
 use crate::dataset::SEQ_LEN;
@@ -30,6 +30,13 @@ pub(crate) struct Encoder {
 pub(crate) struct EncoderScratch {
     l1: LstmScratch,
     l2: LstmScratch,
+}
+
+impl EncoderScratch {
+    pub(crate) fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        self.l1.visit_storage(f);
+        self.l2.visit_storage(f);
+    }
 }
 
 impl Encoder {
@@ -70,6 +77,11 @@ impl Encoder {
         }
     }
 
+    pub(crate) fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        self.l1.visit_storage(f);
+        self.l2.visit_storage(f);
+    }
+
     /// [`Encoder::forward`] for one window, allocation-free: `seq` is
     /// the window as a flat `steps × METRIC_COUNT` arena
     /// ([`crate::scratch::fill_seq`]), the result the `1 × hidden`
@@ -95,12 +107,23 @@ pub(crate) struct Head {
 #[derive(Debug, Clone)]
 pub(crate) struct HeadScratch {
     /// Per-block batch-norm evaluation scales, captured at build time.
-    inv_std: Vec<Vec<f32>>,
+    inv_std: Vec<AlignedVec>,
     /// Ping-pong activation buffers for the blocks.
     x0: Tensor,
     x1: Tensor,
     /// Read-out staging.
     out: Tensor,
+}
+
+impl HeadScratch {
+    pub(crate) fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        for inv_std in &self.inv_std {
+            f("head_scratch.inv_std", inv_std);
+        }
+        f("head_scratch.x0", self.x0.data());
+        f("head_scratch.x1", self.x1.data());
+        f("head_scratch.out", self.out.data());
+    }
 }
 
 impl Head {
@@ -149,6 +172,13 @@ impl Head {
             b.visit_params(f);
         }
         self.out.visit_params(f);
+    }
+
+    pub(crate) fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        for b in &self.blocks {
+            b.visit_storage(f);
+        }
+        self.out.visit_storage(f);
     }
 
     /// Visits the batch-norm running statistics, block by block.

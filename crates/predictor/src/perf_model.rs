@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 
-use adrias_nn::{fit, FitPlan, GradModel, MseLoss, Tensor, TrainStats};
+use adrias_nn::{fit, AlignedVec, FitPlan, GradModel, MseLoss, Tensor, TrainStats};
 use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 use adrias_workloads::{AppSignature, MemoryMode};
 
@@ -396,13 +396,21 @@ impl PerfModel {
         assert!(self.is_trained(), "make_scratch before train");
         PerfScratch {
             pooled: Vec::with_capacity(SEQ_LEN),
-            seq_s: vec![0.0; SEQ_LEN * METRIC_COUNT],
-            seq_k: vec![0.0; SEQ_LEN * METRIC_COUNT],
+            seq_s: AlignedVec::filled(SEQ_LEN * METRIC_COUNT, 0.0),
+            seq_k: AlignedVec::filled(SEQ_LEN * METRIC_COUNT, 0.0),
             history: self.history.make_scratch(),
             signature: self.signature.make_scratch(),
             concat: Tensor::zeros(2, 2 * self.cfg.hidden + SIDE_WIDTH),
             head: self.head.make_scratch(2),
         }
+    }
+
+    /// Visits every `f32` buffer the model owns, by name (see
+    /// [`adrias_nn::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        self.history.visit_storage(f);
+        self.signature.visit_storage(f);
+        self.head.visit_storage(f);
     }
 
     /// Normalizes a stored signature to the [`SEQ_LEN`]-row window the

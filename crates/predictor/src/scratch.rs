@@ -23,7 +23,7 @@
 //! allocating entry points — every kernel the fast lane uses computes
 //! the exact per-element expressions of its allocating counterpart.
 
-use adrias_nn::Tensor;
+use adrias_nn::{AlignedVec, Tensor};
 use adrias_telemetry::{MetricVec, METRIC_COUNT};
 
 use crate::dataset::{pool_rows_into, SEQ_LEN};
@@ -65,11 +65,22 @@ pub struct SystemScratch {
     /// Pooled-and-normalized history window ([`SEQ_LEN`] rows).
     pub(crate) pooled: Vec<MetricVec>,
     /// The window as the encoder's flat input arena.
-    pub(crate) seq: Vec<f32>,
+    pub(crate) seq: AlignedVec,
     pub(crate) encoder: EncoderScratch,
     /// The encoder's feature row as the head's `1 × hidden` input.
     pub(crate) h2: Tensor,
     pub(crate) head: HeadScratch,
+}
+
+impl SystemScratch {
+    /// Visits every `f32` buffer the scratch owns, by name (see
+    /// [`adrias_nn::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        f("system_scratch.seq", &self.seq);
+        self.encoder.visit_storage(f);
+        f("system_scratch.h2", self.h2.data());
+        self.head.visit_storage(f);
+    }
 }
 
 /// Reusable buffers for [`crate::PerfModel`]'s fast lane: the two
@@ -82,12 +93,25 @@ pub struct PerfScratch {
     /// Pooled-and-normalized history window ([`SEQ_LEN`] rows).
     pub(crate) pooled: Vec<MetricVec>,
     /// The history window as a flat encoder input arena.
-    pub(crate) seq_s: Vec<f32>,
+    pub(crate) seq_s: AlignedVec,
     /// The signature window, likewise.
-    pub(crate) seq_k: Vec<f32>,
+    pub(crate) seq_k: AlignedVec,
     pub(crate) history: EncoderScratch,
     pub(crate) signature: EncoderScratch,
     /// Concatenated `[h_s | h_k | side]` head input (`2 × …`).
     pub(crate) concat: Tensor,
     pub(crate) head: HeadScratch,
+}
+
+impl PerfScratch {
+    /// Visits every `f32` buffer the scratch owns, by name (see
+    /// [`adrias_nn::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        f("perf_scratch.seq_s", &self.seq_s);
+        f("perf_scratch.seq_k", &self.seq_k);
+        self.history.visit_storage(f);
+        self.signature.visit_storage(f);
+        f("perf_scratch.concat", self.concat.data());
+        self.head.visit_storage(f);
+    }
 }

@@ -8,7 +8,9 @@
 use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 use adrias_core::thread::map_chunks;
 
-use adrias_nn::{fit, resolved_workers, FitPlan, GradModel, MseLoss, Tensor, TrainStats};
+use adrias_nn::{
+    fit, resolved_workers, AlignedVec, FitPlan, GradModel, MseLoss, Tensor, TrainStats,
+};
 use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 
 use crate::dataset::{pool_rows, seq_tensors, SystemStateDataset, SEQ_LEN};
@@ -244,11 +246,18 @@ impl SystemStateModel {
         assert!(self.is_trained(), "make_scratch before train");
         SystemScratch {
             pooled: Vec::with_capacity(SEQ_LEN),
-            seq: vec![0.0; SEQ_LEN * METRIC_COUNT],
+            seq: AlignedVec::filled(SEQ_LEN * METRIC_COUNT, 0.0),
             encoder: self.encoder.make_scratch(),
             h2: Tensor::zeros(1, self.cfg.hidden),
             head: self.head.make_scratch(1),
         }
+    }
+
+    /// Visits every `f32` buffer the model owns, by name (see
+    /// [`adrias_nn::Lstm::visit_storage`]).
+    pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
+        self.encoder.visit_storage(f);
+        self.head.visit_storage(f);
     }
 
     /// Allocation-free [`SystemStateModel::predict`]: the decision fast

@@ -249,11 +249,19 @@ pub fn train_stack(catalog: &WorkloadCatalog, opts: &StackOptions) -> TrainedSta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adrias_predictor::persist::{
+        load_perf_model, load_system_model, save_perf_model, save_system_model,
+    };
+    use std::sync::OnceLock;
+
+    fn stack() -> &'static TrainedStack {
+        static STACK: OnceLock<TrainedStack> = OnceLock::new();
+        STACK.get_or_init(|| train_stack(&WorkloadCatalog::paper(), &StackOptions::quick()))
+    }
 
     #[test]
     fn quick_stack_trains_end_to_end() {
-        let catalog = WorkloadCatalog::paper();
-        let stack = train_stack(&catalog, &StackOptions::quick());
+        let stack = stack();
         assert!(stack.system_model.is_trained());
         assert!(stack.be_model.is_trained());
         assert!(stack.lc_model.is_trained());
@@ -281,5 +289,68 @@ mod tests {
             stack.train_losses.system.len()
         );
         assert!(obs.registry.gauge("predictor.be.final_loss").is_some());
+    }
+
+    /// A `visit_storage` callback asserting that every non-empty buffer
+    /// starts on a 32-byte boundary; counts what it saw.
+    fn assert_aligned<'a>(
+        what: &'a str,
+        seen: &'a mut usize,
+    ) -> impl FnMut(&'static str, &[f32]) + 'a {
+        move |name, buf| {
+            if !buf.is_empty() {
+                *seen += 1;
+                let phase = buf.as_ptr() as usize % 32;
+                assert_eq!(phase, 0, "{what}: {name} starts at phase {phase}");
+            }
+        }
+    }
+
+    /// Every buffer the forecast reads or writes is 32-byte aligned
+    /// however its owner came to be: trained in place, cloned into a
+    /// policy, cloned again, or parsed back from a saved model.
+    #[test]
+    fn every_buffer_of_a_trained_stack_is_32_byte_aligned() {
+        let stack = stack();
+        let mut seen = 0;
+        stack
+            .system_model
+            .visit_storage(&mut assert_aligned("trained system model", &mut seen));
+        stack
+            .be_model
+            .visit_storage(&mut assert_aligned("trained BE model", &mut seen));
+        stack
+            .lc_model
+            .visit_storage(&mut assert_aligned("trained LC model", &mut seen));
+        // 3 models of ≥ 2 LSTMs with weights, gradients, transposes and
+        // a used workspace each: the walk is not vacuous.
+        assert!(seen > 150, "only {seen} buffers visited");
+
+        // `policy` clones the three models and builds their scratches.
+        // Allocations of odd sizes in between shift where the next
+        // clone's buffers land.
+        let policy = stack.policy(0.8, 5.0);
+        let _spacers: Vec<Vec<u8>> = (1..40).map(|n| vec![0u8; 8 * n + 4]).collect();
+        let second = stack.policy(0.8, 5.0);
+        let mut seen = 0;
+        policy.visit_storage(&mut assert_aligned("policy", &mut seen));
+        second.visit_storage(&mut assert_aligned("second policy", &mut seen));
+        assert!(seen > 400, "only {seen} buffers visited");
+
+        let clone_of_clone = stack.system_model.clone().clone();
+        clone_of_clone.visit_storage(&mut assert_aligned("clone of a clone", &mut seen));
+        let scratch = clone_of_clone.make_scratch().clone();
+        scratch.visit_storage(&mut assert_aligned("cloned scratch", &mut seen));
+
+        // Save → load: every tensor is parsed into storage of its own.
+        let text = save_system_model(&mut stack.system_model.clone()).expect("trained");
+        let loaded = load_system_model(&text).expect("round trip");
+        loaded.visit_storage(&mut assert_aligned("loaded system model", &mut seen));
+        let text = save_perf_model(&mut stack.be_model.clone()).expect("trained");
+        let loaded = load_perf_model(&text).expect("round trip");
+        loaded.visit_storage(&mut assert_aligned("loaded BE model", &mut seen));
+        loaded
+            .make_scratch()
+            .visit_storage(&mut assert_aligned("loaded BE scratch", &mut seen));
     }
 }
