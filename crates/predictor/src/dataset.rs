@@ -47,12 +47,15 @@ pub fn pool_rows(rows: &[MetricVec], target_len: usize) -> Vec<MetricVec> {
 /// Allocation-free body of [`pool_rows`]: pools into a reused buffer.
 ///
 /// `pool_rows` delegates here so the two can never drift — the inference
-/// fast lane relies on this producing bit-identical rows.
+/// fast lane relies on this producing bit-identical rows. The lane's
+/// history entry points ([`crate::SystemStateModel::predict_into`],
+/// [`crate::PerfModel::history_features_into`]) take a window pooled
+/// by this to [`SEQ_LEN`] rows.
 ///
 /// # Panics
 ///
 /// Panics if `rows` is empty or `target_len` is zero.
-pub(crate) fn pool_rows_into(rows: &[MetricVec], target_len: usize, out: &mut Vec<MetricVec>) {
+pub fn pool_rows_into(rows: &[MetricVec], target_len: usize, out: &mut Vec<MetricVec>) {
     assert!(!rows.is_empty(), "cannot pool an empty window");
     assert!(target_len > 0, "target length must be non-zero");
     out.clear();

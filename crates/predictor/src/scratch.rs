@@ -12,6 +12,9 @@
 //! [`crate::PerfModel::predict_both_from_features`] reuse across calls
 //! so the hot path performs **zero heap allocations** (asserted by the
 //! orchestrator's `alloc_free` test with a counting global allocator).
+//! The history entry points take the Watcher window already pooled to
+//! [`SEQ_LEN`] rows ([`crate::dataset::pool_rows_into`]): both models
+//! read the same pooled rows, so a decision pools once for the two.
 //!
 //! A scratch is built from a *trained* model
 //! ([`crate::SystemStateModel::make_scratch`] /
@@ -26,7 +29,7 @@
 use adrias_nn::{AlignedVec, Tensor};
 use adrias_telemetry::{MetricVec, METRIC_COUNT};
 
-use crate::dataset::{pool_rows_into, SEQ_LEN};
+use crate::dataset::SEQ_LEN;
 use crate::norm::Normalizer;
 use crate::parts::{EncoderScratch, HeadScratch};
 
@@ -40,20 +43,18 @@ pub(crate) fn fill_seq(rows: &[MetricVec], seq: &mut [f32]) {
     }
 }
 
-/// Stages a raw 1 Hz history window for an encoder: pooled to
-/// [`SEQ_LEN`] rows and normalized in `pooled`, then flattened into
-/// `seq`.
-pub(crate) fn fill_history(
-    history_1hz: &[MetricVec],
-    norm: &Normalizer,
-    pooled: &mut Vec<MetricVec>,
-    seq: &mut [f32],
-) {
-    pool_rows_into(history_1hz, SEQ_LEN, pooled);
-    for r in pooled.iter_mut() {
-        *r = norm.normalize(r);
+/// Stages a history window pooled to [`SEQ_LEN`] rows (by
+/// [`crate::dataset::pool_rows_into`]) for an encoder: each row
+/// normalized under `norm` and written into `seq`.
+///
+/// # Panics
+///
+/// Panics if `pooled` does not hold [`SEQ_LEN`] rows.
+pub(crate) fn fill_pooled(pooled: &[MetricVec], norm: &Normalizer, seq: &mut [f32]) {
+    assert_eq!(pooled.len(), SEQ_LEN, "a pooled window has SEQ_LEN rows");
+    for (slot, row) in seq.chunks_exact_mut(METRIC_COUNT).zip(pooled) {
+        slot.copy_from_slice(norm.normalize(row).as_array());
     }
-    fill_seq(pooled, seq);
 }
 
 /// Reusable buffers for [`crate::SystemStateModel::predict_into`]
@@ -62,9 +63,7 @@ pub(crate) fn fill_history(
 /// Build with [`crate::SystemStateModel::make_scratch`] after training.
 #[derive(Debug, Clone)]
 pub struct SystemScratch {
-    /// Pooled-and-normalized history window ([`SEQ_LEN`] rows).
-    pub(crate) pooled: Vec<MetricVec>,
-    /// The window as the encoder's flat input arena.
+    /// The pooled window as the encoder's flat input arena.
     pub(crate) seq: AlignedVec,
     pub(crate) encoder: EncoderScratch,
     /// The encoder's feature row as the head's `1 × hidden` input.
@@ -90,9 +89,7 @@ impl SystemScratch {
 /// Build with [`crate::PerfModel::make_scratch`] after training.
 #[derive(Debug, Clone)]
 pub struct PerfScratch {
-    /// Pooled-and-normalized history window ([`SEQ_LEN`] rows).
-    pub(crate) pooled: Vec<MetricVec>,
-    /// The history window as a flat encoder input arena.
+    /// The pooled history window as a flat encoder input arena.
     pub(crate) seq_s: AlignedVec,
     /// The signature window, likewise.
     pub(crate) seq_k: AlignedVec,

@@ -17,7 +17,7 @@ use crate::dataset::{pool_rows, seq_tensors, SystemStateDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::norm::Normalizer;
 use crate::parts::{Encoder, Head};
-use crate::scratch::{fill_history, SystemScratch};
+use crate::scratch::{fill_pooled, SystemScratch};
 
 /// Hyper-parameters for [`SystemStateModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -245,7 +245,6 @@ impl SystemStateModel {
     pub fn make_scratch(&self) -> SystemScratch {
         assert!(self.is_trained(), "make_scratch before train");
         SystemScratch {
-            pooled: Vec::with_capacity(SEQ_LEN),
             seq: AlignedVec::filled(SEQ_LEN * METRIC_COUNT, 0.0),
             encoder: self.encoder.make_scratch(),
             h2: Tensor::zeros(1, self.cfg.hidden),
@@ -261,31 +260,29 @@ impl SystemStateModel {
     }
 
     /// Allocation-free [`SystemStateModel::predict`]: the decision fast
-    /// lane. Bit-identical to `predict(history_1hz)` (pinned by tests)
-    /// but takes `&self`, reuses `scratch`'s buffers and performs zero
-    /// heap allocations in steady state.
+    /// lane. `pooled` is the raw 1 Hz window pooled to [`SEQ_LEN`] rows
+    /// by [`crate::dataset::pool_rows_into`]; the result is bit-identical
+    /// to `predict` on the window (pinned by tests), but this takes
+    /// `&self`, reuses `scratch`'s buffers and performs zero heap
+    /// allocations in steady state.
     ///
     /// # Panics
     ///
-    /// Panics if the model is untrained, the window is empty, or
-    /// `scratch` was built for a different model shape.
-    pub fn predict_into(
-        &self,
-        history_1hz: &[MetricVec],
-        scratch: &mut SystemScratch,
-    ) -> MetricVec {
+    /// Panics if the model is untrained, `pooled` does not hold
+    /// [`SEQ_LEN`] rows, or `scratch` was built for a different model
+    /// shape.
+    pub fn predict_into(&self, pooled: &[MetricVec], scratch: &mut SystemScratch) -> MetricVec {
         let norm = self
             .normalizer
             .as_ref()
             .expect("SystemStateModel::predict before train");
         let SystemScratch {
-            pooled,
             seq,
             encoder,
             h2,
             head,
         } = scratch;
-        fill_history(history_1hz, norm, pooled, seq);
+        fill_pooled(pooled, norm, seq);
         h2.data_mut()
             .copy_from_slice(self.encoder.features_into(seq, encoder));
         norm.denormalize(&metric_row(self.head.forward_eval(h2, head), 0))
@@ -470,7 +467,7 @@ mod tests {
             let window: Vec<MetricVec> = trace[..len].iter().map(|s| *s.vec()).collect();
             let want = model.predict(&window);
             // Reuse the same scratch across windows of different lengths.
-            let got = model.predict_into(&window, &mut scratch);
+            let got = model.predict_into(&pool_rows(&window, SEQ_LEN), &mut scratch);
             for m in Metric::ALL {
                 assert_eq!(
                     got.get(m).to_bits(),
