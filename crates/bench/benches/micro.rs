@@ -238,7 +238,10 @@ const SIMD_LSTM_SPEEDUP: Gate = Gate::at_least("simd_lstm_speedup_x", 1.5).only_
 /// fastest of interleaved legs: theory is ≈ 2, the pre-PR-12 tensor-op
 /// BPTT sat at ≈ 5. The legs alternate in one process and the ratio
 /// reads 2.1–2.45 on the AVX2 path and ≈ 2.2 forced scalar
-/// (EXPERIMENTS.md "Training floor"), the same at smoke settings.
+/// (EXPERIMENTS.md "Training floor"), the same at smoke settings. With
+/// the weight gradients one deep product per sequence on the skip-free
+/// tile it reads 0.93–1.38 in four full runs on a contended host
+/// (EXPERIMENTS.md "Training at its floor on one core").
 const BWD_TO_FWD: Gate = Gate::at_most("bwd_to_fwd_x", 2.5);
 
 fn bench_lstm(h: &mut Harness) {
@@ -296,7 +299,12 @@ fn bench_lstm(h: &mut Harness) {
 /// (EXPERIMENTS.md "The forecast miss at its floor"): on this host the
 /// bound cannot tell either apart from contention, and is set to what
 /// it can: work per step that is not the step's arithmetic — an
-/// allocation, a transposition, lane values forced through memory.
+/// allocation, a transposition, lane values forced through memory. The
+/// encoder's 1-row products now run skip-free on its scratch's weight
+/// check, while this leg's, through the public `gemm_acc`, keep the
+/// skip, so the ratio reads lower than the numbers above: 1.20–1.45 in
+/// four full runs on a contended host (EXPERIMENTS.md "Training at its
+/// floor on one core").
 const ENCODER_FORWARD_TO_GEMM: Gate = Gate::at_most("encoder_forward_to_gemm_x", 1.5);
 
 fn bench_encoder(h: &mut Harness) {
@@ -370,6 +378,23 @@ fn bench_encoder(h: &mut Harness) {
 /// without AVX2, as [`SIMD_LSTM_SPEEDUP`] is.
 const SIMD_GEMM_SPEEDUP: Gate = Gate::at_least("simd_gemm_speedup_x", 1.2).only_if("simd_active");
 
+/// The accumulate-GEMM on its skip-free tile over the same product on
+/// the skipping tile, fastest of interleaved legs: the input layer's
+/// weight gradient over a whole sequence, `dW_ih += dzᵀ·x` through
+/// `kernels::transa_acc` at 192 × 384 × 7 (24 steps of 16 rows into a
+/// hidden-48 layer's 7 metric columns). The legs differ only in the
+/// start value of `out`: `+0.0` lets the dispatch drop the zero-skip,
+/// `-0.0` is a value the skip is visible on, so the dispatch keeps it;
+/// both legs scan the same operands to find out. One column vector
+/// runs 8-row tiles, where the skipping tile spends an FP compare and a
+/// branch on every multiply-add pair: the ratio reads 0.52–0.58
+/// (EXPERIMENTS.md "Training at its floor on one core"). A dispatch that
+/// stopped choosing the skip-free tile reads 1. The batch-16 `dz·W_hh`
+/// product (16 × 192 × 48) runs 2 × 6 tiles, one compare per six pairs,
+/// and reads 0.89–0.95 with its scan of `W_hh`: too close to 1 to gate
+/// on a shared host.
+const GEMM_SKIP_FREE: Gate = Gate::at_most("gemm_skip_free_x", 0.8);
+
 fn bench_gemm(h: &mut Harness) {
     let mut rng = Xoshiro256pp::seed_from_u64(13);
     let a = adrias_nn::init::uniform(64, 128, 1.0, &mut rng);
@@ -391,6 +416,25 @@ fn bench_gemm(h: &mut Harness) {
     adrias_nn::set_force_scalar(false);
     let (portable, native) = ("gemm_transb_scalar_64x128x64", "gemm_transb_64x128x64");
     gate_sampled(h, &SIMD_GEMM_SPEEDUP, portable, native);
+
+    let (rows, cols, features) = (24 * 16, 4 * 48, 7);
+    let dz = adrias_nn::init::uniform(rows, cols, 1.0, &mut rng);
+    let x = adrias_nn::init::uniform(rows, features, 1.0, &mut rng);
+    let mut grad = vec![0.0f32; cols * features];
+    const ROUNDS: usize = 100;
+    let (skipping, skip_free) = fastest_interleaved(ROUNDS, 20, |skip_free| {
+        grad.fill(if skip_free { 0.0 } else { -0.0 });
+        kernels::transa_acc(
+            black_box(dz.data()),
+            x.data(),
+            &mut grad,
+            (rows, cols, features),
+        );
+        black_box(&grad);
+    });
+    h.record_ns("transa_skip_free_192x384x7", skip_free);
+    h.record_ns("transa_skipping_192x384x7", skipping);
+    h.gate(&GEMM_SKIP_FREE, skip_free / skipping);
 }
 
 /// The Watcher window the decision sections decide on: 120 s of a

@@ -31,11 +31,14 @@
 //!   element is the chain `out ← out + a·b` over increasing `k`,
 //!   skipping `a == 0.0`. A tile of running values waits in registers
 //!   between updates instead of in `out`; that changes where a value
-//!   lives, never the updates or their order.
+//!   lives, never the updates or their order. Where no input can tell
+//!   a skipped term from an added one — every `b` finite, no `out`
+//!   start value `-0.0` or NaN — the tile adds it instead of branching
+//!   (`Vouched`).
 //!
 //! A `#[target_feature]` function cannot inline into a caller compiled
 //! for the base target, so each public kernel covers a whole product,
-//! column block, batch or — [`lstm_seq_eval`] — sequence per call: one
+//! column block, batch or — `lstm_seq_eval` — sequence per call: one
 //! dispatch, with every lane operation inlined inside the wrapper.
 //!
 //! What the bodies do *not* fix is scheduling: how many passes a sweep
@@ -255,7 +258,7 @@ mod avx2 {
         _mm256_set1_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps, _mm256_xor_ps,
     };
 
-    use super::{generic, GateCaches, Lane, SeqArenas, StepCaches, LANES};
+    use super::{generic, GateCaches, Lane, SeqArenas, StepCaches, Vouched, LANES};
 
     #[derive(Clone, Copy)]
     struct Avx2(__m256);
@@ -361,7 +364,9 @@ mod avx2 {
             b: &[f32],
             out: &mut [f32],
             shape: (usize, usize, usize),
+            vouched: Vouched,
         );
+        fn all_finite(xs: &[f32]) -> bool;
         fn add2_bias_rows(z: &mut [f32], w: &[f32], b: &[f32]);
         fn relu(xs: &mut [f32]);
         fn bn_affine(row: &mut [f32], mean: &[f32], inv_std: &[f32], gamma: &[f32], beta: &[f32]);
@@ -386,7 +391,26 @@ mod avx2 {
             hidden: usize,
             dz: &mut [f32],
         );
-        fn lstm_seq_eval(w_hh_t: &[f32], bias: &[f32], hidden: usize, seq: &mut SeqArenas<'_>);
+        fn lstm_seq_eval(
+            w_hh_t: &[f32],
+            w_hh_finite: bool,
+            bias: &[f32],
+            hidden: usize,
+            seq: &mut SeqArenas<'_>,
+        );
+    }
+
+    // Each tile of the accumulate-GEMM by name, for the oracle table.
+    #[cfg(test)]
+    wrappers! {
+        fn gemm_tiles(
+            a: &[f32],
+            a_strides: (usize, usize),
+            b: &[f32],
+            out: &mut [f32],
+            shape: (usize, usize, usize),
+            skip: bool,
+        );
     }
 }
 
@@ -490,6 +514,12 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// which moves no bit: the element sees the same start value and the
 /// same updates in the same order.
 ///
+/// With `m ≥ 8` rows the kernel first checks both operands the skip
+/// guards against: when every element of `b` is finite and no element
+/// of `out` is `-0.0` or NaN, it runs a tile without the branch (see
+/// `Vouched` for why no bit can tell). Below 8 rows the scan would
+/// cost more than the branch, and the tile keeps it.
+///
 /// # Panics
 ///
 /// Panics if `b` or `out` do not match `shape`, or `a` is too short
@@ -502,12 +532,53 @@ pub fn gemm_acc(
     out: &mut [f32],
     shape: (usize, usize, usize),
 ) {
+    gemm_acc_vouched(a, a_strides, b, out, shape, Vouched::default());
+}
+
+/// What the caller of [`gemm_acc_vouched`] knows about its operands by
+/// construction; the kernel checks what it is not told (when `m ≥ 8`).
+///
+/// Together the two facts make the zero-skip invisible, so the tile may
+/// add `a·b` where the contract skips it. A skipped term is `0·b`,
+/// which for finite `b` is `±0`. A running value that is neither `-0.0`
+/// nor NaN is unchanged by adding `±0`; it cannot become `-0.0` later,
+/// since a sum is `-0.0` only when both addends are; and one that turns
+/// NaN on the way stays NaN. Every element therefore ends on the bits
+/// the skipping chain gives.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Vouched {
+    /// Every element of `b` is finite.
+    pub(crate) b_finite: bool,
+    /// No element of `out` is `-0.0` or NaN.
+    pub(crate) out_clean: bool,
+}
+
+/// [`gemm_acc`] with what the caller vouches for: `Tensor::matmul_into`
+/// zero-fills `out`, and an `Lstm` checks its weights once when it
+/// transposes them.
+pub(crate) fn gemm_acc_vouched(
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    shape: (usize, usize, usize),
+    vouched: Vouched,
+) {
     let (m, k, n) = shape;
     assert!(
         b.len() == k * n && out.len() == m * n,
         "gemm_acc shape mismatch: {m}x{k} @ {k}x{n}"
     );
-    at!(simd_active(), gemm_acc(a, a_strides, b, out, shape))
+    at!(
+        simd_active(),
+        gemm_acc(a, a_strides, b, out, shape, vouched)
+    )
+}
+
+/// Whether every element is finite — the check behind
+/// [`Vouched::b_finite`] for a caller that keeps its operand.
+pub(crate) fn all_finite(xs: &[f32]) -> bool {
+    at!(simd_active(), all_finite(xs))
 }
 
 /// The gradient-accumulation GEMM `out += aᵀ·b` for row-major `a`
@@ -658,7 +729,7 @@ pub fn lstm_gates_eval_batch(
 
 /// The arenas of one eval-mode LSTM layer over a whole sequence
 /// ([`lstm_seq_eval`]), `steps × batch` rows.
-pub struct SeqArenas<'a> {
+pub(crate) struct SeqArenas<'a> {
     /// In: the input projections `x_t·W_ihᵀ`, step `t` one
     /// `batch × 4·hidden` slot. Out: the pre-activations `z_t`.
     pub zx: &'a mut [f32],
@@ -687,11 +758,22 @@ pub struct SeqArenas<'a> {
 /// on a 48-wide one — and the step loop as a second thing to maintain
 /// in `lstm.rs`.
 ///
+/// `w_hh_finite` is [`Vouched::b_finite`] for every recurrent product
+/// (`zh` is zeroed in here, so its start values are clean): the
+/// `LstmScratch` checks its weights once, when it is built, and with
+/// that a single-row product drops the zero-skip too.
+///
 /// # Panics
 ///
 /// Panics if `hidden` is zero or any slice is not whole rows of the
 /// width documented on [`SeqArenas`].
-pub fn lstm_seq_eval(w_hh_t: &[f32], bias: &[f32], hidden: usize, seq: &mut SeqArenas<'_>) {
+pub(crate) fn lstm_seq_eval(
+    w_hh_t: &[f32],
+    w_hh_finite: bool,
+    bias: &[f32],
+    hidden: usize,
+    seq: &mut SeqArenas<'_>,
+) {
     assert!(hidden > 0, "hidden width must be non-zero");
     let (hw, bh) = (4 * hidden, seq.c.len());
     assert!(
@@ -706,7 +788,10 @@ pub fn lstm_seq_eval(w_hh_t: &[f32], bias: &[f32], hidden: usize, seq: &mut SeqA
         seq.zx.len().is_multiple_of(4 * bh) && seq.h.len() == seq.zx.len() / 4 + bh,
         "sequence arenas must hold whole steps"
     );
-    at!(simd_active(), lstm_seq_eval(w_hh_t, bias, hidden, seq))
+    at!(
+        simd_active(),
+        lstm_seq_eval(w_hh_t, w_hh_finite, bias, hidden, seq)
+    )
 }
 
 /// The forward caches one BPTT step reads back: the four gates,
@@ -923,8 +1008,11 @@ mod generic {
     /// from the one load of `out` to the one store, across the whole
     /// `k` loop (one step per `n`-wide row of `b`). With `RAGGED` the
     /// tile runs to the end of the row and its last vector is partial.
+    /// With `SKIP` a zero coefficient skips its term; without, the
+    /// caller has established that the term cannot change a bit
+    /// ([`super::Vouched`]).
     #[inline(always)]
-    fn tile<L: Lane, const R: usize, const V: usize, const RAGGED: bool>(
+    fn tile<L: Lane, const R: usize, const V: usize, const RAGGED: bool, const SKIP: bool>(
         a: &[f32],
         (row_stride, k_stride): (usize, usize),
         b: &[f32],
@@ -963,7 +1051,7 @@ mod generic {
                 // assert above placed inside `a` without overflow.
                 #[allow(unsafe_code)]
                 let coeff = unsafe { *a.get_unchecked((r0 + r) * row_stride + kk * k_stride) };
-                if coeff == 0.0 {
+                if SKIP && coeff == 0.0 {
                     continue;
                 }
                 let coeff = L::splat(coeff);
@@ -988,7 +1076,7 @@ mod generic {
     /// All output rows of one `V`-vector column strip starting at
     /// column `c0`: `R`-row tiles, then single rows for the remainder.
     #[inline(always)]
-    fn strip<L: Lane, const R: usize, const V: usize>(
+    fn strip<L: Lane, const R: usize, const V: usize, const SKIP: bool>(
         a: &[f32],
         a_strides: (usize, usize),
         b: &[f32],
@@ -1000,17 +1088,17 @@ mod generic {
         let mut r0 = 0;
         while r0 + R <= m {
             if ragged {
-                tile::<L, R, V, true>(a, a_strides, b, out, n, (r0, c0));
+                tile::<L, R, V, true, SKIP>(a, a_strides, b, out, n, (r0, c0));
             } else {
-                tile::<L, R, V, false>(a, a_strides, b, out, n, (r0, c0));
+                tile::<L, R, V, false, SKIP>(a, a_strides, b, out, n, (r0, c0));
             }
             r0 += R;
         }
         while r0 < m {
             if ragged {
-                tile::<L, 1, V, true>(a, a_strides, b, out, n, (r0, c0));
+                tile::<L, 1, V, true, SKIP>(a, a_strides, b, out, n, (r0, c0));
             } else {
-                tile::<L, 1, V, false>(a, a_strides, b, out, n, (r0, c0));
+                tile::<L, 1, V, false, SKIP>(a, a_strides, b, out, n, (r0, c0));
             }
             r0 += 1;
         }
@@ -1026,7 +1114,7 @@ mod generic {
     /// (12 → 6 + 6, 20 → 7 + 7 + 6, 24 → 8 + 8 + 8), so that no strip
     /// is left with the two or three chains of a remainder.
     #[inline(always)]
-    pub(super) fn gemm_acc<L: Lane>(
+    fn strips<L: Lane, const SKIP: bool>(
         a: &[f32],
         a_strides: (usize, usize),
         b: &[f32],
@@ -1047,20 +1135,110 @@ mod generic {
             let ragged = !n.is_multiple_of(LANES) && v0 + width == vectors;
             let c0 = v0 * LANES;
             match (m, width) {
-                (1, 8) => strip::<L, 1, 8>(a, a_strides, b, out, (m, n), c0, ragged),
-                (1, 7) => strip::<L, 1, 7>(a, a_strides, b, out, (m, n), c0, ragged),
-                (1, 6) => strip::<L, 1, 6>(a, a_strides, b, out, (m, n), c0, ragged),
-                (1, 5) => strip::<L, 1, 5>(a, a_strides, b, out, (m, n), c0, ragged),
-                (1, 4) => strip::<L, 1, 4>(a, a_strides, b, out, (m, n), c0, ragged),
-                (1, 3) => strip::<L, 1, 3>(a, a_strides, b, out, (m, n), c0, ragged),
-                (1, 2) => strip::<L, 1, 2>(a, a_strides, b, out, (m, n), c0, ragged),
-                (1, _) => strip::<L, 1, 1>(a, a_strides, b, out, (m, n), c0, ragged),
-                (_, 6) => strip::<L, 2, 6>(a, a_strides, b, out, (m, n), c0, ragged),
-                (_, 2) => strip::<L, 6, 2>(a, a_strides, b, out, (m, n), c0, ragged),
-                _ => strip::<L, 8, 1>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 8) => strip::<L, 1, 8, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 7) => strip::<L, 1, 7, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 6) => strip::<L, 1, 6, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 5) => strip::<L, 1, 5, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 4) => strip::<L, 1, 4, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 3) => strip::<L, 1, 3, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, 2) => strip::<L, 1, 2, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (1, _) => strip::<L, 1, 1, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (_, 6) => strip::<L, 2, 6, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (_, 2) => strip::<L, 6, 2, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                _ => strip::<L, 8, 1, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
             }
             v0 += width;
         }
+    }
+
+    /// Rows of `b` one pass of the tiles covers. A deeper product runs
+    /// the tiles once per block of rows, each element's running value
+    /// waiting in `out` between blocks: scheduling, which moves no bit.
+    /// What it buys is locality. A transposed left operand gives a tile
+    /// one cache line per coefficient pair, and over a sequence's
+    /// 24 × 16 rows those lines and `b`'s drop out of L1 between
+    /// neighbouring tiles. Blocks of 64 keep them in: the BPTT weight
+    /// gradient 192 × 384 × 7 ran −15 % (48 wide: −10 %) against one
+    /// pass, and no decision-time product is this deep.
+    const K_BLOCK: usize = 64;
+
+    /// Every tile of one product, skipping zero coefficients or not, in
+    /// blocks of [`K_BLOCK`] rows of `b`.
+    #[inline(always)]
+    pub(super) fn gemm_tiles<L: Lane>(
+        a: &[f32],
+        a_strides: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        shape: (usize, usize, usize),
+        skip: bool,
+    ) {
+        let (m, depth, n) = shape;
+        if out.is_empty() {
+            return;
+        }
+        for k0 in (0..depth).step_by(K_BLOCK) {
+            let k1 = depth.min(k0 + K_BLOCK);
+            // Coefficient `(r, k0 + k)` of `a` is `(r, k)` of this view;
+            // a short `a` is left to the tile's range check.
+            let a = a.get(k0 * a_strides.1..).unwrap_or_default();
+            let b = &b[k0 * n..k1 * n];
+            let shape = (m, k1 - k0, n);
+            if skip {
+                strips::<L, true>(a, a_strides, b, out, shape);
+            } else {
+                strips::<L, false>(a, a_strides, b, out, shape);
+            }
+        }
+    }
+
+    /// The sign bit of an `f32`.
+    const SIGN: u32 = 0x8000_0000;
+
+    /// Whether every element is finite: no magnitude reaches `∞`'s
+    /// bits. The scans are integer max/min reductions over the bit
+    /// patterns, which compile to vector operations at the width of the
+    /// wrapper they inline into (`L` names which); an early-exit `all`
+    /// does not.
+    #[inline(always)]
+    pub(super) fn all_finite<L: Lane>(xs: &[f32]) -> bool {
+        let max = xs
+            .iter()
+            .fold(0, |max: u32, x| max.max(x.to_bits() & !SIGN));
+        max < f32::INFINITY.to_bits()
+    }
+
+    /// Whether no element is `-0.0` (bits `SIGN`) or NaN (a magnitude
+    /// above `∞`'s), i.e. every element is left as it is by adding
+    /// `±0`.
+    #[inline(always)]
+    fn absorbs_zeros(xs: &[f32]) -> bool {
+        let (max, min) = xs.iter().fold((0, u32::MAX), |(max, min): (u32, u32), x| {
+            (max.max(x.to_bits() & !SIGN), min.min(x.to_bits() ^ SIGN))
+        });
+        max <= f32::INFINITY.to_bits() && min != 0
+    }
+
+    /// Rows from which a scan of `b` (`k × n`) and `out` (`m × n`) costs
+    /// little next to the product's `m·k·n` terms.
+    const SCAN_ROWS: usize = 8;
+
+    /// The accumulate-GEMM: the skip-free tiles where what the caller
+    /// vouches for, or what the scans find, makes the zero-skip
+    /// invisible ([`super::Vouched`]); the skipping tiles otherwise.
+    #[inline(always)]
+    pub(super) fn gemm_acc<L: Lane>(
+        a: &[f32],
+        a_strides: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        shape: (usize, usize, usize),
+        vouched: super::Vouched,
+    ) {
+        let scan = shape.0 >= SCAN_ROWS;
+        let invisible = (vouched.b_finite || scan && all_finite::<L>(b))
+            && (vouched.out_clean || scan && absorbs_zeros(out));
+        gemm_tiles::<L>(a, a_strides, b, out, shape, !invisible);
     }
 
     #[inline(always)]
@@ -1198,17 +1376,23 @@ mod generic {
     #[inline(always)]
     pub(super) fn lstm_seq_eval<L: Lane>(
         w_hh_t: &[f32],
+        w_hh_finite: bool,
         bias: &[f32],
         hidden: usize,
         seq: &mut SeqArenas<'_>,
     ) {
         let (hw, bh) = (4 * hidden, seq.c.len());
         let batch = bh / hidden;
+        let vouched = super::Vouched {
+            b_finite: w_hh_finite,
+            out_clean: true,
+        };
         let (mut c, mut c_next) = (&mut *seq.c, &mut *seq.c_next);
         for (t, z) in seq.zx.chunks_exact_mut(batch * hw).enumerate() {
             let (h_prev, h_next) = seq.h[t * bh..(t + 2) * bh].split_at_mut(bh);
             seq.zh.fill(0.0);
-            gemm_acc::<L>(h_prev, (hidden, 1), w_hh_t, seq.zh, (batch, hidden, hw));
+            let shape = (batch, hidden, hw);
+            gemm_acc::<L>(h_prev, (hidden, 1), w_hh_t, seq.zh, shape, vouched);
             add2_bias_rows::<L>(z, seq.zh, bias);
             lstm_gates_eval_batch::<L>(z, c, hidden, c_next, h_next);
             std::mem::swap(&mut c, &mut c_next);
@@ -1471,25 +1655,37 @@ pub(crate) mod tests {
         ]);
     }
 
-    /// Left-operand layouts of [`gemm_acc`]: strides for logical
+    /// A left-operand layout of [`gemm_acc`]: strides for logical
     /// element `(r, k)` of an `m × depth` matrix.
-    const ROW_MAJOR: fn(usize, usize) -> (usize, usize) = |_, depth| (depth, 1);
-    const TRANSPOSED: fn(usize, usize) -> (usize, usize) = |m, _| (1, m);
+    type Strides = fn(usize, usize) -> (usize, usize);
+    const ROW_MAJOR: Strides = |_, depth| (depth, 1);
+    const TRANSPOSED: Strides = |m, _| (1, m);
 
     /// Output rows × depths swept per column count: every tile height
-    /// (1, 2, 6, 8) with a remainder row, and an empty `k` loop.
-    const GEMM_SHAPES: [(usize, usize); 6] = [(1, 5), (2, 0), (3, 1), (7, 4), (9, 11), (13, 16)];
+    /// (1, 2, 6, 8) with a remainder row, an empty `k` loop, row counts
+    /// on both sides of the scan that can drop the zero-skip, and a
+    /// depth of two whole row blocks and a ragged third.
+    const GEMM_SHAPES: [(usize, usize); 7] =
+        [(1, 5), (2, 0), (3, 1), (7, 4), (9, 11), (13, 16), (10, 131)];
 
-    /// GEMM operands for one shape: coefficients with `0.0` and `-0.0`
-    /// among them, a right operand carrying `±∞` and NaN, and a
-    /// pre-loaded output with `-0.0` entries — so a kernel that
-    /// multiplies through a zero coefficient instead of skipping it
-    /// turns a finite (or `-0.0`) oracle output into NaN (or `+0.0`).
-    fn gemm_operands(m: usize, depth: usize, n: usize) -> [Vec<f32>; 3] {
-        let salt = (m * 1000 + depth * 100 + n) as u64;
-        let mut a = noisy(m * depth, salt);
+    /// `[a, b, out]` for a shape `(m, depth, n)` and the left operand's
+    /// strides.
+    type Operands = fn((usize, usize, usize), (usize, usize)) -> [Vec<f32>; 3];
+
+    fn salt((m, depth, n): (usize, usize, usize)) -> u64 {
+        (m * 1000 + depth * 100 + n) as u64
+    }
+
+    /// Coefficients with `0.0` and `-0.0` among them, a right operand
+    /// carrying `±∞` and NaN, and a pre-loaded output with `-0.0`
+    /// entries — so a kernel that multiplies through a zero coefficient
+    /// instead of skipping it turns a finite (or `-0.0`) oracle output
+    /// into NaN (or `+0.0`).
+    fn gemm_operands(shape: (usize, usize, usize), _: (usize, usize)) -> [Vec<f32>; 3] {
+        let (m, depth, n) = shape;
+        let mut a = noisy(m * depth, salt(shape));
         a.iter_mut().skip(2).step_by(5).for_each(|x| *x = -0.0);
-        let mut b = noisy(depth * n, salt ^ 0xB);
+        let mut b = noisy(depth * n, salt(shape) ^ 0xB);
         for (e, x) in b.iter_mut().enumerate() {
             match e % 23 {
                 4 => *x = f32::INFINITY,
@@ -1498,19 +1694,66 @@ pub(crate) mod tests {
                 _ => {}
             }
         }
-        let mut out = noisy(m * n, salt ^ 0xC);
+        let mut out = noisy(m * n, salt(shape) ^ 0xC);
         out.iter_mut().skip(1).step_by(4).for_each(|x| *x = -0.0);
         [a, b, out]
     }
 
-    fn gemm_run(avx2: bool, n: usize, strides: fn(usize, usize) -> (usize, usize)) -> Vec<f32> {
+    /// The operands training feeds the GEMM, where the zero-skip cannot
+    /// be seen: finite `b`, no `-0.0` in `out`, and about half the
+    /// coefficients exact zeros of either sign, as behind a ReLU mask.
+    fn relu_like(shape: (usize, usize, usize), _: (usize, usize)) -> [Vec<f32>; 3] {
+        let (m, depth, n) = shape;
+        let mut a = noisy(m * depth, salt(shape));
+        for (e, x) in a.iter_mut().enumerate() {
+            if *x < 0.0 {
+                *x = if e % 3 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        let b = noisy(depth * n, salt(shape) ^ 0xB);
+        let out = noisy(m * n, salt(shape) ^ 0xC);
+        [a, b, out]
+    }
+
+    /// [`relu_like`] with one value planted where a skipped term decides
+    /// the bits of `out[0][0]`: row 0 of `a` all `+0.0` and `b[0][0]`
+    /// positive, then per `CASE` `b[0][0]` = `+∞`, `−∞` or NaN, or the
+    /// start value `out[0][0]` = `-0.0` or NaN.
+    fn degenerate<const CASE: usize>(
+        shape: (usize, usize, usize),
+        (_, k_stride): (usize, usize),
+    ) -> [Vec<f32>; 3] {
+        let [mut a, mut b, mut out] = relu_like(shape, (0, 0));
+        let (m, depth, n) = shape;
+        if m * depth * n == 0 {
+            return [a, b, out];
+        }
+        (0..depth).for_each(|k| a[k * k_stride] = 0.0);
+        b[0] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0, 1.0][CASE];
+        out[0] = [0.5, 0.5, 0.5, -0.0, f32::NAN][CASE];
+        [a, b, out]
+    }
+
+    /// Every shape of [`GEMM_SHAPES`] at `n` columns, through the
+    /// dispatch (`skip` = `None`) or one tile kind, concatenated.
+    fn gemm_run(
+        avx2: bool,
+        n: usize,
+        strides: Strides,
+        operands: Operands,
+        skip: Option<bool>,
+    ) -> Vec<f32> {
         let mut all = Vec::new();
         for (m, depth) in GEMM_SHAPES {
-            let [a, b, mut out] = gemm_operands(m, depth, n);
-            at!(
-                avx2,
-                gemm_acc(&a, strides(m, depth), &b, &mut out, (m, depth, n))
-            );
+            let (shape, strides) = ((m, depth, n), strides(m, depth));
+            let [a, b, mut out] = operands(shape, strides);
+            match skip {
+                None => at!(
+                    avx2,
+                    gemm_acc(&a, strides, &b, &mut out, shape, Vouched::default())
+                ),
+                Some(skip) => at!(avx2, gemm_tiles(&a, strides, &b, &mut out, shape, skip)),
+            }
             all.extend(out);
         }
         all
@@ -1518,11 +1761,11 @@ pub(crate) mod tests {
 
     /// The accumulate-GEMM as the naive triple loop: per element, start
     /// from `out`, increasing `k`, skip exact zeros, multiply then add.
-    fn gemm_oracle(n: usize, strides: fn(usize, usize) -> (usize, usize)) -> Vec<f32> {
+    fn gemm_oracle(n: usize, strides: Strides, operands: Operands) -> Vec<f32> {
         let mut all = Vec::new();
         for (m, depth) in GEMM_SHAPES {
-            let [a, b, mut out] = gemm_operands(m, depth, n);
             let (row_stride, k_stride) = strides(m, depth);
+            let [a, b, mut out] = operands((m, depth, n), (row_stride, k_stride));
             for r in 0..m {
                 for c in 0..n {
                     for k in 0..depth {
@@ -1538,27 +1781,63 @@ pub(crate) mod tests {
         all
     }
 
-    /// Both stride modes of the one tile — every strip width, row
-    /// remainders, the ragged last vector — against the triple loop,
-    /// then through the public entry points against the loop of
-    /// [`axpy`] calls they are specified as.
+    /// The oracle table of the GEMM: each of `tiles` on each lane, in
+    /// both stride modes — every strip width, row remainders, the ragged
+    /// last vector — against the triple loop.
+    fn check_gemm(operands: Operands, tiles: &[Option<bool>]) {
+        for (layout, strides) in [("row-major", ROW_MAJOR), ("transposed", TRANSPOSED)] {
+            for n in SIZES {
+                let want = bits(&gemm_oracle(n, strides, operands));
+                for avx2 in lanes() {
+                    for &skip in tiles {
+                        assert_eq!(
+                            bits(&gemm_run(avx2, n, strides, operands, skip)),
+                            want,
+                            "{layout} left operand, skip {skip:?}, n={n} (avx2={avx2})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where no input can see the zero-skip, the skipping tile, the
+    /// skip-free one and the dispatch between them all meet the spec;
+    /// each degenerate value the skip guards against routes the dispatch
+    /// to the skipping tile, whose bits are the spec's.
+    #[test]
+    fn tile_dispatch_drops_the_zero_skip_only_where_it_is_invisible() {
+        check_gemm(relu_like, &[Some(true), Some(false), None]);
+        for operands in [
+            degenerate::<0> as Operands,
+            degenerate::<1>,
+            degenerate::<2>,
+            degenerate::<3>,
+            degenerate::<4>,
+        ] {
+            check_gemm(operands, &[None]);
+        }
+        // The planted value is seen: skip-free tiles leave the spec.
+        let (shape, strides) = ((9, 11, 9), ROW_MAJOR(9, 11));
+        for (operands, want) in [
+            (degenerate::<0> as Operands, 0.5f32),
+            (degenerate::<3>, -0.0),
+        ] {
+            let [a, b, mut out] = operands(shape, strides);
+            generic::gemm_tiles::<Portable>(&a, strides, &b, &mut out, shape, false);
+            assert_ne!(out[0].to_bits(), want.to_bits());
+        }
+    }
+
+    /// Both stride modes of the one tile against the triple loop on
+    /// degenerate operands, then through the public entry points against
+    /// the loop of [`axpy`] calls they are specified as.
     #[test]
     fn transa_acc_matches_spec_and_naive_axpy_loop_on_ragged_shapes() {
-        check(&[
-            (
-                "gemm_acc, row-major left operand",
-                |avx2, n| gemm_run(avx2, n, ROW_MAJOR),
-                |n| gemm_oracle(n, ROW_MAJOR),
-            ),
-            (
-                "gemm_acc, transposed left operand",
-                |avx2, n| gemm_run(avx2, n, TRANSPOSED),
-                |n| gemm_oracle(n, TRANSPOSED),
-            ),
-        ]);
+        check_gemm(gemm_operands, &[None]);
 
         let (k, m, n) = (5, 7, 19);
-        let [a, b, out0] = gemm_operands(m, k, n);
+        let [a, b, out0] = gemm_operands((m, k, n), (1, m));
         let mut blocked = out0.clone();
         transa_acc(&a, &b, &mut blocked, (k, m, n));
         let mut naive = out0;
@@ -1667,12 +1946,14 @@ pub(crate) mod tests {
         ]);
     }
 
-    /// One layer's eval forward through [`lstm_seq_eval`] and through
-    /// the step-by-step composition of the public kernels it fuses:
-    /// `(pre-activations, hidden states, final cell state)` of each.
+    /// One layer's eval forward through [`lstm_seq_eval`] — its
+    /// recurrent products skip-free when `vouch` — and through the
+    /// step-by-step composition of the public kernels it fuses, whose
+    /// few-row products keep the skip: `(pre-activations, hidden states,
+    /// final cell state)` of each.
     type SeqRun = (Vec<f32>, Vec<f32>, Vec<f32>);
 
-    fn seq_runs(hidden: usize, batch: usize, steps: usize) -> (SeqRun, SeqRun) {
+    fn seq_runs(hidden: usize, batch: usize, steps: usize, vouch: bool) -> (SeqRun, SeqRun) {
         let (hw, bh) = (4 * hidden, batch * hidden);
         let salt = (hidden * 100 + batch * 10 + steps) as u64;
         let w_hh_t: Vec<f32> = noisy(hidden * hw, salt).iter().map(|w| w / 8.0).collect();
@@ -1686,6 +1967,7 @@ pub(crate) mod tests {
             (zx0.clone(), h0.clone(), c0.clone(), vec![f32::NAN; bh]);
         lstm_seq_eval(
             &w_hh_t,
+            vouch,
             &bias,
             hidden,
             &mut SeqArenas {
@@ -1713,13 +1995,14 @@ pub(crate) mod tests {
     }
 
     /// Dispatch granularity is scheduling: the one-dispatch sequence
-    /// kernel writes what the per-step kernels write, on either lane.
+    /// kernel writes what the per-step kernels write, on either lane,
+    /// and on finite weights whether or not its caller vouches for them.
     #[test]
     fn fused_sequence_kernel_equals_the_step_by_step_composition() {
         for hidden in [10, 12, 24, 33, 48] {
-            for batch in [1, 2, 5] {
+            for (batch, vouch) in [1, 2, 5].into_iter().flat_map(|b| [(b, false), (b, true)]) {
                 for steps in [1, 2, 24] {
-                    let (native, forced) = both_paths(|| seq_runs(hidden, batch, steps));
+                    let (native, forced) = both_paths(|| seq_runs(hidden, batch, steps, vouch));
                     for (lane, (fused, stepwise)) in [("native", &native), ("portable", &forced)] {
                         for (what, got, want) in [
                             ("z", &fused.0, &stepwise.0),
@@ -1729,7 +2012,8 @@ pub(crate) mod tests {
                             assert_eq!(
                                 bits(got),
                                 bits(want),
-                                "{what} differs on the {lane} lane at H={hidden} B={batch} T={steps}"
+                                "{what} differs on the {lane} lane at H={hidden} B={batch} T={steps} \
+                                 (vouched: {vouch})"
                             );
                         }
                     }
@@ -1746,6 +2030,7 @@ pub(crate) mod tests {
         let (mut c, mut c_next) = ([0.0; 2], [0.0; 2]);
         lstm_seq_eval(
             &[0.0; 16],
+            true,
             &[0.0; 8],
             2,
             &mut SeqArenas {

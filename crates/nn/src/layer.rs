@@ -36,6 +36,24 @@ pub trait Layer {
     }
 }
 
+/// The rows of `t`, each a slice.
+fn rows(t: &Tensor) -> std::slice::ChunksExact<'_, f32> {
+    t.data().chunks_exact(t.cols().max(1))
+}
+
+/// The rows of `t`, each a mutable slice.
+fn rows_mut(t: &mut Tensor) -> std::slice::ChunksExactMut<'_, f32> {
+    let cols = t.cols().max(1);
+    t.data_mut().chunks_exact_mut(cols)
+}
+
+/// `acc[c] += xs[c]` for every column `c`.
+fn add_into(acc: &mut [f32], xs: &[f32]) {
+    for (a, &x) in acc.iter_mut().zip(xs) {
+        *a += x;
+    }
+}
+
 /// A fully-connected layer `y = x·Wᵀ + b`.
 ///
 /// # Examples
@@ -129,17 +147,10 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(
-            input.cols(),
-            self.in_features(),
-            "linear expects {} features, got {}",
-            self.in_features(),
-            input.cols()
-        );
-        self.cached_input = Some(input.clone());
-        input
-            .matmul_transb(&self.weight)
-            .add_row_broadcast(&self.bias)
+        let mut out = Tensor::default();
+        self.forward_into(input, &mut out);
+        self.cached_input.get_or_insert_default().copy_from(input);
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -174,7 +185,11 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.mask = Some(input.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
+        let mask = self.mask.get_or_insert_default();
+        mask.reshape_for(input.rows(), input.cols());
+        for (m, &v) in mask.data_mut().iter_mut().zip(input.data()) {
+            *m = if v > 0.0 { 1.0 } else { 0.0 };
+        }
         input.map(|v| v.max(0.0))
     }
 
@@ -203,7 +218,7 @@ pub struct BatchNorm1d {
     cache: Option<BnCache>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
@@ -289,63 +304,71 @@ impl BatchNorm1d {
 }
 
 impl Layer for BatchNorm1d {
+    // Row-major sweeps: every per-column sum still adds its rows in
+    // increasing order from `+0.0`, and every element keeps its
+    // expression, so the layer's bits are those of the per-column loops
+    // it replaced (`tests/head_reference.rs`).
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let (n, d) = input.shape();
         assert_eq!(d, self.features(), "batchnorm feature mismatch");
+        let cache = self.cache.get_or_insert_default();
+        cache.x_hat.reshape_for(n, d);
+        let mut out = input.clone();
         if train && n > 1 {
+            let nf = n as f32;
             let mut mean = vec![0.0f32; d];
+            for row in rows(input) {
+                add_into(&mut mean, row);
+            }
+            mean.iter_mut().for_each(|s| *s /= nf);
             let mut var = vec![0.0f32; d];
-            for c in 0..d {
-                let mut s = 0.0;
-                for r in 0..n {
-                    s += input.get(r, c);
+            for row in rows(input) {
+                for ((v, &x), &mu) in var.iter_mut().zip(row).zip(&mean) {
+                    *v += (x - mu).powi(2);
                 }
-                mean[c] = s / n as f32;
-                let mut v = 0.0;
-                for r in 0..n {
-                    v += (input.get(r, c) - mean[c]).powi(2);
+            }
+            var.iter_mut().for_each(|v| *v /= nf);
+            let running = self.running_mean.data_mut().iter_mut().zip(&mean);
+            for (rm, &mu) in running {
+                *rm = (1.0 - self.momentum) * *rm + self.momentum * mu;
+            }
+            let running = self.running_var.data_mut().iter_mut().zip(&var);
+            for (rv, &v) in running {
+                *rv = (1.0 - self.momentum) * *rv + self.momentum * v;
+            }
+            cache.inv_std.clear();
+            cache
+                .inv_std
+                .extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
+            let (gamma, beta) = (self.gamma.data(), self.beta.data());
+            for (x_hat, y) in rows_mut(&mut cache.x_hat).zip(rows_mut(&mut out)) {
+                for (c, (h, y)) in x_hat.iter_mut().zip(y).enumerate() {
+                    *h = (*y - mean[c]) * cache.inv_std[c];
+                    *y = gamma[c] * *h + beta[c];
                 }
-                var[c] = v / n as f32;
             }
-            for c in 0..d {
-                let rm = self.running_mean.get(0, c);
-                let rv = self.running_var.get(0, c);
-                self.running_mean
-                    .set(0, c, (1.0 - self.momentum) * rm + self.momentum * mean[c]);
-                self.running_var
-                    .set(0, c, (1.0 - self.momentum) * rv + self.momentum * var[c]);
-            }
-            let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-            let x_hat = Tensor::from_fn(n, d, |r, c| (input.get(r, c) - mean[c]) * inv_std[c]);
-            let out = Tensor::from_fn(n, d, |r, c| {
-                self.gamma.get(0, c) * x_hat.get(r, c) + self.beta.get(0, c)
-            });
-            self.cache = Some(BnCache { x_hat, inv_std });
-            out
         } else {
             // Evaluation (or degenerate single-sample batch): use running
-            // statistics and skip cache; backward through eval mode
-            // treats the normalization as a fixed affine map. The
-            // per-feature `sqrt` terms are hoisted out of the row loop —
-            // each element sees the exact same values as before, so the
-            // output is bit-identical while a batch amortizes the
-            // transcendentals across its rows.
-            let inv_std: Vec<f32> = (0..d)
-                .map(|c| 1.0 / (self.running_var.get(0, c) + self.eps).sqrt())
-                .collect();
-            let std: Vec<f32> = (0..d)
-                .map(|c| (self.running_var.get(0, c) + self.eps).sqrt())
-                .collect();
-            let out = Tensor::from_fn(n, d, |r, c| {
-                self.gamma.get(0, c) * (input.get(r, c) - self.running_mean.get(0, c)) * inv_std[c]
-                    + self.beta.get(0, c)
-            });
-            let x_hat = Tensor::from_fn(n, d, |r, c| {
-                (input.get(r, c) - self.running_mean.get(0, c)) / std[c]
-            });
-            self.cache = Some(BnCache { x_hat, inv_std });
-            out
+            // statistics; backward through eval mode treats the
+            // normalization as a fixed affine map. The per-feature
+            // `sqrt` terms are computed once per call, not per row.
+            let (mean, var) = (self.running_mean.data(), self.running_var.data());
+            cache.inv_std.clear();
+            cache
+                .inv_std
+                .extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
+            let std: Vec<f32> = var.iter().map(|&v| (v + self.eps).sqrt()).collect();
+            for (x_hat, x) in rows_mut(&mut cache.x_hat).zip(rows(input)) {
+                for (c, (h, &x)) in x_hat.iter_mut().zip(x).enumerate() {
+                    *h = (x - mean[c]) / std[c];
+                }
+            }
+            let (gamma, beta) = (self.gamma.data(), self.beta.data());
+            for y in rows_mut(&mut out) {
+                crate::kernels::bn_affine(y, mean, &cache.inv_std, gamma, beta);
+            }
         }
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -357,25 +380,24 @@ impl Layer for BatchNorm1d {
         assert_eq!(cache.x_hat.shape(), (n, d), "batchnorm grad shape mismatch");
         let mut sum_dy = vec![0.0f32; d];
         let mut sum_dy_xhat = vec![0.0f32; d];
-        for c in 0..d {
-            for r in 0..n {
-                let dy = grad_out.get(r, c);
-                sum_dy[c] += dy;
-                sum_dy_xhat[c] += dy * cache.x_hat.get(r, c);
+        for (dy, x_hat) in rows(grad_out).zip(rows(&cache.x_hat)) {
+            add_into(&mut sum_dy, dy);
+            for ((s, &dy), &h) in sum_dy_xhat.iter_mut().zip(dy).zip(x_hat) {
+                *s += dy * h;
             }
         }
-        for c in 0..d {
-            self.grad_beta
-                .set(0, c, self.grad_beta.get(0, c) + sum_dy[c]);
-            self.grad_gamma
-                .set(0, c, self.grad_gamma.get(0, c) + sum_dy_xhat[c]);
-        }
+        add_into(self.grad_beta.data_mut(), &sum_dy);
+        add_into(self.grad_gamma.data_mut(), &sum_dy_xhat);
         let nf = n as f32;
-        Tensor::from_fn(n, d, |r, c| {
-            let dy = grad_out.get(r, c);
-            self.gamma.get(0, c) * cache.inv_std[c] / nf
-                * (nf * dy - sum_dy[c] - cache.x_hat.get(r, c) * sum_dy_xhat[c])
-        })
+        let gamma = self.gamma.data();
+        let scale: Vec<f32> = (0..d).map(|c| gamma[c] * cache.inv_std[c] / nf).collect();
+        let mut dx = grad_out.clone();
+        for (dx, x_hat) in rows_mut(&mut dx).zip(rows(&cache.x_hat)) {
+            for (c, (g, &h)) in dx.iter_mut().zip(x_hat).enumerate() {
+                *g = scale[c] * (nf * *g - sum_dy[c] - h * sum_dy_xhat[c]);
+            }
+        }
+        dx
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -428,21 +450,22 @@ impl Dropout {
 
 impl Layer for Dropout {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mask = self.mask.get_or_insert_default();
+        mask.reshape_for(input.rows(), input.cols());
         if !train || self.p == 0.0 {
-            self.mask = Some(Tensor::full(input.rows(), input.cols(), 1.0));
+            mask.fill(1.0);
             return input.clone();
         }
+        // One draw per element, in row-major order.
         let keep = 1.0 - self.p;
-        let mask = Tensor::from_fn(input.rows(), input.cols(), |_, _| {
-            if self.rng.gen::<f32>() < keep {
+        for m in mask.data_mut() {
+            *m = if self.rng.gen::<f32>() < keep {
                 1.0 / keep
             } else {
                 0.0
-            }
-        });
-        let out = input * &mask;
-        self.mask = Some(mask);
-        out
+            };
+        }
+        input * mask
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

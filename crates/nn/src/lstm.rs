@@ -30,6 +30,21 @@ use crate::init;
 use crate::kernels::{self, GateCaches, SeqArenas, StepCaches};
 use crate::tensor::{gemm_into, Tensor};
 
+/// Whether every element of both projection weights is finite: checked
+/// once where the transposes are made, it lets every product with them
+/// drop the GEMM's zero-skip without a scan ([`kernels::gemm_acc`]).
+fn both_finite(w_ih_t: &Tensor, w_hh_t: &Tensor) -> bool {
+    kernels::all_finite(w_ih_t.data()) && kernels::all_finite(w_hh_t.data())
+}
+
+/// The `[i, f, g, o]` blocks of one gate slot, `bh` values each.
+fn gate_blocks(slot: &mut [f32], bh: usize) -> [&mut [f32]; 4] {
+    let (i, rest) = slot.split_at_mut(bh);
+    let (f, rest) = rest.split_at_mut(bh);
+    let (g, o) = rest.split_at_mut(bh);
+    [i, f, g, o]
+}
+
 /// Reusable buffers for the allocation-free eval-mode forward pass
 /// ([`Lstm::forward_seq_scratch`]).
 ///
@@ -45,6 +60,10 @@ use crate::tensor::{gemm_into, Tensor};
 pub struct LstmScratch {
     w_ih_t: Tensor, // in × 4H
     w_hh_t: Tensor, // H × 4H
+    /// Every weight is finite, checked when the transposes were made:
+    /// the projections may then drop the zero-skip at any batch size
+    /// ([`kernels::gemm_acc`]).
+    weights_finite: bool,
     /// Steps of the most recent forward (`0`: none has run).
     steps: usize,
     /// `X·W_ihᵀ` for the whole sequence, slot `t` (`batch × 4H`); the
@@ -66,6 +85,7 @@ impl LstmScratch {
         let mut s = Self::default();
         lstm.w_ih.transpose_into(&mut s.w_ih_t);
         lstm.w_hh.transpose_into(&mut s.w_hh_t);
+        s.weights_finite = both_finite(&s.w_ih_t, &s.w_hh_t);
         s.size_for(lstm.hidden_size, batch, seq_len);
         s
     }
@@ -115,10 +135,19 @@ impl LstmScratch {
 }
 
 /// Training-path state of one [`Lstm`]: the BPTT cache of the most
-/// recent [`Lstm::forward_seq`] as flat per-sequence arenas (step `t`
-/// of a `steps × batch × width` buffer is one contiguous slot), the
-/// transposed projection weights, and the per-step buffers of both
-/// passes. Buffers only ever grow.
+/// recent [`Lstm::forward_seq`] as flat per-sequence arenas, the
+/// transposed projection weights, and the buffers of both passes.
+/// Buffers only ever grow.
+///
+/// Every sequence arena is laid out **newest first**: step `t` of a
+/// `steps`-step pass owns slot `r = steps − 1 − t`, one contiguous
+/// `batch × width` block. BPTT visits the steps in that order, so the
+/// `k` rows of the one `dW += dzᵀ·x` product per sequence are the
+/// arenas as they lie.
+///
+/// BPTT writes each step's pre-activation gradient over gate
+/// activations it has already consumed, so it spends the cache: a
+/// second backward needs a second forward.
 #[derive(Debug, Clone, Default)]
 struct Workspace {
     /// Steps and batch rows of the cached forward; `steps == 0` means
@@ -131,25 +160,29 @@ struct Workspace {
     w_ih_t: Tensor,
     w_hh_t: Tensor,
     weights_t_fresh: bool,
-    /// Inputs `x_t`, slot `t`.
+    /// Every weight was finite when the transposes were made.
+    weights_finite: bool,
+    /// Inputs `x_t`, slot `r`.
     x: AlignedVec,
-    /// Hidden and cell states, `steps + 1` slots: slot 0 is the zero
-    /// initial state, slot `t + 1` the state after step `t` — so slot
-    /// `t` is what step `t` sees as `h_{t-1}` / `c_{t-1}`.
+    /// Hidden and cell states, `steps + 1` slots: slot `r + 1` is what
+    /// step `t` sees as `h_{t-1}` / `c_{t-1}`, and slot `r` the state it
+    /// leaves — slot 0 the last step's, slot `steps` the zero initial
+    /// state.
     h: AlignedVec,
     c: AlignedVec,
-    /// Gate activations and `tanh(c_t)`, slot `t`.
-    i: AlignedVec,
-    f: AlignedVec,
-    g: AlignedVec,
-    o: AlignedVec,
+    /// `steps + 1` slots of `batch × 4H`: the gate activations of slot
+    /// `r` as four `batch × H` blocks `[i | f | g | o]` in slot `r + 1`.
+    /// BPTT writes the pre-activation gradient `dz` of slot `r` (the
+    /// same size) into slot `r`, whose gates it has used, so slots
+    /// `0..steps` end up holding every step's `dz`, newest first.
+    gates: AlignedVec,
+    /// `tanh(c_t)`, slot `r`.
     tanh_c: AlignedVec,
     /// Forward pre-activations (`batch × 4H` each).
     zx: AlignedVec,
     zh: AlignedVec,
-    /// Backward: pre-activation gradient (`batch × 4H`), the recurrent
-    /// gradients (`batch × H`) and the bias column sums (`4H`).
-    dz: AlignedVec,
+    /// Backward: the recurrent gradients (`batch × H`) and the bias
+    /// column sums (`4H`).
     d_h_next: AlignedVec,
     d_c_next: AlignedVec,
     bias_sum: AlignedVec,
@@ -219,9 +252,10 @@ impl Lstm {
     /// Panics if `seq` is empty or any step has the wrong width.
     pub fn forward_seq(&mut self, seq: &[Tensor]) -> Vec<Tensor> {
         self.run_forward(seq);
-        let (batch, h) = (self.ws.batch, self.hidden_size);
-        self.ws.h[batch * h..]
+        let (steps, batch, h) = (self.ws.steps, self.ws.batch, self.hidden_size);
+        self.ws.h[..steps * batch * h]
             .chunks_exact(batch * h)
+            .rev()
             .map(|h_t| Tensor::from_slice(batch, h, h_t))
             .collect()
     }
@@ -230,8 +264,7 @@ impl Lstm {
     pub fn forward_last(&mut self, seq: &[Tensor]) -> Tensor {
         self.run_forward(seq);
         let (batch, h) = (self.ws.batch, self.hidden_size);
-        let last = &self.ws.h[self.ws.steps * batch * h..];
-        Tensor::from_slice(batch, h, last)
+        Tensor::from_slice(batch, h, &self.ws.h[..batch * h])
     }
 
     /// The training-mode forward: fills the workspace's BPTT cache
@@ -241,29 +274,29 @@ impl Lstm {
         let batch = seq[0].rows();
         let (inp, h) = (self.input_size, self.hidden_size);
         let hw = 4 * h;
-        let (steps, bx, bh) = (seq.len(), batch * inp, batch * h);
-        let ws = &mut self.ws;
-        // Transposed once per weight update, not per step or per call,
-        // so every step runs the cache-blocked `gemm_into` kernel
-        // (contiguous inner loops over the 4H gate lanes), each output
-        // element accumulating over `k` in increasing order.
-        if !ws.weights_t_fresh {
-            self.w_ih.transpose_into(&mut ws.w_ih_t);
-            self.w_hh.transpose_into(&mut ws.w_hh_t);
-            ws.weights_t_fresh = true;
+        let (steps, bx, bh, bz) = (seq.len(), batch * inp, batch * h, batch * hw);
+        // Transposed (and checked) once per weight update, not per step
+        // or per call, so every step runs the cache-blocked `gemm_into`
+        // kernel (contiguous inner loops over the 4H gate lanes), each
+        // output element accumulating over `k` in increasing order.
+        if !self.ws.weights_t_fresh {
+            self.w_ih.transpose_into(&mut self.ws.w_ih_t);
+            self.w_hh.transpose_into(&mut self.ws.w_hh_t);
+            self.ws.weights_finite = both_finite(&self.ws.w_ih_t, &self.ws.w_hh_t);
+            self.ws.weights_t_fresh = true;
         }
+        let ws = &mut self.ws;
         // The cache is invalid until the last step has been written.
         ws.steps = 0;
         ws.x.resize(steps * bx, 0.0);
         for buf in [&mut ws.h, &mut ws.c] {
             buf.resize((steps + 1) * bh, 0.0);
-            buf[..bh].fill(0.0);
+            buf[steps * bh..].fill(0.0);
         }
-        for buf in [&mut ws.i, &mut ws.f, &mut ws.g, &mut ws.o, &mut ws.tanh_c] {
-            buf.resize(steps * bh, 0.0);
-        }
-        ws.zx.resize(batch * hw, 0.0);
-        ws.zh.resize(batch * hw, 0.0);
+        ws.gates.resize((steps + 1) * bz, 0.0);
+        ws.tanh_c.resize(steps * bh, 0.0);
+        ws.zx.resize(bz, 0.0);
+        ws.zh.resize(bz, 0.0);
         for (t, x) in seq.iter().enumerate() {
             assert_eq!(
                 x.cols(),
@@ -273,14 +306,24 @@ impl Lstm {
                 x.cols()
             );
             assert_eq!(x.rows(), batch, "inconsistent batch size inside sequence");
-            let slot = t * bh..(t + 1) * bh;
-            ws.x[t * bx..(t + 1) * bx].copy_from_slice(x.data());
-            gemm_into(x.data(), ws.w_ih_t.data(), &mut ws.zx, (batch, inp, hw));
+            let r = steps - 1 - t;
+            ws.x[r * bx..(r + 1) * bx].copy_from_slice(x.data());
+            let w_finite = ws.weights_finite;
             gemm_into(
-                &ws.h[slot.clone()],
+                x.data(),
+                ws.w_ih_t.data(),
+                &mut ws.zx,
+                (batch, inp, hw),
+                w_finite,
+            );
+            // Step `t` reads state slot `r + 1` and writes slot `r`.
+            let (h_next, h_prev) = ws.h[r * bh..(r + 2) * bh].split_at_mut(bh);
+            gemm_into(
+                h_prev,
                 ws.w_hh_t.data(),
                 &mut ws.zh,
                 (batch, h, hw),
+                w_finite,
             );
             // z = zx + zh + bias (row broadcast), fused in place into zx
             // via the vectorised whole-batch sweep.
@@ -290,19 +333,20 @@ impl Lstm {
             // ([`kernels::lstm_gates_train_batch`] — the same canonical
             // expressions on the SIMD and scalar paths), straight into
             // the arena slots.
-            let (c_prev, c_next) = ws.c.split_at_mut((t + 1) * bh);
+            let (c_next, c_prev) = ws.c[r * bh..(r + 2) * bh].split_at_mut(bh);
+            let [i, f, g, o] = gate_blocks(&mut ws.gates[(r + 1) * bz..(r + 2) * bz], bh);
             kernels::lstm_gates_train_batch(
                 &ws.zx,
-                &c_prev[t * bh..],
+                c_prev,
                 h,
                 &mut GateCaches {
-                    i: &mut ws.i[slot.clone()],
-                    f: &mut ws.f[slot.clone()],
-                    g: &mut ws.g[slot.clone()],
-                    o: &mut ws.o[slot.clone()],
-                    c: &mut c_next[..bh],
-                    tanh_c: &mut ws.tanh_c[slot],
-                    h: &mut ws.h[(t + 1) * bh..(t + 2) * bh],
+                    i,
+                    f,
+                    g,
+                    o,
+                    c: c_next,
+                    tanh_c: &mut ws.tanh_c[r * bh..(r + 1) * bh],
+                    h: h_next,
                 },
             );
         }
@@ -323,7 +367,7 @@ impl Lstm {
     /// GEMM ahead of the step loop; a step then costs the recurrent
     /// projection, the fuse `(zx_t + zh_t) + b` and the gate sweep, and
     /// the whole loop is one kernel dispatch
-    /// ([`kernels::lstm_seq_eval`]). Every GEMM output element is its
+    /// (`kernels::lstm_seq_eval`). Every GEMM output element is its
     /// own `k`-ordered chain whatever rows share the call, and the fuse
     /// and the sweep are the kernel bodies of [`Lstm::forward_seq`] on
     /// the same operands, so every hidden state is bit-identical to the
@@ -364,9 +408,11 @@ impl Lstm {
             scratch.w_ih_t.data(),
             &mut scratch.zx,
             (steps * batch, inp, hw),
+            scratch.weights_finite,
         );
         kernels::lstm_seq_eval(
             scratch.w_hh_t.data(),
+            scratch.weights_finite,
             self.bias.data(),
             h,
             &mut SeqArenas {
@@ -398,11 +444,13 @@ impl Lstm {
     /// `grad_hidden[t]` is the gradient of the loss w.r.t. the hidden
     /// output at step `t` (pass zero tensors for unused steps). Parameter
     /// gradients accumulate; the return value is the gradient w.r.t. each
-    /// input step, for a stacked layer below.
+    /// input step, for a stacked layer below. Every backward spends the
+    /// cached forward: a second one needs a forward of its own.
     ///
     /// # Panics
     ///
-    /// Panics if `grad_hidden` does not match the cached forward pass.
+    /// Panics if `grad_hidden` does not match the cached forward pass,
+    /// or if a backward has already spent it.
     pub fn backward_seq(&mut self, grad_hidden: &[Tensor]) -> Vec<Tensor> {
         self.check_grad_steps(grad_hidden.len());
         self.bptt(|t| Some(&grad_hidden[t]), true)
@@ -440,12 +488,15 @@ impl Lstm {
     /// per-step input gradients are computed and returned only if
     /// `want_inputs` (otherwise the result is empty).
     ///
-    /// Each step is one fused gate sweep into `dz`, two register-blocked
-    /// `dW += dzᵀ·x` products, the bias column sums and the two
-    /// `dz·W` products, all on workspace buffers. Every accumulator
-    /// sees the operations of the tensor-op formulation
-    /// (`tests/bptt_reference.rs`) in the same order, so the gradients
-    /// are bit-identical to it.
+    /// Each step is one fused gate sweep into its `dz` slot, the bias
+    /// column sums and the two `dz·W` products, all on workspace
+    /// buffers. The weight gradients `dW += dzᵀ·x` and `dzᵀ·h` wait for
+    /// the end of the sequence: step after step they are the chains of
+    /// one product whose `k` rows are the newest-first `dz`, `x` and
+    /// `h` arenas, so one [`kernels::transa_acc`] each applies every
+    /// term in the per-step order. Every accumulator sees the operations
+    /// of the tensor-op formulation (`tests/bptt_reference.rs`) in the
+    /// same order, so the gradients are bit-identical to it.
     fn bptt<'g>(
         &mut self,
         grad_at: impl Fn(usize) -> Option<&'g Tensor>,
@@ -456,8 +507,11 @@ impl Lstm {
         assert!(steps > 0, "Lstm backward before forward_seq");
         let (inp, h) = (self.input_size, self.hidden_size);
         let hw = 4 * h;
-        let (bx, bh) = (batch * inp, batch * h);
-        ws.dz.resize(batch * hw, 0.0);
+        let (bh, bz) = (batch * h, batch * hw);
+        // The weights are the transposes' values while those are fresh.
+        let w_finite = ws.weights_t_fresh && ws.weights_finite;
+        // The loop below writes over the gate activations it reads.
+        ws.steps = 0;
         ws.bias_sum.resize(hw, 0.0);
         ws.d_h_next.zeroed(bh);
         ws.d_c_next.zeroed(bh);
@@ -466,44 +520,33 @@ impl Lstm {
         } else {
             Vec::new()
         };
-        for t in (0..steps).rev() {
-            let slot = t * bh..(t + 1) * bh;
+        for r in 0..steps {
+            let t = steps - 1 - r;
             let grad_h = grad_at(t).map(|g| {
                 assert_eq!(g.shape(), (batch, h), "hidden gradient shape at step {t}");
                 g.data()
             });
+            let (dz, gates) = ws.gates[r * bz..(r + 2) * bz].split_at_mut(bz);
+            let [i, f, g, o] = gate_blocks(gates, bh);
             kernels::lstm_gates_backward_batch(
                 &StepCaches {
-                    i: &ws.i[slot.clone()],
-                    f: &ws.f[slot.clone()],
-                    g: &ws.g[slot.clone()],
-                    o: &ws.o[slot.clone()],
-                    tanh_c: &ws.tanh_c[slot.clone()],
-                    c_prev: &ws.c[slot.clone()],
+                    i,
+                    f,
+                    g,
+                    o,
+                    tanh_c: &ws.tanh_c[r * bh..(r + 1) * bh],
+                    c_prev: &ws.c[(r + 1) * bh..(r + 2) * bh],
                 },
                 grad_h,
                 &ws.d_h_next,
                 &mut ws.d_c_next,
                 h,
-                &mut ws.dz,
-            );
-            // Parameter gradients.
-            kernels::transa_acc(
-                &ws.dz,
-                &ws.x[t * bx..(t + 1) * bx],
-                self.grad_w_ih.data_mut(),
-                (batch, hw, inp),
-            );
-            kernels::transa_acc(
-                &ws.dz,
-                &ws.h[slot],
-                self.grad_w_hh.data_mut(),
-                (batch, hw, h),
+                dz,
             );
             // db += Σ_rows dz: the column sums first (from +0.0, in row
             // order), then one add into the accumulator.
             ws.bias_sum.fill(0.0);
-            for dz_row in ws.dz.chunks_exact(hw) {
+            for dz_row in dz.chunks_exact(hw) {
                 for (s, &v) in ws.bias_sum.iter_mut().zip(dz_row) {
                     *s += v;
                 }
@@ -514,16 +557,25 @@ impl Lstm {
             // Input and recurrent gradients.
             if want_inputs {
                 gemm_into(
-                    &ws.dz,
+                    dz,
                     self.w_ih.data(),
                     d_inputs[t].data_mut(),
                     (batch, hw, inp),
+                    w_finite,
                 );
             }
             if t > 0 {
-                gemm_into(&ws.dz, self.w_hh.data(), &mut ws.d_h_next, (batch, hw, h));
+                let shape = (batch, hw, h);
+                gemm_into(dz, self.w_hh.data(), &mut ws.d_h_next, shape, w_finite);
             }
         }
+        // Parameter gradients: slot `r` of `h` from 1 on is what step
+        // `t` saw as `h_{t-1}`.
+        let (dz, rows) = (&ws.gates[..steps * bz], steps * batch);
+        let grad_w_ih = self.grad_w_ih.data_mut();
+        kernels::transa_acc(dz, &ws.x, grad_w_ih, (rows, hw, inp));
+        let grad_w_hh = self.grad_w_hh.data_mut();
+        kernels::transa_acc(dz, &ws.h[bh..], grad_w_hh, (rows, hw, h));
         d_inputs
     }
 
@@ -552,14 +604,10 @@ impl Lstm {
             ("lstm.ws.x", &ws.x),
             ("lstm.ws.h", &ws.h),
             ("lstm.ws.c", &ws.c),
-            ("lstm.ws.i", &ws.i),
-            ("lstm.ws.f", &ws.f),
-            ("lstm.ws.g", &ws.g),
-            ("lstm.ws.o", &ws.o),
+            ("lstm.ws.gates", &ws.gates),
             ("lstm.ws.tanh_c", &ws.tanh_c),
             ("lstm.ws.zx", &ws.zx),
             ("lstm.ws.zh", &ws.zh),
-            ("lstm.ws.dz", &ws.dz),
             ("lstm.ws.d_h_next", &ws.d_h_next),
             ("lstm.ws.d_c_next", &ws.d_c_next),
             ("lstm.ws.bias_sum", &ws.bias_sum),
@@ -844,6 +892,16 @@ mod tests {
     fn empty_sequence_rejected() {
         let mut lstm = Lstm::new(1, 1, &mut rng());
         let _ = lstm.forward_seq(&[]);
+    }
+
+    /// BPTT writes its gradients over the gate activations it reads.
+    #[test]
+    #[should_panic(expected = "before forward")]
+    fn a_second_backward_needs_a_second_forward() {
+        let mut lstm = Lstm::new(2, 3, &mut rng());
+        let h = lstm.forward_last(&toy_seq(4, 2, 2, &mut rng()));
+        lstm.backward_last(&h);
+        let _ = lstm.backward_last(&h);
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl Tensor {
         );
         let (m, kk, n) = (self.rows, self.cols, other.cols);
         out.reshape_for(m, n);
-        gemm_into(&self.data, &other.data, &mut out.data, (m, kk, n));
+        gemm_into(&self.data, &other.data, &mut out.data, (m, kk, n), false);
     }
 
     /// Matrix product against a transposed right operand,
@@ -535,20 +535,33 @@ impl Tensor {
 
 /// Slice-level body of [`Tensor::matmul_into`]: overwrites the
 /// row-major `m × n` `out` with `a @ b` for row-major `a` (`m × kk`)
-/// and `b` (`kk × n`); `shape` is `(m, kk, n)`. The LSTM training path
-/// calls it directly on its flat step buffers.
+/// and `b` (`kk × n`); `shape` is `(m, kk, n)`. The LSTM calls it
+/// directly on its flat step buffers, with `b_finite` from the check it
+/// made of its weights when it transposed them; otherwise the kernel
+/// checks `b` itself. The `+0.0` fill makes `out` clean by construction
+/// ([`kernels::Vouched`]).
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match `shape`.
-pub(crate) fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], shape: (usize, usize, usize)) {
+pub(crate) fn gemm_into(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    shape: (usize, usize, usize),
+    b_finite: bool,
+) {
     let (m, kk, n) = shape;
     assert!(
         a.len() == m * kk && b.len() == kk * n && out.len() == m * n,
         "gemm shape mismatch: {m}x{kk} @ {kk}x{n}"
     );
     out.fill(0.0);
-    kernels::gemm_acc(a, (kk, 1), b, out, shape);
+    let vouched = kernels::Vouched {
+        b_finite,
+        out_clean: true,
+    };
+    kernels::gemm_acc_vouched(a, (kk, 1), b, out, shape, vouched);
 }
 
 impl fmt::Debug for Tensor {
