@@ -11,7 +11,7 @@
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
 //!   (`testbed_step`, `lc_tail`, `lstm`, `encoder_forward`, `gemm`,
 //!   `adrias_decision`, `forecast_miss`, `obs_overhead`,
-//!   `span_overhead`, `residual_overhead`); unmatched
+//!   `residual_overhead`); unmatched
 //!   sections are skipped entirely, including their setup.
 //!
 //! The run always ends by writing `BENCH_nn.json` (the medians, the
@@ -187,10 +187,10 @@ fn dense_run<O: EngineObserver>(
     )
 }
 
-/// [`dense_run`] under a fresh in-memory observer configured by `cfg`,
-/// no exporter attached.
-fn observed_run(arrivals: &[ScheduledArrival], policy: &mut dyn Policy, cfg: ObsConfig) {
-    let mut obs = Observer::new(cfg);
+/// [`dense_run`] under a fresh in-memory observer, no exporter
+/// attached.
+fn observed_run(arrivals: &[ScheduledArrival], policy: &mut dyn Policy) {
+    let mut obs = Observer::new(ObsConfig::default());
     let mut hooks = ObservedRun::with_qos(&mut obs, None);
     black_box(dense_run(arrivals, policy, &mut hooks));
 }
@@ -631,43 +631,10 @@ fn bench_obs_overhead(h: &mut Harness) {
     let run_plain = || {
         black_box(dense_run(&arrivals, &mut RoundRobinPolicy::new(), &mut ()));
     };
-    let run_observed = || {
-        observed_run(
-            &arrivals,
-            &mut RoundRobinPolicy::new(),
-            ObsConfig::default(),
-        );
-    };
+    let run_observed = || observed_run(&arrivals, &mut RoundRobinPolicy::new());
     let observed = ("engine_run_observed_no_export", &run_observed as &dyn Fn());
     let ratio = paired_ratio(h, observed, ("engine_run_plain", &run_plain));
     h.gate(&OBS_OVERHEAD, ratio);
-}
-
-/// Lifecycle spans + the queue-wait sketch on over off, the same dense
-/// observed run, [`paired_ratio`] median. Both legs carry the full
-/// [`adrias_obs::Observer`] (audit, trace, per-step sketches, flight
-/// recorder); the only difference is `ObsConfig::record_spans`, which
-/// gates span open/close bookkeeping and the queue-wait sketch observe.
-/// It reads 1.00–1.02 at 40 rounds; at CI's smoke settings (three
-/// rounds) 22 runs of the section alone read 0.990–1.062 and one
-/// whole-bench run on a contended host 0.866 (EXPERIMENTS.md "The
-/// engine's callers, written once"). 1.15 is the ceiling the feature
-/// was accepted under, more than twice the worst excess seen.
-const SPAN_OVERHEAD: Gate = Gate::at_most("span_overhead_x", 1.15);
-
-fn bench_span_overhead(h: &mut Harness) {
-    let arrivals = dense_mix();
-    let run_with = |record_spans: bool| {
-        let cfg = ObsConfig {
-            record_spans,
-            ..ObsConfig::default()
-        };
-        observed_run(&arrivals, &mut RoundRobinPolicy::new(), cfg);
-    };
-    let (run_spans_on, run_spans_off) = (|| run_with(true), || run_with(false));
-    let on = ("engine_run_spans_on", &run_spans_on as &dyn Fn());
-    let ratio = paired_ratio(h, on, ("engine_run_spans_off", &run_spans_off));
-    h.gate(&SPAN_OVERHEAD, ratio);
 }
 
 /// The residual tracker riding along the dense run over the same run
@@ -690,9 +657,7 @@ fn bench_residual_overhead(h: &mut Harness) {
     let stack = train_stack(&WorkloadCatalog::paper(), &StackOptions::quick());
     let arrivals = dense_mix();
     let scorer = RefCell::new(stack.system_model.clone());
-    let run_observed = || {
-        observed_run(&arrivals, &mut stack.policy(0.8, 5.0), ObsConfig::default());
-    };
+    let run_observed = || observed_run(&arrivals, &mut stack.policy(0.8, 5.0));
     let run_tracked = || {
         let mut obs = Observer::new(ObsConfig::default());
         let mut tracker = ResidualTracker::new(ResidualConfig::default());
@@ -709,7 +674,7 @@ fn bench_residual_overhead(h: &mut Harness) {
 fn main() {
     let filter = std::env::var("ADRIAS_BENCH_FILTER").unwrap_or_default();
     type Section = fn(&mut Harness);
-    let sections: [(&str, Section); 10] = [
+    let sections: [(&str, Section); 9] = [
         ("testbed_step", bench_sim_step),
         ("lc_tail", bench_lc_tail),
         ("lstm", bench_lstm),
@@ -718,7 +683,6 @@ fn main() {
         ("adrias_decision", bench_decision),
         ("forecast_miss", bench_forecast_miss),
         ("obs_overhead", bench_obs_overhead),
-        ("span_overhead", bench_span_overhead),
         ("residual_overhead", bench_residual_overhead),
     ];
 

@@ -180,7 +180,12 @@ pub struct DecisionRecord {
     pub near_flip: bool,
 }
 
-/// Collects [`DecisionRecord`]s for one engine run.
+/// Near-flip band on the normalised decision margin: decisions within
+/// 5 % of flipping are flagged.
+pub const NEAR_FLIP_BAND: f32 = 0.05;
+
+/// Collects [`DecisionRecord`]s for one engine run, flagging decisions
+/// whose absolute normalised margin is `≤` [`NEAR_FLIP_BAND`].
 ///
 /// # Examples
 ///
@@ -188,7 +193,7 @@ pub struct DecisionRecord {
 /// use adrias_obs::audit::{AuditTrail, DecisionInput, DecisionRule, WindowSummary};
 /// use adrias_workloads::{MemoryMode, WorkloadClass};
 ///
-/// let mut trail = AuditTrail::new(0.1);
+/// let mut trail = AuditTrail::new();
 /// trail.record(DecisionInput {
 ///     at_s: 3.0,
 ///     deployment_id: 0,
@@ -202,41 +207,23 @@ pub struct DecisionRecord {
 ///     policy: "adrias".into(),
 /// });
 /// let rec = &trail.records()[0];
-/// assert!(rec.near_flip); // 100 vs 104: ~3.8% margin, inside the 10% band
+/// assert!(rec.near_flip); // 100 vs 104: ~3.8% margin, inside the 5% band
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditTrail {
-    near_flip_band: f32,
     records: Vec<DecisionRecord>,
 }
 
 impl AuditTrail {
-    /// Creates a trail flagging decisions whose absolute normalised
-    /// margin is `≤ near_flip_band` (e.g. `0.05` for 5%).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `near_flip_band` is negative or not finite.
-    pub fn new(near_flip_band: f32) -> Self {
-        assert!(
-            near_flip_band.is_finite() && near_flip_band >= 0.0,
-            "near-flip band must be a finite non-negative fraction"
-        );
-        Self {
-            near_flip_band,
-            records: Vec::new(),
-        }
-    }
-
-    /// The configured near-flip band.
-    pub fn near_flip_band(&self) -> f32 {
-        self.near_flip_band
+    /// Creates an empty trail.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Computes the margin for `input` and appends a record.
     pub fn record(&mut self, input: DecisionInput) {
         let margin = margin_of(&input);
-        let near_flip = margin.is_some_and(|m| m.abs() <= self.near_flip_band);
+        let near_flip = margin.is_some_and(|m| m.abs() <= NEAR_FLIP_BAND);
         self.records.push(DecisionRecord {
             seq: self.records.len() as u64,
             input,
@@ -332,7 +319,7 @@ mod tests {
 
     #[test]
     fn beta_slack_margin_is_normalised_and_signed() {
-        let mut trail = AuditTrail::new(0.05);
+        let mut trail = AuditTrail::new();
         // local clearly wins: margin (1.2·100 − 60) / 120 = 0.5
         trail.record(input(
             DecisionRule::BetaSlack { beta: 1.2 },
@@ -355,7 +342,7 @@ mod tests {
 
     #[test]
     fn qos_margin_uses_remote_prediction_only() {
-        let mut trail = AuditTrail::new(0.05);
+        let mut trail = AuditTrail::new();
         trail.record(input(
             DecisionRule::QosThreshold { qos_p99_ms: 200.0 },
             None,
@@ -366,7 +353,7 @@ mod tests {
 
     #[test]
     fn rules_without_predictions_have_no_margin() {
-        let mut trail = AuditTrail::new(0.05);
+        let mut trail = AuditTrail::new();
         for rule in [
             DecisionRule::UnknownRemoteFirst,
             DecisionRule::WarmupDefault,
@@ -384,7 +371,7 @@ mod tests {
 
     #[test]
     fn sequence_numbers_are_dense() {
-        let mut trail = AuditTrail::new(0.0);
+        let mut trail = AuditTrail::new();
         for _ in 0..3 {
             trail.record(input(DecisionRule::Static, None, None));
         }

@@ -112,7 +112,7 @@ pub fn to_jsonl_events(obs: &Observer) -> String {
         obs.tracer.capacity(),
         obs.tracer.dropped()
     );
-    for e in obs.tracer.events() {
+    for e in obs.tracer.iter() {
         render_event_line(&mut out, e);
     }
     out
@@ -194,10 +194,10 @@ pub fn to_jsonl_flight(obs: &Observer) -> String {
         out,
         r#"{{"type":"meta","capacity":{},"recorded":{},"dropped":{}}}"#,
         obs.flight.capacity(),
-        obs.flight.recorded(),
+        obs.flight.pushed(),
         obs.flight.dropped()
     );
-    for e in obs.flight.entries() {
+    for e in obs.flight.iter() {
         let _ = writeln!(
             out,
             r#"{{"type":"flight","seq":{},"kind":{},"at_s":{},"deployment_id":{}}}"#,
@@ -416,7 +416,7 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
         }
         first = false;
     };
-    for e in obs.tracer.events() {
+    for e in obs.tracer.iter() {
         sep(&mut out);
         match e.kind {
             TraceKind::Span { t0_s, t1_s } => {
@@ -444,12 +444,12 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
         render_args(&mut out, &e.args);
         out.push('}');
     }
-    for (run, r) in obs.spans.records_by_run() {
+    for (run, r) in obs.spans.iter() {
         // A deployment's own track in its first run (the one its `app`
         // span is on); later runs under the same observer reuse the
         // deployment ids and restart the sim clock, so their trees go
         // on tracks of their own.
-        let tid = (run << 32) + r.deployment_id + 1;
+        let tid = (*run << 32) + r.deployment_id + 1;
         let begin = |out: &mut String, name: &str, ts_s: f64| {
             let _ = write!(
                 out,
@@ -518,11 +518,24 @@ pub fn to_chrome_trace(obs: &Observer) -> String {
 /// unless the observer was created with `record_wall`.
 pub fn render_flamegraph(obs: &Observer) -> String {
     let mut out = String::new();
-    for (label, ms) in obs.tracer.wall_totals() {
-        let micros = (ms * 1e3).round().max(0.0) as u64;
-        let _ = writeln!(out, "{label} {micros}");
+    for (label, ns) in obs.wall_ns.iter().flatten() {
+        let _ = writeln!(out, "{label} {}", (ns + 500) / 1000);
     }
     out
+}
+
+/// Writes `contents` as `dir/name`, creating `dir` if missing, and
+/// returns the file's path.
+fn write_file(dir: &Path, name: &str, contents: String) -> Result<PathBuf, ExportError> {
+    std::fs::create_dir_all(dir).map_err(|source| ExportError {
+        path: dir.to_path_buf(),
+        source,
+    })?;
+    let path = dir.join(name);
+    match std::fs::write(&path, contents) {
+        Ok(()) => Ok(path),
+        Err(source) => Err(ExportError { path, source }),
+    }
 }
 
 /// Writes the collapsed-stack flamegraph file as `flame.folded` in
@@ -532,16 +545,7 @@ pub fn render_flamegraph(obs: &Observer) -> String {
 ///
 /// Returns [`ExportError`] naming the file that could not be written.
 pub fn write_flamegraph(obs: &Observer, dir: &Path) -> Result<PathBuf, ExportError> {
-    std::fs::create_dir_all(dir).map_err(|source| ExportError {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let path = dir.join("flame.folded");
-    std::fs::write(&path, render_flamegraph(obs)).map_err(|source| ExportError {
-        path: path.clone(),
-        source,
-    })?;
-    Ok(path)
+    write_file(dir, "flame.folded", render_flamegraph(obs))
 }
 
 /// Writes a post-mortem bundle into `dir` (created if missing): the
@@ -555,21 +559,11 @@ pub fn write_flamegraph(obs: &Observer, dir: &Path) -> Result<PathBuf, ExportErr
 ///
 /// Returns [`ExportError`] naming the file that could not be written.
 pub fn write_post_mortem(obs: &Observer, dir: &Path, qos_p99_ms: f32) -> Result<(), ExportError> {
-    std::fs::create_dir_all(dir).map_err(|source| ExportError {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let write = |name: &str, contents: String| -> Result<(), ExportError> {
-        let path = dir.join(name);
-        std::fs::write(&path, contents).map_err(|source| ExportError { path, source })
-    };
-    write("flight.jsonl", to_jsonl_flight(obs))?;
-    write(
-        "qos_counterexamples.jsonl",
-        to_jsonl_qos_counterexamples(obs, qos_p99_ms),
-    )?;
-    write("metrics.jsonl", to_jsonl_metrics(obs))?;
-    write("spans.jsonl", to_jsonl_spans(obs))?;
+    write_file(dir, "flight.jsonl", to_jsonl_flight(obs))?;
+    let evidence = to_jsonl_qos_counterexamples(obs, qos_p99_ms);
+    write_file(dir, "qos_counterexamples.jsonl", evidence)?;
+    write_file(dir, "metrics.jsonl", to_jsonl_metrics(obs))?;
+    write_file(dir, "spans.jsonl", to_jsonl_spans(obs))?;
     Ok(())
 }
 
@@ -581,25 +575,13 @@ pub fn write_post_mortem(obs: &Observer, dir: &Path, qos_p99_ms: f32) -> Result<
 ///
 /// Returns [`ExportError`] naming the file that could not be written.
 pub fn write_all(obs: &Observer, dir: &Path) -> Result<ExportPaths, ExportError> {
-    std::fs::create_dir_all(dir).map_err(|source| ExportError {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let write = |name: &str, contents: String| -> Result<PathBuf, ExportError> {
-        let path = dir.join(name);
-        std::fs::write(&path, contents).map_err(|source| ExportError {
-            path: path.clone(),
-            source,
-        })?;
-        Ok(path)
-    };
     Ok(ExportPaths {
-        events: write("events.jsonl", to_jsonl_events(obs))?,
-        decisions: write("decisions.jsonl", to_jsonl_decisions(obs))?,
-        metrics: write("metrics.jsonl", to_jsonl_metrics(obs))?,
-        trace: write("trace.json", to_chrome_trace(obs))?,
-        adaptation: write("adaptation.jsonl", to_jsonl_adaptation(obs))?,
-        spans: write("spans.jsonl", to_jsonl_spans(obs))?,
+        events: write_file(dir, "events.jsonl", to_jsonl_events(obs))?,
+        decisions: write_file(dir, "decisions.jsonl", to_jsonl_decisions(obs))?,
+        metrics: write_file(dir, "metrics.jsonl", to_jsonl_metrics(obs))?,
+        trace: write_file(dir, "trace.json", to_chrome_trace(obs))?,
+        adaptation: write_file(dir, "adaptation.jsonl", to_jsonl_adaptation(obs))?,
+        spans: write_file(dir, "spans.jsonl", to_jsonl_spans(obs))?,
     })
 }
 
@@ -658,10 +640,10 @@ mod tests {
 
     #[test]
     fn events_meta_line_reports_overflow() {
-        let mut obs = Observer::new(ObsConfig {
-            trace_capacity: 1,
-            ..ObsConfig::default()
-        });
+        let mut obs = Observer {
+            tracer: crate::Tracer::new(1),
+            ..Observer::default()
+        };
         obs.tracer.instant("a", "t", 0.0, 0, vec![]);
         obs.tracer.instant("b", "t", 1.0, 0, vec![]);
         let text = to_jsonl_events(&obs);
@@ -907,7 +889,7 @@ mod tests {
         let again = obs.spans.records().next().unwrap().clone();
         obs.spans.open(again);
         obs.spans.close(2, 4.0, 4, false);
-        let runs: Vec<u64> = obs.spans.records_by_run().map(|(run, _)| run).collect();
+        let runs: Vec<u64> = obs.spans.iter().map(|(run, _)| *run).collect();
         assert_eq!(runs, [0, 1]);
 
         let text = to_chrome_trace(&obs);
@@ -929,9 +911,14 @@ mod tests {
     fn flamegraph_renders_folded_stacks_only_when_wall_enabled() {
         let mut obs = sample_observer();
         assert!(render_flamegraph(&obs).is_empty());
-        obs.tracer = obs.tracer.clone().with_wall_clock();
-        obs.tracer.add_wall_ns("engine;heap;pop", 1_500_000);
-        obs.tracer.add_wall_ns("engine;decide;fast", 250_000);
+        obs.wall_ns = Some(
+            [
+                ("engine;heap;pop", 1_500_000),
+                ("engine;decide;fast", 250_000),
+            ]
+            .map(|(label, ns)| (label.to_owned(), ns))
+            .into(),
+        );
         let folded = render_flamegraph(&obs);
         let lines: Vec<&str> = folded.lines().collect();
         // BTreeMap order, "<stack> <micros>" per line.

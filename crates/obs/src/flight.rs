@@ -13,7 +13,7 @@
 //! the run that produced it; the `dropped` counter in the meta line
 //! makes ring truncation visible.
 
-use std::collections::VecDeque;
+use crate::ring::Ring;
 
 /// One recorded engine event.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,82 +31,18 @@ pub struct FlightEntry {
 }
 
 /// Bounded ring of recent [`FlightEntry`] records.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    capacity: usize,
-    ring: VecDeque<FlightEntry>,
-    next_seq: u64,
-    dropped: u64,
-}
+pub type FlightRecorder = Ring<FlightEntry>;
 
-impl FlightRecorder {
-    /// Creates a recorder retaining at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "flight capacity must be positive");
-        Self {
-            capacity,
-            ring: VecDeque::new(),
-            next_seq: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends one event; evicts the oldest entry when the ring is
-    /// full. Returns the assigned sequence number.
-    pub fn record(&mut self, kind: &'static str, at_s: f64, deployment_id: Option<u64>) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(FlightEntry {
-            seq,
+impl Ring<FlightEntry> {
+    /// Appends one event, numbered by the ring's [`Ring::pushed`] count
+    /// before it; evicts the oldest entry when the ring is full.
+    pub fn record(&mut self, kind: &'static str, at_s: f64, deployment_id: Option<u64>) {
+        self.push(FlightEntry {
+            seq: self.pushed(),
             kind,
             at_s,
             deployment_id,
         });
-        seq
-    }
-
-    /// Retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &FlightEntry> {
-        self.ring.iter()
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Maximum retained entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries evicted due to ring overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total events ever recorded (retained + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new(4096)
     }
 }
 
@@ -120,11 +56,11 @@ mod tests {
         fr.record("arrival", 1.0, Some(0));
         fr.record("sample", 1.0, None);
         fr.record("finish", 2.0, Some(0));
-        let kinds: Vec<_> = fr.entries().map(|e| e.kind).collect();
+        let kinds: Vec<_> = fr.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["arrival", "sample", "finish"]);
-        let seqs: Vec<_> = fr.entries().map(|e| e.seq).collect();
+        let seqs: Vec<_> = fr.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(fr.recorded(), 3);
+        assert_eq!(fr.pushed(), 3);
         assert_eq!(fr.dropped(), 0);
     }
 
@@ -136,14 +72,14 @@ mod tests {
         }
         assert_eq!(fr.len(), 3);
         assert_eq!(fr.dropped(), 4);
-        let times: Vec<f64> = fr.entries().map(|e| e.at_s).collect();
+        let times: Vec<f64> = fr.iter().map(|e| e.at_s).collect();
         assert_eq!(times, vec![4.0, 5.0, 6.0]);
         // Seq numbers keep counting across evictions.
-        assert_eq!(fr.entries().last().unwrap().seq, 6);
+        assert_eq!(fr.iter().last().unwrap().seq, 6);
     }
 
     #[test]
-    #[should_panic(expected = "flight capacity must be positive")]
+    #[should_panic(expected = "ring capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = FlightRecorder::new(0);
     }

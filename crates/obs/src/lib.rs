@@ -5,9 +5,10 @@
 //! Three pillars, all zero-dependency and deterministic:
 //!
 //! * [`trace`] — structured spans and instants stamped with the **sim
-//!   clock** (never the wall clock), held in a bounded ring with an
-//!   explicit overflow counter. Two same-seed runs produce
-//!   byte-identical traces at any worker count.
+//!   clock** (never the wall clock), held in a bounded [`Ring`] — the
+//!   one ring under the tracer, the lifecycle spans and the flight
+//!   recorder. Two same-seed runs produce byte-identical traces at any
+//!   worker count.
 //! * [`registry`] — named counters, gauges, and distributions (one
 //!   type: the mergeable [`Sketch`]) registered by the sim (testbed
 //!   steps, contention slowdowns, interconnect traffic), the
@@ -48,6 +49,7 @@ pub mod json;
 pub mod observer;
 pub mod registry;
 pub mod report;
+pub mod ring;
 pub mod sketch;
 pub mod spans;
 pub mod trace;
@@ -67,6 +69,7 @@ pub use flight::{FlightEntry, FlightRecorder};
 pub use observer::{ObsConfig, Observer};
 pub use registry::Registry;
 pub use report::render_report;
+pub use ring::Ring;
 pub use sketch::Sketch;
 pub use spans::{LifecycleSpan, SpanStore};
 pub use trace::{ArgValue, TraceEvent, TraceKind, Tracer};

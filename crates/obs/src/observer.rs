@@ -8,6 +8,8 @@
 //! runs can each carry their own without contention, and dropping one
 //! discards its data.
 
+use std::collections::BTreeMap;
+
 use adrias_nn::TrainStats;
 
 use crate::adapt::AdaptationLog;
@@ -18,38 +20,20 @@ use crate::registry::Registry;
 use crate::spans::SpanStore;
 use crate::trace::Tracer;
 
-/// Configuration for an [`Observer`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObsConfig {
-    /// Maximum retained trace events (ring capacity).
-    pub trace_capacity: usize,
-    /// Near-flip band on the normalised decision margin (fraction,
-    /// e.g. `0.05` flags decisions within 5% of flipping).
-    pub near_flip_band: f32,
-    /// Whether to accumulate host wall-clock timings (kept out of the
-    /// deterministic exports; shown in the human report and the
-    /// flamegraph file only).
-    pub record_wall: bool,
-    /// Maximum retained closed lifecycle spans (ring capacity).
-    pub span_capacity: usize,
-    /// Maximum retained flight-recorder entries (ring capacity).
-    pub flight_capacity: usize,
-    /// Whether to record per-deployment lifecycle spans (and feed the
-    /// queue-wait / slowdown quantile sketches).
-    pub record_spans: bool,
-}
+/// Trace events retained (ring capacity).
+const TRACE_CAPACITY: usize = 65_536;
+/// Closed lifecycle spans retained (ring capacity).
+const SPAN_CAPACITY: usize = 65_536;
+/// Flight-recorder entries retained (ring capacity).
+const FLIGHT_CAPACITY: usize = 4096;
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            trace_capacity: 65_536,
-            near_flip_band: 0.05,
-            record_wall: false,
-            span_capacity: 65_536,
-            flight_capacity: 4096,
-            record_spans: true,
-        }
-    }
+/// Configuration for an [`Observer`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ObsConfig {
+    /// Whether to accumulate host wall-clock timings in
+    /// [`Observer::wall_ns`] (kept out of the deterministic exports;
+    /// shown in the human report and the flamegraph file only).
+    pub record_wall: bool,
 }
 
 /// Collected observability state for one run.
@@ -80,23 +64,24 @@ pub struct Observer {
     pub flight: FlightRecorder,
     /// SLO burn alerts fired during the run, in trigger order.
     pub burn: Vec<BurnEvent>,
+    /// Host wall-clock nanoseconds per engine-phase label, `Some` only
+    /// under [`ObsConfig::record_wall`]. Host-dependent, so no
+    /// byte-compared export reads it.
+    pub wall_ns: Option<BTreeMap<String, u64>>,
 }
 
 impl Observer {
     /// Creates an observer from `cfg`.
     pub fn new(cfg: ObsConfig) -> Self {
-        let mut tracer = Tracer::new(cfg.trace_capacity);
-        if cfg.record_wall {
-            tracer = tracer.with_wall_clock();
-        }
         Self {
-            tracer,
+            tracer: Tracer::new(TRACE_CAPACITY),
             registry: Registry::new(),
-            audit: AuditTrail::new(cfg.near_flip_band),
+            audit: AuditTrail::new(),
             adapt: AdaptationLog::new(),
-            spans: SpanStore::new(cfg.span_capacity, cfg.record_spans),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            spans: SpanStore::new(SPAN_CAPACITY),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             burn: Vec::new(),
+            wall_ns: cfg.record_wall.then(BTreeMap::new),
         }
     }
 

@@ -6,7 +6,9 @@
 
 use std::fmt::Write as _;
 
+use crate::audit::NEAR_FLIP_BAND;
 use crate::observer::Observer;
+use crate::ring::Ring;
 
 /// Name prefix under which the sim observer records per-app
 /// contention slowdowns; the report ranks these as "top slowdown
@@ -17,43 +19,14 @@ pub const SLOWDOWN_PREFIX: &str = "sim.slowdown.app.";
 pub fn render_report(obs: &Observer) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "=== Adrias observability report ===");
-    let _ = writeln!(
-        out,
-        "trace: {} events retained ({} dropped, capacity {})",
-        obs.tracer.len(),
-        obs.tracer.dropped(),
-        obs.tracer.capacity()
-    );
-    if obs.tracer.dropped() > 0 {
-        let _ = writeln!(
-            out,
-            "  WARNING: trace ring overflowed, {} oldest events lost — raise \
-             ObsConfig::trace_capacity for a complete trace",
-            obs.tracer.dropped()
-        );
-    }
-    if obs.spans.enabled() {
-        let _ = writeln!(
-            out,
-            "spans: {} lifecycle records closed ({} open, {} dropped, capacity {})",
-            obs.spans.len(),
-            obs.spans.open_count(),
-            obs.spans.dropped(),
-            obs.spans.capacity()
-        );
-        if obs.spans.dropped() > 0 {
-            let _ = writeln!(
-                out,
-                "  WARNING: span ring overflowed, {} oldest lifecycles lost",
-                obs.spans.dropped()
-            );
-        }
-    }
+    render_ring(&mut out, "trace", "events", &obs.tracer);
+    render_ring(&mut out, "spans", "lifecycles", &obs.spans);
+    render_ring(&mut out, "flight", "entries", &obs.flight);
     let _ = writeln!(
         out,
         "audit: {} decisions, near-flip band {:.1}%",
         obs.audit.len(),
-        f64::from(obs.audit.near_flip_band()) * 100.0
+        f64::from(NEAR_FLIP_BAND) * 100.0
     );
 
     render_decision_distribution(&mut out, obs);
@@ -64,6 +37,27 @@ pub fn render_report(obs: &Observer) -> String {
     render_metrics(&mut out, obs);
     render_wall_clock(&mut out, obs);
     out
+}
+
+/// One ring's retained/dropped/capacity line, and a warning when it
+/// overflowed.
+fn render_ring<T>(out: &mut String, name: &str, items: &str, ring: &Ring<T>) {
+    let _ = writeln!(
+        out,
+        "{name}: {} {items} retained ({} dropped, capacity {})",
+        ring.len(),
+        ring.dropped(),
+        ring.capacity()
+    );
+    if ring.dropped() > 0 {
+        let _ = writeln!(
+            out,
+            "  WARNING: {name} ring overflowed, {} oldest {items} lost — \
+             only the newest {} are kept",
+            ring.dropped(),
+            ring.capacity()
+        );
+    }
 }
 
 fn render_burn(out: &mut String, obs: &Observer) {
@@ -226,13 +220,12 @@ fn render_metrics(out: &mut String, obs: &Observer) {
 }
 
 fn render_wall_clock(out: &mut String, obs: &Observer) {
-    let totals = obs.tracer.wall_totals();
-    if totals.is_empty() {
+    let Some(totals) = obs.wall_ns.as_ref().filter(|t| !t.is_empty()) else {
         return;
-    }
+    };
     let _ = writeln!(out, "\n-- wall clock (host-dependent, not exported) --");
-    for (label, ms) in totals {
-        let _ = writeln!(out, "  {label:<38} {ms:.1} ms");
+    for (label, &ns) in totals {
+        let _ = writeln!(out, "  {label:<38} {:.1} ms", ns as f64 / 1e6);
     }
 }
 
@@ -296,16 +289,53 @@ mod tests {
 
     #[test]
     fn forced_trace_drops_surface_a_warning() {
-        let mut obs = Observer::new(crate::ObsConfig {
-            trace_capacity: 2,
-            ..crate::ObsConfig::default()
-        });
+        let mut obs = Observer {
+            tracer: crate::Tracer::new(2),
+            spans: crate::SpanStore::new(3),
+            flight: crate::FlightRecorder::new(4),
+            ..Observer::default()
+        };
         for t in 0..5 {
             obs.tracer.instant("e", "t", f64::from(t), 0, vec![]);
+            obs.flight.record("sample", f64::from(t), None);
+        }
+        let mut span = crate::spans::LifecycleSpan {
+            deployment_id: 0,
+            app: "gmm".into(),
+            class: "BE",
+            mode: "local",
+            rule: "static",
+            lane: "direct",
+            arrived_s: 0.0,
+            decided_s: 0.0,
+            opened_tick: 0,
+            finished_s: 0.0,
+            samples: 0,
+            drained: false,
+        };
+        for id in 0..5 {
+            span.deployment_id = id;
+            obs.spans.open(span.clone());
+            obs.spans.close(id, 1.0, 1, false);
         }
         let text = render_report(&obs);
-        assert!(text.contains("(3 dropped, capacity 2)"));
-        assert!(text.contains("WARNING: trace ring overflowed, 3 oldest events lost"));
+        for (line, warning) in [
+            (
+                "trace: 2 events retained (3 dropped, capacity 2)",
+                "WARNING: trace ring overflowed, 3 oldest events lost",
+            ),
+            (
+                "spans: 3 lifecycles retained (2 dropped, capacity 3)",
+                "WARNING: spans ring overflowed, 2 oldest lifecycles lost",
+            ),
+            (
+                "flight: 4 entries retained (1 dropped, capacity 4)",
+                "WARNING: flight ring overflowed, 1 oldest entries lost",
+            ),
+        ] {
+            assert!(text.contains(line), "{text}");
+            assert!(text.contains(warning), "{text}");
+        }
         // A drop-free run stays warning-free.
         assert!(!render_report(&Observer::default()).contains("WARNING"));
     }
@@ -329,12 +359,13 @@ mod tests {
 
     #[test]
     fn wall_clock_section_appears_only_when_recorded() {
-        let mut obs = Observer::new(crate::ObsConfig {
-            record_wall: true,
-            ..crate::ObsConfig::default()
-        });
-        obs.tracer
-            .time_wall("train", || std::hint::black_box(1 + 1));
-        assert!(render_report(&obs).contains("wall clock"));
+        let mut obs = Observer::new(crate::ObsConfig { record_wall: true });
+        assert!(!render_report(&obs).contains("wall clock"));
+        obs.wall_ns
+            .as_mut()
+            .unwrap()
+            .insert("engine;heap;pop".into(), 1_500_000);
+        assert!(render_report(&obs).contains("engine;heap;pop"));
+        assert!(render_report(&obs).contains("1.5 ms"));
     }
 }

@@ -18,12 +18,14 @@
 //! byte-identical across same-seed runs and worker counts — the same
 //! contract the flat exports carry.
 //!
-//! Closed records live in a bounded ring with an explicit drop counter
-//! (the meta line reports it), so a million-arrival run stays bounded.
+//! Closed records live in a bounded [`Ring`] whose drop count the meta
+//! line reports, so a million-arrival run stays bounded.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use adrias_core::Name;
+
+use crate::ring::Ring;
 
 /// Child-phase offsets inside one deployment's span-id block.
 pub mod phase {
@@ -76,17 +78,13 @@ impl LifecycleSpan {
 /// Bounded store of per-deployment lifecycle span trees.
 ///
 /// Spans open at admission, close at completion (or get force-closed as
-/// `drained` at run end). Closed records are retained newest-last in a
-/// ring of `capacity` records; overflow evicts the oldest and bumps the
-/// drop counter.
+/// `drained` at run end). Closed records go into a [`Ring`], each beside
+/// the 0-based engine run it closed in; the store dereferences to that
+/// ring, so `len`, `dropped` and `iter` speak of closed records.
 #[derive(Debug, Clone)]
 pub struct SpanStore {
-    enabled: bool,
-    capacity: usize,
     open: BTreeMap<u64, LifecycleSpan>,
-    /// Each record beside the 0-based engine run it closed in.
-    closed: VecDeque<(u64, LifecycleSpan)>,
-    dropped: u64,
+    closed: Ring<(u64, LifecycleSpan)>,
     /// Engine runs drained so far.
     run: u64,
 }
@@ -97,42 +95,12 @@ impl SpanStore {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, enabled: bool) -> Self {
-        assert!(capacity > 0, "span capacity must be positive");
+    pub fn new(capacity: usize) -> Self {
         Self {
-            enabled,
-            capacity,
             open: BTreeMap::new(),
-            closed: VecDeque::new(),
-            dropped: 0,
+            closed: Ring::new(capacity),
             run: 0,
         }
-    }
-
-    /// Whether lifecycle recording is switched on (the
-    /// `ObsConfig::record_spans` gate).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Maximum retained closed records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Closed records evicted due to ring overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained closed records.
-    pub fn len(&self) -> usize {
-        self.closed.len()
-    }
-
-    /// Whether no closed records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.closed.is_empty()
     }
 
     /// Deployments admitted but not yet closed.
@@ -141,18 +109,14 @@ impl SpanStore {
     }
 
     /// Opens a deployment's tree at admission; the finish fields are
-    /// stamped by [`SpanStore::close`]. No-op when recording is
-    /// disabled.
+    /// stamped by [`SpanStore::close`].
     pub fn open(&mut self, span: LifecycleSpan) {
-        if !self.enabled {
-            return;
-        }
         self.open.insert(span.deployment_id, span);
     }
 
     /// Closes a deployment's tree: stamps the finish instant and the
     /// elapsed sample count, then moves the record into the closed
-    /// ring. Unknown ids (or disabled recording) are ignored.
+    /// ring. Unknown ids are ignored.
     pub fn close(&mut self, deployment_id: u64, finished_s: f64, closed_tick: u64, drained: bool) {
         let Some(mut span) = self.open.remove(&deployment_id) else {
             return;
@@ -160,11 +124,7 @@ impl SpanStore {
         span.finished_s = finished_s;
         span.samples = closed_tick.saturating_sub(span.opened_tick);
         span.drained = drained;
-        if self.closed.len() == self.capacity {
-            self.closed.pop_front();
-            self.dropped += 1;
-        }
-        self.closed.push_back((self.run, span));
+        self.closed.push((self.run, span));
     }
 
     /// Ends an engine run: force-closes every still-open tree as
@@ -176,23 +136,19 @@ impl SpanStore {
         self.run += 1;
     }
 
-    /// Closed records, oldest first.
+    /// Closed records, oldest first. Deployment ids restart at 0 in
+    /// every run, so a store that outlives one run (a drift corpus)
+    /// tells its trees apart by the run each [`Ring`] item carries.
     pub fn records(&self) -> impl Iterator<Item = &LifecycleSpan> {
         self.closed.iter().map(|(_, span)| span)
     }
-
-    /// Closed records beside the 0-based engine run each belongs to.
-    /// Deployment ids restart at 0 in every run, so a store that
-    /// outlives one run (a drift corpus) tells its trees apart by
-    /// `(run, deployment_id)`.
-    pub fn records_by_run(&self) -> impl Iterator<Item = (u64, &LifecycleSpan)> {
-        self.closed.iter().map(|(run, span)| (*run, span))
-    }
 }
 
-impl Default for SpanStore {
-    fn default() -> Self {
-        Self::new(65_536, true)
+impl std::ops::Deref for SpanStore {
+    type Target = Ring<(u64, LifecycleSpan)>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.closed
     }
 }
 
@@ -219,7 +175,7 @@ mod tests {
 
     #[test]
     fn open_close_produces_one_record_with_sample_count() {
-        let mut store = SpanStore::new(8, true);
+        let mut store = SpanStore::new(8);
         store.open(span(3, 1.2, 2.0));
         assert_eq!(store.open_count(), 1);
         store.close(3, 40.0, 40, false);
@@ -234,7 +190,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_evicts_oldest_and_counts_drops() {
-        let mut store = SpanStore::new(2, true);
+        let mut store = SpanStore::new(2);
         for id in 0..4u64 {
             store.open(span(id, id as f64, id as f64));
             store.close(id, 10.0, 10, false);
@@ -247,7 +203,7 @@ mod tests {
 
     #[test]
     fn drain_open_closes_in_deployment_id_order() {
-        let mut store = SpanStore::new(8, true);
+        let mut store = SpanStore::new(8);
         for id in [5u64, 1, 3] {
             store.open(span(id, 0.0, 0.0));
         }
@@ -261,26 +217,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_store_records_nothing() {
-        let mut store = SpanStore::new(8, false);
-        store.open(span(1, 0.0, 0.0));
-        store.close(1, 5.0, 5, false);
-        assert!(store.is_empty());
-        assert_eq!(store.open_count(), 0);
-        assert!(!store.enabled());
-    }
-
-    #[test]
     fn closing_an_unknown_id_is_a_no_op() {
-        let mut store = SpanStore::new(8, true);
+        let mut store = SpanStore::new(8);
         store.close(42, 1.0, 1, false);
         assert!(store.is_empty());
         assert_eq!(store.dropped(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "span capacity must be positive")]
+    #[should_panic(expected = "ring capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = SpanStore::new(0, true);
+        let _ = SpanStore::new(0);
     }
 }

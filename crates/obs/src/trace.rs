@@ -4,20 +4,16 @@
 //! clock, so a trace is a pure function of the run's seeds: two runs of
 //! the same seeded scenario produce byte-identical exports regardless of
 //! host speed or worker count (the determinism contract pinned by
-//! `tests/determinism_ws.rs`). Events live in a bounded ring: when the
-//! ring is full the oldest event is evicted and an explicit overflow
-//! counter records the loss, so exports are bounded and truncation is
-//! always visible.
+//! `tests/determinism_ws.rs`). Events live in a bounded [`Ring`], so
+//! exports are bounded and truncation is always visible.
 //!
-//! Wall-clock timing is supported, but deliberately quarantined: it is
-//! accumulated per label in a side table ([`Tracer::wall_totals`]) that
-//! never appears in the deterministic exports — only in the
-//! human-readable run report, clearly marked as host-dependent.
-
-use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
+//! Host wall-clock time never touches the tracer: the self-profiler's
+//! totals live on [`crate::Observer::wall_ns`], outside the
+//! deterministic exports.
 
 use adrias_core::Name;
+
+use crate::ring::Ring;
 
 /// One argument attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +82,8 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-/// Bounded, deterministic event recorder.
+/// Bounded, deterministic event recorder: a [`Ring`] of events plus
+/// its `span` / `instant` recorders.
 ///
 /// # Examples
 ///
@@ -99,72 +96,9 @@ pub struct TraceEvent {
 /// assert_eq!(tr.len(), 2);
 /// assert_eq!(tr.dropped(), 0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Tracer {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-    wall_totals: BTreeMap<String, f64>,
-    record_wall: bool,
-}
+pub type Tracer = Ring<TraceEvent>;
 
-impl Tracer {
-    /// Creates a tracer retaining at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        Self {
-            capacity,
-            events: VecDeque::new(),
-            dropped: 0,
-            wall_totals: BTreeMap::new(),
-            record_wall: false,
-        }
-    }
-
-    /// Enables wall-clock accumulation (host-dependent; kept out of the
-    /// deterministic exports).
-    pub fn with_wall_clock(mut self) -> Self {
-        self.record_wall = true;
-        self
-    }
-
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events evicted due to ring overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    fn push(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
+impl Ring<TraceEvent> {
     /// Records a closed span `[t0_s, t1_s]` on the sim clock.
     pub fn span(
         &mut self,
@@ -201,42 +135,6 @@ impl Tracer {
             args,
         });
     }
-
-    /// Runs `f`, accumulating its wall-clock time under `label` when
-    /// wall-clock recording is enabled. The measurement never enters the
-    /// deterministic exports.
-    pub fn time_wall<R>(&mut self, label: &str, f: impl FnOnce() -> R) -> R {
-        if !self.record_wall {
-            return f();
-        }
-        let t0 = Instant::now();
-        let out = f();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        *self.wall_totals.entry(label.to_owned()).or_insert(0.0) += ms;
-        out
-    }
-
-    /// Whether wall-clock accumulation is enabled.
-    pub fn wall_enabled(&self) -> bool {
-        self.record_wall
-    }
-
-    /// Adds `ns` nanoseconds of externally measured wall time under
-    /// `label`. No-op unless wall-clock recording is enabled. Lets hot
-    /// loops time themselves with a raw `Instant` and deposit the total
-    /// once, instead of paying a closure call per iteration.
-    pub fn add_wall_ns(&mut self, label: &str, ns: u64) {
-        if !self.record_wall {
-            return;
-        }
-        *self.wall_totals.entry(label.to_owned()).or_insert(0.0) += ns as f64 / 1e6;
-    }
-
-    /// Accumulated wall-clock milliseconds per label (host-dependent;
-    /// empty unless [`Tracer::with_wall_clock`] was used).
-    pub fn wall_totals(&self) -> &BTreeMap<String, f64> {
-        &self.wall_totals
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +149,7 @@ mod tests {
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.dropped(), 2);
-        let first = tr.events().next().unwrap();
+        let first = tr.iter().next().unwrap();
         assert_eq!(first.kind, TraceKind::Instant { at_s: 2.0 });
     }
 
@@ -260,7 +158,7 @@ mod tests {
         let mut tr = Tracer::new(8);
         tr.span("run", "engine", 0.0, 10.0, 0, vec![("n", 4.0.into())]);
         tr.instant("done", "engine", 10.0, 1, vec![("app", "gmm".into())]);
-        let events: Vec<_> = tr.events().collect();
+        let events: Vec<_> = tr.iter().collect();
         assert_eq!(events[0].args[0], ("n", ArgValue::Num(4.0)));
         assert_eq!(events[1].args[0], ("app", ArgValue::Str("gmm".into())));
         assert_eq!(events[1].track, 1);
@@ -268,30 +166,12 @@ mod tests {
 
     #[test]
     fn wall_clock_is_opt_in_and_side_channel() {
-        let mut off = Tracer::new(4);
-        off.time_wall("work", || std::hint::black_box(1 + 1));
-        assert!(off.wall_totals().is_empty());
-
-        let mut on = Tracer::new(4).with_wall_clock();
-        on.time_wall("work", || std::hint::black_box((0..1000u64).sum::<u64>()));
-        assert!(on.wall_totals().contains_key("work"));
-        // And no trace *events* were produced either way.
-        assert!(on.is_empty());
-    }
-
-    #[test]
-    fn add_wall_ns_respects_the_opt_in_gate() {
-        let mut off = Tracer::new(4);
-        off.add_wall_ns("engine;heap;push", 5_000_000);
-        assert!(off.wall_totals().is_empty());
-        assert!(!off.wall_enabled());
-
-        let mut on = Tracer::new(4).with_wall_clock();
-        assert!(on.wall_enabled());
-        on.add_wall_ns("engine;heap;push", 5_000_000);
-        on.add_wall_ns("engine;heap;push", 2_500_000);
-        let ms = on.wall_totals()["engine;heap;push"];
-        assert!((ms - 7.5).abs() < 1e-9, "accumulated {ms} ms");
+        use crate::{ObsConfig, Observer};
+        assert_eq!(Observer::default().wall_ns, None);
+        let obs = Observer::new(ObsConfig { record_wall: true });
+        assert_eq!(obs.wall_ns, Some(Default::default()));
+        // The wall table sits beside the tracer, never in it.
+        assert!(obs.tracer.is_empty());
     }
 
     #[test]

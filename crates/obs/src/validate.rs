@@ -60,6 +60,34 @@ fn require_str<'a>(doc: &'a Json, key: &str, line: usize) -> Result<&'a str, Val
         .ok_or_else(|| err(line, format!("missing string field `{key}`")))
 }
 
+/// Checks line 1 of a ring export (`events.jsonl`, `spans.jsonl`): a
+/// `meta` record with a positive `capacity` and a non-negative count
+/// under each of `counts`. Returns the remaining lines, numbered from 1.
+fn ring_meta<'a>(
+    text: &'a str,
+    export: &str,
+    counts: &[&str],
+) -> Result<std::iter::Enumerate<std::str::Lines<'a>>, ValidateError> {
+    let mut lines = text.lines().enumerate();
+    let (_, meta_line) = lines
+        .next()
+        .ok_or_else(|| err(0, format!("empty {export} export")))?;
+    let meta = parse_line(1, meta_line)?;
+    if require_str(&meta, "type", 1)? != "meta" {
+        return Err(err(1, "first line must be the meta record"));
+    }
+    let capacity = require_num(&meta, "capacity", 1)?;
+    let mut out_of_range = capacity < 1.0;
+    for key in counts {
+        out_of_range |= require_num(&meta, key, 1)? < 0.0;
+    }
+    if out_of_range {
+        let fields = counts.join("/");
+        return Err(err(1, format!("meta capacity/{fields} out of range")));
+    }
+    Ok(lines)
+}
+
 /// Validates an `events.jsonl` export. Returns the number of event
 /// lines (excluding the meta header).
 ///
@@ -67,18 +95,7 @@ fn require_str<'a>(doc: &'a Json, key: &str, line: usize) -> Result<&'a str, Val
 ///
 /// Returns the first schema violation found.
 pub fn validate_jsonl_events(text: &str) -> Result<usize, ValidateError> {
-    let mut lines = text.lines().enumerate();
-    let (_, meta_line) = lines.next().ok_or_else(|| err(0, "empty events export"))?;
-    let meta = parse_line(1, meta_line)?;
-    if require_str(&meta, "type", 1)? != "meta" {
-        return Err(err(1, "first line must be the meta record"));
-    }
-    let capacity = require_num(&meta, "capacity", 1)?;
-    let dropped = require_num(&meta, "dropped", 1)?;
-    if capacity < 1.0 || dropped < 0.0 {
-        return Err(err(1, "meta capacity/dropped out of range"));
-    }
-
+    let lines = ring_meta(text, "events", &["dropped"])?;
     let mut count = 0usize;
     for (idx, line) in lines {
         let line_no = idx + 1;
@@ -358,19 +375,7 @@ const KNOWN_LANES: [&str; 3] = ["fast", "direct", "forced"];
 ///
 /// Returns the first schema violation found.
 pub fn validate_jsonl_spans(text: &str) -> Result<usize, ValidateError> {
-    let mut lines = text.lines().enumerate();
-    let (_, meta_line) = lines.next().ok_or_else(|| err(0, "empty spans export"))?;
-    let meta = parse_line(1, meta_line)?;
-    if require_str(&meta, "type", 1)? != "meta" {
-        return Err(err(1, "first line must be the meta record"));
-    }
-    let capacity = require_num(&meta, "capacity", 1)?;
-    let open = require_num(&meta, "open", 1)?;
-    let dropped = require_num(&meta, "dropped", 1)?;
-    if capacity < 1.0 || open < 0.0 || dropped < 0.0 {
-        return Err(err(1, "meta capacity/open/dropped out of range"));
-    }
-
+    let lines = ring_meta(text, "spans", &["open", "dropped"])?;
     let mut count = 0usize;
     for (idx, line) in lines {
         let line_no = idx + 1;
@@ -664,6 +669,28 @@ mod tests {
         let text = r#"{"type":"instant","name":"x","cat":"t","at_s":1,"track":0,"args":{}}"#;
         let e = validate_jsonl_events(text).unwrap_err();
         assert!(e.to_string().contains("meta"));
+    }
+
+    #[test]
+    fn ring_meta_headers_out_of_range_are_rejected() {
+        for (text, fields) in [
+            (
+                r#"{"type":"meta","capacity":0,"dropped":0}"#,
+                "capacity/dropped",
+            ),
+            (
+                r#"{"type":"meta","capacity":8,"dropped":-1}"#,
+                "capacity/dropped",
+            ),
+        ] {
+            let e = validate_jsonl_events(text).unwrap_err();
+            assert_eq!(e.reason, format!("meta {fields} out of range"));
+        }
+        let spans = r#"{"type":"meta","capacity":8,"open":-1,"dropped":0}"#;
+        let e = validate_jsonl_spans(spans).unwrap_err();
+        assert_eq!(e.reason, "meta capacity/open/dropped out of range");
+        let e = validate_jsonl_spans(r#"{"type":"meta","capacity":8,"dropped":0}"#).unwrap_err();
+        assert!(e.reason.contains("`open`"), "{}", e.reason);
     }
 
     #[test]

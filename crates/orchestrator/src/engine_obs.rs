@@ -103,9 +103,6 @@ impl EngineObserver for ObservedRun<'_> {
         self.obs
             .flight
             .record("arrival", decided_s, Some(id.index()));
-        if !self.obs.spans.enabled() {
-            return;
-        }
         self.obs
             .registry
             .observe("orchestrator.queue_wait_s", decided_s - arrived_s);
@@ -140,11 +137,13 @@ impl EngineObserver for ObservedRun<'_> {
     }
 
     fn wall_profiling(&self) -> bool {
-        self.obs.tracer.wall_enabled()
+        self.obs.wall_ns.is_some()
     }
 
     fn on_wall(&mut self, label: &str, ns: u64) {
-        self.obs.tracer.add_wall_ns(label, ns);
+        if let Some(totals) = &mut self.obs.wall_ns {
+            *totals.entry(label.to_owned()).or_default() += ns;
+        }
     }
 
     fn on_step(&mut self, report: &StepReport) {
@@ -158,11 +157,9 @@ impl EngineObserver for ObservedRun<'_> {
         self.obs
             .flight
             .record("finish", outcome.finished_s, Some(id.index()));
-        if self.obs.spans.enabled() {
-            self.obs
-                .spans
-                .close(id.index(), outcome.finished_s, self.ticks, false);
-        }
+        self.obs
+            .spans
+            .close(id.index(), outcome.finished_s, self.ticks, false);
         let mut args = vec![
             ("mode", outcome.mode.label().into()),
             ("class", outcome.class.label().into()),
@@ -319,7 +316,7 @@ mod tests {
         // Every completion produced an app span plus the run root span.
         let spans = obs
             .tracer
-            .events()
+            .iter()
             .filter(|e| matches!(e.kind, adrias_obs::TraceKind::Span { .. }))
             .count();
         assert_eq!(spans, report.outcomes.len() + 1);
@@ -430,8 +427,8 @@ mod tests {
         let slow = obs.registry.sketch("sim.slowdown").unwrap();
         assert_eq!(slow.count() as usize, report.outcomes.len());
         // The flight recorder kept the arrival→finish interleaving.
-        assert!(obs.flight.recorded() > 0);
-        let kinds: Vec<&str> = obs.flight.entries().map(|e| e.kind).collect();
+        assert!(obs.flight.pushed() > 0);
+        let kinds: Vec<&str> = obs.flight.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&"arrival") && kinds.contains(&"finish"));
         // The run span names its traffic source.
         let chrome = export::to_chrome_trace(&obs);
@@ -439,25 +436,22 @@ mod tests {
     }
 
     #[test]
-    fn disabling_spans_skips_lifecycle_work_but_keeps_counters() {
-        let mut obs = Observer::new(ObsConfig {
-            record_spans: false,
-            ..ObsConfig::default()
-        });
-        let mut policy = RoundRobinPolicy::new();
-        let report = run_stream_hooked(
-            TestbedConfig::noiseless(),
-            engine(),
-            &mut ScheduleStream::new(&schedule()),
-            &[],
-            &mut policy,
-            &mut ObservedRun::with_qos(&mut obs, None),
-        );
-        assert!(obs.spans.is_empty());
-        assert!(obs.registry.sketch("orchestrator.queue_wait_s").is_none());
-        assert_eq!(
-            obs.registry.counter("engine.events_popped.finish") as usize,
-            report.outcomes.len()
+    fn wall_frames_accumulate_only_when_recorded() {
+        let mut off = Observer::new(ObsConfig::default());
+        let mut run = ObservedRun::with_qos(&mut off, None);
+        assert!(!run.wall_profiling());
+        run.on_wall("engine;heap;push", 5_000_000);
+        assert_eq!(off.wall_ns, None);
+
+        let mut on = Observer::new(ObsConfig { record_wall: true });
+        let mut run = ObservedRun::with_qos(&mut on, None);
+        assert!(run.wall_profiling());
+        run.on_wall("engine;heap;push", 5_000_000);
+        run.on_wall("engine;heap;push", 2_500_000);
+        assert_eq!(on.wall_ns.unwrap()["engine;heap;push"], 7_500_000);
+        assert!(
+            on.tracer.is_empty(),
+            "wall time never becomes a trace event"
         );
     }
 }

@@ -45,6 +45,8 @@ fn validate_exports(paths: &obs::ExportPaths) -> Result<(), String> {
     obs::validate_jsonl_metrics(&read(&paths.metrics)?)
         .map_err(|e| format!("metrics.jsonl: {e}"))?;
     obs::validate_chrome_trace(&read(&paths.trace)?).map_err(|e| format!("trace.json: {e}"))?;
+    obs::validate_jsonl_adaptation(&read(&paths.adaptation)?)
+        .map_err(|e| format!("adaptation.jsonl: {e}"))?;
     obs::validate_jsonl_spans(&read(&paths.spans)?).map_err(|e| format!("spans.jsonl: {e}"))?;
     Ok(())
 }
@@ -64,7 +66,6 @@ fn main() -> ExitCode {
     let spec = ScenarioSpec::new(5.0, 30.0, 700.0, seed);
     let mut observer = Observer::new(ObsConfig {
         record_wall: profile_wall,
-        ..ObsConfig::default()
     });
     // The offline phase's training counters and epoch losses land in
     // the same registry as the run metrics.
