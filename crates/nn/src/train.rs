@@ -3,34 +3,62 @@
 //! The predictor models train with minibatch SGD. To parallelize a
 //! minibatch without giving up reproducibility, the batch is split into
 //! **fixed-size gradient chunks** (ghost batches). Each chunk runs a
-//! full forward/backward pass on its own clone of the model, and the
-//! partial results are reduced into the master model **in chunk order**.
-//! Because the chunk boundaries depend only on `grad_chunk` — never on
-//! the worker count — and the reduction order is fixed, the loss trace
-//! is bit-identical whether the chunks execute on 1, 2, or 8 workers.
+//! full forward/backward pass on a worker model reloaded from the
+//! master, and the partial results are reduced into the master model
+//! **in chunk order**. Because the chunk boundaries depend only on
+//! `grad_chunk` — never on the worker count — and the reduction order is
+//! fixed, the loss trace is bit-identical whether the chunks execute on
+//! 1, 2, or 8 workers.
+//!
+//! The workers are **kept**: [`fit`] clones the model once per worker
+//! thread for its whole run, and before every chunk copies the
+//! minibatch's parameters and running buffers into the worker and sets
+//! its gradients to `+0.0`. Its LSTM workspaces and layer caches are
+//! sized by the first chunk and reused by every later one, instead of
+//! being allocated and faulted in by a fresh clone per chunk. After the
+//! chunk, the worker's gradients and buffers are swapped into kept
+//! per-chunk slots, and the slots are reduced.
 //!
 //! Three details make this exact rather than merely approximate:
 //!
-//! * chunk clones are taken from the master snapshot, so per-chunk RNG
-//!   state (dropout) does not depend on how many chunks a worker has
-//!   already processed — callers reseed dropout from `(step, chunk)`;
+//! * a chunk's result is a function of the parameters, the running
+//!   buffers and its dropout seed alone — the reload sets the first two,
+//!   `pass` reseeds dropout from `(step, chunk)`, and everything else a
+//!   worker carries over is written before it is read (the contract on
+//!   [`GradModel`]) — so it does not depend on which worker ran it or
+//!   what that worker ran before;
 //! * batch-norm statistics are computed per chunk (ghost batch norm)
-//!   and the running buffers are merged by accumulating each clone's
-//!   delta against the snapshot, again in chunk order;
+//!   and the running buffers are merged by accumulating each chunk's
+//!   delta against the minibatch's starting values, again in chunk
+//!   order;
 //! * the minibatch loss is reduced in `f64` in chunk order.
 
+use std::mem;
+
 use adrias_core::rng::{SeedableRng, SliceRandom, Xoshiro256pp};
-use adrias_core::thread::map_chunks;
+use adrias_core::thread::scope;
 
 use crate::adam::Adam;
 use crate::tensor::Tensor;
 
 /// A model whose parameters, gradients, and running buffers can be
 /// visited in a stable order, making it trainable by
-/// [`accumulate_minibatch`].
+/// [`accumulate_minibatch`] and [`fit`].
 ///
 /// `Clone` must deep-copy parameters, gradients, and RNG state; `Send +
-/// Sync` let chunk clones run on scoped worker threads.
+/// Sync` let worker models run on scoped threads.
+///
+/// **The pass contract.** A worker model is reused for chunk after
+/// chunk: before each one its parameters and buffers are overwritten
+/// through [`GradModel::visit_params`] / [`GradModel::visit_buffers`]
+/// and its gradients set to `+0.0`; nothing else is reset. The `pass`
+/// closure must therefore leave no other state that the next chunk
+/// reads before writing: it reseeds every dropout stream from the seed
+/// it is handed, and every workspace, cache and mask the layers keep is
+/// overwritten by the forward that precedes its backward (true of
+/// every layer in this crate). Under that contract a chunk's gradients,
+/// buffers and loss are a function of the parameters, the buffers and
+/// the dropout seed alone, whichever worker runs it.
 pub trait GradModel: Clone + Send + Sync {
     /// Visits every `(parameter, gradient)` pair in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
@@ -129,8 +157,8 @@ pub fn mix_seed(parts: &[u64]) -> u64 {
 
 /// Minibatches smaller than this many samples run on one worker
 /// regardless of the configured count: at these sizes the scoped-thread
-/// dispatch in [`map_chunks`] costs several times the forward/backward
-/// work it distributes (the `train_step_workers_2` bench regressed
+/// dispatch costs several times the forward/backward work it
+/// distributes (the `train_step_workers_2` bench regressed
 /// ~3.7× against serial before this floor). The threshold depends only
 /// on `batch.len()`, and worker count never changes the reduction
 /// order, so results stay bit-identical on either side of it.
@@ -139,19 +167,22 @@ pub const SERIAL_BATCH_FLOOR: usize = 256;
 /// Runs one minibatch of data-parallel gradient accumulation.
 ///
 /// `batch` is the sample indices of this minibatch; it is split into
-/// chunks of at most `grad_chunk` samples. For every chunk, a clone of
-/// `master` runs `pass(&mut clone, chunk_index, chunk_indices)`, which
-/// must perform a forward/backward pass over exactly those samples and
-/// return the chunk's mean loss. The clones' parameter gradients are
+/// chunks of at most `grad_chunk` samples. For every chunk, a worker
+/// model reloaded from `master` runs `pass(&mut worker, chunk_index,
+/// chunk_indices)`, which must perform a forward/backward pass over
+/// exactly those samples and return the chunk's mean loss (under the
+/// contract on [`GradModel`]). The chunks' parameter gradients are
 /// reduced into `master` weighted by chunk size (so the result is the
 /// batch-mean gradient under ghost batch norm), running buffers are
 /// merged by chunk-order delta accumulation, and the weighted mean loss
 /// is returned.
 ///
-/// The reduction is **bit-identical for any `workers` value**; see the
-/// module docs for why. Batches below [`SERIAL_BATCH_FLOOR`] skip
-/// thread dispatch entirely (a pure scheduling decision — the chunk
-/// split and reduction order are unchanged).
+/// This is [`fit`]'s step with workers kept for this one call; `fit`
+/// keeps them for its whole run. The reduction is **bit-identical for
+/// any `workers` value**; see the module docs for why. Batches below
+/// [`SERIAL_BATCH_FLOOR`] skip thread dispatch entirely (a pure
+/// scheduling decision — the chunk split and reduction order are
+/// unchanged).
 ///
 /// # Panics
 ///
@@ -167,55 +198,199 @@ where
     M: GradModel,
     F: Fn(&mut M, usize, &[usize]) -> f32 + Sync,
 {
-    assert!(grad_chunk > 0, "grad_chunk must be positive");
-    assert!(!batch.is_empty(), "empty minibatch");
-    let workers = if batch.len() < SERIAL_BATCH_FLOOR {
-        1
-    } else {
-        workers.max(1)
-    };
-    master.zero_grad();
+    KeptWorkers::new(master).minibatch(master, batch, grad_chunk, workers, pass)
+}
 
-    let mut snapshot = master.clone();
-    let base_buffers = buffer_values(&mut snapshot);
-    let chunks: Vec<(usize, &[usize])> = batch.chunks(grad_chunk).enumerate().collect();
+/// One chunk's results, moved out of its worker by swapping: the
+/// tensors stay allocated and rotate between the worker and the slot.
+#[derive(Default)]
+struct ChunkSlot {
+    loss: f32,
+    grads: Vec<Tensor>,
+    bufs: Vec<Tensor>,
+}
 
-    // (loss, samples, gradients, buffer values) per chunk, in chunk order.
-    let results: Vec<(f32, usize, Vec<Tensor>, Vec<Tensor>)> =
-        map_chunks(&chunks, workers, |assigned| {
-            assigned
-                .iter()
-                .map(|&(chunk_index, idxs)| {
-                    let mut clone = snapshot.clone();
-                    let loss = pass(&mut clone, chunk_index, idxs);
-                    let grads = take_grads(&mut clone);
-                    let bufs = buffer_values(&mut clone);
-                    (loss, idxs.len(), grads, bufs)
-                })
-                .collect()
-        });
+/// The state one training run keeps across its minibatches: one model
+/// per worker thread, the minibatch's starting parameters and buffers,
+/// and a result slot per chunk.
+struct KeptWorkers<M> {
+    /// Worker models, cloned from the master once each; only their
+    /// workspaces and caches carry from chunk to chunk.
+    models: Vec<M>,
+    /// The master's parameters as the minibatch began.
+    params: Vec<Tensor>,
+    /// The master's running buffers as the minibatch began (`S₀`).
+    base: Vec<Tensor>,
+    /// One slot per chunk of the widest threaded minibatch so far; the
+    /// serial path reduces each chunk as it finishes and uses slot 0.
+    slots: Vec<ChunkSlot>,
+}
 
-    let n_total = batch.len() as f32;
-    let mut total_loss = 0.0f64;
-    for (loss, n_chunk, grads, bufs) in &results {
-        let w = *n_chunk as f32 / n_total;
-        total_loss += f64::from(w) * f64::from(*loss);
+impl<M: GradModel> KeptWorkers<M> {
+    fn new(master: &M) -> Self {
+        Self {
+            models: vec![master.clone()],
+            params: Vec::new(),
+            base: Vec::new(),
+            slots: vec![ChunkSlot::default()],
+        }
+    }
+
+    /// See [`accumulate_minibatch`].
+    fn minibatch<F>(
+        &mut self,
+        master: &mut M,
+        batch: &[usize],
+        grad_chunk: usize,
+        workers: usize,
+        pass: &F,
+    ) -> f32
+    where
+        F: Fn(&mut M, usize, &[usize]) -> f32 + Sync,
+    {
+        assert!(grad_chunk > 0, "grad_chunk must be positive");
+        assert!(!batch.is_empty(), "empty minibatch");
+        let workers = if batch.len() < SERIAL_BATCH_FLOOR {
+            1
+        } else {
+            workers.max(1)
+        };
+        master.zero_grad();
         let mut i = 0;
-        master.visit_params(&mut |_, g| {
-            g.add_scaled_assign(&grads[i], w);
+        master.visit_params(&mut |p, _| {
+            kept(&mut self.params, i).copy_from(p);
             i += 1;
         });
         let mut j = 0;
         master.visit_buffers(&mut |b| {
-            // S ← S + (r_c − S₀): each chunk contributes its delta
-            // against the shared snapshot, independent of the others.
-            let mut delta = bufs[j].clone();
-            delta.add_scaled_assign(&base_buffers[j], -1.0);
-            b.add_assign(&delta);
+            kept(&mut self.base, j).copy_from(b);
             j += 1;
         });
+
+        let n_total = batch.len() as f32;
+        let n_chunks = batch.len().div_ceil(grad_chunk);
+        // Chunks per thread: the contiguous split of
+        // `adrias_core::thread::map_chunks`.
+        let per_thread = n_chunks.div_ceil(workers);
+        let mut total_loss = 0.0f64;
+        if per_thread == n_chunks {
+            let (model, slot) = (&mut self.models[0], &mut self.slots[0]);
+            for (chunk, idxs) in batch.chunks(grad_chunk).enumerate() {
+                run_chunk(model, &self.params, &self.base, slot, pass, chunk, idxs);
+                let w = idxs.len() as f32 / n_total;
+                total_loss += reduce_chunk(master, slot, &self.base, w);
+            }
+            return total_loss as f32;
+        }
+
+        let threads = n_chunks.div_ceil(per_thread);
+        while self.models.len() < threads {
+            self.models.push(master.clone());
+        }
+        if self.slots.len() < n_chunks {
+            self.slots.resize_with(n_chunks, ChunkSlot::default);
+        }
+        let (params, base) = (&self.params, &self.base);
+        scope(|s| {
+            let mut jobs = self
+                .models
+                .iter_mut()
+                .zip(batch.chunks(per_thread * grad_chunk))
+                .zip(self.slots.chunks_mut(per_thread))
+                .enumerate()
+                .map(|(t, ((model, samples), slots))| {
+                    move || {
+                        let chunks = samples.chunks(grad_chunk).zip(slots).enumerate();
+                        for (k, (idxs, slot)) in chunks {
+                            run_chunk(model, params, base, slot, pass, t * per_thread + k, idxs);
+                        }
+                    }
+                });
+            let first = jobs.next().expect("a non-empty batch has a chunk");
+            for job in jobs {
+                s.spawn(job);
+            }
+            first();
+        });
+        for (idxs, slot) in batch.chunks(grad_chunk).zip(&mut self.slots) {
+            let w = idxs.len() as f32 / n_total;
+            total_loss += reduce_chunk(master, slot, &self.base, w);
+        }
+        total_loss as f32
     }
-    total_loss as f32
+}
+
+/// `v[i]`, pushing an empty tensor first if `v` ends at `i`.
+fn kept(v: &mut Vec<Tensor>, i: usize) -> &mut Tensor {
+    if v.len() == i {
+        v.push(Tensor::default());
+    }
+    &mut v[i]
+}
+
+/// Reloads `model` with `params` and `base`, zeroes its gradients, runs
+/// `pass` on chunk `chunk` and swaps the results into `slot`.
+fn run_chunk<M, F>(
+    model: &mut M,
+    params: &[Tensor],
+    base: &[Tensor],
+    slot: &mut ChunkSlot,
+    pass: &F,
+    chunk: usize,
+    idxs: &[usize],
+) where
+    M: GradModel,
+    F: Fn(&mut M, usize, &[usize]) -> f32,
+{
+    let mut i = 0;
+    model.visit_params(&mut |p, g| {
+        p.copy_from(&params[i]);
+        // A gradient swapped in from a slot may not have its shape yet.
+        g.reshape_for(p.rows(), p.cols());
+        g.fill(0.0);
+        i += 1;
+    });
+    let mut j = 0;
+    model.visit_buffers(&mut |b| {
+        b.copy_from(&base[j]);
+        j += 1;
+    });
+    slot.loss = pass(model, chunk, idxs);
+    let mut i = 0;
+    model.visit_params(&mut |_, g| {
+        mem::swap(g, kept(&mut slot.grads, i));
+        i += 1;
+    });
+    let mut j = 0;
+    model.visit_buffers(&mut |b| {
+        mem::swap(b, kept(&mut slot.bufs, j));
+        j += 1;
+    });
+}
+
+/// Adds one chunk's gradients, weighted `w`, and its buffer delta into
+/// `master`, and returns its share of the minibatch loss.
+fn reduce_chunk<M: GradModel>(
+    master: &mut M,
+    slot: &mut ChunkSlot,
+    base: &[Tensor],
+    w: f32,
+) -> f64 {
+    let mut i = 0;
+    master.visit_params(&mut |_, g| {
+        g.add_scaled_assign(&slot.grads[i], w);
+        i += 1;
+    });
+    let mut j = 0;
+    master.visit_buffers(&mut |b| {
+        // S ← S + (r_c − S₀): each chunk contributes its delta against
+        // the minibatch's starting values, independent of the others.
+        let delta = &mut slot.bufs[j];
+        delta.add_scaled_assign(&base[j], -1.0);
+        b.add_assign(delta);
+        j += 1;
+    });
+    f64::from(w) * f64::from(slot.loss)
 }
 
 /// The hyper-parameters of one [`fit`] run.
@@ -246,10 +421,14 @@ pub struct FitPlan {
 /// epoch and the work counters.
 ///
 /// `pass(model, dropout_seed, idxs)` runs forward and backward over the
-/// samples `idxs` on a chunk clone and returns their mean loss;
-/// `dropout_seed` depends only on `(plan.seed, step, chunk)`. The loss
-/// trace inherits [`accumulate_minibatch`]'s contract: bit-identical at
-/// every worker count.
+/// samples `idxs` on a worker model and returns their mean loss;
+/// `dropout_seed` depends only on `(plan.seed, step, chunk)`, and `pass`
+/// must reseed every dropout stream from it (the contract on
+/// [`GradModel`]). The worker models are cloned once per worker thread
+/// for the whole run and reloaded by copy before every chunk, so their
+/// workspaces are allocated by the first chunk only. The loss trace
+/// inherits [`accumulate_minibatch`]'s contract: bit-identical at every
+/// worker count.
 ///
 /// # Panics
 ///
@@ -267,6 +446,7 @@ where
     let mut idx: Vec<usize> = (0..n).collect();
     let mut step = 0u64;
     let mut stats = TrainStats::new();
+    let mut workers_kept = KeptWorkers::new(model);
     for _ in 0..plan.epochs {
         idx.shuffle(&mut rng);
         let mut total = 0.0f64;
@@ -274,7 +454,7 @@ where
         for minibatch in idx.chunks(plan.batch_size) {
             stats.record_minibatch(minibatch.len(), grad_chunk);
             let loss =
-                accumulate_minibatch(model, minibatch, grad_chunk, workers, &|m, chunk, idxs| {
+                workers_kept.minibatch(model, minibatch, grad_chunk, workers, &|m, chunk, idxs| {
                     pass(m, mix_seed(&[plan.seed, step, chunk as u64]), idxs)
                 });
             opt.begin_step();
@@ -287,18 +467,6 @@ where
         stats.record_epoch();
     }
     (epoch_losses, stats)
-}
-
-fn take_grads<M: GradModel>(model: &mut M) -> Vec<Tensor> {
-    let mut grads = Vec::new();
-    model.visit_params(&mut |_, g| grads.push(std::mem::take(g)));
-    grads
-}
-
-fn buffer_values<M: GradModel>(model: &mut M) -> Vec<Tensor> {
-    let mut bufs = Vec::new();
-    model.visit_buffers(&mut |b| bufs.push(b.clone()));
-    bufs
 }
 
 #[cfg(test)]

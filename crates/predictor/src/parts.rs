@@ -189,7 +189,8 @@ impl Head {
     }
 
     /// Rebases every dropout stream on `seed` (salted per block), so a
-    /// chunk clone's masks depend only on `(run seed, step, chunk)`.
+    /// training worker's masks depend only on `(run seed, step, chunk)`,
+    /// not on the chunks it ran before.
     pub(crate) fn reseed_dropout(&mut self, seed: u64) {
         for (i, b) in self.blocks.iter_mut().enumerate() {
             b.reseed_dropout(seed, i as u64 + 1);

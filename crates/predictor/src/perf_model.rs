@@ -241,6 +241,11 @@ impl PerfModel {
     /// as the `Ŝ` input of record `i` (`None` ⇒ zeros, the `{None,·}`
     /// ablation variant). Returns the mean loss per epoch.
     ///
+    /// Every gradient chunk runs on a worker model kept for the whole
+    /// run. The pass keeps the contract on [`GradModel`]: it reseeds the
+    /// head's dropout from the chunk's seed first, and its forward
+    /// writes every encoder workspace and head cache its backward reads.
+    ///
     /// # Panics
     ///
     /// Panics if `s_hats.len() != dataset.len()`.
@@ -575,7 +580,10 @@ pub struct PerfQuery<'a> {
 /// Parameter order — history encoder, signature encoder (each layer 1
 /// then 2), the three blocks, the read-out, then the blocks' batch-norm
 /// buffers — is also the `p0, p1, …` order of a saved model (see
-/// [`crate::persist`]).
+/// [`crate::persist`]). Every other field is untouched by the training
+/// pass (config, normalizers, counters) or written by it before it is
+/// read (the layers' workspaces and caches, the reseeded dropout
+/// streams), as `GradModel`'s pass contract requires.
 impl GradModel for PerfModel {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         self.history.visit_params(f);

@@ -151,8 +151,12 @@ impl SystemStateModel {
     ///
     /// Runs [`adrias_nn::fit`]: each minibatch is split into fixed-size
     /// gradient chunks that run data-parallel on up to `cfg.workers`
-    /// threads, and the loss trace is bit-identical for any worker
-    /// count. The dataset's normalizer is captured so that
+    /// threads, each on a worker model kept for the whole run, and the
+    /// loss trace is bit-identical for any worker count. The pass keeps
+    /// the contract on [`GradModel`]: it reseeds the head's dropout from
+    /// the chunk's seed first, and its forward writes every encoder
+    /// workspace and head cache its backward reads. The dataset's
+    /// normalizer is captured so that
     /// [`SystemStateModel::predict`] can consume raw (unnormalized)
     /// windows at run time.
     pub fn train(&mut self, dataset: &SystemStateDataset) -> Vec<f32> {
@@ -337,7 +341,11 @@ impl SystemStateModel {
 
 /// Parameter order — encoder layer 1, layer 2, the three blocks, the
 /// read-out, then the blocks' batch-norm buffers — is also the
-/// `p0, p1, …` order of a saved model (see [`crate::persist`]).
+/// `p0, p1, …` order of a saved model (see [`crate::persist`]). Every
+/// other field is untouched by the training pass (config, normalizer,
+/// counters) or written by it before it is read (the layers'
+/// workspaces and caches, the reseeded dropout streams), as
+/// `GradModel`'s pass contract requires.
 impl GradModel for SystemStateModel {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         self.encoder.visit_params(f);

@@ -5,13 +5,17 @@
 //! the reproduction replayable.
 
 use adrias::core_util::rng::{Rng, SeedableRng, Xoshiro256pp};
+use adrias::nn::{GradModel, SERIAL_BATCH_FLOOR};
 use adrias::orchestrator::engine::RunReport;
 use adrias::orchestrator::{Policy, RandomPolicy, RoundRobinPolicy};
-use adrias::predictor::{SystemStateDataset, SystemStateModel, SystemStateModelConfig};
+use adrias::predictor::{
+    PerfDataset, PerfModel, PerfModelConfig, PerfRecord, SystemStateDataset, SystemStateModel,
+    SystemStateModelConfig,
+};
 use adrias::scenarios::{run_comparison, PolicyOutcome, ScenarioSpec};
 use adrias::sim::TestbedConfig;
-use adrias::telemetry::{MetricSample, MetricVec, METRIC_COUNT};
-use adrias::workloads::{MemoryMode, WorkloadCatalog};
+use adrias::telemetry::{Metric, MetricSample, MetricVec, METRIC_COUNT};
+use adrias::workloads::{AppSignature, MemoryMode, WorkloadCatalog};
 
 fn specs(seed: u64) -> Vec<ScenarioSpec> {
     vec![
@@ -126,6 +130,146 @@ fn training_loss_trace_is_worker_count_invariant() {
             loss_trace_with_workers(workers),
             sequential,
             "loss trace diverged with {workers} training workers"
+        );
+    }
+}
+
+/// FNV-1a over the bit patterns of every parameter, then every running
+/// buffer, of `model`.
+fn state_digest<M: GradModel>(model: &mut M) -> u64 {
+    let mut state = Vec::new();
+    model.visit_params(&mut |p, _| state.extend_from_slice(p.data()));
+    model.visit_buffers(&mut |b| state.extend_from_slice(b.data()));
+    state
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Minibatches of this many samples sit above `SERIAL_BATCH_FLOOR`, so
+/// with two or more workers their gradient chunks run on threads.
+const THREADED_BATCH: usize = 272;
+
+/// The system model trained at [`THREADED_BATCH`]: its loss trace and
+/// final-state digest.
+fn system_run_above_floor(workers: usize) -> (Vec<u32>, u64) {
+    // Stride 2 over two 600 s traces: 362 windows, so minibatches of
+    // 272 and a ragged 90.
+    let dataset = SystemStateDataset::from_traces(&synthetic_traces(41), 2);
+    assert!(dataset.len() > THREADED_BATCH);
+    let cfg = SystemStateModelConfig {
+        hidden: 8,
+        block_width: 8,
+        epochs: 2,
+        batch_size: THREADED_BATCH,
+        seed: 42,
+        workers,
+        grad_chunk: 16,
+        ..Default::default()
+    };
+    let mut model = SystemStateModel::new(cfg);
+    let losses = model.train(&dataset).iter().map(|l| l.to_bits()).collect();
+    (losses, state_digest(&mut model))
+}
+
+/// A perf dataset of `n` deployments of three apps whose time depends
+/// on mode and load, with their signatures.
+fn synthetic_perf_dataset(n: usize) -> (PerfDataset, Vec<Option<MetricVec>>) {
+    let mut rng = Xoshiro256pp::seed_from_u64(43);
+    let apps = ["alpha", "beta", "gamma"];
+    let records: Vec<PerfRecord> = (0..n)
+        .map(|i| {
+            let a = i % apps.len();
+            let mode = if rng.gen_bool(0.5) {
+                MemoryMode::Local
+            } else {
+                MemoryMode::Remote
+            };
+            let load = rng.gen_range(0.0f32..2.0);
+            let history = (0..120)
+                .map(|t| {
+                    let mut v = MetricVec::zero();
+                    let x = load + 0.1 * (t as f32 * 0.2).sin();
+                    v.set(Metric::LlcLoads, 1e8 * (1.0 + x));
+                    v.set(Metric::LinkLatency, 350.0 + 250.0 * x);
+                    v
+                })
+                .collect();
+            let mut future = MetricVec::zero();
+            future.set(Metric::LlcLoads, 1e8 * (1.0 + load));
+            let slow = match mode {
+                MemoryMode::Local => 1.0 + 0.3 * load,
+                MemoryMode::Remote => (1.2 + 0.3 * a as f32) * (1.0 + 0.6 * load),
+            };
+            PerfRecord {
+                app: apps[a].to_owned(),
+                mode,
+                history,
+                future_120: future,
+                future_exec: future,
+                perf: (40.0 + 20.0 * a as f32) * slow,
+            }
+        })
+        .collect();
+    let s_hats = records.iter().map(|r| Some(r.future_120)).collect();
+    let signatures: Vec<AppSignature> = apps
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let rows = (0..40)
+                .map(|t| {
+                    let mut v = MetricVec::zero();
+                    v.set(Metric::MemLoads, 2e7 * ((t % 5) as f32 + i as f32));
+                    v
+                })
+                .collect();
+            AppSignature::new(*name, rows)
+        })
+        .collect();
+    (PerfDataset::new(records, &signatures), s_hats)
+}
+
+/// The perf model trained at [`THREADED_BATCH`]: its loss trace and
+/// final-state digest.
+fn perf_run_above_floor(workers: usize) -> (Vec<u32>, u64) {
+    // Minibatches of 272 and a ragged 28.
+    let (dataset, s_hats) = synthetic_perf_dataset(300);
+    let cfg = PerfModelConfig {
+        hidden: 6,
+        block_width: 8,
+        epochs: 2,
+        batch_size: THREADED_BATCH,
+        workers,
+        grad_chunk: 16,
+        ..PerfModelConfig::default()
+    };
+    let mut model = PerfModel::new(cfg);
+    let losses = model.train(&dataset, &s_hats);
+    let losses = losses.iter().map(|l| l.to_bits()).collect();
+    (losses, state_digest(&mut model))
+}
+
+/// The test above trains below `SERIAL_BATCH_FLOOR`, where every worker
+/// count runs its chunks on the calling thread; this one trains both
+/// models where workers 2 and 8 really spawn threads.
+#[test]
+fn training_above_the_serial_floor_is_worker_count_invariant() {
+    const { assert!(THREADED_BATCH >= SERIAL_BATCH_FLOOR) };
+    let system = system_run_above_floor(1);
+    let perf = perf_run_above_floor(1);
+    assert_eq!((system.0.len(), perf.0.len()), (2, 2));
+    for workers in [2, 8] {
+        assert_eq!(
+            system_run_above_floor(workers),
+            system,
+            "system model diverged with {workers} training workers"
+        );
+        assert_eq!(
+            perf_run_above_floor(workers),
+            perf,
+            "perf model diverged with {workers} training workers"
         );
     }
 }
