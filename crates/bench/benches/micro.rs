@@ -2,8 +2,8 @@
 //! two ratios on the in-tree `adrias_core::bench` harness, and each
 //! ratio is a [`Gate`] row stated once, beside the code that computes
 //! it, with the reason for its bound. Every leg is an operand of a row
-//! and every derived number but the `simd_active` and `two_cores` flags
-//! is one; absolute costs per layer are the perf ledger's
+//! and every derived number but the `simd_active`, `simd_lanes` and
+//! `two_cores` host flags is one; absolute costs per layer are the perf ledger's
 //! (`benchmark/`).
 //!
 //! Environment knobs on top of the harness's own:
@@ -687,9 +687,11 @@ fn main() {
     ];
 
     let mut h = Harness::new("micro");
-    // 1 when the native legs run the AVX2 lane: the `simd_*` rows bind
+    // 1 when the native legs run a SIMD lane: the `simd_*` rows bind
     // only then.
     h.derive("simd_active", f64::from(u8::from(adrias_nn::simd_active())));
+    // Which one: 16 (AVX-512), 8 (AVX2) or 0 — a report, no row reads it.
+    h.derive("simd_lanes", adrias_nn::simd_lanes() as f64);
     // 1 when the host has a second core for the history lane's helper:
     // the `forecast_two_lane_x` row binds only then.
     let two_cores = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);

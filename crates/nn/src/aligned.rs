@@ -1,13 +1,17 @@
-//! `f32` storage whose first element sits on a 32-byte boundary.
+//! `f32` storage whose first element sits on a 64-byte boundary.
 //!
-//! The AVX2 lane of [`crate::kernels`] loads and stores 32 bytes at a
-//! time. The global allocator only promises `f32`'s own alignment (in
-//! practice 16 bytes), so a plain `Vec<f32>` starts on an odd 16-byte
-//! phase about half the time, every other vector access then straddles
-//! a cache line, and a forecast miss costs ≈ 15 % more — decided by the
-//! process's allocation history, not by its code. [`AlignedVec`] takes
-//! that lottery out in safe code: it over-allocates by [`PAD`] elements
-//! and starts at `as_ptr().align_offset(32)`. The kernels keep their
+//! The SIMD lanes of [`crate::kernels`] load and store 32 (AVX2) or 64
+//! (AVX-512) bytes at a time. The global allocator only promises
+//! `f32`'s own alignment (in practice 16 bytes), so a plain `Vec<f32>`
+//! starts on an odd 16-byte phase about half the time, every other
+//! `ymm` access then straddles a cache line, and a forecast miss costs
+//! ≈ 15 % more — decided by the process's allocation history, not by
+//! its code. A `zmm` access straddles one unless it starts on a line,
+//! so the AVX-512 lane needs the whole 64: at a 32-byte phase a 48-wide
+//! LSTM layer's one-row forward ran 21.7 µs against 18.8 µs.
+//! [`AlignedVec`] takes that lottery out in safe code: it
+//! over-allocates by [`PAD`] elements and starts at
+//! `as_ptr().align_offset(64)`. The kernels keep their
 //! unaligned-tolerant loads, so a caller's plain slice or a ragged row
 //! in the middle of an arena needs no second path; alignment here is a
 //! performance guarantee, never a safety precondition.
@@ -15,11 +19,12 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-/// Alignment of the first element, in bytes: one AVX2 vector.
-pub const ALIGN: usize = 32;
+/// Alignment of the first element, in bytes: one AVX-512 vector, one
+/// cache line.
+pub const ALIGN: usize = 64;
 
 /// Spare elements that make any start phase reachable: `f32`s are
-/// 4-byte aligned, so the next 32-byte boundary is at most 7 away.
+/// 4-byte aligned, so the next 64-byte boundary is at most 15 away.
 const PAD: usize = ALIGN / size_of::<f32>() - 1;
 
 /// A growable `f32` buffer, dereferencing to a slice whose first

@@ -1,19 +1,19 @@
 //! The f32 kernel layer: every kernel written once, over the `Lane`
 //! trait (DESIGN.md §14).
 //!
-//! `Lane` *is* the numeric contract: eight f32 lanes and a closed set
-//! of operations, each a single correctly-rounded IEEE-754 operation
-//! per lane — separate multiply and add (**no FMA**), `max`/`min` with
-//! `_mm256_max_ps` semantics, negation as a sign-bit flip. Two types
-//! implement it: `Portable` (a `[f32; 8]`, plain Rust) and `Avx2` (a
-//! `__m256`). Every kernel body in `generic` is one
-//! `#[inline(always)]` function over `L: Lane`; the public entry points
-//! instantiate it at `Portable`, or — behind runtime detection — at
-//! `Avx2` inside one `#[target_feature(enable = "avx2")]` wrapper per
-//! kernel. Both instantiations therefore execute the same operations on
-//! the same values in the same order, and agree bit for bit *because
-//! they are the same source*, not because two copies are tested against
-//! each other.
+//! `Lane` *is* the numeric contract: a vector of f32 lanes and a closed
+//! set of operations, each a single correctly-rounded IEEE-754
+//! operation per lane — separate multiply and add (**no FMA**),
+//! `max`/`min` with `_mm256_max_ps` semantics, negation as a sign-bit
+//! flip. Three types implement it: `Portable` (a `[f32; 8]`, plain
+//! Rust), `Avx2` (a `__m256`) and `Avx512` (a `__m512`). Every kernel
+//! body in `generic` is one `#[inline(always)]` function over
+//! `L: Lane`; the public entry points instantiate it at `Portable`, or
+//! — behind runtime detection — at a SIMD lane inside one
+//! `#[target_feature]` wrapper per kernel. Every instantiation therefore
+//! executes the same operations on the same values in the same order,
+//! and they agree bit for bit *because they are the same source*, not
+//! because copies are tested against each other.
 //!
 //! What the bodies fix, beyond the per-lane operations:
 //!
@@ -21,7 +21,9 @@
 //!   terms with index `≡ j (mod 8)` in increasing order, the
 //!   sub-[`LANES`] tail folds into lanes `0..tail`, and one fixed tree
 //!   (`tree_reduce`) collapses the lanes — in scalar arithmetic, on
-//!   every instantiation.
+//!   every instantiation. Eight is part of this contract, so these
+//!   bodies take an 8-lane `Lane8`; `Avx512` is not one, and a 16-lane
+//!   dot does not compile.
 //! * **Element-wise sweeps** ([`axpy`], [`add2_bias_rows`], [`relu`],
 //!   [`bn_affine`], the LSTM gate sweeps): one fixed expression per
 //!   output element; a ragged tail is a partial load and store around
@@ -43,37 +45,46 @@
 //!
 //! What the bodies do *not* fix is scheduling: how many passes a sweep
 //! makes, how a GEMM's columns are cut into strips, how much one
-//! dispatch covers. Those move no bit as long as each element keeps its
-//! expression and its chain order (DESIGN.md §14, "Scheduling is
-//! outside the contract").
+//! dispatch covers — and, for the sweeps and the GEMM, how many lanes a
+//! vector has (`Lane::WIDTH`). Those move no bit as long as each
+//! element keeps its expression and its chain order (DESIGN.md §14,
+//! "Scheduling is outside the contract").
 //!
-//! Dispatch can be forced to `Portable` for A/B measurement and
-//! cross-checking: `ADRIAS_FORCE_SCALAR=1` in the environment (read
-//! once), or [`set_force_scalar`] in-process (the bench harness uses it
-//! to derive the `simd_*_speedup_x` keys). Flipping the switch never
-//! changes a result — CI byte-compares a forced run against the native
-//! run end to end.
+//! Dispatch picks the widest lane the CPU has: `Avx512` where
+//! `avx512f` is detected (the dot kernels run their `Avx2` wrappers
+//! there), `Avx2` where only `avx2` is, `Portable` otherwise;
+//! [`simd_lanes`] reports which. It can be forced to `Portable` for A/B
+//! measurement and cross-checking: `ADRIAS_FORCE_SCALAR=1` in the
+//! environment (read once), or [`set_force_scalar`] in-process (the
+//! bench harness uses it to derive the `simd_*_speedup_x` keys).
+//! Flipping the switch never changes a result — CI byte-compares a
+//! forced run against the native run end to end.
 //!
-//! **Adding an ISA** (AVX-512 at 8 lanes, NEON as two `float32x4_t`):
+//! **Adding an ISA** (NEON as two `float32x4_t`):
 //! 1. add a module like `avx2` holding a private lane type;
-//! 2. `impl Lane` for it, one intrinsic per method;
-//! 3. list the kernels in its `wrappers!` block under the new
-//!    `#[target_feature]`;
-//! 4. add its detection beside `has_avx2` and its arm to `at!`;
+//! 2. `impl Lane` for it, one intrinsic per method, with its `WIDTH`;
+//!    an 8-lane type also implements `Lane8`, the dot contract's width;
+//! 3. instantiate `width_free_wrappers!` in it under the new
+//!    `#[target_feature]` (and, at 8 lanes, `wrappers!` for the dots);
+//! 4. add its detection beside `has_avx2` and its arm to `Isa` and
+//!    `at!`;
 //! 5. add it to `tests::lanes` — the oracle table then covers it.
 //!
-//! A 16-lane AVX-512 `Lane` is not on that list: [`LANES`] is part of
-//! the dot-product contract, so it would mean a trait generic over its
-//! width, and it was measured first — on the development host the
-//! canonical sigmoid chain runs 1.04–1.09× faster in `zmm` than in
-//! `ymm` registers (one 512-bit FP pipe against two 256-bit ones). Not
-//! worth generalising the trait for.
+//! **Why a 16-lane lane.** On an older development host with one
+//! 512-bit FP pipe the canonical sigmoid chain ran only 1.04–1.09×
+//! faster in `zmm` than in `ymm` registers, and AVX-512 was left out.
+//! On a host with two (Intel Xeon, family 6 model 143) separate `mul` +
+//! `add` throughput is 2.06× higher in `zmm` (67–75 against 31–36
+//! GMAC/s), the recurrent step's 48 × 192 one-row product runs
+//! 1.36–1.40× faster, and a decision's traced forecast miss fell from
+//! 58.4 to 37.3 µs (EXPERIMENTS.md "The kernel layer at sixteen
+//! lanes").
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Lane count of the contract: 8 f32 (one AVX2 `__m256`). Fixed on
-/// every host, so the dot-product reduction shape never varies.
+/// Lane count of the dot-product contract: 8 f32 (one AVX2 `__m256`).
+/// Fixed on every host, so the dot-product reduction shape never varies.
 pub const LANES: usize = 8;
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
@@ -104,13 +115,63 @@ fn has_avx2() -> bool {
     }
 }
 
-/// Whether the AVX2 lane is live: the CPU has AVX2 and neither
-/// `ADRIAS_FORCE_SCALAR=1` nor [`set_force_scalar`] is in effect.
-pub fn simd_active() -> bool {
-    has_avx2() && !env_force_scalar() && !FORCE_SCALAR.load(Ordering::Relaxed)
+/// Whether this CPU can run the [`avx512`] wrappers — and, with them,
+/// the [`avx2`] ones the dot kernels keep (detected once).
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static HAS_AVX512: OnceLock<bool> = OnceLock::new();
+        *HAS_AVX512.get_or_init(|| has_avx2() && std::arch::is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
-/// Eight f32 lanes and the operations the kernels are written in.
+/// The instantiation a kernel call runs (see `at!`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Isa {
+    Portable,
+    Avx2,
+    Avx512,
+}
+
+/// The widest detected lane, or `Portable` while
+/// `ADRIAS_FORCE_SCALAR=1` or [`set_force_scalar`] is in effect.
+fn isa() -> Isa {
+    if env_force_scalar() || FORCE_SCALAR.load(Ordering::Relaxed) {
+        Isa::Portable
+    } else if has_avx512() {
+        Isa::Avx512
+    } else if has_avx2() {
+        Isa::Avx2
+    } else {
+        Isa::Portable
+    }
+}
+
+/// Whether a SIMD lane is live: the CPU has AVX2 and neither
+/// `ADRIAS_FORCE_SCALAR=1` nor [`set_force_scalar`] is in effect.
+pub fn simd_active() -> bool {
+    isa() != Isa::Portable
+}
+
+/// How many f32 lanes the element-wise and GEMM kernels run at: 16
+/// (AVX-512), 8 (AVX2) or 0 (the portable lane, forced or for want of
+/// AVX2). A report for logs and bench files, not a setting: the width
+/// follows CPU detection alone, and no result depends on it.
+pub fn simd_lanes() -> usize {
+    match isa() {
+        Isa::Portable => 0,
+        Isa::Avx2 => 8,
+        Isa::Avx512 => 16,
+    }
+}
+
+/// A vector of [`Lane::WIDTH`] f32 lanes and the operations the kernels
+/// are written in.
 ///
 /// Every arithmetic method is one correctly-rounded IEEE-754 operation
 /// per lane, so any two implementations agree bit for bit on every
@@ -119,17 +180,30 @@ pub fn simd_active() -> bool {
 /// ISA extension keeps its type private to the module whose
 /// `#[target_feature]` wrappers are its only users (see [`avx2`]).
 pub(crate) trait Lane: Copy {
+    /// Lanes per vector. Only the sweeps and the GEMM tiles read it,
+    /// where it is scheduling; the dot contract's width is [`Lane8`]'s.
+    const WIDTH: usize;
+    /// Vector registers of the ISA, which the GEMM sizes its tiles to.
+    const REGISTERS: usize;
     /// All lanes `x`.
     fn splat(x: f32) -> Self;
-    /// Lane `j` is `xs[j]`.
-    fn load(xs: &[f32; LANES]) -> Self;
-    /// `xs[j]` becomes lane `j`.
-    fn store(self, xs: &mut [f32; LANES]);
+    /// Lane `j` is `xs[j]`, for `j < WIDTH`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is shorter than `WIDTH`.
+    fn load(xs: &[f32]) -> Self;
+    /// `self`'s lanes become `xs[..WIDTH]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is shorter than `WIDTH`.
+    fn store(self, xs: &mut [f32]);
     /// Ragged-tail load: lane `j` is `xs[j]` for `j < xs.len()`
-    /// (at most [`LANES`]), `+0.0` beyond.
+    /// (at most `WIDTH`), `+0.0` beyond.
     fn load_head(xs: &[f32]) -> Self;
-    /// Ragged-tail store: writes lanes `0..xs.len()` (at most
-    /// [`LANES`]) and nothing else.
+    /// Ragged-tail store: writes lanes `0..xs.len()` (at most `WIDTH`)
+    /// and nothing else.
     fn store_head(self, xs: &mut [f32]);
     /// `self + o`.
     fn add(self, o: Self) -> Self;
@@ -149,10 +223,17 @@ pub(crate) trait Lane: Copy {
     /// `2^k` for integer-valued lanes `k ∈ [-126, 127]`, built in the
     /// exponent field.
     fn exp2i(self) -> Self;
+}
 
+/// A [`Lane`] of exactly [`LANES`] lanes, the width the dot-product
+/// contract is stated at. The dot bodies (`dots`, and through it
+/// `tail_reduce` and `tree_reduce`) take `L: Lane8`, so instantiating
+/// one at a wider lane is a compile error, not a silent truncation.
+pub(crate) trait Lane8: Lane {
     /// The lanes as an array, for the scalar tail fold and reduction.
     #[inline(always)]
     fn to_array(self) -> [f32; LANES] {
+        const { assert!(Self::WIDTH == LANES, "the dot contract is eight lanes") };
         let mut lanes = [0.0; LANES];
         self.store(&mut lanes);
         lanes
@@ -177,17 +258,20 @@ impl Portable {
 }
 
 impl Lane for Portable {
+    const WIDTH: usize = LANES;
+    // What the base target compiles the arrays to: 16 `xmm`.
+    const REGISTERS: usize = 16;
     #[inline(always)]
     fn splat(x: f32) -> Self {
         Self([x; LANES])
     }
     #[inline(always)]
-    fn load(xs: &[f32; LANES]) -> Self {
-        Self(*xs)
+    fn load(xs: &[f32]) -> Self {
+        Self(*xs.first_chunk().expect("a whole vector in bounds"))
     }
     #[inline(always)]
-    fn store(self, xs: &mut [f32; LANES]) {
-        *xs = self.0;
+    fn store(self, xs: &mut [f32]) {
+        *xs.first_chunk_mut().expect("a whole vector in bounds") = self.0;
     }
     #[inline(always)]
     fn load_head(xs: &[f32]) -> Self {
@@ -242,6 +326,86 @@ impl Lane for Portable {
     }
 }
 
+impl Lane8 for Portable {}
+
+/// One `#[target_feature]` wrapper per listed kernel around its
+/// [`generic`] body at `$lane`, for the module it is invoked in.
+macro_rules! wrappers {
+    ($lane:ty, $feature:literal;
+     $(fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {$(
+        #[target_feature(enable = $feature)]
+        pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+            generic::$name::<$lane>($($arg),*)
+        }
+    )*};
+}
+
+/// [`wrappers!`] for every kernel whose bits do not depend on the lane
+/// width — all but the dots. One list for every SIMD lane, so a kernel
+/// added here reaches each of them.
+macro_rules! width_free_wrappers {
+    ($lane:ty, $feature:literal) => {
+        wrappers! {
+            $lane, $feature;
+            fn axpy(alpha: f32, x: &[f32], y: &mut [f32]);
+            fn gemm_acc(
+                a: &[f32],
+                a_strides: (usize, usize),
+                b: &[f32],
+                out: &mut [f32],
+                shape: (usize, usize, usize),
+                vouched: Vouched,
+            );
+            fn all_finite(xs: &[f32]) -> bool;
+            fn add2_bias_rows(z: &mut [f32], w: &[f32], b: &[f32]);
+            fn relu(xs: &mut [f32]);
+            fn bn_affine(row: &mut [f32], mean: &[f32], inv_std: &[f32], gamma: &[f32], beta: &[f32]);
+            fn lstm_gates_train_batch(
+                z: &[f32],
+                c_prev: &[f32],
+                hidden: usize,
+                out: &mut GateCaches<'_>,
+            );
+            fn lstm_gates_eval_batch(
+                z: &[f32],
+                c_prev: &[f32],
+                hidden: usize,
+                c_out: &mut [f32],
+                h_out: &mut [f32],
+            );
+            fn lstm_gates_backward_batch(
+                cache: &StepCaches<'_>,
+                grad_h: Option<&[f32]>,
+                d_h_next: &[f32],
+                d_c_next: &mut [f32],
+                hidden: usize,
+                dz: &mut [f32],
+            );
+            fn lstm_seq_eval(
+                w_hh_t: &[f32],
+                w_hh_finite: bool,
+                bias: &[f32],
+                hidden: usize,
+                seq: &mut SeqArenas<'_>,
+            );
+        }
+
+        // Each tile of the accumulate-GEMM by name, for the oracle table.
+        #[cfg(test)]
+        wrappers! {
+            $lane, $feature;
+            fn gemm_tiles(
+                a: &[f32],
+                a_strides: (usize, usize),
+                b: &[f32],
+                out: &mut [f32],
+                shape: (usize, usize, usize),
+                skip: bool,
+            );
+        }
+    };
+}
+
 /// The AVX2 lane and its kernel wrappers. `Avx2` is private to this
 /// module, so the only code that can name the AVX2 instantiation of a
 /// kernel is a wrapper below — each compiled with
@@ -258,7 +422,7 @@ mod avx2 {
         _mm256_set1_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps, _mm256_xor_ps,
     };
 
-    use super::{generic, GateCaches, Lane, SeqArenas, StepCaches, Vouched, LANES};
+    use super::{generic, GateCaches, Lane, Lane8, SeqArenas, StepCaches, Vouched, LANES};
 
     #[derive(Clone, Copy)]
     struct Avx2(__m256);
@@ -284,16 +448,20 @@ mod avx2 {
     // of the slice — a disabled lane is neither read nor written.
     #[allow(unsafe_code)]
     impl Lane for Avx2 {
+        const WIDTH: usize = LANES;
+        const REGISTERS: usize = 16;
         #[inline(always)]
         fn splat(x: f32) -> Self {
             Self(unsafe { _mm256_set1_ps(x) })
         }
         #[inline(always)]
-        fn load(xs: &[f32; LANES]) -> Self {
+        fn load(xs: &[f32]) -> Self {
+            let xs: &[f32; LANES] = xs.first_chunk().expect("a whole vector in bounds");
             Self(unsafe { _mm256_loadu_ps(xs.as_ptr()) })
         }
         #[inline(always)]
-        fn store(self, xs: &mut [f32; LANES]) {
+        fn store(self, xs: &mut [f32]) {
+            let xs: &mut [f32; LANES] = xs.first_chunk_mut().expect("a whole vector in bounds");
             unsafe { _mm256_storeu_ps(xs.as_mut_ptr(), self.0) }
         }
         #[inline(always)]
@@ -343,95 +511,161 @@ mod avx2 {
         }
     }
 
-    /// One `#[target_feature]` wrapper per kernel around its
-    /// [`generic`] body at `Avx2`.
-    macro_rules! wrappers {
-        ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {$(
-            #[target_feature(enable = "avx2")]
-            pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
-                generic::$name::<Avx2>($($arg),*)
-            }
-        )*};
-    }
+    impl Lane8 for Avx2 {}
 
     wrappers! {
+        Avx2, "avx2";
         fn dot(a: &[f32], b: &[f32]) -> f32;
         fn dot_rows(a: &[f32], b_rows: &[f32], out: &mut [f32]);
-        fn axpy(alpha: f32, x: &[f32], y: &mut [f32]);
-        fn gemm_acc(
-            a: &[f32],
-            a_strides: (usize, usize),
-            b: &[f32],
-            out: &mut [f32],
-            shape: (usize, usize, usize),
-            vouched: Vouched,
-        );
-        fn all_finite(xs: &[f32]) -> bool;
-        fn add2_bias_rows(z: &mut [f32], w: &[f32], b: &[f32]);
-        fn relu(xs: &mut [f32]);
-        fn bn_affine(row: &mut [f32], mean: &[f32], inv_std: &[f32], gamma: &[f32], beta: &[f32]);
-        fn lstm_gates_train_batch(
-            z: &[f32],
-            c_prev: &[f32],
-            hidden: usize,
-            out: &mut GateCaches<'_>,
-        );
-        fn lstm_gates_eval_batch(
-            z: &[f32],
-            c_prev: &[f32],
-            hidden: usize,
-            c_out: &mut [f32],
-            h_out: &mut [f32],
-        );
-        fn lstm_gates_backward_batch(
-            cache: &StepCaches<'_>,
-            grad_h: Option<&[f32]>,
-            d_h_next: &[f32],
-            d_c_next: &mut [f32],
-            hidden: usize,
-            dz: &mut [f32],
-        );
-        fn lstm_seq_eval(
-            w_hh_t: &[f32],
-            w_hh_finite: bool,
-            bias: &[f32],
-            hidden: usize,
-            seq: &mut SeqArenas<'_>,
-        );
     }
-
-    // Each tile of the accumulate-GEMM by name, for the oracle table.
-    #[cfg(test)]
-    wrappers! {
-        fn gemm_tiles(
-            a: &[f32],
-            a_strides: (usize, usize),
-            b: &[f32],
-            out: &mut [f32],
-            shape: (usize, usize, usize),
-            skip: bool,
-        );
-    }
+    width_free_wrappers!(Avx2, "avx2");
 }
 
-/// Runs `generic::$kernel` at the AVX2 lane when `$avx2`, at
-/// [`Portable`] otherwise. `$avx2` may be true only where [`has_avx2`]
-/// is: the entry points pass [`simd_active`], the tests a lane list
-/// filtered by detection.
+/// The AVX-512 lane and its wrappers: [`avx2`]'s design at sixteen
+/// lanes, for the width-free kernels only — `Avx512` is no [`Lane8`],
+/// so the dots stay on their `avx2` wrappers. The call-site obligation
+/// is "AVX-512F was detected", which by [`has_avx512`] implies AVX2.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::{
+        __m512, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_castps_si512,
+        _mm512_castsi512_ps, _mm512_cvtps_epi32, _mm512_div_ps, _mm512_loadu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps,
+        _mm512_set1_epi32, _mm512_set1_ps, _mm512_slli_epi32, _mm512_storeu_ps, _mm512_sub_ps,
+        _mm512_xor_si512,
+    };
+
+    use super::{generic, GateCaches, Lane, SeqArenas, StepCaches, Vouched};
+
+    /// Lanes of a `__m512`.
+    const WIDTH: usize = 16;
+
+    #[derive(Clone, Copy)]
+    struct Avx512(__m512);
+
+    /// A mask enabling exactly the first `min(active, WIDTH)` lanes.
+    #[inline(always)]
+    fn lane_mask(active: usize) -> __mmask16 {
+        u16::MAX >> (WIDTH - active.min(WIDTH))
+    }
+
+    // SAFETY (every block below): the intrinsics need AVX-512F, which
+    // holds by the module contract — these methods only ever run inlined
+    // into a `#[target_feature(enable = "avx512f")]` wrapper. The
+    // pointer intrinsics touch exactly the `[f32; WIDTH]` behind the
+    // reference they are given, or, masked, the first `min(len, WIDTH)`
+    // elements of the slice — a disabled lane is neither read nor
+    // written (masked accesses suppress faults on disabled lanes).
+    #[allow(unsafe_code)]
+    impl Lane for Avx512 {
+        const WIDTH: usize = WIDTH;
+        const REGISTERS: usize = 32;
+        #[inline(always)]
+        fn splat(x: f32) -> Self {
+            Self(unsafe { _mm512_set1_ps(x) })
+        }
+        #[inline(always)]
+        fn load(xs: &[f32]) -> Self {
+            let xs: &[f32; WIDTH] = xs.first_chunk().expect("a whole vector in bounds");
+            Self(unsafe { _mm512_loadu_ps(xs.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, xs: &mut [f32]) {
+            let xs: &mut [f32; WIDTH] = xs.first_chunk_mut().expect("a whole vector in bounds");
+            unsafe { _mm512_storeu_ps(xs.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn load_head(xs: &[f32]) -> Self {
+            Self(unsafe { _mm512_maskz_loadu_ps(lane_mask(xs.len()), xs.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store_head(self, xs: &mut [f32]) {
+            unsafe { _mm512_mask_storeu_ps(xs.as_mut_ptr(), lane_mask(xs.len()), self.0) }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            Self(unsafe { _mm512_add_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            Self(unsafe { _mm512_sub_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            Self(unsafe { _mm512_mul_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            Self(unsafe { _mm512_div_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            Self(unsafe { _mm512_max_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn min(self, o: Self) -> Self {
+            Self(unsafe { _mm512_min_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn neg(self) -> Self {
+            // An integer xor: `_mm512_xor_ps` would need AVX-512DQ.
+            Self(unsafe {
+                let sign = _mm512_set1_epi32(i32::MIN);
+                _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(self.0), sign))
+            })
+        }
+        #[inline(always)]
+        fn exp2i(self) -> Self {
+            // Integer-valued lanes: the round-to-nearest conversion is
+            // exact.
+            Self(unsafe {
+                let biased = _mm512_add_epi32(_mm512_cvtps_epi32(self.0), _mm512_set1_epi32(127));
+                _mm512_castsi512_ps(_mm512_slli_epi32::<23>(biased))
+            })
+        }
+    }
+
+    width_free_wrappers!(Avx512, "avx512f");
+}
+
+/// Runs `generic::$kernel` at the lane `$isa` names. `$isa` may name a
+/// SIMD lane only where it was detected: the entry points pass
+/// [`isa`], the tests a lane list filtered by detection. The `dot`
+/// form is for the 8-lane dot kernels, which run their `avx2` wrapper
+/// where AVX-512 is live.
 macro_rules! at {
-    ($avx2:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
+    (dot: $isa:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        let result = if $avx2 {
+        let result = match $isa {
             // SAFETY: AVX2 was detected at runtime (the macro's
-            // precondition), the one requirement of the `avx2` wrappers.
-            unsafe { avx2::$kernel($($arg),*) }
-        } else {
-            generic::$kernel::<Portable>($($arg),*)
+            // precondition; AVX-512 is only reported beside AVX2), the
+            // one requirement of the `avx2` wrappers.
+            Isa::Avx2 | Isa::Avx512 => unsafe { avx2::$kernel($($arg),*) },
+            Isa::Portable => generic::$kernel::<Portable>($($arg),*),
         };
         #[cfg(not(target_arch = "x86_64"))]
         let result = {
-            let _ = $avx2;
+            let _ = $isa;
+            generic::$kernel::<Portable>($($arg),*)
+        };
+        result
+    }};
+    ($isa:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        let result = match $isa {
+            // SAFETY: AVX-512F was detected at runtime (the macro's
+            // precondition), the one requirement of the `avx512`
+            // wrappers.
+            Isa::Avx512 => unsafe { avx512::$kernel($($arg),*) },
+            // SAFETY: as above, for AVX2 and the `avx2` wrappers.
+            Isa::Avx2 => unsafe { avx2::$kernel($($arg),*) },
+            Isa::Portable => generic::$kernel::<Portable>($($arg),*),
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let result = {
+            let _ = $isa;
             generic::$kernel::<Portable>($($arg),*)
         };
         result
@@ -467,7 +701,7 @@ fn tail_reduce(mut lanes: [f32; LANES], a_tail: &[f32], b_tail: &[f32]) -> f32 {
 /// Panics if the slices differ in length.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    at!(simd_active(), dot(a, b))
+    at!(dot: isa(), dot(a, b))
 }
 
 /// Row sweep of canonical dot products: `out[c] = dot(a, b_rows[c])`
@@ -481,7 +715,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if `b_rows` is not `out.len() × a.len()`.
 pub fn dot_rows(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
     assert_eq!(b_rows.len(), out.len() * a.len(), "dot_rows shape mismatch");
-    at!(simd_active(), dot_rows(a, b_rows, out))
+    at!(dot: isa(), dot_rows(a, b_rows, out))
 }
 
 /// `y += alpha · x`, element-wise: one multiply then one add per
@@ -494,7 +728,7 @@ pub fn dot_rows(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
 /// Panics if the slices differ in length.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    at!(simd_active(), axpy(alpha, x, y))
+    at!(isa(), axpy(alpha, x, y))
 }
 
 /// The accumulate-GEMM `out[r][c] += Σ_k a(r, k) · b[k][c]` for
@@ -569,16 +803,22 @@ pub(crate) fn gemm_acc_vouched(
         b.len() == k * n && out.len() == m * n,
         "gemm_acc shape mismatch: {m}x{k} @ {k}x{n}"
     );
-    at!(
-        simd_active(),
-        gemm_acc(a, a_strides, b, out, shape, vouched)
-    )
+    // A product at most one `ymm` vector wide runs at eight lanes:
+    // in a `zmm` half of every access would be dead, and its masked
+    // loads and stores ran the 7-column BPTT weight gradient
+    // (192 × 384 × 7) at 39 µs against 32 µs. Scheduling, like the
+    // choice of lane itself.
+    let isa = match isa() {
+        Isa::Avx512 if n <= LANES => Isa::Avx2,
+        isa => isa,
+    };
+    at!(isa, gemm_acc(a, a_strides, b, out, shape, vouched))
 }
 
 /// Whether every element is finite — the check behind
 /// [`Vouched::b_finite`] for a caller that keeps its operand.
 pub(crate) fn all_finite(xs: &[f32]) -> bool {
-    at!(simd_active(), all_finite(xs))
+    at!(isa(), all_finite(xs))
 }
 
 /// The gradient-accumulation GEMM `out += aᵀ·b` for row-major `a`
@@ -608,13 +848,13 @@ pub fn add2_bias_rows(z: &mut [f32], w: &[f32], b: &[f32]) {
         !b.is_empty() && z.len().is_multiple_of(b.len()),
         "add2_bias_rows rows must be bias-width"
     );
-    at!(simd_active(), add2_bias_rows(z, w, b))
+    at!(isa(), add2_bias_rows(z, w, b))
 }
 
 /// Canonical ReLU sweep `x = max(x, 0)` with `_mm256_max_ps` semantics
 /// (`-0.0` maps to `+0.0`).
 pub fn relu(xs: &mut [f32]) {
-    at!(simd_active(), relu(xs))
+    at!(isa(), relu(xs))
 }
 
 /// The batch-norm eval affine `x = γ·(x − μ)·inv_std + β`, element-wise
@@ -630,7 +870,7 @@ pub fn bn_affine(row: &mut [f32], mean: &[f32], inv_std: &[f32], gamma: &[f32], 
         mean.len() == n && inv_std.len() == n && gamma.len() == n && beta.len() == n,
         "bn_affine length mismatch"
     );
-    at!(simd_active(), bn_affine(row, mean, inv_std, gamma, beta))
+    at!(isa(), bn_affine(row, mean, inv_std, gamma, beta))
 }
 
 /// Mutable destinations of a training-mode LSTM gate sweep: the BPTT
@@ -696,10 +936,7 @@ pub fn lstm_gates_train_batch(z: &[f32], c_prev: &[f32], hidden: usize, out: &mu
         ] == [bh; 7],
         "gate cache length mismatch"
     );
-    at!(
-        simd_active(),
-        lstm_gates_train_batch(z, c_prev, hidden, out)
-    )
+    at!(isa(), lstm_gates_train_batch(z, c_prev, hidden, out))
 }
 
 /// Eval-mode [`lstm_gates_train_batch`]: the same per-element
@@ -722,7 +959,7 @@ pub fn lstm_gates_eval_batch(
         "gate output length mismatch"
     );
     at!(
-        simd_active(),
+        isa(),
         lstm_gates_eval_batch(z, c_prev, hidden, c_out, h_out)
     )
 }
@@ -788,10 +1025,7 @@ pub(crate) fn lstm_seq_eval(
         seq.zx.len().is_multiple_of(4 * bh) && seq.h.len() == seq.zx.len() / 4 + bh,
         "sequence arenas must hold whole steps"
     );
-    at!(
-        simd_active(),
-        lstm_seq_eval(w_hh_t, w_hh_finite, bias, hidden, seq)
-    )
+    at!(isa(), lstm_seq_eval(w_hh_t, w_hh_finite, bias, hidden, seq))
 }
 
 /// The forward caches one BPTT step reads back: the four gates,
@@ -858,7 +1092,7 @@ pub fn lstm_gates_backward_batch(
         "gate gradient length mismatch"
     );
     at!(
-        simd_active(),
+        isa(),
         lstm_gates_backward_batch(cache, grad_h, d_h_next, d_c_next, hidden, dz)
     )
 }
@@ -871,20 +1105,8 @@ pub fn lstm_gates_backward_batch(
 mod generic {
     use std::array::from_fn;
 
-    use super::{tail_reduce, GateCaches, Lane, SeqArenas, StepCaches, LANES};
+    use super::{tail_reduce, GateCaches, Lane, Lane8, SeqArenas, StepCaches, LANES};
     use crate::vmath::{sigmoid, tanh};
-
-    #[inline(always)]
-    fn chunk(xs: &[f32], at: usize) -> &[f32; LANES] {
-        xs[at..].first_chunk().expect("a whole vector in bounds")
-    }
-
-    #[inline(always)]
-    fn chunk_mut(xs: &mut [f32], at: usize) -> &mut [f32; LANES] {
-        xs[at..]
-            .first_chunk_mut()
-            .expect("a whole vector in bounds")
-    }
 
     /// The element-wise driver: `outs[j][e] = f(ins[..][e], outs[..][e])[j]`
     /// for every element `e`, whole vectors first — two per iteration,
@@ -902,36 +1124,37 @@ mod generic {
             ins.iter().all(|s| s.len() == n) && outs.iter().all(|s| s.len() == n),
             "sweep length mismatch"
         );
-        // (whole vectors, ragged tail) of every slice; equal lengths
-        // make every `[v]` below provably in bounds.
-        let ins = ins.map(|s| s.as_chunks::<LANES>());
-        let mut outs = outs.map(|s| s.as_chunks_mut::<LANES>());
-        let vectors = n / LANES;
-        for pair in 0..vectors / 2 {
-            let v = 2 * pair;
-            let x0 = from_fn(|j| L::load(&ins[j].0[v]));
-            let x1 = from_fn(|j| L::load(&ins[j].0[v + 1]));
-            let y0 = from_fn(|j| L::load(&outs[j].0[v]));
-            let y1 = from_fn(|j| L::load(&outs[j].0[v + 1]));
+        // Every slice cut to `n`, so the loop bounds below prove each
+        // vector in bounds.
+        let ins = ins.map(|s| &s[..n]);
+        let mut outs = outs.map(|s| &mut s[..n]);
+        let w = L::WIDTH;
+        let mut e = 0;
+        while e + 2 * w <= n {
+            let x0 = from_fn(|j| L::load(&ins[j][e..]));
+            let x1 = from_fn(|j| L::load(&ins[j][e + w..]));
+            let y0 = from_fn(|j| L::load(&outs[j][e..]));
+            let y1 = from_fn(|j| L::load(&outs[j][e + w..]));
             let (r0, r1) = (f(x0, y0), f(x1, y1));
             for j in 0..O {
-                r0[j].store(&mut outs[j].0[v]);
-                r1[j].store(&mut outs[j].0[v + 1]);
+                r0[j].store(&mut outs[j][e..]);
+                r1[j].store(&mut outs[j][e + w..]);
             }
+            e += 2 * w;
         }
-        if !vectors.is_multiple_of(2) {
-            let v = vectors - 1;
-            let x = from_fn(|j| L::load(&ins[j].0[v]));
-            let y = from_fn(|j| L::load(&outs[j].0[v]));
+        if e + w <= n {
+            let x = from_fn(|j| L::load(&ins[j][e..]));
+            let y = from_fn(|j| L::load(&outs[j][e..]));
             for (r, out) in f(x, y).into_iter().zip(&mut outs) {
-                r.store(&mut out.0[v]);
+                r.store(&mut out[e..]);
             }
+            e += w;
         }
-        if !n.is_multiple_of(LANES) {
-            let x = from_fn(|j| L::load_head(ins[j].1));
-            let y = from_fn(|j| L::load_head(outs[j].1));
+        if e < n {
+            let x = from_fn(|j| L::load_head(&ins[j][e..]));
+            let y = from_fn(|j| L::load_head(&outs[j][e..]));
             for (r, out) in f(x, y).into_iter().zip(&mut outs) {
-                r.store_head(out.1);
+                r.store_head(&mut out[e..]);
             }
         }
     }
@@ -941,15 +1164,15 @@ mod generic {
     /// `≡ j (mod 8)` in increasing order, then the shared tail fold and
     /// tree reduction.
     #[inline(always)]
-    fn dots<L: Lane, const C: usize>(a: &[f32], bs: [&[f32]; C]) -> [f32; C] {
+    fn dots<L: Lane8, const C: usize>(a: &[f32], bs: [&[f32]; C]) -> [f32; C] {
         let n = a.len();
         let bs = bs.map(|b| &b[..n]);
         let mut acc = [L::splat(0.0); C];
         let mut k = 0;
         while k + LANES <= n {
-            let x = L::load(chunk(a, k));
+            let x = L::load(&a[k..]);
             for (s, b) in acc.iter_mut().zip(bs) {
-                *s = s.add(x.mul(L::load(chunk(b, k))));
+                *s = s.add(x.mul(L::load(&b[k..])));
             }
             k += LANES;
         }
@@ -961,12 +1184,12 @@ mod generic {
     }
 
     #[inline(always)]
-    pub(super) fn dot<L: Lane>(a: &[f32], b: &[f32]) -> f32 {
+    pub(super) fn dot<L: Lane8>(a: &[f32], b: &[f32]) -> f32 {
         dots::<L, 1>(a, [b])[0]
     }
 
     #[inline(always)]
-    pub(super) fn dot_rows<L: Lane>(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
+    pub(super) fn dot_rows<L: Lane8>(a: &[f32], b_rows: &[f32], out: &mut [f32]) {
         let k = a.len();
         let row = |c: usize| &b_rows[c * k..(c + 1) * k];
         let mut c = 0;
@@ -996,10 +1219,11 @@ mod generic {
     /// whatever is left of `row`.
     #[inline(always)]
     fn load_vector<L: Lane>(row: &[f32], v: usize, ragged: bool) -> L {
+        let row = &row[v * L::WIDTH..];
         if ragged {
-            L::load_head(&row[v * LANES..])
+            L::load_head(row)
         } else {
-            L::load(chunk(row, v * LANES))
+            L::load(row)
         }
     }
 
@@ -1035,7 +1259,7 @@ mod generic {
             depth == 0 || last.is_some_and(|i| i < a.len()),
             "gemm tile reads past its left operand"
         );
-        let width = if RAGGED { n - c0 } else { V * LANES };
+        let width = if RAGGED { n - c0 } else { V * L::WIDTH };
         let mut acc = [[L::splat(0.0); V]; R];
         for (r, row) in acc.iter_mut().enumerate() {
             let out_row = &out[(r0 + r) * n + c0..][..width];
@@ -1064,10 +1288,11 @@ mod generic {
         for (r, row) in acc.iter().enumerate() {
             let out_row = &mut out[(r0 + r) * n + c0..][..width];
             for (v, lanes) in row.iter().enumerate() {
+                let out = &mut out_row[v * L::WIDTH..];
                 if RAGGED && v + 1 == V {
-                    lanes.store_head(&mut out_row[v * LANES..]);
+                    lanes.store_head(out);
                 } else {
-                    lanes.store(chunk_mut(out_row, v * LANES));
+                    lanes.store(out);
                 }
             }
         }
@@ -1107,12 +1332,17 @@ mod generic {
     /// The columns are cut into strips of 6, 2 or 1 vectors, each swept
     /// in tiles of 2, 6 or 8 rows: at most 12 accumulators, leaving
     /// registers for the broadcast coefficient and the `b` vector, and
-    /// at least 8 independent add chains to cover the add latency. A
-    /// single output row (`m == 1`, a decision's forward pass) cannot
-    /// stack rows, so its chains are its vectors: the row is cut into
-    /// the fewest strips of at most 8 vectors, as equal as they come
-    /// (12 → 6 + 6, 20 → 7 + 7 + 6, 24 → 8 + 8 + 8), so that no strip
-    /// is left with the two or three chains of a remainder.
+    /// at least 8 independent add chains to cover the add latency. With
+    /// 32 registers (`Avx512`) the tiles are twice as tall — 4, 12 or 16
+    /// rows, at most 24 accumulators — so each `b` vector serves twice
+    /// the rows (a batch-32 LSTM forward ran −10 %). A single output
+    /// row (`m == 1`, a decision's forward pass) cannot stack rows, so
+    /// its chains are its vectors: the row is cut into the fewest
+    /// strips of at most 8 vectors, as equal as they come (12 → 6 + 6,
+    /// 20 → 7 + 7 + 6, 24 → 8 + 8 + 8), so that no strip is left with
+    /// the two or three chains of a remainder. That holds at 16 lanes
+    /// too: the 48-wide recurrent row, 12 `zmm`, read the same cut
+    /// 6 + 6 or whole, within the host's noise.
     #[inline(always)]
     fn strips<L: Lane, const SKIP: bool>(
         a: &[f32],
@@ -1122,7 +1352,8 @@ mod generic {
         shape: (usize, usize, usize),
     ) {
         let (m, _, n) = shape;
-        let vectors = n.div_ceil(LANES);
+        let vectors = n.div_ceil(L::WIDTH);
+        let wide = L::REGISTERS >= 32;
         let mut v0 = 0;
         while v0 < vectors {
             let left = vectors - v0;
@@ -1132,8 +1363,8 @@ mod generic {
                 2.. => 2,
                 _ => 1,
             };
-            let ragged = !n.is_multiple_of(LANES) && v0 + width == vectors;
-            let c0 = v0 * LANES;
+            let ragged = !n.is_multiple_of(L::WIDTH) && v0 + width == vectors;
+            let c0 = v0 * L::WIDTH;
             match (m, width) {
                 (1, 8) => strip::<L, 1, 8, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
                 (1, 7) => strip::<L, 1, 7, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
@@ -1143,6 +1374,9 @@ mod generic {
                 (1, 3) => strip::<L, 1, 3, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
                 (1, 2) => strip::<L, 1, 2, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
                 (1, _) => strip::<L, 1, 1, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (_, 6) if wide => strip::<L, 4, 6, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                (_, 2) if wide => strip::<L, 12, 2, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
+                _ if wide => strip::<L, 16, 1, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
                 (_, 6) => strip::<L, 2, 6, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
                 (_, 2) => strip::<L, 6, 2, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
                 _ => strip::<L, 8, 1, SKIP>(a, a_strides, b, out, (m, n), c0, ragged),
@@ -1488,12 +1722,16 @@ pub(crate) mod tests {
         (native, forced)
     }
 
-    /// The `at!` selectors this host can run: portable, and AVX2 when
-    /// detected.
-    fn lanes() -> impl Iterator<Item = bool> {
-        [false, true]
+    /// The `at!` selectors this host can run: portable, and each SIMD
+    /// lane that is detected.
+    fn lanes() -> impl Iterator<Item = Isa> {
+        [Isa::Portable, Isa::Avx2, Isa::Avx512]
             .into_iter()
-            .filter(|&avx2| !avx2 || has_avx2())
+            .filter(|isa| match isa {
+                Isa::Portable => true,
+                Isa::Avx2 => has_avx2(),
+                Isa::Avx512 => has_avx512(),
+            })
     }
 
     /// Values in `[-4, 4.4)` with exact zeros mixed in.
@@ -1527,22 +1765,31 @@ pub(crate) mod tests {
     /// same inputs. Both return every output, concatenated.
     type Row = (
         &'static str,
-        fn(bool, usize) -> Vec<f32>,
+        fn(Isa, usize) -> Vec<f32>,
         fn(usize) -> Vec<f32>,
     );
 
     /// Empty, below one vector, around one and two vectors, `8k ± 1`.
     const SIZES: [usize; 12] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100];
 
-    fn check(rows: &[Row]) {
+    /// Every width from one to two and a half `zmm` vectors.
+    fn ragged_widths() -> Vec<usize> {
+        (1..=40).collect()
+    }
+
+    /// Hidden widths of the gate-sweep cases: one `ymm` vector, a
+    /// `zmm` vector plus an 8-lane tail, and the system encoder's 48.
+    const HIDDEN: [usize; 3] = [8, 24, 48];
+
+    fn check(rows: &[Row], sizes: &[usize]) {
         for &(name, run, oracle) in rows {
-            for n in SIZES {
+            for &n in sizes {
                 let want = bits(&oracle(n));
-                for avx2 in lanes() {
+                for isa in lanes() {
                     assert_eq!(
-                        bits(&run(avx2, n)),
+                        bits(&run(isa, n)),
                         want,
-                        "{name} left its oracle at n={n} (avx2={avx2})"
+                        "{name} left its oracle at n={n} (lane {isa:?})"
                     );
                 }
             }
@@ -1563,96 +1810,104 @@ pub(crate) mod tests {
     /// plus a remainder.
     const DOT_ROWS: usize = 6;
 
+    /// The two dot kernels against the longhand lane sum.
+    const DOTS: [Row; 2] = [
+        (
+            "dot",
+            |isa, n| vec![at!(dot: isa, dot(&noisy(n, 1), &noisy(n, 2)))],
+            |n| vec![dot_oracle(&noisy(n, 1), &noisy(n, 2))],
+        ),
+        (
+            "dot_rows",
+            |isa, n| {
+                let mut out = vec![f32::NAN; DOT_ROWS];
+                at!(
+                    dot: isa,
+                    dot_rows(&noisy(n, 3), &noisy(DOT_ROWS * n, 4), &mut out)
+                );
+                out
+            },
+            |n| {
+                let (a, b) = (noisy(n, 3), noisy(DOT_ROWS * n, 4));
+                (0..DOT_ROWS)
+                    .map(|c| dot_oracle(&a, &b[c * n..(c + 1) * n]))
+                    .collect()
+            },
+        ),
+    ];
+
+    /// The element-wise sweeps against their plain loops.
+    const SWEEPS: [Row; 4] = [
+        (
+            "axpy",
+            |isa, n| {
+                let mut y = noisy(n, 6);
+                at!(isa, axpy(0.37, &noisy(n, 5), &mut y));
+                y
+            },
+            |n| {
+                let (x, y) = (noisy(n, 5), noisy(n, 6));
+                x.iter().zip(y).map(|(x, y)| y + 0.37 * x).collect()
+            },
+        ),
+        (
+            "add2_bias_rows",
+            |isa, n| {
+                let width = n.max(1);
+                let mut z = noisy(3 * width, 7);
+                at!(
+                    isa,
+                    add2_bias_rows(&mut z, &noisy(3 * width, 8), &noisy(width, 9))
+                );
+                z
+            },
+            |n| {
+                let width = n.max(1);
+                let (z, w, b) = (noisy(3 * width, 7), noisy(3 * width, 8), noisy(width, 9));
+                (0..3 * width)
+                    .map(|e| (z[e] + w[e]) + b[e % width])
+                    .collect()
+            },
+        ),
+        (
+            "relu",
+            |isa, n| {
+                let mut xs = noisy(n, 10);
+                xs.iter_mut().step_by(3).for_each(|x| *x = -0.0);
+                at!(isa, relu(&mut xs));
+                xs
+            },
+            // `-0.0 > 0.0` is false, so `-0.0` leaves as `+0.0`.
+            |n| {
+                noisy(n, 10)
+                    .iter()
+                    .enumerate()
+                    .map(|(e, &x)| if e % 3 != 0 && x > 0.0 { x } else { 0.0 })
+                    .collect()
+            },
+        ),
+        (
+            "bn_affine",
+            |isa, n| {
+                let mut row = noisy(n, 11);
+                let [mean, inv_std, gamma, beta] = [12, 13, 14, 15].map(|salt| noisy(n, salt));
+                at!(isa, bn_affine(&mut row, &mean, &inv_std, &gamma, &beta));
+                row
+            },
+            |n| {
+                let [x, mean, inv_std, gamma, beta] =
+                    [11, 12, 13, 14, 15].map(|salt| noisy(n, salt));
+                (0..n)
+                    .map(|e| ((gamma[e] * (x[e] - mean[e])) * inv_std[e]) + beta[e])
+                    .collect()
+            },
+        ),
+    ];
+
     #[test]
     fn simd_and_scalar_kernels_agree_bit_for_bit_on_ragged_lengths() {
-        check(&[
-            (
-                "dot",
-                |avx2, n| vec![at!(avx2, dot(&noisy(n, 1), &noisy(n, 2)))],
-                |n| vec![dot_oracle(&noisy(n, 1), &noisy(n, 2))],
-            ),
-            (
-                "dot_rows",
-                |avx2, n| {
-                    let mut out = vec![f32::NAN; DOT_ROWS];
-                    at!(
-                        avx2,
-                        dot_rows(&noisy(n, 3), &noisy(DOT_ROWS * n, 4), &mut out)
-                    );
-                    out
-                },
-                |n| {
-                    let (a, b) = (noisy(n, 3), noisy(DOT_ROWS * n, 4));
-                    (0..DOT_ROWS)
-                        .map(|c| dot_oracle(&a, &b[c * n..(c + 1) * n]))
-                        .collect()
-                },
-            ),
-            (
-                "axpy",
-                |avx2, n| {
-                    let mut y = noisy(n, 6);
-                    at!(avx2, axpy(0.37, &noisy(n, 5), &mut y));
-                    y
-                },
-                |n| {
-                    let (x, y) = (noisy(n, 5), noisy(n, 6));
-                    x.iter().zip(y).map(|(x, y)| y + 0.37 * x).collect()
-                },
-            ),
-            (
-                "add2_bias_rows",
-                |avx2, n| {
-                    let width = n.max(1);
-                    let mut z = noisy(3 * width, 7);
-                    at!(
-                        avx2,
-                        add2_bias_rows(&mut z, &noisy(3 * width, 8), &noisy(width, 9))
-                    );
-                    z
-                },
-                |n| {
-                    let width = n.max(1);
-                    let (z, w, b) = (noisy(3 * width, 7), noisy(3 * width, 8), noisy(width, 9));
-                    (0..3 * width)
-                        .map(|e| (z[e] + w[e]) + b[e % width])
-                        .collect()
-                },
-            ),
-            (
-                "relu",
-                |avx2, n| {
-                    let mut xs = noisy(n, 10);
-                    xs.iter_mut().step_by(3).for_each(|x| *x = -0.0);
-                    at!(avx2, relu(&mut xs));
-                    xs
-                },
-                // `-0.0 > 0.0` is false, so `-0.0` leaves as `+0.0`.
-                |n| {
-                    noisy(n, 10)
-                        .iter()
-                        .enumerate()
-                        .map(|(e, &x)| if e % 3 != 0 && x > 0.0 { x } else { 0.0 })
-                        .collect()
-                },
-            ),
-            (
-                "bn_affine",
-                |avx2, n| {
-                    let mut row = noisy(n, 11);
-                    let [mean, inv_std, gamma, beta] = [12, 13, 14, 15].map(|salt| noisy(n, salt));
-                    at!(avx2, bn_affine(&mut row, &mean, &inv_std, &gamma, &beta));
-                    row
-                },
-                |n| {
-                    let [x, mean, inv_std, gamma, beta] =
-                        [11, 12, 13, 14, 15].map(|salt| noisy(n, salt));
-                    (0..n)
-                        .map(|e| ((gamma[e] * (x[e] - mean[e])) * inv_std[e]) + beta[e])
-                        .collect()
-                },
-            ),
-        ]);
+        check(&DOTS, &SIZES);
+        check(&SWEEPS, &SIZES);
     }
 
     /// A left-operand layout of [`gemm_acc`]: strides for logical
@@ -1662,11 +1917,20 @@ pub(crate) mod tests {
     const TRANSPOSED: Strides = |m, _| (1, m);
 
     /// Output rows × depths swept per column count: every tile height
-    /// (1, 2, 6, 8) with a remainder row, an empty `k` loop, row counts
-    /// on both sides of the scan that can drop the zero-skip, and a
-    /// depth of two whole row blocks and a ragged third.
-    const GEMM_SHAPES: [(usize, usize); 7] =
-        [(1, 5), (2, 0), (3, 1), (7, 4), (9, 11), (13, 16), (10, 131)];
+    /// (1, 2, 6, 8, and the 32-register lane's 4, 12, 16) with a
+    /// remainder row, an empty `k` loop, row counts on both sides of the
+    /// scan that can drop the zero-skip, and a depth of two whole row
+    /// blocks and a ragged third.
+    const GEMM_SHAPES: [(usize, usize); 8] = [
+        (1, 5),
+        (2, 0),
+        (3, 1),
+        (7, 4),
+        (9, 11),
+        (13, 16),
+        (18, 3),
+        (10, 131),
+    ];
 
     /// `[a, b, out]` for a shape `(m, depth, n)` and the left operand's
     /// strides.
@@ -1734,25 +1998,42 @@ pub(crate) mod tests {
         [a, b, out]
     }
 
-    /// Every shape of [`GEMM_SHAPES`] at `n` columns, through the
-    /// dispatch (`skip` = `None`) or one tile kind, concatenated.
+    /// How a GEMM case reaches the tiles.
+    #[derive(Clone, Copy, Debug)]
+    enum Route {
+        /// [`gemm_acc`] vouching for nothing: its scans decide.
+        Scanned,
+        /// [`gemm_acc`] vouching for both facts — only for operands
+        /// where they hold.
+        Vouched,
+        /// One tile kind directly, skipping zeros or not.
+        Tiles(bool),
+    }
+
+    /// Every shape of [`GEMM_SHAPES`] at `n` columns along `route`,
+    /// concatenated.
     fn gemm_run(
-        avx2: bool,
+        isa: Isa,
         n: usize,
         strides: Strides,
         operands: Operands,
-        skip: Option<bool>,
+        route: Route,
     ) -> Vec<f32> {
         let mut all = Vec::new();
         for (m, depth) in GEMM_SHAPES {
             let (shape, strides) = ((m, depth, n), strides(m, depth));
             let [a, b, mut out] = operands(shape, strides);
-            match skip {
-                None => at!(
-                    avx2,
+            let vouched = Vouched {
+                b_finite: true,
+                out_clean: true,
+            };
+            match route {
+                Route::Scanned => at!(
+                    isa,
                     gemm_acc(&a, strides, &b, &mut out, shape, Vouched::default())
                 ),
-                Some(skip) => at!(avx2, gemm_tiles(&a, strides, &b, &mut out, shape, skip)),
+                Route::Vouched => at!(isa, gemm_acc(&a, strides, &b, &mut out, shape, vouched)),
+                Route::Tiles(skip) => at!(isa, gemm_tiles(&a, strides, &b, &mut out, shape, skip)),
             }
             all.extend(out);
         }
@@ -1781,19 +2062,19 @@ pub(crate) mod tests {
         all
     }
 
-    /// The oracle table of the GEMM: each of `tiles` on each lane, in
+    /// The oracle table of the GEMM: each of `routes` on each lane, in
     /// both stride modes — every strip width, row remainders, the ragged
-    /// last vector — against the triple loop.
-    fn check_gemm(operands: Operands, tiles: &[Option<bool>]) {
+    /// last vector — against the triple loop, at `sizes` columns.
+    fn check_gemm(operands: Operands, routes: &[Route], sizes: &[usize]) {
         for (layout, strides) in [("row-major", ROW_MAJOR), ("transposed", TRANSPOSED)] {
-            for n in SIZES {
+            for &n in sizes {
                 let want = bits(&gemm_oracle(n, strides, operands));
-                for avx2 in lanes() {
-                    for &skip in tiles {
+                for isa in lanes() {
+                    for &route in routes {
                         assert_eq!(
-                            bits(&gemm_run(avx2, n, strides, operands, skip)),
+                            bits(&gemm_run(isa, n, strides, operands, route)),
                             want,
-                            "{layout} left operand, skip {skip:?}, n={n} (avx2={avx2})"
+                            "{layout} left operand, {route:?}, n={n} (lane {isa:?})"
                         );
                     }
                 }
@@ -1807,7 +2088,13 @@ pub(crate) mod tests {
     /// to the skipping tile, whose bits are the spec's.
     #[test]
     fn tile_dispatch_drops_the_zero_skip_only_where_it_is_invisible() {
-        check_gemm(relu_like, &[Some(true), Some(false), None]);
+        let routes = [
+            Route::Tiles(true),
+            Route::Tiles(false),
+            Route::Scanned,
+            Route::Vouched,
+        ];
+        check_gemm(relu_like, &routes, &SIZES);
         for operands in [
             degenerate::<0> as Operands,
             degenerate::<1>,
@@ -1815,7 +2102,7 @@ pub(crate) mod tests {
             degenerate::<3>,
             degenerate::<4>,
         ] {
-            check_gemm(operands, &[None]);
+            check_gemm(operands, &[Route::Scanned], &SIZES);
         }
         // The planted value is seen: skip-free tiles leave the spec.
         let (shape, strides) = ((9, 11, 9), ROW_MAJOR(9, 11));
@@ -1834,7 +2121,7 @@ pub(crate) mod tests {
     /// the loop of [`axpy`] calls they are specified as.
     #[test]
     fn transa_acc_matches_spec_and_naive_axpy_loop_on_ragged_shapes() {
-        check_gemm(gemm_operands, &[None]);
+        check_gemm(gemm_operands, &[Route::Scanned], &SIZES);
 
         let (k, m, n) = (5, 7, 19);
         let [a, b, out0] = gemm_operands((m, k, n), (1, m));
@@ -1894,94 +2181,104 @@ pub(crate) mod tests {
         out
     }
 
-    /// Train and eval sweeps against the element-wise cell; sharing the
-    /// oracle is what pins eval to be train minus the caches.
+    /// Train and eval sweeps against the element-wise cell, the size
+    /// being the hidden width; sharing the oracle is what pins eval to
+    /// be train minus the caches.
+    const GATE_SWEEPS: [Row; 2] = [
+        (
+            "lstm_gates_train_batch",
+            |isa, n| {
+                let hidden = n.max(1);
+                let (z, c_prev) = (noisy(BATCH * 4 * hidden, 21), noisy(BATCH * hidden, 22));
+                let mut out: [Vec<f32>; 7] =
+                    std::array::from_fn(|_| vec![f32::NAN; BATCH * hidden]);
+                let [i, f, g, o, c, tanh_c, h] = &mut out;
+                let mut caches = GateCaches {
+                    i,
+                    f,
+                    g,
+                    o,
+                    c,
+                    tanh_c,
+                    h,
+                };
+                at!(
+                    isa,
+                    lstm_gates_train_batch(&z, &c_prev, hidden, &mut caches)
+                );
+                out.concat()
+            },
+            |n| cell_oracle(n.max(1)).concat(),
+        ),
+        (
+            "lstm_gates_eval_batch",
+            |isa, n| {
+                let hidden = n.max(1);
+                let (z, c_prev) = (noisy(BATCH * 4 * hidden, 21), noisy(BATCH * hidden, 22));
+                let mut out = [(); 2].map(|()| vec![f32::NAN; BATCH * hidden]);
+                let [c, h] = &mut out;
+                at!(isa, lstm_gates_eval_batch(&z, &c_prev, hidden, c, h));
+                out.concat()
+            },
+            |n| {
+                cell_oracle(n.max(1))[4..]
+                    .iter()
+                    .step_by(2)
+                    .flatten()
+                    .copied()
+                    .collect()
+            },
+        ),
+    ];
+
     #[test]
     fn gate_sweeps_agree_across_paths_and_with_each_other() {
-        check(&[
-            (
-                "lstm_gates_train_batch",
-                |avx2, n| {
-                    let hidden = n.max(1);
-                    let (z, c_prev) = (noisy(BATCH * 4 * hidden, 21), noisy(BATCH * hidden, 22));
-                    let mut out: [Vec<f32>; 7] =
-                        std::array::from_fn(|_| vec![f32::NAN; BATCH * hidden]);
-                    let [i, f, g, o, c, tanh_c, h] = &mut out;
-                    let mut caches = GateCaches {
-                        i,
-                        f,
-                        g,
-                        o,
-                        c,
-                        tanh_c,
-                        h,
-                    };
-                    at!(
-                        avx2,
-                        lstm_gates_train_batch(&z, &c_prev, hidden, &mut caches)
-                    );
-                    out.concat()
-                },
-                |n| cell_oracle(n.max(1)).concat(),
-            ),
-            (
-                "lstm_gates_eval_batch",
-                |avx2, n| {
-                    let hidden = n.max(1);
-                    let (z, c_prev) = (noisy(BATCH * 4 * hidden, 21), noisy(BATCH * hidden, 22));
-                    let mut out = [(); 2].map(|()| vec![f32::NAN; BATCH * hidden]);
-                    let [c, h] = &mut out;
-                    at!(avx2, lstm_gates_eval_batch(&z, &c_prev, hidden, c, h));
-                    out.concat()
-                },
-                |n| {
-                    cell_oracle(n.max(1))[4..]
-                        .iter()
-                        .step_by(2)
-                        .flatten()
-                        .copied()
-                        .collect()
-                },
-            ),
-        ]);
+        check(&GATE_SWEEPS, &SIZES);
     }
 
-    /// One layer's eval forward through [`lstm_seq_eval`] — its
-    /// recurrent products skip-free when `vouch` — and through the
-    /// step-by-step composition of the public kernels it fuses, whose
-    /// few-row products keep the skip: `(pre-activations, hidden states,
-    /// final cell state)` of each.
+    /// One layer's eval forward: `(pre-activations, hidden states,
+    /// final cell state)`.
     type SeqRun = (Vec<f32>, Vec<f32>, Vec<f32>);
 
-    fn seq_runs(hidden: usize, batch: usize, steps: usize, vouch: bool) -> (SeqRun, SeqRun) {
+    /// The weights, bias and initial arenas of a sequence case:
+    /// `[w_hh_t, bias, zx, h, c]`.
+    fn seq_inputs(hidden: usize, batch: usize, steps: usize) -> [Vec<f32>; 5] {
         let (hw, bh) = (4 * hidden, batch * hidden);
         let salt = (hidden * 100 + batch * 10 + steps) as u64;
         let w_hh_t: Vec<f32> = noisy(hidden * hw, salt).iter().map(|w| w / 8.0).collect();
-        let bias = noisy(hw, salt ^ 1);
-        let zx0 = noisy(steps * batch * hw, salt ^ 2);
-        let mut h0 = vec![0.0; (steps + 1) * bh];
-        h0[..bh].copy_from_slice(&noisy(bh, salt ^ 3));
-        let c0 = noisy(bh, salt ^ 4);
-
-        let (mut zx, mut h, mut c, mut c_next) =
-            (zx0.clone(), h0.clone(), c0.clone(), vec![f32::NAN; bh]);
-        lstm_seq_eval(
-            &w_hh_t,
-            vouch,
-            &bias,
-            hidden,
-            &mut SeqArenas {
-                zx: &mut zx,
-                zh: &mut vec![f32::NAN; batch * hw],
-                h: &mut h,
-                c: &mut c,
-                c_next: &mut c_next,
-            },
+        let mut h = vec![0.0; (steps + 1) * bh];
+        h[..bh].copy_from_slice(&noisy(bh, salt ^ 3));
+        let (bias, zx, c) = (
+            noisy(hw, salt ^ 1),
+            noisy(steps * batch * hw, salt ^ 2),
+            noisy(bh, salt ^ 4),
         );
-        // An odd step count leaves the running state in `c_next`.
-        let fused = (zx, h, if steps.is_multiple_of(2) { c } else { c_next });
+        [w_hh_t, bias, zx, h, c]
+    }
 
-        let (mut zx, mut h, mut c) = (zx0, h0, c0);
+    /// The case through [`lstm_seq_eval`] at `isa`, its recurrent
+    /// products skip-free when `vouch`.
+    fn seq_fused(isa: Isa, (hidden, batch, steps): (usize, usize, usize), vouch: bool) -> SeqRun {
+        let [w_hh_t, bias, mut zx, mut h, mut c] = seq_inputs(hidden, batch, steps);
+        let mut c_next = vec![f32::NAN; batch * hidden];
+        let mut seq = SeqArenas {
+            zx: &mut zx,
+            zh: &mut vec![f32::NAN; batch * 4 * hidden],
+            h: &mut h,
+            c: &mut c,
+            c_next: &mut c_next,
+        };
+        at!(isa, lstm_seq_eval(&w_hh_t, vouch, &bias, hidden, &mut seq));
+        // An odd step count leaves the running state in `c_next`.
+        (zx, h, if steps.is_multiple_of(2) { c } else { c_next })
+    }
+
+    /// The case through the step-by-step composition of the public
+    /// kernels [`lstm_seq_eval`] fuses, whose few-row products keep the
+    /// skip.
+    fn seq_stepwise((hidden, batch, steps): (usize, usize, usize)) -> SeqRun {
+        let [w_hh_t, bias, mut zx, mut h, mut c] = seq_inputs(hidden, batch, steps);
+        let (hw, bh) = (4 * hidden, batch * hidden);
         for (t, z) in zx.chunks_exact_mut(batch * hw).enumerate() {
             let (h_prev, h_next) = h[t * bh..(t + 2) * bh].split_at_mut(bh);
             let mut zh = vec![0.0; batch * hw];
@@ -1991,19 +2288,22 @@ pub(crate) mod tests {
             lstm_gates_eval_batch(z, &c, hidden, &mut c_new, h_next);
             c = c_new;
         }
-        (fused, (zx, h, c))
+        (zx, h, c)
     }
 
     /// Dispatch granularity is scheduling: the one-dispatch sequence
-    /// kernel writes what the per-step kernels write, on either lane,
+    /// kernel writes what the per-step kernels write, on every lane,
     /// and on finite weights whether or not its caller vouches for them.
     #[test]
     fn fused_sequence_kernel_equals_the_step_by_step_composition() {
-        for hidden in [10, 12, 24, 33, 48] {
-            for (batch, vouch) in [1, 2, 5].into_iter().flat_map(|b| [(b, false), (b, true)]) {
+        for hidden in [8, 10, 12, 24, 33, 48] {
+            for batch in [1, 2, 5] {
                 for steps in [1, 2, 24] {
-                    let (native, forced) = both_paths(|| seq_runs(hidden, batch, steps, vouch));
-                    for (lane, (fused, stepwise)) in [("native", &native), ("portable", &forced)] {
+                    let case = (hidden, batch, steps);
+                    let (stepwise, forced) = both_paths(|| seq_stepwise(case));
+                    assert_eq!(bits(&stepwise.1), bits(&forced.1), "public kernels differ");
+                    for (isa, vouch) in lanes().flat_map(|isa| [(isa, false), (isa, true)]) {
+                        let fused = seq_fused(isa, case, vouch);
                         for (what, got, want) in [
                             ("z", &fused.0, &stepwise.0),
                             ("h", &fused.1, &stepwise.1),
@@ -2012,12 +2312,11 @@ pub(crate) mod tests {
                             assert_eq!(
                                 bits(got),
                                 bits(want),
-                                "{what} differs on the {lane} lane at H={hidden} B={batch} T={steps} \
+                                "{what} differs on lane {isa:?} at H={hidden} B={batch} T={steps} \
                                  (vouched: {vouch})"
                             );
                         }
                     }
-                    assert_eq!(bits(&native.0 .1), bits(&forced.0 .1), "lanes differ");
                 }
             }
         }
@@ -2049,7 +2348,7 @@ pub(crate) mod tests {
         std::array::from_fn(|j| noisy(BATCH * hidden, 31 + j as u64))
     }
 
-    fn backward_run(avx2: bool, hidden: usize, supervised: bool) -> Vec<f32> {
+    fn backward_run(isa: Isa, hidden: usize, supervised: bool) -> Vec<f32> {
         let [i, f, g, o, tanh_c, c_prev, grad_h, d_h_next, mut d_c] = backward_inputs(hidden);
         let cache = StepCaches {
             i: &i,
@@ -2062,7 +2361,7 @@ pub(crate) mod tests {
         let grad_h = supervised.then_some(&grad_h[..]);
         let mut dz = vec![f32::NAN; BATCH * 4 * hidden];
         at!(
-            avx2,
+            isa,
             lstm_gates_backward_batch(&cache, grad_h, &d_h_next, &mut d_c, hidden, &mut dz)
         );
         [dz, d_c].concat()
@@ -2094,20 +2393,127 @@ pub(crate) mod tests {
         [dz, d_c_prev].concat()
     }
 
+    /// The backward gate sweep, the size being the hidden width.
+    const BACKWARD_SWEEPS: [Row; 2] = [
+        (
+            "lstm_gates_backward_batch, supervised step",
+            |isa, n| backward_run(isa, n.max(1), true),
+            |n| backward_oracle(n.max(1), true),
+        ),
+        (
+            "lstm_gates_backward_batch, unsupervised step",
+            |isa, n| backward_run(isa, n.max(1), false),
+            |n| backward_oracle(n.max(1), false),
+        ),
+    ];
+
     #[test]
     fn backward_gate_sweep_agrees_across_paths() {
-        check(&[
-            (
-                "lstm_gates_backward_batch, supervised step",
-                |avx2, n| backward_run(avx2, n.max(1), true),
-                |n| backward_oracle(n.max(1), true),
-            ),
-            (
-                "lstm_gates_backward_batch, unsupervised step",
-                |avx2, n| backward_run(avx2, n.max(1), false),
-                |n| backward_oracle(n.max(1), false),
-            ),
-        ]);
+        check(&BACKWARD_SWEEPS, &SIZES);
+    }
+
+    /// Every width-free kernel at every width from 1 to 40 — each
+    /// position of a ragged tail in a `ymm` and a `zmm` vector, one and
+    /// two whole vectors of either — the gate sweeps at [`HIDDEN`], and
+    /// the GEMM at both [`Vouched`] states.
+    #[test]
+    fn width_free_kernels_agree_on_every_ragged_width() {
+        let widths = ragged_widths();
+        check(&SWEEPS, &widths);
+        check(&GATE_SWEEPS, &HIDDEN);
+        check(&BACKWARD_SWEEPS, &HIDDEN);
+        let routes = [
+            Route::Tiles(true),
+            Route::Tiles(false),
+            Route::Scanned,
+            Route::Vouched,
+        ];
+        check_gemm(relu_like, &routes, &widths);
+        check_gemm(gemm_operands, &[Route::Scanned], &widths);
+    }
+
+    /// Every public kernel on ragged operands of width `n`, outputs
+    /// concatenated.
+    fn public_kernels(n: usize) -> Vec<f32> {
+        let mut all = vec![dot(&noisy(n, 1), &noisy(n, 2))];
+        let mut rows = vec![f32::NAN; DOT_ROWS];
+        dot_rows(&noisy(n, 3), &noisy(DOT_ROWS * n, 4), &mut rows);
+        let mut y = noisy(n, 6);
+        axpy(0.37, &noisy(n, 5), &mut y);
+        let mut z = noisy(3 * n, 7);
+        add2_bias_rows(&mut z, &noisy(3 * n, 8), &noisy(n, 9));
+        let mut xs = noisy(n, 10);
+        relu(&mut xs);
+        let mut row = noisy(n, 11);
+        let [mean, inv_std, gamma, beta] = [12, 13, 14, 15].map(|salt| noisy(n, salt));
+        bn_affine(&mut row, &mean, &inv_std, &gamma, &beta);
+        all.extend([rows, y, z, xs, row].concat());
+        for (m, depth) in GEMM_SHAPES {
+            for operands in [gemm_operands as Operands, relu_like] {
+                let [a, b, mut out] = operands((m, depth, n), (depth, 1));
+                gemm_acc(&a, (depth, 1), &b, &mut out, (m, depth, n));
+                let [a, _, mut out_t] = operands((m, depth, n), (1, m));
+                transa_acc(&a, &b, &mut out_t, (depth, m, n));
+                all.extend([out, out_t].concat());
+            }
+        }
+        let (z, c_prev) = (noisy(BATCH * 4 * n, 21), noisy(BATCH * n, 22));
+        let mut caches: [Vec<f32>; 7] = std::array::from_fn(|_| vec![f32::NAN; BATCH * n]);
+        let [i, f, g, o, c, tanh_c, h] = &mut caches;
+        let mut gates = GateCaches {
+            i,
+            f,
+            g,
+            o,
+            c,
+            tanh_c,
+            h,
+        };
+        lstm_gates_train_batch(&z, &c_prev, n, &mut gates);
+        let mut eval = [(); 2].map(|()| vec![f32::NAN; BATCH * n]);
+        let [c, h] = &mut eval;
+        lstm_gates_eval_batch(&z, &c_prev, n, c, h);
+        let [i, f, g, o, tanh_c, c_prev, grad_h, d_h_next, mut d_c] =
+            std::array::from_fn(|j| noisy(BATCH * n, 31 + j as u64));
+        let cache = StepCaches {
+            i: &i,
+            f: &f,
+            g: &g,
+            o: &o,
+            tanh_c: &tanh_c,
+            c_prev: &c_prev,
+        };
+        let mut dz = vec![f32::NAN; BATCH * 4 * n];
+        lstm_gates_backward_batch(&cache, Some(&grad_h), &d_h_next, &mut d_c, n, &mut dz);
+        let (zx, h, c) = seq_stepwise((n, 2, 3));
+        all.extend([caches.concat(), eval.concat(), dz, d_c, zx, h, c].concat());
+        for vouch in [false, true] {
+            let [w_hh_t, bias, mut zx, mut h, mut c] = seq_inputs(n, 2, 3);
+            let mut c_next = vec![f32::NAN; 2 * n];
+            let mut seq = SeqArenas {
+                zx: &mut zx,
+                zh: &mut vec![f32::NAN; 2 * 4 * n],
+                h: &mut h,
+                c: &mut c,
+                c_next: &mut c_next,
+            };
+            lstm_seq_eval(&w_hh_t, vouch, &bias, n, &mut seq);
+            all.extend([zx, h, c_next].concat());
+        }
+        all
+    }
+
+    /// What the entry points dispatch to on this host — the widest lane
+    /// it has — gives the forced-portable bits on every public kernel.
+    #[test]
+    fn public_entry_points_equal_the_forced_scalar_result() {
+        for n in ragged_widths() {
+            let (native, forced) = both_paths(|| bits(&public_kernels(n)));
+            assert_eq!(
+                native, forced,
+                "public kernels left the portable lane at n={n}"
+            );
+        }
     }
 
     #[test]
@@ -2119,8 +2525,14 @@ pub(crate) mod tests {
 
     #[test]
     fn force_scalar_toggle_is_observable() {
-        let (native, forced) = both_paths(simd_active);
-        assert_eq!(native, has_avx2() && !env_force_scalar());
-        assert!(!forced, "forced scalar must disable SIMD");
+        let (native, forced) = both_paths(|| (simd_active(), simd_lanes()));
+        let detected = match () {
+            () if env_force_scalar() => 0,
+            () if has_avx512() => 16,
+            () if has_avx2() => 8,
+            () => 0,
+        };
+        assert_eq!(native, (detected != 0, detected));
+        assert_eq!(forced, (false, 0), "forced scalar must disable SIMD");
     }
 }

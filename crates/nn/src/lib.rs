@@ -56,8 +56,8 @@
 //! assert!(final_loss < 1e-2, "did not converge: {final_loss}");
 //! ```
 
-// `deny`, not `forbid`: the AVX2 lane in `kernels` (its intrinsics and
-// the one dispatch site into its `#[target_feature]` wrappers) carries
+// `deny`, not `forbid`: the SIMD lanes in `kernels` (their intrinsics
+// and the one dispatch site into their `#[target_feature]` wrappers) carry
 // the crate's only scoped `#[allow(unsafe_code)]`s; everything else
 // still refuses unsafe at compile time.
 #![deny(unsafe_code)]
@@ -79,7 +79,7 @@ mod vmath;
 pub use adam::Adam;
 pub use aligned::AlignedVec;
 pub use block::NonLinearBlock;
-pub use kernels::{set_force_scalar, simd_active};
+pub use kernels::{set_force_scalar, simd_active, simd_lanes};
 pub use layer::{BatchNorm1d, Dropout, Layer, Linear, Relu, Sequential};
 pub use loss::MseLoss;
 pub use lstm::{Lstm, LstmScratch};

@@ -16,7 +16,7 @@ const BLOCK: usize = 32;
 /// This is deliberately small: just the operations the layers in this
 /// crate need. Shapes are validated eagerly; mismatches panic with the
 /// offending dimensions. The elements live in an [`AlignedVec`]: the
-/// first one sits on a 32-byte boundary in every tensor, however it
+/// first one sits on a 64-byte boundary in every tensor, however it
 /// was built, cloned, grown or loaded (DESIGN.md §14).
 ///
 /// # Examples

@@ -103,7 +103,7 @@ pub(crate) fn sigmoid<L: Lane>(x: L) -> L {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::kernels::Portable;
+    use crate::kernels::{Lane8, Portable};
 
     fn lane0(f: impl Fn(Portable) -> Portable, x: f32) -> f32 {
         f(Portable::splat(x)).to_array()[0]

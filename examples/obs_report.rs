@@ -56,6 +56,9 @@ fn main() -> ExitCode {
     let seed: u64 = env_or("ADRIAS_OBS_SEED", 7);
 
     println!("=== Adrias observability report (seed {seed}) ===");
+    // Which kernel lane this leg ran (16 = AVX-512, 8 = AVX2, 0 =
+    // portable); the exports must not depend on it.
+    println!("simd lanes: {}", adrias::nn::simd_lanes());
     println!("Training a quick model stack on simulated traces...\n");
 
     let catalog = WorkloadCatalog::paper();
