@@ -641,8 +641,9 @@ fn bench_obs_overhead(h: &mut Harness) {
 /// observed only, [`paired_ratio`] median. Both legs use the trained
 /// Adrias policy (so decisions carry the predictions the tracker joins
 /// on) and the tracked leg pays the full online-adaptation read path:
-/// pending joins at decision and completion, the end-of-run
-/// system-forecast scoring pass, and the flush into the registry. It
+/// pending joins at decision and completion, the 1 Hz trace the scoring
+/// reads, the end-of-run system-forecast scoring pass, and the flush
+/// into the registry. It
 /// reads 0.98–1.005 at 40 rounds; at CI's smoke settings (three rounds)
 /// 22 runs of the section alone read 0.959–1.114, the upper end on a
 /// contended host (EXPERIMENTS.md "The engine's callers, written
@@ -650,7 +651,7 @@ fn bench_obs_overhead(h: &mut Harness) {
 const ONLINE_RESIDUAL_OVERHEAD: Gate = Gate::at_most("online_residual_overhead_x", 1.25);
 
 fn bench_residual_overhead(h: &mut Harness) {
-    use adrias_orchestrator::{ResidualConfig, ResidualTracker};
+    use adrias_orchestrator::{ResidualConfig, ResidualTracker, Trace};
     use adrias_scenarios::{train_stack, StackOptions};
     use std::cell::RefCell;
 
@@ -661,9 +662,13 @@ fn bench_residual_overhead(h: &mut Harness) {
     let run_tracked = || {
         let mut obs = Observer::new(ObsConfig::default());
         let mut tracker = ResidualTracker::new(ResidualConfig::default());
-        let mut hooks = (&mut tracker, ObservedRun::with_qos(&mut obs, None));
-        let report = dense_run(&arrivals, &mut stack.policy(0.8, 5.0), &mut hooks);
-        tracker.score_system_forecasts(&report, &mut scorer.borrow_mut());
+        let mut trace = Trace::default();
+        let mut hooks = (
+            (&mut tracker, &mut trace),
+            ObservedRun::with_qos(&mut obs, None),
+        );
+        dense_run(&arrivals, &mut stack.policy(0.8, 5.0), &mut hooks);
+        tracker.score_system_forecasts(&trace, &mut scorer.borrow_mut());
         black_box(tracker.flush(&mut obs));
     };
     let tracked = ("engine_run_adrias_tracked", &run_tracked as &dyn Fn());

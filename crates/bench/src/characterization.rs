@@ -3,7 +3,7 @@
 
 use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 use adrias_orchestrator::engine::{run_isolated, run_stream_hooked, EngineConfig, ScheduleStream};
-use adrias_orchestrator::RandomPolicy;
+use adrias_orchestrator::{RandomPolicy, Trace};
 use adrias_scenarios::schedule::{build_schedule, PlacementStyle};
 use adrias_scenarios::{collect_traces, scaled_corpus, ScenarioSpec};
 use adrias_sim::{LinkConfig, Testbed, TestbedConfig};
@@ -285,16 +285,17 @@ pub(crate) fn fig08(_: &mut Ctx, t: &mut Vec<String>) -> Outcome {
 
         // Metric dynamics via the engine (includes Watcher feed).
         let mut policy = RandomPolicy::new(seed);
-        let report = run_stream_hooked(
+        let mut trace = Trace::default();
+        run_stream_hooked(
             TestbedConfig::paper(),
             EngineConfig::default(),
             &mut ScheduleStream::new(&schedule),
             &[],
             &mut policy,
-            &mut (),
+            &mut trace,
         );
         for metric in [Metric::LlcLoads, Metric::LinkLatency] {
-            let vals: Vec<f32> = report.samples.iter().map(|s| s.get(metric)).collect();
+            let vals: Vec<f32> = trace.rows().iter().map(|r| r.get(metric)).collect();
             t.push(format!(
                 "{}: min {:.3e}, mean {:.3e}, max {:.3e}",
                 metric,

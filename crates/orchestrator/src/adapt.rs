@@ -42,6 +42,7 @@ use adrias_workloads::{WorkloadClass, WorkloadProfile};
 use crate::adrias::AdriasPolicy;
 use crate::engine::{AppOutcome, EngineObserver, RunReport};
 use crate::policy::ExplainedDecision;
+use crate::trace::Trace;
 
 /// Which of the policy's two performance models an adaptation action
 /// targets.
@@ -185,15 +186,11 @@ impl ResidualTracker {
     }
 
     /// Scores the system-state forecaster against the run's realised
-    /// trace: one worker-invariant batched forward pass over every
-    /// decision-time window, compared to the actual mean state over the
-    /// following horizon. Call once after the run, before
-    /// [`ResidualTracker::flush`].
-    pub fn score_system_forecasts(
-        &mut self,
-        report: &RunReport,
-        system_model: &mut SystemStateModel,
-    ) {
+    /// trace (a [`Trace`] that rode the same run): one worker-invariant
+    /// batched forward pass over every decision-time window, compared to
+    /// the actual mean state over the following horizon. Call once after
+    /// the run, before [`ResidualTracker::flush`].
+    pub fn score_system_forecasts(&mut self, trace: &Trace, system_model: &mut SystemStateModel) {
         let checks = std::mem::take(&mut self.sys_checks);
         if checks.is_empty() {
             return;
@@ -201,7 +198,7 @@ impl ResidualTracker {
         let windows: Vec<&[MetricVec]> = checks.iter().map(|(_, w)| w.as_slice()).collect();
         let forecasts = system_model.predict_batch(&windows);
         for ((at_s, _), forecast) in checks.iter().zip(&forecasts) {
-            let Some(actual) = report.mean_between(*at_s, *at_s + self.cfg.horizon_s as f64) else {
+            let Some(actual) = trace.mean_between(*at_s, *at_s + self.cfg.horizon_s as f64) else {
                 continue;
             };
             let rel_err = rel_l2(forecast, &actual);
@@ -280,15 +277,16 @@ impl EngineObserver for ResidualTracker {
 }
 
 /// Harvests the performance records of one workload class from a
-/// finished run, outcomes filtered by `keep` — the offline trace
-/// collection keeps every outcome, the live capture buffer the
-/// fine-tuning pass trains on only the policy-decided ones. A record
-/// needs the full [`HISTORY_S`]-second window before arrival and at
-/// least one trace sample after it; early arrivals are dropped. BE
-/// performance is the wall-clock runtime, LC performance the measured
-/// p99; an outcome without a positive one yields no record.
+/// finished run and its [`Trace`], outcomes filtered by `keep` — the
+/// offline trace collection keeps every outcome, the live capture
+/// buffer the fine-tuning pass trains on only the policy-decided ones.
+/// A record needs the full [`HISTORY_S`]-second window before arrival
+/// and at least one trace sample after it; early arrivals are dropped.
+/// BE performance is the wall-clock runtime, LC performance the
+/// measured p99; an outcome without a positive one yields no record.
 pub fn harvest_perf_records<'r>(
     report: &'r RunReport,
+    trace: &'r Trace,
     class: WorkloadClass,
     keep: impl Fn(&AppOutcome) -> bool + 'r,
 ) -> impl Iterator<Item = PerfRecord> + 'r {
@@ -307,9 +305,9 @@ pub fn harvest_perf_records<'r>(
             Some(PerfRecord {
                 app: o.name.to_string(),
                 mode: o.mode,
-                history: report.history_before(o.arrived_s, HISTORY_S)?,
-                future_120: report.mean_between(o.arrived_s, o.arrived_s + 120.0)?,
-                future_exec: report.mean_between(o.arrived_s, o.finished_s)?,
+                history: trace.history_before(o.arrived_s, HISTORY_S)?,
+                future_120: trace.mean_between(o.arrived_s, o.arrived_s + 120.0)?,
+                future_exec: trace.mean_between(o.arrived_s, o.finished_s)?,
                 perf,
             })
         })
@@ -674,17 +672,18 @@ mod tests {
             ScheduledArrival::new(150.0, spark::by_name("gmm").unwrap()),
         ];
         let mut policy = AllRemotePolicy::new();
+        let mut trace = Trace::default();
         let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig::default(),
             &mut ScheduleStream::new(&arrivals),
             &[],
             &mut policy,
-            &mut (),
+            &mut trace,
         );
         let decided = |o: &AppOutcome| o.policy_decided;
         let records: Vec<PerfRecord> =
-            harvest_perf_records(&report, WorkloadClass::BestEffort, decided).collect();
+            harvest_perf_records(&report, &trace, WorkloadClass::BestEffort, decided).collect();
         // Only gmm qualifies: policy-decided BE with a full 120 s
         // history window before arrival.
         assert_eq!(records.len(), 1);
@@ -695,7 +694,7 @@ mod tests {
         assert_eq!(r.mode, MemoryMode::Remote);
         // The stressor is forced, not policy-decided.
         assert_eq!(
-            harvest_perf_records(&report, WorkloadClass::Interference, decided).count(),
+            harvest_perf_records(&report, &trace, WorkloadClass::Interference, decided).count(),
             0
         );
     }

@@ -124,15 +124,15 @@ pub struct AppOutcome {
     pub lc_total_time_s: Option<f32>,
 }
 
-/// Everything recorded during one engine run.
+/// What one engine run produced: its outcomes and totals. Nothing in
+/// it grows with simulated time; the 1 Hz metric trace is kept only by
+/// an attached [`crate::Trace`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Name of the policy that ran.
     pub policy: Name,
     /// Finished applications in completion order.
     pub outcomes: Vec<AppOutcome>,
-    /// The full 1 Hz metric trace.
-    pub samples: Vec<MetricSample>,
     /// Total bytes moved over the ThymesisFlow link.
     pub link_bytes: f64,
     /// Final simulation time, seconds.
@@ -171,36 +171,6 @@ impl RunReport {
         } else {
             remote as f32 / total as f32
         }
-    }
-
-    /// The 1 Hz history window (`window_s` rows) preceding `at_s`, if the
-    /// trace covers it. Used to extract model inputs for trace records.
-    pub fn history_before(&self, at_s: f64, window_s: usize) -> Option<Vec<MetricVec>> {
-        let end = at_s.floor() as usize;
-        if end < window_s || end > self.samples.len() {
-            return None;
-        }
-        Some(
-            self.samples[end - window_s..end]
-                .iter()
-                .map(|s| *s.vec())
-                .collect(),
-        )
-    }
-
-    /// Mean metric vector over `[from_s, to_s)`, if the trace covers at
-    /// least one sample of it.
-    pub fn mean_between(&self, from_s: f64, to_s: f64) -> Option<MetricVec> {
-        let lo = (from_s.floor() as usize).min(self.samples.len());
-        let hi = (to_s.ceil() as usize).min(self.samples.len());
-        if lo >= hi {
-            return None;
-        }
-        let mut acc = MetricVec::zero();
-        for s in &self.samples[lo..hi] {
-            acc = acc.add(s.vec());
-        }
-        Some(acc.scale(1.0 / (hi - lo) as f32))
     }
 }
 
@@ -620,6 +590,9 @@ enum EventPayload {
 /// `at_s`. Arrivals are pulled lazily: at most one future open-loop
 /// arrival lives in the heap (plus at most one per closed-loop
 /// completion), so heap occupancy is O(residents), not O(arrivals).
+/// The run keeps nothing per simulated second: the Watcher ring is
+/// O(window), the outcomes and the `decided` flags O(arrivals). A
+/// caller that wants the 1 Hz trace attaches a [`crate::Trace`].
 ///
 /// The run ends at a watcher tick (natural idle or drain deadline).
 /// From then on the `stopped` flag lets pending arrival and fault
@@ -645,7 +618,6 @@ pub fn run_stream_hooked<O: EngineObserver>(
     let mut watcher = Watcher::new(engine_cfg.history_window_s.max(1));
     let mut lc_rng = Xoshiro256pp::seed_from_u64(engine_cfg.seed ^ 0x1C);
     let mut outcomes = Vec::new();
-    let mut samples = Vec::new();
     let mut history_buf: Vec<MetricVec> = Vec::with_capacity(engine_cfg.history_window_s);
     // The Watcher stamp `history_buf` was filled at.
     let mut filled_at: Option<WindowStamp> = None;
@@ -777,7 +749,6 @@ pub fn run_stream_hooked<O: EngineObserver>(
                 let t0 = profiling.then(std::time::Instant::now);
                 let report = testbed.step();
                 watcher.record(report.sample);
-                samples.push(report.sample);
                 if let Some(t0) = t0 {
                     sample_wall_ns += t0.elapsed().as_nanos() as u64;
                 }
@@ -846,7 +817,6 @@ pub fn run_stream_hooked<O: EngineObserver>(
     let report = RunReport {
         policy: policy_name,
         outcomes,
-        samples,
         link_bytes: testbed.link_bytes_total(),
         end_time_s: testbed.time_s(),
         unfinished: testbed.resident_count() + skipped + drained,
@@ -896,7 +866,7 @@ pub fn run_isolated(
 mod tests {
     use super::*;
     use crate::baselines::{AllLocalPolicy, AllRemotePolicy, RoundRobinPolicy};
-    use crate::ObservedRun;
+    use crate::{ObservedRun, Trace};
     use adrias_workloads::{ibench, spark, IbenchKind};
 
     fn quick_engine() -> EngineConfig {
@@ -926,13 +896,14 @@ mod tests {
         let app = spark::by_name("wordcount").unwrap();
         let arrivals = [ScheduledArrival::new(0.0, app.clone())];
         let mut policy = AllLocalPolicy::new();
+        let mut trace = Trace::default();
         let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut ScheduleStream::new(&arrivals),
             &[],
             &mut policy,
-            &mut (),
+            &mut trace,
         );
         assert_eq!(report.outcomes.len(), 1);
         let o = &report.outcomes[0];
@@ -940,7 +911,7 @@ mod tests {
         assert_eq!(o.mode, MemoryMode::Local);
         assert!((o.runtime_s - f64::from(app.base_runtime_s())).abs() <= 1.5);
         assert_eq!(report.unfinished, 0);
-        assert!(!report.samples.is_empty());
+        assert!(!trace.is_empty());
     }
 
     #[test]
@@ -1036,23 +1007,24 @@ mod tests {
             ScheduledArrival::new(150.0, app),
         ];
         let mut policy = AllLocalPolicy::new();
+        let mut trace = Trace::default();
         let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut ScheduleStream::new(&arrivals),
             &[],
             &mut policy,
-            &mut (),
+            &mut trace,
         );
         let o = report
             .outcomes
             .iter()
             .find(|o| o.name == "sort")
             .expect("sort finished");
-        let hist = report.history_before(o.arrived_s, 120).expect("window");
+        let hist = trace.history_before(o.arrived_s, 120).expect("window");
         assert_eq!(hist.len(), 120);
-        assert!(report.history_before(50.0, 120).is_none());
-        let fut = report
+        assert!(trace.history_before(50.0, 120).is_none());
+        let fut = trace
             .mean_between(o.arrived_s, o.arrived_s + 120.0)
             .expect("future mean");
         assert!(fut.get(adrias_telemetry::Metric::LlcLoads) > 0.0);
@@ -1107,31 +1079,33 @@ mod tests {
         let run = |faults: &[FaultEvent]| {
             let mut policy = AllRemotePolicy::new();
             let mut obs = adrias_obs::Observer::default();
+            let mut trace = Trace::default();
             let report = run_stream_hooked(
                 TestbedConfig::paper(),
                 quick_engine(),
                 &mut ScheduleStream::new(&arrivals),
                 faults,
                 &mut policy,
-                &mut ObservedRun::with_qos(&mut obs, None),
+                &mut (&mut trace, ObservedRun::with_qos(&mut obs, None)),
             );
             (
-                format!("{report:?}"),
+                format!("{report:?} {trace:?}"),
                 adrias_obs::export::to_jsonl_events(&obs),
             )
         };
         assert_eq!(run(&[]), run(&[]));
         let (plain_report, plain_events) = run(&[]);
         let mut policy = AllRemotePolicy::new();
+        let mut trace = Trace::default();
         let unfaulted = run_stream_hooked(
             TestbedConfig::paper(),
             quick_engine(),
             &mut ScheduleStream::new(&arrivals),
             &[],
             &mut policy,
-            &mut (),
+            &mut trace,
         );
-        assert_eq!(plain_report, format!("{unfaulted:?}"));
+        assert_eq!(plain_report, format!("{unfaulted:?} {trace:?}"));
         assert!(!plain_events.is_empty());
     }
 
@@ -1256,15 +1230,16 @@ mod tests {
         ];
         let run = || {
             let mut policy = RoundRobinPolicy::new();
+            let mut trace = Trace::default();
             let report = run_stream_hooked(
                 TestbedConfig::paper(),
                 quick_engine(),
                 &mut ScheduleStream::new(&arrivals),
                 &[],
                 &mut policy,
-                &mut (),
+                &mut trace,
             );
-            format!("{report:?}")
+            format!("{report:?} {trace:?}")
         };
         assert_eq!(run(), run());
     }
@@ -1290,29 +1265,32 @@ mod tests {
             .collect();
         assert!(schedule.len() > 5);
         let mut policy = RoundRobinPolicy::new();
+        let mut scheduled_trace = Trace::default();
         let scheduled = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut ScheduleStream::new(&schedule),
             &[],
             &mut policy,
-            &mut (),
+            &mut scheduled_trace,
         );
 
         let mut stream = GeneratedStream::new(process.source(horizon, seed), |_, t| {
             ScheduledArrival::new(t, app.clone())
         });
         let mut policy = RoundRobinPolicy::new();
+        let mut streamed_trace = Trace::default();
         let streamed = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut stream,
             &[],
             &mut policy,
-            &mut (),
+            &mut streamed_trace,
         );
         assert_eq!(stream.issued(), schedule.len() as u64);
         assert_eq!(format!("{scheduled:?}"), format!("{streamed:?}"));
+        assert_eq!(scheduled_trace, streamed_trace);
     }
 
     #[test]
@@ -1321,19 +1299,20 @@ mod tests {
         let source = adrias_workloads::PoissonSource::new(0.2, 300.0, 5);
         let mut stream = GeneratedStream::new(source, |_, t| ScheduledArrival::new(t, app.clone()));
         let mut policy = RoundRobinPolicy::new();
+        let mut trace = Trace::default();
         let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             quick_engine(),
             &mut stream,
             &[],
             &mut policy,
-            &mut (),
+            &mut trace,
         );
         assert!(!report.outcomes.is_empty());
         assert_eq!(report.outcomes.len() as u64, stream.issued());
         assert_eq!(report.unfinished, 0);
         // Every second of the run is sampled exactly once.
-        assert_eq!(report.samples.len(), report.end_time_s.ceil() as usize);
+        assert_eq!(trace.len(), report.end_time_s.ceil() as usize);
     }
 
     /// Tracks peak concurrent residency through the observer hooks.

@@ -239,7 +239,7 @@ impl EngineObserver for ObservedRun<'_> {
         // Watcher ticks processed: one sample per simulated second.
         self.obs
             .registry
-            .gauge_set("engine.ticks", report.samples.len() as f64);
+            .gauge_set("engine.ticks", self.ticks as f64);
         self.obs
             .registry
             .gauge_set("engine.link_bytes", report.link_bytes);
@@ -258,6 +258,7 @@ mod tests {
     use super::*;
     use crate::baselines::RoundRobinPolicy;
     use crate::engine::{run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival};
+    use crate::Trace;
     use adrias_obs::{export, ObsConfig};
     use adrias_sim::TestbedConfig;
     use adrias_workloads::{ibench, spark, IbenchKind, MemoryMode};
@@ -389,13 +390,14 @@ mod tests {
     fn lifecycle_spans_and_event_counters_record() {
         let mut obs = Observer::new(ObsConfig::default());
         let mut policy = RoundRobinPolicy::new();
+        let mut trace = Trace::default();
         let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine(),
             &mut ScheduleStream::new(&schedule()),
             &[],
             &mut policy,
-            &mut ObservedRun::with_qos(&mut obs, None),
+            &mut (&mut trace, ObservedRun::with_qos(&mut obs, None)),
         );
         // One closed lifecycle tree per outcome, none left open.
         assert_eq!(obs.spans.len(), report.outcomes.len());
@@ -417,8 +419,9 @@ mod tests {
         );
         assert_eq!(
             obs.registry.counter("engine.events_popped.sample") as usize,
-            report.samples.len()
+            trace.len()
         );
+        assert_eq!(obs.registry.gauge("engine.ticks"), Some(trace.len() as f64));
         assert_eq!(obs.registry.counter("engine.events_popped.fault"), 0);
         assert_eq!(obs.registry.counter("engine.events_popped.deadline"), 0);
         // The admission sketch saw every arrival; slowdown every finish.

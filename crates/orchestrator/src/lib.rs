@@ -16,7 +16,8 @@
 //! [`AdriasPolicy`], the paper's comparison baselines (Random,
 //! Round-Robin, All-Local, plus All-Remote), QoS-level derivation and a
 //! deployment [`engine`] that replays an arrival schedule on the testbed
-//! simulator and records per-application outcomes and link traffic.
+//! simulator and records per-application outcomes and link traffic; a
+//! run's 1 Hz metric trace is kept only by an attached [`Trace`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +34,7 @@ pub mod policy;
 pub mod qos;
 #[cfg(test)]
 pub(crate) mod test_support;
+pub mod trace;
 
 pub use adapt::{
     fine_tune_candidate, gate_swap, harvest_perf_records, GateConfig, ModelTarget, ResidualConfig,
@@ -52,3 +54,4 @@ pub use online::{
 };
 pub use policy::{DecisionContext, ExplainedDecision, Policy};
 pub use qos::qos_levels;
+pub use trace::Trace;

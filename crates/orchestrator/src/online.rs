@@ -15,33 +15,34 @@
 //! happens.
 
 use adrias_obs::{CaptureRecord, CaptureSkip, Observer};
-use adrias_telemetry::MetricVec;
 use adrias_workloads::{AppSignature, MemoryMode, WorkloadClass};
 
 use crate::adrias::AdriasPolicy;
 use crate::engine::RunReport;
+use crate::trace::Trace;
 
 /// Extracts candidate signatures for applications the policy does not
-/// know yet, from one finished engine run, together with one
-/// [`CaptureRecord`] per completed deployment explaining what happened
-/// to it — stored, or skipped and why.
+/// know yet, from one finished engine run and the [`Trace`] that rode
+/// it, together with one [`CaptureRecord`] per completed deployment
+/// explaining what happened to it — stored, or skipped and why.
 ///
 /// A candidate is produced for the **first completed remote-mode
 /// deployment** of each unknown BE/LC application; the signature rows
-/// are the Watcher samples covering its residency. Every other outcome
+/// are the trace rows covering its residency. Every other outcome
 /// gets an audit record with the first skip reason that applied, in
 /// rule order: interference stressor, not remote, already known,
 /// duplicate in this run, empty residency clip (a residency that rounds
 /// to zero trace rows — previously a silent drop).
 pub fn capture_unknown_signatures_audited(
     report: &RunReport,
+    trace: &Trace,
     is_known: impl Fn(&str) -> bool,
 ) -> (Vec<AppSignature>, Vec<CaptureRecord>) {
     let mut captured: Vec<AppSignature> = Vec::new();
     let mut records: Vec<CaptureRecord> = Vec::with_capacity(report.outcomes.len());
     for (i, o) in report.outcomes.iter().enumerate() {
-        let lo = (o.arrived_s.floor() as usize).min(report.samples.len());
-        let hi = (o.finished_s.ceil() as usize).min(report.samples.len());
+        let lo = (o.arrived_s.floor() as usize).min(trace.len());
+        let hi = (o.finished_s.ceil() as usize).min(trace.len());
         let skip = if o.class == WorkloadClass::Interference {
             Some(CaptureSkip::Interference)
         } else if o.mode != MemoryMode::Remote {
@@ -72,8 +73,10 @@ pub fn capture_unknown_signatures_audited(
             skip,
         });
         if skip.is_none() {
-            let rows: Vec<MetricVec> = report.samples[lo..hi].iter().map(|s| *s.vec()).collect();
-            captured.push(AppSignature::new(o.name.to_string(), rows));
+            captured.push(AppSignature::new(
+                o.name.to_string(),
+                trace.rows()[lo..hi].to_vec(),
+            ));
         }
     }
     (captured, records)
@@ -86,16 +89,17 @@ pub fn capture_unknown_signatures_audited(
 /// signatures, no per-outcome records.
 pub fn capture_unknown_signatures(
     report: &RunReport,
+    trace: &Trace,
     is_known: impl Fn(&str) -> bool,
 ) -> Vec<AppSignature> {
-    capture_unknown_signatures_audited(report, is_known).0
+    capture_unknown_signatures_audited(report, trace, is_known).0
 }
 
 /// Runs the full §V-C loop on a policy: capture signatures for every
-/// application the policy did not know in `report`, store them, and
-/// return how many were added.
-pub fn absorb_signatures(policy: &mut AdriasPolicy, report: &RunReport) -> usize {
-    let captured = capture_unknown_signatures(report, |name| policy.knows(name));
+/// application the policy did not know in `report` (rows from its
+/// `trace`), store them, and return how many were added.
+pub fn absorb_signatures(policy: &mut AdriasPolicy, report: &RunReport, trace: &Trace) -> usize {
+    let captured = capture_unknown_signatures(report, trace, |name| policy.knows(name));
     let count = captured.len();
     for sig in captured {
         policy.store_signature(sig);
@@ -110,9 +114,11 @@ pub fn absorb_signatures(policy: &mut AdriasPolicy, report: &RunReport) -> usize
 pub fn absorb_signatures_observed(
     policy: &mut AdriasPolicy,
     report: &RunReport,
+    trace: &Trace,
     obs: &mut Observer,
 ) -> usize {
-    let (captured, records) = capture_unknown_signatures_audited(report, |name| policy.knows(name));
+    let (captured, records) =
+        capture_unknown_signatures_audited(report, trace, |name| policy.knows(name));
     for record in records {
         obs.record_capture(record);
     }
@@ -131,14 +137,15 @@ mod tests {
     use adrias_sim::TestbedConfig;
     use adrias_workloads::spark;
 
-    fn remote_run(apps: &[&str]) -> RunReport {
+    fn remote_run(apps: &[&str]) -> (RunReport, Trace) {
         let arrivals: Vec<ScheduledArrival> = apps
             .iter()
             .enumerate()
             .map(|(i, name)| ScheduledArrival::new(i as f64 * 10.0, spark::by_name(name).unwrap()))
             .collect();
         let mut policy = AllRemotePolicy::new();
-        run_stream_hooked(
+        let mut trace = Trace::default();
+        let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig {
                 lc_latency_samples: 500,
@@ -147,14 +154,15 @@ mod tests {
             &mut ScheduleStream::new(&arrivals),
             &[],
             &mut policy,
-            &mut (),
-        )
+            &mut trace,
+        );
+        (report, trace)
     }
 
     #[test]
     fn captures_only_unknown_remote_apps() {
-        let report = remote_run(&["gmm", "pca", "gmm"]);
-        let sigs = capture_unknown_signatures(&report, |name| name == "pca");
+        let (report, trace) = remote_run(&["gmm", "pca", "gmm"]);
+        let sigs = capture_unknown_signatures(&report, &trace, |name| name == "pca");
         assert_eq!(sigs.len(), 1, "gmm once, pca skipped as known");
         assert_eq!(sigs[0].app_name(), "gmm");
         assert!(!sigs[0].is_empty());
@@ -162,8 +170,8 @@ mod tests {
 
     #[test]
     fn captured_rows_cover_the_residency() {
-        let report = remote_run(&["wordcount"]);
-        let sigs = capture_unknown_signatures(&report, |_| false);
+        let (report, trace) = remote_run(&["wordcount"]);
+        let sigs = capture_unknown_signatures(&report, &trace, |_| false);
         let outcome = &report.outcomes[0];
         let expected = (outcome.finished_s.ceil() - outcome.arrived_s.floor()) as usize;
         assert!(
@@ -179,28 +187,30 @@ mod tests {
         use crate::baselines::AllLocalPolicy;
         let arrivals = vec![ScheduledArrival::new(0.0, spark::by_name("gmm").unwrap())];
         let mut policy = AllLocalPolicy::new();
+        let mut trace = Trace::default();
         let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             EngineConfig::default(),
             &mut ScheduleStream::new(&arrivals),
             &[],
             &mut policy,
-            &mut (),
+            &mut trace,
         );
-        assert!(capture_unknown_signatures(&report, |_| false).is_empty());
+        assert!(capture_unknown_signatures(&report, &trace, |_| false).is_empty());
     }
 
     #[test]
     fn duplicate_arrivals_capture_once() {
-        let report = remote_run(&["lda", "lda", "lda"]);
-        let sigs = capture_unknown_signatures(&report, |_| false);
+        let (report, trace) = remote_run(&["lda", "lda", "lda"]);
+        let sigs = capture_unknown_signatures(&report, &trace, |_| false);
         assert_eq!(sigs.len(), 1);
     }
 
     #[test]
     fn audited_capture_reports_every_outcome_with_skip_reasons() {
-        let report = remote_run(&["gmm", "pca", "gmm"]);
-        let (sigs, records) = capture_unknown_signatures_audited(&report, |name| name == "pca");
+        let (report, trace) = remote_run(&["gmm", "pca", "gmm"]);
+        let (sigs, records) =
+            capture_unknown_signatures_audited(&report, &trace, |name| name == "pca");
         assert_eq!(sigs.len(), 1);
         assert_eq!(records.len(), report.outcomes.len());
         // Records follow completion order; find each app's verdict.
@@ -250,12 +260,12 @@ mod tests {
                 p999_ms: None,
                 lc_total_time_s: None,
             }],
-            samples: Vec::new(),
             link_bytes: 0.0,
             end_time_s: 12.0,
             unfinished: 0,
         };
-        let (sigs, records) = capture_unknown_signatures_audited(&report, |_| false);
+        let (sigs, records) =
+            capture_unknown_signatures_audited(&report, &Trace::default(), |_| false);
         assert!(sigs.is_empty());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].skip, Some(CaptureSkip::EmptyResidency));
@@ -292,17 +302,21 @@ mod tests {
         // stressor.
         let mut policy = policy_with_beta(0.7);
         let mut obs = Observer::default();
+        let mut run_trace = Trace::default();
         let report = run_stream_hooked(
             TestbedConfig::noiseless(),
             engine,
             &mut ScheduleStream::new(&schedule),
             &[],
             &mut policy,
-            &mut ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
+            &mut (
+                &mut run_trace,
+                ObservedRun::with_qos(&mut obs, engine.qos_p99_ms),
+            ),
         );
         let pca = report.outcomes.iter().find(|o| o.name == "pca").unwrap();
         assert_eq!(pca.mode, MemoryMode::Remote, "unknown app goes remote");
-        let added = absorb_signatures_observed(&mut policy, &report, &mut obs);
+        let added = absorb_signatures_observed(&mut policy, &report, &run_trace, &mut obs);
         assert_eq!(added, 1);
         assert!(policy.knows("pca"));
         let stored = obs
@@ -376,8 +390,8 @@ mod tests {
     fn co_runner_counts_cover_overlapping_residencies() {
         // gmm and pca arrive 10 s apart and overlap; each sees one
         // co-runner.
-        let report = remote_run(&["gmm", "pca"]);
-        let (_, records) = capture_unknown_signatures_audited(&report, |_| false);
+        let (report, trace) = remote_run(&["gmm", "pca"]);
+        let (_, records) = capture_unknown_signatures_audited(&report, &trace, |_| false);
         assert_eq!(records.len(), 2);
         for r in &records {
             assert_eq!(r.co_runners, 1, "app {} overlaps its peer", r.app);

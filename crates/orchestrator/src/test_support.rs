@@ -11,7 +11,7 @@ use adrias_predictor::{
     PerfDataset, PerfModel, PerfModelConfig, SystemStateDataset, SystemStateModel,
     SystemStateModelConfig,
 };
-use adrias_telemetry::{Metric, MetricSample, MetricVec};
+use adrias_telemetry::{Metric, MetricVec};
 use adrias_workloads::{spark, AppSignature, MemoryMode, WorkloadProfile};
 
 use crate::adrias::AdriasPolicy;
@@ -90,10 +90,10 @@ fn train_parts() -> TrainedParts {
     let mut rng = Xoshiro256pp::seed_from_u64(0);
 
     // System model on a flat synthetic trace.
-    let trace: Vec<MetricSample> = (0..400)
-        .map(|t| MetricSample::new(t as f64, metric_row(((t as f32) * 0.02).sin() * 0.2)))
+    let trace: Vec<MetricVec> = (0..400)
+        .map(|t| metric_row(((t as f32) * 0.02).sin() * 0.2))
         .collect();
-    let sys_ds = SystemStateDataset::from_traces(&[trace], 10);
+    let sys_ds = SystemStateDataset::from_traces(&[&trace], 10);
     let mut system_model = SystemStateModel::new(SystemStateModelConfig {
         epochs: 4,
         hidden: 6,

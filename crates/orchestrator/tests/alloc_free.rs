@@ -11,8 +11,9 @@
 //! dispatch and the forced-scalar fallback) run allocation-free in
 //! steady state. A further one pins the
 //! engine's side of the same path: a workload's name is never copied
-//! between arrival and completion, and a simulated second in which
-//! nothing arrives or finishes allocates nothing at all, one in which
+//! between arrival and completion, a simulated second in which
+//! nothing arrives or finishes allocates nothing at all (nor does a
+//! run allocate more for lasting longer), one in which
 //! deployments finish allocates once and an arrival into a testbed that
 //! has been this full before not at all — and an LC completion's
 //! 8 000-sample tail measurement allocates its certified tail, not its
@@ -321,40 +322,72 @@ impl EngineObserver for SpanAllocations {
 }
 
 /// A quiet second — one resident or none, nothing arriving, nothing
-/// finishing — costs its noise draws, a watcher row and a `samples`
-/// push: no heap event, and no allocation while `samples` has room.
-/// `Testbed::step`'s `finished` vector stays empty (an empty `Vec` owns
-/// no block) and the engine takes the tick in place. The span sits
-/// between two doublings of `samples` (1 024 → 2 048 rows), first over a
-/// busy-but-quiet node, then over an idle one.
+/// finishing — costs its noise draws and a watcher row: no heap event
+/// and no allocation. `Testbed::step`'s `finished` vector stays empty
+/// (an empty `Vec` owns no block), the engine takes the tick in place,
+/// and nothing of the run grows with simulated time. The span, 1 100 →
+/// 40 000 s, would have crossed five doublings of a per-second vector;
+/// it runs first over a busy-but-quiet node, then over an idle one.
 #[test]
 fn quiet_ticks_allocate_nothing() {
     let lr = spark::by_name("lr").unwrap();
-    for busy_s in [1_500.0, 10.0] {
+    for busy_s in [40_000.0, 10.0] {
         let arrivals = [
             ScheduledArrival::new(0.0, lr.clone())
                 .with_mode(MemoryMode::Remote)
                 .with_duration(busy_s),
-            ScheduledArrival::new(2_500.0, lr.clone()).with_duration(5.0),
+            ScheduledArrival::new(40_500.0, lr.clone()).with_duration(5.0),
         ];
         let mut span = SpanAllocations {
             from_s: 1_100.0,
-            to_s: 2_000.0,
+            to_s: 40_000.0,
             ticks: 0,
             counted: None,
         };
+        let report = run_stream_hooked(
+            TestbedConfig::paper(),
+            EngineConfig {
+                max_drain_s: 1.0e6,
+                ..EngineConfig::default()
+            },
+            &mut ScheduleStream::new(&arrivals),
+            &[],
+            &mut RoundRobinPolicy::new(),
+            &mut span,
+        );
+        assert_eq!((report.outcomes.len(), report.unfinished), (2, 0));
+        assert_eq!(span.ticks, 38_899);
+        assert_eq!(span.counted, Some((0, 0)), "quiet ticks allocated");
+    }
+}
+
+/// A whole run's allocations do not depend on how long it lasts: two
+/// runs that differ only in the idle gap before their second arrival,
+/// 10 000 against 200 000 simulated seconds, allocate the same number
+/// of blocks and bytes.
+#[test]
+fn run_allocations_do_not_grow_with_simulated_time() {
+    let lr = spark::by_name("lr").unwrap();
+    let run_allocations = |gap_s: f64| {
+        let arrivals = [
+            ScheduledArrival::new(0.0, lr.clone()).with_duration(30.0),
+            ScheduledArrival::new(gap_s, lr.clone()).with_duration(30.0),
+        ];
+        start_counting();
         let report = run_stream_hooked(
             TestbedConfig::paper(),
             EngineConfig::default(),
             &mut ScheduleStream::new(&arrivals),
             &[],
             &mut RoundRobinPolicy::new(),
-            &mut span,
+            &mut (),
         );
-        assert_eq!(report.outcomes.len(), 2);
-        assert_eq!(span.ticks, 899);
-        assert_eq!(span.counted, Some((0, 0)), "quiet ticks allocated");
-    }
+        let counted = stop_counting();
+        assert_eq!((report.outcomes.len(), report.unfinished), (2, 0));
+        assert!(report.end_time_s > gap_s);
+        counted
+    };
+    assert_eq!(run_allocations(10_000.0), run_allocations(200_000.0));
 }
 
 /// Thirty arrivals a second from the no-LC catalog, 3:1 remote:local,

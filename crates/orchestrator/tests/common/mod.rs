@@ -7,7 +7,7 @@ use adrias_predictor::{
     PerfDataset, PerfModel, PerfModelConfig, SystemStateDataset, SystemStateModel,
     SystemStateModelConfig,
 };
-use adrias_telemetry::{Metric, MetricSample, MetricVec};
+use adrias_telemetry::{Metric, MetricVec};
 use adrias_workloads::{spark, AppSignature, MemoryMode, WorkloadProfile};
 
 /// One synthetic Watcher row at background-load level `x`.
@@ -23,10 +23,10 @@ pub fn metric_row(x: f32) -> MetricVec {
 /// decision path matters here, not predictive quality.
 pub fn tiny_policy() -> AdriasPolicy {
     let mut rng = Xoshiro256pp::seed_from_u64(3);
-    let trace: Vec<MetricSample> = (0..400)
-        .map(|t| MetricSample::new(t as f64, metric_row(((t as f32) * 0.02).sin() * 0.2)))
+    let trace: Vec<MetricVec> = (0..400)
+        .map(|t| metric_row(((t as f32) * 0.02).sin() * 0.2))
         .collect();
-    let sys_ds = SystemStateDataset::from_traces(&[trace], 10);
+    let sys_ds = SystemStateDataset::from_traces(&[&trace], 10);
     let mut system_model = SystemStateModel::new(SystemStateModelConfig {
         epochs: 2,
         hidden: 6,

@@ -21,7 +21,7 @@ use adrias_core::rng::Rng;
 use adrias_core::rng::SliceRandom;
 
 use adrias_nn::Tensor;
-use adrias_telemetry::{Metric, MetricSample, MetricVec, METRIC_COUNT};
+use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 use adrias_workloads::{AppSignature, MemoryMode};
 
 use crate::norm::{Normalizer, ScalarNormalizer};
@@ -123,21 +123,20 @@ pub struct SystemStateDataset {
 }
 
 impl SystemStateDataset {
-    /// Builds samples from one contiguous 1 Hz trace with the given
-    /// window `stride` (seconds between consecutive samples).
+    /// Builds samples from contiguous 1 Hz traces, one row slice per
+    /// trace, with the given window `stride` (seconds between
+    /// consecutive samples). The rows are read in place.
     ///
-    /// Traces shorter than `HISTORY_S + HORIZON_S` produce no samples;
-    /// combine traces with [`SystemStateDataset::from_traces`].
+    /// Traces shorter than `HISTORY_S + HORIZON_S` produce no samples.
     ///
     /// # Panics
     ///
     /// Panics if `stride` is zero or no sample can be extracted from any
     /// trace.
-    pub fn from_traces(traces: &[Vec<MetricSample>], stride: usize) -> Self {
+    pub fn from_traces(traces: &[&[MetricVec]], stride: usize) -> Self {
         assert!(stride > 0, "stride must be non-zero");
         let mut samples = Vec::new();
-        for trace in traces {
-            let rows: Vec<MetricVec> = trace.iter().map(|s| *s.vec()).collect();
+        for &rows in traces {
             if rows.len() < HISTORY_S + HORIZON_S {
                 continue;
             }
@@ -454,10 +453,8 @@ mod tests {
         m
     }
 
-    fn trace(len: usize) -> Vec<MetricSample> {
-        (0..len)
-            .map(|t| MetricSample::new(t as f64, rowv(t as f32)))
-            .collect()
+    fn trace(len: usize) -> Vec<MetricVec> {
+        (0..len).map(|t| rowv(t as f32)).collect()
     }
 
     #[test]
@@ -479,7 +476,7 @@ mod tests {
 
     #[test]
     fn system_dataset_window_count() {
-        let ds = SystemStateDataset::from_traces(&[trace(360)], 10);
+        let ds = SystemStateDataset::from_traces(&[&trace(360)], 10);
         // t runs 120, 130, ..., 240 → 13 samples.
         assert_eq!(ds.len(), 13);
         assert_eq!(ds.samples()[0].history.len(), SEQ_LEN);
@@ -487,13 +484,13 @@ mod tests {
 
     #[test]
     fn short_traces_are_skipped() {
-        let ds = SystemStateDataset::from_traces(&[trace(100), trace(360)], 60);
+        let ds = SystemStateDataset::from_traces(&[&trace(100), &trace(360)], 60);
         assert!(!ds.is_empty());
     }
 
     #[test]
     fn system_targets_are_horizon_means() {
-        let ds = SystemStateDataset::from_traces(&[trace(240)], 120);
+        let ds = SystemStateDataset::from_traces(&[&trace(240)], 120);
         // Single sample: history rows 0..120, target mean of rows 120..240
         // → (120 + 239)/2 = 179.5.
         assert_eq!(ds.len(), 1);
@@ -502,7 +499,7 @@ mod tests {
 
     #[test]
     fn system_split_is_disjoint_and_sized() {
-        let ds = SystemStateDataset::from_traces(&[trace(1000)], 5);
+        let ds = SystemStateDataset::from_traces(&[&trace(1000)], 5);
         let mut rng = Xoshiro256pp::seed_from_u64(0);
         let (train, test) = ds.split(0.6, &mut rng);
         assert_eq!(train.len() + test.len(), ds.len());
@@ -512,7 +509,7 @@ mod tests {
 
     #[test]
     fn system_batch_shapes() {
-        let ds = SystemStateDataset::from_traces(&[trace(400)], 10);
+        let ds = SystemStateDataset::from_traces(&[&trace(400)], 10);
         let (seq, target) = ds.batch(&[0, 1, 2]);
         assert_eq!(seq.len(), SEQ_LEN);
         assert_eq!(seq[0].shape(), (3, METRIC_COUNT));

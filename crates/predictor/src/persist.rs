@@ -291,7 +291,7 @@ mod tests {
     use super::*;
     use crate::dataset::{PerfRecord, SystemStateDataset, HISTORY_S};
     use crate::PerfDataset;
-    use adrias_telemetry::{MetricSample, MetricVec};
+    use adrias_telemetry::MetricVec;
     use adrias_workloads::{AppSignature, MemoryMode};
 
     fn rowv(x: f32) -> MetricVec {
@@ -303,10 +303,8 @@ mod tests {
     }
 
     fn trained_system_model() -> SystemStateModel {
-        let trace: Vec<MetricSample> = (0..420)
-            .map(|t| MetricSample::new(t as f64, rowv(((t as f32) * 0.03).sin())))
-            .collect();
-        let ds = SystemStateDataset::from_traces(&[trace], 20);
+        let trace: Vec<MetricVec> = (0..420).map(|t| rowv(((t as f32) * 0.03).sin())).collect();
+        let ds = SystemStateDataset::from_traces(&[&trace], 20);
         let mut model = SystemStateModel::new(SystemStateModelConfig {
             epochs: 3,
             hidden: 6,

@@ -365,11 +365,10 @@ impl GradModel for SystemStateModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adrias_telemetry::MetricSample;
 
     /// A synthetic trace with learnable structure: slow sinusoidal
     /// "load" driving several correlated metrics.
-    fn synthetic_trace(len: usize, phase: f32) -> Vec<MetricSample> {
+    fn synthetic_trace(len: usize, phase: f32) -> Vec<MetricVec> {
         (0..len)
             .map(|t| {
                 let x = (t as f32 * 0.01 + phase).sin() * 0.5 + 1.0;
@@ -381,16 +380,17 @@ mod tests {
                 v.set(Metric::LinkFlitsTx, 1e6 * (2.0 - x));
                 v.set(Metric::LinkFlitsRx, 1.5e6 * (2.0 - x));
                 v.set(Metric::LinkLatency, 350.0 + 200.0 * (x - 0.5).max(0.0));
-                MetricSample::new(t as f64, v)
+                v
             })
             .collect()
     }
 
     fn dataset() -> SystemStateDataset {
-        let traces: Vec<Vec<MetricSample>> = (0..3)
+        let traces: Vec<Vec<MetricVec>> = (0..3)
             .map(|i| synthetic_trace(1200, i as f32 * 2.0))
             .collect();
-        SystemStateDataset::from_traces(&traces, 15)
+        let rows: Vec<&[MetricVec]> = traces.iter().map(Vec::as_slice).collect();
+        SystemStateDataset::from_traces(&rows, 15)
     }
 
     #[test]
@@ -452,8 +452,7 @@ mod tests {
         let mut model = SystemStateModel::new(SystemStateModelConfig::tiny());
         model.train(&ds);
         let trace = synthetic_trace(200, 0.3);
-        let window: Vec<MetricVec> = trace[..120].iter().map(|s| *s.vec()).collect();
-        let pred = model.predict(&window);
+        let pred = model.predict(&trace[..120]);
         // Predictions should land in the value range of the trace.
         let llc = pred.get(Metric::LlcLoads);
         assert!(
@@ -472,10 +471,10 @@ mod tests {
         let mut scratch = model.make_scratch();
         for (i, len) in [(0usize, 120usize), (1, 120), (2, 37), (3, 120)] {
             let trace = synthetic_trace(200, i as f32 * 0.9);
-            let window: Vec<MetricVec> = trace[..len].iter().map(|s| *s.vec()).collect();
-            let want = model.predict(&window);
+            let window = &trace[..len];
+            let want = model.predict(window);
             // Reuse the same scratch across windows of different lengths.
-            let got = model.predict_into(&pool_rows(&window, SEQ_LEN), &mut scratch);
+            let got = model.predict_into(&pool_rows(window, SEQ_LEN), &mut scratch);
             for m in Metric::ALL {
                 assert_eq!(
                     got.get(m).to_bits(),
@@ -499,12 +498,7 @@ mod tests {
         let mut model = SystemStateModel::new(SystemStateModelConfig::tiny());
         model.train(&ds);
         let traces: Vec<Vec<MetricVec>> = (0..6)
-            .map(|i| {
-                synthetic_trace(120, i as f32 * 0.7)
-                    .iter()
-                    .map(|s| *s.vec())
-                    .collect()
-            })
+            .map(|i| synthetic_trace(120, i as f32 * 0.7))
             .collect();
         let windows: Vec<&[MetricVec]> = traces.iter().map(|t| t.as_slice()).collect();
 

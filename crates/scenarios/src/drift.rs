@@ -19,7 +19,7 @@ use adrias_obs::{DriftEvent, Observer, SwapVerdict};
 use adrias_orchestrator::engine::RunReport;
 use adrias_orchestrator::{
     absorb_signatures_observed, fine_tune_candidate, gate_swap, harvest_perf_records, AdriasPolicy,
-    GateConfig, ModelTarget, ResidualConfig, ResidualTracker,
+    GateConfig, ModelTarget, ResidualConfig, ResidualTracker, Trace,
 };
 use adrias_predictor::dataset::PerfRecord;
 use adrias_predictor::PerfDataset;
@@ -138,12 +138,12 @@ impl DriftRunResult {
 
 /// Replays `phases` under `policy`, closing the §V-C online loop.
 ///
-/// Per phase: replay the scenario with the tracker riding along, score
-/// the system-state forecasts against the realised trace, flush the
-/// residual sketches and drift events into `obs`. If drift fired and
-/// adaptation is enabled: absorb any online-captured signatures, then
-/// for every drifted model target harvest the capture buffer
-/// (policy-decided outcomes of all phases so far), fine-tune a
+/// Per phase: replay the scenario with the tracker and a [`Trace`]
+/// riding along, score the system-state forecasts against that trace,
+/// flush the residual sketches and drift events into `obs`. If drift
+/// fired and adaptation is enabled: absorb any online-captured
+/// signatures, then for every drifted model target harvest the capture
+/// buffer (policy-decided outcomes of all phases so far), fine-tune a
 /// versioned candidate on the index-based train split and run it
 /// through the swap gate. Every capture, drift and swap lands in
 /// `obs`'s adaptation log.
@@ -164,7 +164,7 @@ pub fn run_drift_phases(
     // policy's own forecaster must stay untouched by the check.
     let mut scorer = policy.system_model().clone();
     let mut outcomes: Vec<PhaseOutcome> = Vec::with_capacity(phases.len());
-    let mut capture_buffer: Vec<RunReport> = Vec::new();
+    let mut capture_buffer: Vec<(RunReport, Trace)> = Vec::new();
 
     for phase in phases {
         let replay = Replay {
@@ -172,18 +172,20 @@ pub fn run_drift_phases(
             ..Replay::new(phase.testbed, catalog, phase.spec)
         };
         let mut observed = replay.observed(obs);
+        let mut trace = Trace::default();
         let report = if cfg.track {
-            replay.run(policy, &mut (&mut tracker, observed))
+            replay.run(policy, &mut (&mut tracker, (&mut trace, observed)))
         } else {
             replay.run(policy, &mut observed)
         };
 
         let (drifts, signatures_absorbed, verdicts) = if cfg.track {
-            tracker.score_system_forecasts(&report, &mut scorer);
+            tracker.score_system_forecasts(&trace, &mut scorer);
             let drifts = tracker.flush(obs);
-            capture_buffer.push(report.clone());
+            capture_buffer.push((report.clone(), trace));
             if cfg.adapt && !drifts.is_empty() {
-                let absorbed = absorb_signatures_observed(policy, &report, obs);
+                let (_, trace) = capture_buffer.last().expect("this phase's run");
+                let absorbed = absorb_signatures_observed(policy, &report, trace, obs);
                 let verdicts = adapt_to_drift(policy, &drifts, &capture_buffer, cfg, &report, obs);
                 (drifts, absorbed, verdicts)
             } else {
@@ -211,7 +213,7 @@ pub fn run_drift_phases(
 fn adapt_to_drift(
     policy: &mut AdriasPolicy,
     drifts: &[DriftEvent],
-    capture_buffer: &[RunReport],
+    capture_buffer: &[(RunReport, Trace)],
     cfg: &DriftRunConfig,
     report: &RunReport,
     obs: &mut Observer,
@@ -238,7 +240,7 @@ fn adapt_to_drift(
         };
         let records: Vec<PerfRecord> = capture_buffer
             .iter()
-            .flat_map(|r| harvest_perf_records(r, class, |o| o.policy_decided))
+            .flat_map(|(r, t)| harvest_perf_records(r, t, class, |o| o.policy_decided))
             .collect();
         if records.is_empty() {
             continue;

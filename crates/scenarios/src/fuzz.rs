@@ -923,7 +923,6 @@ mod tests {
         let report = RunReport {
             policy: "adrias".into(),
             outcomes: Vec::new(),
-            samples: Vec::new(),
             link_bytes: 1.5e9,
             end_time_s: 700.0,
             unfinished: 0,

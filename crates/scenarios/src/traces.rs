@@ -2,26 +2,34 @@
 
 use adrias_core::thread::map_chunks;
 use adrias_orchestrator::engine::RunReport;
-use adrias_orchestrator::{harvest_perf_records, RandomPolicy};
+use adrias_orchestrator::{harvest_perf_records, RandomPolicy, Trace};
 use adrias_predictor::dataset::PerfRecord;
 use adrias_sim::TestbedConfig;
-use adrias_telemetry::MetricSample;
+use adrias_telemetry::MetricVec;
 use adrias_workloads::{TraceSource, WorkloadCatalog, WorkloadClass};
 
 use crate::runner::Replay;
 use crate::schedule::PlacementStyle;
 use crate::spec::ScenarioSpec;
 
-/// The collected traces of a scenario corpus.
+/// The collected traces of a scenario corpus: one engine report and
+/// one 1 Hz [`Trace`] per scenario.
 #[derive(Debug, Clone)]
 pub struct TraceBundle {
     reports: Vec<RunReport>,
+    traces: Vec<Trace>,
 }
 
 impl TraceBundle {
-    /// Builds a bundle from raw engine reports.
-    pub fn new(reports: Vec<RunReport>) -> Self {
-        Self { reports }
+    /// Builds a bundle from engine reports and the traces that rode the
+    /// same runs, in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two differ in length.
+    pub fn new(reports: Vec<RunReport>, traces: Vec<Trace>) -> Self {
+        assert_eq!(reports.len(), traces.len(), "one trace per report");
+        Self { reports, traces }
     }
 
     /// Number of collected scenarios.
@@ -39,10 +47,10 @@ impl TraceBundle {
         &self.reports
     }
 
-    /// The 1 Hz metric traces, one per scenario (input to
+    /// The 1 Hz metric rows, one borrowed slice per scenario (input to
     /// `SystemStateDataset::from_traces`).
-    pub fn system_traces(&self) -> Vec<Vec<MetricSample>> {
-        self.reports.iter().map(|r| r.samples.clone()).collect()
+    pub fn system_traces(&self) -> Vec<&[MetricVec]> {
+        self.traces.iter().map(Trace::rows).collect()
     }
 
     /// The arrival instants of every completed application in scenario
@@ -79,7 +87,8 @@ impl TraceBundle {
     pub fn perf_records(&self, class: WorkloadClass) -> Vec<PerfRecord> {
         self.reports
             .iter()
-            .flat_map(|r| harvest_perf_records(r, class, |_| true))
+            .zip(&self.traces)
+            .flat_map(|(r, t)| harvest_perf_records(r, t, class, |_| true))
             .collect()
     }
 }
@@ -100,7 +109,7 @@ pub fn collect_traces(
 ) -> TraceBundle {
     assert!(!specs.is_empty(), "no scenarios to collect");
     assert!(threads > 0, "need at least one worker thread");
-    let reports: Vec<RunReport> = map_chunks(specs, threads, |chunk| {
+    let runs: Vec<(RunReport, Trace)> = map_chunks(specs, threads, |chunk| {
         chunk
             .iter()
             .map(|&spec| {
@@ -108,11 +117,14 @@ pub fn collect_traces(
                     style: PlacementStyle::RandomForced,
                     ..Replay::new(testbed_cfg, catalog, spec)
                 };
-                replay.run(&mut RandomPolicy::new(spec.seed), &mut ())
+                let mut trace = Trace::default();
+                let report = replay.run(&mut RandomPolicy::new(spec.seed), &mut trace);
+                (report, trace)
             })
             .collect()
     });
-    TraceBundle::new(reports)
+    let (reports, traces) = runs.into_iter().unzip();
+    TraceBundle::new(reports, traces)
 }
 
 #[cfg(test)]
@@ -239,5 +251,6 @@ mod tests {
             assert_eq!(a.outcomes.len(), b.outcomes.len());
             assert_eq!(a.link_bytes, b.link_bytes);
         }
+        assert_eq!(seq.system_traces(), par.system_traces());
     }
 }

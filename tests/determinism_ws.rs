@@ -5,16 +5,17 @@
 //! the reproduction replayable.
 
 use adrias::core_util::rng::{Rng, SeedableRng, Xoshiro256pp};
+use adrias::core_util::thread::map_chunks;
 use adrias::nn::{GradModel, SERIAL_BATCH_FLOOR};
 use adrias::orchestrator::engine::RunReport;
-use adrias::orchestrator::{Policy, RandomPolicy, RoundRobinPolicy};
+use adrias::orchestrator::{Policy, RandomPolicy, RoundRobinPolicy, Trace};
 use adrias::predictor::{
     PerfDataset, PerfModel, PerfModelConfig, PerfRecord, SystemStateDataset, SystemStateModel,
     SystemStateModelConfig,
 };
-use adrias::scenarios::{run_comparison, PolicyOutcome, ScenarioSpec};
+use adrias::scenarios::{run_comparison, PolicyOutcome, Replay, ScenarioSpec};
 use adrias::sim::TestbedConfig;
-use adrias::telemetry::{Metric, MetricSample, MetricVec, METRIC_COUNT};
+use adrias::telemetry::{Metric, MetricVec, METRIC_COUNT};
 use adrias::workloads::{AppSignature, MemoryMode, WorkloadCatalog};
 
 fn specs(seed: u64) -> Vec<ScenarioSpec> {
@@ -22,6 +23,13 @@ fn specs(seed: u64) -> Vec<ScenarioSpec> {
         ScenarioSpec::new(5.0, 25.0, 700.0, seed),
         ScenarioSpec::new(5.0, 45.0, 700.0, seed ^ 0xABCD),
     ]
+}
+
+fn policy(i: usize) -> Box<dyn Policy + Send> {
+    match i {
+        0 => Box::new(RandomPolicy::new(99)),
+        _ => Box::new(RoundRobinPolicy::new()),
+    }
 }
 
 fn run_once(seed: u64, threads: usize) -> Vec<PolicyOutcome> {
@@ -32,13 +40,32 @@ fn run_once(seed: u64, threads: usize) -> Vec<PolicyOutcome> {
         2,
         Some(5.0),
         threads,
-        |i| -> Box<dyn Policy + Send> {
-            match i {
-                0 => Box::new(RandomPolicy::new(99)),
-                _ => Box::new(RoundRobinPolicy::new()),
-            }
-        },
+        policy,
     )
+}
+
+/// The same comparison replayed with a [`Trace`] attached to every run:
+/// per policy, per scenario, the report and its 1 Hz counter series.
+fn traced_once(seed: u64, threads: usize) -> Vec<Vec<(RunReport, Trace)>> {
+    let catalog = WorkloadCatalog::paper();
+    (0..2)
+        .map(|i| {
+            map_chunks(&specs(seed), threads, |chunk| {
+                chunk
+                    .iter()
+                    .map(|&spec| {
+                        let replay = Replay {
+                            qos_p99_ms: Some(5.0),
+                            ..Replay::new(TestbedConfig::noiseless(), &catalog, spec)
+                        };
+                        let mut trace = Trace::default();
+                        let report = replay.run(&mut policy(i), &mut trace);
+                        (report, trace)
+                    })
+                    .collect()
+            })
+        })
+        .collect()
 }
 
 /// The decision trace of one report: who ran, when, where.
@@ -57,12 +84,30 @@ fn assert_outcomes_identical(a: &[PolicyOutcome], b: &[PolicyOutcome]) {
         for (ra, rb) in oa.reports.iter().zip(&ob.reports) {
             // Decision traces: bit-identical placement sequences.
             assert_eq!(decision_trace(ra), decision_trace(rb));
-            // Counter series: bit-identical 1 Hz metric samples.
-            assert_eq!(ra.samples.len(), rb.samples.len());
-            for (sa, sb) in ra.samples.iter().zip(&rb.samples) {
-                assert_eq!(sa, sb, "counter series diverged");
-            }
             assert_eq!(ra.link_bytes, rb.link_bytes);
+        }
+    }
+}
+
+/// Counter series: bit-identical 1 Hz metric rows, from runs whose
+/// placements are the comparison's own.
+fn assert_traces_identical(
+    a: &[Vec<(RunReport, Trace)>],
+    b: &[Vec<(RunReport, Trace)>],
+    compared: &[PolicyOutcome],
+) {
+    assert_eq!(a.len(), b.len());
+    for ((pa, pb), outcome) in a.iter().zip(b).zip(compared) {
+        assert_eq!(pa.len(), outcome.reports.len());
+        for (((ra, ta), (rb, tb)), r) in pa.iter().zip(pb).zip(&outcome.reports) {
+            assert_eq!(decision_trace(ra), decision_trace(r));
+            assert_eq!(decision_trace(rb), decision_trace(r));
+            assert!(!ta.is_empty());
+            assert_eq!(ta.len(), tb.len());
+            for (sa, sb) in ta.rows().iter().zip(tb.rows()) {
+                let bits = |v: &MetricVec| v.as_array().map(f32::to_bits);
+                assert_eq!(bits(sa), bits(sb), "counter series diverged");
+            }
         }
     }
 }
@@ -72,6 +117,7 @@ fn same_seed_same_traces() {
     let first = run_once(7, 2);
     let second = run_once(7, 2);
     assert_outcomes_identical(&first, &second);
+    assert_traces_identical(&traced_once(7, 2), &traced_once(7, 2), &first);
 }
 
 #[test]
@@ -79,12 +125,13 @@ fn thread_count_does_not_change_results() {
     let sequential = run_once(7, 1);
     let parallel = run_once(7, 4);
     assert_outcomes_identical(&sequential, &parallel);
+    assert_traces_identical(&traced_once(7, 1), &traced_once(7, 4), &sequential);
 }
 
 /// A small deterministic telemetry corpus for training-loop tests: two
 /// traces of slow sine-wave metrics with seeded jitter, long enough for
 /// a couple dozen history→horizon windows.
-fn synthetic_traces(seed: u64) -> Vec<Vec<MetricSample>> {
+fn synthetic_traces(seed: u64) -> Vec<Vec<MetricVec>> {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     (0..2u32)
         .map(|trace| {
@@ -95,15 +142,22 @@ fn synthetic_traces(seed: u64) -> Vec<Vec<MetricSample>> {
                         let phase = t as f32 * 0.05 + trace as f32 + i as f32 * 0.7;
                         *v = phase.sin().abs() + rng.gen::<f32>() * 0.2;
                     }
-                    MetricSample::new(f64::from(t), MetricVec::from_array(values))
+                    MetricVec::from_array(values)
                 })
                 .collect()
         })
         .collect()
 }
 
+/// The system-state dataset over `synthetic_traces(41)` at `stride`.
+fn synthetic_dataset(stride: usize) -> SystemStateDataset {
+    let traces = synthetic_traces(41);
+    let rows: Vec<&[MetricVec]> = traces.iter().map(Vec::as_slice).collect();
+    SystemStateDataset::from_traces(&rows, stride)
+}
+
 fn loss_trace_with_workers(workers: usize) -> Vec<u32> {
-    let dataset = SystemStateDataset::from_traces(&synthetic_traces(41), 30);
+    let dataset = synthetic_dataset(30);
     assert!(!dataset.is_empty(), "synthetic corpus produced no samples");
     let cfg = SystemStateModelConfig {
         hidden: 8,
@@ -157,7 +211,7 @@ const THREADED_BATCH: usize = 272;
 fn system_run_above_floor(workers: usize) -> (Vec<u32>, u64) {
     // Stride 2 over two 600 s traces: 362 windows, so minibatches of
     // 272 and a ragged 90.
-    let dataset = SystemStateDataset::from_traces(&synthetic_traces(41), 2);
+    let dataset = synthetic_dataset(2);
     assert!(dataset.len() > THREADED_BATCH);
     let cfg = SystemStateModelConfig {
         hidden: 8,

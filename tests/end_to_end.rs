@@ -118,10 +118,10 @@ fn trained_stack_predicts_with_usable_accuracy() {
 
 #[test]
 fn unknown_apps_are_captured_online_per_section_v_c() {
-    use adrias::orchestrator::absorb_signatures;
     use adrias::orchestrator::engine::{
         run_stream_hooked, EngineConfig, ScheduleStream, ScheduledArrival,
     };
+    use adrias::orchestrator::{absorb_signatures, Trace};
     use adrias::workloads::spark;
 
     let catalog = WorkloadCatalog::paper();
@@ -149,13 +149,14 @@ fn unknown_apps_are_captured_online_per_section_v_c() {
         ScheduledArrival::new(0.0, spark::by_name("gmm").unwrap()),
         ScheduledArrival::new(20.0, spark::by_name("pca").unwrap()),
     ];
+    let mut trace = Trace::default();
     let report = run_stream_hooked(
         TestbedConfig::noiseless(),
         EngineConfig::default(),
         &mut ScheduleStream::new(&arrivals),
         &[],
         &mut policy,
-        &mut (),
+        &mut trace,
     );
     let pca = report
         .outcomes
@@ -168,7 +169,7 @@ fn unknown_apps_are_captured_online_per_section_v_c() {
         "unknown app must be scheduled remote-first"
     );
 
-    let added = absorb_signatures(&mut policy, &report);
+    let added = absorb_signatures(&mut policy, &report, &trace);
     assert_eq!(added, 1, "one new signature captured");
     assert!(policy.knows("pca"));
 }

@@ -14,6 +14,7 @@ use std::sync::OnceLock;
 use adrias::nn::set_force_scalar;
 use adrias::obs::export::{to_jsonl_decisions, to_jsonl_events, to_jsonl_metrics, to_jsonl_spans};
 use adrias::obs::Observer;
+use adrias::orchestrator::Trace;
 use adrias::scenarios::fuzz::replay_corpus;
 use adrias::scenarios::{
     load_corpus, run_case, train_stack, FuzzConfig, Replay, ScenarioSpec, StackOptions,
@@ -35,9 +36,9 @@ fn trained() -> &'static (WorkloadCatalog, TrainedStack) {
 const STREAMS: [&str; 5] = ["report", "decisions", "events", "metrics", "spans"];
 
 /// One full observed scenario run rendered to every byte stream the
-/// determinism contract covers: the exact RunReport debug form, the
-/// decision audit trail, the event log, the metrics export, and the
-/// lifecycle spans.
+/// determinism contract covers: the exact RunReport debug form with the
+/// run's 1 Hz trace, the decision audit trail, the event log, the
+/// metrics export, and the lifecycle spans.
 fn run_fingerprint(stack: &TrainedStack, catalog: &WorkloadCatalog, seed: u64) -> [String; 5] {
     let spec = ScenarioSpec::new(5.0, 30.0, 700.0, seed);
     let replay = Replay {
@@ -45,9 +46,13 @@ fn run_fingerprint(stack: &TrainedStack, catalog: &WorkloadCatalog, seed: u64) -
         ..Replay::new(TestbedConfig::noiseless(), catalog, spec)
     };
     let mut obs = Observer::default();
-    let report = replay.run(&mut stack.policy(0.8, 5.0), &mut replay.observed(&mut obs));
+    let mut trace = Trace::default();
+    let report = replay.run(
+        &mut stack.policy(0.8, 5.0),
+        &mut (&mut trace, replay.observed(&mut obs)),
+    );
     [
-        format!("{report:?}"),
+        format!("{report:?} {trace:?}"),
         to_jsonl_decisions(&obs),
         to_jsonl_events(&obs),
         to_jsonl_metrics(&obs),

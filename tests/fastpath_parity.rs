@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use adrias::core_util::prop::prelude::*;
 use adrias::core_util::rng::{Rng, SeedableRng, Xoshiro256pp};
-use adrias::orchestrator::{AdriasPolicy, DecisionContext, ExplainedDecision, Policy};
+use adrias::orchestrator::{AdriasPolicy, DecisionContext, ExplainedDecision, Policy, Trace};
 use adrias::predictor::dataset::HISTORY_S;
 use adrias::scenarios::{train_stack, Replay, ScenarioSpec, StackOptions, TrainedStack};
 use adrias::sim::TestbedConfig;
@@ -86,8 +86,8 @@ fn checked(stack: &TrainedStack) -> Checked {
 }
 
 /// One full scenario run under `policy`, rendered to its exact debug
-/// form — every placement, runtime bit pattern and counter sample
-/// included.
+/// form — every placement, runtime bit pattern and, from the run's
+/// [`Trace`], every counter sample included.
 fn report_bytes(catalog: &WorkloadCatalog, seed: u64, policy: &mut dyn Policy) -> String {
     let replay = Replay {
         qos_p99_ms: Some(5.0),
@@ -97,7 +97,9 @@ fn report_bytes(catalog: &WorkloadCatalog, seed: u64, policy: &mut dyn Policy) -
             ScenarioSpec::new(5.0, 30.0, 700.0, seed),
         )
     };
-    format!("{:?}", replay.run(policy, &mut ()))
+    let mut trace = Trace::default();
+    let report = replay.run(policy, &mut trace);
+    format!("{report:?} {trace:?}")
 }
 
 /// Deterministic synthetic Watcher window: row `i`, metric `j` carry a

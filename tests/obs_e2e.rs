@@ -14,7 +14,7 @@ use adrias::predictor::{
     SystemStateModelConfig,
 };
 use adrias::sim::TestbedConfig;
-use adrias::telemetry::{Metric, MetricSample, MetricVec};
+use adrias::telemetry::{Metric, MetricVec};
 use adrias::workloads::{keyvalue, spark, AppSignature, MemoryMode, WorkloadProfile};
 
 fn metric_row(x: f32) -> MetricVec {
@@ -29,10 +29,10 @@ fn metric_row(x: f32) -> MetricVec {
 fn trained_policy() -> AdriasPolicy {
     let mut rng = Xoshiro256pp::seed_from_u64(0);
 
-    let trace: Vec<MetricSample> = (0..400)
-        .map(|t| MetricSample::new(t as f64, metric_row(((t as f32) * 0.02).sin() * 0.2)))
+    let trace: Vec<MetricVec> = (0..400)
+        .map(|t| metric_row(((t as f32) * 0.02).sin() * 0.2))
         .collect();
-    let sys_ds = SystemStateDataset::from_traces(&[trace], 10);
+    let sys_ds = SystemStateDataset::from_traces(&[&trace], 10);
     let mut system_model = SystemStateModel::new(SystemStateModelConfig {
         epochs: 4,
         hidden: 6,

@@ -6,9 +6,11 @@
 //! as it ran before either: every tick is a `WatcherSample` event pushed
 //! and popped through the heap, one per simulated second, with no
 //! observer and no profiling. The two must agree **bit for bit** on the
-//! whole `RunReport` — outcomes, every sample, link bytes, end time,
-//! unfinished count — because skipping ahead is only a speed-up if
-//! nothing downstream can tell. (ROADMAP item 4's "skip-ahead ≡
+//! whole `RunReport` — outcomes, link bytes, end time, unfinished count —
+//! and on every 1 Hz sample (the engine's through an attached `Trace`,
+//! whose row `i` must be the reference's sample at second `i + 1`),
+//! because skipping ahead is only a speed-up if nothing downstream can
+//! tell. (ROADMAP item 4's "skip-ahead ≡
 //! per-second" metamorphic oracle.)
 //!
 //! The reference also copies the history window on *every* arrival, as
@@ -24,11 +26,11 @@ use adrias::orchestrator::engine::lc_load_spec;
 use adrias::orchestrator::{
     run_stream_hooked, AppOutcome, ArrivalStream, DecisionContext, EngineConfig, EngineObserver,
     EventHeap, EventKind, ExplainedDecision, FaultEvent, GeneratedStream, Policy, RandomPolicy,
-    RoundRobinPolicy, RunReport, ScheduleStream, ScheduledArrival,
+    RoundRobinPolicy, RunReport, ScheduleStream, ScheduledArrival, Trace,
 };
 use adrias::scenarios::{load_corpus, train_stack, FuzzConfig, Replay, StackOptions, TrainedStack};
 use adrias::sim::{CompletedApp, DeploymentId, LinkConfig, StepReport, Testbed, TestbedConfig};
-use adrias::telemetry::{MetricVec, Watcher};
+use adrias::telemetry::{MetricSample, MetricVec, Watcher};
 use adrias::workloads::keyvalue::{self, tail_latency};
 use adrias::workloads::{spark, ClosedLoopSource, MemoryMode, WorkloadCatalog, WorkloadProfile};
 
@@ -87,14 +89,16 @@ fn outcome_of(
     }
 }
 
-/// The retired engine loop: one heap event per simulated second.
+/// The retired engine loop: one heap event per simulated second. It
+/// keeps every sample with its time stamp, so a `Trace`'s implicit time
+/// (row `i` is second `i + 1`) is checked too.
 fn run_per_second(
     testbed_cfg: TestbedConfig,
     engine_cfg: EngineConfig,
     stream: &mut dyn ArrivalStream,
     faults: &[FaultEvent],
     policy: &mut dyn Policy,
-) -> RunReport {
+) -> (RunReport, Vec<MetricSample>) {
     let mut testbed = Testbed::new(testbed_cfg, engine_cfg.seed);
     let mut watcher = Watcher::new(engine_cfg.history_window_s.max(1));
     let mut lc_rng = Xoshiro256pp::seed_from_u64(engine_cfg.seed ^ 0x1C);
@@ -201,35 +205,35 @@ fn run_per_second(
         Payload::Deadline => drained = stream.drain_remaining(),
     });
 
-    RunReport {
+    let report = RunReport {
         policy: policy.name().to_owned().into(),
         outcomes,
-        samples,
         link_bytes: testbed.link_bytes_total(),
         end_time_s: testbed.time_s(),
         unfinished: testbed.resident_count() + skipped + drained,
-    }
+    };
+    (report, samples)
 }
 
-/// Every field of the two reports, bit for bit.
-fn assert_same_bits(what: &str, got: &RunReport, want: &RunReport) {
+/// Every field of the two reports and every sample, bit for bit.
+fn assert_same_bits(
+    what: &str,
+    (got, trace): &(RunReport, Trace),
+    (want, samples): &(RunReport, Vec<MetricSample>),
+) {
     assert_eq!(got.policy, want.policy, "{what}: policy");
     assert_eq!(
         format!("{:?}", got.outcomes),
         format!("{:?}", want.outcomes),
         "{what}: outcomes"
     );
-    assert_eq!(
-        got.samples.len(),
-        want.samples.len(),
-        "{what}: sample count"
-    );
-    for (g, w) in got.samples.iter().zip(&want.samples) {
+    assert_eq!(trace.len(), samples.len(), "{what}: sample count");
+    for (i, (g, w)) in trace.rows().iter().zip(samples).enumerate() {
         let bits = |v: &MetricVec| v.as_array().map(f32::to_bits);
         assert_eq!(
-            (g.time().to_bits(), bits(g.vec())),
-            (w.time().to_bits(), bits(w.vec())),
-            "{what}: sample at t = {}",
+            ((i + 1) as f64, bits(g)),
+            (w.time(), bits(w.vec())),
+            "{what}: row {i} against the sample at t = {}",
             w.time()
         );
     }
@@ -253,15 +257,17 @@ fn check_schedule(
     engine_cfg: EngineConfig,
     arrivals: &[ScheduledArrival],
     faults: &[FaultEvent],
-) -> RunReport {
-    let got = run_stream_hooked(
+) -> (RunReport, Trace) {
+    let mut trace = Trace::default();
+    let report = run_stream_hooked(
         testbed_cfg,
         engine_cfg,
         &mut ScheduleStream::new(arrivals),
         faults,
         &mut RoundRobinPolicy::new(),
-        &mut (),
+        &mut trace,
     );
+    let got = (report, trace);
     let want = run_per_second(
         testbed_cfg,
         engine_cfg,
@@ -291,9 +297,10 @@ fn long_idle_gaps_between_arrivals() {
         ScheduledArrival::new(9_000.7, lr).with_duration(15.0),
     ];
     for cfg in [TestbedConfig::paper(), TestbedConfig::noiseless()] {
-        let report = check_schedule("idle gaps", cfg, EngineConfig::default(), &arrivals, &[]);
+        let (report, trace) =
+            check_schedule("idle gaps", cfg, EngineConfig::default(), &arrivals, &[]);
         assert_eq!(report.outcomes.len(), 3);
-        assert!(report.samples.len() > 9_000, "the gaps were simulated");
+        assert!(trace.len() > 9_000, "the gaps were simulated");
     }
 }
 
@@ -328,7 +335,7 @@ fn fault_and_arrival_land_on_the_tick_after_a_quiet_span() {
             link: LinkConfig::paper(),
         },
     ];
-    let report = check_schedule(
+    let (report, _) = check_schedule(
         "fault + arrival after a span",
         TestbedConfig::paper(),
         EngineConfig::default(),
@@ -348,7 +355,7 @@ fn completions_inside_a_span_including_an_lc_tail_measurement() {
         ScheduledArrival::new(2.0, keyvalue::memcached()).with_duration(777.0),
         ScheduledArrival::new(5_000.0, spark::by_name("nweight").unwrap()),
     ];
-    let report = check_schedule(
+    let (report, _) = check_schedule(
         "completion inside a span",
         TestbedConfig::paper(),
         EngineConfig::default(),
@@ -377,14 +384,16 @@ fn closed_loop_stream() {
         })
     };
     let (mut a, mut b) = (stream(), stream());
-    let got = run_stream_hooked(
+    let mut trace = Trace::default();
+    let report = run_stream_hooked(
         TestbedConfig::paper(),
         engine_cfg,
         &mut a,
         &[],
         &mut RandomPolicy::new(5),
-        &mut (),
+        &mut trace,
     );
+    let got = (report, trace);
     let want = run_per_second(
         TestbedConfig::paper(),
         engine_cfg,
@@ -408,7 +417,7 @@ fn drain_deadline_expires_mid_span() {
         ScheduledArrival::new(3.0, lr.clone()).with_duration(10_000.0),
         ScheduledArrival::new(40.0, lr).with_duration(20.0),
     ];
-    let report = check_schedule(
+    let (report, _) = check_schedule(
         "deadline mid-span",
         TestbedConfig::paper(),
         engine_cfg,
@@ -505,14 +514,16 @@ fn a_burst_of_arrivals_on_one_tick() {
         decisions: 0,
         with_window: 0,
     };
-    let got = run_stream_hooked(
+    let mut trace = Trace::default();
+    let report = run_stream_hooked(
         TestbedConfig::paper(),
         engine_cfg,
         &mut ScheduleStream::new(&arrivals),
         &[],
         &mut stack().policy(0.7, 5.0),
-        &mut probe,
+        &mut (&mut probe, &mut trace),
     );
+    let got = (report, trace);
     assert_eq!((probe.decisions, probe.with_window), (122, 116));
     let want = run_per_second(
         TestbedConfig::paper(),
@@ -522,7 +533,7 @@ fn a_burst_of_arrivals_on_one_tick() {
         &mut stack().policy(0.7, 5.0),
     );
     assert_same_bits("burst", &got, &want);
-    assert_eq!(got.outcomes.len(), 122);
+    assert_eq!(got.0.outcomes.len(), 122);
 }
 
 #[test]
@@ -561,14 +572,16 @@ fn every_corpus_case_under_every_policy() {
                 ),
             ];
             for (subject, reference) in &mut policies {
-                let got = run_stream_hooked(
+                let mut trace = Trace::default();
+                let report = run_stream_hooked(
                     testbed_cfg,
                     engine_cfg,
                     &mut ScheduleStream::new(&schedule),
                     &faults,
                     subject.as_mut(),
-                    &mut (),
+                    &mut trace,
                 );
+                let got = (report, trace);
                 let want = run_per_second(
                     testbed_cfg,
                     engine_cfg,
