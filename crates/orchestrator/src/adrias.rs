@@ -1,6 +1,5 @@
 //! The Adrias policy: prediction-driven memory-mode selection.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use adrias_core::Name;
@@ -62,9 +61,11 @@ pub struct AdriasPolicy {
     /// Shared with the history lane's helper, never cloned for it.
     be_model: Arc<PerfModel>,
     lc_model: Arc<PerfModel>,
-    /// The signature store: one entry per known application, looked up
-    /// once per decision.
-    apps: BTreeMap<Name, KnownApp>,
+    /// The signature store: one entry per known application, in name
+    /// order, looked up once per decision. It holds a catalog's few
+    /// dozen names, so a scan comparing name handles beats a tree
+    /// search comparing their text.
+    apps: Vec<(Name, KnownApp)>,
     beta: f32,
     default_qos_p99_ms: f32,
     /// Test-only fault injection: when set, the LC branch ignores the
@@ -99,6 +100,13 @@ struct KnownApp {
     signature: AppSignature,
     be_h_k: Vec<f32>,
     lc_h_k: Vec<f32>,
+}
+
+/// The entry of the signature store `apps` for `app`, found by handle.
+fn known<'a>(apps: &'a [(Name, KnownApp)], app: &Name) -> Option<&'a KnownApp> {
+    apps.iter()
+        .find(|(name, _)| name == app)
+        .map(|(_, known)| known)
 }
 
 /// The signature-branch features of `signature` through `model`.
@@ -203,7 +211,7 @@ impl AdriasPolicy {
             system_model,
             be_model: Arc::new(be_model),
             lc_model: Arc::new(lc_model),
-            apps: BTreeMap::new(),
+            apps: Vec::new(),
             beta,
             default_qos_p99_ms,
             test_qos_bypass: false,
@@ -273,7 +281,7 @@ impl AdriasPolicy {
 
     /// Whether a signature is stored for `app`.
     pub fn knows(&self, app: &str) -> bool {
-        self.apps.contains_key(app)
+        self.apps.iter().any(|(name, _)| **name == *app)
     }
 
     /// Stores (or replaces) a captured signature.
@@ -291,7 +299,10 @@ impl AdriasPolicy {
             lc_h_k: signature_features(&self.lc_model, &mut self.lc_scratch, &signature),
             signature,
         };
-        self.apps.insert(name, app);
+        match self.apps.binary_search_by(|(known, _)| known.cmp(&name)) {
+            Ok(at) => self.apps[at].1 = app,
+            Err(at) => self.apps.insert(at, (name, app)),
+        }
     }
 
     /// The trained best-effort performance model currently deployed.
@@ -311,7 +322,7 @@ impl AdriasPolicy {
 
     /// The stored application signatures, sorted by name.
     pub fn signatures(&self) -> Vec<&AppSignature> {
-        self.apps.values().map(|app| &app.signature).collect()
+        self.apps.iter().map(|(_, app)| &app.signature).collect()
     }
 
     /// Hot-swaps the best-effort performance model for `model`.
@@ -331,7 +342,7 @@ impl AdriasPolicy {
         self.be_scratch = self.be_model.make_scratch();
         self.lane.swap_model(false, &self.be_model);
         self.record.forget_model(false);
-        for app in self.apps.values_mut() {
+        for (_, app) in &mut self.apps {
             app.be_h_k = signature_features(&self.be_model, &mut self.be_scratch, &app.signature);
         }
     }
@@ -348,7 +359,7 @@ impl AdriasPolicy {
         self.lc_scratch = self.lc_model.make_scratch();
         self.lane.swap_model(true, &self.lc_model);
         self.record.forget_model(true);
-        for app in self.apps.values_mut() {
+        for (_, app) in &mut self.apps {
             app.lc_h_k = signature_features(&self.lc_model, &mut self.lc_scratch, &app.signature);
         }
     }
@@ -365,7 +376,7 @@ impl AdriasPolicy {
     /// bit (`tests/fastpath_parity.rs`).
     pub fn predict_perf(&mut self, ctx: &DecisionContext<'_>, mode: MemoryMode) -> Option<f32> {
         let history = ctx.history?;
-        let signature = &self.apps.get(ctx.profile.name())?.signature;
+        let signature = &known(&self.apps, ctx.profile.name_handle())?.signature;
         let s_hat = self.system_model.predict(history);
         let model = if is_lc(ctx.profile.class()) {
             &self.lc_model
@@ -394,7 +405,7 @@ impl AdriasPolicy {
     /// on when there is nothing to predict from. The one signature-table
     /// lookup of a decision happens here.
     fn predict(&mut self, ctx: &DecisionContext<'_>) -> Result<(f32, f32), ExplainedDecision> {
-        let Some(app) = self.apps.get(ctx.profile.name()) else {
+        let Some(app) = known(&self.apps, ctx.profile.name_handle()) else {
             // Unknown application: remote-first to capture a signature.
             return Err(ExplainedDecision {
                 rule: DecisionRule::UnknownRemoteFirst,

@@ -715,7 +715,10 @@ pub fn run_stream_hooked<O: EngineObserver>(
                     }
                 }
                 let duration = arrival.duration_s.unwrap_or(profile.base_runtime_s());
-                let id = testbed.deploy_for(profile.clone(), decision.mode, duration);
+                // The arrival is ours: its profile moves into the
+                // testbed, and the hooks read it back from there.
+                let id = testbed.deploy_for(arrival.profile, decision.mode, duration);
+                let profile = testbed.latest().expect("just deployed").profile();
                 obs.on_decision(now, id, profile, history, &decision, &policy_name);
                 obs.on_admitted(id, arrival.at_s, now, profile, &decision, lane);
                 debug_assert_eq!(id.index() as usize, decided.len());

@@ -255,13 +255,14 @@ fn lstm_scratch_forward_and_simd_kernels_are_allocation_free() {
 /// only in the length of the workload's name must therefore allocate
 /// the same number of blocks and bytes.
 ///
-/// Measured on this schedule (64 arrivals, whole run): the parent commit
-/// copied the name 4 times per cycle (the stream's `ScheduledArrival`
-/// clone, `deploy_for`, the engine's `decided` map, `to_owned` at
-/// completion) and allocated (467 blocks, 71 063 bytes) for the 8-byte
-/// name against (467, 81 303) for the 48-byte one, 256 x 40 bytes
-/// apart; now both runs allocate (151, 55 547) — the per-step `refs`
-/// Vec went with the copies.
+/// Measured on this schedule (64 arrivals, whole run): copying the name
+/// 4 times per cycle (the stream's `ScheduledArrival` clone,
+/// `deploy_for`, the engine's `decided` map, `to_owned` at completion)
+/// allocated (467 blocks, 71 063 bytes) for the 8-byte name against
+/// (467, 81 303) for the 48-byte one, 256 x 40 bytes apart; with names
+/// and profiles as handles both runs allocate (88, 22 895). A process's
+/// first run also interns the policy's name — one 16-byte entry, once
+/// (`adrias_core::name`) — so an uncounted run goes first.
 #[test]
 fn names_are_never_copied_between_arrival_and_completion() {
     let profile = |name: String| {
@@ -298,6 +299,7 @@ fn names_are_never_copied_between_arrival_and_completion() {
         assert_eq!(report.outcomes[0].name, profile.name());
         counted
     };
+    cycle_allocations(&short);
     assert_eq!(cycle_allocations(&short), cycle_allocations(&long));
 }
 
@@ -364,7 +366,8 @@ fn quiet_ticks_allocate_nothing() {
 /// A whole run's allocations do not depend on how long it lasts: two
 /// runs that differ only in the idle gap before their second arrival,
 /// 10 000 against 200 000 simulated seconds, allocate the same number
-/// of blocks and bytes.
+/// of blocks and bytes. (An uncounted run goes first: a process's first
+/// run interns the policy's name, once.)
 #[test]
 fn run_allocations_do_not_grow_with_simulated_time() {
     let lr = spark::by_name("lr").unwrap();
@@ -387,6 +390,7 @@ fn run_allocations_do_not_grow_with_simulated_time() {
         assert!(report.end_time_s > gap_s);
         counted
     };
+    run_allocations(10_000.0);
     assert_eq!(run_allocations(10_000.0), run_allocations(200_000.0));
 }
 

@@ -503,6 +503,13 @@ impl Testbed {
         self.progress.iter().map(|p| self.deployment_of(p))
     }
 
+    /// The resident admitted last: the latest [`Testbed::deploy_for`]'s
+    /// until it leaves. The caller that moved a profile in reads it
+    /// back here, at the end of the id-ordered store, with no search.
+    pub fn latest(&self) -> Option<&Deployment> {
+        self.progress.last().map(|p| self.deployment_of(p))
+    }
+
     /// A deployment by id, if resident.
     pub fn deployment(&self, id: DeploymentId) -> Option<&Deployment> {
         self.position(id)

@@ -1,6 +1,7 @@
 //! Workload profiles: resource demands and interference sensitivities.
 
 use std::fmt;
+use std::sync::Arc;
 
 use adrias_core::Name;
 
@@ -122,8 +123,16 @@ pub struct Sensitivity {
 /// A complete description of one deployable workload.
 ///
 /// Profiles are immutable after construction; build them with
-/// [`WorkloadProfile::builder`]. The name is a shared [`Name`], so
-/// cloning a profile never allocates.
+/// [`WorkloadProfile::builder`].
+///
+/// A profile is a handle: one pointer to its fields, shared by every
+/// clone. `size_of::<WorkloadProfile>() == 8`, a clone bumps a
+/// reference count and never allocates, and the fields are freed with
+/// the last clone. Every record that carries a workload — an arrival,
+/// a resident, a completion — therefore carries 8 bytes for it. Equality
+/// and `Debug` are those of the fields (two profiles built alike are
+/// equal; `Debug` prints `WorkloadProfile { name: .., .. }` as a struct
+/// of the fields would), and the name is an interned [`Name`].
 ///
 /// # Examples
 ///
@@ -139,9 +148,14 @@ pub struct Sensitivity {
 ///     .build();
 /// assert_eq!(w.name(), "toy");
 /// assert_eq!(w.demand().cpu_cores, 4.0);
+/// assert_eq!(std::mem::size_of::<WorkloadProfile>(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadProfile {
+#[derive(Clone, PartialEq)]
+pub struct WorkloadProfile(Arc<Fields>);
+
+/// What a [`WorkloadProfile`] points to.
+#[derive(Clone, PartialEq)]
+struct Fields {
     name: Name,
     class: WorkloadClass,
     demand: ResourceDemand,
@@ -152,11 +166,34 @@ pub struct WorkloadProfile {
     stacking: bool,
 }
 
+/// Printed under the profile's type name: a profile's `Debug` is that
+/// of a `WorkloadProfile` struct of these fields.
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkloadProfile")
+            .field("name", &self.name)
+            .field("class", &self.class)
+            .field("demand", &self.demand)
+            .field("sensitivity", &self.sensitivity)
+            .field("base_runtime_s", &self.base_runtime_s)
+            .field("base_p99_ms", &self.base_p99_ms)
+            .field("remote_penalty", &self.remote_penalty)
+            .field("stacking", &self.stacking)
+            .finish()
+    }
+}
+
+impl fmt::Debug for WorkloadProfile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
 impl WorkloadProfile {
     /// Starts building a profile for `name` of the given `class`.
     pub fn builder(name: impl Into<Name>, class: WorkloadClass) -> WorkloadProfileBuilder {
         WorkloadProfileBuilder {
-            profile: WorkloadProfile {
+            profile: Fields {
                 name: name.into(),
                 class,
                 demand: ResourceDemand::default(),
@@ -171,74 +208,74 @@ impl WorkloadProfile {
 
     /// Unique workload name (e.g. `nweight`, `redis`).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The name as its shared handle, for records that outlive the
     /// profile.
     pub fn name_handle(&self) -> &Name {
-        &self.name
+        &self.0.name
     }
 
     /// Workload class (BE / LC / interference).
     pub fn class(&self) -> WorkloadClass {
-        self.class
+        self.0.class
     }
 
     /// Steady-state resource demand.
     pub fn demand(&self) -> &ResourceDemand {
-        &self.demand
+        &self.0.demand
     }
 
     /// Interference sensitivities.
     pub fn sensitivity(&self) -> &Sensitivity {
-        &self.sensitivity
+        &self.0.sensitivity
     }
 
     /// Execution time in isolation on local DRAM, seconds (BE apps).
     pub fn base_runtime_s(&self) -> f32 {
-        self.base_runtime_s
+        self.0.base_runtime_s
     }
 
     /// 99th-percentile response time in isolation on local DRAM,
     /// milliseconds (LC apps).
     pub fn base_p99_ms(&self) -> f32 {
-        self.base_p99_ms
+        self.0.base_p99_ms
     }
 
     /// Isolated remote/local slowdown ratio (≥ 1), per Fig. 4.
     pub fn remote_penalty(&self) -> f32 {
-        self.remote_penalty
+        self.0.remote_penalty
     }
 
     /// Whether the app shows *stacking interference* (R7): contention on
     /// low levels of the hierarchy (CPU, L2) widens the local-vs-remote
     /// gap instead of affecting both modes equally.
     pub fn stacking(&self) -> bool {
-        self.stacking
+        self.0.stacking
     }
 
     /// Whether this is a latency-critical service.
     pub fn is_latency_critical(&self) -> bool {
-        self.class == WorkloadClass::LatencyCritical
+        self.0.class == WorkloadClass::LatencyCritical
     }
 
     /// Whether this is a best-effort batch job.
     pub fn is_best_effort(&self) -> bool {
-        self.class == WorkloadClass::BestEffort
+        self.0.class == WorkloadClass::BestEffort
     }
 }
 
 impl fmt::Display for WorkloadProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.name, self.class)
+        write!(f, "{} ({})", self.0.name, self.0.class)
     }
 }
 
 /// Builder for [`WorkloadProfile`] (see `C-BUILDER`).
 #[derive(Debug, Clone)]
 pub struct WorkloadProfileBuilder {
-    profile: WorkloadProfile,
+    profile: Fields,
 }
 
 impl WorkloadProfileBuilder {
@@ -328,7 +365,7 @@ impl WorkloadProfileBuilder {
             "demands must be non-negative for {}",
             p.name
         );
-        p
+        WorkloadProfile(Arc::new(p))
     }
 }
 

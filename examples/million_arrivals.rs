@@ -1,14 +1,22 @@
 //! One million Poisson arrivals through the event-heap engine, with a
-//! self-asserted throughput floor — the CI smoke for the discrete-event
-//! refactor.
+//! self-asserted throughput floor and memory ceiling — the CI smoke for
+//! the discrete-event engine.
 //!
 //! ```sh
 //! cargo run --release --example million_arrivals
 //! ```
 //!
 //! The stream path holds at most one pending open-loop arrival in the
-//! heap, so the run is O(resident apps) in memory no matter how many
-//! arrivals the generator emits. A second, much smaller observed leg
+//! heap, so the engine's working state — heap, testbed, Watcher ring —
+//! is O(resident apps) however many arrivals the generator emits. The
+//! report is not: `RunReport::outcomes` keeps one `AppOutcome` (64 B)
+//! per completed arrival and the engine one `decided` byte per
+//! admission, so a run's memory grows by about 65 B per arrival (more
+//! while a vector doubles). The example prints the process's peak
+//! resident set (`VmHWM`) and that peak's growth over the run per
+//! arrival, and fails when the growth passes
+//! [`CEILING_BYTES_PER_ARRIVAL`] — a wider outcome record, or anything
+//! else kept per arrival, trips it. A second, much smaller observed leg
 //! runs when `ADRIAS_OBS_DIR` is set and drops the full JSONL/Chrome
 //! trace exports there (the event-engine trace artifact CI uploads).
 //!
@@ -28,9 +36,31 @@ use adrias::orchestrator::{ObservedRun, RoundRobinPolicy};
 use adrias::sim::TestbedConfig;
 use adrias::workloads::{spark, PoissonSource};
 
-/// The ISSUE's end-to-end floor: arrivals through sim stepping must
-/// sustain at least this many placement decisions per wall-clock second.
+/// The end-to-end floor: arrivals through sim stepping must sustain at
+/// least this many placement decisions per wall-clock second.
 const FLOOR_DECISIONS_PER_SEC: f64 = 1e5;
+
+/// Ceiling on the growth of the peak resident set over the run, per
+/// arrival. A million arrivals read 70.3 B with the 64-byte
+/// `AppOutcome` (the outcome vector's capacity is 2^20, 5 % over the
+/// count) and 90 B with an 80-byte one.
+const CEILING_BYTES_PER_ARRIVAL: f64 = 76.0;
+
+/// Below this many arrivals the testbed's and heap's fixed set-up, not
+/// the per-arrival records, decides the growth, so the ceiling is not
+/// asserted.
+const CEILING_MIN_ARRIVALS: u64 = 250_000;
+
+/// The process's peak resident set (`VmHWM`), bytes.
+fn peak_rss_bytes() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM line in /proc/self/status");
+    kib * 1024.0
+}
 
 fn main() {
     let target: u64 = std::env::var("ADRIAS_ARRIVALS")
@@ -50,6 +80,7 @@ fn main() {
         ScheduledArrival::new(t, app.clone()).with_duration(1.0)
     });
     let mut policy = RoundRobinPolicy::new();
+    let peak_before = peak_rss_bytes();
     let t0 = Instant::now();
     let report = run_stream_hooked(
         TestbedConfig::paper(),
@@ -60,8 +91,10 @@ fn main() {
         &mut (),
     );
     let elapsed = t0.elapsed().as_secs_f64();
+    let peak_after = peak_rss_bytes();
     let issued = stream.issued();
     let rate = issued as f64 / elapsed;
+    let bytes_per_arrival = (peak_after - peak_before) / issued.max(1) as f64;
 
     println!("arrivals issued:    {issued}");
     println!("completed:          {}", report.outcomes.len());
@@ -69,6 +102,11 @@ fn main() {
     println!("simulated seconds:  {:.0}", report.end_time_s);
     println!("wall seconds:       {elapsed:.2}");
     println!("decisions/s:        {rate:.0}");
+    println!(
+        "VmHWM:              {:.1} MiB",
+        peak_after / (1024.0 * 1024.0)
+    );
+    println!("bytes per arrival:  {bytes_per_arrival:.1} (VmHWM growth over the run)");
     assert_eq!(report.unfinished, 0, "arrivals left behind");
     assert_eq!(report.outcomes.len() as u64, issued);
     assert!(
@@ -76,6 +114,16 @@ fn main() {
         "event engine fell below the {FLOOR_DECISIONS_PER_SEC:.0}/s floor: {rate:.0}/s"
     );
     println!("\nOK: ≥ {FLOOR_DECISIONS_PER_SEC:.0} decisions/s end-to-end");
+    if issued >= CEILING_MIN_ARRIVALS {
+        assert!(
+            bytes_per_arrival <= CEILING_BYTES_PER_ARRIVAL,
+            "the run kept {bytes_per_arrival:.1} B per arrival, over the \
+             {CEILING_BYTES_PER_ARRIVAL} B ceiling"
+        );
+        println!("OK: ≤ {CEILING_BYTES_PER_ARRIVAL} B of peak memory per arrival");
+    } else {
+        println!("(memory ceiling not asserted below {CEILING_MIN_ARRIVALS} arrivals)");
+    }
 
     if let Ok(dir) = std::env::var("ADRIAS_OBS_DIR") {
         // A short observed leg (10 s, ~20 k decisions) — small enough
