@@ -9,9 +9,9 @@
 //! Environment knobs on top of the harness's own:
 //!
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
-//!   (`testbed_step`, `lc_tail`, `lstm`, `encoder_forward`, `gemm`,
-//!   `adrias_decision`, `forecast_miss`, `obs_overhead`,
-//!   `residual_overhead`); unmatched
+//!   (`testbed_step`, `unread_second`, `lc_tail`, `lstm`,
+//!   `encoder_forward`, `gemm`, `adrias_decision`, `forecast_miss`,
+//!   `obs_overhead`, `residual_overhead`); unmatched
 //!   sections are skipped entirely, including their setup.
 //!
 //! The run always ends by writing `BENCH_nn.json` (the medians, the
@@ -81,6 +81,36 @@ fn bench_sim_step(h: &mut Harness) {
     h.record_ns("testbed_step_4000_apps", step);
     h.record_ns("f32_fold_4000", fold);
     h.gate(&DENSE_STEP_TO_FOLD, step / fold);
+}
+
+/// One `Testbed::step_unsampled` over one `Testbed::step` on a
+/// paper-noise node with one remote resident (all seven counters
+/// nonzero, so the sampled leg computes seven Box–Muller deviates),
+/// fastest of interleaved legs. The unsampled second draws the same
+/// fourteen words and computes no deviate; what is left is the
+/// progress and environment bookkeeping, 31–50 ns against 233–340 ns,
+/// and the ratio reads 0.13–0.14 (EXPERIMENTS.md "A second no decision
+/// reads"). The engine takes it for every second no decision reads —
+/// 70 % of `sparse_diurnal`'s — so a change that makes unread seconds
+/// compute their deviates again reads ≈ 1.0 here and fails the bound of
+/// 0.5, which leaves a contended runner three times the quiet reading.
+const UNREAD_SECOND: Gate = Gate::at_most("unread_second_x", 0.5);
+
+fn bench_unread_second(h: &mut Harness) {
+    let mut tb = Testbed::new(TestbedConfig::paper(), 1);
+    let lr = spark::by_name("lr").unwrap();
+    tb.deploy_for(lr, MemoryMode::Remote, 1.0e12);
+    const ROUNDS: usize = 40;
+    let (sampled, unsampled) = fastest_interleaved(ROUNDS, 20_000, |unread| {
+        if unread {
+            black_box(tb.step_unsampled());
+        } else {
+            black_box(tb.step());
+        }
+    });
+    h.record_ns("testbed_second_sampled", sampled);
+    h.record_ns("testbed_second_unsampled", unsampled);
+    h.gate(&UNREAD_SECOND, unsampled / sampled);
 }
 
 /// Gates `gate` on the median of the sampled leg `over` in units of the
@@ -603,9 +633,10 @@ fn bench_forecast_miss(h: &mut Harness) {
 
 /// The dense run under the full in-memory [`adrias_obs::Observer`]
 /// (audit trail, trace events and the per-step pressure/latency
-/// sketches, no exporter) over the same run unobserved (the `()`
-/// observer, every hook an empty inlined method), [`paired_ratio`]
-/// median — ≈ 1–2 µs per decision for owned audit and trace strings
+/// sketches, no exporter) over the same run unobserved
+/// ([`MeasuredNoop`]: every hook an empty inlined method, every second
+/// measured), [`paired_ratio`] median — ≈ 1–2 µs per decision for
+/// owned audit and trace strings
 /// and a fixed tax per simulated second (link latency + three pressure
 /// sketches), so the ratio depends on how much work a second carries.
 /// Tracing alone read 1.00–1.03 and is not gated apart. At CI's smoke
@@ -626,10 +657,22 @@ fn bench_forecast_miss(h: &mut Harness) {
 /// catches the per-step cost doubling in either mode, not a 10 % drift.
 const OBS_OVERHEAD: Gate = Gate::at_most("obs_overhead_x", 1.75);
 
+/// The `()` observer's empty hooks with the default
+/// `reads_samples`: the engine measures every second, as it must for
+/// any observer that reads them. Under `()` itself the dense mix's
+/// drain — most of the run, after the last arrival — is read by
+/// nothing and skips its deviates (the `unread_second` section prices
+/// that), and the ratio would then be the observer's bookkeeping plus
+/// the measurement it asks for: 3.9 against 1.2 here.
+struct MeasuredNoop;
+
+impl EngineObserver for MeasuredNoop {}
+
 fn bench_obs_overhead(h: &mut Harness) {
     let arrivals = dense_mix();
     let run_plain = || {
-        black_box(dense_run(&arrivals, &mut RoundRobinPolicy::new(), &mut ()));
+        let hooks = &mut MeasuredNoop;
+        black_box(dense_run(&arrivals, &mut RoundRobinPolicy::new(), hooks));
     };
     let run_observed = || observed_run(&arrivals, &mut RoundRobinPolicy::new());
     let observed = ("engine_run_observed_no_export", &run_observed as &dyn Fn());
@@ -679,8 +722,9 @@ fn bench_residual_overhead(h: &mut Harness) {
 fn main() {
     let filter = std::env::var("ADRIAS_BENCH_FILTER").unwrap_or_default();
     type Section = fn(&mut Harness);
-    let sections: [(&str, Section); 9] = [
+    let sections: [(&str, Section); 10] = [
         ("testbed_step", bench_sim_step),
+        ("unread_second", bench_unread_second),
         ("lc_tail", bench_lc_tail),
         ("lstm", bench_lstm),
         ("encoder_forward", bench_encoder),

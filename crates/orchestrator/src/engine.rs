@@ -72,7 +72,11 @@ pub struct FaultEvent {
 /// Engine parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Watcher history window handed to policies, seconds.
+    /// Watcher history window handed to policies, seconds: a decision
+    /// at tick `T` sees the samples of the steps taken at ticks
+    /// `T − history_window_s … T − 1`, once that many are recorded, and
+    /// no window before then. `0` means no window at all: every
+    /// decision sees `None` and takes its warm-up rule.
     pub history_window_s: usize,
     /// After the last arrival, keep stepping until every deployment
     /// finishes, at most this many extra seconds.
@@ -199,8 +203,23 @@ pub trait EngineObserver {
     }
 
     /// Called once per simulated second with the testbed's step report.
+    /// Its `sample` is a measurement only where
+    /// [`EngineObserver::reads_samples`] holds.
     fn on_step(&mut self, report: &StepReport) {
         let _ = report;
+    }
+
+    /// Whether [`EngineObserver::on_step`] reads a report's `sample`.
+    /// `true` by default: every second is then measured. An observer
+    /// that returns `false` promises not to, and the engine then skips
+    /// the noise deviates of every second no decision can read
+    /// ([`run_stream_hooked`] states the rule); those reports carry
+    /// `sampled: false` and the noiseless counters. The `history` handed
+    /// to [`EngineObserver::on_decision`] is what the decision read, so
+    /// it is always measured, and nothing else a hook sees changes, nor
+    /// any bit of the run.
+    fn reads_samples(&self) -> bool {
+        true
     }
 
     /// Called when an application finishes, with its full outcome.
@@ -266,12 +285,18 @@ pub trait EngineObserver {
     }
 }
 
-/// The no-op observer: every hook is an empty default method.
-impl EngineObserver for () {}
+/// The no-op observer: every hook is an empty default method, and it
+/// reads no sample.
+impl EngineObserver for () {
+    fn reads_samples(&self) -> bool {
+        false
+    }
+}
 
 /// Every [`EngineObserver`] hook, handed to each of `$part` in order.
 /// Wall profiling is on when any part asks for it, and `on_wall`
-/// reaches only the parts that asked.
+/// reaches only the parts that asked; samples are read when any part
+/// reads them.
 macro_rules! forward_hooks {
     ($self:ident => $($part:expr),+) => {
         fn on_decision(
@@ -288,6 +313,10 @@ macro_rules! forward_hooks {
 
         fn on_step(&mut $self, report: &StepReport) {
             $($part.on_step(report);)+
+        }
+
+        fn reads_samples(&$self) -> bool {
+            false $(|| $part.reads_samples())+
         }
 
         fn on_complete(&mut $self, id: DeploymentId, outcome: &AppOutcome) {
@@ -373,6 +402,17 @@ pub trait ArrivalStream {
     /// open-loop streams ignore it.
     fn on_complete(&mut self, finished_s: f64) -> bool {
         let _ = finished_s;
+        false
+    }
+
+    /// Whether [`ArrivalStream::on_complete`] can ever return `true`.
+    /// `false` by default, like `on_complete`'s own default: the stream
+    /// promises that arrivals come only from pulls, so a busy node's
+    /// seconds long before the next arrival are read by no decision.
+    /// [`run_stream_hooked`] panics when a stream that declared `false`
+    /// admits an arrival on a completion. Closed-loop streams return
+    /// `true`.
+    fn admits_on_complete(&self) -> bool {
         false
     }
 
@@ -493,6 +533,10 @@ where
         self.source.on_complete(finished_s)
     }
 
+    fn admits_on_complete(&self) -> bool {
+        self.source.admits_on_complete()
+    }
+
     fn is_exhausted(&self) -> bool {
         self.source.exhausted()
     }
@@ -594,6 +638,28 @@ enum EventPayload {
 /// O(window), the outcomes and the `decided` flags O(arrivals). A
 /// caller that wants the 1 Hz trace attaches a [`crate::Trace`].
 ///
+/// A second's sample is measured only where something can read it. The
+/// step at tick `k` is taken unsampled ([`Testbed::step_unsampled`]:
+/// the same noise words drawn, no deviate computed) when all of these
+/// hold, and measured otherwise:
+///
+/// * `obs` reads no sample ([`EngineObserver::reads_samples`]);
+/// * no decision can read it. A decision at tick `T` pops before the
+///   watcher tick at `T` (arrivals rank first), so its window holds the
+///   steps at `T − window … T − 1`, and step `k` is in it iff
+///   `k + window ≥ T`. Step `k` is therefore unread when the one
+///   arrival in the heap is due at `T` with `k + window < T`, or when
+///   none is;
+/// * no arrival can appear before that `T` other than by a pull after
+///   an arrival: the node is idle (so no completion comes before the
+///   next admission), or the stream cannot admit on a completion
+///   ([`ArrivalStream::admits_on_complete`]).
+///
+/// Every later arrival of such a stream is due at or after `T`, and
+/// every step a decision reads was measured as it would have been with
+/// every second measured, so the report is bit for bit the same either
+/// way.
+///
 /// The run ends at a watcher tick (natural idle or drain deadline).
 /// From then on the `stopped` flag lets pending arrival and fault
 /// events drain without effect (arrivals count as unfinished), while
@@ -627,13 +693,15 @@ pub fn run_stream_hooked<O: EngineObserver>(
     let mut finishing: std::collections::VecDeque<adrias_sim::CompletedApp> = Default::default();
 
     let final_hint = stream.final_arrival_hint();
-    let mut last_pulled_s = 0.0_f64;
-    let mut arrivals_in_heap = 0usize;
+    let mut pulled = Pulled::default();
     let mut skipped = 0usize;
     let mut drained = 0usize;
     let mut stopped = false;
 
     let profiling = obs.wall_profiling();
+    let reads_samples = obs.reads_samples();
+    let admits_on_complete = stream.admits_on_complete();
+    let window_s = engine_cfg.history_window_s as f64;
     policy.set_wall_profiling(profiling);
     // Fixed for the run, so asked once rather than per arrival.
     let policy_name: Name = policy.name().to_owned().into();
@@ -656,18 +724,12 @@ pub fn run_stream_hooked<O: EngineObserver>(
             EventPayload::Fault(f.link),
         );
     }
-    pull_arrival(
-        &mut heap,
-        stream,
-        0.0,
-        &mut arrivals_in_heap,
-        &mut last_pulled_s,
-    );
+    pulled.pull(&mut heap, stream, 0.0);
     heap.push(0.0, EventKind::WatcherSample, EventPayload::Sample);
 
     heap.run_until_idle(|heap, ev| match ev.payload {
         EventPayload::Arrival(arrival) => {
-            arrivals_in_heap -= 1;
+            pulled.in_heap -= 1;
             if stopped {
                 skipped += 1;
             } else {
@@ -726,14 +788,8 @@ pub fn run_stream_hooked<O: EngineObserver>(
             }
             // Open-loop pull-ahead: keep exactly one future arrival in
             // the heap.
-            if !stopped && arrivals_in_heap == 0 {
-                pull_arrival(
-                    heap,
-                    stream,
-                    testbed.time_s(),
-                    &mut arrivals_in_heap,
-                    &mut last_pulled_s,
-                );
+            if !stopped && pulled.in_heap == 0 {
+                pulled.pull(heap, stream, testbed.time_s());
             }
         }
         EventPayload::Fault(link) => {
@@ -750,7 +806,14 @@ pub fn run_stream_hooked<O: EngineObserver>(
             let mut tick_s = ev.time_s;
             loop {
                 let t0 = profiling.then(std::time::Instant::now);
-                let report = testbed.step();
+                let unread = !reads_samples
+                    && (!admits_on_complete || testbed.resident_count() == 0)
+                    && pulled.unread(tick_s, window_s);
+                let report = if unread {
+                    testbed.step_unsampled()
+                } else {
+                    testbed.step()
+                };
                 watcher.record(report.sample);
                 if let Some(t0) = t0 {
                     sample_wall_ns += t0.elapsed().as_nanos() as u64;
@@ -765,8 +828,8 @@ pub fn run_stream_hooked<O: EngineObserver>(
                     heap.push(tick_s, EventKind::DeploymentFinish, EventPayload::Finish);
                 }
                 tick_s = testbed.time_s();
-                let pending = arrivals_in_heap > 0 || !stream.is_exhausted();
-                let deadline_s = final_hint.unwrap_or(last_pulled_s) + engine_cfg.max_drain_s;
+                let pending = pulled.in_heap > 0 || !stream.is_exhausted();
+                let deadline_s = final_hint.unwrap_or(pulled.last_s) + engine_cfg.max_drain_s;
                 if !pending && testbed.resident_count() == 0 {
                     stopped = true; // natural idle: the heap drains out
                     break;
@@ -792,16 +855,16 @@ pub fn run_stream_hooked<O: EngineObserver>(
             let outcome = completed_outcome(done, policy_decided, &engine_cfg, &mut lc_rng);
             obs.on_complete(id, &outcome);
             outcomes.push(outcome);
-            if stream.on_complete(finished_s) && !stopped {
+            let admitted = stream.on_complete(finished_s);
+            assert!(
+                admits_on_complete || !admitted,
+                "an arrival stream admitted on a completion after declaring it cannot \
+                 (ArrivalStream::admits_on_complete is false)"
+            );
+            if admitted && !stopped {
                 // A closed-loop client became ready; admit it. Bounded
                 // by the client count, so heap occupancy stays small.
-                pull_arrival(
-                    heap,
-                    stream,
-                    testbed.time_s(),
-                    &mut arrivals_in_heap,
-                    &mut last_pulled_s,
-                );
+                pulled.pull(heap, stream, testbed.time_s());
             }
         }
         EventPayload::Deadline => {
@@ -824,28 +887,55 @@ pub fn run_stream_hooked<O: EngineObserver>(
         end_time_s: testbed.time_s(),
         unfinished: testbed.resident_count() + skipped + drained,
     };
-    obs.on_run_end(&report, final_hint.unwrap_or(last_pulled_s));
+    obs.on_run_end(&report, final_hint.unwrap_or(pulled.last_s));
     report
 }
 
-/// Pulls one arrival from `stream` into the heap. The event tick is
-/// `ceil(at_s)` — the first watcher instant with `at_s <= tick` —
-/// clamped to `floor_s`
-/// so closed-loop submissions scheduled behind the post-step clock
-/// (a completion at `t + 0.4` thinking for less than the step
-/// remainder) land on the current tick rather than in the past.
-fn pull_arrival(
-    heap: &mut EventHeap<EventPayload>,
-    stream: &mut dyn ArrivalStream,
-    floor_s: f64,
-    arrivals_in_heap: &mut usize,
-    last_pulled_s: &mut f64,
-) {
-    if let Some(a) = stream.next_arrival() {
-        *last_pulled_s = last_pulled_s.max(a.at_s);
-        let tick = a.at_s.ceil().max(floor_s);
-        heap.push(tick, EventKind::Arrival, EventPayload::Arrival(a));
-        *arrivals_in_heap += 1;
+/// The arrivals a run has pulled from its stream.
+#[derive(Debug, Default)]
+struct Pulled {
+    /// Arrival events in the heap.
+    in_heap: usize,
+    /// The latest `at_s` pulled: the drain deadline's anchor when the
+    /// stream gives no final hint.
+    last_s: f64,
+    /// The latest tick an arrival was pushed at. Arrivals in the heap
+    /// are due at or after the current tick and popped ones were due at
+    /// or before it, so while one is in the heap this is its tick.
+    last_tick_s: f64,
+}
+
+impl Pulled {
+    /// Pulls one arrival from `stream` into the heap. The event tick is
+    /// `ceil(at_s)` — the first watcher instant with `at_s <= tick` —
+    /// clamped to `floor_s` so closed-loop submissions scheduled behind
+    /// the post-step clock (a completion at `t + 0.4` thinking for less
+    /// than the step remainder) land on the current tick rather than in
+    /// the past.
+    fn pull(
+        &mut self,
+        heap: &mut EventHeap<EventPayload>,
+        stream: &mut dyn ArrivalStream,
+        floor_s: f64,
+    ) {
+        if let Some(a) = stream.next_arrival() {
+            self.last_s = self.last_s.max(a.at_s);
+            let tick = a.at_s.ceil().max(floor_s);
+            self.last_tick_s = self.last_tick_s.max(tick);
+            heap.push(tick, EventKind::Arrival, EventPayload::Arrival(a));
+            self.in_heap += 1;
+        }
+    }
+
+    /// Whether no arrival in the heap can read the step at `tick_s`
+    /// through a `window_s` history: none is there, or the one that is
+    /// comes more than `window_s` after it.
+    fn unread(&self, tick_s: f64, window_s: f64) -> bool {
+        match self.in_heap {
+            0 => true,
+            1 => tick_s + window_s < self.last_tick_s,
+            _ => false,
+        }
     }
 }
 
@@ -1389,5 +1479,139 @@ mod tests {
         let ratio = outcome.runtime_s / f64::from(app.base_runtime_s());
         assert!((ratio - f64::from(app.remote_penalty())).abs() < 0.1);
         assert_eq!(trace.len(), outcome.finished_s.ceil() as usize);
+    }
+
+    /// The ticks whose step was measured, under an observer that says
+    /// whether it reads samples; it checks that every step taken with a
+    /// resident on the node was measured when asked to.
+    #[derive(Debug, Default)]
+    struct SampledTicks {
+        reads: bool,
+        busy_measured: bool,
+        live: usize,
+        steps: u64,
+        sampled: Vec<u64>,
+        rules: Vec<adrias_obs::DecisionRule>,
+    }
+
+    impl EngineObserver for SampledTicks {
+        fn on_decision(
+            &mut self,
+            _at_s: f64,
+            _id: DeploymentId,
+            _profile: &WorkloadProfile,
+            _history: Option<&[MetricVec]>,
+            decision: &ExplainedDecision,
+            _policy_name: &str,
+        ) {
+            self.live += 1;
+            self.rules.push(decision.rule);
+        }
+
+        fn on_step(&mut self, report: &StepReport) {
+            self.steps += 1;
+            // A step's completions fold in after it, so `live` counts
+            // every resident the step advanced.
+            assert!(!self.busy_measured || self.live == 0 || report.sampled);
+            if report.sampled {
+                self.sampled.push(report.time_s as u64 - 1);
+            }
+        }
+
+        fn on_complete(&mut self, _id: DeploymentId, _outcome: &AppOutcome) {
+            self.live -= 1;
+        }
+
+        fn reads_samples(&self) -> bool {
+            self.reads
+        }
+    }
+
+    /// A decision at tick `T` reads the steps taken at `T − 120 … T − 1`
+    /// and no other: exactly those are measured before an arrival after
+    /// an idle stretch, and none after it, while the node is busy with
+    /// nothing left to arrive. An observer that reads samples has every
+    /// step measured, and the report is the same either way.
+    #[test]
+    fn only_the_window_before_an_arrival_is_measured() {
+        let lr = spark::by_name("lr").unwrap();
+        for at_s in [500.0, 499.5] {
+            let arrivals = [ScheduledArrival::new(at_s, lr.clone()).with_duration(30.0)];
+            let run = |reads| {
+                let mut ticks = SampledTicks {
+                    reads,
+                    ..SampledTicks::default()
+                };
+                let report = run_stream_hooked(
+                    TestbedConfig::paper(),
+                    quick_engine(),
+                    &mut ScheduleStream::new(&arrivals),
+                    &[],
+                    &mut RoundRobinPolicy::new(),
+                    &mut ticks,
+                );
+                (format!("{report:?}"), ticks)
+            };
+            let (unread, read) = (run(false), run(true));
+            assert_eq!(unread.0, read.0);
+            assert_eq!(unread.1.sampled, (380..500).collect::<Vec<u64>>());
+            assert_eq!(read.1.sampled.len() as u64, read.1.steps);
+            assert_eq!(unread.1.steps, 530);
+        }
+    }
+
+    /// A closed-loop stream admits on completions, so every second with
+    /// a resident is measured; its idle think time is measured only in
+    /// the window before the next submission.
+    #[test]
+    fn a_closed_loop_stream_measures_its_busy_seconds() {
+        let app = spark::by_name("lr").unwrap();
+        let source = adrias_workloads::ClosedLoopSource::new(1, 300.0, 300.0, 2_000.0, 3);
+        let mut stream = GeneratedStream::new(source, |_, t| {
+            ScheduledArrival::new(t, app.clone()).with_duration(30.0)
+        });
+        let mut ticks = SampledTicks {
+            busy_measured: true,
+            ..SampledTicks::default()
+        };
+        let report = run_stream_hooked(
+            TestbedConfig::paper(),
+            quick_engine(),
+            &mut stream,
+            &[],
+            &mut RoundRobinPolicy::new(),
+            &mut ticks,
+        );
+        assert!(report.outcomes.len() >= 5);
+        // Per 330 s cycle: 30 busy seconds and the 120 before the next
+        // submission.
+        assert!(ticks.sampled.len() as u64 * 2 < ticks.steps, "{ticks:?}");
+    }
+
+    /// A zero window is no window: every Adrias decision takes the
+    /// warm-up rule instead of pooling an empty matrix, and no second
+    /// is read by a decision.
+    #[test]
+    fn a_zero_window_runs_adrias_on_the_warmup_rule() {
+        let gmm = spark::by_name("gmm").unwrap();
+        let arrivals: Vec<ScheduledArrival> = (0..6)
+            .map(|i| ScheduledArrival::new(f64::from(i) * 150.0, gmm.clone()))
+            .collect();
+        let mut policy = crate::test_support::policy_with_beta(0.7);
+        let mut ticks = SampledTicks::default();
+        let report = run_stream_hooked(
+            TestbedConfig::paper(),
+            EngineConfig {
+                history_window_s: 0,
+                ..quick_engine()
+            },
+            &mut ScheduleStream::new(&arrivals),
+            &[],
+            &mut policy,
+            &mut ticks,
+        );
+        assert_eq!((report.outcomes.len(), report.unfinished), (6, 0));
+        assert_eq!(ticks.rules, [adrias_obs::DecisionRule::WarmupDefault; 6]);
+        assert!(ticks.sampled.is_empty());
     }
 }

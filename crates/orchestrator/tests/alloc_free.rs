@@ -303,15 +303,23 @@ fn names_are_never_copied_between_arrival_and_completion() {
     assert_eq!(cycle_allocations(&short), cycle_allocations(&long));
 }
 
-/// Counts allocations between two watcher ticks of a run.
+/// Counts allocations between two watcher ticks of a run. It reads
+/// only `time_s`; `reads_samples` is what it declares.
 struct SpanAllocations {
     from_s: f64,
     to_s: f64,
     ticks: u64,
+    /// Of `ticks`, those whose sample was measured.
+    sampled: u64,
     counted: Option<(u64, u64)>,
+    reads_samples: bool,
 }
 
 impl EngineObserver for SpanAllocations {
+    fn reads_samples(&self) -> bool {
+        self.reads_samples
+    }
+
     fn on_step(&mut self, report: &StepReport) {
         if report.time_s == self.from_s {
             start_counting();
@@ -319,6 +327,7 @@ impl EngineObserver for SpanAllocations {
             self.counted = Some(stop_counting());
         } else if report.time_s > self.from_s && report.time_s < self.to_s {
             self.ticks += 1;
+            self.sampled += u64::from(report.sampled);
         }
     }
 }
@@ -329,11 +338,14 @@ impl EngineObserver for SpanAllocations {
 /// (an empty `Vec` owns no block), the engine takes the tick in place,
 /// and nothing of the run grows with simulated time. The span, 1 100 →
 /// 40 000 s, would have crossed five doublings of a per-second vector;
-/// it runs first over a busy-but-quiet node, then over an idle one.
+/// it runs first over a busy-but-quiet node, then over an idle one, each
+/// with every second measured and with the seconds no decision reads
+/// left unmeasured.
 #[test]
 fn quiet_ticks_allocate_nothing() {
     let lr = spark::by_name("lr").unwrap();
-    for busy_s in [40_000.0, 10.0] {
+    let legs = [40_000.0, 10.0].map(|busy_s| [(busy_s, true), (busy_s, false)]);
+    for (busy_s, reads_samples) in legs.into_iter().flatten() {
         let arrivals = [
             ScheduledArrival::new(0.0, lr.clone())
                 .with_mode(MemoryMode::Remote)
@@ -344,7 +356,9 @@ fn quiet_ticks_allocate_nothing() {
             from_s: 1_100.0,
             to_s: 40_000.0,
             ticks: 0,
+            sampled: 0,
             counted: None,
+            reads_samples,
         };
         let report = run_stream_hooked(
             TestbedConfig::paper(),
@@ -359,6 +373,9 @@ fn quiet_ticks_allocate_nothing() {
         );
         assert_eq!((report.outcomes.len(), report.unfinished), (2, 0));
         assert_eq!(span.ticks, 38_899);
+        // The next arrival is due 500 s after the span.
+        let measured = if reads_samples { span.ticks } else { 0 };
+        assert_eq!(span.sampled, measured);
         assert_eq!(span.counted, Some((0, 0)), "quiet ticks allocated");
     }
 }

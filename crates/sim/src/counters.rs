@@ -7,7 +7,7 @@
 
 use adrias_core::rng::Rng;
 
-use adrias_telemetry::{dist, Metric, MetricVec};
+use adrias_telemetry::{dist, Metric, MetricVec, METRIC_COUNT};
 use adrias_workloads::{ResourceDemand, WorkloadProfile};
 
 use crate::config::TestbedConfig;
@@ -33,7 +33,7 @@ const FLIT_RX_FRACTION: f32 = 0.6;
 
 /// Largest `noise_rel_std` for which a noise factor is certainly finite
 /// as `f32` (a Box–Muller deviate is below 9), so `+0.0 × factor` is
-/// `+0.0` and the draw behind it may be skipped.
+/// `+0.0` and its deviate need not be computed.
 const MAX_ZERO_SKIP_REL_STD: f64 = 1e30;
 
 /// The counter values before measurement noise: a pure function of the
@@ -87,32 +87,57 @@ pub(crate) fn over_llc_loads(
     vec
 }
 
-/// Applies one step's measurement noise to the [`noiseless`] counters:
-/// multiplicative, relative standard deviation `cfg.noise_rel_std`, one
-/// draw per metric in canonical order.
+/// The raw generator words one step's measurement noise consumes: a
+/// [`dist::normal_bits`] pair per metric, in canonical order.
+pub type NoiseWords = [[u64; 2]; METRIC_COUNT];
+
+/// Draws one step's [`NoiseWords`] — `None`, drawing nothing, when
+/// `cfg.noise_rel_std` is not positive. Every step draws them whether
+/// or not its deviates are computed, so the stream position after a
+/// step does not depend on whether anything read its sample.
+///
+/// # Panics
+///
+/// Panics if `cfg.noise_rel_std` is NaN.
+#[inline]
+pub fn draw<R: Rng + ?Sized>(cfg: &TestbedConfig, rng: &mut R) -> Option<NoiseWords> {
+    if cfg.noise_rel_std <= 0.0 {
+        return None;
+    }
+    assert!(cfg.noise_rel_std >= 0.0, "std_dev must be non-negative");
+    Some(std::array::from_fn(|_| dist::normal_bits(rng)))
+}
+
+/// Applies one step's measurement noise, drawn by [`draw`], to the
+/// [`noiseless`] counters: multiplicative, relative standard deviation
+/// `cfg.noise_rel_std`, one Box–Muller deviate per metric.
 ///
 /// A counter whose noiseless bits are `+0.0` stays `+0.0` under any
-/// finite non-negative factor, so its draw is skipped — the stream still
-/// advances by what the draw would have consumed, which keeps every
-/// later sample where it was. On an idle node that is six of the seven.
+/// finite non-negative factor, so its deviate is not computed. On an
+/// idle node that is six of the seven.
+#[inline]
+pub fn apply(cfg: &TestbedConfig, noiseless: &MetricVec, words: &NoiseWords) -> MetricVec {
+    let skip_zeros = cfg.noise_rel_std < MAX_ZERO_SKIP_REL_STD;
+    let mut values = *noiseless.as_array();
+    for (v, &bits) in values.iter_mut().zip(words) {
+        if !(skip_zeros && v.to_bits() == 0) {
+            *v *= dist::noise_factor_from_bits(bits, cfg.noise_rel_std) as f32;
+        }
+    }
+    MetricVec::from_array(values)
+}
+
+/// One step's measured counters: [`apply`] after [`draw`], or the
+/// noiseless counters themselves when the configuration has no noise.
 pub fn perturb<R: Rng + ?Sized>(
     cfg: &TestbedConfig,
     noiseless: &MetricVec,
     rng: &mut R,
 ) -> MetricVec {
-    if cfg.noise_rel_std <= 0.0 {
-        return *noiseless;
+    match draw(cfg, rng) {
+        Some(words) => apply(cfg, noiseless, &words),
+        None => *noiseless,
     }
-    let skip_zeros = cfg.noise_rel_std < MAX_ZERO_SKIP_REL_STD;
-    let mut values = *noiseless.as_array();
-    for v in &mut values {
-        if skip_zeros && v.to_bits() == 0 {
-            dist::skip_standard_normal(rng);
-        } else {
-            *v *= dist::noise_factor(rng, cfg.noise_rel_std) as f32;
-        }
-    }
-    MetricVec::from_array(values)
 }
 
 #[cfg(test)]

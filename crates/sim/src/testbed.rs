@@ -244,8 +244,14 @@ pub struct CompletedApp {
 pub struct StepReport {
     /// Simulation time after the step, seconds.
     pub time_s: f64,
-    /// The Watcher sample generated for this step.
+    /// The Watcher sample generated for this step: the counters with
+    /// this step's measurement noise when `sampled`, the noiseless
+    /// counters otherwise. Only a sampled step's value is a
+    /// measurement; an unsampled one is for nothing to read.
     pub sample: MetricSample,
+    /// Whether the step computed its noise: `true` for
+    /// [`Testbed::step`], `false` for [`Testbed::step_unsampled`].
+    pub sampled: bool,
     /// Pressure snapshot used during the step.
     pub pressure: ResourcePressure,
     /// Applications that finished during the step.
@@ -578,14 +584,28 @@ impl Testbed {
     /// instant for the environment, per resident for progress — still run
     /// once per second.
     pub fn step(&mut self) -> StepReport {
+        self.advance(true)
+    }
+
+    /// [`Testbed::step`] for a second whose sample nothing reads: it
+    /// draws the same noise words, so every later step is what it would
+    /// have been, but computes no deviate, and reports the noiseless
+    /// counters with `sampled` false. Everything else the report and
+    /// the testbed hold is bit for bit what `step` gives.
+    pub fn step_unsampled(&mut self) -> StepReport {
+        self.advance(false)
+    }
+
+    fn advance(&mut self, sampled: bool) -> StepReport {
         let Epoch { pressure, counters } = match self.epoch {
             Some(epoch) => epoch,
             None => self.open_epoch(),
         };
-        let sample = MetricSample::new(
-            self.time_s + Self::STEP_S,
-            counters::perturb(&self.cfg, &counters, &mut self.rng),
-        );
+        let measured = match counters::draw(&self.cfg, &mut self.rng) {
+            Some(words) if sampled => counters::apply(&self.cfg, &counters, &words),
+            _ => counters,
+        };
+        let sample = MetricSample::new(self.time_s + Self::STEP_S, measured);
         self.link_bytes_total += f64::from(pressure.link_delivered_gbps) * 1e9 / 8.0 * Self::STEP_S;
         // What arrives after this step starts its own sums.
         if let Some(open) = self.arriving.take() {
@@ -624,6 +644,7 @@ impl Testbed {
         StepReport {
             time_s: self.time_s,
             sample,
+            sampled,
             pressure,
             finished,
         }
@@ -915,6 +936,46 @@ mod tests {
             .zip([12, 3, 4])
             .all(|(&len, most)| len <= most);
         assert!(within, "{:?}", sizes(&tb));
+    }
+
+    /// An unsampled step draws what a sampled one does: a testbed that
+    /// skips the deviates of every third step reports every other step
+    /// bit for bit as one that measures them all, and a skipped step
+    /// differs only in its sample — the noiseless counters, which a
+    /// testbed without noise reports — and its flag.
+    #[test]
+    fn unsampled_steps_leave_every_later_sample_where_it_was() {
+        let noisy = TestbedConfig::paper();
+        let clean_cfg = TestbedConfig {
+            noise_rel_std: 0.0,
+            ..noisy
+        };
+        let mut measured = Testbed::new(noisy, 5);
+        let mut skipping = Testbed::new(noisy, 5);
+        let mut clean = Testbed::new(clean_cfg, 5);
+        let apps = spark::suite();
+        for second in 0..600 {
+            if second % 41 == 0 {
+                let app = &apps[second % apps.len()];
+                let mode = MemoryMode::BOTH[second % 2];
+                for tb in [&mut measured, &mut skipping, &mut clean] {
+                    tb.deploy_for(app.clone(), mode, 30.0 + (second % 90) as f32);
+                }
+            }
+            let want = measured.step();
+            let noiseless = clean.step().sample;
+            let got = if second % 3 == 0 {
+                skipping.step_unsampled()
+            } else {
+                skipping.step()
+            };
+            assert_eq!(got.sampled, second % 3 != 0);
+            let sample = if got.sampled { want.sample } else { noiseless };
+            let bits = |s: &MetricSample| s.vec().as_array().map(f32::to_bits);
+            assert_eq!(bits(&got.sample), bits(&sample));
+            let rest = |r: &StepReport| format!("{:?}", (r.time_s, r.pressure, &r.finished));
+            assert_eq!(rest(&got), rest(&want));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shortcuts `Testbed::step` takes, each against the long way round,
 //! **bit for bit**:
 //!
-//! * `counters::perturb` skips the draw behind a `+0.0` counter — the
+//! * `counters::perturb` skips the deviate behind a `+0.0` counter — the
 //!   sample and the RNG's next output must be what drawing all seven
 //!   gives;
 //! * the testbed keeps pressure, noiseless counters and slowdowns for as

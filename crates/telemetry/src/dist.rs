@@ -21,7 +21,9 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     normal_from_bits(normal_bits(rng))
 }
 
-/// The two raw outputs one [`standard_normal`] draw consumes.
+/// The two raw outputs one [`standard_normal`] draw consumes. Drawing
+/// them and discarding them skips a deviate: the stream is then where
+/// the draw would have left it.
 pub fn normal_bits<R: Rng + ?Sized>(rng: &mut R) -> [u64; 2] {
     [rng.next_u64(), rng.next_u64()]
 }
@@ -44,14 +46,6 @@ pub fn normal_from_bits([raw1, raw2]: [u64; 2]) -> f64 {
 #[inline]
 pub fn normal_reaches(bits: [u64; 2], radius: u64) -> bool {
     bits[0] >= radius && matches!(bits[1] >> 62, 0 | 3)
-}
-
-/// Advances `rng` by exactly the two uniforms one [`standard_normal`]
-/// draw consumes, without computing the deviate. For callers whose
-/// result cannot depend on the draw (a noise factor multiplying `+0.0`)
-/// but whose stream position must.
-pub fn skip_standard_normal<R: Rng + ?Sized>(rng: &mut R) {
-    normal_bits(rng);
 }
 
 /// Samples `N(mean, std_dev²)`.
@@ -96,7 +90,16 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 /// noise so that traces are not perfectly deterministic functions of the
 /// workload mix (mirroring measurement noise on real hardware).
 pub fn noise_factor<R: Rng + ?Sized>(rng: &mut R, rel_std: f64) -> f64 {
-    normal(rng, 1.0, rel_std).max(0.0)
+    assert!(rel_std >= 0.0, "std_dev must be non-negative");
+    noise_factor_from_bits(normal_bits(rng), rel_std)
+}
+
+/// [`noise_factor`] of the two raw outputs its draw consumes
+/// ([`normal_bits`]), for callers that draw a step's words before they
+/// know whether its deviates are wanted.
+#[inline]
+pub fn noise_factor_from_bits(bits: [u64; 2], rel_std: f64) -> f64 {
+    (1.0 + rel_std * normal_from_bits(bits)).max(0.0)
 }
 
 #[cfg(test)]
@@ -154,8 +157,9 @@ mod tests {
         let mut drawn = Xoshiro256pp::seed_from_u64(9);
         let mut skipped = Xoshiro256pp::seed_from_u64(9);
         for _ in 0..100 {
-            let _ = noise_factor(&mut drawn, 0.02);
-            skip_standard_normal(&mut skipped);
+            let factor = noise_factor(&mut drawn, 0.02);
+            let bits = normal_bits(&mut skipped);
+            assert_eq!(factor, noise_factor_from_bits(bits, 0.02));
             assert_eq!(drawn.next_u64(), skipped.next_u64());
         }
     }

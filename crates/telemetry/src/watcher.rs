@@ -165,19 +165,22 @@ impl Watcher {
     }
 
     /// The stamp [`Watcher::history_fill`] would return for a window of
-    /// `r` rows, without copying them: `Some` exactly when at least `r`
-    /// samples are recorded. A caller that kept the rows of an earlier
-    /// fill refills only when this differs from the stamp it kept.
+    /// `r` rows, without copying them: `Some` exactly when `r > 0` and
+    /// at least `r` samples are recorded. A caller that kept the rows of
+    /// an earlier fill refills only when this differs from the stamp it
+    /// kept.
     pub fn window_stamp(&self, r: usize) -> Option<WindowStamp> {
-        (self.ring.len() >= r).then(|| self.stamp())
+        (r > 0 && self.ring.len() >= r).then(|| self.stamp())
     }
 
     /// Allocation-free [`Watcher::history_window`]: copies the last `r`
     /// rows (oldest first) into `out`, replacing its contents, and
     /// returns the current [`WindowStamp`]. Returns `None` — leaving
-    /// `out` untouched — until at least `r` samples are recorded.
+    /// `out` untouched — until at least `r` samples are recorded, and
+    /// always for `r = 0`: a zero window is no window, so a decision
+    /// handed it takes the warm-up rule rather than an empty matrix.
     pub fn history_fill(&self, r: usize, out: &mut Vec<MetricVec>) -> Option<WindowStamp> {
-        if self.ring.last_n_rows_into(r, out) {
+        if r > 0 && self.ring.last_n_rows_into(r, out) {
             Some(self.stamp())
         } else {
             None
@@ -291,6 +294,18 @@ mod tests {
             "Some exactly when a fill succeeds"
         );
         assert_eq!(buf.len(), 2, "failed fill must leave the buffer alone");
+    }
+
+    #[test]
+    fn a_zero_window_is_no_window() {
+        let mut w = Watcher::new(4);
+        let mut buf = vec![MetricVec::zero()];
+        for t in 0..3 {
+            assert_eq!(w.window_stamp(0), None);
+            assert_eq!(w.history_fill(0, &mut buf), None);
+            w.record(sample(t as f64, 1.0));
+        }
+        assert_eq!(buf.len(), 1, "failed fill must leave the buffer alone");
     }
 
     #[test]

@@ -147,6 +147,16 @@ pub trait ArrivalSource {
         false
     }
 
+    /// Whether [`ArrivalSource::on_complete`] can ever return `true`.
+    /// `false` — the default, matching `on_complete`'s — promises that
+    /// no completion makes an arrival available, so an engine may take
+    /// a busy node's seconds as ones no upcoming decision reads; a
+    /// source that returns `true` from `on_complete` after declaring
+    /// `false` makes the engine panic. Closed-loop sources return `true`.
+    fn admits_on_complete(&self) -> bool {
+        false
+    }
+
     /// `true` once no further arrival can ever be produced.
     fn exhausted(&self) -> bool;
 
@@ -561,6 +571,10 @@ impl ArrivalSource for ClosedLoopSource {
             .position(|r| *r < next)
             .unwrap_or(self.ready.len());
         self.ready.insert(pos, next);
+        true
+    }
+
+    fn admits_on_complete(&self) -> bool {
         true
     }
 
