@@ -696,11 +696,9 @@ const ONLINE_RESIDUAL_OVERHEAD: Gate = Gate::at_most("online_residual_overhead_x
 fn bench_residual_overhead(h: &mut Harness) {
     use adrias_orchestrator::{ResidualConfig, ResidualTracker, Trace};
     use adrias_scenarios::{train_stack, StackOptions};
-    use std::cell::RefCell;
 
     let stack = train_stack(&WorkloadCatalog::paper(), &StackOptions::quick());
     let arrivals = dense_mix();
-    let scorer = RefCell::new(stack.system_model.clone());
     let run_observed = || observed_run(&arrivals, &mut stack.policy(0.8, 5.0));
     let run_tracked = || {
         let mut obs = Observer::new(ObsConfig::default());
@@ -711,7 +709,7 @@ fn bench_residual_overhead(h: &mut Harness) {
             ObservedRun::with_qos(&mut obs, None),
         );
         dense_run(&arrivals, &mut stack.policy(0.8, 5.0), &mut hooks);
-        tracker.score_system_forecasts(&trace, &mut scorer.borrow_mut());
+        tracker.score_system_forecasts(&trace, &stack.system_model);
         black_box(tracker.flush(&mut obs));
     };
     let tracked = ("engine_run_adrias_tracked", &run_tracked as &dyn Fn());

@@ -153,7 +153,7 @@ pub(crate) fn fig13(ctx: &mut Ctx, t: &mut Vec<String>) -> Outcome {
         train,
         test,
         *stack.be_model.config(),
-        Some(&mut stack.system_model),
+        Some(&stack.system_model),
     );
     t.push(format!("{:>16} {:>10}", "{train,test}", "R²"));
     for cell in &cells {
@@ -170,7 +170,7 @@ pub(crate) fn fig13(ctx: &mut Ctx, t: &mut Vec<String>) -> Outcome {
     t.push("paper ordering: {exec,exec} >= {120,120} > {120,S_hat} > {None,None}\n".into());
 
     // (c)+(d) Runtime accuracy with propagated S_hat.
-    let rt_test_hats = SHatSource::Propagated.materialize(test, Some(&mut stack.system_model));
+    let rt_test_hats = SHatSource::Propagated.materialize(test, Some(&stack.system_model));
     let runtime_report = stack.be_model.evaluate(test, &rt_test_hats);
     t.push(format!(
         "(d) runtime (propagated S_hat) R² = {:.3}  (paper: 0.905)",
@@ -203,7 +203,7 @@ pub(crate) fn fig14(ctx: &mut Ctx, t: &mut Vec<String>) -> Outcome {
         t.push("not enough LC records at this corpus scale; raise ADRIAS_SCENARIOS".into());
         return Skipped;
     };
-    let hats = SHatSource::Propagated.materialize(test, Some(&mut stack.system_model));
+    let hats = SHatSource::Propagated.materialize(test, Some(&stack.system_model));
     let report = stack.lc_model.evaluate(test, &hats);
     t.push(format!(
         "(a) overall R² = {:.3}  (paper: 0.874), MAE = {:.3} ms over {} records\n",
@@ -273,7 +273,7 @@ pub(crate) fn fig15(ctx: &mut Ctx, t: &mut Vec<String>) -> Outcome {
         &app_refs,
         cfg,
         SHatSource::Actual120,
-        Some(&mut stack.system_model),
+        Some(&stack.system_model),
     );
     let mut best = ("-".to_owned(), f32::NEG_INFINITY);
     let mut worst = ("-".to_owned(), f32::INFINITY);
@@ -306,7 +306,7 @@ pub(crate) fn fig15(ctx: &mut Ctx, t: &mut Vec<String>) -> Outcome {
         &sizes,
         cfg,
         SHatSource::Actual120,
-        Some(&mut stack.system_model),
+        Some(&stack.system_model),
     );
     t.push(format!("{:>10} {:>10}", "samples", "R²"));
     for (n, r) in &sweep {

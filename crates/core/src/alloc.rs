@@ -4,8 +4,8 @@
 //! heap allocations. Claims like that rot silently, so this module
 //! provides [`CountingAllocator`]: a transparent wrapper around the
 //! system allocator that counts allocations on the current thread while
-//! a [`pause_counting`]-free window opened by [`start_counting`] is
-//! active. A test binary installs it with `#[global_allocator]` and
+//! a window opened by [`start_counting`] and not yet closed by
+//! [`stop_counting`] is active. A test binary installs it with `#[global_allocator]` and
 //! asserts the count over a hot loop is zero.
 //!
 //! Counting is thread-local and disabled by default, so installing the

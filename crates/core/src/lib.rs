@@ -13,7 +13,7 @@
 //!   [`thread::map_chunks`] fork-join helper (replaces `crossbeam`);
 //! * [`prop`] — seeded property-testing engine behind the
 //!   [`proptest!`] macro (replaces `proptest`);
-//! * [`bench`] — wall-clock micro-benchmark harness with median/p95
+//! * [`bench`](mod@bench) — wall-clock micro-benchmark harness with median/p95
 //!   reporting (replaces `criterion`);
 //! * [`alloc`] — a counting [`std::alloc::GlobalAlloc`] wrapper so
 //!   tests can assert a hot path performs zero heap allocations;

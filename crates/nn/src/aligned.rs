@@ -10,7 +10,7 @@
 //! so the AVX-512 lane needs the whole 64: at a 32-byte phase a 48-wide
 //! LSTM layer's one-row forward ran 21.7 µs against 18.8 µs.
 //! [`AlignedVec`] takes that lottery out in safe code: it
-//! over-allocates by [`PAD`] elements and starts at
+//! over-allocates by `PAD` (15) elements and starts at
 //! `as_ptr().align_offset(64)`. The kernels keep their
 //! unaligned-tolerant loads, so a caller's plain slice or a ragged row
 //! in the middle of an arena needs no second path; alignment here is a

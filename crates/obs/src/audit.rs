@@ -13,7 +13,7 @@
 use std::fmt;
 
 use adrias_core::Name;
-use adrias_telemetry::{Metric, MetricVec, StateWindow};
+use adrias_telemetry::{Metric, MetricVec};
 use adrias_workloads::{MemoryMode, WorkloadClass};
 
 /// The rule that produced a decision, with its tunable.
@@ -84,17 +84,10 @@ pub struct WindowSummary {
 }
 
 impl WindowSummary {
-    /// Summarises a [`StateWindow`].
-    pub fn of(window: &StateWindow) -> Self {
-        Self {
-            rows: window.len(),
-            mean: window.mean_vec(),
-        }
-    }
-
-    /// Summarises raw history rows as handed to the policy. Computes
-    /// the same f64-accumulated column means as [`StateWindow`] without
-    /// cloning the window (this runs on every orchestrator decision).
+    /// Summarises raw history rows as handed to the policy: column
+    /// means accumulated in f64, so the small per-second variation of
+    /// counters near 1e8 survives, without cloning the window (this
+    /// runs on every orchestrator decision).
     pub fn of_rows(rows: &[MetricVec]) -> Self {
         if rows.is_empty() {
             return Self::empty();
@@ -280,26 +273,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn of_rows_matches_state_window_summary() {
-        let rows: Vec<MetricVec> = (0..120)
+    fn of_rows_is_the_column_mean() {
+        let row = |x: f32| {
+            let mut v = MetricVec::zero();
+            v.set(Metric::LlcLoads, x);
+            v.set(Metric::LinkLatency, 350.0);
+            v
+        };
+        let rows: Vec<MetricVec> = (4..8).map(|t| row(t as f32)).collect();
+        let summary = WindowSummary::of_rows(&rows);
+        assert_eq!(summary.rows, 4);
+        assert_eq!(summary.mean.get(Metric::LlcLoads), 5.5);
+        assert_eq!(summary.mean.get(Metric::LinkLatency), 350.0);
+        assert_eq!(summary.mean.get(Metric::MemStores), 0.0);
+        let one = row(7.5);
+        assert_eq!(WindowSummary::of_rows(&[one]).mean, one);
+        assert_eq!(WindowSummary::of_rows(&[]), WindowSummary::empty());
+        assert_eq!(WindowSummary::empty().mean, MetricVec::zero());
+    }
+
+    #[test]
+    fn mean_is_stable_for_large_magnitudes() {
+        // Accumulation runs in f64, so summing many large f32 counters
+        // (LLC loads sit near 1e8 per second) must not lose the small
+        // per-row variation.
+        let rows: Vec<MetricVec> = (0..2048)
             .map(|t| {
                 let mut v = MetricVec::zero();
-                for m in Metric::ALL {
-                    v.set(m, 1e8 + t as f32 * 31.0 + m.index() as f32);
-                }
+                v.set(Metric::LlcLoads, 1e8 + t as f32);
                 v
             })
             .collect();
-        let direct = WindowSummary::of_rows(&rows);
-        let via_window = WindowSummary::of(&StateWindow::new(rows.clone()));
-        assert_eq!(direct.rows, via_window.rows);
-        for m in Metric::ALL {
-            assert_eq!(
-                direct.mean.get(m).to_bits(),
-                via_window.mean.get(m).to_bits()
-            );
-        }
-        assert_eq!(WindowSummary::of_rows(&[]), WindowSummary::empty());
+        let mean = WindowSummary::of_rows(&rows).mean.get(Metric::LlcLoads);
+        let expected = 1e8 + (2047.0 / 2.0);
+        assert!(
+            (f64::from(mean) - expected).abs() < 64.0,
+            "mean drifted: {mean} vs {expected}"
+        );
     }
 
     fn input(rule: DecisionRule, local: Option<f32>, remote: Option<f32>) -> DecisionInput {

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use adrias_obs::{
     DriftConfig, DriftEvent, ModelSwapRecord, Observer, PageHinkley, Sketch, SwapVerdict,
 };
-use adrias_predictor::dataset::{PerfRecord, HISTORY_S};
+use adrias_predictor::dataset::{pool_rows_into, PerfRecord, HISTORY_S, SEQ_LEN};
 use adrias_predictor::{PerfDataset, PerfModel, SystemStateModel};
 use adrias_sim::DeploymentId;
 use adrias_telemetry::{MetricVec, METRIC_COUNT};
@@ -186,22 +186,25 @@ impl ResidualTracker {
     }
 
     /// Scores the system-state forecaster against the run's realised
-    /// trace (a [`Trace`] that rode the same run): one worker-invariant
-    /// batched forward pass over every decision-time window, compared to
-    /// the actual mean state over the following horizon. Call once after
-    /// the run, before [`ResidualTracker::flush`].
-    pub fn score_system_forecasts(&mut self, trace: &Trace, system_model: &mut SystemStateModel) {
+    /// trace (a [`Trace`] that rode the same run): every decision-time
+    /// window through [`SystemStateModel::predict_into`], the route the
+    /// decisions ran, compared to the actual mean state over the
+    /// following horizon. Call once after the run, before
+    /// [`ResidualTracker::flush`].
+    pub fn score_system_forecasts(&mut self, trace: &Trace, system_model: &SystemStateModel) {
         let checks = std::mem::take(&mut self.sys_checks);
         if checks.is_empty() {
             return;
         }
-        let windows: Vec<&[MetricVec]> = checks.iter().map(|(_, w)| w.as_slice()).collect();
-        let forecasts = system_model.predict_batch(&windows);
-        for ((at_s, _), forecast) in checks.iter().zip(&forecasts) {
+        let mut scratch = system_model.make_scratch();
+        let mut pooled = Vec::with_capacity(SEQ_LEN);
+        for (at_s, window) in &checks {
             let Some(actual) = trace.mean_between(*at_s, *at_s + self.cfg.horizon_s as f64) else {
                 continue;
             };
-            let rel_err = rel_l2(forecast, &actual);
+            pool_rows_into(window, SEQ_LEN, &mut pooled);
+            let forecast = system_model.predict_into(&pooled, &mut scratch);
+            let rel_err = rel_l2(&forecast, &actual);
             self.sys_err.observe(rel_err);
             if let Some(event) = self.sys_ph.observe(rel_err, *at_s) {
                 self.drifts.push(event);
@@ -380,16 +383,13 @@ pub fn gate_swap(
         .iter()
         .map(|r| Some(r.future_120))
         .collect();
-    // `evaluate` needs `&mut`; score clones so the deployed incumbent
-    // and the swappable candidate stay untouched by evaluation.
-    let mut inc_eval = match target {
-        ModelTarget::BestEffort => policy.be_model().clone(),
-        ModelTarget::LatencyCritical => policy.lc_model().clone(),
+    let incumbent = match target {
+        ModelTarget::BestEffort => policy.be_model(),
+        ModelTarget::LatencyCritical => policy.lc_model(),
     };
-    let incumbent_version = inc_eval.version();
-    let inc = inc_eval.evaluate(holdout, &s_hats);
-    let mut cand_eval = candidate.clone();
-    let cand = cand_eval.evaluate(holdout, &s_hats);
+    let incumbent_version = incumbent.version();
+    let inc = incumbent.evaluate(holdout, &s_hats);
+    let cand = candidate.evaluate(holdout, &s_hats);
 
     let gate_margin = if inc.mae > 0.0 {
         (inc.mae - cand.mae) / inc.mae
@@ -645,6 +645,50 @@ mod tests {
         assert_eq!(
             swapped.pred_remote.map(f32::to_bits),
             fresh.pred_remote.map(f32::to_bits)
+        );
+    }
+
+    /// The holdout is normalized with the capture buffer's statistics,
+    /// not the incumbent's. The incumbent MAE the gate records is still
+    /// the MAE of the incumbent's own `predict` — the route its
+    /// decisions run — over the holdout.
+    #[test]
+    fn the_gate_scores_the_incumbent_by_its_own_predictions() {
+        let mut policy = policy_with_beta(0.7);
+        let ds = small_be_dataset();
+        let (train, holdout) = ds.split_holdout(3).expect("holdout");
+        let incumbent = policy.be_model();
+        let (truth, pred): (Vec<f32>, Vec<f32>) = holdout
+            .records()
+            .iter()
+            .map(|r| {
+                let sig = adrias_workloads::AppSignature::new(
+                    r.app.as_str(),
+                    holdout.signature(&r.app).unwrap().to_vec(),
+                );
+                let s_hat = Some(&r.future_120);
+                (r.perf, incumbent.predict(&r.history, &sig, r.mode, s_hat))
+            })
+            .unzip();
+        let want = adrias_predictor::RegressionReport::new(&truth, &pred).mae;
+        let candidate = fine_tune_candidate(incumbent, &train, 2);
+
+        let mut obs = Observer::default();
+        gate_swap(
+            &mut policy,
+            ModelTarget::BestEffort,
+            candidate,
+            &holdout,
+            50.0,
+            0.02,
+            &mut obs,
+        );
+        let rec = &obs.adapt.swaps()[0];
+        assert_eq!(
+            rec.incumbent_mae.to_bits(),
+            want.to_bits(),
+            "{} vs {want}",
+            rec.incumbent_mae
         );
     }
 

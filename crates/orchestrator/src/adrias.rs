@@ -247,7 +247,7 @@ impl AdriasPolicy {
 
     /// Visits every `f32` buffer of the three models and their decision
     /// scratches — the history lane's included, once it exists — by name
-    /// (see [`adrias_nn::Lstm::visit_storage`]).
+    /// (see [`PerfModel::visit_storage`]).
     pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
         self.system_model.visit_storage(f);
         self.be_model.visit_storage(f);
@@ -368,13 +368,13 @@ impl AdriasPolicy {
     /// mode, or `None` when no history window or signature is available.
     ///
     /// Uncached, allocating and on one thread: the forecast and the perf
-    /// model run in full on every call (the perf model through
-    /// [`PerfModel::predict_eval`], on a scratch of the call's own) and
-    /// nothing memoised is read or written. That makes it the oracle the
+    /// model run in full on every call ([`SystemStateModel::predict`]
+    /// and [`PerfModel::predict`], each on a scratch of the call's own)
+    /// and nothing memoised is read or written. That makes it the oracle the
     /// decision path is pinned against — every prediction
     /// [`Policy::decide_explained`] reports must equal this one bit for
     /// bit (`tests/fastpath_parity.rs`).
-    pub fn predict_perf(&mut self, ctx: &DecisionContext<'_>, mode: MemoryMode) -> Option<f32> {
+    pub fn predict_perf(&self, ctx: &DecisionContext<'_>, mode: MemoryMode) -> Option<f32> {
         let history = ctx.history?;
         let signature = &known(&self.apps, ctx.profile.name_handle())?.signature;
         let s_hat = self.system_model.predict(history);
@@ -383,7 +383,7 @@ impl AdriasPolicy {
         } else {
             &self.be_model
         };
-        Some(model.predict_eval(history, signature, mode, Some(&s_hat)))
+        Some(model.predict(history, signature, mode, Some(&s_hat)))
     }
 
     /// Predicted `(local, remote)` performance, or `None` when no

@@ -9,7 +9,7 @@
 
 use adrias_telemetry::MetricVec;
 
-use crate::dataset::PerfDataset;
+use crate::dataset::{pool_rows_into, PerfDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::perf_model::{PerfModel, PerfModelConfig};
 use crate::system_model::SystemStateModel;
@@ -50,7 +50,7 @@ impl SHatSource {
     pub fn materialize(
         self,
         dataset: &PerfDataset,
-        system_model: Option<&mut SystemStateModel>,
+        system_model: Option<&SystemStateModel>,
     ) -> Vec<Option<MetricVec>> {
         match self {
             SHatSource::None => vec![None; dataset.len()],
@@ -68,10 +68,15 @@ impl SHatSource {
                 let model =
                     system_model.expect("propagated Ŝ requires a trained system-state model");
                 assert!(model.is_trained(), "system-state model is untrained");
+                let mut scratch = model.make_scratch();
+                let mut pooled = Vec::with_capacity(SEQ_LEN);
                 dataset
                     .records()
                     .iter()
-                    .map(|r| Some(model.predict(&r.history)))
+                    .map(|r| {
+                        pool_rows_into(&r.history, SEQ_LEN, &mut pooled);
+                        Some(model.predict_into(&pooled, &mut scratch))
+                    })
                     .collect()
             }
         }
@@ -99,13 +104,13 @@ pub fn run_ablation_matrix(
     train: &PerfDataset,
     test: &PerfDataset,
     cfg: PerfModelConfig,
-    mut system_model: Option<&mut SystemStateModel>,
+    system_model: Option<&SystemStateModel>,
 ) -> Vec<AblationCell> {
     pairs
         .iter()
         .map(|&(train_source, test_source)| {
-            let train_hats = train_source.materialize(train, system_model.as_deref_mut());
-            let test_hats = test_source.materialize(test, system_model.as_deref_mut());
+            let train_hats = train_source.materialize(train, system_model);
+            let test_hats = test_source.materialize(test, system_model);
             let mut model = PerfModel::new(cfg);
             model.train(train, &train_hats);
             let report = model.evaluate(test, &test_hats);
@@ -137,13 +142,13 @@ pub fn leave_one_out(
     apps: &[&str],
     cfg: PerfModelConfig,
     source: SHatSource,
-    mut system_model: Option<&mut SystemStateModel>,
+    system_model: Option<&SystemStateModel>,
 ) -> Vec<LeaveOneOutCell> {
     apps.iter()
         .filter_map(|&app| {
             let (train, test) = dataset.split_leave_out(app)?;
-            let train_hats = source.materialize(&train, system_model.as_deref_mut());
-            let test_hats = source.materialize(&test, system_model.as_deref_mut());
+            let train_hats = source.materialize(&train, system_model);
+            let test_hats = source.materialize(&test, system_model);
             let mut model = PerfModel::new(cfg);
             model.train(&train, &train_hats);
             let report = model.evaluate(&test, &test_hats);
@@ -165,15 +170,15 @@ pub fn sample_count_sweep(
     sizes: &[usize],
     cfg: PerfModelConfig,
     source: SHatSource,
-    mut system_model: Option<&mut SystemStateModel>,
+    system_model: Option<&SystemStateModel>,
 ) -> Vec<(usize, RegressionReport)> {
     sizes
         .iter()
         .filter(|&&n| n >= 2 && n <= train.len())
         .map(|&n| {
             let subset = train.with_records(train.records()[..n].to_vec());
-            let train_hats = source.materialize(&subset, system_model.as_deref_mut());
-            let test_hats = source.materialize(test, system_model.as_deref_mut());
+            let train_hats = source.materialize(&subset, system_model);
+            let test_hats = source.materialize(test, system_model);
             let mut model = PerfModel::new(cfg);
             model.train(&subset, &train_hats);
             (n, model.evaluate(test, &test_hats))

@@ -44,7 +44,7 @@ pub use adrias_nn::Tensor;
 pub use dataset::{PerfDataset, PerfRecord, SystemStateDataset};
 pub use eval::RegressionReport;
 pub use norm::Normalizer;
-pub use perf_model::{PerfModel, PerfModelConfig, PerfQuery};
+pub use perf_model::{PerfModel, PerfModelConfig};
 pub use persist::{
     load_perf_model, load_system_model, save_perf_model, save_system_model, LoadModelError,
     SaveModelError,

@@ -116,6 +116,12 @@ pub(crate) struct HeadScratch {
 }
 
 impl HeadScratch {
+    /// The output of the last [`Head::forward_eval`] on this scratch.
+    #[cfg(test)]
+    pub(crate) fn output(&self) -> &Tensor {
+        &self.out
+    }
+
     pub(crate) fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
         for inv_std in &self.inv_std {
             f("head_scratch.inv_std", inv_std);

@@ -9,7 +9,7 @@
 //! one LC model over Redis + Memcached, rather than one model per
 //! application (§V-B2).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use adrias_core::rng::{SeedableRng, Xoshiro256pp};
 
@@ -17,7 +17,7 @@ use adrias_nn::{fit, AlignedVec, FitPlan, GradModel, MseLoss, Tensor, TrainStats
 use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 use adrias_workloads::{AppSignature, MemoryMode};
 
-use crate::dataset::{pool_rows, seq_tensors, PerfDataset, SEQ_LEN};
+use crate::dataset::{pool_rows, pool_rows_into, seq_tensors, PerfDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::norm::{Normalizer, ScalarNormalizer};
 use crate::parts::{Encoder, Head};
@@ -105,37 +105,6 @@ fn to_perf(target_norm: &ScalarNormalizer, z: f32) -> f32 {
     target_norm.denormalize(z.clamp(-10.0, 10.0)).exp()
 }
 
-/// The `(seq_s, seq_k, side)` input tensors of `rows` rows under `norm`.
-///
-/// `windows(b)` returns row `b`'s raw 1 Hz history and its signature
-/// already resampled to [`SEQ_LEN`] rows; the history is pooled, both
-/// are normalized and stacked per time step. `side(b)` returns its
-/// memory mode and raw `Ŝ`; the side row is the mode one-hot followed by
-/// the normalized `Ŝ` (zeros for `None`).
-fn inputs<'a>(
-    norm: &Normalizer,
-    rows: usize,
-    windows: impl Fn(usize) -> (&'a [MetricVec], &'a [MetricVec]),
-    side: impl Fn(usize) -> (MemoryMode, Option<&'a MetricVec>),
-) -> (Vec<Tensor>, Vec<Tensor>, Tensor) {
-    let windows_s: Vec<_> = (0..rows)
-        .map(|b| norm.normalize_window(&pool_rows(windows(b).0, SEQ_LEN)))
-        .collect();
-    let windows_k: Vec<_> = (0..rows)
-        .map(|b| norm.normalize_window(windows(b).1))
-        .collect();
-    let (seq_s, seq_k) = (seq_tensors(&windows_s), seq_tensors(&windows_k));
-    let side = Tensor::from_fn(rows, SIDE_WIDTH, |b, c| {
-        let (mode, s_hat) = side(b);
-        if c < 2 {
-            mode.one_hot()[c]
-        } else {
-            s_hat.map_or(0.0, |v| norm.normalize(v).get(Metric::ALL[c - 2]))
-        }
-    });
-    (seq_s, seq_k, side)
-}
-
 impl PerfModel {
     /// Creates an untrained model.
     pub fn new(cfg: PerfModelConfig) -> Self {
@@ -216,24 +185,38 @@ impl PerfModel {
         self.signature.backward(&d_h_k);
     }
 
-    /// Input and target tensors of the records `idxs` of `ds`.
+    /// The `(seq_s, seq_k, side, target)` tensors of the records `idxs`
+    /// of `ds`, under the dataset's normalizer: each history pooled to
+    /// [`SEQ_LEN`] rows, it and the signature normalized and stacked per
+    /// time step; the side row is the mode one-hot followed by the
+    /// normalized `Ŝ` (zeros for `None`).
     fn batch(
         ds: &PerfDataset,
         idxs: &[usize],
         s_hats: &[Option<MetricVec>],
     ) -> (Vec<Tensor>, Vec<Tensor>, Tensor, Tensor) {
+        let norm = ds.metric_norm();
         let record = |b: usize| &ds.records()[idxs[b]];
-        let (seq_s, seq_k, side) = inputs(
-            ds.metric_norm(),
-            idxs.len(),
-            |b| {
-                let r = record(b);
-                let signature = ds.signature(&r.app).expect("records keep known apps");
-                (r.history.as_slice(), signature)
-            },
-            |b| (record(b).mode, s_hats[idxs[b]].as_ref()),
-        );
+        let windows_s: Vec<_> = (0..idxs.len())
+            .map(|b| norm.normalize_window(&pool_rows(&record(b).history, SEQ_LEN)))
+            .collect();
+        let windows_k: Vec<_> = (0..idxs.len())
+            .map(|b| {
+                let signature = ds.signature(&record(b).app);
+                norm.normalize_window(signature.expect("records keep known apps"))
+            })
+            .collect();
+        let side = Tensor::from_fn(idxs.len(), SIDE_WIDTH, |b, c| {
+            if c < 2 {
+                record(b).mode.one_hot()[c]
+            } else {
+                s_hats[idxs[b]]
+                    .as_ref()
+                    .map_or(0.0, |v| norm.normalize(v).get(Metric::ALL[c - 2]))
+            }
+        });
         let target = Tensor::from_fn(idxs.len(), 1, |b, _| ds.target(idxs[b]));
+        let (seq_s, seq_k) = (seq_tensors(&windows_s), seq_tensors(&windows_k));
         (seq_s, seq_k, side, target)
     }
 
@@ -284,35 +267,53 @@ impl PerfModel {
     /// Evaluates on a test dataset, returning the report in original
     /// performance units (seconds / milliseconds).
     ///
+    /// Every record goes through the decision path's route under the
+    /// model's own normalizer: each application's signature features
+    /// once, each record's history features, then the head —
+    /// prediction `i` is bit-identical to [`PerfModel::predict`] on
+    /// record `i`, whatever statistics `dataset` was normalized with.
+    ///
     /// # Panics
     ///
     /// Panics if untrained, the dataset is empty, or `s_hats` misaligns.
     pub fn evaluate(
-        &mut self,
+        &self,
         dataset: &PerfDataset,
         s_hats: &[Option<MetricVec>],
     ) -> RegressionReport {
         assert!(self.is_trained(), "evaluate before train");
         assert!(!dataset.is_empty(), "empty evaluation dataset");
         assert_eq!(s_hats.len(), dataset.len(), "Ŝ misalignment");
-        let target_norm = self.target_norm.expect("trained");
-        let mut truth = Vec::with_capacity(dataset.len());
-        let mut pred = Vec::with_capacity(dataset.len());
-        let idx: Vec<usize> = (0..dataset.len()).collect();
-        for chunk in idx.chunks(self.cfg.batch_size.max(1)) {
-            let (seq_s, seq_k, side, _) = Self::batch(dataset, chunk, s_hats);
-            let out = self.forward(&seq_s, &seq_k, &side, false);
-            for (b, &i) in chunk.iter().enumerate() {
-                truth.push(dataset.records()[i].perf);
-                pred.push(to_perf(&target_norm, out.get(b, 0)));
-            }
+        let metric_norm = self.metric_norm.as_ref().expect("trained");
+        let mut scratch = self.make_scratch();
+        let mut h_ks: HashMap<&str, Vec<f32>> = HashMap::new();
+        let (mut pooled, mut h_s) = (Vec::with_capacity(SEQ_LEN), Vec::new());
+        let (mut truth, mut pred) = (Vec::new(), Vec::new());
+        for (r, s_hat) in dataset.records().iter().zip(s_hats) {
+            let h_k = h_ks.entry(&r.app).or_insert_with(|| {
+                let rows = dataset.signature(&r.app).expect("records keep known apps");
+                self.signature_features_into(&metric_norm.normalize_window(rows), &mut scratch)
+                    .to_vec()
+            });
+            pool_rows_into(&r.history, SEQ_LEN, &mut pooled);
+            h_s.clear();
+            h_s.extend_from_slice(self.history_features_into(&pooled, &mut scratch));
+            let both = self.predict_both_from_features(
+                &h_s,
+                h_k,
+                [r.mode; 2],
+                s_hat.as_ref(),
+                &mut scratch,
+            );
+            truth.push(r.perf);
+            pred.push(both[0]);
         }
         RegressionReport::new(&truth, &pred)
     }
 
     /// Per-application evaluation (MAE plots of Figs. 13c / 14a).
     pub fn evaluate_per_app(
-        &mut self,
+        &self,
         dataset: &PerfDataset,
         s_hats: &[Option<MetricVec>],
     ) -> Vec<(String, RegressionReport)> {
@@ -334,39 +335,17 @@ impl PerfModel {
     ///
     /// `history_1hz` is the raw Watcher window, `signature` the stored
     /// isolated-remote signature, `s_hat` the (raw) predicted future
-    /// state from the system model, `None` to omit it.
+    /// state from the system model, `None` to omit it. The query runs
+    /// through the decision path's route
+    /// ([`PerfModel::history_features_into`],
+    /// [`PerfModel::signature_features_into`],
+    /// [`PerfModel::predict_both_from_features`]) on a scratch built for
+    /// the call.
     ///
     /// # Panics
     ///
     /// Panics if untrained or the inputs are empty.
     pub fn predict(
-        &mut self,
-        history_1hz: &[MetricVec],
-        signature: &AppSignature,
-        mode: MemoryMode,
-        s_hat: Option<&MetricVec>,
-    ) -> f32 {
-        self.predict_batch(&[PerfQuery {
-            history: history_1hz,
-            signature,
-            mode,
-            s_hat,
-        }])
-        .pop()
-        .expect("non-empty batch yields a prediction")
-    }
-
-    /// [`PerfModel::predict`] on `&self`, for a model that is shared:
-    /// the one query runs through the inference lane
-    /// ([`PerfModel::history_features_into`],
-    /// [`PerfModel::signature_features_into`],
-    /// [`PerfModel::predict_both_from_features`]) on a scratch built for
-    /// the call, and is bit-identical to `predict` (pinned by tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if untrained or the inputs are empty.
-    pub fn predict_eval(
         &self,
         history_1hz: &[MetricVec],
         signature: &AppSignature,
@@ -383,38 +362,7 @@ impl PerfModel {
         self.predict_both_from_features(&h_s, &h_k, [mode; 2], s_hat, &mut scratch)[0]
     }
 
-    /// Batched [`PerfModel::predict`]: stacks all queries into one
-    /// forward pass. Entry `i` of the result is bit-identical to
-    /// `predict` on `queries[i]`. This is the allocating reference the
-    /// orchestrator's scratch lane is held to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if untrained, `queries` is empty, or any input is empty.
-    pub fn predict_batch(&mut self, queries: &[PerfQuery<'_>]) -> Vec<f32> {
-        assert!(!queries.is_empty(), "empty prediction batch");
-        let metric_norm = self
-            .metric_norm
-            .clone()
-            .expect("PerfModel::predict before train");
-        let target_norm = self.target_norm.expect("trained");
-        let signatures: Vec<AppSignature> = queries
-            .iter()
-            .map(|q| q.signature.resampled(SEQ_LEN))
-            .collect();
-        let (seq_s, seq_k, side) = inputs(
-            &metric_norm,
-            queries.len(),
-            |b| (queries[b].history, signatures[b].rows()),
-            |b| (queries[b].mode, queries[b].s_hat),
-        );
-        let out = self.forward(&seq_s, &seq_k, &side, false);
-        (0..queries.len())
-            .map(|b| to_perf(&target_norm, out.get(b, 0)))
-            .collect()
-    }
-
-    /// Builds the reusable inference scratch for the fast lane
+    /// Builds the reusable inference scratch for the model's one route
     /// ([`PerfModel::history_features_into`],
     /// [`PerfModel::signature_features_into`],
     /// [`PerfModel::predict_both_from_features`]), capturing this
@@ -445,10 +393,10 @@ impl PerfModel {
     }
 
     /// Normalizes a stored signature to the [`SEQ_LEN`]-row window the
-    /// model consumes — the exact rows [`PerfModel::predict_batch`]
-    /// derives per query. The orchestrator precomputes this once per
-    /// known application so the per-decision path never resamples or
-    /// allocates the signature again.
+    /// model consumes, the input of
+    /// [`PerfModel::signature_features_into`]. The orchestrator
+    /// precomputes this once per known application so the per-decision
+    /// path never resamples or allocates the signature again.
     ///
     /// # Panics
     ///
@@ -525,8 +473,12 @@ impl PerfModel {
     /// blocks and the read-out. `h_s`/`h_k` must be (copies of) the
     /// outputs of [`PerfModel::history_features_into`] /
     /// [`PerfModel::signature_features_into`] on this model; the result
-    /// is then bit-identical to [`PerfModel::predict_batch`] over the
-    /// equivalent two queries (pinned by tests).
+    /// is then bit-identical to the batched training-path forward in
+    /// evaluation mode over the equivalent two rows (pinned by tests).
+    ///
+    /// This is the one place a head output becomes a prediction in
+    /// original units: [`PerfModel::predict`], [`PerfModel::evaluate`]
+    /// and the orchestrator's decisions all end here.
     ///
     /// # Panics
     ///
@@ -562,19 +514,6 @@ impl PerfModel {
         let out = self.head.forward_eval(concat, head);
         [0, 1].map(|b| to_perf(&target_norm, out.get(b, 0)))
     }
-}
-
-/// One inference request for [`PerfModel::predict_batch`].
-#[derive(Debug, Clone, Copy)]
-pub struct PerfQuery<'a> {
-    /// Raw 1 Hz Watcher history window.
-    pub history: &'a [MetricVec],
-    /// Stored application signature.
-    pub signature: &'a AppSignature,
-    /// Candidate memory mode.
-    pub mode: MemoryMode,
-    /// Predicted future system state (raw); `None` to omit.
-    pub s_hat: Option<&'a MetricVec>,
 }
 
 /// Parameter order — history encoder, signature encoder (each layer 1
@@ -731,50 +670,72 @@ mod tests {
         );
     }
 
-    /// The scratch lane as the policy runs it — history branch,
-    /// signature branch, head at batch 2 — against the allocating
-    /// reference.
+    /// The route as the policy runs it — history branch, signature
+    /// branch, head at batch 2 — against the batched training-path
+    /// forward in evaluation mode, the reference it must equal bit for
+    /// bit; `predict` is that route on a scratch of its own.
     #[test]
-    fn predict_both_from_features_is_bit_identical_to_predict_batch() {
-        let (ds, s_hats) = synthetic_dataset(120, 11);
+    fn the_route_is_bit_identical_to_the_batched_forward() {
+        let (ds, mut s_hats) = synthetic_dataset(120, 11);
         let mut model = PerfModel::new(PerfModelConfig::tiny());
         model.train(&ds, &s_hats);
+        for hat in s_hats.iter_mut().step_by(3) {
+            *hat = None;
+        }
+        let idxs: Vec<usize> = (0..12).collect();
+        let (seq_s, seq_k, side, _) = PerfModel::batch(&ds, &idxs, &s_hats);
+        let want = model.forward(&seq_s, &seq_k, &side, false);
         let mut scratch = model.make_scratch();
-        for (i, app) in ["alpha", "beta"].iter().enumerate() {
-            let rec = ds
-                .records()
-                .iter()
-                .find(|r| &r.app == app)
-                .expect("app present");
-            let sig = AppSignature::new(*app, ds.signature(app).unwrap().to_vec());
-            let sig_window = model.normalized_signature_window(&sig);
-            let s_hat = if i == 0 { Some(&rec.future_120) } else { None };
-            let want = model.predict_batch(&MemoryMode::BOTH.map(|mode| PerfQuery {
-                history: &rec.history,
-                signature: &sig,
-                mode,
-                s_hat,
-            }));
+        for &i in &idxs {
+            let r = &ds.records()[i];
+            let sig = AppSignature::new(r.app.as_str(), ds.signature(&r.app).unwrap().to_vec());
             let h_s = model
-                .history_features_into(&pool_rows(&rec.history, SEQ_LEN), &mut scratch)
+                .history_features_into(&pool_rows(&r.history, SEQ_LEN), &mut scratch)
                 .to_vec();
             let h_k = model
-                .signature_features_into(&sig_window, &mut scratch)
+                .signature_features_into(&model.normalized_signature_window(&sig), &mut scratch)
                 .to_vec();
+            let other = MemoryMode::BOTH[usize::from(r.mode == MemoryMode::Local)];
+            let s_hat = s_hats[i].as_ref();
             let got =
-                model.predict_both_from_features(&h_s, &h_k, MemoryMode::BOTH, s_hat, &mut scratch);
-            assert_eq!(got[0].to_bits(), want[0].to_bits(), "{app}: local diverged");
+                model.predict_both_from_features(&h_s, &h_k, [r.mode, other], s_hat, &mut scratch);
+            let head_out = scratch.head.output().get(0, 0);
+            assert_eq!(head_out.to_bits(), want.get(i, 0).to_bits(), "record {i}");
+            let one = model.predict(&r.history, &sig, r.mode, s_hat);
+            assert_eq!(one.to_bits(), got[0].to_bits(), "record {i}: predict");
+            let flipped = model.predict(&r.history, &sig, other, s_hat);
             assert_eq!(
+                flipped.to_bits(),
                 got[1].to_bits(),
-                want[1].to_bits(),
-                "{app}: remote diverged"
+                "record {i}: other mode"
             );
-            for (mode, want) in MemoryMode::BOTH.into_iter().zip(want) {
-                let one = model.predict(&rec.history, &sig, mode, s_hat);
-                let shared = model.predict_eval(&rec.history, &sig, mode, s_hat);
-                assert_eq!(one.to_bits(), want.to_bits(), "{app} {mode}: batch of one");
-                assert_eq!(shared.to_bits(), want.to_bits(), "{app} {mode}: on &self");
-            }
+        }
+    }
+
+    /// A Fig. 15b cell: a model trained on a prefix, whose normalizers
+    /// are fitted afresh, scored on a test set normalized with other
+    /// statistics. Every prediction `evaluate` scores is what `predict`
+    /// — the orchestrator's route — answers for that record.
+    #[test]
+    fn evaluate_scores_predict_under_the_models_own_normalizer() {
+        let (ds, _) = synthetic_dataset(160, 13);
+        let (train, test) = ds.split(0.6, &mut Xoshiro256pp::seed_from_u64(4));
+        let prefix = train.with_records(train.records()[..40].to_vec());
+        assert_ne!(prefix.metric_norm(), test.metric_norm());
+        let hats = |d: &PerfDataset| -> Vec<Option<MetricVec>> {
+            d.records().iter().map(|r| Some(r.future_120)).collect()
+        };
+        let mut model = PerfModel::new(PerfModelConfig::tiny());
+        model.train(&prefix, &hats(&prefix));
+        let test_hats = hats(&test);
+        let report = model.evaluate(&test, &test_hats);
+        assert_eq!(report.pairs.len(), test.len());
+        for ((r, s_hat), &(truth, pred)) in test.records().iter().zip(&test_hats).zip(&report.pairs)
+        {
+            let sig = AppSignature::new(r.app.as_str(), test.signature(&r.app).unwrap().to_vec());
+            let want = model.predict(&r.history, &sig, r.mode, s_hat.as_ref());
+            assert_eq!(truth, r.perf);
+            assert_eq!(pred.to_bits(), want.to_bits(), "{} {}", r.app, r.mode);
         }
     }
 
@@ -794,7 +755,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "before train")]
     fn predict_before_train_panics() {
-        let mut model = PerfModel::new(PerfModelConfig::tiny());
+        let model = PerfModel::new(PerfModelConfig::tiny());
         let sig = AppSignature::new("x", vec![MetricVec::zero(); 4]);
         let _ = model.predict(&[MetricVec::zero(); 10], &sig, MemoryMode::Local, None);
     }

@@ -319,7 +319,7 @@ mod tests {
     fn system_model_round_trips() {
         let mut model = trained_system_model();
         let text = save_system_model(&mut model).expect("trained");
-        let mut restored = load_system_model(&text).expect("loads");
+        let restored = load_system_model(&text).expect("loads");
         assert_eq!(restored.normalizer, model.normalizer);
         let window: Vec<MetricVec> = (0..HISTORY_S).map(|t| rowv((t as f32) * 0.01)).collect();
         let a = model.predict(&window);
@@ -369,7 +369,7 @@ mod tests {
         let sig = AppSignature::new("a", vec![rowv(0.3); 10]);
         let mut model = trained_perf_model(perf_records(|x| vec![rowv(x); HISTORY_S]), &sig, 5, 8);
         let text = save_perf_model(&mut model).expect("trained");
-        let mut restored = load_perf_model(&text).expect("loads");
+        let restored = load_perf_model(&text).expect("loads");
         assert_eq!(restored.metric_norm, model.metric_norm);
         assert_eq!(restored.target_norm, model.target_norm);
         let window = vec![rowv(0.4); HISTORY_S];
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn a_model_saved_before_the_refactor_loads_and_predicts_the_same_bits() {
         let text = include_str!("../tests/fixtures/perf_model_pr21.txt");
-        let mut restored = load_perf_model(text).expect("fixture loads");
+        let restored = load_perf_model(text).expect("fixture loads");
         let sig = AppSignature::new("a", (0..10).map(|t| rowv(0.3 + 0.05 * t as f32)).collect());
         let window: Vec<MetricVec> = (0..HISTORY_S)
             .map(|t| rowv(0.4 + 0.002 * t as f32))

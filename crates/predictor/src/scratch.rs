@@ -1,20 +1,19 @@
-//! Reusable inference scratch for the decision fast lane.
+//! Reusable inference scratch for each model's one inference route.
 //!
-//! The steady-state orchestrator path calls the two predictor models on
-//! every application arrival. The general-purpose `predict*` entry
-//! points allocate their pooled windows, sequence tensors and LSTM
-//! activations per call; at decision rates that allocation churn
-//! dominates. This module holds the buffer bundles — [`SystemScratch`]
-//! and [`PerfScratch`], each the model's input staging plus one
-//! `EncoderScratch` per encoder and a `HeadScratch` (see
-//! `parts`) — that [`crate::SystemStateModel::predict_into`] and
-//! [`crate::PerfModel`]'s `*_features_into` /
-//! [`crate::PerfModel::predict_both_from_features`] reuse across calls
-//! so the hot path performs **zero heap allocations** (asserted by the
-//! orchestrator's `alloc_free` test with a counting global allocator).
-//! The history entry points take the Watcher window already pooled to
-//! [`SEQ_LEN`] rows ([`crate::dataset::pool_rows_into`]): both models
-//! read the same pooled rows, so a decision pools once for the two.
+//! Every prediction a model makes — a decision, `predict`, `evaluate`,
+//! the `Ŝ` the ablations feed — runs one route:
+//! [`crate::SystemStateModel::predict_into`], and [`crate::PerfModel`]'s
+//! `*_features_into` → [`crate::PerfModel::predict_both_from_features`].
+//! This module holds the buffer bundles that route reuses across calls —
+//! [`SystemScratch`] and [`PerfScratch`], each the model's input staging
+//! plus one `EncoderScratch` per encoder and a `HeadScratch` (see
+//! `parts`) — so the decision path performs **zero heap allocations**
+//! (asserted by the orchestrator's `alloc_free` test with a counting
+//! global allocator), and a scoring loop allocates one scratch for all
+//! its rows. The history entry points take the Watcher window already
+//! pooled to [`SEQ_LEN`] rows ([`crate::dataset::pool_rows_into`]): both
+//! models read the same pooled rows, so a decision pools once for the
+//! two.
 //!
 //! A scratch is built from a *trained* model
 //! ([`crate::SystemStateModel::make_scratch`] /
@@ -22,9 +21,10 @@
 //! plus the batch-norm evaluation scales (`1/√(running_var+eps)`) of
 //! that model; using it with a different or re-trained model panics on
 //! the shape checks or silently mixes statistics, so rebuild scratches
-//! after any training step. Outputs are bit-identical to the
-//! allocating entry points — every kernel the fast lane uses computes
-//! the exact per-element expressions of its allocating counterpart.
+//! after any training step. Outputs are bit-identical to a row of the
+//! batched training-path forward in evaluation mode — every kernel the
+//! route uses computes the exact per-element expressions of its batched
+//! counterpart (pinned by each model's tests).
 
 use adrias_nn::{AlignedVec, Tensor};
 use adrias_telemetry::{MetricVec, METRIC_COUNT};
@@ -82,7 +82,7 @@ impl SystemScratch {
     }
 }
 
-/// Reusable buffers for [`crate::PerfModel`]'s fast lane: the two
+/// Reusable buffers for [`crate::PerfModel`]'s route: the two
 /// encoders at batch 1 (there is one history window and one signature),
 /// the head at batch 2 (one row per candidate memory mode).
 ///

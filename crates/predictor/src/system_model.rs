@@ -6,14 +6,11 @@
 //! layers, a triplet of non-linear blocks, and a linear read-out.
 
 use adrias_core::rng::{SeedableRng, Xoshiro256pp};
-use adrias_core::thread::map_chunks;
 
-use adrias_nn::{
-    fit, resolved_workers, AlignedVec, FitPlan, GradModel, MseLoss, Tensor, TrainStats,
-};
+use adrias_nn::{fit, AlignedVec, FitPlan, GradModel, MseLoss, Tensor, TrainStats};
 use adrias_telemetry::{Metric, MetricVec, METRIC_COUNT};
 
-use crate::dataset::{pool_rows, seq_tensors, SystemStateDataset, SEQ_LEN};
+use crate::dataset::{pool_rows, SystemStateDataset, SEQ_LEN};
 use crate::eval::RegressionReport;
 use crate::norm::Normalizer;
 use crate::parts::{Encoder, Head};
@@ -186,56 +183,15 @@ impl SystemStateModel {
     }
 
     /// Predicts `Ŝ` (denormalized per-metric horizon means) from a raw
-    /// 1 Hz history window.
+    /// 1 Hz history window: the window pooled to [`SEQ_LEN`] rows, then
+    /// [`SystemStateModel::predict_into`] on a scratch built for the
+    /// call.
     ///
     /// # Panics
     ///
     /// Panics if the model is untrained or the window is empty.
-    pub fn predict(&mut self, history_1hz: &[MetricVec]) -> MetricVec {
-        self.predict_batch(&[history_1hz])
-            .pop()
-            .expect("non-empty batch yields a prediction")
-    }
-
-    /// Batched [`SystemStateModel::predict`]: stacks all windows into
-    /// one forward pass. Row `i` of the result is bit-identical to
-    /// `predict(histories[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is untrained, `histories` is empty, or any
-    /// window is empty.
-    pub fn predict_batch(&mut self, histories: &[&[MetricVec]]) -> Vec<MetricVec> {
-        assert!(!histories.is_empty(), "empty prediction batch");
-        let workers = resolved_workers(self.cfg.workers).min(histories.len());
-        if workers > 1 {
-            // Every eval-mode forward op is row-independent, so splitting
-            // the batch across workers (each on a scratch clone) returns
-            // bit-identical rows for any worker count.
-            let model: &SystemStateModel = self;
-            return map_chunks(histories, workers, |chunk| {
-                model.clone().predict_rows(chunk)
-            });
-        }
-        self.predict_rows(histories)
-    }
-
-    /// Serial body of [`SystemStateModel::predict_batch`]: one forward
-    /// pass over every window in `histories`.
-    fn predict_rows(&mut self, histories: &[&[MetricVec]]) -> Vec<MetricVec> {
-        let norm = self
-            .normalizer
-            .clone()
-            .expect("SystemStateModel::predict before train");
-        let windows: Vec<Vec<MetricVec>> = histories
-            .iter()
-            .map(|h| norm.normalize_window(&pool_rows(h, SEQ_LEN)))
-            .collect();
-        let seq = seq_tensors(&windows);
-        let out = self.forward(&seq, false);
-        (0..histories.len())
-            .map(|b| norm.denormalize(&metric_row(&out, b)))
-            .collect()
+    pub fn predict(&self, history_1hz: &[MetricVec]) -> MetricVec {
+        self.predict_into(&pool_rows(history_1hz, SEQ_LEN), &mut self.make_scratch())
     }
 
     /// Builds the reusable inference scratch for
@@ -263,12 +219,12 @@ impl SystemStateModel {
         self.head.visit_storage(f);
     }
 
-    /// Allocation-free [`SystemStateModel::predict`]: the decision fast
-    /// lane. `pooled` is the raw 1 Hz window pooled to [`SEQ_LEN`] rows
-    /// by [`crate::dataset::pool_rows_into`]; the result is bit-identical
-    /// to `predict` on the window (pinned by tests), but this takes
-    /// `&self`, reuses `scratch`'s buffers and performs zero heap
-    /// allocations in steady state.
+    /// The model's one inference route, and the decision path's:
+    /// `pooled` is the raw 1 Hz window pooled to [`SEQ_LEN`] rows by
+    /// [`crate::dataset::pool_rows_into`]. It takes `&self`, reuses
+    /// `scratch`'s buffers and performs zero heap allocations in steady
+    /// state; the result is bit-identical to the batched training-path
+    /// forward in evaluation mode (pinned by tests).
     ///
     /// # Panics
     ///
@@ -276,6 +232,13 @@ impl SystemStateModel {
     /// [`SEQ_LEN`] rows, or `scratch` was built for a different model
     /// shape.
     pub fn predict_into(&self, pooled: &[MetricVec], scratch: &mut SystemScratch) -> MetricVec {
+        let z = self.normalized_forecast(pooled, scratch);
+        self.normalizer.as_ref().expect("trained").denormalize(&z)
+    }
+
+    /// [`SystemStateModel::predict_into`] before the read-out is
+    /// denormalized: `Ŝ` in the model's normalized space.
+    fn normalized_forecast(&self, pooled: &[MetricVec], scratch: &mut SystemScratch) -> MetricVec {
         let norm = self
             .normalizer
             .as_ref()
@@ -289,40 +252,40 @@ impl SystemStateModel {
         fill_pooled(pooled, norm, seq);
         h2.data_mut()
             .copy_from_slice(self.encoder.features_into(seq, encoder));
-        norm.denormalize(&metric_row(self.head.forward_eval(h2, head), 0))
+        metric_row(self.head.forward_eval(h2, head), 0)
     }
 
     /// Evaluates on a test dataset: per-metric `R²` plus the overall
     /// report across all metrics (normalized space for the overall one so
-    /// metrics with different scales contribute equally).
+    /// metrics with different scales contribute equally). Every sample
+    /// goes through [`SystemStateModel::predict_into`]'s route under the
+    /// model's own normalizer. The overall report compares the route's
+    /// output before it is denormalized with the target normalized by
+    /// the same statistics.
     ///
     /// # Panics
     ///
     /// Panics if the model is untrained or `dataset` is empty.
     pub fn evaluate(
-        &mut self,
+        &self,
         dataset: &SystemStateDataset,
     ) -> (Vec<(Metric, RegressionReport)>, RegressionReport) {
         assert!(self.is_trained(), "evaluate before train");
         assert!(!dataset.is_empty(), "empty evaluation dataset");
+        let norm = self.normalizer.as_ref().expect("trained");
+        let mut scratch = self.make_scratch();
         let mut truth: Vec<Vec<f32>> = vec![Vec::new(); METRIC_COUNT];
         let mut pred: Vec<Vec<f32>> = vec![Vec::new(); METRIC_COUNT];
         let mut truth_norm = Vec::new();
         let mut pred_norm = Vec::new();
-        let norm = dataset.normalizer().clone();
-        let idx: Vec<usize> = (0..dataset.len()).collect();
-        for chunk in idx.chunks(self.cfg.batch_size.max(1)) {
-            let (seq, target) = dataset.batch(chunk);
-            let out = self.forward(&seq, false);
-            for (b, &i) in chunk.iter().enumerate() {
-                let raw_target = dataset.samples()[i].target;
-                truth_norm.extend_from_slice(target.row(b));
-                pred_norm.extend_from_slice(out.row(b));
-                let raw_pred = norm.denormalize(&metric_row(&out, b));
-                for m in Metric::ALL {
-                    truth[m.index()].push(raw_target.get(m));
-                    pred[m.index()].push(raw_pred.get(m));
-                }
+        for sample in dataset.samples() {
+            let z = self.normalized_forecast(&sample.history, &mut scratch);
+            truth_norm.extend_from_slice(norm.normalize(&sample.target).as_array());
+            pred_norm.extend_from_slice(z.as_array());
+            let raw_pred = norm.denormalize(&z);
+            for m in Metric::ALL {
+                truth[m.index()].push(sample.target.get(m));
+                pred[m.index()].push(raw_pred.get(m));
             }
         }
         let per_metric = Metric::ALL
@@ -403,7 +366,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "before train")]
     fn predict_before_train_panics() {
-        let mut model = SystemStateModel::new(SystemStateModelConfig::tiny());
+        let model = SystemStateModel::new(SystemStateModelConfig::tiny());
         let window = vec![MetricVec::zero(); 120];
         let _ = model.predict(&window);
     }
@@ -479,7 +442,36 @@ mod tests {
                 assert_eq!(
                     got.get(m).to_bits(),
                     want.get(m).to_bits(),
-                    "fast lane diverged on window {i} metric {m:?}"
+                    "reused scratch diverged on window {i} metric {m:?}"
+                );
+            }
+        }
+    }
+
+    /// The route against the batched training-path forward in
+    /// evaluation mode, the reference it must equal bit for bit; and
+    /// `evaluate` scores exactly what the route answers.
+    #[test]
+    fn the_route_is_bit_identical_to_the_batched_forward() {
+        let ds = dataset();
+        let mut model = SystemStateModel::new(SystemStateModelConfig::tiny());
+        model.train(&ds);
+        let idxs: Vec<usize> = (0..20).collect();
+        let want = model.forward(&ds.batch(&idxs).0, false);
+        let (per_metric, _) = model.evaluate(&ds);
+        let mut scratch = model.make_scratch();
+        for &i in &idxs {
+            let pooled = &ds.samples()[i].history;
+            let z = model.normalized_forecast(pooled, &mut scratch);
+            let got = model.predict_into(pooled, &mut scratch);
+            for m in Metric::ALL {
+                let c = m.index();
+                assert_eq!(z.get(m).to_bits(), want.get(i, c).to_bits(), "{i} {m:?}");
+                let scored = per_metric[c].1.pairs[i].1;
+                assert_eq!(
+                    scored.to_bits(),
+                    got.get(m).to_bits(),
+                    "{i} {m:?}: evaluate"
                 );
             }
         }
@@ -490,28 +482,5 @@ mod tests {
     fn make_scratch_before_train_panics() {
         let model = SystemStateModel::new(SystemStateModelConfig::tiny());
         let _ = model.make_scratch();
-    }
-
-    #[test]
-    fn predict_batch_is_worker_count_invariant() {
-        let ds = dataset();
-        let mut model = SystemStateModel::new(SystemStateModelConfig::tiny());
-        model.train(&ds);
-        let traces: Vec<Vec<MetricVec>> = (0..6)
-            .map(|i| synthetic_trace(120, i as f32 * 0.7))
-            .collect();
-        let windows: Vec<&[MetricVec]> = traces.iter().map(|t| t.as_slice()).collect();
-
-        let serial = model.predict_batch(&windows);
-        let per_sample: Vec<MetricVec> = windows.iter().map(|w| model.predict(w)).collect();
-        assert_eq!(serial, per_sample, "batched rows differ from predict()");
-        for workers in [2, 5] {
-            model.cfg.workers = workers;
-            assert_eq!(
-                model.predict_batch(&windows),
-                serial,
-                "inference diverged with {workers} workers"
-            );
-        }
     }
 }

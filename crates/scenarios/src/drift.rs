@@ -160,9 +160,6 @@ pub fn run_drift_phases(
 ) -> DriftRunResult {
     assert!(!phases.is_empty(), "no phases to run");
     let mut tracker = ResidualTracker::new(cfg.residual);
-    // Scoring clone: `predict_batch` needs `&mut` scratch, and the
-    // policy's own forecaster must stay untouched by the check.
-    let mut scorer = policy.system_model().clone();
     let mut outcomes: Vec<PhaseOutcome> = Vec::with_capacity(phases.len());
     let mut capture_buffer: Vec<(RunReport, Trace)> = Vec::new();
 
@@ -180,7 +177,7 @@ pub fn run_drift_phases(
         };
 
         let (drifts, signatures_absorbed, verdicts) = if cfg.track {
-            tracker.score_system_forecasts(&trace, &mut scorer);
+            tracker.score_system_forecasts(&trace, policy.system_model());
             let drifts = tracker.flush(obs);
             capture_buffer.push((report.clone(), trace));
             if cfg.adapt && !drifts.is_empty() {

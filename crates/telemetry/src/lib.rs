@@ -26,8 +26,10 @@
 //!     s.set(Metric::LlcLoads, 1.0e6 + t as f32);
 //!     watcher.record(s);
 //! }
-//! let window = watcher.history_window(120).expect("window is full");
+//! let mut window = Vec::new();
+//! watcher.history_fill(120, &mut window).expect("window is full");
 //! assert_eq!(window.len(), 120);
+//! assert_eq!(window[119].get(Metric::LlcLoads), 1.0e6 + 129.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,4 +43,4 @@ pub mod watcher;
 
 pub use metrics::{Metric, MetricSample, MetricVec, METRIC_COUNT};
 pub use series::{MetricRing, TimeSeries};
-pub use watcher::{StateWindow, Watcher, WindowStamp};
+pub use watcher::{Watcher, WindowStamp};

@@ -171,15 +171,6 @@ impl MetricRing {
         }
     }
 
-    /// The newest `n` samples, oldest first; `None` if fewer are retained.
-    pub fn last_n(&self, n: usize) -> Option<Vec<MetricSample>> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let all: Vec<MetricSample> = self.iter().copied().collect();
-        Some(all[all.len() - n..].to_vec())
-    }
-
     /// Copies the metric rows of the newest `n` samples into `out`
     /// (oldest first), replacing its contents. Returns `false` (leaving
     /// `out` untouched) if fewer than `n` samples are retained.
@@ -274,10 +265,12 @@ mod tests {
         for t in 0..7 {
             ring.push(sample(t as f64, t as f32));
         }
-        let last3 = ring.last_n(3).unwrap();
-        let times: Vec<f64> = last3.iter().map(|s| s.time()).collect();
-        assert_eq!(times, vec![4.0, 5.0, 6.0]);
-        assert!(ring.last_n(6).is_none());
+        let mut last3 = Vec::new();
+        assert!(ring.last_n_rows_into(3, &mut last3));
+        let loads: Vec<f32> = last3.iter().map(|r| r.get(Metric::LlcLoads)).collect();
+        assert_eq!(loads, vec![4.0, 5.0, 6.0]);
+        assert!(!ring.last_n_rows_into(6, &mut last3));
+        assert_eq!(last3.len(), 3, "a failed copy leaves the buffer alone");
     }
 
     #[test]

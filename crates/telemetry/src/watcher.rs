@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::metrics::{Metric, MetricSample, MetricVec, METRIC_COUNT};
+use crate::metrics::{MetricSample, MetricVec};
 use crate::series::MetricRing;
 
 /// Process-wide counter handing every [`Watcher`] a distinct source id,
@@ -26,107 +26,30 @@ pub struct WindowStamp {
     pub version: u64,
 }
 
-/// A fixed-length history window of the system state.
-///
-/// This is the two-dimensional feature vector `S` from the paper: one row
-/// per sampling instant (1 Hz), one column per monitored metric, oldest
-/// row first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StateWindow {
-    rows: Vec<MetricVec>,
-}
-
-impl StateWindow {
-    /// Creates a window from rows ordered oldest-first.
-    pub fn new(rows: Vec<MetricVec>) -> Self {
-        Self { rows }
-    }
-
-    /// Number of sampling instants in the window.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the window holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Rows ordered oldest-first.
-    pub fn rows(&self) -> &[MetricVec] {
-        &self.rows
-    }
-
-    /// Per-metric mean over the window.
-    pub fn mean_vec(&self) -> MetricVec {
-        if self.rows.is_empty() {
-            return MetricVec::zero();
-        }
-        let mut acc = [0.0f64; METRIC_COUNT];
-        for row in &self.rows {
-            for m in Metric::ALL {
-                acc[m.index()] += f64::from(row.get(m));
-            }
-        }
-        let mut out = MetricVec::zero();
-        for m in Metric::ALL {
-            out.set(m, (acc[m.index()] / self.rows.len() as f64) as f32);
-        }
-        out
-    }
-
-    /// The column of values for one metric, oldest first.
-    pub fn column(&self, metric: Metric) -> Vec<f32> {
-        self.rows.iter().map(|r| r.get(metric)).collect()
-    }
-
-    /// Downsamples the window by averaging consecutive groups of `factor`
-    /// rows; a trailing partial group is averaged as well.
-    ///
-    /// The predictor feeds 120 s windows to its LSTMs at a coarser step to
-    /// keep sequence lengths manageable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn downsample(&self, factor: usize) -> StateWindow {
-        assert!(factor > 0, "downsample factor must be non-zero");
-        let rows = self
-            .rows
-            .chunks(factor)
-            .map(|chunk| {
-                let mut acc = MetricVec::zero();
-                for r in chunk {
-                    acc = acc.add(r);
-                }
-                acc.scale(1.0 / chunk.len() as f32)
-            })
-            .collect();
-        StateWindow { rows }
-    }
-}
-
 /// The monitoring component of Adrias (§V-A).
 ///
 /// A `Watcher` ingests one [`MetricSample`] per second from the testbed
 /// and retains the most recent `capacity` of them, exposing:
 ///
-/// * [`Watcher::history_window`] — the feature matrix `S` handed to the
-///   system-state model (history length `r`, 120 s in the paper), and
-/// * [`Watcher::latest`] / [`Watcher::mean_over_last`] — point queries
-///   used by the orchestration logic and the evaluation harness.
+/// * [`Watcher::history_fill`] — the feature matrix `S` handed to the
+///   system-state model (history length `r`, 120 s in the paper), one
+///   row per second oldest first, copied into a buffer the caller
+///   reuses, with the [`WindowStamp`] that names it, and
+/// * [`Watcher::latest`] — the newest sample.
 ///
 /// # Examples
 ///
 /// ```
-/// use adrias_telemetry::{Metric, MetricSample, Watcher};
+/// use adrias_telemetry::{MetricSample, Watcher};
 ///
 /// let mut w = Watcher::new(120);
+/// let mut rows = Vec::new();
 /// for t in 0..120 {
 ///     w.record(MetricSample::zero(t as f64));
 /// }
-/// assert!(w.history_window(120).is_some());
-/// assert!(w.history_window(121).is_none());
+/// assert_eq!(w.history_fill(120, &mut rows), Some(w.stamp()));
+/// assert_eq!(rows.len(), 120);
+/// assert!(w.history_fill(121, &mut rows).is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Watcher {
@@ -173,12 +96,13 @@ impl Watcher {
         (r > 0 && self.ring.len() >= r).then(|| self.stamp())
     }
 
-    /// Allocation-free [`Watcher::history_window`]: copies the last `r`
-    /// rows (oldest first) into `out`, replacing its contents, and
-    /// returns the current [`WindowStamp`]. Returns `None` — leaving
-    /// `out` untouched — until at least `r` samples are recorded, and
-    /// always for `r = 0`: a zero window is no window, so a decision
-    /// handed it takes the warm-up rule rather than an empty matrix.
+    /// The history window `S`: copies the last `r` rows (oldest first)
+    /// into `out`, replacing its contents without allocating once `out`
+    /// has capacity `r`, and returns the current [`WindowStamp`].
+    /// Returns `None` — leaving `out` untouched — until at least `r`
+    /// samples are recorded, and always for `r = 0`: a zero window is no
+    /// window, so a decision handed it takes the warm-up rule rather
+    /// than an empty matrix.
     pub fn history_fill(&self, r: usize, out: &mut Vec<MetricVec>) -> Option<WindowStamp> {
         if r > 0 && self.ring.last_n_rows_into(r, out) {
             Some(self.stamp())
@@ -201,29 +125,12 @@ impl Watcher {
     pub fn latest(&self) -> Option<&MetricSample> {
         self.ring.latest()
     }
-
-    /// The last `r` samples as a [`StateWindow`], oldest-first.
-    ///
-    /// Returns `None` until at least `r` samples have been recorded, i.e.
-    /// the orchestrator falls back to a default policy during warm-up.
-    pub fn history_window(&self, r: usize) -> Option<StateWindow> {
-        let samples = self.ring.last_n(r)?;
-        Some(StateWindow::new(
-            samples.into_iter().map(|s| *s.vec()).collect(),
-        ))
-    }
-
-    /// Per-metric mean over the last `n` samples (or `None` if fewer).
-    pub fn mean_over_last(&self, n: usize) -> Option<MetricVec> {
-        let samples = self.ring.last_n(n)?;
-        let window = StateWindow::new(samples.into_iter().map(|s| *s.vec()).collect());
-        Some(window.mean_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
 
     fn sample(t: f64, load: f32) -> MetricSample {
         let mut s = MetricSample::zero(t);
@@ -235,21 +142,24 @@ mod tests {
     #[test]
     fn window_unavailable_until_filled() {
         let mut w = Watcher::new(10);
+        let mut buf = Vec::new();
         for t in 0..5 {
             w.record(sample(t as f64, t as f32));
         }
-        assert!(w.history_window(6).is_none());
-        assert_eq!(w.history_window(5).unwrap().len(), 5);
+        assert!(w.history_fill(6, &mut buf).is_none());
+        assert!(w.history_fill(5, &mut buf).is_some());
+        assert_eq!(buf.len(), 5);
     }
 
     #[test]
     fn window_rows_are_oldest_first() {
         let mut w = Watcher::new(4);
+        let mut buf = Vec::new();
         for t in 0..8 {
             w.record(sample(t as f64, t as f32));
         }
-        let win = w.history_window(4).unwrap();
-        let col = win.column(Metric::LlcLoads);
+        w.history_fill(4, &mut buf).expect("window available");
+        let col: Vec<f32> = buf.iter().map(|r| r.get(Metric::LlcLoads)).collect();
         assert_eq!(col, vec![4.0, 5.0, 6.0, 7.0]);
     }
 
@@ -273,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn history_fill_matches_history_window() {
+    fn history_fill_replaces_the_buffer_or_leaves_it() {
         let mut w = Watcher::new(6);
         let mut buf = Vec::new();
         assert!(w.history_fill(1, &mut buf).is_none());
@@ -284,10 +194,14 @@ mod tests {
         let stamp = w.history_fill(4, &mut buf).expect("window available");
         assert_eq!(stamp, w.stamp());
         assert_eq!(w.window_stamp(4), Some(stamp));
-        assert_eq!(buf, w.history_window(4).unwrap().rows());
+        let loads = |buf: &[MetricVec]| -> Vec<f32> {
+            buf.iter().map(|r| r.get(Metric::LlcLoads)).collect()
+        };
+        assert_eq!(loads(&buf), vec![5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(buf[0].get(Metric::LinkLatency), 350.0);
         // Refilling with a shorter window replaces the contents.
         w.history_fill(2, &mut buf).expect("window available");
-        assert_eq!(buf, w.history_window(2).unwrap().rows());
+        assert_eq!(loads(&buf), vec![7.0, 8.0]);
         assert!(w.history_fill(7, &mut buf).is_none());
         assert!(
             w.window_stamp(7).is_none(),
@@ -306,118 +220,5 @@ mod tests {
             w.record(sample(t as f64, 1.0));
         }
         assert_eq!(buf.len(), 1, "failed fill must leave the buffer alone");
-    }
-
-    #[test]
-    fn mean_over_last_matches_window_mean() {
-        let mut w = Watcher::new(8);
-        for t in 0..8 {
-            w.record(sample(t as f64, t as f32));
-        }
-        let mean = w.mean_over_last(4).unwrap();
-        assert_eq!(mean.get(Metric::LlcLoads), 5.5);
-        assert_eq!(mean.get(Metric::LinkLatency), 350.0);
-    }
-
-    #[test]
-    fn downsample_averages_groups() {
-        let rows = (0..6)
-            .map(|i| {
-                let mut v = MetricVec::zero();
-                v.set(Metric::MemLoads, i as f32);
-                v
-            })
-            .collect();
-        let win = StateWindow::new(rows);
-        let ds = win.downsample(2);
-        assert_eq!(ds.len(), 3);
-        assert_eq!(ds.column(Metric::MemLoads), vec![0.5, 2.5, 4.5]);
-    }
-
-    #[test]
-    fn downsample_handles_partial_tail() {
-        let rows = (0..5)
-            .map(|i| {
-                let mut v = MetricVec::zero();
-                v.set(Metric::MemLoads, i as f32);
-                v
-            })
-            .collect();
-        let ds = StateWindow::new(rows).downsample(2);
-        assert_eq!(ds.len(), 3);
-        assert_eq!(ds.column(Metric::MemLoads), vec![0.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn empty_window_mean_is_zero() {
-        let win = StateWindow::new(Vec::new());
-        assert!(win.is_empty());
-        assert_eq!(win.mean_vec(), MetricVec::zero());
-    }
-
-    #[test]
-    fn empty_window_downsample_and_column_are_empty() {
-        let win = StateWindow::new(Vec::new());
-        assert!(win.downsample(3).is_empty());
-        assert!(win.column(Metric::LlcLoads).is_empty());
-    }
-
-    #[test]
-    fn single_row_window_is_its_own_mean() {
-        let mut v = MetricVec::zero();
-        v.set(Metric::MemStores, 7.5);
-        v.set(Metric::LinkLatency, 410.0);
-        let win = StateWindow::new(vec![v]);
-        assert_eq!(win.len(), 1);
-        assert_eq!(win.mean_vec(), v);
-        // Downsampling by more than the length collapses to one row.
-        let ds = win.downsample(10);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds.rows()[0], v);
-    }
-
-    #[test]
-    fn downsample_factor_one_is_identity() {
-        let rows: Vec<MetricVec> = (0..4)
-            .map(|i| {
-                let mut v = MetricVec::zero();
-                v.set(Metric::LinkFlitsTx, i as f32);
-                v
-            })
-            .collect();
-        let win = StateWindow::new(rows.clone());
-        assert_eq!(win.downsample(1).rows(), &rows[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be non-zero")]
-    fn downsample_zero_factor_panics() {
-        let _ = StateWindow::new(Vec::new()).downsample(0);
-    }
-
-    #[test]
-    fn window_of_zero_rows_is_always_available() {
-        // `r = 0` is a degenerate but legal request: an empty window.
-        let w = Watcher::new(4);
-        let win = w.history_window(0).expect("zero-length window");
-        assert!(win.is_empty());
-        assert_eq!(w.mean_over_last(0).unwrap(), MetricVec::zero());
-    }
-
-    #[test]
-    fn mean_is_stable_for_large_magnitudes() {
-        // Accumulation runs in f64, so summing many large f32 counters
-        // (LLC loads sit near 1e8 per second) must not lose the small
-        // per-row variation.
-        let mut w = Watcher::new(2048);
-        for t in 0..2048 {
-            w.record(sample(t as f64, 1e8 + t as f32));
-        }
-        let mean = w.mean_over_last(2048).unwrap().get(Metric::LlcLoads);
-        let expected = 1e8 + (2047.0 / 2.0);
-        assert!(
-            (f64::from(mean) - expected).abs() < 64.0,
-            "mean drifted: {mean} vs {expected}"
-        );
     }
 }

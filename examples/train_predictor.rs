@@ -20,7 +20,7 @@ fn main() {
         adrias::nn::resolved_workers(opts.system_cfg.workers),
         opts.system_cfg.grad_chunk,
     );
-    let mut stack = train_stack(&catalog, &opts);
+    let stack = train_stack(&catalog, &opts);
 
     println!("System-state model (Table I):");
     let (per_metric, overall) = {
@@ -39,7 +39,7 @@ fn main() {
     println!("BE performance model (Fig. 13):");
     let (be_train, be_test) = &stack.be_split;
     let _ = be_train;
-    let test_hats = SHatSource::Propagated.materialize(be_test, Some(&mut stack.system_model));
+    let test_hats = SHatSource::Propagated.materialize(be_test, Some(&stack.system_model));
     let report = stack.be_model.evaluate(be_test, &test_hats);
     println!(
         "  R2 = {:.3} (paper: ≈0.905 at runtime), MAE = {:.1} s over {} records",
@@ -49,7 +49,7 @@ fn main() {
     );
 
     if let Some((_, lc_test)) = &stack.lc_split {
-        let lc_hats = SHatSource::Propagated.materialize(lc_test, Some(&mut stack.system_model));
+        let lc_hats = SHatSource::Propagated.materialize(lc_test, Some(&stack.system_model));
         let lc_report = stack.lc_model.evaluate(lc_test, &lc_hats);
         println!(
             "LC performance model (Fig. 14): R2 = {:.3} (paper: ≈0.874), MAE = {:.2} ms",

@@ -96,7 +96,7 @@ fn trained_stack_predicts_with_usable_accuracy() {
     use adrias::predictor::SHatSource;
 
     let catalog = WorkloadCatalog::paper();
-    let mut stack = train_stack(&catalog, &StackOptions::quick());
+    let stack = train_stack(&catalog, &StackOptions::quick());
 
     let (_, sys_test) = &stack.system_split;
     let (_, overall) = stack.system_model.evaluate(sys_test);
@@ -107,7 +107,7 @@ fn trained_stack_predicts_with_usable_accuracy() {
     );
 
     let (_, be_test) = &stack.be_split;
-    let hats = SHatSource::Propagated.materialize(be_test, Some(&mut stack.system_model));
+    let hats = SHatSource::Propagated.materialize(be_test, Some(&stack.system_model));
     let report = stack.be_model.evaluate(be_test, &hats);
     assert!(
         report.r2 > 0.2,

@@ -328,7 +328,7 @@ fn stamp_less_contexts_never_hit_and_never_fill() {
         source: 7,
         version: 1,
     });
-    let mut oracle = policy(stack);
+    let oracle = policy(stack);
     let [a1, a2, a3] = [&w1, &w2, &w3].map(|window| {
         let ctx = DecisionContext {
             profile: &gmm,
@@ -336,7 +336,7 @@ fn stamp_less_contexts_never_hit_and_never_fill() {
             qos_p99_ms: Some(5.0),
             stamp: None,
         };
-        let mut bits = |mode| oracle.predict_perf(&ctx, mode).unwrap().to_bits();
+        let bits = |mode| oracle.predict_perf(&ctx, mode).unwrap().to_bits();
         (bits(MemoryMode::Local), bits(MemoryMode::Remote))
     });
     assert!(
