@@ -2,16 +2,16 @@
 //! two ratios on the in-tree `adrias_core::bench` harness, and each
 //! ratio is a [`Gate`] row stated once, beside the code that computes
 //! it, with the reason for its bound. Every leg is an operand of a row
-//! and every derived number but the `simd_active`, `simd_lanes` and
-//! `two_cores` host flags is one; absolute costs per layer are the perf ledger's
+//! and every derived number but the `simd_active` and `simd_lanes` host
+//! flags is one; absolute costs per layer are the perf ledger's
 //! (`benchmark/`).
 //!
 //! Environment knobs on top of the harness's own:
 //!
 //! * `ADRIAS_BENCH_FILTER` — substring filter on section names
 //!   (`testbed_step`, `unread_second`, `lc_tail`, `lstm`,
-//!   `encoder_forward`, `gemm`, `adrias_decision`, `forecast_miss`,
-//!   `obs_overhead`, `residual_overhead`); unmatched
+//!   `encoder_forward`, `gemm`, `adrias_decision`, `obs_overhead`,
+//!   `residual_overhead`); unmatched
 //!   sections are skipped entirely, including their setup.
 //!
 //! The run always ends by writing `BENCH_nn.json` (the medians, the
@@ -467,7 +467,7 @@ fn bench_gemm(h: &mut Harness) {
     h.gate(&GEMM_SKIP_FREE, skip_free / skipping);
 }
 
-/// The Watcher window the decision sections decide on: 120 s of a
+/// The Watcher window the decision section decides on: 120 s of a
 /// slowly rising LLC load.
 fn bench_window() -> Vec<MetricVec> {
     (0..120)
@@ -536,99 +536,6 @@ fn bench_decision(h: &mut Harness) {
 
     let (miss, hit) = ("adrias_decision_fastpath", "adrias_decision_cached");
     gate_sampled(h, &DECISION_FASTPATH_SPEEDUP, miss, hit);
-}
-
-/// A forecast-miss decision as the policy makes it — the history branch
-/// on the lane's helper thread while the deciding thread forecasts `Ŝ`
-/// — over the same miss inline on one thread (`predict_into` →
-/// `history_features_into` → `predict_both_from_features`, the window
-/// pooled once), fastest of interleaved rounds. The helper takes the
-/// ≈ 15 µs branch and the caller the ≈ 40 µs one, so the ratio is what
-/// is left of a miss when the short branch hides under the long one:
-/// 52.3–54.0 over 67.8–68.9 µs, 0.766–0.784 in ten runs
-/// (EXPERIMENTS.md "The forecast miss on two cores"). A lane that no
-/// longer overlaps reads the inline miss plus the decision's own
-/// bookkeeping: 1.003 and 1.011 pinned to one core, where the policy
-/// runs every miss inline. 0.9 is the line between. Skipped on a
-/// one-core host (`two_cores` = 0).
-const FORECAST_TWO_LANE: Gate = Gate::at_most("forecast_two_lane_x", 0.9).only_if("two_cores");
-
-fn bench_forecast_miss(h: &mut Harness) {
-    use adrias_orchestrator::DecisionContext;
-    use adrias_predictor::dataset::{pool_rows_into, SEQ_LEN};
-    use adrias_predictor::{PerfModelConfig, SystemStateModelConfig};
-    use adrias_scenarios::{train_stack, StackOptions};
-    use adrias_telemetry::WindowStamp;
-
-    // The perf ledger's model shapes (system 7 → 48 → 48, perf
-    // 7 → 24 → 24), trained for a couple of epochs: a miss costs its
-    // shapes, not its accuracy.
-    let opts = StackOptions {
-        system_cfg: SystemStateModelConfig {
-            hidden: 48,
-            block_width: 64,
-            epochs: 2,
-            ..SystemStateModelConfig::default()
-        },
-        perf_cfg: PerfModelConfig {
-            epochs: 2,
-            ..PerfModelConfig::default()
-        },
-        ..StackOptions::quick()
-    };
-    let stack = train_stack(&WorkloadCatalog::paper(), &opts);
-    let app = spark::by_name("lr").unwrap();
-    let history = bench_window();
-    let signature = stack
-        .signatures
-        .iter()
-        .find(|s| s.app_name() == app.name())
-        .expect("the stack profiled lr");
-
-    // The inline leg: the three stages on this thread's own scratch.
-    let (system, perf) = (&stack.system_model, &stack.be_model);
-    let mut sys_scratch = system.make_scratch();
-    let mut scratch = perf.make_scratch();
-    let h_k = perf
-        .signature_features_into(&perf.normalized_signature_window(signature), &mut scratch)
-        .to_vec();
-    let mut pooled = Vec::with_capacity(SEQ_LEN);
-    let mut h_s = Vec::with_capacity(perf.config().hidden);
-
-    // The two-lane leg: the policy, a fresh stamp per call.
-    let mut policy = stack.policy(0.8, 5.0);
-    let mut version = 0u64;
-
-    const ROUNDS: usize = 100;
-    let (inline, two_lane) = fastest_interleaved(ROUNDS, 50, |two_lane| {
-        if two_lane {
-            version += 1;
-            black_box(policy.decide_explained(&DecisionContext {
-                profile: &app,
-                history: Some(&history),
-                qos_p99_ms: Some(5.0),
-                stamp: Some(WindowStamp {
-                    source: u64::MAX,
-                    version,
-                }),
-            }));
-        } else {
-            pool_rows_into(black_box(&history), SEQ_LEN, &mut pooled);
-            let s_hat = system.predict_into(&pooled, &mut sys_scratch);
-            h_s.clear();
-            h_s.extend_from_slice(perf.history_features_into(&pooled, &mut scratch));
-            black_box(perf.predict_both_from_features(
-                &h_s,
-                &h_k,
-                MemoryMode::BOTH,
-                Some(&s_hat),
-                &mut scratch,
-            ));
-        }
-    });
-    h.record_ns("forecast_miss_inline", inline);
-    h.record_ns("forecast_miss_two_lane", two_lane);
-    h.gate(&FORECAST_TWO_LANE, two_lane / inline);
 }
 
 /// The dense run under the full in-memory [`adrias_obs::Observer`]
@@ -720,7 +627,7 @@ fn bench_residual_overhead(h: &mut Harness) {
 fn main() {
     let filter = std::env::var("ADRIAS_BENCH_FILTER").unwrap_or_default();
     type Section = fn(&mut Harness);
-    let sections: [(&str, Section); 10] = [
+    let sections: [(&str, Section); 9] = [
         ("testbed_step", bench_sim_step),
         ("unread_second", bench_unread_second),
         ("lc_tail", bench_lc_tail),
@@ -728,7 +635,6 @@ fn main() {
         ("encoder_forward", bench_encoder),
         ("gemm", bench_gemm),
         ("adrias_decision", bench_decision),
-        ("forecast_miss", bench_forecast_miss),
         ("obs_overhead", bench_obs_overhead),
         ("residual_overhead", bench_residual_overhead),
     ];
@@ -739,10 +645,6 @@ fn main() {
     h.derive("simd_active", f64::from(u8::from(adrias_nn::simd_active())));
     // Which one: 16 (AVX-512), 8 (AVX2) or 0 — a report, no row reads it.
     h.derive("simd_lanes", adrias_nn::simd_lanes() as f64);
-    // 1 when the host has a second core for the history lane's helper:
-    // the `forecast_two_lane_x` row binds only then.
-    let two_cores = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
-    h.derive("two_cores", f64::from(u8::from(two_cores)));
     for (section, bench) in sections {
         if filter.is_empty() || section.contains(filter.as_str()) {
             bench(&mut h);

@@ -11,11 +11,6 @@
 //! Counting is thread-local and disabled by default, so installing the
 //! allocator does not perturb the rest of the test binary (the harness,
 //! other threads, setup code) beyond one relaxed TLS read per call.
-//! Work a thread hands to a helper thread is counted where it runs and
-//! carried back: the helper brackets the job with [`start_counting`] /
-//! [`stop_counting`] and the thread that handed it over folds the pair
-//! into its own window with [`absorb`] — so a window covers everything
-//! done on its thread's behalf, on either thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,17 +50,6 @@ pub fn start_counting() {
 pub fn stop_counting() -> (u64, u64) {
     COUNTING.with(|c| c.set(false));
     (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
-}
-
-/// Adds `(allocation_count, bytes_allocated)` made elsewhere on the
-/// current thread's behalf — a helper thread's [`stop_counting`] for a
-/// job this thread handed it — to the current thread's counters, if it
-/// is counting; otherwise does nothing.
-pub fn absorb((allocs, bytes): (u64, u64)) {
-    if COUNTING.with(Cell::get) {
-        ALLOCS.with(|c| c.set(c.get() + allocs));
-        BYTES.with(|c| c.set(c.get() + bytes));
-    }
 }
 
 fn note(size: usize) {
@@ -120,18 +104,6 @@ mod tests {
         start_counting();
         let (n, b) = stop_counting();
         assert_eq!((n, b), (0, 0));
-    }
-
-    #[test]
-    fn absorb_adds_to_an_open_window_only() {
-        absorb((3, 300));
-        start_counting();
-        note(8);
-        absorb((2, 40));
-        assert_eq!(stop_counting(), (3, 48));
-        absorb((5, 5));
-        start_counting();
-        assert_eq!(stop_counting(), (0, 0), "absorbed outside a window");
     }
 
     #[test]

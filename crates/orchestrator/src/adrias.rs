@@ -1,7 +1,5 @@
 //! The Adrias policy: prediction-driven memory-mode selection.
 
-use std::sync::Arc;
-
 use adrias_core::Name;
 use adrias_predictor::dataset::{pool_rows_into, SEQ_LEN};
 use adrias_predictor::{PerfModel, PerfScratch, SystemScratch, SystemStateModel};
@@ -10,7 +8,6 @@ use adrias_workloads::{AppSignature, MemoryMode, WorkloadClass};
 
 use adrias_obs::DecisionRule;
 
-use crate::lane::HistoryLane;
 use crate::policy::{DecisionContext, ExplainedDecision, Policy};
 
 /// The β-slack placement rule for best-effort applications (§V-C):
@@ -50,17 +47,11 @@ pub fn lc_rule(pred_remote_p99_ms: f32, qos_p99_ms: f32) -> MemoryMode {
 /// * **LC**: `remote` iff `p̂99_remote ≤ QoS`, else `local`.
 /// * During Watcher warm-up (no full history window) known apps fall
 ///   back to local, the safe default.
-///
-/// A forecast miss runs the perf model's history branch on a helper
-/// thread beside the `Ŝ` forecast when the host has a second core (the
-/// private `lane` module); the answer is the single-threaded one, bit
-/// for bit.
 pub struct AdriasPolicy {
     name: String,
     system_model: SystemStateModel,
-    /// Shared with the history lane's helper, never cloned for it.
-    be_model: Arc<PerfModel>,
-    lc_model: Arc<PerfModel>,
+    be_model: PerfModel,
+    lc_model: PerfModel,
     /// The signature store: one entry per known application, in name
     /// order, looked up once per decision. It holds a catalog's few
     /// dozen names, so a scan comparing name handles beats a tree
@@ -77,8 +68,7 @@ pub struct AdriasPolicy {
     /// self-profiler; see [`Policy::take_forward_wall_ns`].
     wall_profile: bool,
     /// Accumulated forward wall nanoseconds since the last drain: the
-    /// deciding thread's wall over each whole prediction, the helper's
-    /// history branch overlapped inside it.
+    /// wall over each whole prediction.
     forward_wall_ns: u64,
     /// What decisions have computed from the current Watcher window.
     record: StampRecord,
@@ -88,7 +78,6 @@ pub struct AdriasPolicy {
     sys_scratch: SystemScratch,
     be_scratch: PerfScratch,
     lc_scratch: PerfScratch,
-    lane: HistoryLane,
 }
 
 /// One known application: its captured signature and the
@@ -209,8 +198,8 @@ impl AdriasPolicy {
         let mut policy = Self {
             name: format!("Adrias(b={beta})"),
             system_model,
-            be_model: Arc::new(be_model),
-            lc_model: Arc::new(lc_model),
+            be_model,
+            lc_model,
             apps: Vec::new(),
             beta,
             default_qos_p99_ms,
@@ -222,7 +211,6 @@ impl AdriasPolicy {
             sys_scratch,
             be_scratch,
             lc_scratch,
-            lane: HistoryLane::new(),
         };
         for signature in signatures {
             policy.store_signature(signature);
@@ -246,8 +234,7 @@ impl AdriasPolicy {
     }
 
     /// Visits every `f32` buffer of the three models and their decision
-    /// scratches — the history lane's included, once it exists — by name
-    /// (see [`PerfModel::visit_storage`]).
+    /// scratches by name (see [`PerfModel::visit_storage`]).
     pub fn visit_storage(&self, f: &mut dyn FnMut(&'static str, &[f32])) {
         self.system_model.visit_storage(f);
         self.be_model.visit_storage(f);
@@ -255,18 +242,6 @@ impl AdriasPolicy {
         self.sys_scratch.visit_storage(f);
         self.be_scratch.visit_storage(f);
         self.lc_scratch.visit_storage(f);
-        self.lane.visit_storage(f);
-    }
-
-    /// How many history branches of forecast misses ran on the lane's
-    /// helper thread and how many on the deciding thread, in that order.
-    pub fn history_branches(&self) -> (u64, u64) {
-        self.lane.branches()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn history_lane_mut(&mut self) -> &mut HistoryLane {
-        &mut self.lane
     }
 
     /// The slack parameter β.
@@ -328,19 +303,18 @@ impl AdriasPolicy {
     /// Hot-swaps the best-effort performance model for `model`.
     ///
     /// Everything derived from the old model is rebuilt: the prediction
-    /// scratches, the history lane's included (they snapshot batch-norm
-    /// running stats), the per-app signature features (the new model may
-    /// normalize differently), and what decisions memoised through it. Decisions after the swap
-    /// are exactly what a policy constructed with `model` would make.
+    /// scratch (it snapshots batch-norm running stats), the per-app
+    /// signature features (the new model may normalize differently), and
+    /// what decisions memoised through it. Decisions after the swap are
+    /// exactly what a policy constructed with `model` would make.
     ///
     /// # Panics
     ///
     /// Panics if `model` is untrained.
     pub fn swap_be_model(&mut self, model: PerfModel) {
         assert!(model.is_trained(), "cannot swap in an untrained BE model");
-        self.be_model = Arc::new(model);
+        self.be_model = model;
         self.be_scratch = self.be_model.make_scratch();
-        self.lane.swap_model(false, &self.be_model);
         self.record.forget_model(false);
         for (_, app) in &mut self.apps {
             app.be_h_k = signature_features(&self.be_model, &mut self.be_scratch, &app.signature);
@@ -355,9 +329,8 @@ impl AdriasPolicy {
     /// Panics if `model` is untrained.
     pub fn swap_lc_model(&mut self, model: PerfModel) {
         assert!(model.is_trained(), "cannot swap in an untrained LC model");
-        self.lc_model = Arc::new(model);
+        self.lc_model = model;
         self.lc_scratch = self.lc_model.make_scratch();
-        self.lane.swap_model(true, &self.lc_model);
         self.record.forget_model(true);
         for (_, app) in &mut self.apps {
             app.lc_h_k = signature_features(&self.lc_model, &mut self.lc_scratch, &app.signature);
@@ -453,31 +426,13 @@ impl AdriasPolicy {
                     pool_rows_into(history, SEQ_LEN, &mut self.pooled);
                 }
                 let pooled = &self.pooled;
-                let s_hat = match record.s_hat {
-                    Some(s_hat) => {
-                        if h_s.is_empty() {
-                            self.lane.inline(model, pooled, scratch, h_s);
-                        }
-                        s_hat
-                    }
-                    // The forecast here, the history branch beside it.
-                    // (Both slots fill on a stamp's first miss, so `h_s`
-                    // is empty already.)
-                    None => {
-                        h_s.clear();
-                        let (system_model, sys_scratch) =
-                            (&self.system_model, &mut self.sys_scratch);
-                        self.lane.overlap(
-                            [&self.be_model, &self.lc_model],
-                            lc,
-                            pooled,
-                            scratch,
-                            h_s,
-                            || system_model.predict_into(pooled, sys_scratch),
-                        )
-                    }
-                };
-                record.s_hat = Some(s_hat);
+                let s_hat = *record.s_hat.get_or_insert_with(|| {
+                    self.system_model
+                        .predict_into(pooled, &mut self.sys_scratch)
+                });
+                if h_s.is_empty() {
+                    h_s.extend_from_slice(model.history_features_into(pooled, scratch));
+                }
                 let [local, remote] = model.predict_both_from_features(
                     h_s,
                     h_k,

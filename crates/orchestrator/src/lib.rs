@@ -28,7 +28,6 @@ pub mod baselines;
 pub mod engine;
 pub mod engine_obs;
 pub mod event;
-mod lane;
 pub mod online;
 pub mod policy;
 pub mod qos;

@@ -56,6 +56,7 @@ impl RegressionReport {
 
     /// Mean of the absolute truth values, useful for relating MAE to
     /// scale (the paper relates MAEs to median performance).
+    #[cfg(test)]
     pub fn truth_scale(&self) -> f32 {
         let vals: Vec<f32> = self.pairs.iter().map(|(t, _)| t.abs()).collect();
         stats::mean(&vals)

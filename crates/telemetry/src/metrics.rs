@@ -82,6 +82,7 @@ impl Metric {
     }
 
     /// Whether this metric describes the remote (ThymesisFlow) channel.
+    #[cfg(test)]
     pub fn is_link_metric(self) -> bool {
         matches!(
             self,
